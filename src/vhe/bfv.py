@@ -9,11 +9,15 @@ operations.  Plaintexts are batched slot vectors over Z_t.
     multiply: tensor the pair over the integers — computed exactly in a
               temporary extended RNS basis wide enough for the unreduced
               products — then scale each component by t/Q and round
-    relinearize / rotate: base-2^w digit decomposition key switching
+    relinearize / rotate: RNS-digit key switching, one digit per chain
+              prime (Bajard–Eynard–Hasan–Zucca): digit i is residue row i
+              of the target, centred, and its key carries the target secret
+              in row i only (the CRT idempotent gadget)
 
-All big-integer steps (CRT lifting, rounding, digit extraction) use exact
-Python integers inside numpy object arrays; nothing depends on floating
-point, so decryption equality is bit-reproducible.
+The big-integer steps (CRT lifting and rounding in multiplication and
+decryption) use exact Python integers inside numpy object arrays; key
+switching is int64 throughout.  Nothing depends on floating point, so
+decryption equality is bit-reproducible.
 
 Noise is verified, not assumed: decryption measures the residual distance
 to the decoded plaintext and raises DecryptionFailureError once it leaves
@@ -52,6 +56,7 @@ class CrtBasis:
         self.primes = tuple(primes)
         self.n = n
         self.mods = [get_modulus(p, n) for p in self.primes]
+        self.col = np.array(self.primes, dtype=np.int64)[:, None]  # (k, 1) moduli
         self.product = 1
         for p in self.primes:
             self.product *= p
@@ -84,24 +89,27 @@ def _intt_mat(mods, mat):
     return np.stack([np.asarray(m.intt(mat[i]), dtype=np.int64) for i, m in enumerate(mods)])
 
 
-def _pointwise(mat_a, mat_b, primes):
-    out = np.empty_like(mat_a)
-    for i, p in enumerate(primes):
-        out[i] = mat_a[i] * mat_b[i] % p
+# Row-wise modular arithmetic on (k, n) residue matrices against a (k, 1)
+# modulus column.  The reduction (a division, the costly step) runs once and
+# in place; callers fold unreduced terms into one call while the sum stays
+# below 2^63 (a product of two residues is < 2^60).
+
+
+def _pointwise(a, b, q):
+    out = a * b
+    out %= q
     return out
 
 
-def _mat_add(a, b, primes):
-    out = np.empty_like(a)
-    for i, p in enumerate(primes):
-        out[i] = (a[i] + b[i]) % p
+def _mat_add(a, b, q):
+    out = a + b
+    out %= q
     return out
 
 
-def _mat_sub(a, b, primes):
-    out = np.empty_like(a)
-    for i, p in enumerate(primes):
-        out[i] = (a[i] - b[i]) % p
+def _mat_sub(a, b, q):
+    out = a - b
+    out %= q
     return out
 
 
@@ -146,8 +154,8 @@ class KeySet:
 
     params: Params
     pk: tuple  # (b, a) NTT-domain matrices
-    rlk: tuple  # per digit: (b_j, a_j)
-    gks: dict  # galois element → per-digit (b_j, a_j) tuple
+    rlk: tuple  # per chain prime: (b_i, a_i)
+    gks: dict  # galois element → per-chain-prime (b_i, a_i) tuple
     sk_ntt: np.ndarray | None = None
 
     @property
@@ -169,10 +177,6 @@ def _cbd_error(gen: np.random.Generator, n: int, err_std: float) -> np.ndarray:
 
 def _ternary(gen: np.random.Generator, n: int) -> np.ndarray:
     return gen.integers(-1, 2, size=n, dtype=np.int64)
-
-
-def _small_to_rns(vec: np.ndarray, primes) -> np.ndarray:
-    return np.stack([vec % p for p in primes])
 
 
 def galois_element(step: int, n: int) -> int:
@@ -212,39 +216,35 @@ def keygen(
     primes = params.q_chain
     mods = [get_modulus(p, params.n) for p in primes]
     n = params.n
+    q = np.array(primes, dtype=np.int64)[:, None]
 
-    s_ntt = _ntt_mat(mods, _small_to_rns(_ternary(gen, n), primes))
+    s_ntt = _ntt_mat(mods, _ternary(gen, n) % q)
 
-    def rlwe_pair(payload_ntt=None, factor=None):
-        """(b, a) with b = -(a·s + e) (+ factor·payload if given), NTT domain."""
+    def rlwe_pair(payload_ntt=None):
+        """(b, a) with b = -(a·s + e) (+ payload if given), NTT domain."""
         a = np.stack(
             [gen.integers(0, p, size=n, dtype=np.int64) for p in primes]
         )
-        e = _ntt_mat(mods, _small_to_rns(_cbd_error(gen, n, params.err_std), primes))
-        b = np.empty_like(a)
-        for i, p in enumerate(primes):
-            b[i] = (-(a[i] * s_ntt[i] % p) - e[i]) % p
-            if payload_ntt is not None:
-                b[i] = (b[i] + factor[i] * payload_ntt[i]) % p
+        e = _ntt_mat(mods, _cbd_error(gen, n, params.err_std) % q)
+        b = _mat_sub(-(a * s_ntt), e, q)
+        if payload_ntt is not None:
+            b = _mat_add(b, payload_ntt, q)
         return b, a
 
     pk = rlwe_pair()
 
-    w = params.decomp_base_bits
-    n_digits = (params.big_q.bit_length() + w - 1) // w
-
     def key_switch_key(target_ntt):
-        """Digit-decomposition key-switching key for secret payload target."""
+        """One RLWE pair per chain prime; pair i carries the target secret
+        times the CRT idempotent e_i (≡ 1 mod q_i, ≡ 0 mod q_j≠i), i.e. the
+        target in residue row i and zeros elsewhere."""
         out = []
-        for j in range(n_digits):
-            factor = np.array(
-                [pow(2, w * j, p) for p in primes], dtype=np.int64
-            )[:, None]
-            out.append(rlwe_pair(payload_ntt=target_ntt, factor=factor))
+        for i in range(len(primes)):
+            payload = np.zeros_like(target_ntt)
+            payload[i] = target_ntt[i]
+            out.append(rlwe_pair(payload))
         return tuple(out)
 
-    s2_ntt = np.stack([s_ntt[i] * s_ntt[i] % p for i, p in enumerate(primes)])
-    rlk = key_switch_key(s2_ntt)
+    rlk = key_switch_key(_pointwise(s_ntt, s_ntt, q))
 
     gks = {}
     wanted = set()
@@ -282,24 +282,19 @@ class BfvBackend:
         self.mods = [get_modulus(p, params.n) for p in self.primes]
         self.t_mod = params.t_modulus
         self.chain_basis = CrtBasis(self.primes, params.n)
-        self._delta_res = np.array(
-            [params.delta % p for p in self.primes], dtype=np.int64
-        )[:, None]
+        self._q = self.chain_basis.col
+        self._delta_res = np.array([params.delta % p for p in self.primes], dtype=np.int64)[:, None]
         self._ext_basis = None
-        self._w_mask = (1 << params.decomp_base_bits) - 1
+        # digit products are < max(q)²: this many (plus a reduced running
+        # sum) fit in int64 before the accumulators must be reduced
+        self._ks_chunk = (2**63 - 1) // (max(self.primes) - 1) ** 2 - 1
 
     # ---- plaintext encoding -------------------------------------------------
 
     def _encode_residues(self, slots, ntt: bool = True) -> np.ndarray:
-        coeffs = batch_encode(slots, self.t_mod).coeffs
-        if self.params.t < 1 << 31:
-            vec = np.asarray(coeffs, dtype=np.int64)
-            mat = np.stack([vec % p for p in self.primes])
-        else:
-            vec = np.asarray(coeffs, dtype=object)
-            mat = np.stack(
-                [(vec % p).astype(np.int64) for p in self.primes]
-            )
+        # coefficients are < t < 2^60, so int64 holds them exactly
+        coeffs = np.asarray(batch_encode(slots, self.t_mod).coeffs, dtype=np.int64)
+        mat = coeffs % self._q
         return _ntt_mat(self.mods, mat) if ntt else mat
 
     # ---- lifecycle ----------------------------------------------------------
@@ -308,17 +303,14 @@ class BfvBackend:
         p = self.params
         if len(slots) != p.n:
             raise ParameterError(f"expected {p.n} slots, got {len(slots)}")
-        gen = self._gen
-        u = _ntt_mat(self.mods, _small_to_rns(_ternary(gen, p.n), self.primes))
-        e0 = _ntt_mat(self.mods, _small_to_rns(_cbd_error(gen, p.n, p.err_std), self.primes))
-        e1 = _ntt_mat(self.mods, _small_to_rns(_cbd_error(gen, p.n, p.err_std), self.primes))
+        gen, q = self._gen, self._q
+        u = _ntt_mat(self.mods, _ternary(gen, p.n) % q)
+        e0 = _ntt_mat(self.mods, _cbd_error(gen, p.n, p.err_std) % q)
+        e1 = _ntt_mat(self.mods, _cbd_error(gen, p.n, p.err_std) % q)
         m = self._encode_residues(slots)
         b, a = self.keys.pk
-        c0 = np.empty_like(u)
-        c1 = np.empty_like(u)
-        for i, q in enumerate(self.primes):
-            c0[i] = (b[i] * u[i] % q + e0[i] + self._delta_res[i] * m[i] % q) % q
-            c1[i] = (a[i] * u[i] % q + e1[i]) % q
+        c0 = _mat_add(b * u + e0, self._delta_res * m, q)
+        c1 = _mat_add(a * u, e1, q)
         return Ciphertext(
             (RnsPoly(c0, True), RnsPoly(c1, True)), level=p.level
         )
@@ -334,16 +326,13 @@ class BfvBackend:
     def _phase(self, ct: Ciphertext) -> np.ndarray:
         """[Σ c_i·s^i]_Q as centered big-int coefficients (object array)."""
         s_ntt = self._require_secret()
-        acc = self._to_eval(ct.polys[0]).mat.copy()
+        q = self._q
+        acc = self._to_eval(ct.polys[0]).mat
         s_pow = s_ntt
         for d, poly in enumerate(ct.polys[1:]):
-            mat = self._to_eval(poly).mat
-            for i, q in enumerate(self.primes):
-                acc[i] = (acc[i] + mat[i] * s_pow[i]) % q
+            acc = _mat_add(acc, self._to_eval(poly).mat * s_pow, q)
             if d + 2 < ct.degree:
-                s_pow = np.stack(
-                    [s_pow[i] * s_ntt[i] % q for i, q in enumerate(self.primes)]
-                )
+                s_pow = _pointwise(s_pow, s_ntt, q)
         coeff = _intt_mat(self.mods, acc)
         return self.chain_basis.lift_centered(coeff)
 
@@ -405,38 +394,23 @@ class BfvBackend:
 
     def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         pa, pb = self._zip_polys(a, b)
-        polys = tuple(
-            RnsPoly(_mat_add(x.mat, y.mat, self.primes), True)
-            for x, y in zip(pa, pb)
-        )
+        polys = tuple(RnsPoly(_mat_add(x.mat, y.mat, self._q), True) for x, y in zip(pa, pb))
         return Ciphertext(polys, a.level, max(a.mul_depth, b.mul_depth))
 
     def sub(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         pa, pb = self._zip_polys(a, b)
-        polys = tuple(
-            RnsPoly(_mat_sub(x.mat, y.mat, self.primes), True)
-            for x, y in zip(pa, pb)
-        )
+        polys = tuple(RnsPoly(_mat_sub(x.mat, y.mat, self._q), True) for x, y in zip(pa, pb))
         return Ciphertext(polys, a.level, max(a.mul_depth, b.mul_depth))
 
     def neg(self, a: Ciphertext) -> Ciphertext:
-        polys = []
-        for poly in a.polys:
-            poly = self._to_eval(poly)
-            mat = np.empty_like(poly.mat)
-            for i, q in enumerate(self.primes):
-                mat[i] = (-poly.mat[i]) % q
-            polys.append(RnsPoly(mat, True))
-        return Ciphertext(tuple(polys), a.level, a.mul_depth)
+        polys = tuple(RnsPoly(_mat_sub(0, self._to_eval(x).mat, self._q), True) for x in a.polys)
+        return Ciphertext(polys, a.level, a.mul_depth)
 
     def mul_plain(self, a: Ciphertext, const_slots) -> Ciphertext:
         if len(const_slots) != self.params.n:
             raise ParameterError("constant vector must cover every slot")
         c = self._encode_residues(const_slots)
-        polys = tuple(
-            RnsPoly(_pointwise(self._to_eval(x).mat, c, self.primes), True)
-            for x in a.polys
-        )
+        polys = tuple(RnsPoly(_pointwise(self._to_eval(x).mat, c, self._q), True) for x in a.polys)
         return Ciphertext(polys, a.level, a.mul_depth)
 
     # ---- multiplication -------------------------------------------------------
@@ -477,12 +451,10 @@ class BfvBackend:
         a0, a1 = extend(a.polys[0]), extend(a.polys[1])
         b0, b1 = extend(b.polys[0]), extend(b.polys[1])
 
-        prods = []
-        for ea, eb in ((a0, b0), (a0, b1), (a1, b1)):
-            prods.append(_pointwise(ea, eb, ext.primes))
+        qe = ext.col
         # middle term: a0·b1 + a1·b0
-        cross = _pointwise(a1, b0, ext.primes)
-        prods[1] = _mat_add(prods[1], cross, ext.primes)
+        cross = _mat_add(a0 * b1, a1 * b0, qe)
+        prods = [_pointwise(a0, b0, qe), cross, _pointwise(a1, b1, qe)]
 
         out_polys = []
         q_int, t = p.big_q, p.t
@@ -496,20 +468,28 @@ class BfvBackend:
         return Ciphertext(tuple(out_polys), a.level, depth)
 
     def _apply_ks(self, target: RnsPoly, ks) -> tuple:
-        """Digit-decompose `target` and pair it with a key-switching key."""
-        w = self.params.decomp_base_bits
+        """Key-switch `target` with one RNS digit per chain prime.
+
+        Digit i is the target's residue row i centred to (-q_i/2, q_i/2] and
+        reduced into every prime; in prime i that is row i itself, so its
+        transform is the target's evaluation row i and only the k(k-1)
+        cross-prime rows need a forward NTT.
+        """
+        q = self._q
+        ev = self._to_eval(target).mat
         coeff = self._to_coeff(target).mat
-        lifted = self.chain_basis.lift_centered(coeff) % self.params.big_q
-        acc0 = None
-        acc1 = None
-        for j, (kb, ka) in enumerate(ks):
-            digit = ((lifted >> (w * j)) & self._w_mask).astype(np.int64)
-            d_ntt = _ntt_mat(self.mods, np.broadcast_to(digit, coeff.shape))
-            t0 = _pointwise(d_ntt, kb, self.primes)
-            t1 = _pointwise(d_ntt, ka, self.primes)
-            acc0 = t0 if acc0 is None else _mat_add(acc0, t0, self.primes)
-            acc1 = t1 if acc1 is None else _mat_add(acc1, t1, self.primes)
-        return acc0, acc1
+        centred = np.where(coeff > q // 2, coeff - q, coeff)
+        acc0 = np.zeros_like(ev)
+        acc1 = np.zeros_like(ev)
+        for i, (kb, ka) in enumerate(ks):
+            row = centred[i] % q
+            d = np.stack([ev[i] if j == i else m.ntt(row[j]) for j, m in enumerate(self.mods)])
+            acc0 += d * kb
+            acc1 += d * ka
+            if (i + 1) % self._ks_chunk == 0:
+                acc0 %= q
+                acc1 %= q
+        return acc0 % q, acc1 % q
 
     def relinearize(self, ct: Ciphertext) -> Ciphertext:
         """Fold c₂ back onto (c₀, c₁) with the relinearization key."""
@@ -521,10 +501,7 @@ class BfvBackend:
         c0 = self._to_eval(ct.polys[0]).mat
         c1 = self._to_eval(ct.polys[1]).mat
         return Ciphertext(
-            (
-                RnsPoly(_mat_add(c0, k0, self.primes), True),
-                RnsPoly(_mat_add(c1, k1, self.primes), True),
-            ),
+            (RnsPoly(_mat_add(c0, k0, self._q), True), RnsPoly(_mat_add(c1, k1, self._q), True)),
             ct.level,
             ct.mul_depth,
         )
@@ -547,10 +524,7 @@ class BfvBackend:
         c1 = self._to_eval(ct.polys[1]).mat[:, perm]
         k0, k1 = self._apply_ks(RnsPoly(c1, True), self.keys.gks[g])
         return Ciphertext(
-            (
-                RnsPoly(_mat_add(c0, k0, self.primes), True),
-                RnsPoly(k1, True),
-            ),
+            (RnsPoly(_mat_add(c0, k0, self._q), True), RnsPoly(k1, True)),
             ct.level,
             ct.mul_depth,
         )

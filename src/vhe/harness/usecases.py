@@ -93,7 +93,13 @@ def usecase_spec(
         preset_name = rep_preset if auth == "rep" else packed_preset
     if lam is None:
         lam = rep_lam
-    return UseCaseSpec(name=name, preset_name=preset_name, lam=lam, seed=seed, **knobs)
+    spec = UseCaseSpec(name=name, preset_name=preset_name, lam=lam, seed=seed, **knobs)
+    if name == "lookup" and spec.db_entries > 26**spec.entry_chars:
+        raise ParameterError(
+            f"{spec.db_entries} distinct {spec.entry_chars}-letter entries do not exist "
+            f"(at most {26**spec.entry_chars})"
+        )
+    return spec
 
 
 @dataclass

@@ -29,7 +29,6 @@ class Params:
     t: int
     q_chain: tuple
     err_std: float = 3.2
-    decomp_base_bits: int = 16
     depth_budget: int | None = None
     name: str = ""
 
@@ -51,8 +50,6 @@ class Params:
             raise ParameterError("plaintext prime may not appear in the chain")
         if self.big_q <= 4 * self.t:
             raise ParameterError("ciphertext modulus must dominate the plaintext modulus")
-        if not (1 <= self.decomp_base_bits <= 16):
-            raise ParameterError("decomposition base must be 2^w with 1 ≤ w ≤ 16")
 
     @property
     def big_q(self) -> int:
@@ -88,7 +85,6 @@ def make_params(
     t_bits: int = 16,
     chain_len: int = 4,
     err_std: float = 3.2,
-    decomp_base_bits: int = 16,
     depth_budget: int | None = None,
     name: str = "",
     t: int | None = None,
@@ -102,7 +98,6 @@ def make_params(
         t=t,
         q_chain=chain,
         err_std=err_std,
-        decomp_base_bits=decomp_base_bits,
         depth_budget=depth_budget,
         name=name,
     )
@@ -170,7 +165,6 @@ def params_with_t_bits(base: Params, t_bits: int) -> Params:
         t=t,
         q_chain=chain,
         err_std=base.err_std,
-        decomp_base_bits=base.decomp_base_bits,
         depth_budget=base.depth_budget,
         name=f"{base.name}/t{t_bits}",
     )

@@ -27,7 +27,7 @@ from .pe import PeAuth, PeSecret
 from .rep import RepAuth, RepResult, RepSecret
 
 MAGIC = b"VRTS"
-VERSION = 1
+VERSION = 2  # 2: RNS-digit key-switching keys, no decomposition-base byte
 
 TYPE_PARAMS = 0x01
 TYPE_KEYSET = 0x02
@@ -148,11 +148,10 @@ def save_params(params: Params) -> bytes:
     name = params.name.encode("utf-8")
     body = bytearray()
     body += struct.pack(
-        "<IQdBhB",
+        "<IQdhB",
         params.n,
         params.t,
         params.err_std,
-        params.decomp_base_bits,
         -1 if params.depth_budget is None else params.depth_budget,
         len(params.q_chain),
     )
@@ -164,7 +163,7 @@ def save_params(params: Params) -> bytes:
 
 def _params_from_body(body: bytes) -> Params:
     r = _Reader(body)
-    n, t, err_std, base_bits, depth, chain_len = r.unpack("<IQdBhB")
+    n, t, err_std, depth, chain_len = r.unpack("<IQdhB")
     chain = tuple(r.unpack("<Q")[0] for _ in range(chain_len))
     (nlen,) = r.unpack("<H")
     name = r.take(nlen).decode("utf-8")
@@ -174,7 +173,6 @@ def _params_from_body(body: bytes) -> Params:
         t=t,
         q_chain=chain,
         err_std=err_std,
-        decomp_base_bits=base_bits,
         depth_budget=None if depth < 0 else depth,
         name=name,
     )
@@ -223,7 +221,21 @@ def load_keyset(blob: bytes, offset: int = 0) -> KeySet:
         (g,) = r.unpack("<Q")
         gks[g] = _read_key_pairs(r)
     r.done()
+    _check_key_material(params, sk, pk, rlk, gks)
     return KeySet(params, pk, rlk, gks, sk)
+
+
+def _check_key_material(params: Params, sk, pk, rlk, gks):
+    """Every key-switching key has one pair per chain prime, and every matrix
+    is a (k, n) array of residues in [0, q_i)."""
+    k = len(params.q_chain)
+    if len(rlk) != k or any(len(ks) != k for ks in gks.values()):
+        raise SerializationError(f"key-switching keys must carry {k} pairs, one per chain prime")
+    q = np.array(params.q_chain, dtype=np.int64)[:, None]
+    pairs = [pk, *rlk, *(pair for ks in gks.values() for pair in ks)]
+    for mat in [m for pair in pairs for m in pair] + ([] if sk is None else [sk]):
+        if mat.shape != (k, params.n) or (mat < 0).any() or (mat >= q).any():
+            raise SerializationError(f"key matrix is not a ({k}, {params.n}) array of chain residues")
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from vhe.errors import (
     ParameterError,
 )
 from vhe.mock import MockBackend
-from vhe.params import make_params, preset
+from vhe.params import Params, make_params, preset
+from vhe.ring import find_ntt_primes, find_plaintext_prime
 
 PARAMS = preset("mock64")  # n=64 with a real 2-prime chain: fast for both backends
 T = PARAMS.t
@@ -212,6 +213,52 @@ def test_real_decrypt_requires_secret(real):
         pub.decrypt(ct)
     # but evaluation works with public material only
     assert real.decrypt(pub.mul(ct, ct)) == [25] * N
+
+
+def test_real_linear_ops_match_per_prime_reference(real):
+    """The broadcast (k, 1)-modulus arithmetic equals a per-prime loop."""
+    rng = random.Random(10)
+    ca, cb = real.encrypt(rand_slots(rng)), real.encrypt(rand_slots(rng))
+    k = rand_slots(rng)
+    a, b = ca.polys[0].mat, cb.polys[0].mat
+    kres = real._encode_residues(k)
+    rows = list(enumerate(PARAMS.q_chain))
+    assert np.array_equal(real.add(ca, cb).polys[0].mat, np.stack([(a[i] + b[i]) % q for i, q in rows]))
+    assert np.array_equal(real.sub(ca, cb).polys[0].mat, np.stack([(a[i] - b[i]) % q for i, q in rows]))
+    assert np.array_equal(real.neg(ca).polys[0].mat, np.stack([-a[i] % q for i, q in rows]))
+    assert np.array_equal(
+        real.mul_plain(ca, k).polys[0].mat, np.stack([a[i] * kres[i] % q for i, q in rows])
+    )
+
+
+def test_key_switching_keys_carry_one_pair_per_chain_prime(real):
+    k = len(PARAMS.q_chain)
+    assert len(real.keys.rlk) == k
+    assert real.keys.gks and all(len(ks) == k for ks in real.keys.gks.values())
+
+
+def test_rotation_noise_margin_n4096():
+    """One key switch on a fresh n4096 ciphertext must leave ≥ 140 bits."""
+    params = preset("n4096")
+    be = make_real(params, steps=(1,), seed=11)
+    ct = be.rotate(be.encrypt(list(range(params.n))), 1)
+    assert be.noise_budget(ct) >= 140
+
+
+def test_key_switching_accumulator_reduction_on_wide_chain():
+    """40 primes just below 2^30: the int64 digit-product sums must be
+    reduced mid-loop (at most 7 products fit), or rotation and
+    relinearization would wrap and decrypt to garbage."""
+    n = 64
+    t = find_plaintext_prime(16, n).value
+    params = Params(n=n, t=t, q_chain=tuple(find_ntt_primes(30, n, 40, exclude=(t,))))
+    be = make_real(params, steps=(1,), seed=12)
+    assert be._ks_chunk < len(params.q_chain)
+    x = [random.Random(13).randrange(t) for _ in range(n)]
+    ct = be.encrypt(x)
+    row = n // 2
+    assert be.decrypt(be.rotate(ct, 1)) == x[1:row] + x[:1] + x[row + 1 :] + x[row : row + 1]
+    assert be.decrypt(be.mul(ct, ct)) == [v * v % t for v in x]
 
 
 def test_big_plaintext_modulus_paths():

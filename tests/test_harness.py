@@ -65,6 +65,9 @@ def test_usecase_depth_budget_checked_first():
 def test_usecase_rejects_unknown_names():
     with pytest.raises(ParameterError):
         usecase_spec("sorting", auth="rep")
+    # 27 distinct one-letter entries do not exist: refused, not searched for
+    with pytest.raises(ParameterError, match="at most 26"):
+        usecase_spec("lookup", db_entries=27, entry_chars=1)
     with pytest.raises(ParameterError):
         run_usecase(usecase_spec("lookup", auth="rep"), auth="hmac")
 

@@ -2,6 +2,7 @@
 modes: garbage, truncation, and type confusion."""
 
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -134,6 +135,38 @@ def test_garbage_rejected():
         sz.load_keyset(good)  # type confusion
     with pytest.raises(SerializationError):
         sz.load_ciphertext(good)
+
+
+def test_version_1_params_refused():
+    """Version 1 carried a decomposition-base byte and base-2^16 keys."""
+    body = struct.pack("<IQdBhB", PARAMS.n, PARAMS.t, PARAMS.err_std, 16, 2, len(PARAMS.q_chain))
+    body += b"".join(struct.pack("<Q", q) for q in PARAMS.q_chain) + struct.pack("<H", 0)
+    blob = sz.MAGIC + struct.pack("<HBI", 1, sz.TYPE_PARAMS, len(body)) + body
+    with pytest.raises(SerializationError, match="version 1"):
+        sz.load_params(blob)
+
+
+def _drop_rlk_pair(keys):
+    return bfv.KeySet(keys.params, keys.pk, keys.rlk[:-1], keys.gks, keys.sk_ntt)
+
+
+def _out_of_range_gk(keys):
+    g = min(keys.gks)
+    (b, a), *rest = keys.gks[g]
+    b = b.copy()
+    b[1, 5] = PARAMS.q_chain[1]  # one residue equal to its prime
+    return bfv.KeySet(keys.params, keys.pk, keys.rlk, {**keys.gks, g: ((b, a), *rest)}, keys.sk_ntt)
+
+
+def _short_pk(keys):
+    b, a = keys.pk
+    return bfv.KeySet(keys.params, (b[:-1], a[:-1]), keys.rlk, keys.gks, keys.sk_ntt)
+
+
+@pytest.mark.parametrize("corrupt", [_drop_rlk_pair, _out_of_range_gk, _short_pk])
+def test_malformed_keyset_rejected(real_keys, corrupt):
+    with pytest.raises(SerializationError):
+        sz.load_keyset(sz.save_keyset(corrupt(real_keys), include_secret=True))
 
 
 def test_trailing_bytes_rejected(mock):
