@@ -33,7 +33,6 @@ from math import log2
 
 import numpy as np
 
-from . import ring
 from .errors import (
     DecryptionFailureError,
     KeyMaterialError,
@@ -130,14 +129,12 @@ class RnsPoly:
 class Ciphertext:
     """(c₀, …, c_{d}) with d+1 = len(polys); decrypts under powers of s.
 
-    `level` is the active chain length (constant here: the chain is never
-    switched).  `mul_depth` counts ciphertext-ciphertext multiplication
-    levels for diagnostics; correctness is enforced by measured noise at
-    decryption, not by this counter.
+    `mul_depth` counts ciphertext-ciphertext multiplication levels for
+    diagnostics; correctness is enforced by measured noise at decryption,
+    not by this counter.
     """
 
     polys: tuple
-    level: int
     mul_depth: int = 0
 
     @property
@@ -293,7 +290,7 @@ class BfvBackend:
 
     def _encode_residues(self, slots, ntt: bool = True) -> np.ndarray:
         # coefficients are < t < 2^60, so int64 holds them exactly
-        coeffs = np.asarray(batch_encode(slots, self.t_mod).coeffs, dtype=np.int64)
+        coeffs = np.asarray(batch_encode(slots, self.t_mod), dtype=np.int64)
         mat = coeffs % self._q
         return _ntt_mat(self.mods, mat) if ntt else mat
 
@@ -311,9 +308,7 @@ class BfvBackend:
         b, a = self.keys.pk
         c0 = _mat_add(b * u + e0, self._delta_res * m, q)
         c1 = _mat_add(a * u, e1, q)
-        return Ciphertext(
-            (RnsPoly(c0, True), RnsPoly(c1, True)), level=p.level
-        )
+        return Ciphertext((RnsPoly(c0, True), RnsPoly(c1, True)))
 
     def encrypt_zero(self) -> Ciphertext:
         return self.encrypt([0] * self.params.n)
@@ -336,6 +331,19 @@ class BfvBackend:
         coeff = _intt_mat(self.mods, acc)
         return self.chain_basis.lift_centered(coeff)
 
+    def _noise(self, ct: Ciphertext):
+        """(plaintext coefficients, largest |noise|), exact integers.
+
+        m = ⌈(t/Q)·phase⌋ mod t and the noise is phase − Δ·m centred mod Q
+        (the centring absorbs the wrap when the rounding lands on t).
+        """
+        p = self.params
+        q, t = p.big_q, p.t
+        phase = self._phase(ct)
+        m = (phase * t + q // 2) // q % t
+        e = (phase - m * p.delta + q // 2) % q - q // 2
+        return m, int(np.abs(e).max())
+
     def decrypt(self, ct: Ciphertext) -> list[int]:
         """Decode slots; raises DecryptionFailureError on noise overflow.
 
@@ -343,35 +351,20 @@ class BfvBackend:
         measured; honest pipelines keep it far below Δ/4, so exceeding
         that guard band means the true value was lost to noise.
         """
-        p = self.params
-        phase = self._phase(ct)
-        q, t, delta = p.big_q, p.t, p.delta
-        m_coeffs = [((t * int(v) + q // 2) // q) % t for v in phase]
-        worst = 0
-        for v, m in zip(phase, m_coeffs):
-            e = int(v) - delta * m
-            e -= q * round(e / q)  # recenter (wraps when m rounds to t)
-            if abs(e) > worst:
-                worst = abs(e)
+        m, worst = self._noise(ct)
+        delta = self.params.delta
         if worst >= delta // 4:
             raise DecryptionFailureError(
                 f"noise |e|≈2^{worst.bit_length()} breached the guard band "
                 f"(Δ/4 ≈ 2^{(delta // 4).bit_length()}); result untrustworthy"
             )
-        return batch_decode(ring.Poly.make(m_coeffs, self.t_mod))
+        return batch_decode(m.tolist(), self.t_mod)
 
     def noise_budget(self, ct: Ciphertext) -> float:
         """log2 of (capacity / measured noise); negative once corrupted."""
         p = self.params
-        phase = self._phase(ct)
-        q, t, delta = p.big_q, p.t, p.delta
-        worst = 1
-        for v in phase:
-            m = ((t * int(v) + q // 2) // q) % t
-            e = int(v) - delta * m
-            e -= q * round(e / q)
-            worst = max(worst, abs(e))
-        return log2(q / (2 * t)) - log2(worst)
+        _, worst = self._noise(ct)
+        return log2(p.big_q / (2 * p.t)) - log2(max(worst, 1))
 
     # ---- linear operations ---------------------------------------------------
 
@@ -395,23 +388,23 @@ class BfvBackend:
     def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         pa, pb = self._zip_polys(a, b)
         polys = tuple(RnsPoly(_mat_add(x.mat, y.mat, self._q), True) for x, y in zip(pa, pb))
-        return Ciphertext(polys, a.level, max(a.mul_depth, b.mul_depth))
+        return Ciphertext(polys, max(a.mul_depth, b.mul_depth))
 
     def sub(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         pa, pb = self._zip_polys(a, b)
         polys = tuple(RnsPoly(_mat_sub(x.mat, y.mat, self._q), True) for x, y in zip(pa, pb))
-        return Ciphertext(polys, a.level, max(a.mul_depth, b.mul_depth))
+        return Ciphertext(polys, max(a.mul_depth, b.mul_depth))
 
     def neg(self, a: Ciphertext) -> Ciphertext:
         polys = tuple(RnsPoly(_mat_sub(0, self._to_eval(x).mat, self._q), True) for x in a.polys)
-        return Ciphertext(polys, a.level, a.mul_depth)
+        return Ciphertext(polys, a.mul_depth)
 
     def mul_plain(self, a: Ciphertext, const_slots) -> Ciphertext:
         if len(const_slots) != self.params.n:
             raise ParameterError("constant vector must cover every slot")
         c = self._encode_residues(const_slots)
         polys = tuple(RnsPoly(_pointwise(self._to_eval(x).mat, c, self._q), True) for x in a.polys)
-        return Ciphertext(polys, a.level, a.mul_depth)
+        return Ciphertext(polys, a.mul_depth)
 
     # ---- multiplication -------------------------------------------------------
 
@@ -465,7 +458,7 @@ class BfvBackend:
             scaled = (vals * t + half) // q_int  # ⌈(t/Q)·x⌋
             out_polys.append(RnsPoly(self.chain_basis.residues(scaled), False))
         depth = max(a.mul_depth, b.mul_depth) + 1
-        return Ciphertext(tuple(out_polys), a.level, depth)
+        return Ciphertext(tuple(out_polys), depth)
 
     def _apply_ks(self, target: RnsPoly, ks) -> tuple:
         """Key-switch `target` with one RNS digit per chain prime.
@@ -502,7 +495,6 @@ class BfvBackend:
         c1 = self._to_eval(ct.polys[1]).mat
         return Ciphertext(
             (RnsPoly(_mat_add(c0, k0, self._q), True), RnsPoly(_mat_add(c1, k1, self._q), True)),
-            ct.level,
             ct.mul_depth,
         )
 
@@ -525,7 +517,6 @@ class BfvBackend:
         k0, k1 = self._apply_ks(RnsPoly(c1, True), self.keys.gks[g])
         return Ciphertext(
             (RnsPoly(_mat_add(c0, k0, self._q), True), RnsPoly(k1, True)),
-            ct.level,
             ct.mul_depth,
         )
 

@@ -12,10 +12,16 @@ batching layout).  Gate set:
     inner_sum     every slot ← sum of its aligned block of `block`
                   consecutive slots (blocks never straddle a row)
 
-The same structure is interpreted three ways: over plain data
-(:func:`eval_plain`), over PRF challenge values (:func:`eval_challenge`),
-and over ciphertexts (:func:`eval_he`, with an optional replication stride
-so a logically identical program can run on block-extended layouts).
+:func:`interpret` is the one gate walk: the caller supplies add, sub, mul
+and one hook for the unary gates, and gets every wire back.  The slot
+semantics are defined once here (``slot_*``); the plain interpreter
+(:func:`eval_plain`, the oracle), the challenge evaluations and the mock
+backend all use them.  Over ciphertexts, :func:`he_unary` maps a unary
+gate onto backend operations, with an optional replication stride so a
+logically identical program runs on block-extended layouts
+(:func:`eval_he`).  The encodings run their own algebras through
+:func:`interpret` as well: tuples of ciphertexts, (ρ, δ) offset pairs and
+degrees.
 """
 
 from __future__ import annotations
@@ -73,19 +79,22 @@ class Program:
     @property
     def depth(self) -> int:
         """Multiplicative depth: longest chain of ciphertext-ciphertext muls."""
-        d = [0] * len(self.gates)
-        for i, g in enumerate(self.gates):
-            if g.op == "input":
-                d[i] = 0
-            elif g.op == "mul":
-                d[i] = 1 + max(d[a] for a in g.args)
-            elif g.args:
-                d[i] = max(d[a] for a in g.args)
-        return d[self.output] if self.gates else 0
+        if not self.gates:
+            return 0
+        depths = interpret(
+            self, [0] * self.num_inputs, max, max,
+            lambda a, b, _: max(a, b) + 1, lambda d, _: d,
+        )
+        return depths[self.output]
 
     @property
     def mul_gate_count(self) -> int:
         return sum(1 for g in self.gates if g.op == "mul")
+
+    @property
+    def add_sub_only(self) -> bool:
+        """Every gate is an input, add or sub: no slot ever moves."""
+        return all(g.op in ("input", "add", "sub") for g in self.gates)
 
     def validate(self):
         w = self.width
@@ -188,33 +197,84 @@ class ProgramBuilder:
 
 
 # ---------------------------------------------------------------------------
-# plain interpreter (the semantic reference for the other two)
+# the gate walk and the slot semantics every backend must match
 # ---------------------------------------------------------------------------
 
 
-def _rotate_rows(vec, step, row):
-    out = []
-    for r in range(0, len(vec), row):
-        chunk = vec[r : r + row]
-        s = step % row
-        out.extend(chunk[s:] + chunk[:s])
-    return out
+def interpret(program: Program, inputs, add, sub, mul, unary) -> list:
+    """Walk the gates once over any algebra and return every wire.
+
+    ``inputs[k]`` is the value of input k.  ``mul(a, b, gate_index)`` gets
+    the gate index because re-quadratization and its blinds are keyed by
+    gate; ``unary(value, gate)`` applies mul_plain, rotate, row_swap and
+    inner_sum.
+    """
+    wires: list = []
+    for idx, g in enumerate(program.gates):
+        if g.op == "input":
+            v = inputs[g.input_index]
+        elif g.op == "add":
+            v = add(wires[g.args[0]], wires[g.args[1]])
+        elif g.op == "sub":
+            v = sub(wires[g.args[0]], wires[g.args[1]])
+        elif g.op == "mul":
+            v = mul(wires[g.args[0]], wires[g.args[1]], idx)
+        else:
+            v = unary(wires[g.args[0]], g)
+        wires.append(v)
+    return wires
 
 
-def _inner_sum_plain(vec, block, row, t):
+def slot_add(a, b, t: int) -> list[int]:
+    return [(x + y) % t for x, y in zip(a, b)]
+
+
+def slot_sub(a, b, t: int) -> list[int]:
+    return [(x - y) % t for x, y in zip(a, b)]
+
+
+def slot_mul(a, b, t: int) -> list[int]:
+    return [x * y % t for x, y in zip(a, b)]
+
+
+def slot_rotate(vec, step: int):
+    """Cyclic left shift by `step` within each of the two rows."""
+    row = len(vec) // 2
+    s = step % row
+    return vec[s:row] + vec[:s] + vec[row + s :] + vec[row : row + s]
+
+
+def slot_row_swap(vec):
+    row = len(vec) // 2
+    return vec[row:] + vec[:row]
+
+
+def slot_inner_sum(vec, block: int, t: int, stride: int = 1) -> list[int]:
+    """Every slot ← the sum of its block: `block` slots `stride` apart,
+    within aligned spans of block·stride slots that never straddle a row."""
     out = list(vec)
-    for r in range(0, len(vec), row):
-        for b in range(r, r + row, block):
-            s = sum(vec[b : b + block]) % t
-            for j in range(b, b + block):
-                out[j] = s
+    span = block * stride
+    for base in range(0, len(vec), span):
+        for first in range(base, base + stride):
+            s = sum(vec[first : base + span : stride]) % t
+            out[first : base + span : stride] = [s] * block
     return out
+
+
+def slot_unary(vec, g: Gate, t: int):
+    """One unary gate over a plain slot vector."""
+    if g.op == "mul_plain":
+        return slot_mul(vec, g.const, t)
+    if g.op == "rotate":
+        return slot_rotate(vec, g.step)
+    if g.op == "row_swap":
+        return slot_row_swap(vec)
+    return slot_inner_sum(vec, g.block, t)
 
 
 def eval_plain(program: Program, inputs, t: int) -> list[int]:
     """Evaluate over plain slot vectors mod t; returns the output wire."""
     w = program.width
-    row = w // 2
     ins = [list(int(x) % t for x in v) for v in inputs]
     if len(ins) != program.num_inputs:
         raise ParameterError(
@@ -222,30 +282,13 @@ def eval_plain(program: Program, inputs, t: int) -> list[int]:
         )
     if any(len(v) != w for v in ins):
         raise ParameterError(f"every input must have width {w}")
-    wires: list[list[int]] = []
-    for g in program.gates:
-        if g.op == "input":
-            v = ins[g.input_index]
-        elif g.op == "add":
-            a, b = wires[g.args[0]], wires[g.args[1]]
-            v = [(x + y) % t for x, y in zip(a, b)]
-        elif g.op == "sub":
-            a, b = wires[g.args[0]], wires[g.args[1]]
-            v = [(x - y) % t for x, y in zip(a, b)]
-        elif g.op == "mul":
-            a, b = wires[g.args[0]], wires[g.args[1]]
-            v = [x * y % t for x, y in zip(a, b)]
-        elif g.op == "mul_plain":
-            a = wires[g.args[0]]
-            v = [x * int(c) % t for x, c in zip(a, g.const)]
-        elif g.op == "rotate":
-            v = _rotate_rows(wires[g.args[0]], g.step, row)
-        elif g.op == "row_swap":
-            a = wires[g.args[0]]
-            v = a[row:] + a[:row]
-        else:  # inner_sum
-            v = _inner_sum_plain(wires[g.args[0]], g.block, row, t)
-        wires.append(v)
+    wires = interpret(
+        program, ins,
+        lambda a, b: slot_add(a, b, t),
+        lambda a, b: slot_sub(a, b, t),
+        lambda a, b, _: slot_mul(a, b, t),
+        lambda v, g: slot_unary(v, g, t),
+    )
     return wires[program.output]
 
 
@@ -259,16 +302,19 @@ def challenge_input_pe(key, base: Identifier, width: int, t: int) -> list[int]:
     return [prf_zt(key, base.with_slot(j), t) for j in range(width)]
 
 
-def challenge_input_rep(key, base: Identifier, length: int, width: int, t: int, col: int):
-    """Challenge column `col` of a replication-encoded input.
+def challenge_input_rep(
+    key, base: Identifier, length: int, width: int, t: int, col: int, first: int
+):
+    """Challenge column `col` of a replication-encoded input, for the chunk
+    whose first slot carries component `first`.
 
-    Component i carries identifier (base, slot=i); positions past the
+    Component i carries identifier (base, slot=i); components at or past the
     authenticated length are zero padding, matching the encoder.
     """
-    vec = [0] * width
-    for i in range(length):
-        vec[i] = prf_zt(key, base.with_slot(i), t, aux=col)
-    return vec
+    return [
+        prf_zt(key, base.with_slot(i), t, aux=col) if i < length else 0
+        for i in range(first, first + width)
+    ]
 
 
 def eval_challenge_pe(program: Program, key, t: int) -> list[int]:
@@ -279,10 +325,13 @@ def eval_challenge_pe(program: Program, key, t: int) -> list[int]:
     return eval_plain(program, ins, t)
 
 
-def eval_challenge_rep(program: Program, key, t: int, lengths, col: int) -> list[int]:
-    """Evaluate on challenge column `col` (replication convention)."""
+def eval_challenge_rep(
+    program: Program, key, t: int, lengths, col: int, first: int = 0
+) -> list[int]:
+    """Evaluate on challenge column `col` (replication convention) for the
+    chunk whose first slot carries component `first` of every input."""
     ins = [
-        challenge_input_rep(key, base, lengths[k], program.width, t, col)
+        challenge_input_rep(key, base, lengths[k], program.width, t, col, first)
         for k, base in enumerate(program.inputs)
     ]
     return eval_plain(program, ins, t)
@@ -303,40 +352,36 @@ def extend_const(const, stride: int):
     return out
 
 
-def eval_he(program: Program, cts, backend, stride: int = 1):
-    """Run the program on ciphertexts.
+def he_unary(backend, ct, g: Gate, stride: int = 1):
+    """One unary gate on a ciphertext in the `stride`-replicated layout.
 
-    With ``stride`` > 1 every logical slot occupies a block of `stride`
-    physical slots (replication layout): rotation steps and inner_sum blocks
-    scale by the stride and plain constants are block-replicated, so the
-    physical computation restricts to the logical one on every block offset
-    independently.
+    Every logical slot occupies a block of `stride` physical slots: rotation
+    steps and inner_sum blocks scale by the stride and plain constants are
+    block-replicated, so the physical computation restricts to the logical
+    one on every block offset independently.
     """
+    if g.op == "mul_plain":
+        return backend.mul_plain(ct, extend_const(g.const, stride))
+    if g.op == "rotate":
+        return backend.rotate(ct, g.step * stride)
+    if g.op == "row_swap":
+        return backend.row_swap(ct)
+    return backend.inner_sum(ct, g.block, stride=stride)
+
+
+def eval_he(program: Program, cts, backend, stride: int = 1):
+    """Run the program on ciphertexts (see :func:`he_unary` for `stride`)."""
     if program.width * stride != backend.params.n:
         raise ParameterError(
             f"program width {program.width} × stride {stride} ≠ {backend.params.n} slots"
         )
     if len(cts) != program.num_inputs:
         raise ParameterError("one ciphertext per program input required")
-    wires = []
-    for g in program.gates:
-        if g.op == "input":
-            v = cts[g.input_index]
-        elif g.op == "add":
-            v = backend.add(wires[g.args[0]], wires[g.args[1]])
-        elif g.op == "sub":
-            v = backend.sub(wires[g.args[0]], wires[g.args[1]])
-        elif g.op == "mul":
-            v = backend.mul(wires[g.args[0]], wires[g.args[1]])
-        elif g.op == "mul_plain":
-            v = backend.mul_plain(wires[g.args[0]], extend_const(g.const, stride))
-        elif g.op == "rotate":
-            v = backend.rotate(wires[g.args[0]], g.step * stride)
-        elif g.op == "row_swap":
-            v = backend.row_swap(wires[g.args[0]])
-        else:
-            v = backend.inner_sum(wires[g.args[0]], g.block, stride=stride)
-        wires.append(v)
+    wires = interpret(
+        program, cts, backend.add, backend.sub,
+        lambda a, b, _: backend.mul(a, b),
+        lambda c, g: he_unary(backend, c, g, stride),
+    )
     return wires[program.output]
 
 

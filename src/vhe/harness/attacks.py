@@ -3,10 +3,9 @@
 Each strategy mounts one concrete cheating behaviour against an honest
 pipeline and reports the empirical acceptance rate over independent seeded
 trials, a 99% Wilson score interval, and the analytic bound it should sit
-under.  Trials run on the exact-semantics mock backend by default so
-six-figure trial counts stay cheap; a small real-backend run (sequential —
-encryption generators are not shared across threads) guards against
-mock/real divergence.
+under.  Trials run one after another on the calling thread, on the
+exact-semantics mock backend by default so six-figure trial counts stay
+cheap; a small real-backend run guards against mock/real divergence.
 
 Strategies:
 
@@ -31,10 +30,8 @@ Strategies:
 from __future__ import annotations
 
 import math
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -534,7 +531,7 @@ def _setup_pe(spec: AttackSpec):
     )
 
 
-def simulate_adversary(spec: AttackSpec, max_workers: int | None = None) -> AttackReport:
+def simulate_adversary(spec: AttackSpec) -> AttackReport:
     """Run the experiment; every trial draws from its own seeded generator."""
     if spec.strategy not in STRATEGIES:
         raise ParameterError(f"unknown strategy {spec.strategy!r}; one of {STRATEGIES}")
@@ -544,16 +541,9 @@ def simulate_adversary(spec: AttackSpec, max_workers: int | None = None) -> Atta
     t0 = time.perf_counter()
     trial, bound = (_setup_rep if auth == "rep" else _setup_pe)(spec)
 
-    def run_one(i: int) -> bool:
-        return trial(random.Random(spec.seed * 1_000_003 + i + 1))
-
-    if spec.real or max_workers == 1:
-        accepts = sum(run_one(i) for i in range(spec.trials))
-    else:
-        workers = max_workers or min(32, os.cpu_count() or 4)
-        chunk = max(1, spec.trials // (workers * 8))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            accepts = sum(pool.map(run_one, range(spec.trials), chunksize=chunk))
+    accepts = sum(
+        trial(random.Random(spec.seed * 1_000_003 + i + 1)) for i in range(spec.trials)
+    )
 
     lo, hi = wilson_interval(accepts, spec.trials)
     return AttackReport(

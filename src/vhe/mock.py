@@ -1,10 +1,12 @@
 """Exact-semantics stand-in for the encrypted backend.
 
 A mock ciphertext carries its slot vector in the clear plus a
-multiplicative-depth counter and a freshness nonce.  Every operation has
-exactly the slot semantics of the real backend (same rotation layout, same
-inner_sum result), so the two are interchangeable behind the common
-interface; large-trial statistics run here at full speed.
+multiplicative-depth counter and a freshness nonce.  The slot arithmetic,
+rotations and inner sums are the ``slot_*`` functions of
+:mod:`vhe.circuit`, the same ones the plaintext oracle runs, so the mock
+cannot drift from the oracle; the real backend is tested against both.
+This module adds only the bookkeeping (depth, nonces) and the input checks
+the real backend makes, so large-trial statistics run here at full speed.
 
 Depth accounting: ciphertext-ciphertext multiplication raises the counter
 to max(d₁, d₂) + 1; all other gates preserve it.  A backend constructed
@@ -18,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .circuit import slot_add, slot_inner_sum, slot_mul, slot_row_swap, slot_rotate, slot_sub
 from .errors import DecryptionFailureError, LayoutError, ParameterError
 from .params import Params
 
@@ -76,35 +79,23 @@ class MockBackend:
         return MockCiphertext(tuple(slots), depth, self._rng.getrandbits(64))
 
     def add(self, a: MockCiphertext, b: MockCiphertext) -> MockCiphertext:
-        t = self.params.t
-        return self._fresh(
-            ((x + y) % t for x, y in zip(a.slots, b.slots)), max(a.depth, b.depth)
-        )
+        return self._fresh(slot_add(a.slots, b.slots, self.params.t), max(a.depth, b.depth))
 
     def sub(self, a: MockCiphertext, b: MockCiphertext) -> MockCiphertext:
-        t = self.params.t
-        return self._fresh(
-            ((x - y) % t for x, y in zip(a.slots, b.slots)), max(a.depth, b.depth)
-        )
+        return self._fresh(slot_sub(a.slots, b.slots, self.params.t), max(a.depth, b.depth))
 
     def neg(self, a: MockCiphertext) -> MockCiphertext:
         t = self.params.t
         return self._fresh((-x % t for x in a.slots), a.depth)
 
     def mul(self, a: MockCiphertext, b: MockCiphertext) -> MockCiphertext:
-        t = self.params.t
-        return self._fresh(
-            (x * y % t for x, y in zip(a.slots, b.slots)), max(a.depth, b.depth) + 1
-        )
+        return self._fresh(slot_mul(a.slots, b.slots, self.params.t), max(a.depth, b.depth) + 1)
 
     def mul_plain(self, a: MockCiphertext, const) -> MockCiphertext:
-        t = self.params.t
         const = list(const)
         if len(const) != self.params.n:
             raise ParameterError("constant vector must cover every slot")
-        return self._fresh(
-            (x * (int(c) % t) % t for x, c in zip(a.slots, const)), a.depth
-        )
+        return self._fresh(slot_mul(a.slots, map(int, const), self.params.t), a.depth)
 
     def rotate(self, a: MockCiphertext, step: int) -> MockCiphertext:
         row = self.params.n // 2
@@ -112,27 +103,16 @@ class MockBackend:
             return a
         if not (-row < step < row):
             raise ParameterError(f"rotation step must satisfy |step| < {row}")
-        s = step % row
-        lo, hi = a.slots[:row], a.slots[row:]
-        return self._fresh(lo[s:] + lo[:s] + hi[s:] + hi[:s], a.depth)
+        return self._fresh(slot_rotate(a.slots, step), a.depth)
 
     def row_swap(self, a: MockCiphertext) -> MockCiphertext:
-        row = self.params.n // 2
-        return self._fresh(a.slots[row:] + a.slots[:row], a.depth)
+        return self._fresh(slot_row_swap(a.slots), a.depth)
 
     def inner_sum(self, a: MockCiphertext, block: int, stride: int = 1) -> MockCiphertext:
-        t = self.params.t
         row = self.params.n // 2
         bs = block * stride
         if block < 1 or block & (block - 1) or bs > row or row % bs:
             raise LayoutError(
                 f"inner_sum block {block} (stride {stride}) must tile a row of {row}"
             )
-        out = list(a.slots)
-        for r in (0, row):
-            for base in range(r, r + row, bs):
-                for off in range(stride):
-                    s = sum(a.slots[base + off + u * stride] for u in range(block)) % t
-                    for u in range(block):
-                        out[base + off + u * stride] = s
-        return self._fresh(out, a.depth)
+        return self._fresh(slot_inner_sum(a.slots, block, self.params.t, stride), a.depth)

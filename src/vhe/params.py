@@ -64,11 +64,6 @@ class Params:
         return self.big_q // self.t
 
     @property
-    def level(self) -> int:
-        """Active chain length (no modulus switching: always the full chain)."""
-        return len(self.q_chain)
-
-    @property
     def t_modulus(self):
         return get_modulus(self.t, self.n)
 

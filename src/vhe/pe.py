@@ -30,11 +30,15 @@ import numpy as np
 from . import bfv
 from .circuit import (
     Program,
-    _inner_sum_plain,
-    _rotate_rows,
     challenge_input_pe,
     eval_challenge_pe,
+    he_unary,
+    interpret,
     required_rotation_steps,
+    slot_add,
+    slot_mul,
+    slot_sub,
+    slot_unary,
 )
 from .errors import DegreeLimitError, LayoutError, ParameterError
 from .labels import Identifier, LabelRegistry, PrfKey, prf_zt
@@ -171,25 +175,18 @@ def degree_schedule(
     cap and therefore get re-quadratized when a reducer is in play).  Raises
     DegreeLimitError where evaluation without a reducer would.
     """
-    degs: list[int] = []
     schedule: list[int] = []
-    for idx, g in enumerate(program.gates):
-        if g.op == "input":
-            d = 1
-        elif g.op in ("add", "sub"):
-            d = max(degs[g.args[0]], degs[g.args[1]])
-        elif g.op == "mul":
-            d = degs[g.args[0]] + degs[g.args[1]]
-            if use_reducer and d > cap:
-                schedule.append(idx)
-                d = cap
-            elif not use_reducer and d > max_degree:
-                raise DegreeLimitError(
-                    f"gate {idx} reaches degree {d} > limit {max_degree}"
-                )
-        else:
-            d = degs[g.args[0]]
-        degs.append(d)
+
+    def mul(a: int, b: int, idx: int) -> int:
+        d = a + b
+        if use_reducer and d > cap:
+            schedule.append(idx)
+            return cap
+        if not use_reducer and d > max_degree:
+            raise DegreeLimitError(f"gate {idx} reaches degree {d} > limit {max_degree}")
+        return d
+
+    degs = interpret(program, [1] * program.num_inputs, max, max, mul, lambda d, _: d)
     return degs[program.output], schedule
 
 
@@ -218,30 +215,20 @@ def pe_eval(
                 f"input {k} was authenticated as {a.base!r} but the program "
                 f"names it {program.inputs[k]!r}; verification would reject"
             )
-    wires: list[tuple] = []
-    for idx, g in enumerate(program.gates):
-        if g.op == "input":
-            v = auths[g.input_index].cts
-        elif g.op == "add":
-            v = pe_add(backend, wires[g.args[0]], wires[g.args[1]])
-        elif g.op == "sub":
-            v = pe_sub(backend, wires[g.args[0]], wires[g.args[1]])
-        elif g.op == "mul":
-            v = pe_mul(backend, wires[g.args[0]], wires[g.args[1]], max_degree)
-            if reducer is not None and len(v) - 1 > reducer.cap:
-                v = reducer.reduce(v, idx)
-        elif g.op == "mul_plain":
-            const = list(g.const)
-            v = pe_map(backend, wires[g.args[0]], lambda c: backend.mul_plain(c, const))
-        elif g.op == "rotate":
-            v = pe_map(backend, wires[g.args[0]], lambda c: backend.rotate(c, g.step))
-        elif g.op == "row_swap":
-            v = pe_map(backend, wires[g.args[0]], backend.row_swap)
-        else:  # inner_sum
-            v = pe_map(
-                backend, wires[g.args[0]], lambda c: backend.inner_sum(c, g.block)
-            )
-        wires.append(v)
+
+    def mul(a: tuple, b: tuple, idx: int) -> tuple:
+        v = pe_mul(backend, a, b, max_degree)
+        if reducer is not None and len(v) - 1 > reducer.cap:
+            v = reducer.reduce(v, idx)
+        return v
+
+    wires = interpret(
+        program, [a.cts for a in auths],
+        lambda a, b: pe_add(backend, a, b),
+        lambda a, b: pe_sub(backend, a, b),
+        mul,
+        lambda v, g: pe_map(backend, v, lambda c: he_unary(backend, c, g)),
+    )
     return PeAuth(wires[program.output])
 
 
@@ -261,50 +248,24 @@ def offset_walk(program: Program, key: PrfKey, t: int, alpha: int, omega=None):
     """
     omega = omega or {}
     w = program.width
-    row = w // 2
-    rhos: list[list[int]] = []
-    deltas: list[list[int]] = []
-    naturals: list = []
-    for idx, g in enumerate(program.gates):
-        nat = None
-        if g.op == "input":
-            rho = challenge_input_pe(key, program.inputs[g.input_index], w, t)
-            dlt = [0] * w
-        elif g.op in ("add", "sub"):
-            s = 1 if g.op == "add" else -1
-            r1, d1 = rhos[g.args[0]], deltas[g.args[0]]
-            r2, d2 = rhos[g.args[1]], deltas[g.args[1]]
-            rho = [(x + s * y) % t for x, y in zip(r1, r2)]
-            dlt = [(x + s * y) % t for x, y in zip(d1, d2)]
-        elif g.op == "mul":
-            r1, d1 = rhos[g.args[0]], deltas[g.args[0]]
-            r2, d2 = rhos[g.args[1]], deltas[g.args[1]]
-            rho = [x * y % t for x, y in zip(r1, r2)]
-            nat = [
-                (a * y + b * x + x * y) % t
-                for a, b, x, y in zip(r1, r2, d1, d2)
-            ]
-            dlt = (
-                [alpha * v % t for v in omega[idx]] if idx in omega else nat
-            )
-        elif g.op == "mul_plain":
-            r1, d1 = rhos[g.args[0]], deltas[g.args[0]]
-            rho = [x * int(c) % t for x, c in zip(r1, g.const)]
-            dlt = [x * int(c) % t for x, c in zip(d1, g.const)]
-        elif g.op == "rotate":
-            rho = _rotate_rows(rhos[g.args[0]], g.step, row)
-            dlt = _rotate_rows(deltas[g.args[0]], g.step, row)
-        elif g.op == "row_swap":
-            r1, d1 = rhos[g.args[0]], deltas[g.args[0]]
-            rho = r1[row:] + r1[:row]
-            dlt = d1[row:] + d1[:row]
-        else:  # inner_sum
-            rho = _inner_sum_plain(rhos[g.args[0]], g.block, row, t)
-            dlt = _inner_sum_plain(deltas[g.args[0]], g.block, row, t)
-        rhos.append(rho)
-        deltas.append(dlt)
-        naturals.append(nat)
-    return rhos, deltas, naturals
+    naturals: list = [None] * len(program.gates)
+
+    def mul(a, b, idx):
+        (r1, d1), (r2, d2) = a, b
+        nat = [(x * e + y * d + d * e) % t for x, y, d, e in zip(r1, r2, d1, d2)]
+        naturals[idx] = nat
+        dlt = [alpha * v % t for v in omega[idx]] if idx in omega else nat
+        return slot_mul(r1, r2, t), dlt
+
+    pairs = interpret(
+        program,
+        [(challenge_input_pe(key, base, w, t), [0] * w) for base in program.inputs],
+        lambda a, b: (slot_add(a[0], b[0], t), slot_add(a[1], b[1], t)),
+        lambda a, b: (slot_sub(a[0], b[0], t), slot_sub(a[1], b[1], t)),
+        mul,
+        lambda a, g: (slot_unary(a[0], g, t), slot_unary(a[1], g, t)),
+    )
+    return [p[0] for p in pairs], [p[1] for p in pairs], naturals
 
 
 def final_offset(secret: PeSecret, program: Program, omega) -> list[int]:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bfv
-from .circuit import Program, eval_he, eval_plain, required_rotation_steps
+from .circuit import Program, eval_challenge_rep, eval_he, required_rotation_steps
 from .errors import LayoutError, ParameterError
 from .labels import (
     Identifier,
@@ -165,9 +165,6 @@ def rep_auth(secret: RepSecret, backend, values, base) -> RepAuth:
     return RepAuth(base, len(values), secret.lam, cts, tags)
 
 
-_LINEAR_MULTI = ("input", "add", "sub")
-
-
 def rep_eval(program: Program, auths, backend, lam: int) -> RepResult:
     """Run the program over extended ciphertexts and fold the digest.
 
@@ -197,7 +194,7 @@ def rep_eval(program: Program, auths, backend, lam: int) -> RepResult:
     else:
         if len(counts) != 1:
             raise LayoutError("inputs span different ciphertext counts")
-        if any(g.op not in _LINEAR_MULTI for g in program.gates):
+        if not program.add_sub_only:
             raise LayoutError(
                 "multi-ciphertext evaluation supports add/sub only"
             )
@@ -214,17 +211,10 @@ def rep_challenge_value(
     secret: RepSecret, program: Program, input_lengths, chunk: int, col: int
 ) -> list[int]:
     """Circuit output over challenge column `col`, for one ciphertext chunk."""
-    t = secret.params.t
-    per_ct = secret.slots_per_ct
-    ins = []
-    for k, base in enumerate(program.inputs):
-        vec = [0] * program.width
-        for i_local in range(per_ct):
-            i = chunk * per_ct + i_local
-            if i < input_lengths[k]:
-                vec[i_local] = prf_zt(secret.key, base.with_slot(i), t, aux=col)
-        ins.append(vec)
-    return eval_plain(program, ins, t)
+    return eval_challenge_rep(
+        program, secret.key, secret.params.t, input_lengths, col,
+        first=chunk * secret.slots_per_ct,
+    )
 
 
 def rep_decode(secret: RepSecret, backend, result: RepResult, program: Program):

@@ -1,4 +1,4 @@
-"""Exact polynomial arithmetic in Z_q[X]/(X^N + 1) with NTT acceleration.
+"""Exact negacyclic NTT over Z_q[X]/(X^N + 1), prime search and batching.
 
 The negacyclic ring R_q = Z_q[X]/(X^N + 1), N a power of two, is the
 coefficient ring used everywhere else: ciphertext components live in it
@@ -24,13 +24,11 @@ rotation and row swap ring automorphisms.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ParameterError, SerializationError
+from .errors import ParameterError
 
 MAX_MODULUS_BITS = 60  # residues must serialize as u64 and fit CRT bounds
 _NUMPY_LIMIT = 1 << 31  # above this, int64 butterfly products could overflow
@@ -128,8 +126,8 @@ def _primitive_root(p: int) -> int:
 class Modulus:
     """A prime modulus bound to a ring degree n, with cached transform tables.
 
-    NTT and batching require value ≡ 1 (mod 2n); other primes may still be
-    used for schoolbook arithmetic (``ntt_ready`` is False then).
+    NTT and batching require value ≡ 1 (mod 2n); ``ntt_ready`` is False
+    for other primes, whose transforms raise ParameterError.
     """
 
     __slots__ = (
@@ -304,102 +302,12 @@ def _dit_py(x, p, stage_tw, bitrev, n):
 
 
 # ---------------------------------------------------------------------------
-# Poly: immutable coefficient vector over one Modulus
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Poly:
-    """Element of Z_q[X]/(X^n + 1); coefficients stored reduced in [0, q)."""
-
-    coeffs: tuple
-    mod: Modulus
-
-    @classmethod
-    def make(cls, coeffs, mod: Modulus) -> "Poly":
-        q = mod.value
-        c = tuple(int(x) % q for x in coeffs)
-        if len(c) != mod.n:
-            raise ParameterError(
-                f"expected {mod.n} coefficients, got {len(c)}"
-            )
-        return cls(c, mod)
-
-    @classmethod
-    def zero(cls, mod: Modulus) -> "Poly":
-        return cls((0,) * mod.n, mod)
-
-    def __len__(self):
-        return len(self.coeffs)
-
-
-def _check_same_ring(a: Poly, b: Poly):
-    if a.mod != b.mod:
-        raise ParameterError("polynomials live in different rings")
-
-
-def poly_add(a: Poly, b: Poly) -> Poly:
-    _check_same_ring(a, b)
-    q = a.mod.value
-    return Poly(tuple((x + y) % q for x, y in zip(a.coeffs, b.coeffs)), a.mod)
-
-
-def poly_sub(a: Poly, b: Poly) -> Poly:
-    _check_same_ring(a, b)
-    q = a.mod.value
-    return Poly(tuple((x - y) % q for x, y in zip(a.coeffs, b.coeffs)), a.mod)
-
-
-def poly_neg(a: Poly) -> Poly:
-    q = a.mod.value
-    return Poly(tuple(-x % q for x in a.coeffs), a.mod)
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    """Negacyclic product; NTT when the modulus allows, else schoolbook O(n²)."""
-    _check_same_ring(a, b)
-    mod = a.mod
-    if mod.ntt_ready:
-        ea = mod.ntt(a.coeffs)
-        eb = mod.ntt(b.coeffs)
-        p = mod.value
-        if mod._np_path:
-            prod = ea * eb % p
-        else:
-            prod = [x * y % p for x, y in zip(ea, eb)]
-        return Poly(tuple(int(v) for v in mod.intt(prod)), mod)
-    return Poly(tuple(_schoolbook_negacyclic(a.coeffs, b.coeffs, mod.value)), mod)
-
-
-def _schoolbook_negacyclic(a, b, q):
-    """Direct X^n ≡ -1 convolution; quadratic cost, any modulus."""
-    n = len(a)
-    out = [0] * n
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            k = i + j
-            if k < n:
-                out[k] += ai * bj
-            else:
-                out[k - n] -= ai * bj
-    return [v % q for v in out]
-
-
-def center(x: int, q: int) -> int:
-    """Balanced representative in (-q/2, q/2]."""
-    x %= q
-    return x - q if x > q // 2 else x
-
-
-# ---------------------------------------------------------------------------
 # batching encoder / decoder
 # ---------------------------------------------------------------------------
 
 
-def batch_encode(slots, mod: Modulus) -> Poly:
-    """Pack n slot values (row-major 2×(n/2)) into one plaintext polynomial."""
+def batch_encode(slots, mod: Modulus) -> list[int]:
+    """Pack n slot values (row-major 2×(n/2)) into plaintext coefficients."""
     if not mod.ntt_ready:
         raise ParameterError(
             f"batching needs a prime ≡ 1 mod {2 * mod.n}; got {mod.value}"
@@ -411,19 +319,20 @@ def batch_encode(slots, mod: Modulus) -> Poly:
     if mod._np_path:
         evals = np.zeros(mod.n, dtype=np.int64)
         evals[table] = np.asarray([int(v) % p for v in slots], dtype=np.int64)
-    else:
-        evals = [0] * mod.n
-        for s in range(mod.n):
-            evals[int(table[s])] = int(slots[s]) % p
-    return Poly(tuple(int(v) for v in mod.intt(evals)), mod)
+        return mod.intt(evals).tolist()
+    evals = [0] * mod.n
+    for s in range(mod.n):
+        evals[int(table[s])] = int(slots[s]) % p
+    return mod.intt(evals)
 
 
-def batch_decode(poly: Poly) -> list[int]:
+def batch_decode(coeffs, mod: Modulus) -> list[int]:
     """Inverse of :func:`batch_encode`."""
-    mod = poly.mod
-    evals = mod.ntt(poly.coeffs)
+    evals = mod.ntt(coeffs)
     table = mod.slot_to_eval()
-    return [int(evals[int(table[s])]) for s in range(mod.n)]
+    if mod._np_path:
+        return evals[table].tolist()
+    return [evals[i] for i in table.tolist()]
 
 
 def slot_poly_eval(slots, delta: int, t: int) -> int:
@@ -471,31 +380,3 @@ def find_ntt_primes(bits: int, n: int, count: int, exclude=()) -> list[int]:
             f"could not find {count} NTT primes of {bits} bits for n={n}"
         )
     return out
-
-
-# ---------------------------------------------------------------------------
-# wire format
-# ---------------------------------------------------------------------------
-
-DOMAIN_COEFF = 0
-DOMAIN_EVAL = 1
-
-
-def poly_to_bytes(coeffs, domain: int = DOMAIN_COEFF) -> bytes:
-    """1-byte domain flag ‖ u32 n ‖ n little-endian u64 residues."""
-    n = len(coeffs)
-    head = struct.pack("<BI", domain, n)
-    body = struct.pack(f"<{n}Q", *(int(c) for c in coeffs))
-    return head + body
-
-
-def poly_from_bytes(buf: bytes) -> tuple[list[int], int]:
-    """Returns (coefficients, domain flag)."""
-    if len(buf) < 5:
-        raise SerializationError("polynomial blob too short")
-    domain, n = struct.unpack_from("<BI", buf, 0)
-    if domain not in (DOMAIN_COEFF, DOMAIN_EVAL):
-        raise SerializationError(f"unknown domain flag {domain}")
-    if len(buf) != 5 + 8 * n:
-        raise SerializationError("polynomial blob has wrong length")
-    return list(struct.unpack_from(f"<{n}Q", buf, 5)), domain

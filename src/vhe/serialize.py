@@ -5,8 +5,8 @@ Every object ships in a self-delimiting container:
     magic "VRTS" ‖ u16 version ‖ u8 type code ‖ u32 body length ‖ body
 
 so containers can be concatenated in protocol payloads and files.  All
-integers are little-endian; ring elements use the residue wire format
-(domain flag ‖ u32 n ‖ u64 residues per prime).  Secret material (secret
+integers are little-endian; ring elements are residue matrices
+(u8 k ‖ u32 n ‖ k·n u64 residues, one row per prime).  Secret material (secret
 key, PRF key, challenge set, α) only ever appears in the *_secret
 containers; the keyset container carries an explicit flag so public
 copies are distinguishable on disk.
@@ -27,7 +27,7 @@ from .pe import PeAuth, PeSecret
 from .rep import RepAuth, RepResult, RepSecret
 
 MAGIC = b"VRTS"
-VERSION = 2  # 2: RNS-digit key-switching keys, no decomposition-base byte
+VERSION = 3  # 2: RNS-digit key-switching keys; 3: no ciphertext level byte
 
 TYPE_PARAMS = 0x01
 TYPE_KEYSET = 0x02
@@ -249,7 +249,7 @@ def save_ciphertext(ct) -> bytes:
         body += np.asarray(ct.slots, dtype="<u8").tobytes()
         return _container(TYPE_MOCK_CIPHERTEXT, bytes(body))
     if isinstance(ct, Ciphertext):
-        body = bytearray(struct.pack("<BIB", ct.degree, ct.mul_depth, ct.level))
+        body = bytearray(struct.pack("<BI", ct.degree, ct.mul_depth))
         for p in ct.polys:
             body += struct.pack("<B", 1 if p.evaldom else 0)
             _write_mat(body, p.mat)
@@ -267,13 +267,13 @@ def load_ciphertext(blob: bytes, offset: int = 0):
         r.done()
         return MockCiphertext(slots, depth, nonce), nxt
     if tc == TYPE_CIPHERTEXT:
-        degree, mul_depth, level = r.unpack("<BIB")
+        degree, mul_depth = r.unpack("<BI")
         polys = []
         for _ in range(degree):
             (evaldom,) = r.unpack("<B")
             polys.append(RnsPoly(_read_mat(r), bool(evaldom)))
         r.done()
-        return Ciphertext(tuple(polys), level, mul_depth), nxt
+        return Ciphertext(tuple(polys), mul_depth), nxt
     raise SerializationError(f"container type {tc} is not a ciphertext")
 
 

@@ -17,7 +17,7 @@ from vhe.errors import (
 )
 from vhe.mock import MockBackend
 from vhe.params import Params, make_params, preset
-from vhe.ring import find_ntt_primes, find_plaintext_prime
+from vhe.ring import batch_encode, find_ntt_primes, find_plaintext_prime
 
 PARAMS = preset("mock64")  # n=64 with a real 2-prime chain: fast for both backends
 T = PARAMS.t
@@ -204,6 +204,23 @@ def test_real_noise_overflow_detected():
     with pytest.raises(DecryptionFailureError):
         # one multiplication blows a single 29-bit prime's budget
         backend.decrypt(backend.mul(ct, ct))
+
+
+def test_real_decrypt_guard_band_is_exact(real):
+    """c = (Δ·m + e, 0) decrypts while |e| ≤ Δ/4 − 1 and raises at Δ/4."""
+    vals = rand_slots(random.Random(15))
+    coeffs = batch_encode(vals, PARAMS.t_modulus)
+    delta = PARAMS.delta
+    zero = bfv.RnsPoly(np.zeros((len(PARAMS.q_chain), N), dtype=np.int64), False)
+
+    def with_noise(e):
+        c0 = [[(delta * m + e) % q for m in coeffs] for q in PARAMS.q_chain]
+        return bfv.Ciphertext((bfv.RnsPoly(np.array(c0, dtype=np.int64), False), zero))
+
+    for sign in (1, -1):
+        assert real.decrypt(with_noise(sign * (delta // 4 - 1))) == vals
+        with pytest.raises(DecryptionFailureError):
+            real.decrypt(with_noise(sign * (delta // 4)))
 
 
 def test_real_decrypt_requires_secret(real):

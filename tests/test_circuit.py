@@ -25,6 +25,7 @@ from vhe.errors import ParameterError, StructureError
 from vhe.labels import Identifier, PrfKey
 from vhe.mock import MockBackend
 from vhe.params import preset
+from vhe.pe import degree_schedule, offset_walk, pe_auth, pe_eval, pe_keygen
 
 T = 257  # small prime for hand examples (17 is too small for mock presets)
 
@@ -318,3 +319,47 @@ def test_random_program_always_validates():
         p = random_program(rng, width=8, t=T)
         p.validate()
         assert p.depth <= 3
+
+
+# ---------------------------------------------------------------------------
+# one gate walk, several algebras
+# ---------------------------------------------------------------------------
+
+
+class RecordingReducer:
+    """Caps every over-degree product and records the gate it fired on."""
+
+    cap = 2
+
+    def __init__(self):
+        self.fired = []
+
+    def reduce(self, comps, idx):
+        self.fired.append(idx)
+        return comps[: self.cap + 1]
+
+
+def test_algebras_agree_on_random_programs():
+    """Degrees, (ρ, δ) offsets and depth, each walked in its own algebra,
+    match what the ciphertext-level evaluations produce."""
+    params = preset("mock64")
+    t, n = params.t, params.n
+    rng = random.Random(17)
+    backend = MockBackend(params, rng=rng)
+    for i in range(30):
+        p = random_program(rng, n, t, num_inputs=rng.randint(1, 3), max_gates=10)
+        sec = pe_keygen(params, rng=random.Random(i), make_he_keys=False)
+        ins = [[rng.randrange(t) for _ in range(n)] for _ in range(p.num_inputs)]
+        auths = [pe_auth(sec, backend, v, p.inputs[k]) for k, v in enumerate(ins)]
+
+        assert degree_schedule(p, use_reducer=False) == (pe_eval(p, auths, backend).degree, [])
+        reducer = RecordingReducer()
+        reduced = pe_eval(p, auths, backend, reducer=reducer)
+        assert degree_schedule(p, use_reducer=True) == (reduced.degree, reducer.fired)
+
+        rhos, deltas, _ = offset_walk(p, sec.key, t, sec.alpha)
+        assert rhos[p.output] == eval_challenge_pe(p, sec.key, t)
+        assert deltas[p.output] == [0] * n
+
+        out = eval_he(p, [backend.encrypt(v) for v in ins], backend)
+        assert out.depth == p.depth

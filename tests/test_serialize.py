@@ -44,7 +44,6 @@ def test_real_ciphertext_roundtrip(real_keys):
     vals = [i * 7 % PARAMS.t for i in range(PARAMS.n)]
     ct = backend.mul(backend.encrypt(vals), backend.encrypt(vals))
     back, _ = sz.load_ciphertext(sz.save_ciphertext(ct))
-    assert back.level == ct.level
     assert back.mul_depth == ct.mul_depth
     assert backend.decrypt(back) == backend.decrypt(ct)
 
@@ -144,6 +143,16 @@ def test_version_1_params_refused():
     blob = sz.MAGIC + struct.pack("<HBI", 1, sz.TYPE_PARAMS, len(body)) + body
     with pytest.raises(SerializationError, match="version 1"):
         sz.load_params(blob)
+
+
+def test_version_2_ciphertext_refused(real_keys):
+    """Version 2 carried a level byte after the multiplication depth."""
+    backend = bfv.BfvBackend(PARAMS, real_keys, rng=np.random.default_rng(4))
+    _, body, _ = sz.read_container(sz.save_ciphertext(backend.encrypt([1] * PARAMS.n)))
+    body = body[:5] + bytes([len(PARAMS.q_chain)]) + body[5:]
+    blob = sz.MAGIC + struct.pack("<HBI", 2, sz.TYPE_CIPHERTEXT, len(body)) + body
+    with pytest.raises(SerializationError, match="version 2"):
+        sz.load_ciphertext(blob)
 
 
 def _drop_rlk_pair(keys):
