@@ -2,7 +2,12 @@
 
 Ciphertexts are tuples of ring elements stored per chain prime as int64
 matrices of shape (k, n), kept in the evaluation (NTT) domain between
-operations.  Plaintexts are batched slot vectors over Z_t.
+operations.  Plaintexts are batched slot vectors over Z_t.  Each operation
+moves between the domains with one stacked transform call (ring.stack_ntt /
+stack_intt) over everything it needs in that direction: encryption
+transforms (u, e₀ + Δ·m, e₁) as one (3, k, n) stack, a key switch its
+(k, k, n) digit stack, multiplication its four extended inputs and its
+three products.
 
     encrypt:  c = u·pk + (e₀ + Δ·m, e₁),  Δ = ⌊Q/t⌋
     decrypt:  m = ⌈(t/Q)·[c₀ + c₁·s]_Q⌋ mod t   (centered, exact big-int)
@@ -38,9 +43,17 @@ from .errors import (
     KeyMaterialError,
     LayoutError,
     ParameterError,
+    SerializationError,
 )
 from .params import CHAIN_PRIME_BITS, Params
-from .ring import batch_decode, batch_encode, find_ntt_primes, get_modulus
+from .ring import (
+    batch_decode,
+    batch_encode,
+    find_ntt_primes,
+    get_modulus,
+    stack_intt,
+    stack_ntt,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -78,14 +91,6 @@ class CrtBasis:
         """Object array of (possibly huge) ints → (k, n) int64 residues."""
         rows = [(values % p).astype(np.int64) for p in self.primes]
         return np.stack(rows)
-
-
-def _ntt_mat(mods, mat):
-    return np.stack([np.asarray(m.ntt(mat[i]), dtype=np.int64) for i, m in enumerate(mods)])
-
-
-def _intt_mat(mods, mat):
-    return np.stack([np.asarray(m.intt(mat[i]), dtype=np.int64) for i, m in enumerate(mods)])
 
 
 # Row-wise modular arithmetic on (k, n) residue matrices against a (k, 1)
@@ -215,31 +220,34 @@ def keygen(
     n = params.n
     q = np.array(primes, dtype=np.int64)[:, None]
 
-    s_ntt = _ntt_mat(mods, _ternary(gen, n) % q)
+    s_ntt = stack_ntt(_ternary(gen, n) % q, mods)
 
-    def rlwe_pair(payload_ntt=None):
-        """(b, a) with b = -(a·s + e) (+ payload if given), NTT domain."""
-        a = np.stack(
-            [gen.integers(0, p, size=n, dtype=np.int64) for p in primes]
-        )
-        e = _ntt_mat(mods, _cbd_error(gen, n, params.err_std) % q)
-        b = _mat_sub(-(a * s_ntt), e, q)
-        if payload_ntt is not None:
-            b = _mat_add(b, payload_ntt, q)
+    def rlwe_pairs(count):
+        """(b, a) stacks of `count` pairs with b = -(a·s + e), NTT domain;
+        the errors of all pairs are transformed in one call."""
+        a = np.empty((count, len(primes), n), dtype=np.int64)
+        e = np.empty_like(a)
+        for c in range(count):
+            for i, p in enumerate(primes):
+                a[c, i] = gen.integers(0, p, size=n, dtype=np.int64)
+            np.remainder(_cbd_error(gen, n, params.err_std), q, out=e[c])
+        b = a * s_ntt
+        np.negative(b, out=b)
+        b -= stack_ntt(e, mods)
+        b %= q
         return b, a
 
-    pk = rlwe_pair()
+    b, a = rlwe_pairs(1)
+    pk = (b[0], a[0])
 
     def key_switch_key(target_ntt):
         """One RLWE pair per chain prime; pair i carries the target secret
         times the CRT idempotent e_i (≡ 1 mod q_i, ≡ 0 mod q_j≠i), i.e. the
         target in residue row i and zeros elsewhere."""
-        out = []
+        b, a = rlwe_pairs(len(primes))
         for i in range(len(primes)):
-            payload = np.zeros_like(target_ntt)
-            payload[i] = target_ntt[i]
-            out.append(rlwe_pair(payload))
-        return tuple(out)
+            b[i, i] = (b[i, i] + target_ntt[i]) % primes[i]
+        return tuple(zip(b, a))
 
     rlk = key_switch_key(_pointwise(s_ntt, s_ntt, q))
 
@@ -292,7 +300,7 @@ class BfvBackend:
         # coefficients are < t < 2^60, so int64 holds them exactly
         coeffs = np.asarray(batch_encode(slots, self.t_mod), dtype=np.int64)
         mat = coeffs % self._q
-        return _ntt_mat(self.mods, mat) if ntt else mat
+        return stack_ntt(mat, self.mods) if ntt else mat
 
     # ---- lifecycle ----------------------------------------------------------
 
@@ -301,12 +309,20 @@ class BfvBackend:
         if len(slots) != p.n:
             raise ParameterError(f"expected {p.n} slots, got {len(slots)}")
         gen, q = self._gen, self._q
-        u = _ntt_mat(self.mods, _ternary(gen, p.n) % q)
-        e0 = _ntt_mat(self.mods, _cbd_error(gen, p.n, p.err_std) % q)
-        e1 = _ntt_mat(self.mods, _cbd_error(gen, p.n, p.err_std) % q)
-        m = self._encode_residues(slots)
+        u = _ternary(gen, p.n)
+        e0 = _cbd_error(gen, p.n, p.err_std)
+        e1 = _cbd_error(gen, p.n, p.err_std)
+        # by linearity, NTT(e₀ + Δ·m) = NTT(e₀) + Δ·NTT(m): one transform
+        # of (u, e₀ + Δ·m, e₁) gives every evaluation-domain term
+        x = np.empty((3, len(self.primes), p.n), dtype=np.int64)
+        x[0] = u
+        np.multiply(self._delta_res, self._encode_residues(slots, ntt=False), out=x[1])
+        x[1] += e0
+        x[2] = e1
+        x %= q
+        u, e0m, e1 = stack_ntt(x, self.mods)
         b, a = self.keys.pk
-        c0 = _mat_add(b * u + e0, self._delta_res * m, q)
+        c0 = _mat_add(b * u, e0m, q)
         c1 = _mat_add(a * u, e1, q)
         return Ciphertext((RnsPoly(c0, True), RnsPoly(c1, True)))
 
@@ -318,18 +334,41 @@ class BfvBackend:
             raise KeyMaterialError("operation requires the secret key")
         return self.keys.sk_ntt
 
+    def _check_received(self, ct: Ciphertext):
+        """Refuse a ciphertext that is not (k, n) residues in [0, q_i).
+
+        The transforms are exact only for reduced residues, so a hostile or
+        corrupt component must stop here, before any arithmetic.
+        """
+        shape = (len(self.primes), self.params.n)
+        if not ct.polys:
+            raise SerializationError("ciphertext has no components")
+        for poly in ct.polys:
+            mat = poly.mat
+            if not (
+                isinstance(mat, np.ndarray)
+                and mat.dtype == np.int64
+                and mat.shape == shape
+            ):
+                raise SerializationError(
+                    f"ciphertext component must be an int64 {shape} residue matrix"
+                )
+            if (mat < 0).any() or (mat >= self._q).any():
+                raise SerializationError("ciphertext residue outside [0, q_i)")
+
     def _phase(self, ct: Ciphertext) -> np.ndarray:
         """[Σ c_i·s^i]_Q as centered big-int coefficients (object array)."""
         s_ntt = self._require_secret()
+        self._check_received(ct)
         q = self._q
-        acc = self._to_eval(ct.polys[0]).mat
+        mats = self._mats(ct.polys, True)
+        acc = mats[0]
         s_pow = s_ntt
-        for d, poly in enumerate(ct.polys[1:]):
-            acc = _mat_add(acc, self._to_eval(poly).mat * s_pow, q)
+        for d, mat in enumerate(mats[1:]):
+            acc = _mat_add(acc, mat * s_pow, q)
             if d + 2 < ct.degree:
                 s_pow = _pointwise(s_pow, s_ntt, q)
-        coeff = _intt_mat(self.mods, acc)
-        return self.chain_basis.lift_centered(coeff)
+        return self.chain_basis.lift_centered(stack_intt(acc, self.mods))
 
     def _noise(self, ct: Ciphertext):
         """(plaintext coefficients, largest |noise|), exact integers.
@@ -368,42 +407,47 @@ class BfvBackend:
 
     # ---- linear operations ---------------------------------------------------
 
-    def _to_eval(self, poly: RnsPoly) -> RnsPoly:
-        if poly.evaldom:
-            return poly
-        return RnsPoly(_ntt_mat(self.mods, poly.mat), True)
-
-    def _to_coeff(self, poly: RnsPoly) -> RnsPoly:
-        if not poly.evaldom:
-            return poly
-        return RnsPoly(_intt_mat(self.mods, poly.mat), False)
+    def _mats(self, polys, evaldom: bool) -> list:
+        """Residue matrices of `polys` in the requested domain; those held
+        in the other domain go through one stacked transform."""
+        mats = [p.mat for p in polys]
+        todo = [i for i, p in enumerate(polys) if p.evaldom != evaldom]
+        if todo:
+            transform = stack_ntt if evaldom else stack_intt
+            done = transform(np.stack([mats[i] for i in todo]), self.mods)
+            for i, mat in zip(todo, done):
+                mats[i] = mat
+        return mats
 
     def _zip_polys(self, a: Ciphertext, b: Ciphertext):
         da, db = a.degree, b.degree
-        zero = RnsPoly(np.zeros_like(a.polys[0].mat), True)
-        pa = [self._to_eval(x) for x in a.polys] + [zero] * (max(da, db) - da)
-        pb = [self._to_eval(x) for x in b.polys] + [zero] * (max(da, db) - db)
+        mats = self._mats(a.polys + b.polys, True)
+        zero = np.zeros_like(mats[0])
+        pa = mats[:da] + [zero] * (max(da, db) - da)
+        pb = mats[da:] + [zero] * (max(da, db) - db)
         return pa, pb
 
     def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         pa, pb = self._zip_polys(a, b)
-        polys = tuple(RnsPoly(_mat_add(x.mat, y.mat, self._q), True) for x, y in zip(pa, pb))
+        polys = tuple(RnsPoly(_mat_add(x, y, self._q), True) for x, y in zip(pa, pb))
         return Ciphertext(polys, max(a.mul_depth, b.mul_depth))
 
     def sub(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         pa, pb = self._zip_polys(a, b)
-        polys = tuple(RnsPoly(_mat_sub(x.mat, y.mat, self._q), True) for x, y in zip(pa, pb))
+        polys = tuple(RnsPoly(_mat_sub(x, y, self._q), True) for x, y in zip(pa, pb))
         return Ciphertext(polys, max(a.mul_depth, b.mul_depth))
 
     def neg(self, a: Ciphertext) -> Ciphertext:
-        polys = tuple(RnsPoly(_mat_sub(0, self._to_eval(x).mat, self._q), True) for x in a.polys)
+        polys = tuple(RnsPoly(_mat_sub(0, x, self._q), True) for x in self._mats(a.polys, True))
         return Ciphertext(polys, a.mul_depth)
 
     def mul_plain(self, a: Ciphertext, const_slots) -> Ciphertext:
         if len(const_slots) != self.params.n:
             raise ParameterError("constant vector must cover every slot")
         c = self._encode_residues(const_slots)
-        polys = tuple(RnsPoly(_pointwise(self._to_eval(x).mat, c, self._q), True) for x in a.polys)
+        polys = tuple(
+            RnsPoly(_pointwise(x, c, self._q), True) for x in self._mats(a.polys, True)
+        )
         return Ciphertext(polys, a.mul_depth)
 
     # ---- multiplication -------------------------------------------------------
@@ -431,52 +475,48 @@ class BfvBackend:
         k = len(self.primes)
         p = self.params
 
-        # exact integer residues of the four inputs in the extended basis
-        def extend(poly: RnsPoly):
-            coeff = self._to_coeff(poly).mat
+        # exact integer residues of the four inputs in the extended basis,
+        # transformed in one call; the big-integer lift runs one polynomial
+        # at a time so that fewer Python integers are alive at once
+        full = np.empty((4, len(ext.primes), p.n), dtype=np.int64)
+        for x, coeff in zip(full, self._mats(a.polys + b.polys, False)):
+            x[:k] = coeff
             lifted = self.chain_basis.lift_centered(coeff)
-            aux_rows = [
-                (lifted % q).astype(np.int64) for q in ext.primes[k:]
-            ]
-            full = np.concatenate([coeff, np.stack(aux_rows)]) if aux_rows else coeff
-            return _ntt_mat(ext.mods, full)
-
-        a0, a1 = extend(a.polys[0]), extend(a.polys[1])
-        b0, b1 = extend(b.polys[0]), extend(b.polys[1])
+            for i, q in enumerate(ext.primes[k:], start=k):
+                x[i] = lifted % q
+        a0, a1, b0, b1 = stack_ntt(full, ext.mods)
 
         qe = ext.col
         # middle term: a0·b1 + a1·b0
         cross = _mat_add(a0 * b1, a1 * b0, qe)
-        prods = [_pointwise(a0, b0, qe), cross, _pointwise(a1, b1, qe)]
+        prods = np.stack([_pointwise(a0, b0, qe), cross, _pointwise(a1, b1, qe)])
 
         out_polys = []
         q_int, t = p.big_q, p.t
         half = q_int // 2
-        for mat in prods:
-            coeff = _intt_mat(ext.mods, mat)
+        for coeff in stack_intt(prods, ext.mods):
             vals = ext.lift_centered(coeff)  # exact tensor coefficients
             scaled = (vals * t + half) // q_int  # ⌈(t/Q)·x⌋
             out_polys.append(RnsPoly(self.chain_basis.residues(scaled), False))
         depth = max(a.mul_depth, b.mul_depth) + 1
         return Ciphertext(tuple(out_polys), depth)
 
-    def _apply_ks(self, target: RnsPoly, ks) -> tuple:
-        """Key-switch `target` with one RNS digit per chain prime.
+    def _apply_ks(self, coeff: np.ndarray, ks) -> tuple:
+        """Key-switch the coefficient-domain target with one RNS digit per
+        chain prime.
 
         Digit i is the target's residue row i centred to (-q_i/2, q_i/2] and
-        reduced into every prime; in prime i that is row i itself, so its
-        transform is the target's evaluation row i and only the k(k-1)
-        cross-prime rows need a forward NTT.
+        taken into every prime j as centred + q_j, in [0, 2q_j), which the
+        transform's ψ twist reduces; the (k, k, n) digit stack is
+        transformed in one call.
         """
         q = self._q
-        ev = self._to_eval(target).mat
-        coeff = self._to_coeff(target).mat
         centred = np.where(coeff > q // 2, coeff - q, coeff)
-        acc0 = np.zeros_like(ev)
-        acc1 = np.zeros_like(ev)
+        digits = stack_ntt(centred[:, None, :] + q, self.mods)
+        acc0 = np.zeros_like(coeff)
+        acc1 = np.zeros_like(coeff)
         for i, (kb, ka) in enumerate(ks):
-            row = centred[i] % q
-            d = np.stack([ev[i] if j == i else m.ntt(row[j]) for j, m in enumerate(self.mods)])
+            d = digits[i]
             acc0 += d * kb
             acc1 += d * ka
             if (i + 1) % self._ks_chunk == 0:
@@ -490,9 +530,9 @@ class BfvBackend:
             return ct
         if ct.degree != 3:
             raise ParameterError("relinearization expects a degree-3 ciphertext")
-        k0, k1 = self._apply_ks(ct.polys[2], self.keys.rlk)
-        c0 = self._to_eval(ct.polys[0]).mat
-        c1 = self._to_eval(ct.polys[1]).mat
+        (target,) = self._mats(ct.polys[2:], False)
+        k0, k1 = self._apply_ks(target, self.keys.rlk)
+        c0, c1 = self._mats(ct.polys[:2], True)
         return Ciphertext(
             (RnsPoly(_mat_add(c0, k0, self._q), True), RnsPoly(_mat_add(c1, k1, self._q), True)),
             ct.mul_depth,
@@ -512,9 +552,8 @@ class BfvBackend:
                 f"with the required steps"
             )
         perm = _eval_permutation(g, self.params.n)
-        c0 = self._to_eval(ct.polys[0]).mat[:, perm]
-        c1 = self._to_eval(ct.polys[1]).mat[:, perm]
-        k0, k1 = self._apply_ks(RnsPoly(c1, True), self.keys.gks[g])
+        c0, c1 = (mat[:, perm] for mat in self._mats(ct.polys, True))
+        k0, k1 = self._apply_ks(stack_intt(c1, self.mods), self.keys.gks[g])
         return Ciphertext(
             (RnsPoly(_mat_add(c0, k0, self._q), True), RnsPoly(k1, True)),
             ct.mul_depth,

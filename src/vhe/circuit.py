@@ -32,7 +32,7 @@ import struct
 from dataclasses import dataclass, field
 
 from .errors import ParameterError, StructureError
-from .labels import Identifier, prf_zt
+from .labels import Identifier, slot_prf
 
 _OPS = ("input", "add", "sub", "mul", "mul_plain", "rotate", "row_swap", "inner_sum")
 _BINARY = ("add", "sub", "mul")
@@ -299,7 +299,8 @@ def eval_plain(program: Program, inputs, t: int) -> list[int]:
 
 def challenge_input_pe(key, base: Identifier, width: int, t: int) -> list[int]:
     """Per-slot PRF values for a fully packed input: slot j ← F_K(base, j)."""
-    return [prf_zt(key, base.with_slot(j), t) for j in range(width)]
+    prf = slot_prf(key, base, t)
+    return [prf(j) for j in range(width)]
 
 
 def challenge_input_rep(
@@ -311,10 +312,8 @@ def challenge_input_rep(
     Component i carries identifier (base, slot=i); components at or past the
     authenticated length are zero padding, matching the encoder.
     """
-    return [
-        prf_zt(key, base.with_slot(i), t, aux=col) if i < length else 0
-        for i in range(first, first + width)
-    ]
+    prf = slot_prf(key, base, t)
+    return [prf(i, col) if i < length else 0 for i in range(first, first + width)]
 
 
 def eval_challenge_pe(program: Program, key, t: int) -> list[int]:

@@ -91,6 +91,38 @@ def prf_zt(key: PrfKey, ident: Identifier, t: int, aux: int | None = None) -> in
     return int.from_bytes(h, "little") % t
 
 
+def slot_prf(key: PrfKey, base: Identifier, t: int):
+    """``prf_zt(key, base.with_slot(slot), t, aux)`` as a function of
+    ``(slot, aux=None)``, for many slots of one base identifier.
+
+    The keyed, personalized Blake2b state over the base's canonical prefix
+    (its canonical bytes without the no-slot marker) is built once; each
+    value copies it and hashes only the slot and aux suffix that
+    :func:`_prf_message` would append.
+    """
+    if t < 2:
+        raise ParameterError("PRF range modulus must be ≥ 2")
+    if base.slot is not None:
+        raise ParameterError("identifier already carries a slot index")
+    prefix = hashlib.blake2b(
+        base.canonical_bytes()[:-1], key=key.key, person=_PERSON_ZT
+    )
+
+    def value(slot: int, aux: int | None = None) -> int:
+        if slot < 0:
+            raise ParameterError("slot index must be non-negative")
+        h = prefix.copy()
+        if aux is None:
+            h.update(struct.pack("<BQB", 1, slot, 0))
+        elif aux < 0:
+            raise ParameterError("aux index must be non-negative")
+        else:
+            h.update(struct.pack("<BQBQ", 1, slot, 1, aux))
+        return int.from_bytes(h.digest(), "little") % t
+
+    return value
+
+
 def prf_tag(key: PrfKey, ident: Identifier) -> bytes:
     """64-byte authentication tag bound to an identifier (aux-independent)."""
     return hashlib.blake2b(

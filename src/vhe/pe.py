@@ -41,7 +41,8 @@ from .circuit import (
     slot_unary,
 )
 from .errors import DegreeLimitError, LayoutError, ParameterError
-from .labels import Identifier, LabelRegistry, PrfKey, prf_zt
+# prf_zt stays bound here: perfbench's tracer test patches it through vhe.pe
+from .labels import Identifier, LabelRegistry, PrfKey, prf_zt, slot_prf  # noqa: F401
 from .params import Params
 
 MAX_DEGREE = 8
@@ -111,7 +112,8 @@ def pe_auth(secret: PeSecret, backend, values, base) -> PeAuth:
         raise ParameterError(f"expected {n} slot values, got {len(values)}")
     secret.registry.register(base)
     m = [int(v) % t for v in values]
-    r = [prf_zt(secret.key, base.with_slot(j), t) for j in range(n)]
+    prf = slot_prf(secret.key, base, t)
+    r = [prf(j) for j in range(n)]
     a_inv = secret.alpha_inv
     y1 = [(rj - mj) * a_inv % t for rj, mj in zip(r, m)]
     return PeAuth((backend.encrypt(m), backend.encrypt(y1)), base)

@@ -51,6 +51,13 @@ _CT_TAGS = (
     TAG_RESULT,
 )
 
+# A frame's declared length is checked against this cap before anything is
+# read.  The largest preset, n32768_prod (24 primes), serializes a degree-2
+# ciphertext in 12,582,940 bytes; PP and ReQ messages carry at most two, a
+# plain result one per PE component.  128 MiB holds ten such ciphertexts.
+MAX_FRAME_BYTES = 128 << 20
+_RECV_CHUNK = 1 << 20  # recv(n) allocates n bytes up front, so read in pieces
+
 TAG_NAMES = {
     TAG_PP_RESULT: "pp-result",
     TAG_PP_CHALLENGE: "pp-challenge",
@@ -165,7 +172,7 @@ class TcpEndpoint:
     def _read_exact(self, n: int) -> bytes:
         buf = bytearray()
         while len(buf) < n:
-            chunk = self._sock.recv(n - len(buf))
+            chunk = self._sock.recv(min(n - len(buf), _RECV_CHUNK))
             if not chunk:
                 raise ProtocolError("connection closed mid-message")
             buf += chunk
@@ -175,6 +182,10 @@ class TcpEndpoint:
         (length,) = struct.unpack("<I", self._read_exact(4))
         if length < 1:
             raise ProtocolError("empty frame")
+        if length > MAX_FRAME_BYTES:
+            raise ProtocolError(
+                f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
+            )
         tag = self._read_exact(1)[0]
         payload = self._read_exact(length - 1)
         self.transcript.received.append((tag, payload))

@@ -39,7 +39,7 @@ from .labels import (
     fold_tags,
     hash_tree_eval,
     prf_tag,
-    prf_zt,
+    slot_prf,
 )
 from .params import Params
 
@@ -130,6 +130,7 @@ def rep_extend(secret: RepSecret, values, base: Identifier) -> list[list[int]]:
     n, t = params.n, params.t
     per_ct = secret.slots_per_ct
     l = len(values)
+    prf = slot_prf(secret.key, base, t)
     out = []
     for c in range(rep_ct_count(l, lam, n)):
         slots = [0] * n
@@ -140,9 +141,7 @@ def rep_extend(secret: RepSecret, values, base: Identifier) -> list[list[int]]:
             m_i = int(values[i]) % t
             for j in range(lam):
                 if j in secret.challenge_set:
-                    slots[i_local * lam + j] = prf_zt(
-                        secret.key, base.with_slot(i), t, aux=j
-                    )
+                    slots[i_local * lam + j] = prf(i, j)
                 else:
                     slots[i_local * lam + j] = m_i
         out.append(slots)

@@ -10,10 +10,17 @@ negacyclic convolution into a pointwise product:
     ψ-twisted coefficients a_i·ψ^i, with ω = ψ² as the size-N root.
 
 Output index k therefore holds the evaluation of a(X) at X = ψ^{2k+1}, in
-natural order.  For primes below 2^31 every butterfly product fits in
-int64 and the transform is vectorized numpy; larger primes (up to the
-2^60 cap) take an exact pure-Python path so results never depend on
-floating point.
+natural order.  For primes below 2^31 one numpy kernel transforms a whole
+(..., k, n) residue stack per call, row i reduced mod prime i, with
+per-row tables cached once per prime tuple (:func:`stack_ntt`,
+:func:`stack_intt`): the input is gathered in bit-reversed order and
+twisted by ψ^i (Longa–Naehrig), each butterfly stage takes one reduction,
+on the twiddle product, and keeps both sums in [0, 2q) with an unsigned
+min-subtract (Harvey's lazy butterflies), and one conditional subtract
+(forward) or the merged n⁻¹·ψ⁻ⁱ post-multiply (inverse) ends in [0, q).
+The bound 2q·q < 2^63 is why the kernel needs q < 2^31.  Larger primes
+(up to the 2^60 cap) take an exact pure-Python path, which is also the
+tests' reference.  Everything is exact integer arithmetic.
 
 Batching: when t ≡ 1 (mod 2N) the same transform gives the slot
 isomorphism R_t ≅ Z_t^N.  Slots are arranged as a 2 × (N/2) matrix in
@@ -31,7 +38,7 @@ import numpy as np
 from .errors import ParameterError
 
 MAX_MODULUS_BITS = 60  # residues must serialize as u64 and fit CRT bounds
-_NUMPY_LIMIT = 1 << 31  # above this, int64 butterfly products could overflow
+_NUMPY_LIMIT = 1 << 31  # the stacked kernel's lazy bound 2q·q < 2^63
 
 # ---------------------------------------------------------------------------
 # primality / factoring helpers
@@ -137,6 +144,7 @@ class Modulus:
         "_np_path",
         "_tables",
         "_slot_to_eval",
+        "_stacks",
     )
 
     def __init__(self, value: int, n: int):
@@ -154,6 +162,7 @@ class Modulus:
         self._np_path = value < _NUMPY_LIMIT
         self._tables = None
         self._slot_to_eval = None
+        self._stacks = {}  # kernel tables of the prime tuples this one leads
 
     def __repr__(self):
         return f"Modulus({self.value}, n={self.n})"
@@ -180,40 +189,17 @@ class Modulus:
         psi = pow(g, (p - 1) // (2 * n), p)
         if pow(psi, n, p) != p - 1:
             raise ParameterError("failed to construct a primitive 2n-th root")
-        omega = psi * psi % p
-        psi_pows = [1] * n
-        ipsi_pows = [1] * n
-        ipsi = pow(psi, p - 2, p)
-        for i in range(1, n):
-            psi_pows[i] = psi_pows[i - 1] * psi % p
-            ipsi_pows[i] = ipsi_pows[i - 1] * ipsi % p
-
-        def stage_twiddles(root):
-            out = []
-            m = 1
-            while m < n:
-                w = pow(root, n // (2 * m), p)
-                row = [1] * m
-                for j in range(1, m):
-                    row[j] = row[j - 1] * w % p
-                out.append(row)
-                m *= 2
-            return out
-
-        fwd = stage_twiddles(omega)
-        inv = stage_twiddles(pow(omega, p - 2, p))
-        bits = n.bit_length() - 1
-        bitrev = [0] * n
-        for i in range(n):
-            bitrev[i] = int(bin(i)[2:].zfill(bits)[::-1], 2)
-        ninv = pow(n, p - 2, p)
+        # int64 products of two residues stay exact below 2^31, where the
+        # powers are kept as uint32 for the stacked kernel's tables; above,
+        # they are Python integers for the pure-Python transform
+        dtype = np.int64 if self._np_path else object
+        psi_pows = _powers(psi, n, p, dtype)
+        ipsi_pows = _powers(pow(psi, p - 2, p), n, p, dtype)
         if self._np_path:
-            psi_pows = np.array(psi_pows, dtype=np.int64)
-            ipsi_pows = np.array(ipsi_pows, dtype=np.int64)
-            fwd = [np.array(row, dtype=np.int64) for row in fwd]
-            inv = [np.array(row, dtype=np.int64) for row in inv]
-            bitrev = np.array(bitrev, dtype=np.int64)
-        self._tables = (psi, psi_pows, ipsi_pows, fwd, inv, bitrev, ninv)
+            psi_pows, ipsi_pows = psi_pows.astype(np.uint32), ipsi_pows.astype(np.uint32)
+        else:
+            psi_pows, ipsi_pows = psi_pows.tolist(), ipsi_pows.tolist()
+        self._tables = (psi, psi_pows, ipsi_pows, _bit_reverse(n), pow(n, p - 2, p))
 
     def _get_tables(self):
         if self._tables is None:
@@ -228,23 +214,24 @@ class Modulus:
     # -- transforms ----------------------------------------------------------
 
     def ntt(self, coeffs):
-        """Negacyclic forward transform; index k holds eval at ψ^{2k+1}."""
-        _, psi_pows, _, fwd, _, bitrev, _ = self._get_tables()
-        p = self.value
+        """Negacyclic forward transform; index k holds eval at ψ^{2k+1}.
+
+        Residues must lie in [0, value).
+        """
         if self._np_path:
-            x = np.asarray(coeffs, dtype=np.int64) * psi_pows % p
-            return _dit_np(x, p, fwd, bitrev)
+            return stack_ntt(np.asarray(coeffs, dtype=np.int64)[None], (self,))[0]
+        _, psi_pows, _, bitrev, _ = self._get_tables()
+        p = self.value
         x = [coeffs[i] * psi_pows[i] % p for i in range(self.n)]
-        return _dit_py(x, p, fwd, bitrev, self.n)
+        return _dit_py(x, p, psi_pows, bitrev, self.n)
 
     def intt(self, evals):
         """Inverse of :meth:`ntt` (returns coefficients in [0, p))."""
-        _, _, ipsi_pows, _, inv, bitrev, ninv = self._get_tables()
-        p = self.value
         if self._np_path:
-            x = _dit_np(np.asarray(evals, dtype=np.int64), p, inv, bitrev)
-            return x * ninv % p * ipsi_pows % p
-        x = _dit_py(list(evals), p, inv, bitrev, self.n)
+            return stack_intt(np.asarray(evals, dtype=np.int64)[None], (self,))[0]
+        _, _, ipsi_pows, bitrev, ninv = self._get_tables()
+        p = self.value
+        x = _dit_py(list(evals), p, ipsi_pows, bitrev, self.n)
         return [x[i] * ninv % p * ipsi_pows[i] % p for i in range(self.n)]
 
     # -- batching ------------------------------------------------------------
@@ -270,35 +257,171 @@ def get_modulus(value: int, n: int) -> Modulus:
     return Modulus(value, n)
 
 
-def _dit_np(x, p, stage_tw, bitrev):
-    y = x[bitrev]
-    n = len(y)
-    m, s = 1, 0
+def _powers(base: int, n: int, p: int, dtype) -> np.ndarray:
+    """[base^0, …, base^(n-1)] mod p, by doubling: pw[m:2m] = pw[:m]·base^m."""
+    pw = np.ones(n, dtype=dtype)
+    m = 1
     while m < n:
-        w = stage_tw[s]
-        y = y.reshape(-1, 2 * m)
-        lo = y[:, :m].copy()
-        t = y[:, m:] * w % p
-        y[:, :m] = (lo + t) % p
-        y[:, m:] = (lo - t) % p
-        y = y.reshape(-1)
-        m, s = m * 2, s + 1
-    return y
+        pw[m : 2 * m] = pw[:m] * pow(base, m, p) % p
+        m *= 2
+    return pw
 
 
-def _dit_py(x, p, stage_tw, bitrev, n):
+@lru_cache(maxsize=None)
+def _bit_reverse(n: int) -> np.ndarray:
+    """Index i → i with its log2(n) bits reversed."""
+    bits = n.bit_length() - 1
+    i = np.arange(n, dtype=np.int64)
+    rev = np.zeros(n, dtype=np.int64)
+    for b in range(bits):
+        rev |= ((i >> b) & 1) << (bits - 1 - b)
+    rev.flags.writeable = False
+    return rev
+
+
+def _dit_py(x, p, pows, bitrev, n):
+    """Exact pure-Python DIT transform; stage m uses pows[j·n/m], j < m."""
     y = [x[bitrev[i]] for i in range(n)]
-    m, s = 1, 0
+    m = 1
     while m < n:
-        w = stage_tw[s]
+        w = pows[:: n // m]
         for base in range(0, n, 2 * m):
             for j in range(m):
                 a = y[base + j]
                 b = y[base + m + j] * w[j] % p
                 y[base + j] = (a + b) % p
                 y[base + m + j] = (a - b) % p
-        m, s = m * 2, s + 1
+        m *= 2
     return y
+
+
+# ---------------------------------------------------------------------------
+# the stacked transform: one call over a whole (..., k, n) residue stack
+# ---------------------------------------------------------------------------
+
+
+class _StackTables:
+    """Per-row kernel tables for a tuple of NTT primes of one degree.
+
+    Every table has one row per prime and broadcasts over leading axes.
+    ``gather`` reads the input in bit-reversed order, laid out as a
+    (b, n/b) block (see :func:`_butterflies`); ``twist`` holds the matching
+    ψ powers, ``fwd``/``inv`` the stage twiddles (ψ^{±j·n/m} = ω^{±j·n/2m}
+    at columns [m, 2m)) and ``post`` n⁻¹·ψ⁻ⁱ.
+    """
+
+    __slots__ = ("q", "block", "gather", "twist", "fwd", "inv", "post")
+
+    def __init__(self, mods):
+        n = mods[0].n
+        if any(m.n != n for m in mods):
+            raise ParameterError("stacked moduli must share one ring degree")
+        if not all(m._np_path for m in mods):
+            raise ParameterError("the stacked transform needs primes below 2^31")
+        tables = [m._get_tables() for m in mods]
+        self.q = np.array([m.value for m in mods], dtype=np.uint64)[:, None]
+        # entries are below q < 2^31, so the tables are stored as uint32
+        psi = np.stack([t[1] for t in tables])
+        ipsi = np.stack([t[2] for t in tables])
+        ninv = np.array([t[4] for t in tables], dtype=np.uint64)[:, None]
+        self.block = 1 << (n.bit_length() // 2)  # b ≈ √n, a power of two
+        self.gather = tables[0][3].reshape(n // self.block, self.block).T.ravel()
+        self.twist = psi[:, self.gather]
+        self.fwd = _stage_twiddles(psi)
+        self.inv = _stage_twiddles(ipsi)
+        self.post = (ipsi * ninv % self.q).astype(np.uint32)
+
+
+def _stage_twiddles(pows: np.ndarray) -> np.ndarray:
+    """Stage m's twiddles pows[j·n/m], j < m, at columns [m, 2m)."""
+    n = pows.shape[-1]
+    out = np.zeros_like(pows)
+    m = 1
+    while m < n:
+        out[:, m : 2 * m] = pows[:, :: n // m]
+        m *= 2
+    return out
+
+
+def _stack_tables(mods) -> _StackTables:
+    # cached on the tuple's first modulus, so the tables share the lifetime
+    # of get_modulus's instances and are rebuilt when that cache is cleared
+    key = tuple(m.value for m in mods)
+    cache = mods[0]._stacks
+    tables = cache.get(key)
+    if tables is None:
+        tables = cache[key] = _StackTables(mods)
+    return tables
+
+
+def _butterflies(y: np.ndarray, tables: _StackTables, stage: np.ndarray) -> np.ndarray:
+    """Lazy DIT stages over bit-reversed (..., k, n) uint64 rows.
+
+    The input holds the bit-reversed sequence z as a (b, n/b) block,
+    y[j·n/b + a] = z[a·b + j], so the stages that pair entries less than b
+    apart run along rows of length n/b instead of numpy's slow short inner
+    loops; one transpose then restores z's order for the remaining stages.
+
+    Harvey's bounds: entries enter each stage in [0, 2q) and the twiddle
+    product (< 2q·q < 2^63 for q < 2^31) takes the stage's one reduction;
+    the low half is brought to [0, q) by an unsigned min-subtract (x − q
+    wraps above x when x < q), so both sums land in [0, 2q) again.
+    Returns the natural-order result in [0, 2q).
+    """
+    q, b = tables.q, tables.block
+    lead, n = y.shape[:-1], y.shape[-1]
+    t = np.empty(y.size // 2, dtype=np.uint64)
+    s = np.empty_like(t)
+
+    def butterfly(lo, hi, w, qb):
+        tw, sw = t.reshape(hi.shape), s.reshape(hi.shape)
+        np.multiply(hi, w, out=tw)
+        tw %= qb
+        np.subtract(lo, qb, out=sw)
+        np.minimum(lo, sw, out=lo)
+        np.subtract(lo, tw, out=hi)
+        hi += qb
+        lo += tw
+
+    m = 1
+    while m < b:
+        v = y.reshape(*lead, b // (2 * m), 2 * m, n // b)
+        butterfly(v[..., :m, :], v[..., m:, :], stage[:, None, m : 2 * m, None], q[:, :, None, None])
+        m *= 2
+    y = np.ascontiguousarray(y.reshape(*lead, b, n // b).swapaxes(-1, -2)).reshape(y.shape)
+    while m < n:
+        v = y.reshape(*lead, n // (2 * m), 2 * m)
+        butterfly(v[..., :m], v[..., m:], stage[:, None, m : 2 * m], q[:, :, None])
+        m *= 2
+    return y
+
+
+def stack_ntt(x, mods) -> np.ndarray:
+    """Forward transform of a (..., k, n) stack; row i is reduced mod mods[i].
+
+    Every q_i must lie below 2^31 and every entry in [0, 2^32): the ψ
+    twist reduces it (x·ψ^i < 2^63).  The result is :meth:`Modulus.ntt` of
+    each row reduced mod q_i, as int64.
+    """
+    tables = _stack_tables(tuple(mods))
+    q = tables.q
+    y = np.asarray(x, dtype=np.int64)[..., tables.gather].view(np.uint64)
+    y *= tables.twist
+    y %= q
+    y = _butterflies(y, tables, tables.fwd)
+    np.minimum(y, y - q, out=y)
+    return y.view(np.int64)
+
+
+def stack_intt(x, mods) -> np.ndarray:
+    """Inverse of :func:`stack_ntt` (coefficients in [0, q_i), int64)."""
+    tables = _stack_tables(tuple(mods))
+    q = tables.q
+    y = np.asarray(x, dtype=np.int64)[..., tables.gather].view(np.uint64)
+    y = _butterflies(y, tables, tables.inv)
+    y *= tables.post
+    y %= q
+    return y.view(np.int64)
 
 
 # ---------------------------------------------------------------------------

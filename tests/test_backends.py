@@ -14,6 +14,7 @@ from vhe.errors import (
     KeyMaterialError,
     LayoutError,
     ParameterError,
+    SerializationError,
 )
 from vhe.mock import MockBackend
 from vhe.params import Params, make_params, preset
@@ -221,6 +222,29 @@ def test_real_decrypt_guard_band_is_exact(real):
         assert real.decrypt(with_noise(sign * (delta // 4 - 1))) == vals
         with pytest.raises(DecryptionFailureError):
             real.decrypt(with_noise(sign * (delta // 4)))
+
+
+def test_real_decrypt_refuses_out_of_range_components(real):
+    """decrypt and noise_budget check every component against the chain
+    before any arithmetic: a residue of q_i or 2^62, or a (k-1, n) matrix,
+    raises SerializationError instead of wrapping int64."""
+    ct = real.encrypt(list(range(N)))
+    c0, c1 = (p.mat for p in ct.polys)
+
+    def with_c1(mat):
+        return bfv.Ciphertext((ct.polys[0], bfv.RnsPoly(mat, True)))
+
+    at_q = c1.copy()
+    at_q[1, 5] = PARAMS.q_chain[1]
+    huge = c1.copy()
+    huge[0, 0] = 2**62
+    bad = [with_c1(at_q), with_c1(huge), with_c1(c1[:-1]), bfv.Ciphertext((), 0)]
+    for ct_bad in bad:
+        with pytest.raises(SerializationError):
+            real.decrypt(ct_bad)
+        with pytest.raises(SerializationError):
+            real.noise_budget(ct_bad)
+    assert real.decrypt(with_c1(c1)) == list(range(N))
 
 
 def test_real_decrypt_requires_secret(real):

@@ -18,6 +18,7 @@ from vhe.labels import (
     hash_tree_eval,
     prf_tag,
     prf_zt,
+    slot_prf,
 )
 
 KEY = PrfKey(bytes(range(32)))
@@ -82,6 +83,33 @@ def test_prf_zt_range_and_sensitivity():
 @given(st.integers(min_value=2, max_value=1 << 60), st.integers(0, 1 << 32))
 def test_prf_zt_always_in_range(t, slot):
     assert 0 <= prf_zt(KEY, Identifier("p", slot), t) < t
+
+
+@settings(max_examples=60)
+@given(
+    st.text(min_size=0, max_size=12),
+    st.integers(min_value=2, max_value=1 << 60),
+    st.lists(st.tuples(st.integers(0, 2**64 - 1), st.none() | st.integers(0, 2**64 - 1)), max_size=6),
+)
+def test_slot_prf_equals_prf_zt(label, t, points):
+    """The prefix-state helper gives prf_zt's values for every (slot, aux),
+    non-ASCII labels included."""
+    prf = slot_prf(KEY, Identifier(label), t)
+    for slot, aux in points + [(0, None), (3, 0), (3, 1)]:
+        assert prf(slot, aux) == prf_zt(KEY, Identifier(label, slot), t, aux=aux)
+
+
+def test_slot_prf_rejects_what_prf_zt_rejects():
+    with pytest.raises(ParameterError):
+        slot_prf(KEY, Identifier("x"), 1)
+    with pytest.raises(ParameterError):
+        slot_prf(KEY, Identifier("x", 2), 97)
+    prf = slot_prf(KEY, Identifier("ünï"), 97)
+    assert prf(5, 2) == prf_zt(KEY, Identifier("ünï", 5), 97, aux=2)
+    with pytest.raises(ParameterError):
+        prf(-1)
+    with pytest.raises(ParameterError):
+        prf(0, -1)
 
 
 def test_prf_tag_shape_and_independence():

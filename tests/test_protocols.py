@@ -5,6 +5,7 @@ import random
 import socket
 import struct
 import threading
+import tracemalloc
 
 import pytest
 
@@ -88,6 +89,26 @@ def test_tcp_endpoint_roundtrip():
     with pytest.raises(ProtocolError):
         b.recv()
     b.close()
+
+
+@pytest.mark.parametrize("declared", [2**32 - 1, pr.MAX_FRAME_BYTES])
+def test_tcp_recv_bounds_what_a_peer_declares(declared):
+    """An oversized declared length is refused before anything is read, and
+    one under the cap is read in chunks, so a peer that closes early never
+    makes the receiver allocate the declared size."""
+    s1, s2 = socket.socketpair()
+    b = pr.TcpEndpoint(s2)
+    s1.sendall(struct.pack("<IB", declared, 0x01) + b"x" * 1000)
+    s1.close()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProtocolError):
+            b.recv()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        b.close()
+    assert peak < 4 << 20
 
 
 def test_tcp_listen_connect():

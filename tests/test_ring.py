@@ -3,19 +3,26 @@ isomorphism, and prime search."""
 
 import random
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vhe import bfv
 from vhe.errors import ParameterError
+from vhe.params import preset
 from vhe.ring import (
+    _dit_py,
+    _stack_tables,
     batch_decode,
     batch_encode,
     find_ntt_primes,
     find_plaintext_prime,
     get_modulus,
     slot_poly_eval,
+    stack_intt,
+    stack_ntt,
 )
 
 
@@ -92,6 +99,112 @@ def test_ntt_output_is_negacyclic_evaluation():
         point = pow(psi, 2 * k + 1, 97)
         direct = sum(c * pow(point, i, 97) for i, c in enumerate(coeffs)) % 97
         assert int(evals[k]) == direct
+
+
+# ---------------------------------------------------------------------------
+# transform tables and the stacked kernel
+# ---------------------------------------------------------------------------
+
+NEAR_2_31 = find_ntt_primes(31, 64, 1)[0]  # largest numpy-path prime at n = 64
+
+
+def loop_tables(p, n, psi):
+    """Per-element loop construction of the transform tables."""
+    omega = psi * psi % p
+    psi_pows, ipsi_pows = [1] * n, [1] * n
+    ipsi = pow(psi, p - 2, p)
+    for i in range(1, n):
+        psi_pows[i] = psi_pows[i - 1] * psi % p
+        ipsi_pows[i] = ipsi_pows[i - 1] * ipsi % p
+
+    def stage_twiddles(root):
+        out, m = [], 1
+        while m < n:
+            w = pow(root, n // (2 * m), p)
+            row = [1] * m
+            for j in range(1, m):
+                row[j] = row[j - 1] * w % p
+            out.append(row)
+            m *= 2
+        return out
+
+    bits = n.bit_length() - 1
+    bitrev = [int(bin(i)[2:].zfill(bits)[::-1], 2) for i in range(n)]
+    fwd, inv = stage_twiddles(omega), stage_twiddles(pow(omega, p - 2, p))
+    return psi_pows, ipsi_pows, fwd, inv, bitrev, pow(n, p - 2, p)
+
+
+@pytest.mark.parametrize(
+    "p, n", [(17, 2), (97, 16), (7681, 64), (NEAR_2_31, 64), (MOD_BIG.value, 64),
+             (find_ntt_primes(29, 4096, 1)[0], 4096)],
+)
+def test_tables_match_loop_reference(p, n):
+    mod = get_modulus(p, n)
+    psi, psi_pows, ipsi_pows, bitrev, ninv = mod._get_tables()
+    ref_psi, ref_ipsi, ref_fwd, ref_inv, ref_bitrev, ref_ninv = loop_tables(p, n, psi)
+    assert [int(v) for v in psi_pows] == ref_psi
+    assert [int(v) for v in ipsi_pows] == ref_ipsi
+    assert list(bitrev) == ref_bitrev
+    assert ninv == ref_ninv
+    if p >= 1 << 31:
+        return  # pure-Python path: no stacked tables
+    tables = _stack_tables((mod,))
+    for s, m in enumerate(1 << i for i in range(len(ref_fwd))):
+        assert tables.fwd[0, m : 2 * m].tolist() == ref_fwd[s]
+        assert tables.inv[0, m : 2 * m].tolist() == ref_inv[s]
+    assert tables.post[0].tolist() == [ninv * v % p for v in ref_ipsi]
+
+
+def _ext_primes():
+    params = preset("n4096")
+    keys = bfv.keygen(params, row_swap=False, rng=np.random.default_rng(1))
+    return bfv.BfvBackend(params, keys)._ext().primes
+
+
+KERNEL_BASES = {
+    "n4096": lambda: (preset("n4096").q_chain, 4096),
+    "mul-extended": lambda: (_ext_primes(), 4096),
+    "40x30-bit": lambda: (tuple(find_ntt_primes(30, 64, 40)), 64),
+    "near-2^31": lambda: ((NEAR_2_31,), 64),
+}
+
+
+def reference_ntt(row, mod):
+    """Modulus.ntt's definition on the pure-Python transform."""
+    p, n = mod.value, mod.n
+    _, psi_pows, _, bitrev, _ = mod._get_tables()
+    pows = [int(v) for v in psi_pows]
+    x = [int(c) * pows[i] % p for i, c in enumerate(row)]
+    return _dit_py(x, p, pows, [int(v) for v in bitrev], n)
+
+
+@pytest.mark.parametrize("basis", sorted(KERNEL_BASES))
+def test_stacked_transform_matches_per_row_reference(basis):
+    """Random, all-zero and all-(q-1) stacks (the lazy bounds' worst case)."""
+    primes, n = KERNEL_BASES[basis]()
+    mods = [get_modulus(p, n) for p in primes]
+    q = np.array(primes, dtype=np.int64)[:, None]
+    rng = np.random.default_rng(len(primes))
+    inputs = {
+        "random": rng.integers(0, 2**62, size=(len(primes), n)) % q,
+        "zero": np.zeros((len(primes), n), dtype=np.int64),
+        "q-1": np.broadcast_to(q - 1, (len(primes), n)).copy(),
+    }
+    for name, x in inputs.items():
+        evals = stack_ntt(x, mods)
+        for i, mod in enumerate(mods):
+            assert evals[i].tolist() == reference_ntt(x[i], mod), (name, i)
+        assert np.array_equal(stack_intt(evals, mods), x), name
+
+
+def test_stacked_transform_broadcasts_over_leading_axes():
+    """One (k, k, n) call equals k separate (k, n) calls, both directions."""
+    primes = preset("n4096").q_chain
+    mods = [get_modulus(p, 4096) for p in primes]
+    q = np.array(primes, dtype=np.int64)[:, None]
+    x = np.random.default_rng(2).integers(0, 2**62, size=(len(primes), len(primes), 4096)) % q
+    assert np.array_equal(stack_ntt(x, mods), np.stack([stack_ntt(r, mods) for r in x]))
+    assert np.array_equal(stack_intt(x, mods), np.stack([stack_intt(r, mods) for r in x]))
 
 
 def test_batch_roundtrip_and_homomorphism():
