@@ -1,13 +1,17 @@
 """Leveled BFV over RNS with batching, relinearization, and rotations.
 
-Ciphertexts are tuples of ring elements stored per chain prime as int64
-matrices of shape (k, n), kept in the evaluation (NTT) domain between
-operations.  Plaintexts are batched slot vectors over Z_t.  Each operation
-moves between the domains with one stacked transform call (ring.stack_ntt /
-stack_intt) over everything it needs in that direction: encryption
-transforms (u, e₀ + Δ·m, e₁) as one (3, k, n) stack, a key switch its
-(k, k, n) digit stack, multiplication its four extended inputs and its
-three products.
+A ciphertext (c₀, …, c_d) is one int64 residue stack of shape (d+1, k, n):
+component, chain prime, coefficient, always in the evaluation (NTT)
+domain.  Keys are stacks too: the public key is (2, k, n) for (b, a), and
+the relinearization key and every Galois key are (2, k, k, n): (b, a) per
+RNS digit.  Plaintexts are batched slot vectors over Z_t.  Every linear
+operation, encryption's u·pk + (e₀ + Δ·m, e₁) and a rotation's slot
+permutation are one numpy expression over the stack; an operation that
+needs coefficients moves between the domains with one stacked transform
+call (ring.stack_ntt / stack_intt) per direction: encryption transforms
+(u, e₀ + Δ·m, e₁) as one (3, k, n) stack, a key switch its (k, k, n) digit
+stack, multiplication its four extended inputs, its three products and,
+back into the chain, the three scaled results.
 
     encrypt:  c = u·pk + (e₀ + Δ·m, e₁),  Δ = ⌊Q/t⌋
     decrypt:  m = ⌈(t/Q)·[c₀ + c₁·s]_Q⌋ mod t   (centered, exact big-int)
@@ -87,42 +91,17 @@ class CrtBasis:
         half = self.product // 2
         return np.where(acc > half, acc - self.product, acc)
 
-    def residues(self, values: np.ndarray) -> np.ndarray:
-        """Object array of (possibly huge) ints → (k, n) int64 residues."""
-        rows = [(values % p).astype(np.int64) for p in self.primes]
-        return np.stack(rows)
 
-
-# Row-wise modular arithmetic on (k, n) residue matrices against a (k, 1)
-# modulus column.  The reduction (a division, the costly step) runs once and
-# in place; callers fold unreduced terms into one call while the sum stays
-# below 2^63 (a product of two residues is < 2^60).
+# Modular arithmetic on residue stacks (..., k, n) against a (k, 1) modulus
+# column broadcasts over the leading axes.  The reduction (a division, the
+# costly step) runs once and in place; callers fold unreduced terms into one
+# call while the sum stays below 2^63 (a product of two residues is < 2^60).
 
 
 def _pointwise(a, b, q):
     out = a * b
     out %= q
     return out
-
-
-def _mat_add(a, b, q):
-    out = a + b
-    out %= q
-    return out
-
-
-def _mat_sub(a, b, q):
-    out = a - b
-    out %= q
-    return out
-
-
-@dataclass(frozen=True)
-class RnsPoly:
-    """One ring element as per-prime residues; `evaldom` marks NTT form."""
-
-    mat: np.ndarray  # (k, n) int64
-    evaldom: bool
 
 
 # ---------------------------------------------------------------------------
@@ -132,19 +111,20 @@ class RnsPoly:
 
 @dataclass(frozen=True)
 class Ciphertext:
-    """(c₀, …, c_{d}) with d+1 = len(polys); decrypts under powers of s.
+    """(c₀, …, c_d) as one (d+1, k, n) evaluation-domain residue stack;
+    decrypts under (1, s, …, s^d).
 
     `mul_depth` counts ciphertext-ciphertext multiplication levels for
     diagnostics; correctness is enforced by measured noise at decryption,
     not by this counter.
     """
 
-    polys: tuple
+    data: np.ndarray
     mul_depth: int = 0
 
     @property
     def degree(self) -> int:
-        return len(self.polys)
+        return len(self.data)
 
 
 @dataclass
@@ -155,9 +135,9 @@ class KeySet:
     """
 
     params: Params
-    pk: tuple  # (b, a) NTT-domain matrices
-    rlk: tuple  # per chain prime: (b_i, a_i)
-    gks: dict  # galois element → per-chain-prime (b_i, a_i) tuple
+    pk: np.ndarray  # (2, k, n): (b, a), evaluation domain
+    rlk: np.ndarray  # (2, k, k, n): (b, a) per RNS digit
+    gks: dict  # galois element → (2, k, k, n) like rlk
     sk_ntt: np.ndarray | None = None
 
     @property
@@ -217,37 +197,37 @@ def keygen(
     )
     primes = params.q_chain
     mods = [get_modulus(p, params.n) for p in primes]
-    n = params.n
+    n, k = params.n, len(primes)
     q = np.array(primes, dtype=np.int64)[:, None]
 
     s_ntt = stack_ntt(_ternary(gen, n) % q, mods)
 
     def rlwe_pairs(count):
-        """(b, a) stacks of `count` pairs with b = -(a·s + e), NTT domain;
+        """(2, count, k, n) stack of (b, a) with b = -(a·s + e), NTT domain;
         the errors of all pairs are transformed in one call."""
-        a = np.empty((count, len(primes), n), dtype=np.int64)
+        out = np.empty((2, count, k, n), dtype=np.int64)
+        b, a = out
         e = np.empty_like(a)
         for c in range(count):
             for i, p in enumerate(primes):
                 a[c, i] = gen.integers(0, p, size=n, dtype=np.int64)
             np.remainder(_cbd_error(gen, n, params.err_std), q, out=e[c])
-        b = a * s_ntt
+        np.multiply(a, s_ntt, out=b)
         np.negative(b, out=b)
         b -= stack_ntt(e, mods)
         b %= q
-        return b, a
+        return out
 
-    b, a = rlwe_pairs(1)
-    pk = (b[0], a[0])
+    pk = rlwe_pairs(1)[:, 0]
 
     def key_switch_key(target_ntt):
         """One RLWE pair per chain prime; pair i carries the target secret
         times the CRT idempotent e_i (≡ 1 mod q_i, ≡ 0 mod q_j≠i), i.e. the
         target in residue row i and zeros elsewhere."""
-        b, a = rlwe_pairs(len(primes))
-        for i in range(len(primes)):
-            b[i, i] = (b[i, i] + target_ntt[i]) % primes[i]
-        return tuple(zip(b, a))
+        ks = rlwe_pairs(k)
+        diag = np.arange(k)
+        ks[0, diag, diag] = (ks[0, diag, diag] + target_ntt) % q
+        return ks
 
     rlk = key_switch_key(_pointwise(s_ntt, s_ntt, q))
 
@@ -320,11 +300,11 @@ class BfvBackend:
         x[1] += e0
         x[2] = e1
         x %= q
-        u, e0m, e1 = stack_ntt(x, self.mods)
-        b, a = self.keys.pk
-        c0 = _mat_add(b * u, e0m, q)
-        c1 = _mat_add(a * u, e1, q)
-        return Ciphertext((RnsPoly(c0, True), RnsPoly(c1, True)))
+        x = stack_ntt(x, self.mods)
+        c = self.keys.pk * x[0]
+        c += x[1:]
+        c %= q
+        return Ciphertext(c)
 
     def encrypt_zero(self) -> Ciphertext:
         return self.encrypt([0] * self.params.n)
@@ -335,37 +315,38 @@ class BfvBackend:
         return self.keys.sk_ntt
 
     def _check_received(self, ct: Ciphertext):
-        """Refuse a ciphertext that is not (k, n) residues in [0, q_i).
+        """Refuse a ciphertext that is not a (d+1, k, n) stack of residues
+        in [0, q_i) with d ≥ 0.
 
         The transforms are exact only for reduced residues, so a hostile or
-        corrupt component must stop here, before any arithmetic.
+        corrupt ciphertext must stop here, before any arithmetic.
         """
         shape = (len(self.primes), self.params.n)
-        if not ct.polys:
+        data = ct.data
+        if not (
+            isinstance(data, np.ndarray)
+            and data.dtype == np.int64
+            and data.ndim == 3
+            and data.shape[1:] == shape
+        ):
+            raise SerializationError(
+                f"ciphertext must be an int64 (d+1, {shape[0]}, {shape[1]}) residue stack"
+            )
+        if not len(data):
             raise SerializationError("ciphertext has no components")
-        for poly in ct.polys:
-            mat = poly.mat
-            if not (
-                isinstance(mat, np.ndarray)
-                and mat.dtype == np.int64
-                and mat.shape == shape
-            ):
-                raise SerializationError(
-                    f"ciphertext component must be an int64 {shape} residue matrix"
-                )
-            if (mat < 0).any() or (mat >= self._q).any():
-                raise SerializationError("ciphertext residue outside [0, q_i)")
+        if (data < 0).any() or (data >= self._q).any():
+            raise SerializationError("ciphertext residue outside [0, q_i)")
 
     def _phase(self, ct: Ciphertext) -> np.ndarray:
         """[Σ c_i·s^i]_Q as centered big-int coefficients (object array)."""
         s_ntt = self._require_secret()
         self._check_received(ct)
         q = self._q
-        mats = self._mats(ct.polys, True)
-        acc = mats[0]
+        acc = ct.data[0]
         s_pow = s_ntt
-        for d, mat in enumerate(mats[1:]):
-            acc = _mat_add(acc, mat * s_pow, q)
+        for d, mat in enumerate(ct.data[1:]):
+            acc = acc + mat * s_pow
+            acc %= q
             if d + 2 < ct.degree:
                 s_pow = _pointwise(s_pow, s_ntt, q)
         return self.chain_basis.lift_centered(stack_intt(acc, self.mods))
@@ -400,55 +381,46 @@ class BfvBackend:
         return batch_decode(m.tolist(), self.t_mod)
 
     def noise_budget(self, ct: Ciphertext) -> float:
-        """log2 of (capacity / measured noise); negative once corrupted."""
+        """log2 of (capacity / measured noise); negative once corrupted.
+
+        Logarithms of the integers, never their float quotient, which
+        overflows once log2 Q exceeds 1024."""
         p = self.params
         _, worst = self._noise(ct)
-        return log2(p.big_q / (2 * p.t)) - log2(max(worst, 1))
+        return log2(p.big_q) - log2(2 * p.t) - log2(max(worst, 1))
 
     # ---- linear operations ---------------------------------------------------
 
-    def _mats(self, polys, evaldom: bool) -> list:
-        """Residue matrices of `polys` in the requested domain; those held
-        in the other domain go through one stacked transform."""
-        mats = [p.mat for p in polys]
-        todo = [i for i, p in enumerate(polys) if p.evaldom != evaldom]
-        if todo:
-            transform = stack_ntt if evaldom else stack_intt
-            done = transform(np.stack([mats[i] for i in todo]), self.mods)
-            for i, mat in zip(todo, done):
-                mats[i] = mat
-        return mats
+    @staticmethod
+    def _padded(data: np.ndarray, d: int) -> np.ndarray:
+        """`data` with zero components appended up to d."""
+        if len(data) == d:
+            return data
+        zeros = np.zeros((d - len(data),) + data.shape[1:], dtype=np.int64)
+        return np.concatenate([data, zeros])
 
-    def _zip_polys(self, a: Ciphertext, b: Ciphertext):
-        da, db = a.degree, b.degree
-        mats = self._mats(a.polys + b.polys, True)
-        zero = np.zeros_like(mats[0])
-        pa = mats[:da] + [zero] * (max(da, db) - da)
-        pb = mats[da:] + [zero] * (max(da, db) - db)
-        return pa, pb
+    def _combine(self, op, a: Ciphertext, b: Ciphertext) -> Ciphertext:
+        d = max(a.degree, b.degree)
+        out = op(self._padded(a.data, d), self._padded(b.data, d))
+        out %= self._q
+        return Ciphertext(out, max(a.mul_depth, b.mul_depth))
 
     def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        pa, pb = self._zip_polys(a, b)
-        polys = tuple(RnsPoly(_mat_add(x, y, self._q), True) for x, y in zip(pa, pb))
-        return Ciphertext(polys, max(a.mul_depth, b.mul_depth))
+        return self._combine(np.add, a, b)
 
     def sub(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        pa, pb = self._zip_polys(a, b)
-        polys = tuple(RnsPoly(_mat_sub(x, y, self._q), True) for x, y in zip(pa, pb))
-        return Ciphertext(polys, max(a.mul_depth, b.mul_depth))
+        return self._combine(np.subtract, a, b)
 
     def neg(self, a: Ciphertext) -> Ciphertext:
-        polys = tuple(RnsPoly(_mat_sub(0, x, self._q), True) for x in self._mats(a.polys, True))
-        return Ciphertext(polys, a.mul_depth)
+        out = np.negative(a.data)
+        out %= self._q
+        return Ciphertext(out, a.mul_depth)
 
     def mul_plain(self, a: Ciphertext, const_slots) -> Ciphertext:
         if len(const_slots) != self.params.n:
             raise ParameterError("constant vector must cover every slot")
         c = self._encode_residues(const_slots)
-        polys = tuple(
-            RnsPoly(_pointwise(x, c, self._q), True) for x in self._mats(a.polys, True)
-        )
-        return Ciphertext(polys, a.mul_depth)
+        return Ciphertext(_pointwise(a.data, c, self._q), a.mul_depth)
 
     # ---- multiplication -------------------------------------------------------
 
@@ -479,7 +451,8 @@ class BfvBackend:
         # transformed in one call; the big-integer lift runs one polynomial
         # at a time so that fewer Python integers are alive at once
         full = np.empty((4, len(ext.primes), p.n), dtype=np.int64)
-        for x, coeff in zip(full, self._mats(a.polys + b.polys, False)):
+        coeffs = stack_intt(np.concatenate([a.data, b.data]), self.mods)
+        for x, coeff in zip(full, coeffs):
             x[:k] = coeff
             lifted = self.chain_basis.lift_centered(coeff)
             for i, q in enumerate(ext.primes[k:], start=k):
@@ -488,41 +461,41 @@ class BfvBackend:
 
         qe = ext.col
         # middle term: a0·b1 + a1·b0
-        cross = _mat_add(a0 * b1, a1 * b0, qe)
+        cross = a0 * b1
+        cross += a1 * b0
+        cross %= qe
         prods = np.stack([_pointwise(a0, b0, qe), cross, _pointwise(a1, b1, qe)])
 
-        out_polys = []
+        out = np.empty((3, k, p.n), dtype=np.int64)
         q_int, t = p.big_q, p.t
         half = q_int // 2
-        for coeff in stack_intt(prods, ext.mods):
+        for x, coeff in zip(out, stack_intt(prods, ext.mods)):
             vals = ext.lift_centered(coeff)  # exact tensor coefficients
             scaled = (vals * t + half) // q_int  # ⌈(t/Q)·x⌋
-            out_polys.append(RnsPoly(self.chain_basis.residues(scaled), False))
+            for i, q in enumerate(self.primes):
+                x[i] = scaled % q
         depth = max(a.mul_depth, b.mul_depth) + 1
-        return Ciphertext(tuple(out_polys), depth)
+        return Ciphertext(stack_ntt(out, self.mods), depth)
 
-    def _apply_ks(self, coeff: np.ndarray, ks) -> tuple:
+    def _apply_ks(self, coeff: np.ndarray, ks: np.ndarray) -> np.ndarray:
         """Key-switch the coefficient-domain target with one RNS digit per
-        chain prime.
+        chain prime; returns the (2, k, n) evaluation-domain pair.
 
         Digit i is the target's residue row i centred to (-q_i/2, q_i/2] and
         taken into every prime j as centred + q_j, in [0, 2q_j), which the
         transform's ψ twist reduces; the (k, k, n) digit stack is
-        transformed in one call.
+        transformed in one call and multiplied into the key's (b, a) stack.
         """
         q = self._q
         centred = np.where(coeff > q // 2, coeff - q, coeff)
         digits = stack_ntt(centred[:, None, :] + q, self.mods)
-        acc0 = np.zeros_like(coeff)
-        acc1 = np.zeros_like(coeff)
-        for i, (kb, ka) in enumerate(ks):
-            d = digits[i]
-            acc0 += d * kb
-            acc1 += d * ka
+        acc = np.zeros((2,) + coeff.shape, dtype=np.int64)
+        for i, d in enumerate(digits):
+            acc += d * ks[:, i]
             if (i + 1) % self._ks_chunk == 0:
-                acc0 %= q
-                acc1 %= q
-        return acc0 % q, acc1 % q
+                acc %= q
+        acc %= q
+        return acc
 
     def relinearize(self, ct: Ciphertext) -> Ciphertext:
         """Fold c₂ back onto (c₀, c₁) with the relinearization key."""
@@ -530,13 +503,10 @@ class BfvBackend:
             return ct
         if ct.degree != 3:
             raise ParameterError("relinearization expects a degree-3 ciphertext")
-        (target,) = self._mats(ct.polys[2:], False)
-        k0, k1 = self._apply_ks(target, self.keys.rlk)
-        c0, c1 = self._mats(ct.polys[:2], True)
-        return Ciphertext(
-            (RnsPoly(_mat_add(c0, k0, self._q), True), RnsPoly(_mat_add(c1, k1, self._q), True)),
-            ct.mul_depth,
-        )
+        out = self._apply_ks(stack_intt(ct.data[2], self.mods), self.keys.rlk)
+        out += ct.data[:2]
+        out %= self._q
+        return Ciphertext(out, ct.mul_depth)
 
     def mul(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         return self.relinearize(self.mul_no_relin(a, b))
@@ -551,13 +521,11 @@ class BfvBackend:
                 f"no rotation key for galois element {g}; regenerate keys "
                 f"with the required steps"
             )
-        perm = _eval_permutation(g, self.params.n)
-        c0, c1 = (mat[:, perm] for mat in self._mats(ct.polys, True))
-        k0, k1 = self._apply_ks(stack_intt(c1, self.mods), self.keys.gks[g])
-        return Ciphertext(
-            (RnsPoly(_mat_add(c0, k0, self._q), True), RnsPoly(k1, True)),
-            ct.mul_depth,
-        )
+        c0, c1 = ct.data[..., _eval_permutation(g, self.params.n)]
+        out = self._apply_ks(stack_intt(c1, self.mods), self.keys.gks[g])
+        out[0] += c0
+        out[0] %= self._q
+        return Ciphertext(out, ct.mul_depth)
 
     def rotate(self, ct: Ciphertext, step: int) -> Ciphertext:
         row = self.params.n // 2

@@ -31,7 +31,7 @@ import struct
 import threading
 
 from .circuit import Program, eval_challenge_pe
-from .errors import ParameterError, ProtocolError, StructureError
+from .errors import DecryptionFailureError, ParameterError, ProtocolError, StructureError
 from .pe import PeAuth, PeSecret, degree_schedule, final_offset, offset_walk
 from .ring import slot_poly_eval
 from .serialize import load_ciphertext, save_ciphertext
@@ -53,8 +53,8 @@ _CT_TAGS = (
 
 # A frame's declared length is checked against this cap before anything is
 # read.  The largest preset, n32768_prod (24 primes), serializes a degree-2
-# ciphertext in 12,582,940 bytes; PP and ReQ messages carry at most two, a
-# plain result one per PE component.  128 MiB holds ten such ciphertexts.
+# ciphertext in 6,291,477 bytes; PP and ReQ messages carry at most two, a
+# plain result one per PE component.  128 MiB holds twenty-one of them.
 MAX_FRAME_BYTES = 128 << 20
 _RECV_CHUNK = 1 << 20  # recv(n) allocates n bytes up front, so read in pieces
 
@@ -308,6 +308,12 @@ def pp_verify(
     Returns (accepted, claimed result slots).  The session aborts with
     ProtocolError if the cloud deviates from the message order — in
     particular if it asks for the challenge before committing to c_0.
+
+    A commitment or response that fails to decrypt is rejected only after
+    the last receive: in its place the session continues with uniform
+    stand-in slots from the system's random source, never from `rng`, so
+    the challenge and every other byte the client sends are the same
+    whether c_0 decrypts or not (no decryption-failure reaction oracle).
     """
 
     def fail(msg: str):
@@ -323,8 +329,18 @@ def pp_verify(
             "protocol order violated: expected the result commitment first, "
             f"got {TAG_NAMES.get(tag, tag)}; session aborted"
         )
+    failures = []
+
+    def decrypt(ct):
+        try:
+            return backend.decrypt(ct)
+        except DecryptionFailureError as exc:
+            failures.append(str(exc))
+            stand_in = random.SystemRandom()
+            return [stand_in.randrange(t) for _ in range(secret.params.n)]
+
     (m1,) = unpack_cts(payload)
-    m = backend.decrypt(m1)
+    m = decrypt(m1)
     delta = rnd.randrange(t)
     beta = rnd.randrange(t)
     endpoint.send(TAG_PP_CHALLENGE, struct.pack("<QQ", delta, beta))
@@ -334,7 +350,9 @@ def pp_verify(
             f"expected the packed response, got {TAG_NAMES.get(tag, tag)}"
         )
     (m2,) = unpack_cts(payload)
-    w = backend.decrypt(m2)
+    w = decrypt(m2)
+    if failures:
+        return fail(f"a received ciphertext failed to decrypt: {failures[0]}")
     d, _ = degree_schedule(program, use_reducer=used_reducer)
     ws = w[: d + 1]
     packed_sum = w[d + 1]

@@ -5,21 +5,31 @@ Every object ships in a self-delimiting container:
     magic "VRTS" ‖ u16 version ‖ u8 type code ‖ u32 body length ‖ body
 
 so containers can be concatenated in protocol payloads and files.  All
-integers are little-endian; ring elements are residue matrices
-(u8 k ‖ u32 n ‖ k·n u64 residues, one row per prime).  Secret material (secret
-key, PRF key, challenge set, α) only ever appears in the *_secret
-containers; the keyset container carries an explicit flag so public
-copies are distinguishable on disk.
+integers are little-endian.  Chain primes lie below 2^30, so BFV residues
+travel as u32, component-major, then prime, then coefficient:
+
+    ciphertext  u32 mul depth ‖ u8 components ‖ u8 k ‖ u32 n ‖ residues
+    keyset      params container ‖ u8 secret flag ‖ u16 Galois count ‖
+                ascending u64 Galois elements ‖ [sk] ‖ pk ‖ rlk ‖ Galois keys
+
+A keyset's arrays carry no shape headers: its own parameters imply every
+shape, so the loader computes the body length and refuses any other before
+it allocates an array.  Mock ciphertext slots (up to 2^59) stay u64.
+Secret material (secret key, PRF key, challenge set, α) only ever appears
+in the *_secret containers; the keyset container carries an explicit flag
+so public copies are distinguishable on disk.  A loader either returns an
+object or raises SerializationError.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
-from .bfv import Ciphertext, KeySet, RnsPoly
-from .errors import SerializationError
+from .bfv import Ciphertext, KeySet
+from .errors import ParameterError, SerializationError
 from .labels import Identifier, LabelRegistry, PrfKey
 from .mock import MockCiphertext
 from .params import Params
@@ -27,7 +37,9 @@ from .pe import PeAuth, PeSecret
 from .rep import RepAuth, RepResult, RepSecret
 
 MAGIC = b"VRTS"
-VERSION = 3  # 2: RNS-digit key-switching keys; 3: no ciphertext level byte
+# 2: RNS-digit key-switching keys; 3: no ciphertext level byte;
+# 4: one residue stack per ciphertext and per key, u32 residues
+VERSION = 4
 
 TYPE_PARAMS = 0x01
 TYPE_KEYSET = 0x02
@@ -45,12 +57,15 @@ TYPE_PE_AUTH = 0x09
 # ---------------------------------------------------------------------------
 
 
-def _container(type_code: int, body: bytes) -> bytes:
-    return MAGIC + struct.pack("<HBI", VERSION, type_code, len(body)) + body
+def _container(type_code: int, *parts) -> bytes:
+    """One container around the body parts, joined in a single copy."""
+    length = sum(len(p) for p in parts)
+    return b"".join((MAGIC, struct.pack("<HBI", VERSION, type_code, length), *parts))
 
 
 def read_container(blob: bytes, offset: int = 0):
-    """Parse one container; returns (type code, body, next offset)."""
+    """Parse one container; returns (type code, body, next offset).  The
+    body is a slice of `blob`, so a memoryview blob is parsed without a copy."""
     if blob[offset : offset + 4] != MAGIC:
         raise SerializationError("bad magic: not a VRTS container")
     if len(blob) < offset + 11:
@@ -72,21 +87,38 @@ def _expect(blob: bytes, type_code: int, offset: int = 0):
 
 
 class _Reader:
-    def __init__(self, buf: bytes):
+    """Bounds-checked cursor over a container body."""
+
+    def __init__(self, buf, off: int = 0):
         self.buf = buf
-        self.off = 0
+        self.off = off
+
+    def _advance(self, n: int) -> int:
+        start = self.off
+        if start + n > len(self.buf):
+            raise SerializationError("container body ends early")
+        self.off += n
+        return start
 
     def take(self, n: int) -> bytes:
-        if self.off + n > len(self.buf):
-            raise SerializationError("container body ends early")
-        out = self.buf[self.off : self.off + n]
-        self.off += n
-        return out
+        start = self._advance(n)
+        return bytes(self.buf[start : start + n])
 
     def unpack(self, fmt: str):
-        vals = struct.unpack_from(fmt, self.buf, self.off)
-        self.off += struct.calcsize(fmt)
-        return vals
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def text(self, n: int) -> str:
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SerializationError("label is not UTF-8") from exc
+
+    def residues(self, shape) -> np.ndarray:
+        """u32 residues of the given shape, as int64."""
+        count = math.prod(shape)
+        start = self._advance(4 * count)
+        raw = np.frombuffer(self.buf, dtype="<u4", count=count, offset=start)
+        return raw.astype(np.int64).reshape(shape)
 
     def done(self):
         if self.off != len(self.buf):
@@ -98,45 +130,24 @@ class _Reader:
 # ---------------------------------------------------------------------------
 
 
-def _write_ident(out: bytearray, ident: Identifier):
+def _u32(arr: np.ndarray) -> bytes:
+    return arr.astype("<u4").tobytes()
+
+
+def _ident(ident: Identifier) -> bytes:
     blob = ident.canonical_bytes()
-    out += struct.pack("<H", len(blob)) + blob
+    return struct.pack("<H", len(blob)) + blob
 
 
 def _read_ident(r: _Reader) -> Identifier:
     (blen,) = r.unpack("<H")
-    blob = r.take(blen)
-    (llen,) = struct.unpack_from("<I", blob, 0)
-    label = blob[4 : 4 + llen].decode("utf-8")
-    flag = blob[4 + llen]
-    if flag == 0:
-        return Identifier(label)
-    (slot,) = struct.unpack_from("<Q", blob, 5 + llen)
+    ir = _Reader(r.take(blen))
+    (llen,) = ir.unpack("<I")
+    label = ir.text(llen)
+    (flag,) = ir.unpack("<B")
+    slot = ir.unpack("<Q")[0] if flag else None
+    ir.done()
     return Identifier(label, slot)
-
-
-def _write_mat(out: bytearray, mat: np.ndarray):
-    k, n = mat.shape
-    out += struct.pack("<BI", k, n)
-    out += np.ascontiguousarray(mat, dtype=np.int64).astype("<u8").tobytes()
-
-
-def _read_mat(r: _Reader) -> np.ndarray:
-    k, n = r.unpack("<BI")
-    raw = r.take(8 * k * n)
-    return np.frombuffer(raw, dtype="<u8").astype(np.int64).reshape(k, n)
-
-
-def _write_key_pairs(out: bytearray, pairs):
-    out += struct.pack("<B", len(pairs))
-    for b, a in pairs:
-        _write_mat(out, b)
-        _write_mat(out, a)
-
-
-def _read_key_pairs(r: _Reader):
-    (count,) = r.unpack("<B")
-    return tuple((_read_mat(r), _read_mat(r)) for _ in range(count))
 
 
 # ---------------------------------------------------------------------------
@@ -146,41 +157,45 @@ def _read_key_pairs(r: _Reader):
 
 def save_params(params: Params) -> bytes:
     name = params.name.encode("utf-8")
-    body = bytearray()
-    body += struct.pack(
-        "<IQdhB",
-        params.n,
-        params.t,
-        params.err_std,
-        -1 if params.depth_budget is None else params.depth_budget,
-        len(params.q_chain),
+    k = len(params.q_chain)
+    depth = -1 if params.depth_budget is None else params.depth_budget
+    head = struct.pack(
+        f"<IQdhB{k}QH", params.n, params.t, params.err_std, depth, k, *params.q_chain, len(name)
     )
-    for q in params.q_chain:
-        body += struct.pack("<Q", q)
-    body += struct.pack("<H", len(name)) + name
-    return _container(TYPE_PARAMS, bytes(body))
+    return _container(TYPE_PARAMS, head, name)
 
 
-def _params_from_body(body: bytes) -> Params:
+def _params_from_body(body) -> Params:
     r = _Reader(body)
     n, t, err_std, depth, chain_len = r.unpack("<IQdhB")
-    chain = tuple(r.unpack("<Q")[0] for _ in range(chain_len))
+    chain = r.unpack(f"<{chain_len}Q")
     (nlen,) = r.unpack("<H")
-    name = r.take(nlen).decode("utf-8")
+    name = r.text(nlen)
     r.done()
-    return Params(
-        n=n,
-        t=t,
-        q_chain=chain,
-        err_std=err_std,
-        depth_budget=None if depth < 0 else depth,
-        name=name,
-    )
+    try:
+        return Params(
+            n=n,
+            t=t,
+            q_chain=chain,
+            err_std=err_std,
+            depth_budget=None if depth < 0 else depth,
+            name=name,
+        )
+    except ParameterError as exc:
+        raise SerializationError(f"invalid parameters: {exc}") from exc
 
 
 def load_params(blob: bytes, offset: int = 0) -> Params:
     body, _ = _expect(blob, TYPE_PARAMS, offset)
     return _params_from_body(body)
+
+
+def _open_with_params(body):
+    """A body that opens with a parameters container: (params, reader past it)."""
+    tc, pbody, nxt = read_container(body, 0)
+    if tc != TYPE_PARAMS:
+        raise SerializationError("container must open with parameters")
+    return _params_from_body(pbody), _Reader(body, nxt)
 
 
 # ---------------------------------------------------------------------------
@@ -189,53 +204,46 @@ def load_params(blob: bytes, offset: int = 0) -> Params:
 
 
 def save_keyset(keys: KeySet, include_secret: bool = False) -> bytes:
-    body = bytearray()
-    body += save_params(keys.params)
     secret = include_secret and keys.has_secret
-    body += struct.pack("<B", 1 if secret else 0)
-    if secret:
-        _write_mat(body, keys.sk_ntt)
-    _write_key_pairs(body, [keys.pk])
-    _write_key_pairs(body, keys.rlk)
-    body += struct.pack("<H", len(keys.gks))
-    for g in sorted(keys.gks):
-        body += struct.pack("<Q", g)
-        _write_key_pairs(body, keys.gks[g])
-    return _container(TYPE_KEYSET, bytes(body))
+    gs = sorted(keys.gks)
+    arrays = ([keys.sk_ntt] if secret else []) + [keys.pk, keys.rlk] + [keys.gks[g] for g in gs]
+    head = struct.pack(f"<BH{len(gs)}Q", secret, len(gs), *gs)
+    return _container(TYPE_KEYSET, save_params(keys.params), head, *map(_u32, arrays))
 
 
 def load_keyset(blob: bytes, offset: int = 0) -> KeySet:
-    body, _ = _expect(blob, TYPE_KEYSET, offset)
-    tc, pbody, nxt = read_container(body, 0)
-    if tc != TYPE_PARAMS:
-        raise SerializationError("keyset container must open with parameters")
-    params = _params_from_body(pbody)
-    r = _Reader(body[nxt:])
-    (has_secret,) = r.unpack("<B")
-    sk = _read_mat(r) if has_secret else None
-    (pk,) = _read_key_pairs(r)
-    rlk = _read_key_pairs(r)
-    (gcount,) = r.unpack("<H")
-    gks = {}
-    for _ in range(gcount):
-        (g,) = r.unpack("<Q")
-        gks[g] = _read_key_pairs(r)
-    r.done()
-    _check_key_material(params, sk, pk, rlk, gks)
-    return KeySet(params, pk, rlk, gks, sk)
+    """Parse a keyset, refusing any body whose length differs from the one
+    its parameters and Galois count imply before allocating an array."""
+    body, _ = _expect(memoryview(blob), TYPE_KEYSET, offset)
+    params, r = _open_with_params(body)
+    has_secret, gcount = r.unpack("<BH")
+    gs = r.unpack(f"<{gcount}Q")
+    k, n = len(params.q_chain), params.n
+    if has_secret > 1 or list(gs) != sorted(set(gs)) or any(g % 2 == 0 or g >= 2 * n for g in gs):
+        raise SerializationError("malformed keyset header")
+    blocks = has_secret + 2 + 2 * k * (1 + gcount)  # (k, n) residue blocks
+    if len(body) - r.off != 4 * blocks * k * n:
+        raise SerializationError(f"keyset body must hold {blocks} ({k}, {n}) residue blocks")
+    res = r.residues((blocks, k, n))
+    if (res >= np.array(params.q_chain, dtype=np.int64)[:, None]).any():
+        raise SerializationError("key residue outside [0, q_i)")
+    pk = res[has_secret : has_secret + 2]
+    rlk, *gks = res[has_secret + 2 :].reshape(1 + gcount, 2, k, k, n)
+    return KeySet(params, pk, rlk, dict(zip(gs, gks)), res[0] if has_secret else None)
 
 
-def _check_key_material(params: Params, sk, pk, rlk, gks):
-    """Every key-switching key has one pair per chain prime, and every matrix
-    is a (k, n) array of residues in [0, q_i)."""
-    k = len(params.q_chain)
-    if len(rlk) != k or any(len(ks) != k for ks in gks.values()):
-        raise SerializationError(f"key-switching keys must carry {k} pairs, one per chain prime")
-    q = np.array(params.q_chain, dtype=np.int64)[:, None]
-    pairs = [pk, *rlk, *(pair for ks in gks.values() for pair in ks)]
-    for mat in [m for pair in pairs for m in pair] + ([] if sk is None else [sk]):
-        if mat.shape != (k, params.n) or (mat < 0).any() or (mat >= q).any():
-            raise SerializationError(f"key matrix is not a ({k}, {params.n}) array of chain residues")
+def _optional_keyset(keys: KeySet | None) -> list:
+    return [b"\x00"] if keys is None else [b"\x01", save_keyset(keys, include_secret=True)]
+
+
+def _read_optional_keyset(r: _Reader) -> KeySet | None:
+    (has_keys,) = r.unpack("<B")
+    if not has_keys:
+        return None
+    _, _, nxt = read_container(r.buf, r.off)
+    keys = load_keyset(r.buf, r.off)
+    r.off = nxt
+    return keys
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +253,11 @@ def _check_key_material(params: Params, sk, pk, rlk, gks):
 
 def save_ciphertext(ct) -> bytes:
     if isinstance(ct, MockCiphertext):
-        body = bytearray(struct.pack("<IIQ", len(ct.slots), ct.depth, ct.nonce))
-        body += np.asarray(ct.slots, dtype="<u8").tobytes()
-        return _container(TYPE_MOCK_CIPHERTEXT, bytes(body))
+        head = struct.pack("<IIQ", len(ct.slots), ct.depth, ct.nonce)
+        return _container(TYPE_MOCK_CIPHERTEXT, head, np.asarray(ct.slots, dtype="<u8").tobytes())
     if isinstance(ct, Ciphertext):
-        body = bytearray(struct.pack("<BI", ct.degree, ct.mul_depth))
-        for p in ct.polys:
-            body += struct.pack("<B", 1 if p.evaldom else 0)
-            _write_mat(body, p.mat)
-        return _container(TYPE_CIPHERTEXT, bytes(body))
+        head = struct.pack("<IBBI", ct.mul_depth, *ct.data.shape)
+        return _container(TYPE_CIPHERTEXT, head, _u32(ct.data))
     raise SerializationError(f"cannot serialize ciphertext of type {type(ct)!r}")
 
 
@@ -267,30 +271,24 @@ def load_ciphertext(blob: bytes, offset: int = 0):
         r.done()
         return MockCiphertext(slots, depth, nonce), nxt
     if tc == TYPE_CIPHERTEXT:
-        degree, mul_depth = r.unpack("<BI")
-        polys = []
-        for _ in range(degree):
-            (evaldom,) = r.unpack("<B")
-            polys.append(RnsPoly(_read_mat(r), bool(evaldom)))
+        mul_depth, *shape = r.unpack("<IBBI")
+        data = r.residues(shape)
         r.done()
-        return Ciphertext(tuple(polys), mul_depth), nxt
+        return Ciphertext(data, mul_depth), nxt
     raise SerializationError(f"container type {tc} is not a ciphertext")
 
 
-def _write_cts(out: bytearray, cts):
-    out += struct.pack("<B", len(cts))
-    for ct in cts:
-        out += save_ciphertext(ct)
+def _cts(cts) -> list:
+    return [struct.pack("<B", len(cts)), *map(save_ciphertext, cts)]
 
 
-def _read_cts(body: bytes, offset: int):
-    (count,) = struct.unpack_from("<B", body, offset)
-    offset += 1
+def _read_cts(r: _Reader) -> tuple:
+    (count,) = r.unpack("<B")
     cts = []
     for _ in range(count):
-        ct, offset = load_ciphertext(body, offset)
+        ct, r.off = load_ciphertext(r.buf, r.off)
         cts.append(ct)
-    return tuple(cts), offset
+    return tuple(cts)
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +296,9 @@ def _read_cts(body: bytes, offset: int):
 # ---------------------------------------------------------------------------
 
 
-def _write_registry(out: bytearray, registry: LabelRegistry):
+def _registry(registry: LabelRegistry) -> bytes:
     snap = registry.snapshot()
-    out += struct.pack("<I", len(snap))
-    for blob in snap:
-        out += struct.pack("<H", len(blob)) + blob
+    return b"".join([struct.pack("<I", len(snap)), *(struct.pack("<H", len(b)) + b for b in snap)])
 
 
 def _read_registry(r: _Reader) -> LabelRegistry:
@@ -315,51 +311,38 @@ def _read_registry(r: _Reader) -> LabelRegistry:
 
 
 def save_rep_secret(secret: RepSecret) -> bytes:
-    body = bytearray()
-    body += save_params(secret.params)
-    body += struct.pack("<IH", secret.lam, len(secret.challenge_set))
-    for j in sorted(secret.challenge_set):
-        body += struct.pack("<H", j)
-    body += secret.key.key
-    if secret.he_keys is not None:
-        body += struct.pack("<B", 1)
-        body += save_keyset(secret.he_keys, include_secret=True)
-    else:
-        body += struct.pack("<B", 0)
-    _write_registry(body, secret.registry)
-    return _container(TYPE_REP_SECRET, bytes(body))
+    cs = sorted(secret.challenge_set)
+    return _container(
+        TYPE_REP_SECRET,
+        save_params(secret.params),
+        struct.pack(f"<IH{len(cs)}H", secret.lam, len(cs), *cs),
+        secret.key.key,
+        *_optional_keyset(secret.he_keys),
+        _registry(secret.registry),
+    )
 
 
 def load_rep_secret(blob: bytes, offset: int = 0) -> RepSecret:
     body, _ = _expect(blob, TYPE_REP_SECRET, offset)
-    tc, pbody, nxt = read_container(body, 0)
-    if tc != TYPE_PARAMS:
-        raise SerializationError("secret container must open with parameters")
-    params = _params_from_body(pbody)
-    r = _Reader(body[nxt:])
+    params, r = _open_with_params(body)
     lam, scount = r.unpack("<IH")
-    challenge = frozenset(r.unpack("<H")[0] for _ in range(scount))
+    challenge = frozenset(r.unpack(f"<{scount}H"))
     key = PrfKey(r.take(32))
-    (has_keys,) = r.unpack("<B")
-    he_keys = None
-    if has_keys:
-        _, _, knxt = read_container(r.buf, r.off)
-        he_keys = load_keyset(r.buf, r.off)
-        r.off = knxt
+    he_keys = _read_optional_keyset(r)
     registry = _read_registry(r)
     r.done()
     return RepSecret(params, lam, challenge, key, he_keys, registry)
 
 
 def save_rep_auth(auth: RepAuth) -> bytes:
-    body = bytearray()
-    _write_ident(body, auth.base)
-    body += struct.pack("<II", auth.length, auth.lam)
-    _write_cts(body, auth.cts)
-    body += struct.pack("<I", len(auth.tags))
-    for tag in auth.tags:
-        body += tag
-    return _container(TYPE_REP_AUTH, bytes(body))
+    return _container(
+        TYPE_REP_AUTH,
+        _ident(auth.base),
+        struct.pack("<II", auth.length, auth.lam),
+        *_cts(auth.cts),
+        struct.pack("<I", len(auth.tags)),
+        *auth.tags,
+    )
 
 
 def load_rep_auth(blob: bytes, offset: int = 0) -> RepAuth:
@@ -367,7 +350,7 @@ def load_rep_auth(blob: bytes, offset: int = 0) -> RepAuth:
     r = _Reader(body)
     base = _read_ident(r)
     length, lam = r.unpack("<II")
-    cts, r.off = _read_cts(body, r.off)
+    cts = _read_cts(r)
     (tcount,) = r.unpack("<I")
     tags = tuple(r.take(64) for _ in range(tcount))
     r.done()
@@ -375,18 +358,14 @@ def load_rep_auth(blob: bytes, offset: int = 0) -> RepAuth:
 
 
 def save_rep_result(res: RepResult) -> bytes:
-    body = bytearray()
-    body += struct.pack("<I", res.lam)
-    _write_cts(body, res.cts)
-    body += res.tag
-    return _container(TYPE_REP_RESULT, bytes(body))
+    return _container(TYPE_REP_RESULT, struct.pack("<I", res.lam), *_cts(res.cts), res.tag)
 
 
 def load_rep_result(blob: bytes, offset: int = 0) -> RepResult:
     body, _ = _expect(blob, TYPE_REP_RESULT, offset)
     r = _Reader(body)
     (lam,) = r.unpack("<I")
-    cts, r.off = _read_cts(body, r.off)
+    cts = _read_cts(r)
     tag = r.take(64)
     r.done()
     return RepResult(cts, tag, lam)
@@ -398,48 +377,32 @@ def load_rep_result(blob: bytes, offset: int = 0) -> RepResult:
 
 
 def save_pe_secret(secret: PeSecret) -> bytes:
-    body = bytearray()
-    body += save_params(secret.params)
-    body += struct.pack("<Q", secret.alpha)
-    body += secret.key.key
-    if secret.he_keys is not None:
-        body += struct.pack("<B", 1)
-        body += save_keyset(secret.he_keys, include_secret=True)
-    else:
-        body += struct.pack("<B", 0)
-    _write_registry(body, secret.registry)
-    return _container(TYPE_PE_SECRET, bytes(body))
+    return _container(
+        TYPE_PE_SECRET,
+        save_params(secret.params),
+        struct.pack("<Q", secret.alpha),
+        secret.key.key,
+        *_optional_keyset(secret.he_keys),
+        _registry(secret.registry),
+    )
 
 
 def load_pe_secret(blob: bytes, offset: int = 0) -> PeSecret:
     body, _ = _expect(blob, TYPE_PE_SECRET, offset)
-    tc, pbody, nxt = read_container(body, 0)
-    if tc != TYPE_PARAMS:
-        raise SerializationError("secret container must open with parameters")
-    params = _params_from_body(pbody)
-    r = _Reader(body[nxt:])
+    params, r = _open_with_params(body)
     (alpha,) = r.unpack("<Q")
+    if not 0 < alpha < params.t:
+        raise SerializationError("α outside [1, t)")
     key = PrfKey(r.take(32))
-    (has_keys,) = r.unpack("<B")
-    he_keys = None
-    if has_keys:
-        _, _, knxt = read_container(r.buf, r.off)
-        he_keys = load_keyset(r.buf, r.off)
-        r.off = knxt
+    he_keys = _read_optional_keyset(r)
     registry = _read_registry(r)
     r.done()
     return PeSecret(params, key, alpha, he_keys, registry)
 
 
 def save_pe_auth(auth: PeAuth) -> bytes:
-    body = bytearray()
-    if auth.base is None:
-        body += struct.pack("<B", 0)
-    else:
-        body += struct.pack("<B", 1)
-        _write_ident(body, auth.base)
-    _write_cts(body, auth.cts)
-    return _container(TYPE_PE_AUTH, bytes(body))
+    base = [b"\x00"] if auth.base is None else [b"\x01", _ident(auth.base)]
+    return _container(TYPE_PE_AUTH, *base, *_cts(auth.cts))
 
 
 def load_pe_auth(blob: bytes, offset: int = 0) -> PeAuth:
@@ -447,7 +410,7 @@ def load_pe_auth(blob: bytes, offset: int = 0) -> PeAuth:
     r = _Reader(body)
     (has_base,) = r.unpack("<B")
     base = _read_ident(r) if has_base else None
-    cts, r.off = _read_cts(body, r.off)
+    cts = _read_cts(r)
     r.done()
     return PeAuth(cts, base)
 

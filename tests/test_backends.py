@@ -2,6 +2,7 @@
 lattice backend, checked against each other and against the plain
 interpreter on seeded random programs."""
 
+import math
 import random
 
 import numpy as np
@@ -18,7 +19,7 @@ from vhe.errors import (
 )
 from vhe.mock import MockBackend
 from vhe.params import Params, make_params, preset
-from vhe.ring import batch_encode, find_ntt_primes, find_plaintext_prime
+from vhe.ring import batch_encode, find_ntt_primes, find_plaintext_prime, stack_ntt
 
 PARAMS = preset("mock64")  # n=64 with a real 2-prime chain: fast for both backends
 T = PARAMS.t
@@ -105,7 +106,7 @@ def test_real_roundtrip(real):
 
 def test_real_fresh_encryptions_differ(real):
     a, b = real.encrypt([9] * N), real.encrypt([9] * N)
-    assert not np.array_equal(a.polys[0].mat, b.polys[0].mat)
+    assert not np.array_equal(a.data[0], b.data[0])
     assert real.decrypt(a) == real.decrypt(b) == [9] * N
 
 
@@ -212,11 +213,11 @@ def test_real_decrypt_guard_band_is_exact(real):
     vals = rand_slots(random.Random(15))
     coeffs = batch_encode(vals, PARAMS.t_modulus)
     delta = PARAMS.delta
-    zero = bfv.RnsPoly(np.zeros((len(PARAMS.q_chain), N), dtype=np.int64), False)
 
     def with_noise(e):
         c0 = [[(delta * m + e) % q for m in coeffs] for q in PARAMS.q_chain]
-        return bfv.Ciphertext((bfv.RnsPoly(np.array(c0, dtype=np.int64), False), zero))
+        c0 = stack_ntt(np.array(c0, dtype=np.int64), real.mods)
+        return bfv.Ciphertext(np.stack([c0, np.zeros_like(c0)]))
 
     for sign in (1, -1):
         assert real.decrypt(with_noise(sign * (delta // 4 - 1))) == vals
@@ -226,19 +227,21 @@ def test_real_decrypt_guard_band_is_exact(real):
 
 def test_real_decrypt_refuses_out_of_range_components(real):
     """decrypt and noise_budget check every component against the chain
-    before any arithmetic: a residue of q_i or 2^62, or a (k-1, n) matrix,
-    raises SerializationError instead of wrapping int64."""
+    before any arithmetic: a residue of q_i or 2^62, a stack of (k-1, n)
+    components or an empty stack raises SerializationError instead of
+    wrapping int64."""
     ct = real.encrypt(list(range(N)))
-    c0, c1 = (p.mat for p in ct.polys)
+    c0, c1 = ct.data
 
     def with_c1(mat):
-        return bfv.Ciphertext((ct.polys[0], bfv.RnsPoly(mat, True)))
+        return bfv.Ciphertext(np.stack([c0, mat]))
 
     at_q = c1.copy()
     at_q[1, 5] = PARAMS.q_chain[1]
     huge = c1.copy()
     huge[0, 0] = 2**62
-    bad = [with_c1(at_q), with_c1(huge), with_c1(c1[:-1]), bfv.Ciphertext((), 0)]
+    empty = bfv.Ciphertext(np.empty((0,) + c0.shape, dtype=np.int64), 0)
+    bad = [with_c1(at_q), with_c1(huge), bfv.Ciphertext(ct.data[:, :-1]), empty]
     for ct_bad in bad:
         with pytest.raises(SerializationError):
             real.decrypt(ct_bad)
@@ -261,21 +264,21 @@ def test_real_linear_ops_match_per_prime_reference(real):
     rng = random.Random(10)
     ca, cb = real.encrypt(rand_slots(rng)), real.encrypt(rand_slots(rng))
     k = rand_slots(rng)
-    a, b = ca.polys[0].mat, cb.polys[0].mat
+    a, b = ca.data[0], cb.data[0]
     kres = real._encode_residues(k)
     rows = list(enumerate(PARAMS.q_chain))
-    assert np.array_equal(real.add(ca, cb).polys[0].mat, np.stack([(a[i] + b[i]) % q for i, q in rows]))
-    assert np.array_equal(real.sub(ca, cb).polys[0].mat, np.stack([(a[i] - b[i]) % q for i, q in rows]))
-    assert np.array_equal(real.neg(ca).polys[0].mat, np.stack([-a[i] % q for i, q in rows]))
+    assert np.array_equal(real.add(ca, cb).data[0], np.stack([(a[i] + b[i]) % q for i, q in rows]))
+    assert np.array_equal(real.sub(ca, cb).data[0], np.stack([(a[i] - b[i]) % q for i, q in rows]))
+    assert np.array_equal(real.neg(ca).data[0], np.stack([-a[i] % q for i, q in rows]))
     assert np.array_equal(
-        real.mul_plain(ca, k).polys[0].mat, np.stack([a[i] * kres[i] % q for i, q in rows])
+        real.mul_plain(ca, k).data[0], np.stack([a[i] * kres[i] % q for i, q in rows])
     )
 
 
 def test_key_switching_keys_carry_one_pair_per_chain_prime(real):
     k = len(PARAMS.q_chain)
-    assert len(real.keys.rlk) == k
-    assert real.keys.gks and all(len(ks) == k for ks in real.keys.gks.values())
+    assert real.keys.rlk.shape == (2, k, k, N)
+    assert real.keys.gks and all(ks.shape == (2, k, k, N) for ks in real.keys.gks.values())
 
 
 def test_rotation_noise_margin_n4096():
@@ -289,7 +292,9 @@ def test_rotation_noise_margin_n4096():
 def test_key_switching_accumulator_reduction_on_wide_chain():
     """40 primes just below 2^30: the int64 digit-product sums must be
     reduced mid-loop (at most 7 products fit), or rotation and
-    relinearization would wrap and decrypt to garbage."""
+    relinearization would wrap and decrypt to garbage.  log2 Q is about
+    1,200 here, so the noise budget must come from logarithms of the
+    integers (their float quotient overflows)."""
     n = 64
     t = find_plaintext_prime(16, n).value
     params = Params(n=n, t=t, q_chain=tuple(find_ntt_primes(30, n, 40, exclude=(t,))))
@@ -300,6 +305,8 @@ def test_key_switching_accumulator_reduction_on_wide_chain():
     row = n // 2
     assert be.decrypt(be.rotate(ct, 1)) == x[1:row] + x[:1] + x[row + 1 :] + x[row : row + 1]
     assert be.decrypt(be.mul(ct, ct)) == [v * v % t for v in x]
+    budget = be.noise_budget(ct)
+    assert math.isfinite(budget) and budget > 0
 
 
 def test_big_plaintext_modulus_paths():

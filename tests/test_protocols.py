@@ -1,6 +1,7 @@
 """Message framing, channel endpoints (in-memory and TCP), the packed-proof
 session, and re-quadratization rounds."""
 
+import dataclasses
 import random
 import socket
 import struct
@@ -281,6 +282,53 @@ def test_pp_challenge_is_sent_before_any_verdict_exists():
     cloud_tr, client_tr = pr.run_session(cloud_fn, client_fn)
     assert [t for t, _ in client_tr.sent] == [pr.TAG_PP_CHALLENGE]
     assert [t for t, _ in cloud_tr.sent] == [pr.TAG_PP_RESULT, pr.TAG_PP_RESPONSE]
+
+
+class _FailingCommitment:
+    """Cloud endpoint that sends c_0 one level past the client's simulated
+    noise limit, so only the commitment fails to decrypt."""
+
+    def __init__(self, ep, depth):
+        self.ep = ep
+        self.depth = depth
+
+    def send(self, tag, payload):
+        if tag == pr.TAG_PP_RESULT:
+            (c0,) = pr.unpack_cts(payload)
+            payload = pr.pack_cts([dataclasses.replace(c0, depth=self.depth)])
+        self.ep.send(tag, payload)
+
+    def recv(self):
+        return self.ep.recv()
+
+
+def test_pp_decryption_failure_is_not_a_reaction_oracle():
+    """Whether c_0 decrypts must not change one byte the client sends: the
+    session goes on with stand-in slots, the same challenge goes out, and
+    the verdict (False) comes only after the last receive."""
+    sec, cloud, _, prog, auths, _ = make_world(seed=17)
+    res = pe.pe_eval(prog, list(auths), cloud)
+    limit = max(ct.depth for ct in res.cts)
+
+    def run(fail_commitment):
+        client = MockBackend(PARAMS, depth_limit=limit, rng=random.Random(18))
+
+        def cloud_fn(ep):
+            pr.pp_prove(cloud, res, _FailingCommitment(ep, limit + 1) if fail_commitment else ep)
+
+        def client_fn(ep):
+            why = []
+            ok, _ = pr.pp_verify(sec, client, prog, ep, rng=random.Random(19), reason=why)
+            return ok, why, ep.transcript
+
+        return pr.run_session(cloud_fn, client_fn)[1]
+
+    ok, _, honest = run(False)
+    failed_ok, why, failed = run(True)
+    assert ok and not failed_ok
+    assert "decrypt" in why[0]
+    assert failed.sent_bytes() == honest.sent_bytes()
+    assert len(failed.received) == 2  # rejected only after the response arrived
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Container round-trips for every persisted object, plus the failure
-modes: garbage, truncation, and type confusion."""
+modes: garbage, truncation, byte flips, and type confusion."""
 
 import random
 import struct
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vhe import bfv, pe, rep
 from vhe import serialize as sz
@@ -19,6 +22,10 @@ PARAMS = preset("mock64")
 @pytest.fixture(scope="module")
 def mock():
     return MockBackend(PARAMS, rng=random.Random(1))
+
+
+def _container(type_code, body, version=sz.VERSION):
+    return sz.MAGIC + struct.pack("<HBI", version, type_code, len(body)) + body
 
 
 @pytest.fixture(scope="module")
@@ -54,8 +61,8 @@ def test_keyset_roundtrip_public_and_secret(real_keys):
     assert full.has_secret and not pub.has_secret
     assert np.array_equal(full.sk_ntt, real_keys.sk_ntt)
     assert set(full.gks) == set(real_keys.gks)
-    for (b1, a1), (b2, a2) in zip(full.rlk, real_keys.rlk):
-        assert np.array_equal(b1, b2) and np.array_equal(a1, a2)
+    assert np.array_equal(full.pk, real_keys.pk) and np.array_equal(full.rlk, real_keys.rlk)
+    assert all(np.array_equal(full.gks[g], real_keys.gks[g]) for g in real_keys.gks)
     # the restored keyset is functional end to end
     owner = bfv.BfvBackend(PARAMS, full, rng=np.random.default_rng(4))
     evaluator = bfv.BfvBackend(PARAMS, pub, rng=np.random.default_rng(5))
@@ -140,9 +147,13 @@ def test_version_1_params_refused():
     """Version 1 carried a decomposition-base byte and base-2^16 keys."""
     body = struct.pack("<IQdBhB", PARAMS.n, PARAMS.t, PARAMS.err_std, 16, 2, len(PARAMS.q_chain))
     body += b"".join(struct.pack("<Q", q) for q in PARAMS.q_chain) + struct.pack("<H", 0)
-    blob = sz.MAGIC + struct.pack("<HBI", 1, sz.TYPE_PARAMS, len(body)) + body
     with pytest.raises(SerializationError, match="version 1"):
-        sz.load_params(blob)
+        sz.load_params(_container(sz.TYPE_PARAMS, body, version=1))
+
+
+def _with_version(blob, version):
+    """The same container under another version number."""
+    return blob[:4] + struct.pack("<H", version) + blob[6:]
 
 
 def test_version_2_ciphertext_refused(real_keys):
@@ -150,26 +161,65 @@ def test_version_2_ciphertext_refused(real_keys):
     backend = bfv.BfvBackend(PARAMS, real_keys, rng=np.random.default_rng(4))
     _, body, _ = sz.read_container(sz.save_ciphertext(backend.encrypt([1] * PARAMS.n)))
     body = body[:5] + bytes([len(PARAMS.q_chain)]) + body[5:]
-    blob = sz.MAGIC + struct.pack("<HBI", 2, sz.TYPE_CIPHERTEXT, len(body)) + body
     with pytest.raises(SerializationError, match="version 2"):
-        sz.load_ciphertext(blob)
+        sz.load_ciphertext(_container(sz.TYPE_CIPHERTEXT, body, version=2))
+
+
+def test_version_3_ciphertext_and_keyset_refused(real_keys):
+    """Version 3 wrote u64 residues, per-component domain bytes and key
+    pairs with shape headers; such containers must be regenerated."""
+    backend = bfv.BfvBackend(PARAMS, real_keys, rng=np.random.default_rng(4))
+    ct = sz.save_ciphertext(backend.encrypt([1] * PARAMS.n))
+    with pytest.raises(SerializationError, match="version 3"):
+        sz.load_ciphertext(_with_version(ct, 3))
+    keys = sz.save_keyset(real_keys)
+    with pytest.raises(SerializationError, match="version 3"):
+        sz.load_keyset(_with_version(keys, 3))
+
+
+def test_ciphertext_residues_are_u32(real_keys):
+    backend = bfv.BfvBackend(PARAMS, real_keys, rng=np.random.default_rng(4))
+    ct = backend.encrypt([1] * PARAMS.n)
+    k = len(PARAMS.q_chain)
+    assert len(sz.save_ciphertext(ct)) == 11 + 10 + 4 * 2 * k * PARAMS.n
+
+
+def test_mul_no_relin_output_survives_the_wire(real_keys):
+    backend = bfv.BfvBackend(PARAMS, real_keys, rng=np.random.default_rng(9))
+    a = [i * 3 % PARAMS.t for i in range(PARAMS.n)]
+    b = [i * 5 + 1 for i in range(PARAMS.n)]
+    raw = backend.mul_no_relin(backend.encrypt(a), backend.encrypt(b))
+    back, _ = sz.load_ciphertext(sz.save_ciphertext(raw))
+    assert back.data.shape == raw.data.shape == (3, len(PARAMS.q_chain), PARAMS.n)
+    assert back.mul_depth == raw.mul_depth == 1
+    assert backend.decrypt(backend.relinearize(back)) == [x * y % PARAMS.t for x, y in zip(a, b)]
+
+
+@pytest.mark.parametrize("blocks", [-1, 1])
+def test_keyset_body_one_array_off_refused(real_keys, blocks):
+    """One (k, n) residue array short or long: the length the parameters
+    and the Galois count imply no longer matches, so nothing is parsed."""
+    blob = sz.save_keyset(real_keys, include_secret=True)
+    _, body, _ = sz.read_container(blob)
+    step = 4 * len(PARAMS.q_chain) * PARAMS.n
+    body = body[:step * blocks] if blocks < 0 else body + body[-step:]
+    with pytest.raises(SerializationError, match="residue blocks"):
+        sz.load_keyset(_container(sz.TYPE_KEYSET, body))
 
 
 def _drop_rlk_pair(keys):
-    return bfv.KeySet(keys.params, keys.pk, keys.rlk[:-1], keys.gks, keys.sk_ntt)
+    return bfv.KeySet(keys.params, keys.pk, keys.rlk[:, :-1], keys.gks, keys.sk_ntt)
 
 
 def _out_of_range_gk(keys):
     g = min(keys.gks)
-    (b, a), *rest = keys.gks[g]
-    b = b.copy()
-    b[1, 5] = PARAMS.q_chain[1]  # one residue equal to its prime
-    return bfv.KeySet(keys.params, keys.pk, keys.rlk, {**keys.gks, g: ((b, a), *rest)}, keys.sk_ntt)
+    gk = keys.gks[g].copy()
+    gk[0, 0, 1, 5] = PARAMS.q_chain[1]  # one residue equal to its prime
+    return bfv.KeySet(keys.params, keys.pk, keys.rlk, {**keys.gks, g: gk}, keys.sk_ntt)
 
 
 def _short_pk(keys):
-    b, a = keys.pk
-    return bfv.KeySet(keys.params, (b[:-1], a[:-1]), keys.rlk, keys.gks, keys.sk_ntt)
+    return bfv.KeySet(keys.params, keys.pk[:, :-1], keys.rlk, keys.gks, keys.sk_ntt)
 
 
 @pytest.mark.parametrize("corrupt", [_drop_rlk_pair, _out_of_range_gk, _short_pk])
@@ -190,3 +240,71 @@ def test_file_helpers(tmp_path, mock):
     path = tmp_path / "params.vrts"
     sz.write_file(path, sz.save_params(PARAMS))
     assert sz.load_params(sz.read_file(path)) == PARAMS
+
+
+# ---------------------------------------------------------------------------
+# hostile bytes: every loader returns an object or raises SerializationError
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _fuzz_blobs():
+    """One blob of every container type on mock64, with its loader."""
+    mock = MockBackend(PARAMS, rng=random.Random(20))
+    keys = bfv.keygen(PARAMS, rotation_steps=(1,), rng=np.random.default_rng(21))
+    real = bfv.BfvBackend(PARAMS, keys, rng=np.random.default_rng(22))
+    vals = [i % PARAMS.t for i in range(PARAMS.n)]
+    real_ct = real.mul_no_relin(real.encrypt(vals), real.encrypt(vals))
+    rsec = rep.rep_keygen(PARAMS, lam=4, rng=random.Random(23))
+    rauth = rep.rep_auth(rsec, mock, [5, 6, 7], "series")
+    psec = pe.pe_keygen(PARAMS, rng=random.Random(24))
+    pauth = pe.pe_auth(psec, mock, vals, "vec")
+    load_ct = lambda blob: sz.load_ciphertext(blob)[0]  # noqa: E731
+    return (
+        (sz.save_params(PARAMS), sz.load_params),
+        (sz.save_keyset(keys), sz.load_keyset),
+        (sz.save_keyset(keys, include_secret=True), sz.load_keyset),
+        (sz.save_ciphertext(real_ct), load_ct),
+        (sz.save_ciphertext(mock.encrypt(vals)), load_ct),
+        (sz.save_rep_secret(rsec), sz.load_rep_secret),
+        (sz.save_rep_auth(rauth), sz.load_rep_auth),
+        (sz.save_rep_result(rep.RepResult(rauth.cts, b"\x42" * 64, 4)), sz.load_rep_result),
+        (sz.save_pe_secret(psec), sz.load_pe_secret),
+        (sz.save_pe_auth(pauth), sz.load_pe_auth),
+        (sz.save_pe_auth(pe.PeAuth((real_ct, real_ct))), sz.load_pe_auth),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_loaders_refuse_truncated_and_flipped_containers(data):
+    blob, loader = data.draw(st.sampled_from(_fuzz_blobs()))
+    at = data.draw(st.integers(0, len(blob) - 1))
+    if data.draw(st.booleans()):
+        blob = blob[:at]
+    else:
+        blob = blob[:at] + bytes([blob[at] ^ data.draw(st.integers(1, 255))]) + blob[at + 1 :]
+    for load in (loader, sz.load_any):
+        try:
+            load(blob)
+        except SerializationError:
+            pass
+
+
+def _rep_auth_body():
+    mock = MockBackend(PARAMS, rng=random.Random(25))
+    sec = rep.rep_keygen(PARAMS, lam=4, rng=random.Random(26), make_he_keys=False)
+    _, body, _ = sz.read_container(sz.save_rep_auth(rep.rep_auth(sec, mock, [1], "x")))
+    return body
+
+
+def test_rep_auth_cut_to_one_byte_refused():
+    with pytest.raises(SerializationError):
+        sz.load_rep_auth(_container(sz.TYPE_REP_AUTH, _rep_auth_body()[:1]))
+
+
+def test_non_utf8_label_refused():
+    body = _rep_auth_body()
+    body = body[:6] + b"\xff" + body[7:]  # u16 ident length, u32 label length, label
+    with pytest.raises(SerializationError, match="UTF-8"):
+        sz.load_rep_auth(_container(sz.TYPE_REP_AUTH, body))
