@@ -138,28 +138,3 @@ def preset(name: str) -> Params:
         )
     cfg = dict(_PRESETS[name])
     return make_params(name=name, **cfg)
-
-
-def params_with_t_bits(base: Params, t_bits: int) -> Params:
-    """Same ring/chain shape, different plaintext prime width."""
-    if t_bits > 59:
-        raise ParameterError(
-            "plaintext primes above 59 bits are unsupported: slot residues are "
-            "serialized as u64 and the modulus cap is 2^60 (use a smaller "
-            "security parameter for the polynomial encoding)"
-        )
-    t = find_plaintext_prime(t_bits, base.n).value
-    if t in base.q_chain:
-        chain = tuple(
-            find_ntt_primes(CHAIN_PRIME_BITS, base.n, len(base.q_chain), exclude=(t,))
-        )
-    else:
-        chain = base.q_chain
-    return Params(
-        n=base.n,
-        t=t,
-        q_chain=chain,
-        err_std=base.err_std,
-        depth_budget=base.depth_budget,
-        name=f"{base.name}/t{t_bits}",
-    )

@@ -12,7 +12,13 @@ cloud sends c_0, receives a random evaluation point δ and a packing nonce
 component's slot-polynomial evaluated at δ — at slot i, plus the β-combined
 sum H = Σ β^i·w_i at slot d+1.  The verifier checks H, w_0 against the
 claimed data, and Σ w_i α^i against the challenge polynomial at δ.  Two
-ciphertexts cross the wire cloud→client regardless of degree.
+ciphertexts cross the wire cloud→client regardless of degree.  The prover
+merges the d + 2 masked sums pairwise into one ciphertext and folds it
+once (see `pp_prove`): 13 key switches at degree 2 and n = 4096.
+
+A client never reacts to a ciphertext that fails to decrypt: both sessions
+go on with uniform stand-in slots and report the failure only after their
+last message.
 
 Re-quadratization (ReQ): whenever a product would push a stored tuple past
 degree 2, the cloud sends the two high components (y_3, y_4), the client
@@ -31,7 +37,9 @@ import struct
 import threading
 
 from .circuit import Program, eval_challenge_pe
-from .errors import DecryptionFailureError, ParameterError, ProtocolError, StructureError
+from .errors import (
+    DecryptionFailureError, ParameterError, ProtocolError, SerializationError, StructureError,
+)
 from .pe import PeAuth, PeSecret, degree_schedule, final_offset, offset_walk
 from .ring import slot_poly_eval
 from .serialize import load_ciphertext, save_ciphertext
@@ -76,12 +84,18 @@ def pack_cts(cts) -> bytes:
 
 
 def unpack_cts(payload: bytes):
-    (count,) = struct.unpack_from("<B", payload, 0)
+    """The ciphertexts of one message; a malformed payload raises only
+    ProtocolError."""
+    if not payload:
+        raise ProtocolError("empty ciphertext payload")
     off = 1
     cts = []
-    for _ in range(count):
-        ct, off = load_ciphertext(payload, off)
-        cts.append(ct)
+    try:
+        for _ in range(payload[0]):
+            ct, off = load_ciphertext(payload, off)
+            cts.append(ct)
+    except SerializationError as exc:
+        raise ProtocolError(f"malformed ciphertext in payload: {exc}") from exc
     if off != len(payload):
         raise ProtocolError("trailing bytes after ciphertexts")
     return cts
@@ -264,13 +278,36 @@ def pp_required_steps(n: int):
     return {1 << u for u in range(row.bit_length() - 1)}
 
 
+def _merge(backend, c, d, mask, stride):
+    """Interleave two merged vectors: slots with `mask` set take C's window,
+    the others D's; each window doubles to 2·stride.  One rotation."""
+    if c is None:
+        return None
+    x = backend.mul_plain(c if d is None else backend.sub(c, d), mask)
+    out = backend.add(x, backend.rotate(backend.sub(c, x), stride))
+    return out if d is None else backend.add(out, d)
+
+
 def pp_prove(backend, result: PeAuth, endpoint):
-    """Cloud side: send c_0, take the challenge, return one packed response."""
+    """Cloud side: send c_0, take the challenge, return one packed response.
+
+    All d + 2 sums share one fold.  The inputs are y_i = c_i ⊙ (δ^j)_j and
+    y_{d+1} = Σ_i c_i ⊙ (β^i·δ^j)_j, padded with absent entries to
+    K = 2^⌈log2(d+2)⌉.  A binary tree merges them at strides 1, 2, …, K/2:
+    at stride s, C and D become X + D + rot(C − X, s) with
+    X = mask_s ⊙ (C − D), where mask_s is 1 on the slots with
+    slot mod 2s < s.  Slot j then holds the K-wide window sum of
+    y_{j mod K}, and one fold with strides K, …, n/4 plus a row swap leaves
+    w_i at slot i and H at slot d+1.  Key switches: one per merge with a
+    present left input (K − 1 at most), log2(n/2K) fold steps and the row
+    swap; 3 + 9 + 1 = 13 at degree 2 and n = 4096.
+    """
     params = backend.params
     n, t = params.n, params.t
     row = n // 2
     d = result.degree
-    if d + 2 > n:
+    width = 1 << (d + 1).bit_length()
+    if width > row:
         raise ParameterError(f"degree {d} does not fit the packing layout")
     endpoint.send(TAG_PP_RESULT, pack_cts([result.cts[0]]))
     tag, payload = endpoint.recv()
@@ -280,17 +317,36 @@ def pp_prove(backend, result: PeAuth, endpoint):
         )
     delta, beta = struct.unpack("<QQ", payload)
     pows = [pow(delta, j, t) for j in range(n)]
-    acc = None
+    level = [backend.mul_plain(c, pows) for c in result.cts]
+    packed = None
     for i, c in enumerate(result.cts):
-        x = backend.mul_plain(c, pows)
-        x = backend.inner_sum(x, row)
-        x = backend.add(x, backend.row_swap(x))
-        mask = [0] * n
-        mask[i] = 1
-        mask[d + 1] = pow(beta, i, t)
-        x = backend.mul_plain(x, mask)
-        acc = x if acc is None else backend.add(acc, x)
+        b_i = pow(beta, i, t)
+        x = backend.mul_plain(c, [b_i * p % t for p in pows])
+        packed = x if packed is None else backend.add(packed, x)
+    level += [packed] + [None] * (width - d - 2)
+    stride = 1
+    while stride < width:
+        mask = [int(j % (2 * stride) < stride) for j in range(n)]
+        level = [_merge(backend, c, dd, mask, stride) for c, dd in zip(level[::2], level[1::2])]
+        stride *= 2
+    (acc,) = level
+    while stride < row:
+        acc = backend.add(acc, backend.rotate(acc, stride))
+        stride *= 2
+    acc = backend.add(acc, backend.row_swap(acc))
     endpoint.send(TAG_PP_RESPONSE, pack_cts([acc]))
+
+
+def _decrypt_or_stand_in(backend, ct, failures: list):
+    """Decrypt `ct`; on a failure, record it in `failures` and return
+    uniform stand-in slots from the system's random source, so nothing the
+    caller sends next depends on whether `ct` decrypted."""
+    try:
+        return backend.decrypt(ct)
+    except DecryptionFailureError as exc:
+        failures.append(str(exc))
+        stand_in = random.SystemRandom()
+        return [stand_in.randrange(backend.params.t) for _ in range(backend.params.n)]
 
 
 def pp_verify(
@@ -329,18 +385,9 @@ def pp_verify(
             "protocol order violated: expected the result commitment first, "
             f"got {TAG_NAMES.get(tag, tag)}; session aborted"
         )
-    failures = []
-
-    def decrypt(ct):
-        try:
-            return backend.decrypt(ct)
-        except DecryptionFailureError as exc:
-            failures.append(str(exc))
-            stand_in = random.SystemRandom()
-            return [stand_in.randrange(t) for _ in range(secret.params.n)]
-
+    failures: list[str] = []
     (m1,) = unpack_cts(payload)
-    m = decrypt(m1)
+    m = _decrypt_or_stand_in(backend, m1, failures)
     delta = rnd.randrange(t)
     beta = rnd.randrange(t)
     endpoint.send(TAG_PP_CHALLENGE, struct.pack("<QQ", delta, beta))
@@ -350,7 +397,7 @@ def pp_verify(
             f"expected the packed response, got {TAG_NAMES.get(tag, tag)}"
         )
     (m2,) = unpack_cts(payload)
-    w = decrypt(m2)
+    w = _decrypt_or_stand_in(backend, m2, failures)
     if failures:
         return fail(f"a received ciphertext failed to decrypt: {failures[0]}")
     d, _ = degree_schedule(program, use_reducer=used_reducer)
@@ -414,6 +461,11 @@ class ReqClientSession:
     The round-to-gate correspondence is fixed by the program structure
     (products are reduced in gate order), so no gate index travels on the
     wire; both sides derive the same schedule from the program.
+
+    High terms that fail to decrypt are answered from uniform stand-in
+    slots drawn from the system's random source (never from `rng`), so
+    every round completes with the same tags and frame lengths either way;
+    `final_offset` then raises DecryptionFailureError.
     """
 
     def __init__(self, secret: PeSecret, backend, program: Program, rng=None):
@@ -424,6 +476,7 @@ class ReqClientSession:
         self.omega: dict[int, list[int]] = {}
         self.rnd = rng if rng is not None else random.Random(_secrets.randbits(128))
         self.round = 0
+        self.failures: list[str] = []
 
     @property
     def expected_rounds(self) -> int:
@@ -436,9 +489,9 @@ class ReqClientSession:
         n = self.secret.params.n
         alpha = self.secret.alpha
         gate = self.schedule[self.round]
-        c3, c4 = unpack_cts(payload)
-        y3 = self.backend.decrypt(c3)
-        y4 = self.backend.decrypt(c4)
+        y3, y4 = (
+            _decrypt_or_stand_in(self.backend, c, self.failures) for c in unpack_cts(payload)
+        )
         _, _, naturals = offset_walk(
             self.program, self.secret.key, t, alpha, self.omega
         )
@@ -472,4 +525,12 @@ class ReqClientSession:
             endpoint.send(TAG_REQ_BLINDED, self.respond(payload))
 
     def final_offset(self) -> list[int]:
+        """The verification offset; raises DecryptionFailureError if any
+        round's high terms failed to decrypt, only now that every round
+        has been answered."""
+        if self.failures:
+            raise DecryptionFailureError(
+                f"{len(self.failures)} high-term ciphertext(s) failed to decrypt: "
+                f"{self.failures[0]}"
+            )
         return final_offset(self.secret, self.program, self.omega)

@@ -352,7 +352,8 @@ def load_rep_auth(blob: bytes, offset: int = 0) -> RepAuth:
     length, lam = r.unpack("<II")
     cts = _read_cts(r)
     (tcount,) = r.unpack("<I")
-    tags = tuple(r.take(64) for _ in range(tcount))
+    block = r.take(64 * tcount)
+    tags = tuple(block[i : i + 64] for i in range(0, len(block), 64))
     r.done()
     return RepAuth(base, length, lam, cts, tags)
 

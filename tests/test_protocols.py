@@ -7,15 +7,20 @@ import socket
 import struct
 import threading
 import tracemalloc
+from functools import lru_cache
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vhe import pe
+from vhe import bfv, pe
 from vhe import protocols as pr
 from vhe.circuit import ProgramBuilder, eval_plain
-from vhe.errors import ProtocolError, StructureError
+from vhe.errors import DecryptionFailureError, ParameterError, ProtocolError, StructureError
 from vhe.mock import MockBackend
 from vhe.params import preset
+from vhe.ring import slot_poly_eval
 
 PARAMS = preset("mock64")
 T = PARAMS.t
@@ -54,6 +59,38 @@ def test_pack_unpack_cts():
     assert pr.message_ct_count(pr.TAG_PP_CHALLENGE, struct.pack("<QQ", 1, 2)) == 0
     with pytest.raises(ProtocolError):
         pr.unpack_cts(payload + b"junk")
+
+
+@lru_cache(maxsize=None)
+def _payloads():
+    """One two-ciphertext payload from each backend."""
+    mock = MockBackend(PARAMS, rng=random.Random(50))
+    keys = bfv.keygen(PARAMS, rng=np.random.default_rng(51))
+    real = bfv.BfvBackend(PARAMS, keys, rng=np.random.default_rng(52))
+    vals = list(range(N))
+    return tuple(pr.pack_cts([b.encrypt(vals), b.encrypt_zero()]) for b in (mock, real))
+
+
+def test_unpack_cts_refuses_an_empty_payload():
+    with pytest.raises(ProtocolError):
+        pr.unpack_cts(b"")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_unpack_cts_raises_only_protocol_error(data):
+    """A truncated (possibly empty) or byte-flipped payload either parses or
+    raises ProtocolError, never another exception."""
+    payload = data.draw(st.sampled_from(_payloads()))
+    at = data.draw(st.integers(0, len(payload) - 1))
+    if data.draw(st.booleans()):
+        payload = payload[:at]
+    else:
+        payload = payload[:at] + bytes([payload[at] ^ data.draw(st.integers(1, 255))]) + payload[at + 1 :]
+    try:
+        pr.unpack_cts(payload)
+    except ProtocolError:
+        pass
 
 
 def test_memory_channel_roundtrip():
@@ -331,6 +368,126 @@ def test_pp_decryption_failure_is_not_a_reaction_oracle():
     assert len(failed.received) == 2  # rejected only after the response arrived
 
 
+def _counting(backend_cls):
+    """`backend_cls` that counts its key switches (rotations and row swaps)."""
+
+    class Counting(backend_cls):
+        switches = 0
+
+        def rotate(self, a, step):
+            self.switches += 1
+            return super().rotate(a, step)
+
+        def row_swap(self, a):
+            self.switches += 1
+            return super().row_swap(a)
+
+    return Counting
+
+
+def _power_result(backend, sec, degree, rng):
+    """A degree-`degree` result (x^degree) and its program; degree 0 is a
+    bare one-component tuple, which no program produces."""
+    vals = [rng.randrange(T) for _ in range(N)]
+    auth = pe.pe_auth(sec, backend, vals, "x")
+    if degree == 0:
+        return pe.PeAuth(auth.cts[:1]), None
+    b = ProgramBuilder(width=N, name=f"pow{degree}")
+    x = b.input("x")
+    cur = x
+    for _ in range(degree - 1):
+        cur = b.mul(cur, x)
+    prog = b.build(cur, output_block=(0, 1))
+    return pe.pe_eval(prog, [auth], backend), prog
+
+
+# key switches on mock64 (row of 32): one per merge whose left input is
+# present (K − 1 less the all-padding pairs), log2(32 / K) fold steps and
+# the row swap, with K = 2^⌈log2(d + 2)⌉
+_PP_SWITCHES = {0: 1 + 4 + 1, 1: 3 + 3 + 1, 2: 3 + 3 + 1, 3: 6 + 2 + 1, 4: 6 + 2 + 1}
+
+
+@pytest.mark.parametrize("degree", sorted(_PP_SWITCHES))
+def test_pp_merge_then_fold_layout_and_switch_count(degree):
+    """Slot i of the response holds w_i = Y_i(δ), slot d+1 holds H, and the
+    prover makes exactly the merge + fold + row-swap key switches."""
+    rng = random.Random(40 + degree)
+    cloud = _counting(MockBackend)(PARAMS, rng=random.Random(41))
+    sec = pe.pe_keygen(PARAMS, rng=rng, make_he_keys=False)
+    res, prog = _power_result(cloud, sec, degree, rng)
+    assert res.degree == degree
+    delta, beta = rng.randrange(T), rng.randrange(T)
+    cloud_ep, client_ep = pr.memory_channel()
+    client_ep.send(pr.TAG_PP_CHALLENGE, struct.pack("<QQ", delta, beta))
+    pr.pp_prove(cloud, res, cloud_ep)
+    assert cloud.switches == _PP_SWITCHES[degree]
+    client_ep.recv()
+    _, payload = client_ep.recv()
+    (packed,) = pr.unpack_cts(payload)
+    w = cloud.decrypt(packed)
+    want = [slot_poly_eval(cloud.decrypt(c), delta, T) for c in res.cts]
+    assert w[: degree + 1] == want
+    assert w[degree + 1] == sum(pow(beta, i, T) * wi for i, wi in enumerate(want)) % T
+    if prog is None:
+        return
+    client = MockBackend(PARAMS, rng=random.Random(42))
+
+    def cloud_fn(ep):
+        pr.pp_prove(cloud, res, ep)
+
+    def client_fn(ep):
+        return pr.pp_verify(sec, client, prog, ep, rng=random.Random(43))
+
+    _, (ok, _) = pr.run_session(cloud_fn, client_fn)
+    assert ok
+
+
+def test_pp_refuses_a_degree_wider_than_a_row():
+    """K = 2^⌈log2(d + 2)⌉ must fit a row of n/2 slots: d = 31 needs K = 64
+    on mock64's row of 32, and nothing is sent."""
+    cloud = MockBackend(PARAMS, rng=random.Random(44))
+    wide = pe.PeAuth((cloud.encrypt_zero(),) * 32)
+    cloud_ep, client_ep = pr.memory_channel()
+    with pytest.raises(ParameterError):
+        pr.pp_prove(cloud, wide, cloud_ep)
+    assert cloud_ep.transcript.sent == []
+    client_ep.send(pr.TAG_PP_CHALLENGE, struct.pack("<QQ", 2, 3))
+    pr.pp_prove(cloud, pe.PeAuth(wide.cts[:31]), cloud_ep)  # K = 32 fits
+
+
+def test_real_pp_degree_two_in_thirteen_key_switches():
+    """On n4096 a degree-2 proof makes 3 merges + 9 fold steps + 1 row
+    swap, verifies, and leaves the response at least 60 bits of budget."""
+    params = preset("n4096")
+    n, t = params.n, params.t
+    rng = random.Random(45)
+    b = ProgramBuilder(width=n, name="xy")
+    x = b.input("x")
+    y = b.input("y")
+    prog = b.build(b.mul(x, y), output_block=(0, 4))
+    sec = pe.pe_keygen(params, extra_steps=pr.pp_required_steps(n), rng=rng)
+    cloud = _counting(bfv.BfvBackend)(params, sec.he_keys.public(), rng=np.random.default_rng(46))
+    client = bfv.BfvBackend(params, sec.he_keys, rng=np.random.default_rng(47))
+    xs = [rng.randrange(t) for _ in range(n)]
+    ys = [rng.randrange(t) for _ in range(n)]
+    auths = [pe.pe_auth(sec, client, v, lbl) for v, lbl in ((xs, "x"), (ys, "y"))]
+    res = pe.pe_eval(prog, auths, cloud)
+    assert res.degree == 2
+
+    def cloud_fn(ep):
+        pr.pp_prove(cloud, res, ep)
+        return ep.transcript
+
+    def client_fn(ep):
+        return pr.pp_verify(sec, client, prog, ep, rng=random.Random(48))
+
+    tr, (ok, m) = pr.run_session(cloud_fn, client_fn)
+    assert ok and m == eval_plain(prog, [xs, ys], t)
+    assert cloud.switches == 13
+    (response,) = pr.unpack_cts(tr.sent[-1][1])
+    assert client.noise_budget(response) >= 60
+
+
 # ---------------------------------------------------------------------------
 # re-quadratization
 # ---------------------------------------------------------------------------
@@ -418,6 +575,63 @@ def test_req_multiple_rounds_deep_chain():
     assert pe.pe_verify(
         sec, client, prog, res, claimed=plain[:2], offset=session.final_offset()
     )
+
+
+class _FailingHighTerms:
+    """Cloud endpoint that pushes the first round's high terms to `depth`,
+    past the client's simulated noise limit."""
+
+    def __init__(self, ep, depth):
+        self.ep = ep
+        self.depth = depth
+        self.bumped = False
+
+    def send(self, tag, payload):
+        if tag == pr.TAG_REQ_HIGH_TERMS and not self.bumped:
+            self.bumped = True
+            cts = pr.unpack_cts(payload)
+            payload = pr.pack_cts([dataclasses.replace(c, depth=self.depth) for c in cts])
+        self.ep.send(tag, payload)
+
+    def recv(self):
+        return self.ep.recv()
+
+
+def test_req_decryption_failure_is_not_a_reaction_oracle():
+    """High terms that fail to decrypt change no tag and no frame length the
+    client sends; every round completes and only final_offset raises."""
+    rng = random.Random(34)
+    cloud = MockBackend(PARAMS, rng=random.Random(35))
+    sec = pe.pe_keygen(PARAMS, rng=rng, make_he_keys=False)
+    b = ProgramBuilder(width=N, name="x8")
+    cur = b.input("w")
+    for _ in range(3):
+        cur = b.mul(cur, cur)
+    prog = b.build(cur, output_block=(0, 2))
+    auth = pe.pe_auth(sec, cloud, [rng.randrange(T) for _ in range(N)], "w")
+    limit = 3  # the x^8 chain's deepest high terms
+
+    def run(fail):
+        client = MockBackend(PARAMS, depth_limit=limit, rng=random.Random(36))
+
+        def cloud_fn(ep):
+            red = pr.ReqCloudSession(cloud, _FailingHighTerms(ep, limit + 1) if fail else ep)
+            pe.pe_eval(prog, [auth], cloud, reducer=red)
+
+        def client_fn(ep):
+            s = pr.ReqClientSession(sec, client, prog, rng=random.Random(37))
+            s.serve(ep)
+            return s, [(tag, len(p)) for tag, p in ep.transcript.sent]
+
+        return pr.run_session(cloud_fn, client_fn)[1]
+
+    honest, honest_frames = run(False)
+    failed, failed_frames = run(True)
+    assert failed_frames == honest_frames
+    assert failed.round == honest.round == failed.expected_rounds == 2
+    honest.final_offset()
+    with pytest.raises(DecryptionFailureError, match="decrypt"):
+        failed.final_offset()
 
 
 def test_req_round_limit_enforced():
