@@ -10,23 +10,24 @@ permutation are one numpy expression over the stack; an operation that
 needs coefficients moves between the domains with one stacked transform
 call (ring.stack_ntt / stack_intt) per direction: encryption transforms
 (u, e₀ + Δ·m, e₁) as one (3, k, n) stack, a key switch its (k, k, n) digit
-stack, multiplication its four extended inputs, its three products and,
-back into the chain, the three scaled results.
+stack, multiplication its four inputs' chain rows, their auxiliary rows,
+its three products and, back into the chain, the three scaled results.
 
     encrypt:  c = u·pk + (e₀ + Δ·m, e₁),  Δ = ⌊Q/t⌋
     decrypt:  m = ⌈(t/Q)·[c₀ + c₁·s]_Q⌋ mod t   (centered, exact big-int)
-    multiply: tensor the pair over the integers — computed exactly in a
-              temporary extended RNS basis wide enough for the unreduced
-              products — then scale each component by t/Q and round
+    multiply: tensor the pair over the integers in the chain Q plus
+              auxiliary primes P, then y = ⌊(t·x + ⌊Q/2⌋)/Q⌋ per
+              coefficient, exactly, by int64 Garner base conversion
+              (BaseConverter) between Q and P
     relinearize / rotate: RNS-digit key switching, one digit per chain
               prime (Bajard–Eynard–Hasan–Zucca): digit i is residue row i
               of the target, centred, and its key carries the target secret
               in row i only (the CRT idempotent gadget)
 
-The big-integer steps (CRT lifting and rounding in multiplication and
-decryption) use exact Python integers inside numpy object arrays; key
-switching is int64 throughout.  Nothing depends on floating point, so
-decryption equality is bit-reproducible.
+Multiplication and key switching are int64 throughout; Python integers
+inside numpy object arrays remain only in decryption's CRT lift
+(CrtBasis).  Nothing depends on floating point, so decryption equality is
+bit-reproducible.
 
 Noise is verified, not assumed: decryption measures the residual distance
 to the decoded plaintext and raises DecryptionFailureError once it leaves
@@ -66,13 +67,10 @@ from .ring import (
 
 
 class CrtBasis:
-    """CRT reconstruction/reduction helpers for a fixed prime basis."""
+    """Exact CRT lift of chain residues to Python integers (decryption only)."""
 
-    def __init__(self, primes, n):
+    def __init__(self, primes):
         self.primes = tuple(primes)
-        self.n = n
-        self.mods = [get_modulus(p, n) for p in self.primes]
-        self.col = np.array(self.primes, dtype=np.int64)[:, None]  # (k, 1) moduli
         self.product = 1
         for p in self.primes:
             self.product *= p
@@ -90,6 +88,85 @@ class CrtBasis:
         acc %= self.product
         half = self.product // 2
         return np.where(acc > half, acc - self.product, acc)
+
+
+class BaseConverter:
+    """Exact int64 conversion of residues from primes S to primes D (Garner).
+
+    The mixed-radix digits v_0 = x_0, v_i = (x_i − Σ_{j<i} v_j·M_j)·M_i⁻¹
+    mod s_i, with M_j = s_0⋯s_{j−1}, give x = Σ_j v_j·M_j in [0, Π S), so
+    x mod d = Σ_j v_j·(M_j mod d).  The centred variant converts x − Π S
+    where x > ⌊Π S/2⌋, read off the digits compared from the top one.
+    Digit j is multiplied into the accumulator rows of every later source
+    prime and every destination prime at once; a row takes one product
+    < max(prime)² per digit and is reduced every `chunk` digits, so no sum
+    leaves int64.
+    """
+
+    def __init__(self, src, dst):
+        src, dst = tuple(src), tuple(dst)
+        primes = src + dst
+        radix = [1]  # M_0, …, M_{|S|}
+        for s in src:
+            radix.append(radix[-1] * s)
+        prod = radix.pop()
+        self.src = src
+        self.inv = [pow(m, -1, s) for m, s in zip(radix, src)]
+        self.half = [prod // 2 // m % s for m, s in zip(radix, src)]
+        self.weights = np.array([[m % p for p in primes] for m in radix], dtype=np.int64)[..., None]
+        self.prod = np.array([prod % d for d in dst], dtype=np.int64)[:, None]
+        self.col = np.array(primes, dtype=np.int64)[:, None]
+        self.chunk = (2**63 - 1) // (max(primes) - 1) ** 2 - 1
+
+    def __call__(self, x: np.ndarray, centred: bool) -> np.ndarray:
+        """(..., |S|, n) residues in [0, s_i) → (..., |D|, n) in [0, d)."""
+        k = len(self.src)
+        acc = np.zeros(x.shape[:-2] + (len(self.col), x.shape[-1]), dtype=np.int64)
+        above = False
+        for j, s in enumerate(self.src):
+            v = x[..., j, :] - acc[..., j, :]
+            v %= s
+            v *= self.inv[j]
+            v %= s
+            if centred:
+                above = np.where(v == self.half[j], above, v > self.half[j])
+            rest = acc[..., j + 1 :, :]
+            rest += v[..., None, :] * self.weights[j, j + 1 :]
+            if (j + 1) % self.chunk == 0:
+                rest %= self.col[j + 1 :]
+        out = acc[..., k:, :]
+        if centred:
+            out -= above[..., None, :] * self.prod
+        out %= self.col[k:]
+        return out
+
+
+class _MulBasis:
+    """Multiplication's auxiliary primes P and its converters, built once.
+
+    P is the smallest product of auxiliary primes above t·n·Q + 4: the
+    scaled tensor coefficients then satisfy |y| < P/2 and convert back into
+    the chain exactly.  `primes` is Q ∪ P, where the tensor is formed.
+    """
+
+    def __init__(self, params: Params):
+        bound = params.t * params.n * params.big_q + 4
+        aux, prod = [], 1
+        for p in find_ntt_primes(CHAIN_PRIME_BITS, params.n, 64, exclude=params.q_chain):
+            if prod > bound:
+                break
+            aux.append(p)
+            prod *= p
+        self.primes = params.q_chain + tuple(aux)
+        self.mods = [get_modulus(p, params.n) for p in self.primes]
+        self.col = np.array(self.primes, dtype=np.int64)[:, None]
+        self.to_aux = BaseConverter(params.q_chain, aux)
+        self.to_chain = BaseConverter(aux, params.q_chain)
+        # z = t·x + ⌊Q/2⌋ per prime, then y = (z − r)·Q⁻¹ on the P rows
+        q = params.big_q
+        self.t = np.array([params.t % p for p in self.primes], dtype=np.int64)[:, None]
+        self.half = np.array([q // 2 % p for p in self.primes], dtype=np.int64)[:, None]
+        self.q_inv = np.array([pow(q, -1, p) for p in aux], dtype=np.int64)[:, None]
 
 
 # Modular arithmetic on residue stacks (..., k, n) against a (k, 1) modulus
@@ -266,8 +343,8 @@ class BfvBackend:
         self.primes = params.q_chain
         self.mods = [get_modulus(p, params.n) for p in self.primes]
         self.t_mod = params.t_modulus
-        self.chain_basis = CrtBasis(self.primes, params.n)
-        self._q = self.chain_basis.col
+        self.chain_basis = CrtBasis(self.primes)
+        self._q = np.array(self.primes, dtype=np.int64)[:, None]
         self._delta_res = np.array([params.delta % p for p in self.primes], dtype=np.int64)[:, None]
         self._ext_basis = None
         # digit products are < max(q)²: this many (plus a reduced running
@@ -424,40 +501,29 @@ class BfvBackend:
 
     # ---- multiplication -------------------------------------------------------
 
-    def _ext(self):
-        """Extended basis wide enough for unreduced degree-1 tensor products."""
+    def _ext(self) -> _MulBasis:
         if self._ext_basis is None:
-            p = self.params
-            bound = 2 * p.n * p.big_q * p.big_q  # > 2·max|tensor coefficient|
-            aux = []
-            prod = p.big_q
-            for q in find_ntt_primes(CHAIN_PRIME_BITS, p.n, 64, exclude=p.q_chain):
-                if prod > 2 * bound:
-                    break
-                aux.append(q)
-                prod *= q
-            self._ext_basis = CrtBasis(p.q_chain + tuple(aux), p.n)
+            self._ext_basis = _MulBasis(self.params)
         return self._ext_basis
 
     def mul_no_relin(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        """Tensor product scaled by t/Q: (c₀, c₁, c₂) decrypting under (1, s, s²)."""
+        """Tensor product scaled by t/Q: (c₀, c₁, c₂) decrypting under (1, s, s²).
+
+        Each coefficient is exactly ⌊(t·x + ⌊Q/2⌋)/Q⌋ of the integer tensor
+        coefficient x, in int64 throughout.  The inputs' chain rows are
+        already transformed; their centred lifts are converted into P, so the
+        tensor is formed in Q ∪ P.  With z = t·x + ⌊Q/2⌋ and r = z mod Q
+        (converted from the chain rows into P), y = (z − r)·Q⁻¹ on the P
+        rows, and a centred conversion takes y back into the chain.
+        """
         if a.degree != 2 or b.degree != 2:
             raise ParameterError("multiplication expects degree-2 ciphertexts")
         ext = self._ext()
         k = len(self.primes)
-        p = self.params
-
-        # exact integer residues of the four inputs in the extended basis,
-        # transformed in one call; the big-integer lift runs one polynomial
-        # at a time so that fewer Python integers are alive at once
-        full = np.empty((4, len(ext.primes), p.n), dtype=np.int64)
-        coeffs = stack_intt(np.concatenate([a.data, b.data]), self.mods)
-        for x, coeff in zip(full, coeffs):
-            x[:k] = coeff
-            lifted = self.chain_basis.lift_centered(coeff)
-            for i, q in enumerate(ext.primes[k:], start=k):
-                x[i] = lifted % q
-        a0, a1, b0, b1 = stack_ntt(full, ext.mods)
+        chain = np.concatenate([a.data, b.data])
+        lifted = ext.to_aux(stack_intt(chain, self.mods), centred=True)
+        aux = stack_ntt(lifted, ext.mods[k:])
+        a0, a1, b0, b1 = np.concatenate([chain, aux], axis=1)
 
         qe = ext.col
         # middle term: a0·b1 + a1·b0
@@ -466,16 +532,15 @@ class BfvBackend:
         cross %= qe
         prods = np.stack([_pointwise(a0, b0, qe), cross, _pointwise(a1, b1, qe)])
 
-        out = np.empty((3, k, p.n), dtype=np.int64)
-        q_int, t = p.big_q, p.t
-        half = q_int // 2
-        for x, coeff in zip(out, stack_intt(prods, ext.mods)):
-            vals = ext.lift_centered(coeff)  # exact tensor coefficients
-            scaled = (vals * t + half) // q_int  # ⌈(t/Q)·x⌋
-            for i, q in enumerate(self.primes):
-                x[i] = scaled % q
+        z = stack_intt(prods, ext.mods)
+        z *= ext.t
+        z += ext.half
+        z %= qe
+        y = z[:, k:] - ext.to_aux(z[:, :k], centred=False)
+        y *= ext.q_inv
+        y %= qe[k:]
         depth = max(a.mul_depth, b.mul_depth) + 1
-        return Ciphertext(stack_ntt(out, self.mods), depth)
+        return Ciphertext(stack_ntt(ext.to_chain(y, centred=True), self.mods), depth)
 
     def _apply_ks(self, coeff: np.ndarray, ks: np.ndarray) -> np.ndarray:
         """Key-switch the coefficient-domain target with one RNS digit per

@@ -21,8 +21,8 @@ Strategies:
   full aggregation (the per-trial key refresh makes trials independent).
 - ``tamper-pe-coefficient``: add a delta to one slot of one polynomial
   encoding component.
-- ``tamper-pp-response``: perturb the packed-proof response ciphertext after
-  honest proving.
+- ``tamper-pp-response``: perturb one slot the verifier reads (0 … d + 1) of
+  the packed-proof response ciphertext after honest proving.
 - ``tamper-req-message``: perturb a high-degree component in flight during a
   re-quadratization round, then finish the protocol honestly.
 """
@@ -451,15 +451,16 @@ def _setup_pe(spec: AttackSpec):
                 tag, payload = ep.recv()
                 if tag != TAG_PP_CHALLENGE:
                     raise AssertionError
-                # honest packing over a scratch replay, then one slot flipped
+                # honest packing over a scratch replay of the challenge; past
+                # the prover's c_0 commitment, flip one of the slots 0 … d + 1
+                # that the verifier reads
                 a, b = memory_channel()
-                a.send(TAG_PP_RESULT, pack_cts([honest.cts[0]]))
-                b.recv()
                 b.send(TAG_PP_CHALLENGE, payload)
                 pp_prove(backend, honest, a)
+                b.recv()
                 _, resp = b.recv()
                 (packed,) = unpack_cts(resp)
-                vec = _one_hot(n, rng.randrange(n), rng.randrange(1, t))
+                vec = _one_hot(n, rng.randrange(honest.degree + 2), rng.randrange(1, t))
                 tampered = backend.add(packed, backend.encrypt(vec))
                 ep.send(TAG_PP_RESPONSE, pack_cts([tampered]))
 

@@ -25,7 +25,7 @@ from ..circuit import program_from_json
 from ..errors import VheError
 from ..mock import MockBackend
 from ..params import preset, preset_names
-from ..pe import PeAuth, PeSecret, pe_auth, pe_eval, pe_keygen, pe_verify
+from ..pe import PeAuth, PeSecret, final_offset, pe_auth, pe_eval, pe_keygen, pe_verify
 from ..protocols import (
     TAG_RESULT,
     ReqClientSession,
@@ -340,6 +340,42 @@ def _cmd_serve(args) -> int:
     return 0
 
 
+def client_session(secret, backend, program, endpoint, req, pp, rng, reason) -> tuple:
+    """The client side of one interactive session: serve the ReQ rounds if
+    `req`, then check the packed proof if `pp` or the shipped result
+    otherwise.  Returns (accepted, slots of c_0).
+
+    The offset comes from the recorded blinds, which a failed round also
+    records, and `final_offset()` raises DecryptionFailureError for a round
+    whose high terms did not decrypt only once verification has received
+    its last message, so nothing the client sends depends on that failure.
+    """
+    session = offset = None
+    if req:
+        session = ReqClientSession(secret, backend, program, rng=rng)
+        session.serve(endpoint)
+        offset = final_offset(secret, program, session.omega)
+    if pp:
+        ok, m = pp_verify(
+            secret, backend, program, endpoint,
+            offset=offset, rng=rng, reason=reason, used_reducer=req,
+        )
+    else:
+        tag, payload = endpoint.recv()
+        if tag != TAG_RESULT:
+            raise VheError("expected a result message from the cloud")
+        result = PeAuth(tuple(unpack_cts(payload)))
+        m = backend.decrypt(result.cts[0])
+        blk = program.output_block
+        ok = pe_verify(
+            secret, backend, program, result,
+            claimed=m[blk[0] : blk[0] + blk[1]], offset=offset, reason=reason,
+        )
+    if session is not None:
+        session.final_offset()
+    return ok, m
+
+
 def _cmd_connect(args) -> int:
     host, port = _parse_tcp(args.transport)
     secret = _load(args.key)
@@ -351,38 +387,9 @@ def _cmd_connect(args) -> int:
     endpoint = tcp_connect(host, port)
     reason: list = []
     try:
-        offset = None
-        if args.req:
-            session = ReqClientSession(secret, backend, program, rng=rng)
-            session.serve(endpoint)
-            offset = session.final_offset()
-        if args.pp:
-            ok, m = pp_verify(
-                secret,
-                backend,
-                program,
-                endpoint,
-                offset=offset,
-                rng=rng,
-                reason=reason,
-                used_reducer=args.req,
-            )
-        else:
-            tag, payload = endpoint.recv()
-            if tag != TAG_RESULT:
-                raise VheError("expected a result message from the cloud")
-            result = PeAuth(tuple(unpack_cts(payload)))
-            m = backend.decrypt(result.cts[0])
-            blk = program.output_block
-            ok = pe_verify(
-                secret,
-                backend,
-                program,
-                result,
-                claimed=m[blk[0] : blk[0] + blk[1]],
-                offset=offset,
-                reason=reason,
-            )
+        ok, m = client_session(
+            secret, backend, program, endpoint, args.req, args.pp, rng, reason
+        )
     finally:
         endpoint.close()
     start, count = program.output_block

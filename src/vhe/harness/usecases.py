@@ -38,7 +38,7 @@ from ..circuit import Program, ProgramBuilder, eval_he, required_rotation_steps
 from ..errors import LayoutError, ParameterError
 from ..mock import MockBackend
 from ..params import Params, preset
-from ..pe import degree_schedule, pe_auth, pe_eval, pe_keygen, pe_verify
+from ..pe import degree_schedule, final_offset, pe_auth, pe_eval, pe_keygen, pe_verify
 from ..protocols import (
     ReqClientSession,
     ReqCloudSession,
@@ -600,7 +600,8 @@ def run_usecase(spec: UseCaseSpec, auth: str = "none", real: bool = False) -> Us
                     return session
 
                 (result, req_rounds, tr), session = run_session(cloud_fn, client_fn)
-            offset = session.final_offset()
+            # a failed round raises from final_offset() only after verification
+            offset = final_offset(secret, inst.program, session.omega)
             interactive_sent = tr.cts_received()  # client-sent = cloud-received
             received_extra = tr.cts_sent()  # high terms shipped to the client
         else:
@@ -642,6 +643,8 @@ def run_usecase(spec: UseCaseSpec, auth: str = "none", real: bool = False) -> Us
                 )
                 answer = inst.decode(claim)
             received = len(result.cts) + received_extra
+        if use_req:
+            session.final_offset()
         sent = len(auths[inst.client_input].cts)
         stages = timer.stages
 

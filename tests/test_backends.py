@@ -18,8 +18,15 @@ from vhe.errors import (
     SerializationError,
 )
 from vhe.mock import MockBackend
-from vhe.params import Params, make_params, preset
-from vhe.ring import batch_encode, find_ntt_primes, find_plaintext_prime, stack_ntt
+from vhe.params import CHAIN_PRIME_BITS, Params, make_params, preset
+from vhe.ring import (
+    batch_encode,
+    find_ntt_primes,
+    find_plaintext_prime,
+    get_modulus,
+    stack_intt,
+    stack_ntt,
+)
 
 PARAMS = preset("mock64")  # n=64 with a real 2-prime chain: fast for both backends
 T = PARAMS.t
@@ -320,6 +327,116 @@ def test_big_plaintext_modulus_paths():
     other = [rng.randrange(params.t) for _ in range(params.n)]
     prod = backend.mul(ct, backend.encrypt(other))
     assert backend.decrypt(prod) == [x * y % params.t for x, y in zip(vals, other)]
+
+
+# ---------------------------------------------------------------------------
+# multiplication against the exact big-integer reference
+# ---------------------------------------------------------------------------
+
+
+def reference_mul_no_relin(be, a, b):
+    """The former object-array multiplication: the inputs' centred lifts as
+    Python integers, the tensor in a chain-plus-auxiliary basis with
+    Q·P > 4·n·Q², each coefficient lifted and rounded as ⌊(t·x + ⌊Q/2⌋)/Q⌋."""
+    p = be.params
+    q_int, t, k = p.big_q, p.t, len(p.q_chain)
+    aux, prod = [], q_int
+    for q in find_ntt_primes(CHAIN_PRIME_BITS, p.n, 64, exclude=p.q_chain):
+        if prod > 4 * p.n * q_int * q_int:
+            break
+        aux.append(q)
+        prod *= q
+    primes = p.q_chain + tuple(aux)
+    mods = [get_modulus(q, p.n) for q in primes]
+    col = np.array(primes, dtype=np.int64)[:, None]
+    chain, ext = bfv.CrtBasis(p.q_chain), bfv.CrtBasis(primes)
+    full = np.empty((4, len(primes), p.n), dtype=np.int64)
+    for x, coeff in zip(full, stack_intt(np.concatenate([a.data, b.data]), mods[:k])):
+        lifted = chain.lift_centered(coeff)
+        for i, q in enumerate(primes):
+            x[i] = lifted % q
+    a0, a1, b0, b1 = stack_ntt(full, mods)
+    prods = [a0 * b0 % col, (a0 * b1 % col + a1 * b0 % col) % col, a1 * b1 % col]
+    out = np.empty((3, k, p.n), dtype=np.int64)
+    for x, coeff in zip(out, stack_intt(np.stack(prods), mods)):
+        scaled = (ext.lift_centered(coeff) * t + q_int // 2) // q_int
+        for i, q in enumerate(p.q_chain):
+            x[i] = scaled % q
+    return stack_ntt(out, mods[:k])
+
+
+def _chain40(prime_bits, t_bits):
+    n = 64
+    t = find_plaintext_prime(t_bits, n).value
+    return Params(n=n, t=t, q_chain=tuple(find_ntt_primes(prime_bits, n, 40, exclude=(t,))))
+
+
+MUL_BASES = {
+    "n4096": lambda: preset("n4096"),
+    "n4096_fast": lambda: preset("n4096_fast"),
+    "mock64": lambda: preset("mock64"),
+    "mock64_wide": lambda: preset("mock64_wide"),
+    "40x29-bit, 16-bit t": lambda: _chain40(29, 16),
+    "40x30-bit, 16-bit t": lambda: _chain40(30, 16),
+    "40x30-bit, 40-bit t": lambda: _chain40(30, 40),
+}
+
+
+def _mul_operands(be, rng):
+    """Ciphertexts whose coefficients sit at the lift's edges: ⌊Q/2⌋ (the
+    centring boundary, largest positive), ⌊Q/2⌋ + 1 (most negative), mixes
+    of 0, ±1 and both edges, uniform residues; plus all-(q_i − 1) and
+    all-⌊q_i/2⌋ evaluation-domain residues and a depth-1 product."""
+    p = be.params
+    q, n = p.big_q, p.n
+    mods = [get_modulus(x, n) for x in p.q_chain]
+    col = np.array(p.q_chain, dtype=np.int64)[:, None]
+
+    def from_coeffs(draw):
+        rows = [[draw() for _ in range(n)] for _ in range(2)]
+        res = np.array([[[c % x for c in row] for x in p.q_chain] for row in rows], dtype=np.int64)
+        return bfv.Ciphertext(stack_ntt(res, mods))
+
+    edges = (0, 1, q - 1, q // 2, q // 2 + 1)
+    ops = {
+        "half": from_coeffs(lambda: q // 2),
+        "half+1": from_coeffs(lambda: q // 2 + 1),
+        "edges": from_coeffs(lambda: rng.choice(edges)),
+        "uniform": from_coeffs(lambda: rng.randrange(q)),
+        "eval q-1": bfv.Ciphertext(np.broadcast_to(col - 1, (2, len(col), n)).copy()),
+        "eval half": bfv.Ciphertext(np.broadcast_to(col // 2, (2, len(col), n)).copy()),
+    }
+    fresh = be.encrypt([rng.randrange(p.t) for _ in range(n)])
+    ops["depth 1"] = be.mul(fresh, fresh)
+    return ops
+
+
+@pytest.mark.parametrize("basis", sorted(MUL_BASES))
+def test_mul_no_relin_matches_big_integer_reference(basis):
+    """The int64 base conversion is bit-identical to exact big-integer
+    lifting and rounding."""
+    params = MUL_BASES[basis]()
+    keys = bfv.keygen(params, row_swap=False, rng=np.random.default_rng(40))
+    be = bfv.BfvBackend(params, keys, rng=np.random.default_rng(41))
+    ops = _mul_operands(be, random.Random(42))
+    pairs = [
+        ("half", "half"), ("half+1", "half+1"), ("half", "half+1"), ("edges", "uniform"),
+        ("eval q-1", "eval half"), ("eval half", "eval half"), ("depth 1", "uniform"),
+    ]
+    for x, y in pairs:
+        got = be.mul_no_relin(ops[x], ops[y])
+        assert np.array_equal(got.data, reference_mul_no_relin(be, ops[x], ops[y])), (x, y)
+
+
+@pytest.mark.parametrize("basis", sorted(MUL_BASES))
+def test_mul_auxiliary_basis_is_the_smallest_above_the_bound(basis):
+    """|y| < P/2 for every scaled coefficient needs P > t·n·Q + 4."""
+    params = MUL_BASES[basis]()
+    keys = bfv.keygen(params, row_swap=False, rng=np.random.default_rng(43))
+    aux = bfv.BfvBackend(params, keys)._ext().primes[len(params.q_chain) :]
+    bound = params.t * params.n * params.big_q + 4
+    prod = math.prod(aux)
+    assert prod > bound >= prod // aux[-1]
 
 
 # ---------------------------------------------------------------------------

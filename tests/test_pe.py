@@ -276,6 +276,42 @@ def test_soundness_bound():
     assert pe.pe_soundness_bound(8, 1 << 40) == pytest.approx(16 / (1 << 40))
 
 
+class CountingMock(MockBackend):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.muls = 0
+
+    def mul(self, a, b):
+        self.muls += 1
+        return super().mul(a, b)
+
+
+def schoolbook(xs, ys):
+    """Slot-wise convolution of two component tuples of slot vectors."""
+    out = [[0] * N for _ in range(len(xs) + len(ys) - 1)]
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            out[i + j] = [(o + u * v) % T for o, u, v in zip(out[i + j], x, y)]
+    return out
+
+
+@pytest.mark.parametrize("la", [1, 2, 3])
+@pytest.mark.parametrize("lb", [1, 2, 3])
+def test_pe_mul_karatsuba_count_and_convolution(la, lb):
+    """Karatsuba saves one product per pair i < j < min(la, lb): 3 for
+    1 × 1, 5 for 1 × 2, 6 for 2 × 2; the result is the full convolution."""
+    backend = CountingMock(PARAMS, rng=random.Random(40))
+    rng = random.Random(41)
+    xs = [rand_slots(rng) for _ in range(la)]
+    ys = [rand_slots(rng) for _ in range(lb)]
+    a = tuple(backend.encrypt(v) for v in xs)
+    b = tuple(backend.encrypt(v) for v in ys)
+    got = pe.pe_mul(backend, a, b)
+    m = min(la, lb)
+    assert backend.muls == la * lb - m * (m - 1) // 2
+    assert [backend.decrypt(c) for c in got] == schoolbook(xs, ys)
+
+
 # ---------------------------------------------------------------------------
 # real backend
 # ---------------------------------------------------------------------------
@@ -301,3 +337,28 @@ def test_real_backend_end_to_end():
     slots[0] = (slots[0] + 1) % T
     bad = pe.PeAuth((res.cts[0], backend.encrypt(slots)) + res.cts[2:])
     assert not pe.pe_verify(sec, backend, prog, bad)
+
+
+def test_pe_mul_real_n4096_matches_convolution():
+    """A degree-1 × degree-1 product on n4096 decrypts to the schoolbook
+    components."""
+    params = preset("n4096")
+    keys = bfv.keygen(params, row_swap=False, rng=np.random.default_rng(42))
+    backend = bfv.BfvBackend(params, keys, rng=np.random.default_rng(43))
+    rng = random.Random(44)
+    t, n = params.t, params.n
+    xs = [[rng.randrange(t) for _ in range(n)] for _ in range(2)]
+    ys = [[rng.randrange(t) for _ in range(n)] for _ in range(2)]
+    got = pe.pe_mul(
+        backend,
+        tuple(backend.encrypt(v) for v in xs),
+        tuple(backend.encrypt(v) for v in ys),
+    )
+    x0, x1 = xs
+    y0, y1 = ys
+    want = [
+        [u * v % t for u, v in zip(x0, y0)],
+        [(u * v + w * z) % t for u, v, w, z in zip(x0, y1, x1, y0)],
+        [u * v % t for u, v in zip(x1, y1)],
+    ]
+    assert [backend.decrypt(c) for c in got] == want

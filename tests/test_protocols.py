@@ -18,6 +18,7 @@ from vhe import bfv, pe
 from vhe import protocols as pr
 from vhe.circuit import ProgramBuilder, eval_plain
 from vhe.errors import DecryptionFailureError, ParameterError, ProtocolError, StructureError
+from vhe.harness.cli import client_session
 from vhe.mock import MockBackend
 from vhe.params import preset
 from vhe.ring import slot_poly_eval
@@ -267,13 +268,14 @@ def test_pp_rejects_tampered_response():
         tag, payload = ep.recv()
         delta, beta = struct.unpack("<QQ", payload)
         # run the honest prover against a scratch channel that replays the
-        # live challenge, then flip one slot of its response before relaying
+        # live challenge, read past its c_0 commitment to the packed
+        # response, then flip a slot the verifier reads before relaying
         a, b = pr.memory_channel()
-        a.send(pr.TAG_PP_RESULT, pr.pack_cts([res.cts[0]]))
-        b.recv()
         b.send(pr.TAG_PP_CHALLENGE, struct.pack("<QQ", delta, beta))
         pr.pp_prove(cloud, res, a)
-        _, resp = b.recv()
+        assert b.recv()[0] == pr.TAG_PP_RESULT
+        tag, resp = b.recv()
+        assert tag == pr.TAG_PP_RESPONSE
         (packed,) = pr.unpack_cts(resp)
         slots = list(cloud.decrypt(packed))
         slots[0] = (slots[0] + 1) % T
@@ -632,6 +634,49 @@ def test_req_decryption_failure_is_not_a_reaction_oracle():
     honest.final_offset()
     with pytest.raises(DecryptionFailureError, match="decrypt"):
         failed.final_offset()
+
+
+def test_composed_req_pp_failure_surfaces_after_the_pp_response():
+    """`connect --req --pp`: a ReQ round whose high terms fail to decrypt
+    changes no tag and no frame length the client sends, the packed proof
+    still runs to its response, and DecryptionFailureError comes only after
+    that response has been received."""
+    rng = random.Random(38)
+    cloud = MockBackend(PARAMS, rng=random.Random(39))
+    sec = pe.pe_keygen(PARAMS, rng=rng, make_he_keys=False)
+    b = ProgramBuilder(width=N, name="x8")
+    cur = b.input("w")
+    for _ in range(3):
+        cur = b.mul(cur, cur)
+    prog = b.build(cur, output_block=(0, 2))
+    auth = pe.pe_auth(sec, cloud, [rng.randrange(T) for _ in range(N)], "w")
+    limit = 3  # the x^8 chain's deepest high terms
+
+    def run(fail):
+        client = MockBackend(PARAMS, depth_limit=limit, rng=random.Random(40))
+
+        def cloud_fn(ep):
+            red = pr.ReqCloudSession(cloud, _FailingHighTerms(ep, limit + 1) if fail else ep)
+            pr.pp_prove(cloud, pe.pe_eval(prog, [auth], cloud, reducer=red), ep)
+
+        def client_fn(ep):
+            try:
+                outcome = client_session(sec, client, prog, ep, True, True, random.Random(41), [])
+            except DecryptionFailureError as exc:
+                outcome = exc
+            sent = [(tag, len(p)) for tag, p in ep.transcript.sent]
+            return outcome, sent, [tag for tag, _ in ep.transcript.received]
+
+        return pr.run_session(cloud_fn, client_fn)[1]
+
+    (ok, _), honest_sent, honest_received = run(False)
+    failure, failed_sent, failed_received = run(True)
+    assert ok
+    assert isinstance(failure, DecryptionFailureError)
+    assert failed_sent == honest_sent
+    assert [tag for tag, _ in failed_sent][-1] == pr.TAG_PP_CHALLENGE
+    assert failed_received == honest_received
+    assert failed_received[-1] == pr.TAG_PP_RESPONSE
 
 
 def test_req_round_limit_enforced():
