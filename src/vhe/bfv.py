@@ -5,16 +5,22 @@ component, chain prime, coefficient, always in the evaluation (NTT)
 domain.  Keys are stacks too: the public key is (2, k, n) for (b, a), and
 the relinearization key and every Galois key are (2, k, k, n): (b, a) per
 RNS digit.  Plaintexts are batched slot vectors over Z_t.  Every linear
-operation, encryption's u·pk + (e₀ + Δ·m, e₁) and a rotation's slot
-permutation are one numpy expression over the stack; an operation that
-needs coefficients moves between the domains with one stacked transform
-call (ring.stack_ntt / stack_intt) per direction: encryption transforms
-(u, e₀ + Δ·m, e₁) as one (3, k, n) stack, a key switch its (k, k, n) digit
-stack, multiplication its four inputs' chain rows, their auxiliary rows,
-its three products and, back into the chain, the three scaled results.
+operation, encryption and a rotation's slot permutation are one numpy
+expression over the stack; an operation that needs coefficients moves
+between the domains with one stacked transform call (ring.stack_ntt /
+stack_intt) per direction: secret-key encryption transforms the k rows of
+e + Δ·m, public-key encryption (u, e₀ + Δ·m, e₁) as one (3, k, n) stack, a
+key switch its (k, k, n) digit stack, multiplication its four inputs' chain
+rows, their auxiliary rows, its three products and, back into the chain,
+the three scaled results.
 
-    encrypt:  c = u·pk + (e₀ + Δ·m, e₁),  Δ = ⌊Q/t⌋
-    decrypt:  m = ⌈(t/Q)·[c₀ + c₁·s]_Q⌋ mod t   (centered, exact big-int)
+    encrypt:  c = (−a·s + e + Δ·m, a) with the secret key (the data owner),
+              a uniform in the evaluation domain and expanded from a
+              32-byte seed by SHAKE-128 (expand_uniform);
+              c = u·pk + (e₀ + Δ·m, e₁) with public keys only,  Δ = ⌊Q/t⌋
+    decrypt:  m = ⌊(t·x + ⌊Q/2⌋)/Q⌋ mod t for the phase x = [c₀ + c₁·s]_Q,
+              exactly, by int64 Garner base conversion into auxiliary
+              primes P′ with Π P′ > t
     multiply: tensor the pair over the integers in the chain Q plus
               auxiliary primes P, then y = ⌊(t·x + ⌊Q/2⌋)/Q⌋ per
               coefficient, exactly, by int64 Garner base conversion
@@ -24,10 +30,11 @@ its three products and, back into the chain, the three scaled results.
               of the target, centred, and its key carries the target secret
               in row i only (the CRT idempotent gadget)
 
-Multiplication and key switching are int64 throughout; Python integers
-inside numpy object arrays remain only in decryption's CRT lift
-(CrtBasis).  Nothing depends on floating point, so decryption equality is
-bit-reproducible.
+Every operation is int64 throughout; decryption turns only the one
+coefficient of largest noise into a Python integer.  Nothing depends on
+floating point, so decryption equality is bit-reproducible.  The `a` half
+of every key's RLWE pair is expanded from a seed as well, so no key carries
+raw output of the generator that also draws the secret and the errors.
 
 Noise is verified, not assumed: decryption measures the residual distance
 to the decoded plaintext and raises DecryptionFailureError once it leaves
@@ -36,6 +43,7 @@ the safe quarter-interval, instead of silently returning corrupted slots.
 
 from __future__ import annotations
 
+import hashlib
 import secrets
 from dataclasses import dataclass
 from functools import lru_cache
@@ -66,30 +74,6 @@ from .ring import (
 # ---------------------------------------------------------------------------
 
 
-class CrtBasis:
-    """Exact CRT lift of chain residues to Python integers (decryption only)."""
-
-    def __init__(self, primes):
-        self.primes = tuple(primes)
-        self.product = 1
-        for p in self.primes:
-            self.product *= p
-        # idempotents: e_i ≡ 1 (mod q_i), ≡ 0 (mod q_j≠i)
-        self.idempotents = []
-        for p in self.primes:
-            m = self.product // p
-            self.idempotents.append(m * pow(m, -1, p) % self.product)
-
-    def lift_centered(self, mat: np.ndarray) -> np.ndarray:
-        """(k, n) residues → object array of balanced integers in (-P/2, P/2]."""
-        acc = mat[0].astype(object) * self.idempotents[0]
-        for i in range(1, len(self.primes)):
-            acc += mat[i].astype(object) * self.idempotents[i]
-        acc %= self.product
-        half = self.product // 2
-        return np.where(acc > half, acc - self.product, acc)
-
-
 class BaseConverter:
     """Exact int64 conversion of residues from primes S to primes D (Garner).
 
@@ -100,16 +84,17 @@ class BaseConverter:
     Digit j is multiplied into the accumulator rows of every later source
     prime and every destination prime at once; a row takes one product
     < max(prime)² per digit and is reduced every `chunk` digits, so no sum
-    leaves int64.
+    leaves int64.  With D empty the converter yields only the digits.
     """
 
-    def __init__(self, src, dst):
+    def __init__(self, src, dst=()):
         src, dst = tuple(src), tuple(dst)
         primes = src + dst
         radix = [1]  # M_0, …, M_{|S|}
         for s in src:
             radix.append(radix[-1] * s)
         prod = radix.pop()
+        self.radix = radix
         self.src = src
         self.inv = [pow(m, -1, s) for m, s in zip(radix, src)]
         self.half = [prod // 2 // m % s for m, s in zip(radix, src)]
@@ -118,27 +103,64 @@ class BaseConverter:
         self.col = np.array(primes, dtype=np.int64)[:, None]
         self.chunk = (2**63 - 1) // (max(primes) - 1) ** 2 - 1
 
-    def __call__(self, x: np.ndarray, centred: bool) -> np.ndarray:
-        """(..., |S|, n) residues in [0, s_i) → (..., |D|, n) in [0, d)."""
+    def digits(self, x: np.ndarray):
+        """The digits [v_0, …, v_{|S|−1}] of (..., |S|, n) residues, each
+        (..., n), and the unreduced (..., |D|, n) sums Σ_j v_j·(M_j mod d)."""
         k = len(self.src)
         acc = np.zeros(x.shape[:-2] + (len(self.col), x.shape[-1]), dtype=np.int64)
-        above = False
+        out = []
         for j, s in enumerate(self.src):
             v = x[..., j, :] - acc[..., j, :]
             v %= s
             v *= self.inv[j]
             v %= s
-            if centred:
-                above = np.where(v == self.half[j], above, v > self.half[j])
+            out.append(v)
             rest = acc[..., j + 1 :, :]
             rest += v[..., None, :] * self.weights[j, j + 1 :]
             if (j + 1) % self.chunk == 0:
                 rest %= self.col[j + 1 :]
-        out = acc[..., k:, :]
+        return out, acc[..., k:, :]
+
+    def above_half(self, digits) -> np.ndarray:
+        """x > ⌊Π S/2⌋ per coefficient: the top digit that differs decides."""
+        above = False
+        for v, h in zip(digits, self.half):
+            above = np.where(v == h, above, v > h)
+        return above
+
+    def __call__(self, x: np.ndarray, centred: bool) -> np.ndarray:
+        """(..., |S|, n) residues in [0, s_i) → (..., |D|, n) in [0, d)."""
+        digits, out = self.digits(x)
         if centred:
-            out -= above[..., None, :] * self.prod
-        out %= self.col[k:]
+            out -= self.above_half(digits)[..., None, :] * self.prod
+        out %= self.col[len(self.src) :]
         return out
+
+
+def _lex_extreme(digits, mask: np.ndarray, pick):
+    """Index of a coefficient in `mask` whose digits, compared from the top,
+    are the largest (pick = np.max) or smallest (np.min); None if empty."""
+    if not mask.any():
+        return None
+    for v in reversed(digits):
+        mask = mask & (v == pick(v[mask]))
+    return int(mask.argmax())
+
+
+class _DecryptBasis:
+    """Decryption's auxiliary primes P′, ⌈bits(t)/28⌉ primes of 29 bits so
+    that Π P′ > t, and the constants of y = ⌊(t·x + ⌊Q/2⌋)/Q⌋ ∈ [0, t] on
+    the chain rows followed by the P′ rows."""
+
+    def __init__(self, params: Params):
+        count = -(-params.t.bit_length() // (CHAIN_PRIME_BITS - 1))
+        aux = find_ntt_primes(CHAIN_PRIME_BITS, params.n, count, exclude=params.q_chain)
+        q, primes = params.big_q, params.q_chain + tuple(aux)
+        self.chain = BaseConverter(params.q_chain, aux)
+        self.aux = BaseConverter(aux)
+        self.t = np.array([params.t % p for p in primes], dtype=np.int64)[:, None]
+        self.half = np.array([q // 2 % p for p in primes], dtype=np.int64)[:, None]
+        self.q_inv = np.array([pow(q, -1, p) for p in aux], dtype=np.int64)[:, None]
 
 
 class _MulBasis:
@@ -226,16 +248,48 @@ class KeySet:
 
 
 def _cbd_error(gen: np.random.Generator, n: int, err_std: float) -> np.ndarray:
-    """Centered binomial with variance k/2 ≈ err_std² (k = round(2·err_std²))."""
+    """Centered binomial with variance k/2 ≈ err_std² (k = round(2·err_std²)):
+    the number of set bits among k uniform bits, less that among k more."""
     k = max(1, round(2 * err_std * err_std))
-    return (
-        gen.binomial(k, 0.5, size=n).astype(np.int64)
-        - gen.binomial(k, 0.5, size=n).astype(np.int64)
-    )
+    e = np.zeros(n, dtype=np.int64)
+    for j in range(0, k, 64):
+        counts = np.bitwise_count(gen.integers(0, 1 << min(64, k - j), size=(2, n), dtype=np.uint64))
+        e += counts[0]
+        e -= counts[1]
+    return e
 
 
 def _ternary(gen: np.random.Generator, n: int) -> np.ndarray:
     return gen.integers(-1, 2, size=n, dtype=np.int64)
+
+
+SEED_BYTES = 32
+
+
+def expand_uniform(seed: bytes, primes, rows: int, n: int) -> np.ndarray:
+    """(rows, k, n) residues uniform in [0, q_i), expanded from `seed`.
+
+    Row (r, i) reads little-endian 32-bit words from SHAKE-128(seed ‖ r ‖ i)
+    (r and i as u16), masks each to the bit length of q_i and keeps the
+    first n below q_i: rejection sampling, never a reduction mod q_i, so
+    the residues carry no bias.  A longer read only extends the same
+    stream, so the output depends on the seed alone, never on numpy's
+    generator streams (which NEP 19 does not keep stable across versions).
+    """
+    out = np.empty((rows, len(primes), n), dtype=np.int64)
+    for r in range(rows):
+        for i, q in enumerate(primes):
+            xof = hashlib.shake_128(seed + r.to_bytes(2, "little") + i.to_bytes(2, "little"))
+            mask = (1 << q.bit_length()) - 1
+            words = n * (mask + 1) // q + 64
+            while True:
+                w = np.frombuffer(xof.digest(4 * words), dtype="<u4") & mask
+                kept = w[w < q]
+                if len(kept) >= n:
+                    break
+                words *= 2
+            out[r, i] = kept[:n]
+    return out
 
 
 def galois_element(step: int, n: int) -> int:
@@ -281,13 +335,13 @@ def keygen(
 
     def rlwe_pairs(count):
         """(2, count, k, n) stack of (b, a) with b = -(a·s + e), NTT domain;
-        the errors of all pairs are transformed in one call."""
+        a is expanded from a fresh seed and the errors of all pairs are
+        transformed in one call."""
         out = np.empty((2, count, k, n), dtype=np.int64)
         b, a = out
+        a[:] = expand_uniform(gen.bytes(SEED_BYTES), primes, count, n)
         e = np.empty_like(a)
         for c in range(count):
-            for i, p in enumerate(primes):
-                a[c, i] = gen.integers(0, p, size=n, dtype=np.int64)
             np.remainder(_cbd_error(gen, n, params.err_std), q, out=e[c])
         np.multiply(a, s_ntt, out=b)
         np.negative(b, out=b)
@@ -343,10 +397,10 @@ class BfvBackend:
         self.primes = params.q_chain
         self.mods = [get_modulus(p, params.n) for p in self.primes]
         self.t_mod = params.t_modulus
-        self.chain_basis = CrtBasis(self.primes)
         self._q = np.array(self.primes, dtype=np.int64)[:, None]
         self._delta_res = np.array([params.delta % p for p in self.primes], dtype=np.int64)[:, None]
         self._ext_basis = None
+        self._dec_basis = None
         # digit products are < max(q)²: this many (plus a reduced running
         # sum) fit in int64 before the accumulators must be reduced
         self._ks_chunk = (2**63 - 1) // (max(self.primes) - 1) ** 2 - 1
@@ -362,19 +416,32 @@ class BfvBackend:
     # ---- lifecycle ----------------------------------------------------------
 
     def encrypt(self, slots) -> Ciphertext:
+        """Secret-key encryption (−a·s + NTT(e + Δ·m), a) when the backend
+        holds the secret key, with a expanded from a seed drawn from the
+        generator; public-key encryption u·pk + (e₀ + Δ·m, e₁) otherwise."""
         p = self.params
         if len(slots) != p.n:
             raise ParameterError(f"expected {p.n} slots, got {len(slots)}")
         gen, q = self._gen, self._q
+        scaled = self._delta_res * self._encode_residues(slots, ntt=False)
+        s_ntt = self.keys.sk_ntt
+        if s_ntt is not None:
+            c = np.empty((2,) + scaled.shape, dtype=np.int64)
+            c[1] = expand_uniform(gen.bytes(SEED_BYTES), self.primes, 1, p.n)[0]
+            scaled += _cbd_error(gen, p.n, p.err_std)
+            scaled %= q
+            np.multiply(c[1], s_ntt, out=c[0])
+            np.subtract(stack_ntt(scaled, self.mods), c[0], out=c[0])
+            c[0] %= q
+            return Ciphertext(c)
         u = _ternary(gen, p.n)
         e0 = _cbd_error(gen, p.n, p.err_std)
         e1 = _cbd_error(gen, p.n, p.err_std)
         # by linearity, NTT(e₀ + Δ·m) = NTT(e₀) + Δ·NTT(m): one transform
         # of (u, e₀ + Δ·m, e₁) gives every evaluation-domain term
-        x = np.empty((3, len(self.primes), p.n), dtype=np.int64)
+        x = np.empty((3,) + scaled.shape, dtype=np.int64)
         x[0] = u
-        np.multiply(self._delta_res, self._encode_residues(slots, ntt=False), out=x[1])
-        x[1] += e0
+        np.add(scaled, e0, out=x[1])
         x[2] = e1
         x %= q
         x = stack_ntt(x, self.mods)
@@ -415,7 +482,7 @@ class BfvBackend:
             raise SerializationError("ciphertext residue outside [0, q_i)")
 
     def _phase(self, ct: Ciphertext) -> np.ndarray:
-        """[Σ c_i·s^i]_Q as centered big-int coefficients (object array)."""
+        """[Σ c_i·s^i]_Q as (k, n) coefficient residues in [0, q_i)."""
         s_ntt = self._require_secret()
         self._check_received(ct)
         q = self._q
@@ -426,20 +493,48 @@ class BfvBackend:
             acc %= q
             if d + 2 < ct.degree:
                 s_pow = _pointwise(s_pow, s_ntt, q)
-        return self.chain_basis.lift_centered(stack_intt(acc, self.mods))
+        return stack_intt(acc, self.mods)
 
     def _noise(self, ct: Ciphertext):
-        """(plaintext coefficients, largest |noise|), exact integers.
+        """(plaintext coefficients, largest |noise|), exactly, in int64.
 
-        m = ⌈(t/Q)·phase⌋ mod t and the noise is phase − Δ·m centred mod Q
-        (the centring absorbs the wrap when the rounding lands on t).
+        For the phase x ∈ [0, Q), r = (t·x + ⌊Q/2⌋) mod Q on the chain
+        rows; x and r are converted into P′, where y = (t·x + ⌊Q/2⌋ − r)·Q⁻¹
+        is ⌊(t·x + ⌊Q/2⌋)/Q⌋ ∈ [0, t] < Π P′, read off its Garner digits,
+        and m = y mod t.  The noise x − Δ·m centred mod Q keeps its Garner
+        digits over Q: it is negative where they exceed those of ⌊Q/2⌋, and
+        the largest |noise| is the digit-wise largest non-negative or
+        smallest negative coefficient; only those become Python integers.
         """
-        p = self.params
-        q, t = p.big_q, p.t
-        phase = self._phase(ct)
-        m = (phase * t + q // 2) // q % t
-        e = (phase - m * p.delta + q // 2) % q - q // 2
-        return m, int(np.abs(e).max())
+        if self._dec_basis is None:
+            self._dec_basis = _DecryptBasis(self.params)
+        dec, p, q = self._dec_basis, self.params, self._q
+        k = len(self.primes)
+        x = self._phase(ct)
+        r = x * dec.t[:k]
+        r += dec.half[:k]
+        r %= q
+        xr = dec.chain(np.stack([x, r]), centred=False)
+        y = xr[0] * dec.t[k:]
+        y += dec.half[k:]
+        y -= xr[1]
+        y %= dec.aux.col
+        y *= dec.q_inv
+        y %= dec.aux.col
+        # partial sums of y's digits never exceed y ≤ t < 2^63
+        y = sum(v * w for v, w in zip(dec.aux.digits(y)[0], dec.aux.radix))
+        m = y % p.t
+        e = x - self._delta_res * (m % q)
+        e %= q
+        digits, _ = dec.chain.digits(e)
+        neg = dec.chain.above_half(digits)
+        worst = 0
+        for side, pick in ((~neg, np.max), (neg, np.min)):
+            i = _lex_extreme(digits, side, pick)
+            if i is not None:
+                v = sum(int(d[i]) * w for d, w in zip(digits, dec.chain.radix))
+                worst = max(worst, v if pick is np.max else p.big_q - v)
+        return m, worst
 
     def decrypt(self, ct: Ciphertext) -> list[int]:
         """Decode slots; raises DecryptionFailureError on noise overflow.

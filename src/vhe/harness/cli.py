@@ -182,6 +182,7 @@ def _cmd_keygen(args) -> int:
         )
         written.append(out / "public.vrts")
     print(f"{args.auth} keys on {params.name}: " + ", ".join(map(str, written)))
+    print(params.describe())
     return 0
 
 

@@ -20,6 +20,11 @@ from .ring import find_ntt_primes, find_plaintext_prime, get_modulus, is_prime
 
 CHAIN_PRIME_BITS = 29
 
+# Largest log2 Q at classical 128-bit security for a ternary secret, per
+# ring degree: the Homomorphic Encryption Security Standard (Albrecht et
+# al., 2018).  A ring degree outside the table has no stated level.
+HE_STANDARD_128_LOG_Q = {1024: 27, 2048: 54, 4096: 109, 8192: 218, 16384: 438, 32768: 881}
+
 
 @dataclass(frozen=True)
 class Params:
@@ -67,11 +72,19 @@ class Params:
     def t_modulus(self):
         return get_modulus(self.t, self.n)
 
+    @property
+    def security(self) -> str:
+        """The estimated level: 128-bit while log2 Q stays within the
+        HE-standard bound for n, otherwise below 128-bit (test only)."""
+        if self.big_q.bit_length() <= HE_STANDARD_128_LOG_Q.get(self.n, 0):
+            return "128-bit"
+        return "below 128-bit (test only)"
+
     def describe(self) -> str:
         return (
             f"{self.name or 'custom'}: n={self.n}, log2(Q)≈{self.big_q.bit_length()}, "
             f"t={self.t} ({self.t.bit_length()}-bit), chain={len(self.q_chain)} primes, "
-            f"depth budget={self.depth_budget}"
+            f"depth budget={self.depth_budget}, security {self.security}"
         )
 
 

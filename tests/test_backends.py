@@ -2,6 +2,7 @@
 lattice backend, checked against each other and against the plain
 interpreter on seeded random programs."""
 
+import hashlib
 import math
 import random
 
@@ -266,6 +267,96 @@ def test_real_decrypt_requires_secret(real):
     assert real.decrypt(pub.mul(ct, ct)) == [25] * N
 
 
+def test_secret_key_encryption_expands_a_from_a_seed(real):
+    """A backend holding the secret key encrypts as (−a·s + e + Δ·m, a),
+    with a expanded from 32 bytes of its generator, and leaves less noise
+    than public-key encryption's u·pk + (e₀ + Δ·m, e₁)."""
+    vals = rand_slots(random.Random(21))
+    client = bfv.BfvBackend(PARAMS, real.keys, rng=np.random.default_rng(21))
+    ct = client.encrypt(vals)
+    seed = np.random.default_rng(21).bytes(bfv.SEED_BYTES)
+    assert np.array_equal(ct.data[1], bfv.expand_uniform(seed, PARAMS.q_chain, 1, N)[0])
+    assert real.decrypt(ct) == vals
+    pub = bfv.BfvBackend(PARAMS, real.keys.public(), rng=np.random.default_rng(22))
+    for _ in range(4):
+        assert real.noise_budget(client.encrypt(vals)) > real.noise_budget(pub.encrypt(vals))
+
+
+@pytest.mark.parametrize("err_std", [3.2, 6.0])
+def test_error_sampler_is_a_centred_binomial(err_std):
+    """Differences of set-bit counts of k uniform bits: values in [−k, k],
+    mean 0 and variance k/2, also past one 64-bit word (k = 72)."""
+    k = max(1, round(2 * err_std * err_std))
+    e = bfv._cbd_error(np.random.default_rng(30), 1 << 16, err_std)
+    assert e.dtype == np.int64 and -k <= e.min() and e.max() <= k
+    # five standard errors of the sample mean and variance
+    assert abs(e.mean()) < 5 * math.sqrt(k / 2 / len(e))
+    assert abs(e.var() / (k / 2) - 1) < 5 * math.sqrt(2 / len(e))
+
+
+def test_public_only_backend_encrypts_with_the_public_key(real):
+    """Without the secret key, c₁ = u·pk₁ + e₁ from the generator's draws."""
+    vals = rand_slots(random.Random(23))
+    pub = bfv.BfvBackend(PARAMS, real.keys.public(), rng=np.random.default_rng(23))
+    ct = pub.encrypt(vals)
+    gen = np.random.default_rng(23)
+    u = bfv._ternary(gen, N)
+    bfv._cbd_error(gen, N, PARAMS.err_std)  # e₀
+    e1 = bfv._cbd_error(gen, N, PARAMS.err_std)
+    q = real._q
+    want = real.keys.pk[1] * stack_ntt(u % q, real.mods) + stack_ntt(e1 % q, real.mods)
+    assert np.array_equal(ct.data[1], want % q)
+    assert real.decrypt(ct) == vals
+
+
+@pytest.mark.parametrize("name", ["mock64", "n4096_fast"])
+def test_client_and_cloud_ciphertexts_mix(name):
+    """Secret-key (client) and public-key (cloud) ciphertexts add, multiply
+    and rotate together on either backend."""
+    params = preset(name)
+    client = make_real(params, steps=(1,), seed=24)
+    cloud = bfv.BfvBackend(params, client.keys.public(), rng=np.random.default_rng(26))
+    rng = random.Random(27)
+    a = [rng.randrange(params.t) for _ in range(params.n)]
+    b = [rng.randrange(params.t) for _ in range(params.n)]
+    ca, cb = client.encrypt(a), cloud.encrypt(b)
+    row = params.n // 2
+    for be in (client, cloud):
+        assert client.decrypt(be.add(ca, cb)) == [(x + y) % params.t for x, y in zip(a, b)]
+        prod = [x * y % params.t for x, y in zip(a, b)]
+        assert client.decrypt(be.mul(ca, cb)) == prod
+        assert client.decrypt(be.mul(cb, ca)) == prod
+        rot = client.decrypt(be.add(be.rotate(ca, 1), cb))
+        assert rot[:row] == [(x + y) % params.t for x, y in zip(a[1:row] + a[:1], b)]
+
+
+def test_keygen_expands_every_a_half_from_a_seed():
+    """pk, rlk and every Galois key take their a halves from the expander,
+    seeded with 32 bytes of the generator drawn after the secret and the
+    previous key's errors; none carries the generator's raw output."""
+    keys = bfv.keygen(PARAMS, rotation_steps=(1, 2), rng=np.random.default_rng(28))
+    gen = np.random.default_rng(28)
+    bfv._ternary(gen, N)  # the secret
+    k = len(PARAMS.q_chain)
+    stacks = [keys.pk[:, None], keys.rlk] + [keys.gks[g] for g in sorted(keys.gks)]
+    assert len(stacks) == 5
+    for ks in stacks:
+        count = ks.shape[1]
+        assert count in (1, k)
+        seed = gen.bytes(bfv.SEED_BYTES)
+        assert np.array_equal(ks[1], bfv.expand_uniform(seed, PARAMS.q_chain, count, N))
+        for _ in range(count):
+            bfv._cbd_error(gen, N, PARAMS.err_std)
+
+
+def test_presets_state_their_security_level():
+    """log2 Q against the HE-standard 128-bit bound for a ternary secret."""
+    assert preset("n4096").describe().endswith("below 128-bit (test only)")
+    assert preset("mock64").describe().endswith("below 128-bit (test only)")
+    prod = preset("n32768_prod").describe()
+    assert prod.endswith("128-bit") and "below" not in prod
+
+
 def test_real_linear_ops_match_per_prime_reference(real):
     """The broadcast (k, 1)-modulus arithmetic equals a per-prime loop."""
     rng = random.Random(10)
@@ -334,6 +425,17 @@ def test_big_plaintext_modulus_paths():
 # ---------------------------------------------------------------------------
 
 
+def _lift_centered(mat, primes):
+    """(k, n) residues → object array of balanced Python integers in
+    (-Q/2, Q/2], by the CRT idempotents e_i ≡ 1 (mod q_i), ≡ 0 (mod q_j≠i)."""
+    q = math.prod(primes)
+    acc = sum(
+        mat[i].astype(object) * (q // p * pow(q // p, -1, p) % q) for i, p in enumerate(primes)
+    )
+    acc %= q
+    return np.where(acc > q // 2, acc - q, acc)
+
+
 def reference_mul_no_relin(be, a, b):
     """The former object-array multiplication: the inputs' centred lifts as
     Python integers, the tensor in a chain-plus-auxiliary basis with
@@ -349,17 +451,16 @@ def reference_mul_no_relin(be, a, b):
     primes = p.q_chain + tuple(aux)
     mods = [get_modulus(q, p.n) for q in primes]
     col = np.array(primes, dtype=np.int64)[:, None]
-    chain, ext = bfv.CrtBasis(p.q_chain), bfv.CrtBasis(primes)
     full = np.empty((4, len(primes), p.n), dtype=np.int64)
     for x, coeff in zip(full, stack_intt(np.concatenate([a.data, b.data]), mods[:k])):
-        lifted = chain.lift_centered(coeff)
+        lifted = _lift_centered(coeff, p.q_chain)
         for i, q in enumerate(primes):
             x[i] = lifted % q
     a0, a1, b0, b1 = stack_ntt(full, mods)
     prods = [a0 * b0 % col, (a0 * b1 % col + a1 * b0 % col) % col, a1 * b1 % col]
     out = np.empty((3, k, p.n), dtype=np.int64)
     for x, coeff in zip(out, stack_intt(np.stack(prods), mods)):
-        scaled = (ext.lift_centered(coeff) * t + q_int // 2) // q_int
+        scaled = (_lift_centered(coeff, primes) * t + q_int // 2) // q_int
         for i, q in enumerate(p.q_chain):
             x[i] = scaled % q
     return stack_ntt(out, mods[:k])
@@ -437,6 +538,147 @@ def test_mul_auxiliary_basis_is_the_smallest_above_the_bound(basis):
     bound = params.t * params.n * params.big_q + 4
     prod = math.prod(aux)
     assert prod > bound >= prod // aux[-1]
+
+
+# ---------------------------------------------------------------------------
+# the seed expander
+# ---------------------------------------------------------------------------
+
+
+def _reference_expand(seed, primes, rows, n):
+    """Word by word: the first n masked words below q_i of each row's stream."""
+    out = np.empty((rows, len(primes), n), dtype=np.int64)
+    for r in range(rows):
+        for i, q in enumerate(primes):
+            label = seed + r.to_bytes(2, "little") + i.to_bytes(2, "little")
+            stream = hashlib.shake_128(label).digest(64 * n)
+            mask = (1 << q.bit_length()) - 1
+            words = (int.from_bytes(stream[j : j + 4], "little") & mask for j in range(0, len(stream), 4))
+            out[r, i] = [w for w in words if w < q][:n]
+    return out
+
+
+def _low_primes(n):
+    """Primes just above 2^(b−1), where about half the masked words are rejected."""
+    return (find_plaintext_prime(29, n).value, find_plaintext_prime(17, n).value)
+
+
+def test_expander_known_answer():
+    """A pinned prefix: a Python or numpy upgrade must not move the stream."""
+    primes = preset("n4096").q_chain[:2]
+    got = bfv.expand_uniform(bytes(range(32)), primes, 2, 4096)[:, :, :4]
+    assert got.tolist() == [
+        [[473593860, 106904275, 266367506, 172151304], [515300636, 407922465, 238671744, 200923168]],
+        [[142304238, 321253432, 383188868, 132776864], [83147334, 502530703, 193968242, 391640570]],
+    ]
+
+
+@pytest.mark.parametrize("n", [64, 4096])
+def test_expander_is_uniform_rejection_sampling(n):
+    """Values lie in [0, q_i), equal the word-by-word reference (also on
+    primes just above 2^(b−1), where rejections are frequent and a row can
+    outrun its first read) and depend on the seed alone."""
+    rng = random.Random(29)
+    for primes in (preset("n4096").q_chain, _low_primes(n)):
+        col = np.array(primes, dtype=np.int64)[:, None]
+        for _ in range(3):
+            seed = rng.randbytes(bfv.SEED_BYTES)
+            got = bfv.expand_uniform(seed, primes, 2, n)
+            assert got.dtype == np.int64 and got.shape == (2, len(primes), n)
+            assert (got >= 0).all() and (got < col).all()
+            assert np.array_equal(got, _reference_expand(seed, primes, 2, n))
+            assert np.array_equal(got, bfv.expand_uniform(seed, primes, 2, n))
+            assert not np.array_equal(got[0], got[1])
+            other = bfv.expand_uniform(rng.randbytes(bfv.SEED_BYTES), primes, 2, n)
+            assert not np.array_equal(got, other)
+
+
+def test_expander_rejects_the_masked_words_at_or_above_q():
+    """On a prime just above 2^(b−1) the masked stream has words ≥ q, and
+    none of them survives."""
+    n = 64
+    for q in _low_primes(n):
+        seed = bytes(bfv.SEED_BYTES)
+        stream = hashlib.shake_128(seed + bytes(4)).digest(4 * n)
+        masked = np.frombuffer(stream, dtype="<u4") & ((1 << q.bit_length()) - 1)
+        assert (masked >= q).any()
+        got = bfv.expand_uniform(seed, (q,), 1, n)[0, 0]
+        assert np.array_equal(got[: (masked < q).sum()], masked[masked < q])
+
+
+# ---------------------------------------------------------------------------
+# decryption against the exact big-integer reference
+# ---------------------------------------------------------------------------
+
+
+def reference_noise(be, ct):
+    """The former big-integer decryption measure: the phase Σ c_i·s^i lifted
+    to balanced Python integers, m = ⌊(t·phase + ⌊Q/2⌋)/Q⌋ mod t and the
+    largest |phase − Δ·m| centred mod Q."""
+    p = be.params
+    q, t = p.big_q, p.t
+    col = be._q
+    s = be.keys.sk_ntt
+    acc, s_pow = np.zeros_like(s), np.ones_like(s)
+    for c in ct.data:
+        acc = (acc + c * s_pow % col) % col
+        s_pow = s_pow * s % col
+    phase = _lift_centered(stack_intt(acc, be.mods), p.q_chain)
+    m = (phase * t + q // 2) // q % t
+    e = (phase - m * p.delta + q // 2) % q - q // 2
+    return m.tolist(), int(np.abs(e).max())
+
+
+def _decrypt_operands(be, rng):
+    """Fresh secret- and public-key, degree-3, rotated and uniform-residue
+    ciphertexts, and (x, 0) ciphertexts whose phase x sits at 0, ±1, ⌊Q/2⌋,
+    ⌊Q/2⌋ + 1 and on both sides of the rounding boundaries of m."""
+    p = be.params
+    q, t, n = p.big_q, p.t, p.n
+    col = be._q
+    fresh = be.encrypt([rng.randrange(t) for _ in range(n)])
+    cloud = bfv.BfvBackend(p, be.keys.public(), rng=np.random.default_rng(rng.getrandbits(32)))
+
+    def phase_ct(draw):
+        coeffs = [draw() for _ in range(n)]
+        c0 = stack_ntt(np.array([[c % x for c in coeffs] for x in p.q_chain], dtype=np.int64), be.mods)
+        return bfv.Ciphertext(np.stack([c0, np.zeros_like(c0)]))
+
+    def boundary():
+        j = rng.randrange(t + 1)
+        return -(-(j * q - q // 2) // t) + rng.choice((-1, 0, 1))
+
+    def uniform(d):
+        rows = [[[rng.randrange(x) for _ in range(n)] for x in p.q_chain] for _ in range(d)]
+        return bfv.Ciphertext(np.array(rows, dtype=np.int64))
+
+    return {
+        "fresh": fresh,
+        "fresh public-key": cloud.encrypt([rng.randrange(t) for _ in range(n)]),
+        "degree 3": be.mul_no_relin(fresh, fresh),
+        "rotated": be.rotate(fresh, 1),
+        "uniform": uniform(2),
+        "uniform degree 3": uniform(3),
+        "eval q-1": bfv.Ciphertext(np.broadcast_to(col - 1, (2, len(col), n)).copy()),
+        "edges": phase_ct(lambda: rng.choice((0, 1, q - 1, q // 2, q // 2 + 1))),
+        "rounding": phase_ct(boundary),
+    }
+
+
+@pytest.mark.parametrize("basis", sorted(MUL_BASES))
+def test_noise_matches_big_integer_reference(basis):
+    """Decryption's int64 (m, largest |noise|) and the noise budget are
+    bit-equal to the big-integer lift."""
+    params = MUL_BASES[basis]()
+    keys = bfv.keygen(params, rotation_steps=(1,), row_swap=False, rng=np.random.default_rng(44))
+    be = bfv.BfvBackend(params, keys, rng=np.random.default_rng(45))
+    for name, ct in _decrypt_operands(be, random.Random(46)).items():
+        m, worst = be._noise(ct)
+        want_m, want_worst = reference_noise(be, ct)
+        assert (m.tolist(), worst) == (want_m, want_worst), name
+        assert isinstance(worst, int)
+        budget = math.log2(params.big_q) - math.log2(2 * params.t) - math.log2(max(want_worst, 1))
+        assert be.noise_budget(ct) == budget, name
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,7 @@ def test_cli_rep_file_workflow(tmp_path, capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "accept" in out and "344" in out  # sum of (x_i + y_i)^2
+    assert "security below 128-bit (test only)" in out  # keygen states the level
 
     # a result produced by a different circuit must not verify
     other = tmp_path / "other.json"
