@@ -43,7 +43,9 @@ the safe quarter-interval, instead of silently returning corrupted slots.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
+import platform
 import secrets
 from dataclasses import dataclass
 from functools import lru_cache
@@ -380,6 +382,31 @@ def keygen(
 # the backend
 # ---------------------------------------------------------------------------
 
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@lru_cache(maxsize=None)
+def _keep_freed_memory() -> None:
+    """Let glibc's heap keep ciphertext-sized blocks once they are freed.
+
+    A (2, k, n) stack is 0.45 MB at n4096, above glibc's initial 128 KiB
+    mmap threshold.  Left to itself, glibc maps such a block afresh (its
+    pages fault in on first touch and go back on free) until some larger
+    mapped block is freed, then raises the threshold and returns the heap's
+    free top to the system past twice that size.  How many of an operation's
+    arrays fault in thus depends on what the process freed before, and a
+    job's cost moved with it.  Fixed thresholds end both: blocks under
+    32 MiB come from the heap, and up to 256 MiB of free top is kept for
+    the next operation to reuse.  Other C libraries are left as they are.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
 
 class BfvBackend:
     """Operation surface over one key set (secret key optional)."""
@@ -389,6 +416,7 @@ class BfvBackend:
     def __init__(self, params: Params, keys: KeySet, rng=None):
         if keys.params != params:
             raise ParameterError("key set was generated for different parameters")
+        _keep_freed_memory()
         self.params = params
         self.keys = keys
         self._gen = rng if rng is not None else np.random.default_rng(

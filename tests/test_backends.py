@@ -4,7 +4,9 @@ interpreter on seeded random programs."""
 
 import hashlib
 import math
+import platform
 import random
+import resource
 
 import numpy as np
 import pytest
@@ -356,6 +358,20 @@ def test_presets_state_their_security_level():
     prod = preset("n32768_prod").describe()
     assert prod.endswith("128-bit") and "below" not in prod
 
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's thresholds only")
+def test_freed_ciphertext_memory_is_reused(real):
+    """Once a backend exists, ciphertext-sized arrays freed by one round of
+    work come back from the heap for the next: no fresh page faults in."""
+    def round_trip():
+        arrays = [np.ones((2, 7, 4096), dtype=np.int64) for _ in range(32)]  # n4096 size
+        del arrays
+
+    round_trip()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    round_trip()
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
 def test_real_linear_ops_match_per_prime_reference(real):
     """The broadcast (k, 1)-modulus arithmetic equals a per-prime loop."""
