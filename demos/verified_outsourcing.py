@@ -17,12 +17,11 @@ from vhe.params import preset
 from vhe.pe import pe_auth, pe_eval, pe_keygen
 from vhe.protocols import (
     TAG_PP_RESPONSE,
-    ReqClientSession,
     ReqCloudSession,
+    client_session,
+    cloud_reply,
     pack_cts,
-    pp_prove,
     pp_required_steps,
-    pp_verify,
     run_session,
     unpack_cts,
 )
@@ -74,22 +73,13 @@ def main():
     def cloud_fn(ep):
         reducer = ReqCloudSession(backend, ep)
         result = pe_eval(prog, [auth], backend, reducer=reducer)
-        pp_prove(backend, result, ep)
+        cloud_reply(backend, result, ep, pp=True)
         return result, reducer.rounds, ep.transcript
 
     def client_fn(ep):
-        session = ReqClientSession(secret, backend, prog, rng=random.Random(SEED + 1))
-        session.serve(ep)
-        ok, m = pp_verify(
-            secret,
-            backend,
-            prog,
-            ep,
-            offset=session.final_offset(),
-            rng=random.Random(SEED + 2),
-            used_reducer=True,
+        return client_session(
+            secret, backend, prog, ep, req=True, pp=True, rng=random.Random(SEED + 1)
         )
-        return ok, m
 
     (result, rounds, tr), (ok, m) = run_session(cloud_fn, client_fn)
     print(f"\nreduction rounds: {rounds} (each ships 2 + 2 ciphertexts)")
@@ -104,7 +94,7 @@ def main():
     def lying_cloud_fn(ep):
         reducer = ReqCloudSession(backend, ep)
         result = pe_eval(prog, [auth], backend, reducer=reducer)
-        pp_prove(backend, result, _LyingCloud(ep, backend))
+        cloud_reply(backend, result, _LyingCloud(ep, backend), pp=True)
 
     _, (ok2, _) = run_session(lying_cloud_fn, client_fn)
     print(f"\nwith a tampered proof response: {'ACCEPT' if ok2 else 'REJECT'}")

@@ -213,15 +213,9 @@ def _pointwise(a, b, q):
 @dataclass(frozen=True)
 class Ciphertext:
     """(c₀, …, c_d) as one (d+1, k, n) evaluation-domain residue stack;
-    decrypts under (1, s, …, s^d).
-
-    `mul_depth` counts ciphertext-ciphertext multiplication levels for
-    diagnostics; correctness is enforced by measured noise at decryption,
-    not by this counter.
-    """
+    decrypts under (1, s, …, s^d)."""
 
     data: np.ndarray
-    mul_depth: int = 0
 
     @property
     def degree(self) -> int:
@@ -603,7 +597,7 @@ class BfvBackend:
         d = max(a.degree, b.degree)
         out = op(self._padded(a.data, d), self._padded(b.data, d))
         out %= self._q
-        return Ciphertext(out, max(a.mul_depth, b.mul_depth))
+        return Ciphertext(out)
 
     def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         return self._combine(np.add, a, b)
@@ -614,13 +608,13 @@ class BfvBackend:
     def neg(self, a: Ciphertext) -> Ciphertext:
         out = np.negative(a.data)
         out %= self._q
-        return Ciphertext(out, a.mul_depth)
+        return Ciphertext(out)
 
     def mul_plain(self, a: Ciphertext, const_slots) -> Ciphertext:
         if len(const_slots) != self.params.n:
             raise ParameterError("constant vector must cover every slot")
         c = self._encode_residues(const_slots)
-        return Ciphertext(_pointwise(a.data, c, self._q), a.mul_depth)
+        return Ciphertext(_pointwise(a.data, c, self._q))
 
     # ---- multiplication -------------------------------------------------------
 
@@ -662,8 +656,7 @@ class BfvBackend:
         y = z[:, k:] - ext.to_aux(z[:, :k], centred=False)
         y *= ext.q_inv
         y %= qe[k:]
-        depth = max(a.mul_depth, b.mul_depth) + 1
-        return Ciphertext(stack_ntt(ext.to_chain(y, centred=True), self.mods), depth)
+        return Ciphertext(stack_ntt(ext.to_chain(y, centred=True), self.mods))
 
     def _apply_ks(self, coeff: np.ndarray, ks: np.ndarray) -> np.ndarray:
         """Key-switch the coefficient-domain target with one RNS digit per
@@ -694,7 +687,7 @@ class BfvBackend:
         out = self._apply_ks(stack_intt(ct.data[2], self.mods), self.keys.rlk)
         out += ct.data[:2]
         out %= self._q
-        return Ciphertext(out, ct.mul_depth)
+        return Ciphertext(out)
 
     def mul(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         return self.relinearize(self.mul_no_relin(a, b))
@@ -713,7 +706,7 @@ class BfvBackend:
         out = self._apply_ks(stack_intt(c1, self.mods), self.keys.gks[g])
         out[0] += c0
         out[0] %= self._q
-        return Ciphertext(out, ct.mul_depth)
+        return Ciphertext(out)
 
     def rotate(self, ct: Ciphertext, step: int) -> Ciphertext:
         row = self.params.n // 2

@@ -25,6 +25,10 @@ Strategies:
   the packed-proof response ciphertext after honest proving.
 - ``tamper-req-message``: perturb a high-degree component in flight during a
   re-quadratization round, then finish the protocol honestly.
+
+The last two run the real verified session: the cloud's outgoing message
+is perturbed around ``pp_prove`` or ``ReqCloudSession``, and the client is
+``protocols.client_session``.
 """
 
 from __future__ import annotations
@@ -52,17 +56,14 @@ from ..pe import (
     pe_verify,
 )
 from ..protocols import (
-    TAG_PP_CHALLENGE,
-    TAG_PP_RESULT,
     TAG_PP_RESPONSE,
     TAG_REQ_HIGH_TERMS,
-    ReqClientSession,
     ReqCloudSession,
-    memory_channel,
+    client_session,
+    cloud_reply,
     pack_cts,
     pp_prove,
     pp_required_steps,
-    pp_verify,
     run_session,
     unpack_cts,
 )
@@ -154,32 +155,54 @@ class AttackReport:
         )
 
 
-def _one_hot(n: int, slot: int, value: int):
-    vec = [0] * n
-    vec[slot] = value
-    return vec
-
-
-def _dot_program(width: int, l: int, name: str = "attack-dot") -> Program:
-    b = ProgramBuilder(width, name=name)
-    x = b.input("x")
-    y = b.input("y")
-    return b.build(b.inner_sum(b.mul(x, y), l), output_block=(0, 1))
-
-
-def _pe_program(width: int, degree: int, l: int) -> Program:
-    """A program whose result encoding has exactly the requested degree."""
+def _program(width: int, l: int, degree: int = 2, scale: int = 1, inputs=("x", "y")) -> Program:
+    """The attacked program: x·y (x + y at degree 1) squared until the
+    encoding reaches `degree`, times `scale`, summed over `l` slots.
+    Naming one input twice evaluates x·x."""
     if degree not in (1, 2, 4, 8):
         raise ParameterError(f"attack degree must be 1, 2, 4, or 8, got {degree}")
     b = ProgramBuilder(width, name=f"attack-deg{degree}")
-    x = b.input("x")
-    y = b.input("y")
+    wires = {name: b.input(name) for name in dict.fromkeys(inputs)}
+    x, y = (wires[name] for name in inputs)
     w = b.add(x, y) if degree == 1 else b.mul(x, y)
     d = min(degree, 2)
     while d < degree:
         w = b.mul(w, w)
         d *= 2
+    if scale != 1:
+        w = b.mul_plain(w, [scale] * width)
     return b.build(b.inner_sum(w, l), output_block=(0, 1))
+
+
+class _TamperedSends:
+    """Endpoint wrapper: before the `hit`-th outgoing message with `tag`
+    leaves, one of its ciphertexts, drawn at random, gains an encryption of
+    a random nonzero value at one slot below `slots`."""
+
+    def __init__(self, inner, backend, rng, tag: int, hit: int, slots: int):
+        self.inner = inner
+        self.backend = backend
+        self.rng = rng
+        self.tag = tag
+        self.hit = hit
+        self.slots = slots
+        self.seen = 0
+
+    def send(self, tag, payload):
+        if tag == self.tag:
+            if self.seen == self.hit:
+                b, rng = self.backend, self.rng
+                cts = unpack_cts(payload)
+                i = rng.randrange(len(cts))
+                vec = [0] * b.params.n
+                vec[rng.randrange(self.slots)] = rng.randrange(1, b.params.t)
+                cts[i] = b.add(cts[i], b.encrypt(vec))
+                payload = pack_cts(cts)
+            self.seen += 1
+        self.inner.send(tag, payload)
+
+    def recv(self):
+        return self.inner.recv()
 
 
 def _agg_program(width: int, k: int, drop: int | None = None) -> Program:
@@ -202,7 +225,7 @@ class _RepWorld:
         width = self.n // self.lam
         self.l = min(4, width // 2)
         rng = random.Random(spec.seed)
-        self.program = _dot_program(width, self.l)
+        self.program = _program(width, self.l)
         self.agg_full = _agg_program(width, 3)
         self.secret = rep_keygen(
             self.params,
@@ -237,10 +260,6 @@ class _RepWorld:
         return rep_verify(
             self.secret, self.client, self.program, result, claim, self.lengths
         )
-
-
-def _dot_program_width(world: _RepWorld) -> int:
-    return world.program.width
 
 
 def _setup_rep(spec: AttackSpec):
@@ -280,14 +299,11 @@ def _setup_rep(spec: AttackSpec):
         return trial, float(t) ** -(lam // 2)
 
     if strategy == "wrong-circuit":
-        width = _dot_program_width(world)
+        width = world.program.width
 
         def trial(rng: random.Random) -> bool:
             backend = world._backend(rng)
-            b = ProgramBuilder(width, name="attack-dot")
-            x, y = b.input("x"), b.input("y")
-            scaled = b.mul_plain(b.mul(x, y), [rng.randrange(2, t)] * width)
-            other = b.build(b.inner_sum(scaled, world.l), output_block=(0, 1))
+            other = _program(width, world.l, scale=rng.randrange(2, t))
             res = rep_eval(other, world.auths, backend, lam=lam)
             claim = rep_decode(world.secret, backend, res, other)
             return world.verify(res, claim)  # presented as the original program
@@ -295,8 +311,10 @@ def _setup_rep(spec: AttackSpec):
         return trial, 0.0  # digest collision: collision-resistance of the hash
 
     if strategy == "drop-input":
-        width = _dot_program_width(world)
+        width = world.program.width
         params, real = world.params, spec.real
+        full = world.agg_full
+        dropped = _agg_program(width, 3, drop=2)
 
         def trial(rng: random.Random) -> bool:
             # fresh keys per trial: acceptance depends only on the PRF draw
@@ -304,8 +322,6 @@ def _setup_rep(spec: AttackSpec):
                 params, lam=lam, programs=(), rng=rng, make_he_keys=False
             )
             backend = MockBackend(params, rng=rng)
-            full = _agg_program(width, 3)
-            dropped = _agg_program(width, 3, drop=2)
             vals = [[rng.randrange(t) for _ in range(world.l)] for _ in range(3)]
             auths = [
                 rep_auth(secret, backend, v, f"in{i}") for i, v in enumerate(vals)
@@ -336,7 +352,7 @@ class _PeWorld:
         self.t, self.n = self.params.t, self.params.n
         self.l = min(4, self.n // 2)
         rng = random.Random(spec.seed)
-        self.program = _pe_program(self.n, spec.degree, self.l)
+        self.program = _program(self.n, self.l, spec.degree)
         needs_pp = spec.strategy == "tamper-pp-response"
         self.secret = pe_keygen(
             self.params,
@@ -359,16 +375,24 @@ class _PeWorld:
             return bfv.BfvBackend(self.params, self.secret.he_keys, rng=np.random.default_rng(rng.getrandbits(64)))
         return MockBackend(self.params, rng=rng)
 
-    def claim_of(self, result: PeAuth, backend):
+    def verify(self, result: PeAuth) -> bool:
+        """The client's verdict on `result`, claiming what its c_0 holds."""
         start, count = self.program.output_block
-        m = backend.decrypt(result.cts[0])
-        return m[start : start + count]
+        claim = self.client.decrypt(result.cts[0])[start : start + count]
+        return pe_verify(self.secret, self.client, self.program, result, claimed=claim)
 
-    def verify(self, result, claim, offset=None) -> bool:
-        return pe_verify(
-            self.secret, self.client, self.program, result,
-            claimed=claim, offset=offset,
+    def session(self, rng, cloud_fn, req: bool, pp: bool) -> bool:
+        """The client's verdict in one verified session against `cloud_fn`.
+        The client's generator is drawn before the session starts, so the
+        cloud thread alone draws from `rng` after that."""
+        client_rng = random.Random(rng.getrandbits(64))
+        _, (ok, _) = run_session(
+            cloud_fn,
+            lambda ep: client_session(
+                self.secret, self.client, self.program, ep, req, pp, rng=client_rng
+            ),
         )
+        return ok
 
 
 def _setup_pe(spec: AttackSpec):
@@ -398,8 +422,7 @@ def _setup_pe(spec: AttackSpec):
                 for slot in rng.sample(range(n), k):
                     vec[slot] = rng.randrange(1, t)
                 cts[i] = backend.add(cts[i], backend.encrypt(vec))
-            bad = PeAuth(tuple(cts))
-            return world.verify(bad, world.claim_of(bad, world.client))
+            return world.verify(PeAuth(tuple(cts)))
 
         return trial, bound
 
@@ -407,34 +430,17 @@ def _setup_pe(spec: AttackSpec):
 
         def trial(rng: random.Random) -> bool:
             backend = world._backend(rng)
-            b = ProgramBuilder(n, name=f"attack-deg{d}")
-            x, y = b.input("x"), b.input("y")
-            w = b.add(x, y) if d == 1 else b.mul(x, y)
-            dd = min(d, 2)
-            while dd < d:
-                w = b.mul(w, w)
-                dd *= 2
-            w = b.mul_plain(w, [rng.randrange(2, t)] * n)
-            other = b.build(b.inner_sum(w, world.l), output_block=(0, 1))
-            res = pe_eval(other, world.auths, backend)
-            return world.verify(res, world.claim_of(res, world.client))
+            other = _program(n, world.l, d, scale=rng.randrange(2, t))
+            return world.verify(pe_eval(other, world.auths, backend))
 
         return trial, bound
 
     if strategy == "drop-input":
+        solo = _program(n, world.l, d, inputs=("x", "x"))  # x·x instead of x·y
 
         def trial(rng: random.Random) -> bool:
             backend = world._backend(rng)
-            b = ProgramBuilder(n, name=world.program.name)
-            x = b.input("x")  # evaluates x·x instead of x·y
-            w = b.add(x, x) if d == 1 else b.mul(x, x)
-            dd = min(d, 2)
-            while dd < d:
-                w = b.mul(w, w)
-                dd *= 2
-            solo = b.build(b.inner_sum(w, world.l), output_block=(0, 1))
-            res = pe_eval(solo, [world.auths[0]], backend)
-            return world.verify(res, world.claim_of(res, world.client))
+            return world.verify(pe_eval(solo, [world.auths[0]], backend))
 
         return trial, bound
 
@@ -447,32 +453,12 @@ def _setup_pe(spec: AttackSpec):
             backend = world._backend(rng)
 
             def cloud_fn(ep):
-                ep.send(TAG_PP_RESULT, pack_cts([honest.cts[0]]))
-                tag, payload = ep.recv()
-                if tag != TAG_PP_CHALLENGE:
-                    raise AssertionError
-                # honest packing over a scratch replay of the challenge; past
-                # the prover's c_0 commitment, flip one of the slots 0 … d + 1
-                # that the verifier reads
-                a, b = memory_channel()
-                b.send(TAG_PP_CHALLENGE, payload)
-                pp_prove(backend, honest, a)
-                b.recv()
-                _, resp = b.recv()
-                (packed,) = unpack_cts(resp)
-                vec = _one_hot(n, rng.randrange(honest.degree + 2), rng.randrange(1, t))
-                tampered = backend.add(packed, backend.encrypt(vec))
-                ep.send(TAG_PP_RESPONSE, pack_cts([tampered]))
+                # honest proving; one of the slots 0 … d + 1 the verifier
+                # reads is perturbed in the response, past the c_0 commitment
+                tampered = _TamperedSends(ep, backend, rng, TAG_PP_RESPONSE, 0, d + 2)
+                pp_prove(backend, honest, tampered)
 
-            def client_fn(ep):
-                ok, _ = pp_verify(
-                    world.secret, world.client, world.program, ep,
-                    rng=random.Random(rng.getrandbits(64)),
-                )
-                return ok
-
-            _, ok = run_session(cloud_fn, client_fn)
-            return ok
+            return world.session(rng, cloud_fn, req=False, pp=True)
 
         return trial, bound
 
@@ -488,42 +474,14 @@ def _setup_pe(spec: AttackSpec):
             backend = world._backend(rng)
             hit = rng.randrange(len(schedule))
 
-            class TamperingEndpoint:
-                """Perturbs one outgoing high-terms message."""
-
-                def __init__(self, inner):
-                    self.inner = inner
-                    self.round = 0
-
-                def send(self, tag, payload):
-                    if tag == TAG_REQ_HIGH_TERMS:
-                        if self.round == hit:
-                            cts = unpack_cts(payload)
-                            i = rng.randrange(len(cts))
-                            vec = _one_hot(n, rng.randrange(n), rng.randrange(1, t))
-                            cts[i] = backend.add(cts[i], backend.encrypt(vec))
-                            payload = pack_cts(cts)
-                        self.round += 1
-                    self.inner.send(tag, payload)
-
-                def recv(self):
-                    return self.inner.recv()
-
             def cloud_fn(ep):
-                reducer = ReqCloudSession(backend, TamperingEndpoint(ep))
-                return pe_eval(world.program, world.auths, backend, reducer=reducer)
+                # one round's high terms perturbed in flight, the rest honest
+                tampered = _TamperedSends(ep, backend, rng, TAG_REQ_HIGH_TERMS, hit, n)
+                reducer = ReqCloudSession(backend, tampered)
+                result = pe_eval(world.program, world.auths, backend, reducer=reducer)
+                cloud_reply(backend, result, ep, pp=False)
 
-            def client_fn(ep):
-                session = ReqClientSession(
-                    world.secret, world.client, world.program,
-                    rng=random.Random(rng.getrandbits(64)),
-                )
-                session.serve(ep)
-                return session
-
-            result, session = run_session(cloud_fn, client_fn)
-            claim = world.claim_of(result, world.client)
-            return world.verify(result, claim, offset=session.final_offset())
+            return world.session(rng, cloud_fn, req=True, pp=False)
 
         return trial, bound
 

@@ -17,11 +17,14 @@ Four workload shapes, each with a pure-Python oracle:
 
 A run always executes the unauthenticated pipeline first (same seed, same
 parameters) so every report carries ratios against its own baseline, then
-the authenticated pipeline for ``auth`` ∈ {none, rep, pe, pe+pp, pe+req}.
-Stage accounting groups work the way deployment would bill it: *create* is
-the data owner's key generation plus authentication, *eval* is the cloud's
-circuit execution (including any reduction interaction), *verify* is the
-decrypting client's checks (including the packed-proof interaction).
+the authenticated pipeline for ``auth`` ∈ {rep, pe, pe+pp, pe+req}; under
+``none`` the baseline is the run.  The PE modes run one verified session
+(``protocols.cloud_reply`` against ``protocols.client_session``).  Stage
+accounting groups work the way deployment would bill it: *create* is the
+data owner's key generation plus authentication, *eval* is the cloud's
+circuit execution up to the return of ``pe_eval`` (including any reduction
+interaction), *verify* is the rest: the result or packed-proof exchange and
+the decrypting client's checks.
 """
 
 from __future__ import annotations
@@ -38,13 +41,12 @@ from ..circuit import Program, ProgramBuilder, eval_he, required_rotation_steps
 from ..errors import LayoutError, ParameterError
 from ..mock import MockBackend
 from ..params import Params, preset
-from ..pe import degree_schedule, final_offset, pe_auth, pe_eval, pe_keygen, pe_verify
+from ..pe import degree_schedule, pe_auth, pe_eval, pe_keygen
 from ..protocols import (
-    ReqClientSession,
     ReqCloudSession,
-    pp_prove,
+    client_session,
+    cloud_reply,
     pp_required_steps,
-    pp_verify,
     run_session,
 )
 from ..rep import rep_auth, rep_decode, rep_eval, rep_keygen, rep_verify
@@ -536,8 +538,8 @@ def run_usecase(spec: UseCaseSpec, auth: str = "none", real: bool = False) -> Us
     interactive_sent = 0
     rng = random.Random(spec.seed ^ 0xA5A5A5)
 
-    if auth == "none":
-        stages, answer = _run_baseline(inst, params, real, spec.seed)
+    if auth == "none":  # the baseline already ran this very pipeline
+        stages, answer = baseline_stages, base_answer
         sent, received = 1, 1
         notes.append("no authenticator: result correctness is not verified")
     elif auth == "rep":
@@ -565,7 +567,7 @@ def run_usecase(spec: UseCaseSpec, auth: str = "none", real: bool = False) -> Us
         sent = auths[inst.client_input].num_cts
         received = len(result.cts)
         stages = timer.stages
-    else:  # pe family
+    else:  # pe family: one verified session
         use_pp = auth == "pe+pp"
         use_req = auth == "pe+req"
         with timer.stage("create"):
@@ -582,71 +584,32 @@ def run_usecase(spec: UseCaseSpec, auth: str = "none", real: bool = False) -> Us
                 pe_auth(secret, client, _pad(v, n), label)
                 for v, label in zip(inst.values, inst.labels)
             ]
+        evaluated: list[float] = []
+
+        def cloud_fn(ep):
+            reducer = ReqCloudSession(cloud, ep) if use_req else None
+            res = pe_eval(inst.program, auths, cloud, reducer=reducer)
+            evaluated.append(time.perf_counter())
+            cloud_reply(cloud, res, ep, use_pp)
+            return res, reducer.rounds if use_req else None, ep.transcript
+
+        def client_fn(ep):
+            return client_session(
+                secret, client, inst.program, ep, use_req, use_pp,
+                rng=random.Random(spec.seed ^ 0xC11E),
+            )
+
+        t0 = time.perf_counter()
+        (result, req_rounds, tr), (verdict, m) = run_session(cloud_fn, client_fn)
         start, count = inst.program.output_block
-        offset = None
-        if use_req:
-            with timer.stage("eval"):
-
-                def cloud_fn(ep):
-                    reducer = ReqCloudSession(cloud, ep)
-                    res = pe_eval(inst.program, auths, cloud, reducer=reducer)
-                    return res, reducer.rounds, ep.transcript
-
-                def client_fn(ep):
-                    session = ReqClientSession(
-                        secret, client, inst.program, rng=random.Random(spec.seed ^ 0xC11E)
-                    )
-                    session.serve(ep)
-                    return session
-
-                (result, req_rounds, tr), session = run_session(cloud_fn, client_fn)
-            # a failed round raises from final_offset() only after verification
-            offset = final_offset(secret, inst.program, session.omega)
-            interactive_sent = tr.cts_received()  # client-sent = cloud-received
-            received_extra = tr.cts_sent()  # high terms shipped to the client
-        else:
-            with timer.stage("eval"):
-                result = pe_eval(inst.program, auths, cloud)
-            received_extra = 0
+        answer = inst.decode(m[start : start + count])
+        # eval ends when the cloud's pe_eval returns; verify is the rest
+        (t_eval,) = evaluated
+        stages = dict(timer.stages, eval=t_eval - t0, verify=time.perf_counter() - t_eval)
         result_degree = result.degree
-        if use_pp:
-            with timer.stage("verify"):
-
-                def pp_cloud(ep):
-                    pp_prove(cloud, result, ep)
-                    return ep.transcript
-
-                def pp_client(ep):
-                    return pp_verify(
-                        secret,
-                        client,
-                        inst.program,
-                        ep,
-                        offset=offset,
-                        rng=random.Random(spec.seed ^ 0xBEEF),
-                    )
-
-                tr, (verdict, m) = run_session(pp_cloud, pp_client)
-                answer = inst.decode(m[start : start + count])
-            received = tr.cts_sent() + received_extra
-        else:
-            with timer.stage("verify"):
-                m = client.decrypt(result.cts[0])
-                claim = m[start : start + count]
-                verdict = pe_verify(
-                    secret,
-                    client,
-                    inst.program,
-                    result,
-                    claimed=claim,
-                    offset=offset,
-                )
-                answer = inst.decode(claim)
-            received = len(result.cts) + received_extra
-        if use_req:
-            session.final_offset()
         sent = len(auths[inst.client_input].cts)
-        stages = timer.stages
+        received = tr.cts_sent()  # everything the cloud sent the client
+        interactive_sent = tr.cts_received()  # the blinded ReQ terms
 
     stages = {k: stages.get(k, 0.0) for k in ("create", "eval", "verify")}
     baseline_stages = {k: baseline_stages.get(k, 0.0) for k in ("create", "eval", "verify")}

@@ -25,6 +25,12 @@ degree 2, the cloud sends the two high components (y_3, y_4), the client
 returns blinded replacements folded into components 1 and 2, and the
 verification offset picks up α·r̄ for that gate.  Four ciphertexts cross
 the wire per round; component 0 — the data — is never touched.
+
+One verified session is the pair `cloud_reply` (after `pe_eval`, with a
+ReqCloudSession as its reducer for ReQ) and `client_session`; the use
+cases, the CLI and the attack simulator all run it.  A received message
+with the wrong tag or the wrong number of ciphertexts aborts the session
+with ProtocolError.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from .circuit import Program, eval_challenge_pe
 from .errors import (
     DecryptionFailureError, ParameterError, ProtocolError, SerializationError, StructureError,
 )
-from .pe import PeAuth, PeSecret, degree_schedule, final_offset, offset_walk
+from .pe import PeAuth, PeSecret, degree_schedule, final_offset, offset_walk, pe_verify
 from .ring import slot_poly_eval
 from .serialize import load_ciphertext, save_ciphertext
 
@@ -83,11 +89,14 @@ def pack_cts(cts) -> bytes:
     return bytes(out)
 
 
-def unpack_cts(payload: bytes):
-    """The ciphertexts of one message; a malformed payload raises only
+def unpack_cts(payload: bytes, count: int | None = None):
+    """The ciphertexts of one message; a malformed payload, or one that does
+    not carry exactly `count` ciphertexts when `count` is given, raises only
     ProtocolError."""
     if not payload:
         raise ProtocolError("empty ciphertext payload")
+    if count is not None and payload[0] != count:
+        raise ProtocolError(f"expected {count} ciphertext(s), got {payload[0]}")
     off = 1
     cts = []
     try:
@@ -99,6 +108,17 @@ def unpack_cts(payload: bytes):
     if off != len(payload):
         raise ProtocolError("trailing bytes after ciphertexts")
     return cts
+
+
+def _recv(endpoint, tag: int) -> bytes:
+    """The payload of the next message, which must carry `tag`."""
+    got, payload = endpoint.recv()
+    if got != tag:
+        raise ProtocolError(
+            f"protocol order violated: expected {TAG_NAMES[tag]}, "
+            f"got {TAG_NAMES.get(got, got)}; session aborted"
+        )
+    return payload
 
 
 def message_ct_count(tag: int, payload: bytes) -> int:
@@ -310,12 +330,7 @@ def pp_prove(backend, result: PeAuth, endpoint):
     if width > row:
         raise ParameterError(f"degree {d} does not fit the packing layout")
     endpoint.send(TAG_PP_RESULT, pack_cts([result.cts[0]]))
-    tag, payload = endpoint.recv()
-    if tag != TAG_PP_CHALLENGE:
-        raise ProtocolError(
-            f"expected the challenge, got {TAG_NAMES.get(tag, tag)}; aborting"
-        )
-    delta, beta = struct.unpack("<QQ", payload)
+    delta, beta = struct.unpack("<QQ", _recv(endpoint, TAG_PP_CHALLENGE))
     pows = [pow(delta, j, t) for j in range(n)]
     level = [backend.mul_plain(c, pows) for c in result.cts]
     packed = None
@@ -363,7 +378,8 @@ def pp_verify(
 
     Returns (accepted, claimed result slots).  The session aborts with
     ProtocolError if the cloud deviates from the message order — in
-    particular if it asks for the challenge before committing to c_0.
+    particular if it asks for the challenge before committing to c_0 — or
+    sends other than one ciphertext in the commitment or the response.
 
     A commitment or response that fails to decrypt is rejected only after
     the last receive: in its place the session continues with uniform
@@ -379,24 +395,13 @@ def pp_verify(
 
     t = secret.params.t
     rnd = rng if rng is not None else random.Random(_secrets.randbits(128))
-    tag, payload = endpoint.recv()
-    if tag != TAG_PP_RESULT:
-        raise ProtocolError(
-            "protocol order violated: expected the result commitment first, "
-            f"got {TAG_NAMES.get(tag, tag)}; session aborted"
-        )
     failures: list[str] = []
-    (m1,) = unpack_cts(payload)
+    (m1,) = unpack_cts(_recv(endpoint, TAG_PP_RESULT), 1)
     m = _decrypt_or_stand_in(backend, m1, failures)
     delta = rnd.randrange(t)
     beta = rnd.randrange(t)
     endpoint.send(TAG_PP_CHALLENGE, struct.pack("<QQ", delta, beta))
-    tag, payload = endpoint.recv()
-    if tag != TAG_PP_RESPONSE:
-        raise ProtocolError(
-            f"expected the packed response, got {TAG_NAMES.get(tag, tag)}"
-        )
-    (m2,) = unpack_cts(payload)
+    (m2,) = unpack_cts(_recv(endpoint, TAG_PP_RESPONSE), 1)
     w = _decrypt_or_stand_in(backend, m2, failures)
     if failures:
         return fail(f"a received ciphertext failed to decrypt: {failures[0]}")
@@ -445,12 +450,7 @@ class ReqCloudSession:
         c3 = comps[3]
         c4 = comps[4] if d == 4 else b.encrypt_zero()
         self.endpoint.send(TAG_REQ_HIGH_TERMS, pack_cts([c3, c4]))
-        tag, payload = self.endpoint.recv()
-        if tag != TAG_REQ_BLINDED:
-            raise ProtocolError(
-                f"expected blinded terms, got {TAG_NAMES.get(tag, tag)}"
-            )
-        e1, e2 = unpack_cts(payload)
+        e1, e2 = unpack_cts(_recv(self.endpoint, TAG_REQ_BLINDED), 2)
         self.rounds += 1
         return (comps[0], b.add(comps[1], e1), b.add(comps[2], e2))
 
@@ -490,7 +490,8 @@ class ReqClientSession:
         alpha = self.secret.alpha
         gate = self.schedule[self.round]
         y3, y4 = (
-            _decrypt_or_stand_in(self.backend, c, self.failures) for c in unpack_cts(payload)
+            _decrypt_or_stand_in(self.backend, c, self.failures)
+            for c in unpack_cts(payload, 2)
         )
         _, _, naturals = offset_walk(
             self.program, self.secret.key, t, alpha, self.omega
@@ -517,12 +518,7 @@ class ReqClientSession:
     def serve(self, endpoint):
         """Answer exactly the rounds the program's schedule calls for."""
         for _ in range(self.expected_rounds):
-            tag, payload = endpoint.recv()
-            if tag != TAG_REQ_HIGH_TERMS:
-                raise ProtocolError(
-                    f"expected high terms, got {TAG_NAMES.get(tag, tag)}"
-                )
-            endpoint.send(TAG_REQ_BLINDED, self.respond(payload))
+            endpoint.send(TAG_REQ_BLINDED, self.respond(_recv(endpoint, TAG_REQ_HIGH_TERMS)))
 
     def final_offset(self) -> list[int]:
         """The verification offset; raises DecryptionFailureError if any
@@ -534,3 +530,57 @@ class ReqClientSession:
                 f"{self.failures[0]}"
             )
         return final_offset(self.secret, self.program, self.omega)
+
+
+# ---------------------------------------------------------------------------
+# one verified session
+# ---------------------------------------------------------------------------
+
+
+def cloud_reply(backend, result: PeAuth, endpoint, pp: bool):
+    """Cloud side of a session's close: the packed proof if `pp`, otherwise
+    every component of `result` in one result message."""
+    if pp:
+        pp_prove(backend, result, endpoint)
+    else:
+        endpoint.send(TAG_RESULT, pack_cts(list(result.cts)))
+
+
+def client_session(
+    secret: PeSecret, backend, program: Program, endpoint,
+    req: bool, pp: bool, rng=None, reason: list | None = None,
+) -> tuple:
+    """Client side of one verified session, the twin of a cloud that runs
+    `pe_eval` (with a ReqCloudSession if `req`) and then `cloud_reply`:
+    serve the ReQ rounds if `req`, then check the packed proof if `pp` or
+    the shipped result otherwise.  Returns (accepted, slots of c_0).
+
+    A result message must carry exactly the d + 1 components of the
+    program's degree schedule.  The offset comes from the recorded blinds,
+    which a failed round also records, and `final_offset()` raises
+    DecryptionFailureError for a round whose high terms did not decrypt
+    only once verification has received its last message, so nothing the
+    client sends depends on that failure.
+    """
+    session = offset = None
+    if req:
+        session = ReqClientSession(secret, backend, program, rng=rng)
+        session.serve(endpoint)
+        offset = final_offset(secret, program, session.omega)
+    if pp:
+        ok, m = pp_verify(
+            secret, backend, program, endpoint,
+            offset=offset, rng=rng, reason=reason, used_reducer=req,
+        )
+    else:
+        d, _ = degree_schedule(program, use_reducer=req)
+        result = PeAuth(tuple(unpack_cts(_recv(endpoint, TAG_RESULT), d + 1)))
+        m = backend.decrypt(result.cts[0])
+        start, count = program.output_block
+        ok = pe_verify(
+            secret, backend, program, result,
+            claimed=m[start : start + count], offset=offset, reason=reason,
+        )
+    if session is not None and session.failures:
+        session.final_offset()  # raises, now that the last message is in
+    return ok, m

@@ -188,20 +188,15 @@ def rep_eval(program: Program, auths, backend, lam: int) -> RepResult:
     if any(a.lam != lam for a in auths):
         raise ParameterError("mixed replication factors")
     counts = {a.num_cts for a in auths}
-    if counts == {1}:
-        out_cts = (eval_he(program, [a.cts[0] for a in auths], backend, stride=lam),)
-    else:
-        if len(counts) != 1:
-            raise LayoutError("inputs span different ciphertext counts")
-        if not program.add_sub_only:
-            raise LayoutError(
-                "multi-ciphertext evaluation supports add/sub only"
-            )
-        m = counts.pop()
-        out_cts = tuple(
-            eval_he(program, [a.cts[c] for a in auths], backend, stride=lam)
-            for c in range(m)
-        )
+    if len(counts) != 1:
+        raise LayoutError("inputs span different ciphertext counts")
+    (m,) = counts
+    if m != 1 and not program.add_sub_only:
+        raise LayoutError("multi-ciphertext evaluation supports add/sub only")
+    out_cts = tuple(
+        eval_he(program, [a.cts[c] for a in auths], backend, stride=lam)
+        for c in range(m)
+    )
     leaves = [fold_tags(a.tags) for a in auths]
     return RepResult(out_cts, hash_tree_eval(program, leaves), lam)
 

@@ -8,7 +8,7 @@ so containers can be concatenated in protocol payloads and files.  All
 integers are little-endian.  Chain primes lie below 2^30, so BFV residues
 travel as u32, component-major, then prime, then coefficient:
 
-    ciphertext  u32 mul depth ‖ u8 components ‖ u8 k ‖ u32 n ‖ residues
+    ciphertext  u8 components ‖ u8 k ‖ u32 n ‖ residues
     keyset      params container ‖ u8 secret flag ‖ u16 Galois count ‖
                 ascending u64 Galois elements ‖ [sk] ‖ pk ‖ rlk ‖ Galois keys
 
@@ -38,8 +38,9 @@ from .rep import RepAuth, RepResult, RepSecret
 
 MAGIC = b"VRTS"
 # 2: RNS-digit key-switching keys; 3: no ciphertext level byte;
-# 4: one residue stack per ciphertext and per key, u32 residues
-VERSION = 4
+# 4: one residue stack per ciphertext and per key, u32 residues;
+# 5: no ciphertext multiplication depth
+VERSION = 5
 
 TYPE_PARAMS = 0x01
 TYPE_KEYSET = 0x02
@@ -256,7 +257,7 @@ def save_ciphertext(ct) -> bytes:
         head = struct.pack("<IIQ", len(ct.slots), ct.depth, ct.nonce)
         return _container(TYPE_MOCK_CIPHERTEXT, head, np.asarray(ct.slots, dtype="<u8").tobytes())
     if isinstance(ct, Ciphertext):
-        head = struct.pack("<IBBI", ct.mul_depth, *ct.data.shape)
+        head = struct.pack("<BBI", *ct.data.shape)
         return _container(TYPE_CIPHERTEXT, head, _u32(ct.data))
     raise SerializationError(f"cannot serialize ciphertext of type {type(ct)!r}")
 
@@ -271,10 +272,9 @@ def load_ciphertext(blob: bytes, offset: int = 0):
         r.done()
         return MockCiphertext(slots, depth, nonce), nxt
     if tc == TYPE_CIPHERTEXT:
-        mul_depth, *shape = r.unpack("<IBBI")
-        data = r.residues(shape)
+        data = r.residues(r.unpack("<BBI"))
         r.done()
-        return Ciphertext(data, mul_depth), nxt
+        return Ciphertext(data), nxt
     raise SerializationError(f"container type {tc} is not a ciphertext")
 
 

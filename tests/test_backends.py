@@ -158,6 +158,17 @@ def test_real_rotations(real):
     assert real.decrypt(real.rotate(ca, 0)) == a  # identity, no key needed
 
 
+@pytest.mark.parametrize("step", [0, N // 2, -N // 2, N])
+def test_backends_agree_on_whole_row_rotations(real, mock, step):
+    """A step that is a multiple of n/2 is the identity on both backends:
+    the ciphertext comes back unchanged and no rotation key is needed."""
+    a = rand_slots(random.Random(10))
+    ca, ma = real.encrypt(a), mock.encrypt(a)
+    assert real.rotate(ca, step) is ca
+    assert mock.rotate(ma, step) is ma
+    assert real.decrypt(real.rotate(ca, step)) == mock.decrypt(mock.rotate(ma, step)) == a
+
+
 def test_real_missing_rotation_key(real):
     ca = real.encrypt([1] * N)
     with pytest.raises(KeyMaterialError):
@@ -250,7 +261,7 @@ def test_real_decrypt_refuses_out_of_range_components(real):
     at_q[1, 5] = PARAMS.q_chain[1]
     huge = c1.copy()
     huge[0, 0] = 2**62
-    empty = bfv.Ciphertext(np.empty((0,) + c0.shape, dtype=np.int64), 0)
+    empty = bfv.Ciphertext(np.empty((0,) + c0.shape, dtype=np.int64))
     bad = [with_c1(at_q), with_c1(huge), bfv.Ciphertext(ct.data[:, :-1]), empty]
     for ct_bad in bad:
         with pytest.raises(SerializationError):

@@ -48,6 +48,18 @@ def test_lookup_deep_circuit(auth):
         # seven over-cap products, one round each; result back at degree 2
         assert report.req_rounds == 7
         assert report.result_degree == 2
+        # two high terms per round plus the three result components come
+        # down; two blinded replacements per round go back up
+        assert report.cts_received_client == 2 * report.req_rounds + 3
+        assert report.cts_client_interactive_sent == 2 * report.req_rounds
+
+
+def test_usecase_without_authenticator_is_its_baseline():
+    """auth="none" reports the baseline run itself instead of running the
+    unauthenticated pipeline a second time."""
+    report = run_usecase(usecase_spec("ride-hailing", auth="none", seed=4), auth="none")
+    assert report.stages == report.baseline_stages
+    assert report.match and report.verdict is None
 
 
 def test_lookup_rejects_plain_encoding_before_crypto():

@@ -18,7 +18,6 @@ from vhe import bfv, pe
 from vhe import protocols as pr
 from vhe.circuit import ProgramBuilder, eval_plain
 from vhe.errors import DecryptionFailureError, ParameterError, ProtocolError, StructureError
-from vhe.harness.cli import client_session
 from vhe.mock import MockBackend
 from vhe.params import preset
 from vhe.ring import slot_poly_eval
@@ -661,7 +660,7 @@ def test_composed_req_pp_failure_surfaces_after_the_pp_response():
 
         def client_fn(ep):
             try:
-                outcome = client_session(sec, client, prog, ep, True, True, random.Random(41), [])
+                outcome = pr.client_session(sec, client, prog, ep, True, True, random.Random(41), [])
             except DecryptionFailureError as exc:
                 outcome = exc
             sent = [(tag, len(p)) for tag, p in ep.transcript.sent]
@@ -677,6 +676,41 @@ def test_composed_req_pp_failure_surfaces_after_the_pp_response():
     assert [tag for tag, _ in failed_sent][-1] == pr.TAG_PP_CHALLENGE
     assert failed_received == honest_received
     assert failed_received[-1] == pr.TAG_PP_RESPONSE
+
+
+def _receive_wrong_count(kind):
+    """Queue one message of `kind` carrying the wrong number of ciphertexts
+    and run the side that receives it."""
+    sec, cloud, client, prog, auths, _ = make_world(seed=44)
+    ct = cloud.encrypt([1] * N)
+    ep, peer = pr.memory_channel(timeout=1.0)
+    if kind == "pp-result":
+        peer.send(pr.TAG_PP_RESULT, pr.pack_cts([ct, ct]))
+        pr.pp_verify(sec, client, prog, ep, rng=random.Random(45))
+    elif kind == "pp-response":
+        peer.send(pr.TAG_PP_RESULT, pr.pack_cts([ct]))
+        peer.send(pr.TAG_PP_RESPONSE, pr.pack_cts([ct, ct]))
+        pr.pp_verify(sec, client, prog, ep, rng=random.Random(46))
+    elif kind == "req-high-terms":
+        pr.ReqClientSession(sec, client, prog, rng=random.Random(47)).respond(
+            pr.pack_cts([ct, ct, ct])
+        )
+    elif kind == "req-blinded":
+        peer.send(pr.TAG_REQ_BLINDED, pr.pack_cts([ct]))
+        pr.ReqCloudSession(cloud, ep).reduce((ct,) * 5, 0)
+    else:  # an empty result message
+        peer.send(pr.TAG_RESULT, pr.pack_cts([]))
+        pr.client_session(sec, client, prog, ep, False, False, random.Random(48))
+
+
+@pytest.mark.parametrize(
+    "kind", ["pp-result", "pp-response", "req-high-terms", "req-blinded", "result"]
+)
+def test_wrong_ciphertext_count_is_a_protocol_error(kind):
+    """A hostile peer's message with the wrong number of ciphertexts aborts
+    the session with ProtocolError, never a bare ValueError or IndexError."""
+    with pytest.raises(ProtocolError, match="ciphertext"):
+        _receive_wrong_count(kind)
 
 
 def test_req_round_limit_enforced():

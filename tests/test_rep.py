@@ -163,6 +163,19 @@ def test_multi_ciphertext_rejects_rotation(mock):
         rep.rep_eval(prog, [aa], mock, lam=LAM)
 
 
+def test_mixed_ciphertext_counts_rejected(mock):
+    """An add over a one-ciphertext and a two-ciphertext input has no
+    slot-parallel layout, even though add alone spans ciphertexts."""
+    sec = make_secret(seed=11)
+    b = ProgramBuilder(width=WIDTH)
+    prog = b.build(b.add(b.input("a"), b.input("b")))
+    one = rep.rep_auth(sec, mock, list(range(WIDTH)), "a")
+    two = rep.rep_auth(sec, mock, list(range(WIDTH + 1)), "b")
+    assert (one.num_cts, two.num_cts) == (1, 2)
+    with pytest.raises(LayoutError, match="different ciphertext counts"):
+        rep.rep_eval(prog, [one, two], mock, lam=LAM)
+
+
 def test_eval_validates_shapes(mock):
     sec = make_secret(seed=8)
     prog = dot_program()

@@ -51,7 +51,7 @@ def test_real_ciphertext_roundtrip(real_keys):
     vals = [i * 7 % PARAMS.t for i in range(PARAMS.n)]
     ct = backend.mul(backend.encrypt(vals), backend.encrypt(vals))
     back, _ = sz.load_ciphertext(sz.save_ciphertext(ct))
-    assert back.mul_depth == ct.mul_depth
+    assert np.array_equal(back.data, ct.data)
     assert backend.decrypt(back) == backend.decrypt(ct)
 
 
@@ -177,11 +177,22 @@ def test_version_3_ciphertext_and_keyset_refused(real_keys):
         sz.load_keyset(_with_version(keys, 3))
 
 
-def test_ciphertext_residues_are_u32(real_keys):
+def test_version_4_ciphertext_refused(real_keys):
+    """Version 4 opened the ciphertext body with a u32 multiplication depth."""
     backend = bfv.BfvBackend(PARAMS, real_keys, rng=np.random.default_rng(4))
-    ct = backend.encrypt([1] * PARAMS.n)
-    k = len(PARAMS.q_chain)
-    assert len(sz.save_ciphertext(ct)) == 11 + 10 + 4 * 2 * k * PARAMS.n
+    _, body, _ = sz.read_container(sz.save_ciphertext(backend.encrypt([1] * PARAMS.n)))
+    with pytest.raises(SerializationError, match="version 4"):
+        sz.load_ciphertext(_container(sz.TYPE_CIPHERTEXT, struct.pack("<I", 0) + body, version=4))
+
+
+def test_ciphertext_residues_are_u32(real_keys):
+    """17 + 4·(d+1)·k·n bytes: an 11-byte container header, the 6-byte
+    shape header (u8 components ‖ u8 k ‖ u32 n), then u32 residues."""
+    backend = bfv.BfvBackend(PARAMS, real_keys, rng=np.random.default_rng(4))
+    fresh = backend.encrypt([1] * PARAMS.n)
+    k, n = len(PARAMS.q_chain), PARAMS.n
+    for ct in (fresh, backend.mul_no_relin(fresh, fresh)):
+        assert len(sz.save_ciphertext(ct)) == 17 + 4 * ct.degree * k * n
 
 
 def test_mul_no_relin_output_survives_the_wire(real_keys):
@@ -191,7 +202,6 @@ def test_mul_no_relin_output_survives_the_wire(real_keys):
     raw = backend.mul_no_relin(backend.encrypt(a), backend.encrypt(b))
     back, _ = sz.load_ciphertext(sz.save_ciphertext(raw))
     assert back.data.shape == raw.data.shape == (3, len(PARAMS.q_chain), PARAMS.n)
-    assert back.mul_depth == raw.mul_depth == 1
     assert backend.decrypt(backend.relinearize(back)) == [x * y % PARAMS.t for x, y in zip(a, b)]
 
 
