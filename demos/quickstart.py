@@ -76,6 +76,8 @@ def main():
     print(f"verifier says: {'ACCEPT' if ok2 else 'REJECT'}")
     print("\n...but hitting all λ/2 secret challenge positions consistently")
     print(f"succeeds with probability 1/C({lam},{lam // 2}) per forgery attempt.")
+    if not ok or claim[0] != expected or ok2:
+        raise SystemExit("unexpected verdict: the honest result must pass, the forgery fail")
 
 
 if __name__ == "__main__":

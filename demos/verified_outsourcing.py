@@ -100,6 +100,8 @@ def main():
     print(f"\nwith a tampered proof response: {'ACCEPT' if ok2 else 'REJECT'}")
     print(f"forgery probability bound: 2(d+n)/t + d/(t−1) "
           f"= {2 * (8 + n) / t + 8 / (t - 1):.2e}")
+    if not ok or m[:4] != [pow(v, 8, t) for v in values[:4]] or ok2:
+        raise SystemExit("unexpected verdict: the honest proof must pass, the tampered one fail")
 
 
 if __name__ == "__main__":

@@ -14,11 +14,12 @@ batching layout).  Gate set:
 
 :func:`interpret` is the one gate walk: the caller supplies add, sub, mul
 and one hook for the unary gates, and gets every wire back.  The slot
-semantics are defined once here (``slot_*``); the plain interpreter
-(:func:`eval_plain`, the oracle), the challenge evaluations and the mock
-backend all use them.  Over ciphertexts, :func:`he_unary` maps a unary
-gate onto backend operations, with an optional replication stride so a
-logically identical program runs on block-extended layouts
+semantics are defined once here (``slot_*``, over the last axis of a
+:func:`vhe.ring.slot_array`, with any leading batch axes); the plain
+interpreter (:func:`eval_plain`, the oracle), the challenge evaluations and
+the mock backend all use them.  Over ciphertexts, :func:`he_unary` maps a
+unary gate onto backend operations, with an optional replication stride so
+a logically identical program runs on block-extended layouts
 (:func:`eval_he`).  The encodings run their own algebras through
 :func:`interpret` as well: tuples of ciphertexts, (ρ, δ) offset pairs and
 degrees.
@@ -29,10 +30,13 @@ from __future__ import annotations
 import json
 import random
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ParameterError, StructureError
-from .labels import Identifier, slot_prf
+from .labels import Identifier, prf_stream
+from .ring import slot_array
 
 _OPS = ("input", "add", "sub", "mul", "mul_plain", "rotate", "row_swap", "inner_sum")
 _BINARY = ("add", "sub", "mul")
@@ -225,46 +229,43 @@ def interpret(program: Program, inputs, add, sub, mul, unary) -> list:
     return wires
 
 
-def slot_add(a, b, t: int) -> list[int]:
-    return [(x + y) % t for x, y in zip(a, b)]
+def slot_add(a, b, t: int) -> np.ndarray:
+    return (a + b) % t
 
 
-def slot_sub(a, b, t: int) -> list[int]:
-    return [(x - y) % t for x, y in zip(a, b)]
+def slot_sub(a, b, t: int) -> np.ndarray:
+    return (a - b) % t
 
 
-def slot_mul(a, b, t: int) -> list[int]:
-    return [x * y % t for x, y in zip(a, b)]
+def slot_mul(a, b, t: int) -> np.ndarray:
+    return a * b % t
 
 
-def slot_rotate(vec, step: int):
+def slot_rotate(vec, step: int) -> np.ndarray:
     """Cyclic left shift by `step` within each of the two rows."""
-    row = len(vec) // 2
+    row = vec.shape[-1] // 2
     s = step % row
-    return vec[s:row] + vec[:s] + vec[row + s :] + vec[row : row + s]
+    rows = vec.reshape(vec.shape[:-1] + (2, row))
+    return np.concatenate((rows[..., s:], rows[..., :s]), axis=-1).reshape(vec.shape)
 
 
-def slot_row_swap(vec):
-    row = len(vec) // 2
-    return vec[row:] + vec[:row]
+def slot_row_swap(vec) -> np.ndarray:
+    row = vec.shape[-1] // 2
+    return np.concatenate((vec[..., row:], vec[..., :row]), axis=-1)
 
 
-def slot_inner_sum(vec, block: int, t: int, stride: int = 1) -> list[int]:
+def slot_inner_sum(vec, block: int, t: int, stride: int = 1) -> np.ndarray:
     """Every slot ← the sum of its block: `block` slots `stride` apart,
     within aligned spans of block·stride slots that never straddle a row."""
-    out = list(vec)
-    span = block * stride
-    for base in range(0, len(vec), span):
-        for first in range(base, base + stride):
-            s = sum(vec[first : base + span : stride]) % t
-            out[first : base + span : stride] = [s] * block
-    return out
+    spans = vec.reshape(vec.shape[:-1] + (-1, block, stride))
+    sums = spans.sum(axis=-2, keepdims=True) % t
+    return np.repeat(sums, block, axis=-2).reshape(vec.shape)
 
 
-def slot_unary(vec, g: Gate, t: int):
-    """One unary gate over a plain slot vector."""
+def slot_unary(vec, g: Gate, t: int) -> np.ndarray:
+    """One unary gate over a slot array."""
     if g.op == "mul_plain":
-        return slot_mul(vec, g.const, t)
+        return slot_mul(vec, slot_array(g.const, t), t)
     if g.op == "rotate":
         return slot_rotate(vec, g.step)
     if g.op == "row_swap":
@@ -272,16 +273,19 @@ def slot_unary(vec, g: Gate, t: int):
     return slot_inner_sum(vec, g.block, t)
 
 
-def eval_plain(program: Program, inputs, t: int) -> list[int]:
-    """Evaluate over plain slot vectors mod t; returns the output wire."""
-    w = program.width
-    ins = [list(int(x) % t for x in v) for v in inputs]
-    if len(ins) != program.num_inputs:
+def eval_plain(program: Program, inputs, t: int) -> list:
+    """Evaluate over plain slot vectors mod t; returns the output wire.
+
+    An input may carry leading batch axes before its slot axis; they
+    broadcast, and the output list nests the same way.
+    """
+    if len(inputs) != program.num_inputs:
         raise ParameterError(
-            f"program expects {program.num_inputs} inputs, got {len(ins)}"
+            f"program expects {program.num_inputs} inputs, got {len(inputs)}"
         )
-    if any(len(v) != w for v in ins):
-        raise ParameterError(f"every input must have width {w}")
+    ins = [slot_array(v, t) for v in inputs]
+    if any(v.ndim == 0 or v.shape[-1] != program.width for v in ins):
+        raise ParameterError(f"every input must have width {program.width}")
     wires = interpret(
         program, ins,
         lambda a, b: slot_add(a, b, t),
@@ -289,7 +293,7 @@ def eval_plain(program: Program, inputs, t: int) -> list[int]:
         lambda a, b, _: slot_mul(a, b, t),
         lambda v, g: slot_unary(v, g, t),
     )
-    return wires[program.output]
+    return wires[program.output].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -297,23 +301,26 @@ def eval_plain(program: Program, inputs, t: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def challenge_input_pe(key, base: Identifier, width: int, t: int) -> list[int]:
-    """Per-slot PRF values for a fully packed input: slot j ← F_K(base, j)."""
-    prf = slot_prf(key, base, t)
-    return [prf(j) for j in range(width)]
+def challenge_input_pe(key, base: Identifier, width: int, t: int) -> np.ndarray:
+    """PRF values for a fully packed input: slot j ← F_K(base, j)."""
+    return slot_array(prf_stream(key, base, t, width), t)
 
 
 def challenge_input_rep(
-    key, base: Identifier, length: int, width: int, t: int, col: int, first: int
-):
-    """Challenge column `col` of a replication-encoded input, for the chunk
-    whose first slot carries component `first`.
+    key, base: Identifier, length: int, width: int, t: int, cols, chunks: int
+) -> np.ndarray:
+    """Challenge columns `cols` of a replication-encoded input, shaped
+    (len(cols), chunks, width): chunk c holds components c·width onwards.
 
-    Component i carries identifier (base, slot=i); components at or past the
-    authenticated length are zero padding, matching the encoder.
+    Component i carries identifier (base, slot=i), so column j is the
+    stream of (base, aux=j); components at or past the authenticated length
+    are zero padding, matching the encoder.
     """
-    prf = slot_prf(key, base, t)
-    return [prf(i, col) if i < length else 0 for i in range(first, first + width)]
+    used = min(length, chunks * width)
+    out = np.zeros((len(cols), chunks * width), dtype=np.int64)
+    for c, col in enumerate(cols):
+        out[c, :used] = prf_stream(key, base, t, used, aux=col)
+    return slot_array(out.reshape(len(cols), chunks, width), t)
 
 
 def eval_challenge_pe(program: Program, key, t: int) -> list[int]:
@@ -325,12 +332,12 @@ def eval_challenge_pe(program: Program, key, t: int) -> list[int]:
 
 
 def eval_challenge_rep(
-    program: Program, key, t: int, lengths, col: int, first: int = 0
-) -> list[int]:
-    """Evaluate on challenge column `col` (replication convention) for the
-    chunk whose first slot carries component `first` of every input."""
+    program: Program, key, t: int, lengths, cols, chunks: int
+) -> list:
+    """Evaluate on challenge columns `cols` (replication convention) for
+    every chunk at once: a (len(cols), chunks, width) nested list."""
     ins = [
-        challenge_input_rep(key, base, lengths[k], program.width, t, col, first)
+        challenge_input_rep(key, base, lengths[k], program.width, t, cols, chunks)
         for k, base in enumerate(program.inputs)
     ]
     return eval_plain(program, ins, t)
@@ -343,12 +350,7 @@ def eval_challenge_rep(
 
 def extend_const(const, stride: int):
     """Replicate each logical constant across its block of `stride` slots."""
-    if stride == 1:
-        return list(const)
-    out = []
-    for c in const:
-        out.extend([int(c)] * stride)
-    return out
+    return [int(c) for c in const for _ in range(stride)]
 
 
 def he_unary(backend, ct, g: Gate, stride: int = 1):

@@ -1,10 +1,15 @@
 """Keyed PRF outputs, authentication tags, and the gate hash tree.
 
-Blake2b-512 is the single primitive: keyed mode where a PRF is required
-(per-slot challenge values, input tags), keyless mode for the public
-collision-resistant hash that the evaluator uses to fold a circuit's
-structure and input tags into one digest.  Domain separation between the
-three roles uses the ``person`` parameter.
+Challenge values come from SHAKE-256 streams: one keyed stream per (base
+identifier, aux), whose element i is the challenge of (base, slot = i).
+Words are masked to the bit length of t and the ones at or above t are
+skipped (rejection sampling, as :func:`vhe.bfv.expand_uniform` does), so
+every value is uniform in Z_t with no reduction bias.  Tags and the gate
+tree stay Blake2b-512: keyed mode for the input tags, keyless mode for the
+public collision-resistant hash that the evaluator uses to fold a circuit's
+structure and input tags into one digest.  Each role hashes under its own
+personalization.  Authentications made under the earlier per-slot Blake2b
+challenge values no longer verify.
 """
 
 from __future__ import annotations
@@ -14,14 +19,20 @@ import secrets
 import struct
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import IdentifierReuseError, ParameterError
 
 DIGEST_BYTES = 64
 
-_PERSON_ZT = b"vhe:prf-zt"
+_PERSON_STREAM = b"vhe:prf-stream\x00\x00"  # 16 bytes, so the key sits at a fixed offset
 _PERSON_TAG = b"vhe:prf-tag"
 _PERSON_TREE = b"vhe:gate-tree"
 _PERSON_LEAF = b"vhe:leaf-fold"
+
+# values per XOF block: element i of a stream reads only block i // _BLOCK
+_BLOCK = 1024
+_SLOT_STREAM = b"\x02"  # after a label head; 0x00 and 0x01 mark identifiers
 
 
 @dataclass(frozen=True)
@@ -53,7 +64,7 @@ class Identifier:
 
 @dataclass(frozen=True)
 class PrfKey:
-    """32-byte key for the keyed-Blake2b PRF roles."""
+    """32-byte key for the challenge streams and the keyed-Blake2b tags."""
 
     key: bytes
 
@@ -68,59 +79,63 @@ class PrfKey:
         return cls(rng.getrandbits(256).to_bytes(32, "little"))
 
 
-def _prf_message(ident: Identifier, aux: int | None) -> bytes:
-    msg = ident.canonical_bytes()
-    if aux is None:
-        return msg + b"\x00"
-    if aux < 0:
+def _stream(key: PrfKey, name: bytes, aux, t: int, start: int, stop: int) -> np.ndarray:
+    """Elements [start, stop) of the stream of (name, aux), as int64.
+
+    Block b hashes SHAKE-256(person ‖ key ‖ name ‖ aux ‖ u64 b), reads
+    little-endian words (u32 while t < 2^32, u64 above), masks each to the
+    bit length of t and keeps the first _BLOCK below t.  A longer read only
+    extends the output, so a block is read only as far as asked: every
+    element is fixed by its index, and a shorter stream is a prefix of a
+    longer one.
+    """
+    if t < 2 or t.bit_length() > 63:
+        raise ParameterError("PRF range modulus must lie in [2, 2^63)")
+    if aux is not None and aux < 0:
         raise ParameterError("aux index must be non-negative")
-    return msg + b"\x01" + struct.pack("<Q", aux)
+    tail = b"\x00" if aux is None else b"\x01" + struct.pack("<Q", aux)
+    prefix = _PERSON_STREAM + key.key + name + tail
+    mask = (1 << t.bit_length()) - 1
+    word = np.dtype("<u4" if t.bit_length() <= 32 else "<u8")
+    parts = [np.zeros(0, dtype=word)]
+    for b in range(start // _BLOCK, -(-stop // _BLOCK)):
+        need = min(_BLOCK, stop - b * _BLOCK)
+        xof = hashlib.shake_256(prefix + struct.pack("<Q", b))
+        words = need * (mask + 1) // t + need // 8 + 16
+        while True:
+            w = np.frombuffer(xof.digest(word.itemsize * words), dtype=word) & mask
+            kept = w[w < t]
+            if len(kept) >= need:
+                break
+            words *= 2
+        parts.append(kept[:need])
+    off = start % _BLOCK
+    return np.concatenate(parts)[off : off + stop - start].astype(np.int64)
+
+
+def prf_stream(
+    key: PrfKey, base: Identifier, t: int, count: int, aux: int | None = None
+) -> np.ndarray:
+    """The first `count` challenge values of (base, aux) as int64 in [0, t):
+    element i is the value of (base.with_slot(i), aux), :func:`prf_zt`'s."""
+    if base.slot is not None:
+        raise ParameterError("identifier already carries a slot index")
+    if count < 0:
+        raise ParameterError("stream length must be non-negative")
+    return _stream(key, base.canonical_bytes()[:-1] + _SLOT_STREAM, aux, t, 0, count)
 
 
 def prf_zt(key: PrfKey, ident: Identifier, t: int, aux: int | None = None) -> int:
     """Pseudorandom element of Z_t for (identifier, optional aux index).
 
-    The 512-bit keyed digest is reduced mod t; for t < 2^60 the resulting
-    bias is below 2^-450 and irrelevant at any statistical level used here.
+    A slotted identifier (label, i) reads element i of its base's stream
+    (:func:`prf_stream`); a slotless one reads element 0 of its own stream,
+    whose name ends in the no-slot marker instead of the stream marker.
     """
-    if t < 2:
-        raise ParameterError("PRF range modulus must be ≥ 2")
-    h = hashlib.blake2b(
-        _prf_message(ident, aux), key=key.key, person=_PERSON_ZT
-    ).digest()
-    return int.from_bytes(h, "little") % t
-
-
-def slot_prf(key: PrfKey, base: Identifier, t: int):
-    """``prf_zt(key, base.with_slot(slot), t, aux)`` as a function of
-    ``(slot, aux=None)``, for many slots of one base identifier.
-
-    The keyed, personalized Blake2b state over the base's canonical prefix
-    (its canonical bytes without the no-slot marker) is built once; each
-    value copies it and hashes only the slot and aux suffix that
-    :func:`_prf_message` would append.
-    """
-    if t < 2:
-        raise ParameterError("PRF range modulus must be ≥ 2")
-    if base.slot is not None:
-        raise ParameterError("identifier already carries a slot index")
-    prefix = hashlib.blake2b(
-        base.canonical_bytes()[:-1], key=key.key, person=_PERSON_ZT
-    )
-
-    def value(slot: int, aux: int | None = None) -> int:
-        if slot < 0:
-            raise ParameterError("slot index must be non-negative")
-        h = prefix.copy()
-        if aux is None:
-            h.update(struct.pack("<BQB", 1, slot, 0))
-        elif aux < 0:
-            raise ParameterError("aux index must be non-negative")
-        else:
-            h.update(struct.pack("<BQBQ", 1, slot, 1, aux))
-        return int.from_bytes(h.digest(), "little") % t
-
-    return value
+    if ident.slot is None:
+        return int(_stream(key, ident.canonical_bytes(), aux, t, 0, 1)[0])
+    name = ident.canonical_bytes()[:-9] + _SLOT_STREAM
+    return int(_stream(key, name, aux, t, ident.slot, ident.slot + 1)[0])
 
 
 def prf_tag(key: PrfKey, ident: Identifier) -> bytes:
@@ -128,6 +143,22 @@ def prf_tag(key: PrfKey, ident: Identifier) -> bytes:
     return hashlib.blake2b(
         ident.canonical_bytes(), key=key.key, person=_PERSON_TAG
     ).digest()
+
+
+def prf_tags(key: PrfKey, base: Identifier, count: int) -> list[bytes]:
+    """``prf_tag(key, base.with_slot(i))`` for every i < count: each copies
+    one keyed state over the base's label head and hashes the slot suffix."""
+    if base.slot is not None:
+        raise ParameterError("identifier already carries a slot index")
+    prefix = hashlib.blake2b(
+        base.canonical_bytes()[:-1], key=key.key, person=_PERSON_TAG
+    )
+    tags = []
+    for i in range(count):
+        h = prefix.copy()
+        h.update(struct.pack("<BQ", 1, i))
+        tags.append(h.digest())
+    return tags
 
 
 def fold_tags(tags) -> bytes:

@@ -1,6 +1,6 @@
 """Exact-semantics stand-in for the encrypted backend.
 
-A mock ciphertext carries its slot vector in the clear plus a
+A mock ciphertext carries its slot array in the clear plus a
 multiplicative-depth counter and a freshness nonce.  The slot arithmetic,
 rotations and inner sums are the ``slot_*`` functions of
 :mod:`vhe.circuit`, the same ones the plaintext oracle runs, so the mock
@@ -20,14 +20,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .circuit import slot_add, slot_inner_sum, slot_mul, slot_row_swap, slot_rotate, slot_sub
 from .errors import DecryptionFailureError, LayoutError, ParameterError
 from .params import Params
+from .ring import slot_array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MockCiphertext:
-    slots: tuple
+    slots: np.ndarray  # read-only; a loaded ciphertext's are the wire's u64
     depth: int
     nonce: int
 
@@ -37,6 +40,10 @@ class MockCiphertext:
 
     def __len__(self):
         return len(self.slots)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, MockCiphertext) and (self.depth, self.nonce) == (
+            other.depth, other.nonce) and np.array_equal(self.slots, other.slots)
 
 
 class MockBackend:
@@ -48,15 +55,15 @@ class MockBackend:
         self.params = params
         self.depth_limit = depth_limit
         self._rng = rng if rng is not None else random.Random()
+        self._dtype = slot_array([0], params.t).dtype
 
     # -- lifecycle ----------------------------------------------------------
 
     def encrypt(self, slots) -> MockCiphertext:
-        n, t = self.params.n, self.params.t
-        vals = tuple(int(v) % t for v in slots)
-        if len(vals) != n:
-            raise ParameterError(f"expected {n} slots, got {len(vals)}")
-        return MockCiphertext(vals, 0, self._rng.getrandbits(64))
+        n = self.params.n
+        if len(slots) != n:
+            raise ParameterError(f"expected {n} slots, got {len(slots)}")
+        return self._fresh(slot_array(slots, self.params.t), 0)
 
     def encrypt_zero(self) -> MockCiphertext:
         return self.encrypt([0] * self.params.n)
@@ -66,7 +73,7 @@ class MockBackend:
             raise DecryptionFailureError(
                 f"simulated noise overflow: depth {ct.depth} > limit {self.depth_limit}"
             )
-        return list(ct.slots)
+        return ct.slots.tolist()
 
     def noise_budget(self, ct: MockCiphertext) -> float:
         if self.depth_limit is None:
@@ -75,27 +82,35 @@ class MockBackend:
 
     # -- arithmetic -----------------------------------------------------------
 
+    def _vec(self, ct: MockCiphertext):
+        """A ciphertext's slots as a slot array mod t (a loaded one's are u64)."""
+        return ct.slots if ct.slots.dtype == self._dtype else slot_array(ct.slots, self.params.t)
+
     def _fresh(self, slots, depth) -> MockCiphertext:
-        return MockCiphertext(tuple(slots), depth, self._rng.getrandbits(64))
+        slots.flags.writeable = False
+        return MockCiphertext(slots, depth, self._rng.getrandbits(64))
+
+    def _binary(self, op, a: MockCiphertext, b: MockCiphertext, depth) -> MockCiphertext:
+        return self._fresh(op(self._vec(a), self._vec(b), self.params.t), depth)
 
     def add(self, a: MockCiphertext, b: MockCiphertext) -> MockCiphertext:
-        return self._fresh(slot_add(a.slots, b.slots, self.params.t), max(a.depth, b.depth))
+        return self._binary(slot_add, a, b, max(a.depth, b.depth))
 
     def sub(self, a: MockCiphertext, b: MockCiphertext) -> MockCiphertext:
-        return self._fresh(slot_sub(a.slots, b.slots, self.params.t), max(a.depth, b.depth))
+        return self._binary(slot_sub, a, b, max(a.depth, b.depth))
 
     def neg(self, a: MockCiphertext) -> MockCiphertext:
-        t = self.params.t
-        return self._fresh((-x % t for x in a.slots), a.depth)
+        return self._fresh(-self._vec(a) % self.params.t, a.depth)
 
     def mul(self, a: MockCiphertext, b: MockCiphertext) -> MockCiphertext:
-        return self._fresh(slot_mul(a.slots, b.slots, self.params.t), max(a.depth, b.depth) + 1)
+        return self._binary(slot_mul, a, b, max(a.depth, b.depth) + 1)
 
     def mul_plain(self, a: MockCiphertext, const) -> MockCiphertext:
-        const = list(const)
         if len(const) != self.params.n:
             raise ParameterError("constant vector must cover every slot")
-        return self._fresh(slot_mul(a.slots, map(int, const), self.params.t), a.depth)
+        return self._fresh(
+            slot_mul(self._vec(a), slot_array(const, self.params.t), self.params.t), a.depth
+        )
 
     def rotate(self, a: MockCiphertext, step: int) -> MockCiphertext:
         row = self.params.n // 2
@@ -103,10 +118,10 @@ class MockBackend:
             return a
         if not (-row < step < row):
             raise ParameterError(f"rotation step must satisfy |step| < {row}")
-        return self._fresh(slot_rotate(a.slots, step), a.depth)
+        return self._fresh(slot_rotate(self._vec(a), step), a.depth)
 
     def row_swap(self, a: MockCiphertext) -> MockCiphertext:
-        return self._fresh(slot_row_swap(a.slots), a.depth)
+        return self._fresh(slot_row_swap(self._vec(a)), a.depth)
 
     def inner_sum(self, a: MockCiphertext, block: int, stride: int = 1) -> MockCiphertext:
         row = self.params.n // 2
@@ -115,4 +130,6 @@ class MockBackend:
             raise LayoutError(
                 f"inner_sum block {block} (stride {stride}) must tile a row of {row}"
             )
-        return self._fresh(slot_inner_sum(a.slots, block, self.params.t, stride), a.depth)
+        return self._fresh(
+            slot_inner_sum(self._vec(a), block, self.params.t, stride), a.depth
+        )

@@ -42,8 +42,9 @@ from .circuit import (
 )
 from .errors import DegreeLimitError, LayoutError, ParameterError
 # prf_zt stays bound here: perfbench's tracer test patches it through vhe.pe
-from .labels import Identifier, LabelRegistry, PrfKey, prf_zt, slot_prf  # noqa: F401
+from .labels import Identifier, LabelRegistry, PrfKey, prf_zt  # noqa: F401
 from .params import Params
+from .ring import slot_array
 
 MAX_DEGREE = 8
 
@@ -111,11 +112,9 @@ def pe_auth(secret: PeSecret, backend, values, base) -> PeAuth:
     if len(values) != n:
         raise ParameterError(f"expected {n} slot values, got {len(values)}")
     secret.registry.register(base)
-    m = [int(v) % t for v in values]
-    prf = slot_prf(secret.key, base, t)
-    r = [prf(j) for j in range(n)]
-    a_inv = secret.alpha_inv
-    y1 = [(rj - mj) * a_inv % t for rj, mj in zip(r, m)]
+    m = slot_array(values, t)
+    r = challenge_input_pe(secret.key, base, n, t)
+    y1 = slot_mul(slot_sub(r, m, t), secret.alpha_inv, t)
     return PeAuth((backend.encrypt(m), backend.encrypt(y1)), base)
 
 
@@ -273,14 +272,16 @@ def offset_walk(program: Program, key: PrfKey, t: int, alpha: int, omega=None):
 
     def mul(a, b, idx):
         (r1, d1), (r2, d2) = a, b
-        nat = [(x * e + y * d + d * e) % t for x, y, d, e in zip(r1, r2, d1, d2)]
+        cross = slot_add(slot_mul(r1, d2, t), slot_mul(r2, d1, t), t)
+        nat = slot_add(cross, slot_mul(d1, d2, t), t)
         naturals[idx] = nat
-        dlt = [alpha * v % t for v in omega[idx]] if idx in omega else nat
+        dlt = slot_mul(slot_array(omega[idx], t), alpha, t) if idx in omega else nat
         return slot_mul(r1, r2, t), dlt
 
+    zero = slot_array(np.zeros(w, dtype=np.int64), t)
     pairs = interpret(
         program,
-        [(challenge_input_pe(key, base, w, t), [0] * w) for base in program.inputs],
+        [(challenge_input_pe(key, base, w, t), zero) for base in program.inputs],
         lambda a, b: (slot_add(a[0], b[0], t), slot_add(a[1], b[1], t)),
         lambda a, b: (slot_sub(a[0], b[0], t), slot_sub(a[1], b[1], t)),
         mul,
@@ -289,7 +290,7 @@ def offset_walk(program: Program, key: PrfKey, t: int, alpha: int, omega=None):
     return [p[0] for p in pairs], [p[1] for p in pairs], naturals
 
 
-def final_offset(secret: PeSecret, program: Program, omega) -> list[int]:
+def final_offset(secret: PeSecret, program: Program, omega) -> np.ndarray:
     """Offset vector on the output wire after the given ReQ rounds."""
     _, deltas, _ = offset_walk(
         program, secret.key, secret.params.t, secret.alpha, omega
@@ -315,26 +316,25 @@ def pe_verify(
         return False
 
     t = secret.params.t
-    ys = [backend.decrypt(c) for c in result.cts]
+    ys = slot_array([backend.decrypt(c) for c in result.cts], t)
     if claimed is not None:
         start, count = program.output_block
         if len(claimed) != count:
             raise ParameterError(
                 f"output block holds {count} values, claim has {len(claimed)}"
             )
-        for k in range(count):
-            if ys[0][start + k] != int(claimed[k]) % t:
-                return fail(f"claimed result mismatch at slot {start + k}")
-    rho = eval_challenge_pe(program, secret.key, t)
+        bad = np.flatnonzero(ys[0][start : start + count] != slot_array(claimed, t))
+        if len(bad):
+            return fail(f"claimed result mismatch at slot {start + bad[0]}")
+    rho = slot_array(eval_challenge_pe(program, secret.key, t), t)
     if offset is not None:
-        rho = [(x + int(o)) % t for x, o in zip(rho, offset)]
-    alpha = secret.alpha
-    for j in range(secret.params.n):
-        acc = 0
-        for y in reversed(ys):
-            acc = (acc * alpha + y[j]) % t
-        if acc != rho[j]:
-            return fail(f"response identity fails at slot {j}")
+        rho = slot_add(rho, slot_array(offset, t), t)
+    acc = ys[-1]
+    for y in ys[-2::-1]:
+        acc = slot_add(slot_mul(acc, secret.alpha, t), y, t)
+    bad = np.flatnonzero(acc != rho)
+    if len(bad):
+        return fail(f"response identity fails at slot {bad[0]}")
     return True
 
 

@@ -42,12 +42,14 @@ import socket
 import struct
 import threading
 
-from .circuit import Program, eval_challenge_pe
+import numpy as np
+
+from .circuit import Program, eval_challenge_pe, slot_add, slot_mul, slot_sub
 from .errors import (
     DecryptionFailureError, ParameterError, ProtocolError, SerializationError, StructureError,
 )
 from .pe import PeAuth, PeSecret, degree_schedule, final_offset, offset_walk, pe_verify
-from .ring import slot_poly_eval
+from .ring import slot_array, slot_poly_eval
 from .serialize import load_ciphertext, save_ciphertext
 
 TAG_PP_RESULT = 0x01
@@ -412,9 +414,9 @@ def pp_verify(
         return fail("packed β-combination check failed")
     if ws[0] != slot_poly_eval(m, delta, t):
         return fail("data component does not match the committed result")
-    rho = eval_challenge_pe(program, secret.key, t)
+    rho = slot_array(eval_challenge_pe(program, secret.key, t), t)
     if offset is not None:
-        rho = [(x + int(o)) % t for x, o in zip(rho, offset)]
+        rho = slot_add(rho, slot_array(offset, t), t)
     lhs = sum(pow(secret.alpha, i, t) * wi for i, wi in enumerate(ws)) % t
     if lhs != slot_poly_eval(rho, delta, t):
         return fail("response identity fails at the challenge point")
@@ -473,7 +475,7 @@ class ReqClientSession:
         self.backend = backend
         self.program = program
         _, self.schedule = degree_schedule(program, use_reducer=True)
-        self.omega: dict[int, list[int]] = {}
+        self.omega: dict[int, np.ndarray] = {}
         self.rnd = rng if rng is not None else random.Random(_secrets.randbits(128))
         self.round = 0
         self.failures: list[str] = []
@@ -496,21 +498,21 @@ class ReqClientSession:
         _, _, naturals = offset_walk(
             self.program, self.secret.key, t, alpha, self.omega
         )
-        a_inv = self.secret.alpha_inv
-        big_delta = [a_inv * v % t for v in naturals[gate]]
+        big_delta = slot_mul(naturals[gate], self.secret.alpha_inv, t)
         kap1 = self.rnd.randrange(t)
         kap2 = self.rnd.randrange(t)
-        r = [self.rnd.randrange(t) for _ in range(n)]
-        r_bar = [self.rnd.randrange(t) for _ in range(n)]
+        r = slot_array([self.rnd.randrange(t) for _ in range(n)], t)
+        r_bar = slot_array([self.rnd.randrange(t) for _ in range(n)], t)
         a2 = alpha * alpha % t
         a3 = a2 * alpha % t
-        yb2 = [
-            (alpha * kap1 * y3[j] + a2 * kap2 * y4[j] + r[j]) % t for j in range(n)
-        ]
-        yb1 = [
-            (a3 * y4[j] + a2 * y3[j] - alpha * yb2[j] - big_delta[j] + r_bar[j]) % t
-            for j in range(n)
-        ]
+        y3, y4 = slot_array(y3, t), slot_array(y4, t)
+        yb2 = slot_add(
+            slot_add(slot_mul(y3, alpha * kap1 % t, t), slot_mul(y4, a2 * kap2 % t, t), t),
+            r, t,
+        )
+        yb1 = slot_add(slot_mul(y4, a3, t), slot_mul(y3, a2, t), t)
+        yb1 = slot_sub(yb1, slot_add(slot_mul(yb2, alpha, t), big_delta, t), t)
+        yb1 = slot_add(yb1, r_bar, t)
         self.omega[gate] = r_bar
         self.round += 1
         return pack_cts([self.backend.encrypt(yb1), self.backend.encrypt(yb2)])
@@ -520,7 +522,7 @@ class ReqClientSession:
         for _ in range(self.expected_rounds):
             endpoint.send(TAG_REQ_BLINDED, self.respond(_recv(endpoint, TAG_REQ_HIGH_TERMS)))
 
-    def final_offset(self) -> list[int]:
+    def final_offset(self) -> np.ndarray:
         """The verification offset; raises DecryptionFailureError if any
         round's high terms failed to decrypt, only now that every round
         has been answered."""

@@ -30,7 +30,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bfv
-from .circuit import Program, eval_challenge_rep, eval_he, required_rotation_steps
+from .circuit import (
+    Program,
+    challenge_input_rep,
+    eval_challenge_rep,
+    eval_he,
+    required_rotation_steps,
+)
 from .errors import LayoutError, ParameterError
 from .labels import (
     Identifier,
@@ -38,10 +44,10 @@ from .labels import (
     PrfKey,
     fold_tags,
     hash_tree_eval,
-    prf_tag,
-    slot_prf,
+    prf_tags,
 )
 from .params import Params
+from .ring import slot_array
 
 
 @dataclass
@@ -124,28 +130,24 @@ def rep_keygen(
     return RepSecret(params, lam, challenge_set, key, he_keys)
 
 
-def rep_extend(secret: RepSecret, values, base: Identifier) -> list[list[int]]:
-    """Materialize the extended slot vectors (one list per ciphertext)."""
+def rep_extend(secret: RepSecret, values, base: Identifier) -> np.ndarray:
+    """Materialize the extended slot vectors, one row per ciphertext.
+
+    Row-major, component i owns block i of λ slots: its replica offsets
+    broadcast m_i, and challenge offset j holds element i of the stream of
+    (base, aux=j).  Blocks past the last component are zero.
+    """
     params, lam = secret.params, secret.lam
-    n, t = params.n, params.t
+    t = params.t
     per_ct = secret.slots_per_ct
-    l = len(values)
-    prf = slot_prf(secret.key, base, t)
-    out = []
-    for c in range(rep_ct_count(l, lam, n)):
-        slots = [0] * n
-        for i_local in range(per_ct):
-            i = c * per_ct + i_local
-            if i >= l:
-                break
-            m_i = int(values[i]) % t
-            for j in range(lam):
-                if j in secret.challenge_set:
-                    slots[i_local * lam + j] = prf(i, j)
-                else:
-                    slots[i_local * lam + j] = m_i
-        out.append(slots)
-    return out
+    m = slot_array(values, t)
+    count = rep_ct_count(len(m), lam, params.n)
+    cols = sorted(secret.challenge_set)
+    blocks = np.zeros((count * per_ct, lam), dtype=m.dtype)
+    blocks[: len(m)] = m[:, None]
+    chal = challenge_input_rep(secret.key, base, len(m), per_ct, t, cols, count)
+    blocks[:, cols] = chal.reshape(len(cols), -1).T
+    return blocks.reshape(count, params.n)
 
 
 def rep_auth(secret: RepSecret, backend, values, base) -> RepAuth:
@@ -154,13 +156,11 @@ def rep_auth(secret: RepSecret, backend, values, base) -> RepAuth:
         base = Identifier(base)
     if base.slot is not None:
         raise ParameterError("base identifier must not carry a slot index")
-    if not values:
+    if len(values) == 0:
         raise ParameterError("cannot authenticate an empty vector")
     secret.registry.register(base)
     cts = tuple(backend.encrypt(s) for s in rep_extend(secret, values, base))
-    tags = tuple(
-        prf_tag(secret.key, base.with_slot(i)) for i in range(len(values))
-    )
+    tags = tuple(prf_tags(secret.key, base, len(values)))
     return RepAuth(base, len(values), secret.lam, cts, tags)
 
 
@@ -202,13 +202,15 @@ def rep_eval(program: Program, auths, backend, lam: int) -> RepResult:
 
 
 def rep_challenge_value(
-    secret: RepSecret, program: Program, input_lengths, chunk: int, col: int
-) -> list[int]:
-    """Circuit output over challenge column `col`, for one ciphertext chunk."""
-    return eval_challenge_rep(
-        program, secret.key, secret.params.t, input_lengths, col,
-        first=chunk * secret.slots_per_ct,
+    secret: RepSecret, program: Program, input_lengths, chunks: int
+) -> np.ndarray:
+    """Circuit output over every challenge column (in increasing offset
+    order) for every ciphertext chunk: shape (λ/2, chunks, width)."""
+    cols = sorted(secret.challenge_set)
+    values = eval_challenge_rep(
+        program, secret.key, secret.params.t, input_lengths, cols, chunks
     )
+    return np.array(values, dtype=np.int64).reshape(len(cols), chunks, program.width)
 
 
 def rep_decode(secret: RepSecret, backend, result: RepResult, program: Program):
@@ -221,11 +223,8 @@ def rep_decode(secret: RepSecret, backend, result: RepResult, program: Program):
     lam = secret.lam
     offset = min(j for j in range(lam) if j not in secret.challenge_set)
     start, count = program.output_block
-    out = []
-    for ct in result.cts:
-        slots = backend.decrypt(ct)
-        out.extend(slots[(start + idx) * lam + offset] for idx in range(count))
-    return out
+    first, stop = start * lam + offset, (start + count) * lam
+    return [v for ct in result.cts for v in backend.decrypt(ct)[first:stop:lam]]
 
 
 def rep_verify(
@@ -250,48 +249,38 @@ def rep_verify(
             reason.append(msg)
         return False
 
-    params, lam = secret.params, secret.lam
-    t = params.t
+    lam, t = secret.lam, secret.params.t
     start, count = program.output_block
-    claimed = [int(v) % t for v in claimed]
-    if len(claimed) != count * len(result.cts):
+    chunks = len(result.cts)
+    claimed = slot_array(claimed, t).astype(np.int64)
+    if claimed.shape != (count * chunks,):
         raise ParameterError(
             f"output block holds {count} values per chunk over "
-            f"{len(result.cts)} chunk(s), claim has {len(claimed)}"
+            f"{chunks} chunk(s), claim has {len(claimed)}"
         )
     if len(input_lengths) != program.num_inputs:
         raise ParameterError("one input length per program input required")
 
-    leaves = []
-    for k, base in enumerate(program.inputs):
-        tags = [
-            prf_tag(secret.key, base.with_slot(i)) for i in range(input_lengths[k])
-        ]
-        leaves.append(fold_tags(tags))
+    leaves = [
+        fold_tags(prf_tags(secret.key, base, input_lengths[k]))
+        for k, base in enumerate(program.inputs)
+    ]
     if hash_tree_eval(program, leaves) != result.tag:
         return fail("structure digest mismatch")
 
-    chal_cache: dict = {}
-    for chunk, ct in enumerate(result.cts):
-        slots = backend.decrypt(ct)
-        for idx in range(count):
-            local = start + idx
-            value = claimed[chunk * count + idx]
-            block = slots[local * lam : (local + 1) * lam]
-            for j in range(lam):
-                if j in secret.challenge_set:
-                    if (chunk, j) not in chal_cache:
-                        chal_cache[(chunk, j)] = rep_challenge_value(
-                            secret, program, input_lengths, chunk, j
-                        )
-                    if block[j] != chal_cache[(chunk, j)][local]:
-                        return fail(
-                            f"challenge offset mismatch at chunk {chunk} slot {local}"
-                        )
-                elif block[j] != value:
-                    return fail(
-                        f"replica offset mismatch at chunk {chunk} slot {local}"
-                    )
+    # the output blocks, (chunk, slot, offset): replicas first, since
+    # checking them needs no challenge values
+    window = slice(start, start + count)
+    slots = np.array([backend.decrypt(ct) for ct in result.cts], dtype=np.int64)
+    got = slots.reshape(chunks, program.width, lam)[:, window]
+    replicas = [j for j in range(lam) if j not in secret.challenge_set]
+    bad = np.argwhere(got[:, :, replicas] != claimed.reshape(chunks, count, 1))
+    if len(bad):
+        return fail(f"replica offset mismatch at chunk {bad[0][0]} slot {start + bad[0][1]}")
+    chal = rep_challenge_value(secret, program, input_lengths, chunks)[:, :, window]
+    bad = np.argwhere(got[:, :, sorted(secret.challenge_set)] != chal.transpose(1, 2, 0))
+    if len(bad):
+        return fail(f"challenge offset mismatch at chunk {bad[0][0]} slot {start + bad[0][1]}")
     return True
 
 

@@ -262,7 +262,7 @@ def _powers(base: int, n: int, p: int, dtype) -> np.ndarray:
     pw = np.ones(n, dtype=dtype)
     m = 1
     while m < n:
-        pw[m : 2 * m] = pw[:m] * pow(base, m, p) % p
+        pw[m : 2 * m] = pw[: min(m, n - m)] * pow(base, m, p) % p
         m *= 2
     return pw
 
@@ -429,41 +429,50 @@ def stack_intt(x, mods) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+_PY_INT = np.frompyfunc(int, 1, 1)
+
+
+def slot_array(values, t: int) -> np.ndarray:
+    """`values` reduced mod t as a slot array over the last axis.
+
+    int64 while t < 2^31, where the product of two slots fits; Python ints
+    in an object array above that, so wide plaintexts stay exact.  Values
+    that do not fit int64 take the exact ``int(v) % t`` path.
+    """
+    a = np.asarray(values)
+    if a.dtype.kind == "i":
+        a = a.astype(np.int64, copy=False) % t
+        return a if t < _NUMPY_LIMIT else a.astype(object)
+    a = _PY_INT(np.array(values, dtype=object)) % t
+    return a.astype(np.int64) if t < _NUMPY_LIMIT else a
+
+
 def batch_encode(slots, mod: Modulus) -> list[int]:
-    """Pack n slot values (row-major 2×(n/2)) into plaintext coefficients."""
+    """Pack n slot values (row-major 2×(n/2)) into plaintext coefficients.
+
+    The slots are reduced mod p by :func:`slot_array`: in numpy for
+    integer arrays and for lists that fit int64, exactly otherwise.
+    """
     if not mod.ntt_ready:
         raise ParameterError(
             f"batching needs a prime ≡ 1 mod {2 * mod.n}; got {mod.value}"
         )
     if len(slots) != mod.n:
         raise ParameterError(f"expected {mod.n} slots, got {len(slots)}")
-    table = mod.slot_to_eval()
-    p = mod.value
-    if mod._np_path:
-        evals = np.zeros(mod.n, dtype=np.int64)
-        evals[table] = np.asarray([int(v) % p for v in slots], dtype=np.int64)
-        return mod.intt(evals).tolist()
-    evals = [0] * mod.n
-    for s in range(mod.n):
-        evals[int(table[s])] = int(slots[s]) % p
-    return mod.intt(evals)
+    evals = np.zeros(mod.n, dtype=np.int64 if mod._np_path else object)
+    evals[mod.slot_to_eval()] = slot_array(slots, mod.value)
+    return np.asarray(mod.intt(evals)).tolist()
 
 
 def batch_decode(coeffs, mod: Modulus) -> list[int]:
     """Inverse of :func:`batch_encode`."""
-    evals = mod.ntt(coeffs)
-    table = mod.slot_to_eval()
-    if mod._np_path:
-        return evals[table].tolist()
-    return [evals[i] for i in table.tolist()]
+    return np.asarray(mod.ntt(coeffs))[mod.slot_to_eval()].tolist()
 
 
 def slot_poly_eval(slots, delta: int, t: int) -> int:
     """Σ_j slots[j]·δ^j mod t, slots taken in row-major slot order."""
-    acc = 0
-    for v in reversed(list(slots)):
-        acc = (acc * delta + int(v)) % t
-    return acc
+    v = slot_array(slots, t)
+    return int((v * _powers(delta, len(v), t, v.dtype) % t).sum() % t)
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,9 @@ from .rep import RepAuth, RepResult, RepSecret
 MAGIC = b"VRTS"
 # 2: RNS-digit key-switching keys; 3: no ciphertext level byte;
 # 4: one residue stack per ciphertext and per key, u32 residues;
-# 5: no ciphertext multiplication depth
-VERSION = 5
+# 5: no ciphertext multiplication depth; 6: challenge values from SHAKE-256
+# streams, so secrets and authentications saved under 5 would not verify
+VERSION = 6
 
 TYPE_PARAMS = 0x01
 TYPE_KEYSET = 0x02
@@ -268,7 +269,7 @@ def load_ciphertext(blob: bytes, offset: int = 0):
     r = _Reader(body)
     if tc == TYPE_MOCK_CIPHERTEXT:
         n, depth, nonce = r.unpack("<IIQ")
-        slots = tuple(int(v) for v in np.frombuffer(r.take(8 * n), dtype="<u8"))
+        slots = np.frombuffer(r.take(8 * n), dtype="<u8")
         r.done()
         return MockCiphertext(slots, depth, nonce), nxt
     if tc == TYPE_CIPHERTEXT:

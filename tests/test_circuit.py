@@ -4,7 +4,10 @@ interpreter against the plain one."""
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vhe.circuit import (
     Gate,
@@ -16,10 +19,12 @@ from vhe.circuit import (
     eval_he,
     eval_plain,
     extend_const,
+    interpret,
     program_from_json,
     program_to_json,
     random_program,
     required_rotation_steps,
+    slot_inner_sum,
 )
 from vhe.errors import ParameterError, StructureError
 from vhe.labels import Identifier, PrfKey
@@ -161,6 +166,85 @@ def test_eval_plain_checks_widths():
 
 
 # ---------------------------------------------------------------------------
+# the array slot algebra against a list oracle
+# ---------------------------------------------------------------------------
+
+
+def oracle_inner_sum(vec, block, t, stride=1):
+    out = list(vec)
+    span = block * stride
+    for base in range(0, len(vec), span):
+        for first in range(base, base + stride):
+            s = sum(vec[first : base + span : stride]) % t
+            out[first : base + span : stride] = [s] * block
+    return out
+
+
+def oracle_unary(vec, g, t):
+    row = len(vec) // 2
+    if g.op == "mul_plain":
+        return [x * int(c) % t for x, c in zip(vec, g.const)]
+    if g.op == "rotate":
+        s = g.step % row
+        return vec[s:row] + vec[:s] + vec[row + s :] + vec[row : row + s]
+    if g.op == "row_swap":
+        return vec[row:] + vec[:row]
+    return oracle_inner_sum(vec, g.block, t)
+
+
+def oracle_eval(program, inputs, t):
+    """The plain interpreter on Python lists, one slot at a time."""
+    wires = interpret(
+        program, [[int(x) % t for x in v] for v in inputs],
+        lambda a, b: [(x + y) % t for x, y in zip(a, b)],
+        lambda a, b: [(x - y) % t for x, y in zip(a, b)],
+        lambda a, b, _: [x * y % t for x, y in zip(a, b)],
+        lambda v, g: oracle_unary(v, g, t),
+    )
+    return wires[program.output]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from([preset("mock64").t, preset("mock64_wide").t]),
+    st.sampled_from([(), (3,), (2, 2)]),
+)
+def test_array_slot_algebra_matches_list_oracle(seed, t, lead):
+    """eval_plain on arrays equals the list oracle at 16- and 40-bit t, for
+    unbatched inputs and inputs with leading batch axes."""
+    rng = random.Random(seed)
+    width = 16
+    p = random_program(rng, width, t, num_inputs=rng.randint(1, 3), max_gates=10)
+    batch = int(np.prod(lead, dtype=int))
+    vecs = [
+        [[rng.randrange(-t, 2 * t) for _ in range(width)] for _ in range(p.num_inputs)]
+        for _ in range(batch)
+    ]
+    want = [oracle_eval(p, v, t) for v in vecs]
+    if not lead:
+        assert eval_plain(p, vecs[0], t) == want[0]
+        return
+    ins = [
+        np.array([v[k] for v in vecs], dtype=object).reshape(lead + (width,))
+        for k in range(p.num_inputs)
+    ]
+    got = np.array(eval_plain(p, ins, t), dtype=object).reshape(batch, width)
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("t", [preset("mock64").t, preset("mock64_wide").t])
+def test_strided_inner_sum_matches_list_oracle(t):
+    rng = random.Random(5)
+    vec = [rng.randrange(t) for _ in range(64)]
+    arr = np.array(vec, dtype=np.int64 if t < 1 << 31 else object)
+    for block in (1, 2, 4, 8):
+        for stride in (1, 2, 4):
+            want = oracle_inner_sum(vec, block, t, stride)
+            assert slot_inner_sum(arr, block, t, stride).tolist() == want
+
+
+# ---------------------------------------------------------------------------
 # challenge evaluation
 # ---------------------------------------------------------------------------
 
@@ -178,9 +262,11 @@ def test_eval_challenge_rep_pads_past_length():
     b = ProgramBuilder(width=8)
     x = b.input("x")
     p = b.build(b.add(x, x))
-    col0 = eval_challenge_rep(p, key, T, [3], col=0)
+    (col0,), (col1,) = eval_challenge_rep(p, key, T, [3], cols=[0, 1], chunks=1)
     assert col0[3:] == [0] * 5  # components ≥ length are zero padding
-    assert col0 != eval_challenge_rep(p, key, T, [3], col=1)
+    assert col0 != col1
+    # a second chunk carries components 8 onwards: all padding here
+    assert eval_challenge_rep(p, key, T, [3], cols=[0], chunks=2) == [[col0, [0] * 8]]
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +444,8 @@ def test_algebras_agree_on_random_programs():
         assert degree_schedule(p, use_reducer=True) == (reduced.degree, reducer.fired)
 
         rhos, deltas, _ = offset_walk(p, sec.key, t, sec.alpha)
-        assert rhos[p.output] == eval_challenge_pe(p, sec.key, t)
-        assert deltas[p.output] == [0] * n
+        assert rhos[p.output].tolist() == eval_challenge_pe(p, sec.key, t)
+        assert deltas[p.output].tolist() == [0] * n
 
         out = eval_he(p, [backend.encrypt(v) for v in ins], backend)
         assert out.depth == p.depth

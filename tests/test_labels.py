@@ -1,8 +1,11 @@
 """Identifiers, PRF outputs, tag folding, the gate hash tree, and the
 identifier registry."""
 
+import hashlib
 import random
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,9 +20,11 @@ from vhe.labels import (
     fold_tags,
     hash_tree_eval,
     prf_tag,
+    prf_stream,
+    prf_tags,
     prf_zt,
-    slot_prf,
 )
+from vhe.params import preset
 
 KEY = PrfKey(bytes(range(32)))
 KEY2 = PrfKey(bytes(range(1, 33)))
@@ -85,31 +90,101 @@ def test_prf_zt_always_in_range(t, slot):
     assert 0 <= prf_zt(KEY, Identifier("p", slot), t) < t
 
 
-@settings(max_examples=60)
+WIDE_T = preset("mock64_wide").t  # 40 bits
+
+
+def reference_stream(key, label: str, t: int, count: int, aux=None) -> list[int]:
+    """The first `count` (≤ 1024, inside block 0) values of a challenge
+    stream, word by word from the definition."""
+    lab = label.encode("utf-8")
+    name = struct.pack("<I", len(lab)) + lab + b"\x02"
+    aux_bytes = b"\x00" if aux is None else b"\x01" + struct.pack("<Q", aux)
+    xof = hashlib.shake_256(
+        b"vhe:prf-stream\x00\x00" + key.key + name + aux_bytes + struct.pack("<Q", 0)
+    )
+    size = 4 if t.bit_length() <= 32 else 8
+    data = xof.digest(size * 64 * count)
+    words = (int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size))
+    kept = [w for w in (w & ((1 << t.bit_length()) - 1) for w in words) if w < t]
+    return kept[:count]
+
+
+def test_prf_stream_known_answers():
+    base = Identifier("kat")
+    assert prf_stream(KEY, base, 40961, 8).tolist() == [
+        11088, 31824, 31253, 1260, 17204, 22210, 18057, 40544,
+    ]
+    assert prf_stream(KEY, base, WIDE_T, 8).tolist() == [
+        347355916925, 535658579593, 382076575690, 477293889686,
+        123108959232, 203173311523, 344601713467, 11706826770,
+    ]
+    for t in (40961, WIDE_T):
+        for aux in (None, 3):
+            assert prf_stream(KEY, base, t, 8, aux).tolist() == reference_stream(
+                KEY, "kat", t, 8, aux
+            )
+
+
+@settings(max_examples=40)
+@given(
+    st.integers(min_value=2, max_value=1 << 60),
+    st.integers(0, 2500),
+    st.integers(0, 2500),
+    st.none() | st.integers(0, 2**64 - 1),
+)
+def test_prf_stream_prefix_and_range(t, c1, c2, aux):
+    """A shorter stream is a prefix of a longer one; every value is in [0, t)."""
+    short, long_ = sorted((c1, c2))
+    a = prf_stream(KEY, Identifier("p"), t, short, aux)
+    b = prf_stream(KEY, Identifier("p"), t, long_, aux)
+    assert a.dtype == b.dtype == np.int64 and len(b) == long_
+    assert a.tolist() == b[:short].tolist()
+    assert ((b >= 0) & (b < t)).all()
+
+
+@settings(max_examples=30)
 @given(
     st.text(min_size=0, max_size=12),
     st.integers(min_value=2, max_value=1 << 60),
-    st.lists(st.tuples(st.integers(0, 2**64 - 1), st.none() | st.integers(0, 2**64 - 1)), max_size=6),
+    st.integers(1, 2100),
+    st.none() | st.integers(0, 2**64 - 1),
 )
-def test_slot_prf_equals_prf_zt(label, t, points):
-    """The prefix-state helper gives prf_zt's values for every (slot, aux),
-    non-ASCII labels included."""
-    prf = slot_prf(KEY, Identifier(label), t)
-    for slot, aux in points + [(0, None), (3, 0), (3, 1)]:
-        assert prf(slot, aux) == prf_zt(KEY, Identifier(label, slot), t, aux=aux)
+def test_prf_stream_equals_prf_zt(label, t, count, aux):
+    """Element i of the stream of (base, aux) is prf_zt of (base, slot i),
+    across block boundaries and for non-ASCII labels."""
+    base = Identifier(label)
+    stream = prf_stream(KEY, base, t, count, aux)
+    for i in {0, count // 2, count - 1, min(1023, count - 1)}:
+        assert stream[i] == prf_zt(KEY, base.with_slot(i), t, aux=aux)
 
 
-def test_slot_prf_rejects_what_prf_zt_rejects():
+def test_prf_stream_rejects_what_prf_zt_rejects():
     with pytest.raises(ParameterError):
-        slot_prf(KEY, Identifier("x"), 1)
+        prf_stream(KEY, Identifier("x"), 1, 4)
     with pytest.raises(ParameterError):
-        slot_prf(KEY, Identifier("x", 2), 97)
-    prf = slot_prf(KEY, Identifier("ünï"), 97)
-    assert prf(5, 2) == prf_zt(KEY, Identifier("ünï", 5), 97, aux=2)
+        prf_stream(KEY, Identifier("x", 2), 97, 4)
     with pytest.raises(ParameterError):
-        prf(-1)
+        prf_stream(KEY, Identifier("x"), 97, 4, aux=-1)
     with pytest.raises(ParameterError):
-        prf(0, -1)
+        prf_stream(KEY, Identifier("x"), 97, -1)
+    with pytest.raises(ParameterError):
+        prf_stream(KEY, Identifier("x"), 1 << 63, 4)
+    assert prf_stream(KEY, Identifier("ünï"), 97, 6, aux=2)[5] == prf_zt(
+        KEY, Identifier("ünï", 5), 97, aux=2
+    )
+    # a slotless identifier reads its own stream, not slot 0 of its base's
+    t = 1 << 60
+    assert prf_zt(KEY, Identifier("x"), t) != prf_zt(KEY, Identifier("x", 0), t)
+
+
+def test_prf_tags_equal_prf_tag():
+    for label in ("w", "ünï", ""):
+        base = Identifier(label)
+        tags = prf_tags(KEY, base, 5)
+        assert tags == [prf_tag(KEY, base.with_slot(i)) for i in range(5)]
+    assert prf_tags(KEY, Identifier("w"), 0) == []
+    with pytest.raises(ParameterError):
+        prf_tags(KEY, Identifier("w", 1), 2)
 
 
 def test_prf_tag_shape_and_independence():

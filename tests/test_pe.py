@@ -241,11 +241,11 @@ def test_offset_walk_zero_without_omega():
     sec = make_secret(seed=24)
     prog = square_chain(2)
     rhos, deltas, naturals = pe.offset_walk(prog, sec.key, T, sec.alpha)
-    assert deltas[prog.output] == [0] * N
-    assert rhos[prog.output] == eval_challenge_pe(prog, sec.key, T)
+    assert deltas[prog.output].tolist() == [0] * N
+    assert rhos[prog.output].tolist() == eval_challenge_pe(prog, sec.key, T)
     # natural product-rule offsets exist only on mul gates
     assert naturals[0] is None
-    assert naturals[1] == [0] * N  # inputs carry zero offset
+    assert naturals[1].tolist() == [0] * N  # inputs carry zero offset
 
 
 def test_offset_walk_substitutes_blinds():
@@ -254,13 +254,13 @@ def test_offset_walk_substitutes_blinds():
     rng = random.Random(27)
     r_bar = [rng.randrange(T) for _ in range(N)]
     _, deltas, _ = pe.offset_walk(prog, sec.key, T, sec.alpha, omega={1: r_bar})
-    assert deltas[1] == [sec.alpha * v % T for v in r_bar]
+    assert deltas[1].tolist() == [sec.alpha * v % T for v in r_bar]
     # downstream mul mixes the substituted offset via the product rule
     rhos, _, naturals = pe.offset_walk(prog, sec.key, T, sec.alpha, omega={1: r_bar})
-    d1 = deltas[1]
-    r1 = rhos[1]
+    d1 = deltas[1].tolist()
+    r1 = rhos[1].tolist()
     expect = [(2 * a * x + x * x) % T for a, x in zip(r1, d1)]
-    assert naturals[2] == expect
+    assert naturals[2].tolist() == expect
 
 
 def test_final_offset_matches_walk():
@@ -269,7 +269,7 @@ def test_final_offset_matches_walk():
     r_bar = [random.Random(29).randrange(T)] * N
     omega = {1: r_bar}
     _, deltas, _ = pe.offset_walk(prog, sec.key, T, sec.alpha, omega)
-    assert pe.final_offset(sec, prog, omega) == deltas[prog.output]
+    assert pe.final_offset(sec, prog, omega).tolist() == deltas[prog.output].tolist()
 
 
 def test_soundness_bound():

@@ -185,6 +185,21 @@ def test_version_4_ciphertext_refused(real_keys):
         sz.load_ciphertext(_container(sz.TYPE_CIPHERTEXT, struct.pack("<I", 0) + body, version=4))
 
 
+def test_version_5_secret_and_auth_refused(mock):
+    """Version 5 secrets and authentications carry the per-slot Blake2b
+    challenge values: they must fail to load, not verify as forgeries."""
+    sec = rep.rep_keygen(PARAMS, lam=4, rng=random.Random(6), make_he_keys=False)
+    blobs = [
+        (sz.load_rep_secret, sz.save_rep_secret(sec)),
+        (sz.load_rep_auth, sz.save_rep_auth(rep.rep_auth(sec, mock, [1, 2], "v5"))),
+    ]
+    for load, blob in blobs:
+        old = blob[:4] + struct.pack("<H", 5) + blob[6:]
+        with pytest.raises(SerializationError, match="version 5"):
+            load(old)
+        load(blob)
+
+
 def test_ciphertext_residues_are_u32(real_keys):
     """17 + 4·(d+1)·k·n bytes: an 11-byte container header, the 6-byte
     shape header (u8 components ‖ u8 k ‖ u32 n), then u32 residues."""
