@@ -2,22 +2,21 @@
 
 A ciphertext (c₀, …, c_d) is one int64 residue stack of shape (d+1, k, n):
 component, chain prime, coefficient, always in the evaluation (NTT)
-domain.  Keys are stacks too: the public key is (2, k, n) for (b, a), and
-the relinearization key and every Galois key are (2, k, k, n): (b, a) per
-RNS digit.  Plaintexts are batched slot vectors over Z_t.  Every linear
-operation, encryption and a rotation's slot permutation are one numpy
-expression over the stack; an operation that needs coefficients moves
-between the domains with one stacked transform call (ring.stack_ntt /
-stack_intt) per direction: secret-key encryption transforms the k rows of
-e + Δ·m, public-key encryption (u, e₀ + Δ·m, e₁) as one (3, k, n) stack, a
-key switch its (k, k, n) digit stack, multiplication its four inputs' chain
-rows, their auxiliary rows, its three products and, back into the chain,
-the three scaled results.
+domain.  Keys are stacks too: the relinearization key and every Galois key
+are (2, k, k, n): (b, a) per RNS digit.  There is no public key: only the
+data owner encrypts, since authenticating an input needs its secrets too,
+and the evaluator only computes.  Plaintexts are batched slot vectors over
+Z_t.  Every linear operation, encryption and a rotation's slot permutation
+are one numpy expression over the stack; an operation that needs
+coefficients moves between the domains with one stacked transform call
+(ring.stack_ntt / stack_intt) per direction: encryption transforms the k
+rows of e + Δ·m, a key switch its (k, k, n) digit stack, multiplication its
+four inputs' chain rows, their auxiliary rows, its three products and, back
+into the chain, the three scaled results.
 
-    encrypt:  c = (−a·s + e + Δ·m, a) with the secret key (the data owner),
+    encrypt:  c = (−a·s + e + Δ·m, a) with the secret key,  Δ = ⌊Q/t⌋,
               a uniform in the evaluation domain and expanded from a
-              32-byte seed by SHAKE-128 (expand_uniform);
-              c = u·pk + (e₀ + Δ·m, e₁) with public keys only,  Δ = ⌊Q/t⌋
+              32-byte seed by SHAKE-128 (expand_uniform)
     decrypt:  m = ⌊(t·x + ⌊Q/2⌋)/Q⌋ mod t for the phase x = [c₀ + c₁·s]_Q,
               exactly, by int64 Garner base conversion into auxiliary
               primes P′ with Π P′ > t
@@ -224,13 +223,12 @@ class Ciphertext:
 
 @dataclass
 class KeySet:
-    """Secret, public, relinearization, and rotation key material.
+    """Secret, relinearization, and rotation key material.
 
     `public()` strips the secret for handing to an evaluator.
     """
 
     params: Params
-    pk: np.ndarray  # (2, k, n): (b, a), evaluation domain
     rlk: np.ndarray  # (2, k, k, n): (b, a) per RNS digit
     gks: dict  # galois element → (2, k, k, n) like rlk
     sk_ntt: np.ndarray | None = None
@@ -240,7 +238,7 @@ class KeySet:
         return self.sk_ntt is not None
 
     def public(self) -> "KeySet":
-        return KeySet(self.params, self.pk, self.rlk, dict(self.gks), None)
+        return KeySet(self.params, self.rlk, dict(self.gks), None)
 
 
 def _cbd_error(gen: np.random.Generator, n: int, err_std: float) -> np.ndarray:
@@ -317,7 +315,7 @@ def keygen(
     row_swap: bool = True,
     rng: np.random.Generator | None = None,
 ) -> KeySet:
-    """Generate secret/public/relinearization keys plus the requested
+    """Generate the secret and relinearization keys plus the requested
     rotation keys (exactly those steps, plus the row swap by default)."""
     gen = rng if rng is not None else np.random.default_rng(
         secrets.randbits(128)
@@ -345,8 +343,6 @@ def keygen(
         b %= q
         return out
 
-    pk = rlwe_pairs(1)[:, 0]
-
     def key_switch_key(target_ntt):
         """One RLWE pair per chain prime; pair i carries the target secret
         times the CRT idempotent e_i (≡ 1 mod q_i, ≡ 0 mod q_j≠i), i.e. the
@@ -369,7 +365,7 @@ def keygen(
         perm = _eval_permutation(g, n)
         gks[g] = key_switch_key(s_ntt[:, perm])
 
-    return KeySet(params=params, pk=pk, rlk=rlk, gks=gks, sk_ntt=s_ntt)
+    return KeySet(params=params, rlk=rlk, gks=gks, sk_ntt=s_ntt)
 
 
 # ---------------------------------------------------------------------------
@@ -438,42 +434,27 @@ class BfvBackend:
     # ---- lifecycle ----------------------------------------------------------
 
     def encrypt(self, slots) -> Ciphertext:
-        """Secret-key encryption (−a·s + NTT(e + Δ·m), a) when the backend
-        holds the secret key, with a expanded from a seed drawn from the
-        generator; public-key encryption u·pk + (e₀ + Δ·m, e₁) otherwise."""
+        """(−a·s + NTT(e + Δ·m), a), with a expanded from a seed drawn from
+        the generator; only a backend holding the secret key encrypts."""
+        s_ntt = self._require_secret()
         p = self.params
         if len(slots) != p.n:
             raise ParameterError(f"expected {p.n} slots, got {len(slots)}")
         gen, q = self._gen, self._q
         scaled = self._delta_res * self._encode_residues(slots, ntt=False)
-        s_ntt = self.keys.sk_ntt
-        if s_ntt is not None:
-            c = np.empty((2,) + scaled.shape, dtype=np.int64)
-            c[1] = expand_uniform(gen.bytes(SEED_BYTES), self.primes, 1, p.n)[0]
-            scaled += _cbd_error(gen, p.n, p.err_std)
-            scaled %= q
-            np.multiply(c[1], s_ntt, out=c[0])
-            np.subtract(stack_ntt(scaled, self.mods), c[0], out=c[0])
-            c[0] %= q
-            return Ciphertext(c)
-        u = _ternary(gen, p.n)
-        e0 = _cbd_error(gen, p.n, p.err_std)
-        e1 = _cbd_error(gen, p.n, p.err_std)
-        # by linearity, NTT(e₀ + Δ·m) = NTT(e₀) + Δ·NTT(m): one transform
-        # of (u, e₀ + Δ·m, e₁) gives every evaluation-domain term
-        x = np.empty((3,) + scaled.shape, dtype=np.int64)
-        x[0] = u
-        np.add(scaled, e0, out=x[1])
-        x[2] = e1
-        x %= q
-        x = stack_ntt(x, self.mods)
-        c = self.keys.pk * x[0]
-        c += x[1:]
-        c %= q
+        c = np.empty((2,) + scaled.shape, dtype=np.int64)
+        c[1] = expand_uniform(gen.bytes(SEED_BYTES), self.primes, 1, p.n)[0]
+        scaled += _cbd_error(gen, p.n, p.err_std)
+        scaled %= q
+        np.multiply(c[1], s_ntt, out=c[0])
+        np.subtract(stack_ntt(scaled, self.mods), c[0], out=c[0])
+        c[0] %= q
         return Ciphertext(c)
 
     def encrypt_zero(self) -> Ciphertext:
-        return self.encrypt([0] * self.params.n)
+        """The noiseless (0, 0): it decrypts to zero under every key and
+        hides nothing, so it needs no key and draws nothing."""
+        return Ciphertext(np.zeros((2, len(self.primes), self.params.n), dtype=np.int64))
 
     def _require_secret(self):
         if not self.keys.has_secret:

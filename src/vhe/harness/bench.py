@@ -1,14 +1,14 @@
 """Amortized per-slot timing of homomorphic operations under each scheme.
 
-Every row is an independent measurement on the real backend (median of
-`repeats` timed calls after one warmup).  Amortization follows directly from
-each scheme's layout:
+Every row is the fastest of `repeats` samples of thread CPU time after one
+warmup, on the real backend (noise only adds time); the rows are sampled
+round-robin.  Amortization follows directly from each scheme's layout:
 
 - baseline: one ciphertext operation serves all n slots;
 - replication at λ: one operation on an extended ciphertext serves n/λ
   logical slots, so per-slot cost grows linearly in λ;
 - polynomial encoding at degree d: linear gates touch all d+1 components and
-  a multiplication producing degree d performs (d/2+1)² backend products,
+  a product of degree d takes (d/2+1)(d/2+2)/2 backend products (Karatsuba)
   while the slot count stays n — per-slot cost is independent of λ.
 
 Absolute numbers are hardware-dependent; only ratios and trends are stable.
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import random
-import statistics
 import time
 from dataclasses import dataclass
 
@@ -42,7 +41,7 @@ class BenchRow:
     degree: int | None  # result degree for polynomial-encoding rows
     n: int
     slots: int  # logical slots one measured operation serves
-    median_op_s: float
+    best_op_s: float
     per_slot_us: float
     repeats: int
 
@@ -50,19 +49,24 @@ class BenchRow:
         return dict(self.__dict__)
 
 
-def _time_median(fn, repeats: int, min_sample_s: float = 0.005) -> float:
-    t0 = time.perf_counter()
-    fn()  # warmup: primes caches (NTT tables, extended basis) and sizes batches
-    first = time.perf_counter() - t0
-    # fast operations run in batches so scheduler jitter averages out
-    inner = max(1, math.ceil(min_sample_s / max(first, 1e-9)))
-    samples = []
+def _time_best(fns, repeats: int, min_sample_s: float = 0.005) -> list[float]:
+    """Per function, the fastest of `repeats` samples of thread CPU time per
+    call.  Samples are taken round-robin, so a stretch of load on a shared
+    machine slows one sample of every function, which the minimum drops."""
+    inner = []
+    for fn in fns:
+        t0 = time.thread_time()
+        fn()  # warmup: primes caches (NTT tables, extended basis) and sizes batches
+        # fast operations run in batches, well above the clock's resolution
+        inner.append(max(1, math.ceil(min_sample_s / max(time.thread_time() - t0, 1e-9))))
+    best = [math.inf] * len(fns)
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        for _ in range(inner):
-            fn()
-        samples.append((time.perf_counter() - t0) / inner)
-    return statistics.median(samples)
+        for i, fn in enumerate(fns):
+            t0 = time.thread_time()
+            for _ in range(inner[i]):
+                fn()
+            best[i] = min(best[i], (time.thread_time() - t0) / inner[i])
+    return best
 
 
 def _gate_program(n: int, op: str):
@@ -130,23 +134,10 @@ def run_bench(
             "mul": lambda: backend.mul(a, b),
         }[op]
 
-    rows: list[BenchRow] = []
+    jobs: list = []  # ((scheme, op, λ, degree, slots), timed function)
 
     def measure(scheme, op, lam, degree, slots, fn):
-        med = _time_median(fn, repeats)
-        rows.append(
-            BenchRow(
-                scheme=scheme,
-                op=op,
-                lam=lam,
-                degree=degree,
-                n=n,
-                slots=slots,
-                median_op_s=med,
-                per_slot_us=med / slots * 1e6,
-                repeats=repeats,
-            )
-        )
+        jobs.append(((scheme, op, lam, degree, slots), fn))
 
     if "baseline" in schemes:
         for op in ops:
@@ -190,11 +181,15 @@ def run_bench(
                     n,
                     lambda h=half, o=other: pe_eval(prog, [h, o], backend),
                 )
-    return rows
+    best = _time_best([fn for _, fn in jobs], repeats)
+    return [
+        BenchRow(scheme, op, lam, degree, n, slots, b, b / slots * 1e6, repeats)
+        for ((scheme, op, lam, degree, slots), _), b in zip(jobs, best)
+    ]
 
 
 def rows_to_csv(rows) -> str:
-    header = "scheme,op,lam,degree,n,slots,median_op_s,per_slot_us,repeats"
+    header = "scheme,op,lam,degree,n,slots,best_op_s,per_slot_us,repeats"
     lines = [header]
     for r in rows:
         d = r.to_dict()
@@ -215,7 +210,7 @@ def bench_summary(rows) -> str:
             f"{r.scheme:<9} {r.op:<10} "
             f"{r.lam if r.lam is not None else '-':>4} "
             f"{r.degree if r.degree is not None else '-':>4} "
-            f"{r.slots:>6} {r.median_op_s * 1e3:>10.3f}ms "
+            f"{r.slots:>6} {r.best_op_s * 1e3:>10.3f}ms "
             f"{r.per_slot_us:>10.3f}µs"
         )
 

@@ -12,9 +12,11 @@ fresh authentication has degree 1: c_0 encrypts the data m and c_1
 encrypts (r − m)·α^{-1}, so y_0 + α·y_1 = r.
 
 Homomorphic evaluation treats σ as a polynomial in α: Add/Sub act
-component-wise (zero-padding shorter tuples with genuine encryptions of
-zero), plaintext multiplication and slot permutations apply to every
-component, and Mul convolves the component tuples, growing the degree.
+component-wise (a shorter tuple's missing components count as zero, so the
+longer tuple's extra components carry over, negated for a subtrahend),
+plaintext multiplication and slot permutations apply to every component,
+and Mul convolves the component tuples, growing the degree.  The evaluator
+never encrypts.
 Forging a result requires finding a degree-≤d polynomial identity that
 holds at the secret α, which succeeds with probability about 2d/t.
 """
@@ -123,23 +125,17 @@ def pe_auth(secret: PeSecret, backend, values, base) -> PeAuth:
 # ---------------------------------------------------------------------------
 
 
-def _pad(backend, comps: tuple, degree: int) -> tuple:
-    if len(comps) - 1 >= degree:
-        return comps
-    pad = tuple(backend.encrypt_zero() for _ in range(degree - len(comps) + 1))
-    return comps + pad
-
-
 def pe_add(backend, a: tuple, b: tuple) -> tuple:
-    d = max(len(a), len(b)) - 1
-    a, b = _pad(backend, a, d), _pad(backend, b, d)
-    return tuple(backend.add(x, y) for x, y in zip(a, b))
+    """Component-wise sum; the longer tuple's extra components carry over."""
+    m = min(len(a), len(b))
+    return tuple(backend.add(x, y) for x, y in zip(a, b)) + a[m:] + b[m:]
 
 
 def pe_sub(backend, a: tuple, b: tuple) -> tuple:
-    d = max(len(a), len(b)) - 1
-    a, b = _pad(backend, a, d), _pad(backend, b, d)
-    return tuple(backend.sub(x, y) for x, y in zip(a, b))
+    """Component-wise difference; extra components of `b` are negated."""
+    m = min(len(a), len(b))
+    diff = tuple(backend.sub(x, y) for x, y in zip(a, b))
+    return diff + a[m:] + tuple(backend.neg(y) for y in b[m:])
 
 
 def pe_mul(backend, a: tuple, b: tuple, max_degree: int = MAX_DEGREE) -> tuple:

@@ -21,10 +21,11 @@ go on with uniform stand-in slots and report the failure only after their
 last message.
 
 Re-quadratization (ReQ): whenever a product would push a stored tuple past
-degree 2, the cloud sends the two high components (y_3, y_4), the client
-returns blinded replacements folded into components 1 and 2, and the
-verification offset picks up α·r̄ for that gate.  Four ciphertexts cross
-the wire per round; component 0 — the data — is never touched.
+degree 2, the cloud sends the two high components (y_3, y_4; y_4 is the
+trivial zero after a degree-3 product), the client returns blinded
+replacements folded into components 1 and 2, and the verification offset
+picks up α·r̄ for that gate.  Four ciphertexts cross the wire per round;
+component 0 — the data — is never touched.
 
 One verified session is the pair `cloud_reply` (after `pe_eval`, with a
 ReqCloudSession as its reducer for ReQ) and `client_session`; the use
@@ -48,7 +49,7 @@ from .circuit import Program, eval_challenge_pe, slot_add, slot_mul, slot_sub
 from .errors import (
     DecryptionFailureError, ParameterError, ProtocolError, SerializationError, StructureError,
 )
-from .pe import PeAuth, PeSecret, degree_schedule, final_offset, offset_walk, pe_verify
+from .pe import PeAuth, PeSecret, degree_schedule, offset_walk, pe_verify
 from .ring import slot_array, slot_poly_eval
 from .serialize import load_ciphertext, save_ciphertext
 
@@ -449,9 +450,8 @@ class ReqCloudSession:
             raise StructureError(
                 f"re-quadratization expects degree 3 or 4, got {d}"
             )
-        c3 = comps[3]
-        c4 = comps[4] if d == 4 else b.encrypt_zero()
-        self.endpoint.send(TAG_REQ_HIGH_TERMS, pack_cts([c3, c4]))
+        c4 = comps[4] if d == 4 else b.encrypt_zero()  # the trivial zero
+        self.endpoint.send(TAG_REQ_HIGH_TERMS, pack_cts([comps[3], c4]))
         e1, e2 = unpack_cts(_recv(self.endpoint, TAG_REQ_BLINDED), 2)
         self.rounds += 1
         return (comps[0], b.add(comps[1], e1), b.add(comps[2], e2))
@@ -462,7 +462,9 @@ class ReqClientSession:
 
     The round-to-gate correspondence is fixed by the program structure
     (products are reduced in gate order), so no gate index travels on the
-    wire; both sides derive the same schedule from the program.
+    wire; both sides derive the same schedule from the program.  Every
+    round's blinds are drawn up front, so one offset walk gives each
+    round's natural offset (it depends only on earlier rounds' r̄).
 
     High terms that fail to decrypt are answered from uniform stand-in
     slots drawn from the system's random source (never from `rng`), so
@@ -473,10 +475,20 @@ class ReqClientSession:
     def __init__(self, secret: PeSecret, backend, program: Program, rng=None):
         self.secret = secret
         self.backend = backend
-        self.program = program
         _, self.schedule = degree_schedule(program, use_reducer=True)
-        self.omega: dict[int, np.ndarray] = {}
-        self.rnd = rng if rng is not None else random.Random(_secrets.randbits(128))
+        rnd = rng if rng is not None else random.Random(_secrets.randbits(128))
+        t, n = secret.params.t, secret.params.n
+
+        def vector():
+            return slot_array([rnd.randrange(t) for _ in range(n)], t)
+
+        draws = [(rnd.randrange(t), rnd.randrange(t), vector(), vector()) for _ in self.schedule]
+        omega = {g: d[3] for g, d in zip(self.schedule, draws)}
+        _, deltas, nat = offset_walk(program, secret.key, t, secret.alpha, omega)
+        self.offset = deltas[program.output]
+        # per round: κ₁, κ₂, r and r̄ − α⁻¹·(the gate's natural offset)
+        self.blinds = [(k1, k2, r, slot_sub(rb, slot_mul(nat[g], secret.alpha_inv, t), t))
+                       for g, (k1, k2, r, rb) in zip(self.schedule, draws)]
         self.round = 0
         self.failures: list[str] = []
 
@@ -487,33 +499,20 @@ class ReqClientSession:
     def respond(self, payload: bytes) -> bytes:
         if self.round >= len(self.schedule):
             raise ProtocolError("more reduction rounds than the program needs")
-        t = self.secret.params.t
-        n = self.secret.params.n
-        alpha = self.secret.alpha
-        gate = self.schedule[self.round]
+        t, alpha = self.secret.params.t, self.secret.alpha
+        kap1, kap2, r, shift = self.blinds[self.round]
         y3, y4 = (
-            _decrypt_or_stand_in(self.backend, c, self.failures)
+            slot_array(_decrypt_or_stand_in(self.backend, c, self.failures), t)
             for c in unpack_cts(payload, 2)
         )
-        _, _, naturals = offset_walk(
-            self.program, self.secret.key, t, alpha, self.omega
-        )
-        big_delta = slot_mul(naturals[gate], self.secret.alpha_inv, t)
-        kap1 = self.rnd.randrange(t)
-        kap2 = self.rnd.randrange(t)
-        r = slot_array([self.rnd.randrange(t) for _ in range(n)], t)
-        r_bar = slot_array([self.rnd.randrange(t) for _ in range(n)], t)
         a2 = alpha * alpha % t
         a3 = a2 * alpha % t
-        y3, y4 = slot_array(y3, t), slot_array(y4, t)
         yb2 = slot_add(
             slot_add(slot_mul(y3, alpha * kap1 % t, t), slot_mul(y4, a2 * kap2 % t, t), t),
             r, t,
         )
         yb1 = slot_add(slot_mul(y4, a3, t), slot_mul(y3, a2, t), t)
-        yb1 = slot_sub(yb1, slot_add(slot_mul(yb2, alpha, t), big_delta, t), t)
-        yb1 = slot_add(yb1, r_bar, t)
-        self.omega[gate] = r_bar
+        yb1 = slot_add(slot_sub(yb1, slot_mul(yb2, alpha, t), t), shift, t)
         self.round += 1
         return pack_cts([self.backend.encrypt(yb1), self.backend.encrypt(yb2)])
 
@@ -531,7 +530,7 @@ class ReqClientSession:
                 f"{len(self.failures)} high-term ciphertext(s) failed to decrypt: "
                 f"{self.failures[0]}"
             )
-        return final_offset(self.secret, self.program, self.omega)
+        return self.offset
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +557,8 @@ def client_session(
     the shipped result otherwise.  Returns (accepted, slots of c_0).
 
     A result message must carry exactly the d + 1 components of the
-    program's degree schedule.  The offset comes from the recorded blinds,
-    which a failed round also records, and `final_offset()` raises
+    program's degree schedule.  The offset comes from the blinds drawn
+    when the session starts, and `final_offset()` raises
     DecryptionFailureError for a round whose high terms did not decrypt
     only once verification has received its last message, so nothing the
     client sends depends on that failure.
@@ -568,7 +567,7 @@ def client_session(
     if req:
         session = ReqClientSession(secret, backend, program, rng=rng)
         session.serve(endpoint)
-        offset = final_offset(secret, program, session.omega)
+        offset = session.offset
     if pp:
         ok, m = pp_verify(
             secret, backend, program, endpoint,

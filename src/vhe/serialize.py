@@ -10,7 +10,7 @@ travel as u32, component-major, then prime, then coefficient:
 
     ciphertext  u8 components ‖ u8 k ‖ u32 n ‖ residues
     keyset      params container ‖ u8 secret flag ‖ u16 Galois count ‖
-                ascending u64 Galois elements ‖ [sk] ‖ pk ‖ rlk ‖ Galois keys
+                ascending u64 Galois elements ‖ [sk] ‖ rlk ‖ Galois keys
 
 A keyset's arrays carry no shape headers: its own parameters imply every
 shape, so the loader computes the body length and refuses any other before
@@ -40,8 +40,9 @@ MAGIC = b"VRTS"
 # 2: RNS-digit key-switching keys; 3: no ciphertext level byte;
 # 4: one residue stack per ciphertext and per key, u32 residues;
 # 5: no ciphertext multiplication depth; 6: challenge values from SHAKE-256
-# streams, so secrets and authentications saved under 5 would not verify
-VERSION = 6
+# streams, so secrets and authentications saved under 5 would not verify;
+# 7: no public key in a keyset
+VERSION = 7
 
 TYPE_PARAMS = 0x01
 TYPE_KEYSET = 0x02
@@ -208,7 +209,7 @@ def _open_with_params(body):
 def save_keyset(keys: KeySet, include_secret: bool = False) -> bytes:
     secret = include_secret and keys.has_secret
     gs = sorted(keys.gks)
-    arrays = ([keys.sk_ntt] if secret else []) + [keys.pk, keys.rlk] + [keys.gks[g] for g in gs]
+    arrays = ([keys.sk_ntt] if secret else []) + [keys.rlk] + [keys.gks[g] for g in gs]
     head = struct.pack(f"<BH{len(gs)}Q", secret, len(gs), *gs)
     return _container(TYPE_KEYSET, save_params(keys.params), head, *map(_u32, arrays))
 
@@ -223,15 +224,14 @@ def load_keyset(blob: bytes, offset: int = 0) -> KeySet:
     k, n = len(params.q_chain), params.n
     if has_secret > 1 or list(gs) != sorted(set(gs)) or any(g % 2 == 0 or g >= 2 * n for g in gs):
         raise SerializationError("malformed keyset header")
-    blocks = has_secret + 2 + 2 * k * (1 + gcount)  # (k, n) residue blocks
+    blocks = has_secret + 2 * k * (1 + gcount)  # (k, n) residue blocks
     if len(body) - r.off != 4 * blocks * k * n:
         raise SerializationError(f"keyset body must hold {blocks} ({k}, {n}) residue blocks")
     res = r.residues((blocks, k, n))
     if (res >= np.array(params.q_chain, dtype=np.int64)[:, None]).any():
         raise SerializationError("key residue outside [0, q_i)")
-    pk = res[has_secret : has_secret + 2]
-    rlk, *gks = res[has_secret + 2 :].reshape(1 + gcount, 2, k, k, n)
-    return KeySet(params, pk, rlk, dict(zip(gs, gks)), res[0] if has_secret else None)
+    rlk, *gks = res[has_secret:].reshape(1 + gcount, 2, k, k, n)
+    return KeySet(params, rlk, dict(zip(gs, gks)), res[0] if has_secret else None)
 
 
 def _optional_keyset(keys: KeySet | None) -> list:

@@ -272,27 +272,40 @@ def test_real_decrypt_refuses_out_of_range_components(real):
 
 
 def test_real_decrypt_requires_secret(real):
+    """A backend with public keys only neither decrypts nor encrypts."""
     pub = bfv.BfvBackend(PARAMS, real.keys.public(), rng=np.random.default_rng(14))
-    ct = pub.encrypt([5] * N)
+    ct = real.encrypt([5] * N)
     with pytest.raises(KeyMaterialError):
         pub.decrypt(ct)
+    with pytest.raises(KeyMaterialError):
+        pub.encrypt([5] * N)
     # but evaluation works with public material only
     assert real.decrypt(pub.mul(ct, ct)) == [25] * N
 
 
+def test_encrypt_zero_is_the_noiseless_zero(real):
+    """Every backend's encrypt_zero is the all-zero (c₀, c₁), drawn from no
+    generator; it decrypts to zeros, also after a product on a public-only
+    backend."""
+    pub = bfv.BfvBackend(PARAMS, real.keys.public(), rng=np.random.default_rng(16))
+    state = pub._gen.bit_generator.state
+    for be in (real, pub):
+        zero = be.encrypt_zero()
+        assert zero.data.shape == (2, len(PARAMS.q_chain), N) and not zero.data.any()
+        assert real.decrypt(zero) == [0] * N
+    assert pub._gen.bit_generator.state == state
+    assert real.decrypt(pub.mul(zero, zero)) == [0] * N
+
+
 def test_secret_key_encryption_expands_a_from_a_seed(real):
     """A backend holding the secret key encrypts as (−a·s + e + Δ·m, a),
-    with a expanded from 32 bytes of its generator, and leaves less noise
-    than public-key encryption's u·pk + (e₀ + Δ·m, e₁)."""
+    with a expanded from 32 bytes of its generator."""
     vals = rand_slots(random.Random(21))
     client = bfv.BfvBackend(PARAMS, real.keys, rng=np.random.default_rng(21))
     ct = client.encrypt(vals)
     seed = np.random.default_rng(21).bytes(bfv.SEED_BYTES)
     assert np.array_equal(ct.data[1], bfv.expand_uniform(seed, PARAMS.q_chain, 1, N)[0])
     assert real.decrypt(ct) == vals
-    pub = bfv.BfvBackend(PARAMS, real.keys.public(), rng=np.random.default_rng(22))
-    for _ in range(4):
-        assert real.noise_budget(client.encrypt(vals)) > real.noise_budget(pub.encrypt(vals))
 
 
 @pytest.mark.parametrize("err_std", [3.2, 6.0])
@@ -307,32 +320,17 @@ def test_error_sampler_is_a_centred_binomial(err_std):
     assert abs(e.var() / (k / 2) - 1) < 5 * math.sqrt(2 / len(e))
 
 
-def test_public_only_backend_encrypts_with_the_public_key(real):
-    """Without the secret key, c₁ = u·pk₁ + e₁ from the generator's draws."""
-    vals = rand_slots(random.Random(23))
-    pub = bfv.BfvBackend(PARAMS, real.keys.public(), rng=np.random.default_rng(23))
-    ct = pub.encrypt(vals)
-    gen = np.random.default_rng(23)
-    u = bfv._ternary(gen, N)
-    bfv._cbd_error(gen, N, PARAMS.err_std)  # e₀
-    e1 = bfv._cbd_error(gen, N, PARAMS.err_std)
-    q = real._q
-    want = real.keys.pk[1] * stack_ntt(u % q, real.mods) + stack_ntt(e1 % q, real.mods)
-    assert np.array_equal(ct.data[1], want % q)
-    assert real.decrypt(ct) == vals
-
-
 @pytest.mark.parametrize("name", ["mock64", "n4096_fast"])
 def test_client_and_cloud_ciphertexts_mix(name):
-    """Secret-key (client) and public-key (cloud) ciphertexts add, multiply
-    and rotate together on either backend."""
+    """The client's ciphertexts add, multiply and rotate together alike on
+    the client's backend and on a cloud backend with public keys only."""
     params = preset(name)
     client = make_real(params, steps=(1,), seed=24)
     cloud = bfv.BfvBackend(params, client.keys.public(), rng=np.random.default_rng(26))
     rng = random.Random(27)
     a = [rng.randrange(params.t) for _ in range(params.n)]
     b = [rng.randrange(params.t) for _ in range(params.n)]
-    ca, cb = client.encrypt(a), cloud.encrypt(b)
+    ca, cb = client.encrypt(a), client.encrypt(b)
     row = params.n // 2
     for be in (client, cloud):
         assert client.decrypt(be.add(ca, cb)) == [(x + y) % params.t for x, y in zip(a, b)]
@@ -344,21 +342,20 @@ def test_client_and_cloud_ciphertexts_mix(name):
 
 
 def test_keygen_expands_every_a_half_from_a_seed():
-    """pk, rlk and every Galois key take their a halves from the expander,
+    """rlk and every Galois key take their a halves from the expander,
     seeded with 32 bytes of the generator drawn after the secret and the
     previous key's errors; none carries the generator's raw output."""
     keys = bfv.keygen(PARAMS, rotation_steps=(1, 2), rng=np.random.default_rng(28))
     gen = np.random.default_rng(28)
     bfv._ternary(gen, N)  # the secret
     k = len(PARAMS.q_chain)
-    stacks = [keys.pk[:, None], keys.rlk] + [keys.gks[g] for g in sorted(keys.gks)]
-    assert len(stacks) == 5
+    stacks = [keys.rlk] + [keys.gks[g] for g in sorted(keys.gks)]
+    assert len(stacks) == 4
     for ks in stacks:
-        count = ks.shape[1]
-        assert count in (1, k)
+        assert ks.shape[1] == k
         seed = gen.bytes(bfv.SEED_BYTES)
-        assert np.array_equal(ks[1], bfv.expand_uniform(seed, PARAMS.q_chain, count, N))
-        for _ in range(count):
+        assert np.array_equal(ks[1], bfv.expand_uniform(seed, PARAMS.q_chain, k, N))
+        for _ in range(k):
             bfv._cbd_error(gen, N, PARAMS.err_std)
 
 
@@ -657,14 +654,13 @@ def reference_noise(be, ct):
 
 
 def _decrypt_operands(be, rng):
-    """Fresh secret- and public-key, degree-3, rotated and uniform-residue
+    """Fresh, trivial-zero, degree-3, rotated and uniform-residue
     ciphertexts, and (x, 0) ciphertexts whose phase x sits at 0, ±1, ⌊Q/2⌋,
     ⌊Q/2⌋ + 1 and on both sides of the rounding boundaries of m."""
     p = be.params
     q, t, n = p.big_q, p.t, p.n
     col = be._q
     fresh = be.encrypt([rng.randrange(t) for _ in range(n)])
-    cloud = bfv.BfvBackend(p, be.keys.public(), rng=np.random.default_rng(rng.getrandbits(32)))
 
     def phase_ct(draw):
         coeffs = [draw() for _ in range(n)]
@@ -681,7 +677,7 @@ def _decrypt_operands(be, rng):
 
     return {
         "fresh": fresh,
-        "fresh public-key": cloud.encrypt([rng.randrange(t) for _ in range(n)]),
+        "trivial zero": be.encrypt_zero(),
         "degree 3": be.mul_no_relin(fresh, fresh),
         "rotated": be.rotate(fresh, 1),
         "uniform": uniform(2),

@@ -229,13 +229,13 @@ def test_bench_rows_and_amortization_accounting():
     rep16 = key[("rep", "add", 16, None)]
     assert rep16.slots == 1024 // 16
     assert rep16.per_slot_us == pytest.approx(
-        rep16.median_op_s / rep16.slots * 1e6
+        rep16.best_op_s / rep16.slots * 1e6
     )
     # one extended-ciphertext op costs about one baseline op
-    assert rep16.median_op_s == pytest.approx(base.median_op_s, rel=1.0)
+    assert rep16.best_op_s == pytest.approx(base.best_op_s, rel=1.0)
     d2 = key[("pe", "mul", None, 2)]
     d4 = key[("pe", "mul", None, 4)]
-    assert d4.median_op_s > d2.median_op_s  # 9 backend products vs 4
+    assert d4.best_op_s > d2.best_op_s  # 6 backend products vs 3 (Karatsuba)
 
 
 def test_bench_validates_inputs():

@@ -131,7 +131,8 @@ def test_honest_random_programs(mock):
 
 
 def test_zero_padding_mixed_degrees(mock):
-    """add(deg-2, deg-1) pads with real encryptions of zero and verifies."""
+    """add(deg-2, deg-1) carries the longer tuple's top component over
+    and verifies."""
     sec = make_secret(seed=6)
     b = ProgramBuilder(width=N, name="mixed")
     x = b.input("x")
@@ -145,6 +146,35 @@ def test_zero_padding_mixed_degrees(mock):
     assert res.degree == 2
     plain = eval_plain(prog, [xs, ys], T)
     assert pe.pe_verify(sec, mock, prog, res, claimed=plain[:3])
+
+
+@pytest.mark.parametrize("kind", ["mock", "bfv"])
+def test_unequal_degrees_combine_without_encrypting(kind, monkeypatch):
+    """Sums and differences of a degree-2 and a degree-1 tuple, in either
+    order, call no `encrypt` on either backend and verify."""
+    b = ProgramBuilder(width=N, name="mixed")
+    x, y = b.input("x"), b.input("y")
+    sq = b.mul(x, x)
+    outs = [b.add(y, sq), b.sub(sq, y), b.sub(y, sq)]
+    progs = [b.build(o, output_block=(0, 3)) for o in outs]
+    rng = random.Random(12)
+    if kind == "mock":
+        sec, backend = make_secret(seed=12), MockBackend(PARAMS, rng=random.Random(13))
+    else:
+        sec = pe.pe_keygen(PARAMS, rng=rng)
+        backend = bfv.BfvBackend(PARAMS, sec.he_keys, rng=np.random.default_rng(13))
+    xs, ys = rand_slots(rng), rand_slots(rng)
+    auths = [pe.pe_auth(sec, backend, xs, "x"), pe.pe_auth(sec, backend, ys, "y")]
+
+    def refuse(*_):
+        raise AssertionError("the evaluator encrypted")
+
+    monkeypatch.setattr(type(backend), "encrypt", refuse)
+    monkeypatch.setattr(type(backend), "encrypt_zero", refuse)
+    for prog in progs:
+        res = pe.pe_eval(prog, auths, backend)
+        assert res.degree == 2
+        assert pe.pe_verify(sec, backend, prog, res, claimed=eval_plain(prog, [xs, ys], T)[:3])
 
 
 def test_degree8_verifies(mock):

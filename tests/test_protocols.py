@@ -2,6 +2,8 @@
 session, and re-quadratization rounds."""
 
 import dataclasses
+import hashlib
+import json
 import random
 import socket
 import struct
@@ -576,6 +578,53 @@ def test_req_multiple_rounds_deep_chain():
     assert pe.pe_verify(
         sec, client, prog, res, claimed=plain[:2], offset=session.final_offset()
     )
+
+
+def test_req_walks_the_offsets_once_and_answers_as_pinned(monkeypatch):
+    """A seeded 3-round session (x^16) walks the program once, and its
+    answers and final offset are the ones pinned when every round ran a
+    walk of its own (SHA-256 of their JSON)."""
+    walks = []
+
+    def counting_walk(*args, **kwargs):
+        walks.append(1)
+        return pe.offset_walk(*args, **kwargs)
+
+    monkeypatch.setattr(pr, "offset_walk", counting_walk)
+    rng = random.Random(60)
+    cloud = MockBackend(PARAMS, rng=random.Random(61))
+    client = MockBackend(PARAMS, rng=random.Random(62))
+    sec = pe.pe_keygen(PARAMS, rng=rng, make_he_keys=False)
+    b = ProgramBuilder(width=N, name="x16")
+    cur = b.input("w")
+    for _ in range(4):
+        cur = b.mul(cur, cur)
+    prog = b.build(cur, output_block=(0, 2))
+    vals = [rng.randrange(T) for _ in range(N)]
+    auth = pe.pe_auth(sec, cloud, vals, "w")
+
+    def cloud_fn(ep):
+        red = pr.ReqCloudSession(cloud, ep)
+        return pe.pe_eval(prog, [auth], cloud, reducer=red), ep.transcript
+
+    def client_fn(ep):
+        s = pr.ReqClientSession(sec, client, prog, rng=random.Random(63))
+        s.serve(ep)
+        return s
+
+    (res, tr), session = pr.run_session(cloud_fn, client_fn)
+    assert session.expected_rounds == 3 and len(walks) == 1
+    answers = [[client.decrypt(c) for c in pr.unpack_cts(p)] for _, p in tr.received]
+    offset = session.final_offset()
+
+    def digest(obj):
+        return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+    assert digest(answers) == "2398fa5ee12278a35892b6030aae5a793e18927f9665e13d11ef583d3bc46edf"
+    assert digest(offset.tolist()) == "c1a281cb53f51f0063404abc520a30c1f010d66e5b33c2b1c78ac748bc1a43a3"
+    claim = eval_plain(prog, [vals], T)[:2]
+    assert pe.pe_verify(sec, client, prog, res, claimed=claim, offset=offset)
+    assert len(walks) == 1
 
 
 class _FailingHighTerms:

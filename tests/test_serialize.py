@@ -61,13 +61,13 @@ def test_keyset_roundtrip_public_and_secret(real_keys):
     assert full.has_secret and not pub.has_secret
     assert np.array_equal(full.sk_ntt, real_keys.sk_ntt)
     assert set(full.gks) == set(real_keys.gks)
-    assert np.array_equal(full.pk, real_keys.pk) and np.array_equal(full.rlk, real_keys.rlk)
+    assert np.array_equal(full.rlk, real_keys.rlk)
     assert all(np.array_equal(full.gks[g], real_keys.gks[g]) for g in real_keys.gks)
     # the restored keyset is functional end to end
     owner = bfv.BfvBackend(PARAMS, full, rng=np.random.default_rng(4))
     evaluator = bfv.BfvBackend(PARAMS, pub, rng=np.random.default_rng(5))
     vals = [3] * PARAMS.n
-    ct = evaluator.rotate(evaluator.mul_plain(evaluator.encrypt(vals), [2] * PARAMS.n), 1)
+    ct = evaluator.rotate(evaluator.mul_plain(owner.encrypt(vals), [2] * PARAMS.n), 1)
     assert owner.decrypt(ct) == [6] * PARAMS.n
 
 
@@ -200,6 +200,25 @@ def test_version_5_secret_and_auth_refused(mock):
         load(blob)
 
 
+def test_version_6_keyset_refused(real_keys):
+    """Version 6 keysets carry a public key: they must fail to load."""
+    blob = sz.save_keyset(real_keys)
+    with pytest.raises(SerializationError, match="version 6"):
+        sz.load_keyset(_with_version(blob, 6))
+    sz.load_keyset(blob)
+
+
+@pytest.mark.parametrize("secret", [False, True])
+def test_keyset_body_is_the_key_switching_keys(real_keys, secret):
+    """After the parameters and the Galois header, a keyset body holds the
+    relinearization key and g Galois keys, 4·2k²n bytes each, plus the 4kn
+    bytes of the secret key when it is included."""
+    k, n, g = len(PARAMS.q_chain), PARAMS.n, len(real_keys.gks)
+    _, body, _ = sz.read_container(sz.save_keyset(real_keys, include_secret=secret))
+    head = len(sz.save_params(PARAMS)) + 3 + 8 * g
+    assert len(body) - head == 4 * 2 * k * k * n * (1 + g) + secret * 4 * k * n
+
+
 def test_ciphertext_residues_are_u32(real_keys):
     """17 + 4·(d+1)·k·n bytes: an 11-byte container header, the 6-byte
     shape header (u8 components ‖ u8 k ‖ u32 n), then u32 residues."""
@@ -233,21 +252,17 @@ def test_keyset_body_one_array_off_refused(real_keys, blocks):
 
 
 def _drop_rlk_pair(keys):
-    return bfv.KeySet(keys.params, keys.pk, keys.rlk[:, :-1], keys.gks, keys.sk_ntt)
+    return bfv.KeySet(keys.params, keys.rlk[:, :-1], keys.gks, keys.sk_ntt)
 
 
 def _out_of_range_gk(keys):
     g = min(keys.gks)
     gk = keys.gks[g].copy()
     gk[0, 0, 1, 5] = PARAMS.q_chain[1]  # one residue equal to its prime
-    return bfv.KeySet(keys.params, keys.pk, keys.rlk, {**keys.gks, g: gk}, keys.sk_ntt)
+    return bfv.KeySet(keys.params, keys.rlk, {**keys.gks, g: gk}, keys.sk_ntt)
 
 
-def _short_pk(keys):
-    return bfv.KeySet(keys.params, keys.pk[:, :-1], keys.rlk, keys.gks, keys.sk_ntt)
-
-
-@pytest.mark.parametrize("corrupt", [_drop_rlk_pair, _out_of_range_gk, _short_pk])
+@pytest.mark.parametrize("corrupt", [_drop_rlk_pair, _out_of_range_gk])
 def test_malformed_keyset_rejected(real_keys, corrupt):
     with pytest.raises(SerializationError):
         sz.load_keyset(sz.save_keyset(corrupt(real_keys), include_secret=True))
