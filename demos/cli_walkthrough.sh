@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # File-based workflow: generate keys, authenticate inputs, evaluate,
-# verify — then run a seeded attack simulation, a micro-benchmark, and
-# an end-to-end use case, all through the `vhe` command.
+# verify — then run a seeded attack simulation, a micro-benchmark, an
+# end-to-end use case and a packed-proof session over loopback TCP on the
+# real backend, all through the `vhe` command.
 set -euo pipefail
 
 WORK="$(mktemp -d)"
@@ -55,6 +56,33 @@ vhe bench --params mock1024 --lams 16,32 --ops add --repeats 3 --out report
 echo
 echo "== 8. an end-to-end use case =="
 vhe usecase --name ride-hailing --auth pe --seed 1 --out report
+
+echo
+echo "== 9. a packed proof over loopback TCP (real backend, shrunk messages) =="
+python3 - <<'PY'
+from vhe.circuit import ProgramBuilder, program_to_json
+
+# (x + y)² summed over blocks of 4, on the 64 slots of the mock64 ring
+b = ProgramBuilder(64, name="square-sum")
+x, y = b.input("x"), b.input("y")
+s = b.add(x, y)
+prog = b.build(b.inner_sum(b.mul(s, s), 4), output_block=(0, 1))
+with open("square64.json", "w") as f:
+    f.write(program_to_json(prog))
+PY
+vhe keygen --auth pe --params mock64 --program square64.json --pp \
+    --backend real --out pekeys --seed 3
+vhe auth --key pekeys/secret.vrts --base x --values x.csv --out px.vrts
+vhe auth --key pekeys/secret.vrts --base y --values y.csv --out py.vrts
+vhe serve --transport tcp://127.0.0.1:0 --program square64.json \
+    --inputs px.vrts py.vrts --public pekeys/public.vrts --pp > serve.log &
+SERVER=$!
+for _ in $(seq 100); do grep -q listening serve.log && break; sleep 0.1; done
+PORT="$(sed -n 's/^listening on .*:\([0-9]*\)$/\1/p' serve.log)"
+vhe connect --transport "tcp://127.0.0.1:$PORT" --key pekeys/secret.vrts \
+    --program square64.json --pp --seed 9
+wait "$SERVER"
+cat serve.log
 
 echo
 echo "reports written:"

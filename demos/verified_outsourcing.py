@@ -30,7 +30,9 @@ SEED = 2718
 
 
 class _LyingCloud:
-    """Endpoint wrapper that perturbs the packed-proof response in flight."""
+    """Endpoint wrapper that perturbs the packed-proof response in flight;
+    the response travels shrunk to a short chain prefix, so the added
+    encryption is shrunk to match."""
 
     def __init__(self, inner, backend):
         self.inner = inner
@@ -40,7 +42,8 @@ class _LyingCloud:
         if tag == TAG_PP_RESPONSE:
             (ct,) = unpack_cts(payload)
             delta = [1] + [0] * (self.backend.params.n - 1)
-            payload = pack_cts([self.backend.add(ct, self.backend.encrypt(delta))])
+            bump = self.backend.shrink(self.backend.encrypt(delta))
+            payload = pack_cts([self.backend.add(ct, bump)])
         self.inner.send(tag, payload)
 
     def recv(self):

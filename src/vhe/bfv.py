@@ -28,6 +28,11 @@ into the chain, the three scaled results.
               prime (Bajard–Eynard–Hasan–Zucca): digit i is residue row i
               of the target, centred, and its key carries the target secret
               in row i only (the CRT idempotent gadget)
+    shrink:   c′ = ⌊(Q′/Q)·c⌉ onto the chain prefix Q′ of
+              Params.shrink_primes primes (modulus switching, Brakerski–
+              Gentry–Vaikuntanathan; RNS form, Kim–Polyakov–Zucca), for a
+              terminal ciphertext that will only be decrypted; decryption
+              takes any prefix, evaluation only the full chain
 
 Every operation is int64 throughout; decryption turns only the one
 coefficient of largest noise into a Python integer.  Nothing depends on
@@ -48,7 +53,7 @@ import platform
 import secrets
 from dataclasses import dataclass
 from functools import lru_cache
-from math import log2
+from math import log2, prod
 
 import numpy as np
 
@@ -149,19 +154,36 @@ def _lex_extreme(digits, mask: np.ndarray, pick):
 
 
 class _DecryptBasis:
-    """Decryption's auxiliary primes P′, ⌈bits(t)/28⌉ primes of 29 bits so
-    that Π P′ > t, and the constants of y = ⌊(t·x + ⌊Q/2⌋)/Q⌋ ∈ [0, t] on
-    the chain rows followed by the P′ rows."""
+    """Decryption's constants for the chain prefix Q″ of `k` primes: Q″,
+    Δ″ = ⌊Q″/t⌋, and the auxiliary primes P′, ⌈bits(t)/28⌉ primes of 29
+    bits so that Π P′ > t, with the constants of y = ⌊(t·x + ⌊Q″/2⌋)/Q″⌋
+    ∈ [0, t] on the prefix rows followed by the P′ rows."""
 
-    def __init__(self, params: Params):
+    def __init__(self, params: Params, k: int):
         count = -(-params.t.bit_length() // (CHAIN_PRIME_BITS - 1))
         aux = find_ntt_primes(CHAIN_PRIME_BITS, params.n, count, exclude=params.q_chain)
-        q, primes = params.big_q, params.q_chain + tuple(aux)
-        self.chain = BaseConverter(params.q_chain, aux)
+        chain = params.q_chain[:k]
+        q, primes = prod(chain), chain + tuple(aux)
+        self.big_q, self.delta = q, q // params.t
+        self.q = np.array(chain, dtype=np.int64)[:, None]
+        self.delta_res = np.array([self.delta % p for p in chain], dtype=np.int64)[:, None]
+        self.chain = BaseConverter(chain, aux)
         self.aux = BaseConverter(aux)
         self.t = np.array([params.t % p for p in primes], dtype=np.int64)[:, None]
         self.half = np.array([q // 2 % p for p in primes], dtype=np.int64)[:, None]
         self.q_inv = np.array([pow(q, -1, p) for p in aux], dtype=np.int64)[:, None]
+
+
+class _SwitchBasis:
+    """Modulus switching's constants from Q to the prefix Q′ of `k` primes:
+    a centred converter from the dropped primes P into the kept ones and
+    P⁻¹ mod each kept prime."""
+
+    def __init__(self, params: Params, k: int):
+        kept, dropped = params.q_chain[:k], params.q_chain[k:]
+        self.k = k
+        self.to_kept = BaseConverter(dropped, kept)
+        self.p_inv = np.array([pow(prod(dropped), -1, q) for q in kept], dtype=np.int64)[:, None]
 
 
 class _MulBasis:
@@ -416,9 +438,11 @@ class BfvBackend:
         self.mods = [get_modulus(p, params.n) for p in self.primes]
         self.t_mod = params.t_modulus
         self._q = np.array(self.primes, dtype=np.int64)[:, None]
+        self._q_unsigned = np.array(self.primes, dtype=np.uint64)
         self._delta_res = np.array([params.delta % p for p in self.primes], dtype=np.int64)[:, None]
         self._ext_basis = None
-        self._dec_basis = None
+        self._dec_bases: dict = {}  # chain prefix length → _DecryptBasis
+        self._switch = _SwitchBasis(params, params.shrink_primes)
         # digit products are < max(q)²: this many (plus a reduced running
         # sum) fit in int64 before the accumulators must be reduced
         self._ks_chunk = (2**63 - 1) // (max(self.primes) - 1) ** 2 - 1
@@ -461,34 +485,48 @@ class BfvBackend:
             raise KeyMaterialError("operation requires the secret key")
         return self.keys.sk_ntt
 
-    def _check_received(self, ct: Ciphertext):
-        """Refuse a ciphertext that is not a (d+1, k, n) stack of residues
-        in [0, q_i) with d ≥ 0.
+    def _check_received(self, ct: Ciphertext, full: bool) -> int:
+        """Refuse a ciphertext that is not a (d+1, k″, n) stack of residues
+        in [0, q_i) with d ≥ 0 and k″ = k if `full`, else 1 ≤ k″ ≤ k (a
+        prefix of the chain); returns k″.
 
         The transforms are exact only for reduced residues, so a hostile or
         corrupt ciphertext must stop here, before any arithmetic.
         """
-        shape = (len(self.primes), self.params.n)
+        k, n = len(self.primes), self.params.n
         data = ct.data
         if not (
             isinstance(data, np.ndarray)
             and data.dtype == np.int64
             and data.ndim == 3
-            and data.shape[1:] == shape
+            and data.shape[2] == n
+            and (data.shape[1] == k if full else 1 <= data.shape[1] <= k)
         ):
+            rows = k if full else f"1..{k}"
             raise SerializationError(
-                f"ciphertext must be an int64 (d+1, {shape[0]}, {shape[1]}) residue stack"
+                f"ciphertext must be an int64 (d+1, {rows}, {n}) residue stack"
             )
         if not len(data):
             raise SerializationError("ciphertext has no components")
-        if (data < 0).any() or (data >= self._q).any():
+        rows = data.shape[1]
+        # negative residues read as huge unsigned ones, so the row maxima
+        # catch both ends in one pass
+        if (data.view(np.uint64).max(axis=2) >= self._q_unsigned[:rows]).any():
             raise SerializationError("ciphertext residue outside [0, q_i)")
+        return rows
+
+    def check_operand(self, ct: Ciphertext) -> None:
+        """Refuse, before any arithmetic, a ciphertext the evaluator cannot
+        take: anything but a full-chain stack of reduced residues (a shrunk
+        ciphertext is terminal and never re-enters evaluation)."""
+        self._check_received(ct, full=True)
 
     def _phase(self, ct: Ciphertext) -> np.ndarray:
-        """[Σ c_i·s^i]_Q as (k, n) coefficient residues in [0, q_i)."""
-        s_ntt = self._require_secret()
-        self._check_received(ct)
-        q = self._q
+        """[Σ c_i·s^i]_Q″ as (k″, n) coefficient residues in [0, q_i), for a
+        ciphertext on the chain prefix of k″ primes."""
+        k = self._check_received(ct, full=False)
+        s_ntt = self._require_secret()[:k]
+        q = self._q[:k]
         acc = ct.data[0]
         s_pow = s_ntt
         for d, mat in enumerate(ct.data[1:]):
@@ -496,24 +534,29 @@ class BfvBackend:
             acc %= q
             if d + 2 < ct.degree:
                 s_pow = _pointwise(s_pow, s_ntt, q)
-        return stack_intt(acc, self.mods)
+        return stack_intt(acc, self.mods[:k])
+
+    def _dec(self, k: int) -> _DecryptBasis:
+        if k not in self._dec_bases:
+            self._dec_bases[k] = _DecryptBasis(self.params, k)
+        return self._dec_bases[k]
 
     def _noise(self, ct: Ciphertext):
-        """(plaintext coefficients, largest |noise|), exactly, in int64.
+        """(plaintext coefficients, largest |noise|, decryption basis),
+        exactly, in int64, on the ciphertext's chain prefix Q″.
 
-        For the phase x ∈ [0, Q), r = (t·x + ⌊Q/2⌋) mod Q on the chain
-        rows; x and r are converted into P′, where y = (t·x + ⌊Q/2⌋ − r)·Q⁻¹
-        is ⌊(t·x + ⌊Q/2⌋)/Q⌋ ∈ [0, t] < Π P′, read off its Garner digits,
-        and m = y mod t.  The noise x − Δ·m centred mod Q keeps its Garner
-        digits over Q: it is negative where they exceed those of ⌊Q/2⌋, and
-        the largest |noise| is the digit-wise largest non-negative or
+        For the phase x ∈ [0, Q″), r = (t·x + ⌊Q″/2⌋) mod Q″ on the prefix
+        rows; x and r are converted into P′, where y = (t·x + ⌊Q″/2⌋ − r)·Q″⁻¹
+        is ⌊(t·x + ⌊Q″/2⌋)/Q″⌋ ∈ [0, t] < Π P′, read off its Garner digits,
+        and m = y mod t.  The noise x − Δ″·m centred mod Q″ keeps its Garner
+        digits over Q″: it is negative where they exceed those of ⌊Q″/2⌋,
+        and the largest |noise| is the digit-wise largest non-negative or
         smallest negative coefficient; only those become Python integers.
         """
-        if self._dec_basis is None:
-            self._dec_basis = _DecryptBasis(self.params)
-        dec, p, q = self._dec_basis, self.params, self._q
-        k = len(self.primes)
         x = self._phase(ct)
+        k = len(x)
+        dec, t = self._dec(k), self.params.t
+        q = dec.q
         r = x * dec.t[:k]
         r += dec.half[:k]
         r %= q
@@ -526,8 +569,8 @@ class BfvBackend:
         y %= dec.aux.col
         # partial sums of y's digits never exceed y ≤ t < 2^63
         y = sum(v * w for v, w in zip(dec.aux.digits(y)[0], dec.aux.radix))
-        m = y % p.t
-        e = x - self._delta_res * (m % q)
+        m = y % t
+        e = x - dec.delta_res * (m % q)
         e %= q
         digits, _ = dec.chain.digits(e)
         neg = dec.chain.above_half(digits)
@@ -536,33 +579,56 @@ class BfvBackend:
             i = _lex_extreme(digits, side, pick)
             if i is not None:
                 v = sum(int(d[i]) * w for d, w in zip(digits, dec.chain.radix))
-                worst = max(worst, v if pick is np.max else p.big_q - v)
-        return m, worst
+                worst = max(worst, v if pick is np.max else dec.big_q - v)
+        return m, worst, dec
 
     def decrypt(self, ct: Ciphertext) -> list[int]:
-        """Decode slots; raises DecryptionFailureError on noise overflow.
+        """Decode slots of a ciphertext on any chain prefix; raises
+        DecryptionFailureError on noise overflow.
 
         After recovering the nearest plaintext, the residual noise is
-        measured; honest pipelines keep it far below Δ/4, so exceeding
+        measured; honest pipelines keep it far below Δ″/4, so exceeding
         that guard band means the true value was lost to noise.
         """
-        m, worst = self._noise(ct)
-        delta = self.params.delta
-        if worst >= delta // 4:
+        m, worst, dec = self._noise(ct)
+        if worst >= dec.delta // 4:
             raise DecryptionFailureError(
                 f"noise |e|≈2^{worst.bit_length()} breached the guard band "
-                f"(Δ/4 ≈ 2^{(delta // 4).bit_length()}); result untrustworthy"
+                f"(Δ/4 ≈ 2^{(dec.delta // 4).bit_length()}); result untrustworthy"
             )
         return batch_decode(m.tolist(), self.t_mod)
 
     def noise_budget(self, ct: Ciphertext) -> float:
-        """log2 of (capacity / measured noise); negative once corrupted.
+        """log2 of (capacity / measured noise) on the ciphertext's chain
+        prefix; negative once corrupted.
 
         Logarithms of the integers, never their float quotient, which
         overflows once log2 Q exceeds 1024."""
-        p = self.params
-        _, worst = self._noise(ct)
-        return log2(p.big_q) - log2(2 * p.t) - log2(max(worst, 1))
+        _, worst, dec = self._noise(ct)
+        return log2(dec.big_q) - log2(2 * self.params.t) - log2(max(worst, 1))
+
+    # ---- modulus switching ----------------------------------------------------
+
+    def shrink(self, ct: Ciphertext) -> Ciphertext:
+        """⌊(Q′/Q)·c⌉ on the chain prefix Q′ of Params.shrink_primes primes,
+        for a ciphertext that will only be decrypted.
+
+        With P the product of the dropped primes, c′ = (c − [c]_P)/P, where
+        [c]_P ∈ (−P/2, P/2) is c's centred residue (P is odd, so no ties):
+        only the dropped rows are inverse-transformed, converted centred
+        into the kept primes and transformed back; the kept rows less that
+        are scaled by P⁻¹.  Exact in int64; it spends no noise budget beyond
+        the rounding that Params.shrink_primes bounds.
+        """
+        sw = self._switch
+        if sw.k == len(self.primes):
+            return ct
+        rows = ct.data[:, sw.k :]
+        r = sw.to_kept(stack_intt(rows, self.mods[sw.k :]), centred=True)
+        out = ct.data[:, : sw.k] - stack_ntt(r, self.mods[: sw.k])
+        out *= sw.p_inv
+        out %= self._q[: sw.k]
+        return Ciphertext(out)
 
     # ---- linear operations ---------------------------------------------------
 
@@ -575,9 +641,13 @@ class BfvBackend:
         return np.concatenate([data, zeros])
 
     def _combine(self, op, a: Ciphertext, b: Ciphertext) -> Ciphertext:
+        """a op b, on the full chain or on two ciphertexts shrunk to the
+        same chain prefix."""
+        if a.data.shape[1] != b.data.shape[1]:
+            raise ParameterError("operands lie on different chain prefixes")
         d = max(a.degree, b.degree)
         out = op(self._padded(a.data, d), self._padded(b.data, d))
-        out %= self._q
+        out %= self._q[: out.shape[1]]
         return Ciphertext(out)
 
     def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:

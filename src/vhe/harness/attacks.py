@@ -50,10 +50,10 @@ from ..pe import (
     PeAuth,
     degree_schedule,
     pe_auth,
+    pe_check,
     pe_eval,
     pe_keygen,
     pe_soundness_bound,
-    pe_verify,
 )
 from ..protocols import (
     TAG_PP_RESPONSE,
@@ -177,7 +177,8 @@ def _program(width: int, l: int, degree: int = 2, scale: int = 1, inputs=("x", "
 class _TamperedSends:
     """Endpoint wrapper: before the `hit`-th outgoing message with `tag`
     leaves, one of its ciphertexts, drawn at random, gains an encryption of
-    a random nonzero value at one slot below `slots`."""
+    a random nonzero value at one slot below `slots`, shrunk to the chain
+    prefix the cloud's decrypt-only messages travel on."""
 
     def __init__(self, inner, backend, rng, tag: int, hit: int, slots: int):
         self.inner = inner
@@ -196,7 +197,7 @@ class _TamperedSends:
                 i = rng.randrange(len(cts))
                 vec = [0] * b.params.n
                 vec[rng.randrange(self.slots)] = rng.randrange(1, b.params.t)
-                cts[i] = b.add(cts[i], b.encrypt(vec))
+                cts[i] = b.add(cts[i], b.shrink(b.encrypt(vec)))
                 payload = pack_cts(cts)
             self.seen += 1
         self.inner.send(tag, payload)
@@ -376,10 +377,10 @@ class _PeWorld:
         return MockBackend(self.params, rng=rng)
 
     def verify(self, result: PeAuth) -> bool:
-        """The client's verdict on `result`, claiming what its c_0 holds."""
-        start, count = self.program.output_block
-        claim = self.client.decrypt(result.cts[0])[start : start + count]
-        return pe_verify(self.secret, self.client, self.program, result, claimed=claim)
+        """The client's verdict on `result`, claiming what its c_0 holds
+        (so only the response identity can fail)."""
+        ys = [self.client.decrypt(c) for c in result.cts]
+        return pe_check(self.secret, self.program, ys)
 
     def session(self, rng, cloud_fn, req: bool, pp: bool) -> bool:
         """The client's verdict in one verified session against `cloud_fn`.

@@ -25,7 +25,7 @@ from ..circuit import program_from_json
 from ..errors import VheError
 from ..mock import MockBackend
 from ..params import preset, preset_names
-from ..pe import PeAuth, PeSecret, pe_auth, pe_eval, pe_keygen, pe_verify
+from ..pe import PeAuth, PeSecret, pe_auth, pe_check, pe_eval, pe_keygen
 from ..protocols import (
     ReqCloudSession,
     client_session,
@@ -251,8 +251,9 @@ def _cmd_verify(args) -> int:
         ok = rep_verify(secret, backend, program, result, claim, lengths, reason)
     elif isinstance(secret, PeSecret) and isinstance(result, PeAuth):
         start, count = program.output_block
-        claim = backend.decrypt(result.cts[0])[start : start + count]
-        ok = pe_verify(secret, backend, program, result, claimed=claim, reason=reason)
+        ys = [backend.decrypt(c) for c in result.cts]
+        claim = ys[0][start : start + count]
+        ok = pe_check(secret, program, ys, reason=reason)
     else:
         raise VheError("secret and result containers belong to different schemes")
     if ok:

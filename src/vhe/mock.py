@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import slot_add, slot_inner_sum, slot_mul, slot_row_swap, slot_rotate, slot_sub
-from .errors import DecryptionFailureError, LayoutError, ParameterError
+from .errors import DecryptionFailureError, LayoutError, ParameterError, SerializationError
 from .params import Params
 from .ring import slot_array
 
@@ -74,6 +74,16 @@ class MockBackend:
                 f"simulated noise overflow: depth {ct.depth} > limit {self.depth_limit}"
             )
         return ct.slots.tolist()
+
+    def shrink(self, ct: MockCiphertext) -> MockCiphertext:
+        """No chain to switch: the ciphertext as it is."""
+        return ct
+
+    def check_operand(self, ct) -> None:
+        """Refuse, like the real backend, an operand that is not a
+        ciphertext of this backend's n slots."""
+        if not isinstance(ct, MockCiphertext) or len(ct.slots) != self.params.n:
+            raise SerializationError(f"operand must be a mock ciphertext of {self.params.n} slots")
 
     def noise_budget(self, ct: MockCiphertext) -> float:
         if self.depth_limit is None:

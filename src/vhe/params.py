@@ -25,6 +25,10 @@ CHAIN_PRIME_BITS = 29
 # al., 2018).  A ring degree outside the table has no stated level.
 HE_STANDARD_128_LOG_Q = {1024: 27, 2048: 54, 4096: 109, 8192: 218, 16384: 438, 32768: 881}
 
+# A shrunk ciphertext's worst-case switching noise stays this many bits
+# below its guard band Δ′/4 (see Params.shrink_primes).
+SHRINK_MARGIN_BITS = 20
+
 
 @dataclass(frozen=True)
 class Params:
@@ -67,6 +71,24 @@ class Params:
     def delta(self) -> int:
         """⌊Q/t⌋, the plaintext scaling factor."""
         return self.big_q // self.t
+
+    @property
+    def shrink_primes(self) -> int:
+        """k′, the chain prefix a terminal ciphertext is switched down to.
+
+        Switching from Q to Q′ = q_0⋯q_{k′−1} leaves the noise
+        |e′| ≤ |e|/P + (n+1)/2 + t for a ternary secret, with P = Q/Q′: the
+        rounding of c₀ + c₁·s and the gap between Δ/P and Δ′ = ⌊Q′/t⌋.  k′
+        is the shortest prefix whose (n+1)/2 + t stays SHRINK_MARGIN_BITS
+        below Δ′/4, so a ciphertext with any budget left still decrypts.
+        """
+        bound = (self.n + 2) // 2 + self.t
+        q = 1
+        for k, p in enumerate(self.q_chain, 1):
+            q *= p
+            if (q // self.t // 4) >> SHRINK_MARGIN_BITS > bound:
+                return k
+        return len(self.q_chain)
 
     @property
     def t_modulus(self):

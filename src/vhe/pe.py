@@ -218,6 +218,7 @@ def pe_eval(
     `reducer`, when given, must expose `.cap` (at-rest degree bound) and
     `.reduce(comps, gate_idx) -> comps`; it is invoked on every mul output
     whose degree exceeds the cap (the interactive re-quadratization hook).
+    Every input ciphertext must pass `backend.check_operand` first.
     """
     if program.width != backend.params.n:
         raise LayoutError(
@@ -231,6 +232,8 @@ def pe_eval(
                 f"input {k} was authenticated as {a.base!r} but the program "
                 f"names it {program.inputs[k]!r}; verification would reject"
             )
+        for c in a.cts:
+            backend.check_operand(c)
 
     def mul(a: tuple, b: tuple, idx: int) -> tuple:
         v = pe_mul(backend, a, b, max_degree)
@@ -303,8 +306,22 @@ def pe_verify(
     offset=None,
     reason: list | None = None,
 ) -> bool:
-    """Accept iff Σ y_i α^i = ρ (+ offset) in every slot, and the claimed
-    output-block values match c_0.  The verdict stays local."""
+    """Decrypt every component of `result` and check it with pe_check."""
+    ys = [backend.decrypt(c) for c in result.cts]
+    return pe_check(secret, program, ys, claimed, offset, reason)
+
+
+def pe_check(
+    secret: PeSecret,
+    program: Program,
+    ys,
+    claimed=None,
+    offset=None,
+    reason: list | None = None,
+) -> bool:
+    """Accept iff the decrypted components (y_0, …, y_d) satisfy
+    Σ y_i α^i = ρ (+ offset) in every slot, and the claimed output-block
+    values match y_0.  The verdict stays local."""
 
     def fail(msg: str) -> bool:
         if reason is not None:
@@ -312,7 +329,7 @@ def pe_verify(
         return False
 
     t = secret.params.t
-    ys = slot_array([backend.decrypt(c) for c in result.cts], t)
+    ys = slot_array(ys, t)
     if claimed is not None:
         start, count = program.output_block
         if len(claimed) != count:

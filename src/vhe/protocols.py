@@ -16,6 +16,16 @@ ciphertexts cross the wire cloud→client regardless of degree.  The prover
 merges the d + 2 masked sums pairwise into one ciphertext and folds it
 once (see `pp_prove`): 13 key switches at degree 2 and n = 4096.
 
+Every ciphertext the client only decrypts — the PP commitment and
+response, each component of a plain result and the ReQ high terms — is
+modulus-switched down to the chain prefix of Params.shrink_primes primes
+before it leaves the cloud (BfvBackend.shrink).  A message of c such
+ciphertexts is 5 + 1 + c·(17 + 4·2·k′·n) bytes framed: 65,559 for a PP
+commitment or response at n = 4096 and k′ = 2 (229,399 at the full chain
+of 7), and 131,112 for a ReQ high-term pair.  The client's blinded ReQ
+replies re-enter evaluation, so they stay on the full chain: 458,792
+bytes at n = 4096.
+
 A client never reacts to a ciphertext that fails to decrypt: both sessions
 go on with uniform stand-in slots and report the failure only after their
 last message.
@@ -30,8 +40,8 @@ component 0 — the data — is never touched.
 One verified session is the pair `cloud_reply` (after `pe_eval`, with a
 ReqCloudSession as its reducer for ReQ) and `client_session`; the use
 cases, the CLI and the attack simulator all run it.  A received message
-with the wrong tag or the wrong number of ciphertexts aborts the session
-with ProtocolError.
+with the wrong tag, the wrong number of ciphertexts or a ciphertext whose
+shape does not fit the parameters aborts the session with ProtocolError.
 """
 
 from __future__ import annotations
@@ -49,7 +59,7 @@ from .circuit import Program, eval_challenge_pe, slot_add, slot_mul, slot_sub
 from .errors import (
     DecryptionFailureError, ParameterError, ProtocolError, SerializationError, StructureError,
 )
-from .pe import PeAuth, PeSecret, degree_schedule, offset_walk, pe_verify
+from .pe import PeAuth, PeSecret, degree_schedule, offset_walk, pe_check
 from .ring import slot_array, slot_poly_eval
 from .serialize import load_ciphertext, save_ciphertext
 
@@ -69,9 +79,11 @@ _CT_TAGS = (
 )
 
 # A frame's declared length is checked against this cap before anything is
-# read.  The largest preset, n32768_prod (24 primes), serializes a degree-2
-# ciphertext in 6,291,477 bytes; PP and ReQ messages carry at most two, a
-# plain result one per PE component.  128 MiB holds twenty-one of them.
+# read.  The largest preset, n32768_prod (24 primes), serializes a full-chain
+# degree-2 ciphertext in 6,291,473 bytes, the size of a blinded ReQ reply's;
+# shrunk to its 2-prime prefix, a decrypt-only one takes 524,305.  PP and
+# ReQ messages carry at most two, a plain result one per PE component.
+# 128 MiB holds twenty-one full-chain ones.
 MAX_FRAME_BYTES = 128 << 20
 _RECV_CHUNK = 1 << 20  # recv(n) allocates n bytes up front, so read in pieces
 
@@ -92,10 +104,11 @@ def pack_cts(cts) -> bytes:
     return bytes(out)
 
 
-def unpack_cts(payload: bytes, count: int | None = None):
-    """The ciphertexts of one message; a malformed payload, or one that does
-    not carry exactly `count` ciphertexts when `count` is given, raises only
-    ProtocolError."""
+def unpack_cts(payload: bytes, count: int | None = None, params=None):
+    """The ciphertexts of one message; a malformed payload, one that does
+    not carry exactly `count` ciphertexts when `count` is given, or, with
+    `params`, one whose ciphertext shapes do not fit them (n slots and a
+    chain prefix of 1 … k primes) raises only ProtocolError."""
     if not payload:
         raise ProtocolError("empty ciphertext payload")
     if count is not None and payload[0] != count:
@@ -104,7 +117,7 @@ def unpack_cts(payload: bytes, count: int | None = None):
     cts = []
     try:
         for _ in range(payload[0]):
-            ct, off = load_ciphertext(payload, off)
+            ct, off = load_ciphertext(payload, off, params)
             cts.append(ct)
     except SerializationError as exc:
         raise ProtocolError(f"malformed ciphertext in payload: {exc}") from exc
@@ -332,7 +345,7 @@ def pp_prove(backend, result: PeAuth, endpoint):
     width = 1 << (d + 1).bit_length()
     if width > row:
         raise ParameterError(f"degree {d} does not fit the packing layout")
-    endpoint.send(TAG_PP_RESULT, pack_cts([result.cts[0]]))
+    endpoint.send(TAG_PP_RESULT, pack_cts([backend.shrink(result.cts[0])]))
     delta, beta = struct.unpack("<QQ", _recv(endpoint, TAG_PP_CHALLENGE))
     pows = [pow(delta, j, t) for j in range(n)]
     level = [backend.mul_plain(c, pows) for c in result.cts]
@@ -352,7 +365,7 @@ def pp_prove(backend, result: PeAuth, endpoint):
         acc = backend.add(acc, backend.rotate(acc, stride))
         stride *= 2
     acc = backend.add(acc, backend.row_swap(acc))
-    endpoint.send(TAG_PP_RESPONSE, pack_cts([acc]))
+    endpoint.send(TAG_PP_RESPONSE, pack_cts([backend.shrink(acc)]))
 
 
 def _decrypt_or_stand_in(backend, ct, failures: list):
@@ -382,7 +395,8 @@ def pp_verify(
     Returns (accepted, claimed result slots).  The session aborts with
     ProtocolError if the cloud deviates from the message order — in
     particular if it asks for the challenge before committing to c_0 — or
-    sends other than one ciphertext in the commitment or the response.
+    sends other than one ciphertext, on a chain prefix of the parameters,
+    in the commitment or the response.
 
     A commitment or response that fails to decrypt is rejected only after
     the last receive: in its place the session continues with uniform
@@ -396,15 +410,16 @@ def pp_verify(
             reason.append(msg)
         return False, m
 
-    t = secret.params.t
+    params = secret.params
+    t = params.t
     rnd = rng if rng is not None else random.Random(_secrets.randbits(128))
     failures: list[str] = []
-    (m1,) = unpack_cts(_recv(endpoint, TAG_PP_RESULT), 1)
+    (m1,) = unpack_cts(_recv(endpoint, TAG_PP_RESULT), 1, params)
     m = _decrypt_or_stand_in(backend, m1, failures)
     delta = rnd.randrange(t)
     beta = rnd.randrange(t)
     endpoint.send(TAG_PP_CHALLENGE, struct.pack("<QQ", delta, beta))
-    (m2,) = unpack_cts(_recv(endpoint, TAG_PP_RESPONSE), 1)
+    (m2,) = unpack_cts(_recv(endpoint, TAG_PP_RESPONSE), 1, params)
     w = _decrypt_or_stand_in(backend, m2, failures)
     if failures:
         return fail(f"a received ciphertext failed to decrypt: {failures[0]}")
@@ -434,6 +449,8 @@ class ReqCloudSession:
 
     Plugs into pe_eval as its `reducer`; the at-rest cap of 2 means any
     product of stored tuples reaches degree at most 4 before reduction.
+    The high components go down shrunk; the blinded replies come back into
+    evaluation, so each must be a full-chain operand.
     """
 
     cap = 2
@@ -451,8 +468,10 @@ class ReqCloudSession:
                 f"re-quadratization expects degree 3 or 4, got {d}"
             )
         c4 = comps[4] if d == 4 else b.encrypt_zero()  # the trivial zero
-        self.endpoint.send(TAG_REQ_HIGH_TERMS, pack_cts([comps[3], c4]))
-        e1, e2 = unpack_cts(_recv(self.endpoint, TAG_REQ_BLINDED), 2)
+        self.endpoint.send(TAG_REQ_HIGH_TERMS, pack_cts([b.shrink(comps[3]), b.shrink(c4)]))
+        e1, e2 = unpack_cts(_recv(self.endpoint, TAG_REQ_BLINDED), 2, b.params)
+        b.check_operand(e1)
+        b.check_operand(e2)
         self.rounds += 1
         return (comps[0], b.add(comps[1], e1), b.add(comps[2], e2))
 
@@ -503,7 +522,7 @@ class ReqClientSession:
         kap1, kap2, r, shift = self.blinds[self.round]
         y3, y4 = (
             slot_array(_decrypt_or_stand_in(self.backend, c, self.failures), t)
-            for c in unpack_cts(payload, 2)
+            for c in unpack_cts(payload, 2, self.secret.params)
         )
         a2 = alpha * alpha % t
         a3 = a2 * alpha % t
@@ -540,11 +559,11 @@ class ReqClientSession:
 
 def cloud_reply(backend, result: PeAuth, endpoint, pp: bool):
     """Cloud side of a session's close: the packed proof if `pp`, otherwise
-    every component of `result` in one result message."""
+    every component of `result`, shrunk, in one result message."""
     if pp:
         pp_prove(backend, result, endpoint)
     else:
-        endpoint.send(TAG_RESULT, pack_cts(list(result.cts)))
+        endpoint.send(TAG_RESULT, pack_cts([backend.shrink(c) for c in result.cts]))
 
 
 def client_session(
@@ -557,11 +576,11 @@ def client_session(
     the shipped result otherwise.  Returns (accepted, slots of c_0).
 
     A result message must carry exactly the d + 1 components of the
-    program's degree schedule.  The offset comes from the blinds drawn
-    when the session starts, and `final_offset()` raises
-    DecryptionFailureError for a round whose high terms did not decrypt
-    only once verification has received its last message, so nothing the
-    client sends depends on that failure.
+    program's degree schedule; each is decrypted once.  The offset comes
+    from the blinds drawn when the session starts, and `final_offset()`
+    raises DecryptionFailureError for a round whose high terms did not
+    decrypt only once verification has received its last message, so
+    nothing the client sends depends on that failure.
     """
     session = offset = None
     if req:
@@ -575,13 +594,10 @@ def client_session(
         )
     else:
         d, _ = degree_schedule(program, use_reducer=req)
-        result = PeAuth(tuple(unpack_cts(_recv(endpoint, TAG_RESULT), d + 1)))
-        m = backend.decrypt(result.cts[0])
-        start, count = program.output_block
-        ok = pe_verify(
-            secret, backend, program, result,
-            claimed=m[start : start + count], offset=offset, reason=reason,
-        )
+        cts = unpack_cts(_recv(endpoint, TAG_RESULT), d + 1, secret.params)
+        ys = [backend.decrypt(c) for c in cts]
+        m = ys[0]
+        ok = pe_check(secret, program, ys, offset=offset, reason=reason)
     if session is not None and session.failures:
         session.final_offset()  # raises, now that the last message is in
     return ok, m

@@ -170,7 +170,8 @@ def rep_eval(program: Program, auths, backend, lam: int) -> RepResult:
     Single-ciphertext inputs support the full gate set (steps scaled by λ);
     multi-ciphertext inputs are processed slot-parallel per ciphertext and
     therefore only admit add/sub gates (rotations would cross ciphertext
-    boundaries, which the layout cannot express).
+    boundaries, which the layout cannot express).  Every input ciphertext
+    must pass `backend.check_operand` first.
     """
     n = backend.params.n
     if program.width * lam != n:
@@ -187,6 +188,9 @@ def rep_eval(program: Program, auths, backend, lam: int) -> RepResult:
             )
     if any(a.lam != lam for a in auths):
         raise ParameterError("mixed replication factors")
+    for a in auths:
+        for c in a.cts:
+            backend.check_operand(c)
     counts = {a.num_cts for a in auths}
     if len(counts) != 1:
         raise LayoutError("inputs span different ciphertext counts")

@@ -12,6 +12,9 @@ travel as u32, component-major, then prime, then coefficient:
     keyset      params container ‖ u8 secret flag ‖ u16 Galois count ‖
                 ascending u64 Galois elements ‖ [sk] ‖ rlk ‖ Galois keys
 
+A ciphertext's k is the chain's length, except in a session message the
+client only decrypts, which may carry a chain prefix 1 ≤ k′ ≤ k (see
+BfvBackend.shrink).
 A keyset's arrays carry no shape headers: its own parameters imply every
 shape, so the loader computes the body length and refuses any other before
 it allocates an array.  Mock ciphertext slots (up to 2^59) stay u64.
@@ -83,7 +86,9 @@ def read_container(blob: bytes, offset: int = 0):
 
 
 def _expect(blob: bytes, type_code: int, offset: int = 0):
-    tc, body, nxt = read_container(blob, offset)
+    """A container of `type_code`: (body, next offset), the body a view of
+    `blob`, so nested containers and residues are read without copies."""
+    tc, body, nxt = read_container(memoryview(blob), offset)
     if tc != type_code:
         raise SerializationError(f"expected container type {type_code}, got {tc}")
     return body, nxt
@@ -217,7 +222,7 @@ def save_keyset(keys: KeySet, include_secret: bool = False) -> bytes:
 def load_keyset(blob: bytes, offset: int = 0) -> KeySet:
     """Parse a keyset, refusing any body whose length differs from the one
     its parameters and Galois count imply before allocating an array."""
-    body, _ = _expect(memoryview(blob), TYPE_KEYSET, offset)
+    body, _ = _expect(blob, TYPE_KEYSET, offset)
     params, r = _open_with_params(body)
     has_secret, gcount = r.unpack("<BH")
     gs = r.unpack(f"<{gcount}Q")
@@ -263,17 +268,28 @@ def save_ciphertext(ct) -> bytes:
     raise SerializationError(f"cannot serialize ciphertext of type {type(ct)!r}")
 
 
-def load_ciphertext(blob: bytes, offset: int = 0):
-    """Parse one ciphertext container; returns (ciphertext, next offset)."""
-    tc, body, nxt = read_container(blob, offset)
+def load_ciphertext(blob: bytes, offset: int = 0, params: Params | None = None):
+    """Parse one ciphertext container; returns (ciphertext, next offset).
+
+    With `params`, the header must fit them before any residue is read:
+    n slots, at least one component and, for a BFV ciphertext, 1 ≤ k″ ≤ k
+    residue rows (a decrypt-only message may travel on a chain prefix)."""
+    tc, body, nxt = read_container(memoryview(blob), offset)
     r = _Reader(body)
     if tc == TYPE_MOCK_CIPHERTEXT:
         n, depth, nonce = r.unpack("<IIQ")
+        if params is not None and n != params.n:
+            raise SerializationError(f"mock ciphertext of {n} slots, expected {params.n}")
         slots = np.frombuffer(r.take(8 * n), dtype="<u8")
         r.done()
         return MockCiphertext(slots, depth, nonce), nxt
     if tc == TYPE_CIPHERTEXT:
-        data = r.residues(r.unpack("<BBI"))
+        shape = r.unpack("<BBI")
+        if params is not None:
+            k, n = len(params.q_chain), params.n
+            if not (shape[0] >= 1 and 1 <= shape[1] <= k and shape[2] == n):
+                raise SerializationError(f"ciphertext shape {shape} does not fit (d+1, 1..{k}, {n})")
+        data = r.residues(shape)
         r.done()
         return Ciphertext(data), nxt
     raise SerializationError(f"container type {tc} is not a ciphertext")

@@ -2,6 +2,7 @@
 lattice backend, checked against each other and against the plain
 interpreter on seeded random programs."""
 
+import dataclasses
 import hashlib
 import math
 import platform
@@ -11,17 +12,24 @@ import resource
 import numpy as np
 import pytest
 
-from vhe import bfv
-from vhe.circuit import eval_he, eval_plain, random_program, required_rotation_steps
+from vhe import bfv, pe, protocols, rep
+from vhe.circuit import (
+    ProgramBuilder,
+    eval_he,
+    eval_plain,
+    random_program,
+    required_rotation_steps,
+)
 from vhe.errors import (
     DecryptionFailureError,
     KeyMaterialError,
     LayoutError,
     ParameterError,
     SerializationError,
+    VheError,
 )
 from vhe.mock import MockBackend
-from vhe.params import CHAIN_PRIME_BITS, Params, make_params, preset
+from vhe.params import CHAIN_PRIME_BITS, SHRINK_MARGIN_BITS, Params, make_params, preset
 from vhe.ring import (
     batch_encode,
     find_ntt_primes,
@@ -248,9 +256,10 @@ def test_real_decrypt_guard_band_is_exact(real):
 
 def test_real_decrypt_refuses_out_of_range_components(real):
     """decrypt and noise_budget check every component against the chain
-    before any arithmetic: a residue of q_i or 2^62, a stack of (k-1, n)
-    components or an empty stack raises SerializationError instead of
-    wrapping int64."""
+    before any arithmetic: a residue of q_i or 2^62, a stack of no rows, of
+    k + 1 rows or of the wrong n, or an empty stack raises
+    SerializationError instead of wrapping int64.  A chain prefix of
+    1 ≤ k″ < k rows is a shape decryption takes (see the shrink tests)."""
     ct = real.encrypt(list(range(N)))
     c0, c1 = ct.data
 
@@ -262,7 +271,12 @@ def test_real_decrypt_refuses_out_of_range_components(real):
     huge = c1.copy()
     huge[0, 0] = 2**62
     empty = bfv.Ciphertext(np.empty((0,) + c0.shape, dtype=np.int64))
-    bad = [with_c1(at_q), with_c1(huge), bfv.Ciphertext(ct.data[:, :-1]), empty]
+    bad = [
+        with_c1(at_q), with_c1(huge), empty,
+        bfv.Ciphertext(ct.data[:, :0]),
+        bfv.Ciphertext(np.concatenate([ct.data, ct.data[:, :1]], axis=1)),
+        bfv.Ciphertext(ct.data[..., : N // 2]),
+    ]
     for ct_bad in bad:
         with pytest.raises(SerializationError):
             real.decrypt(ct_bad)
@@ -409,6 +423,133 @@ def test_rotation_noise_margin_n4096():
     be = make_real(params, steps=(1,), seed=11)
     ct = be.rotate(be.encrypt(list(range(params.n))), 1)
     assert be.noise_budget(ct) >= 140
+
+
+# ---------------------------------------------------------------------------
+# modulus switching to a chain prefix
+# ---------------------------------------------------------------------------
+
+
+def _crt_lift(residues, primes):
+    """(..., k, n) residues → (..., n) object array of integers in [0, Π)."""
+    q = math.prod(primes)
+    out = 0
+    for i, p in enumerate(primes):
+        m = q // p
+        out = out + residues[..., i, :].astype(object) * (m * pow(m, -1, p))
+    return out % q
+
+
+@pytest.mark.parametrize("name", ["mock64", "mock64_wide"])
+def test_shrink_is_exact_big_integer_rounding(name):
+    """Every coefficient of shrink(c) is ⌊(Q′/Q)·c⌉ mod Q′, computed over the
+    integers, for fresh, product and uniform-residue ciphertexts."""
+    params = preset(name)
+    be = make_real(params, steps=(1,), seed=30)
+    k = params.shrink_primes
+    q, q_kept = params.big_q, math.prod(params.q_chain[:k])
+    rng = random.Random(31)
+    fresh = be.encrypt([rng.randrange(params.t) for _ in range(params.n)])
+    uniform = bfv.Ciphertext(np.array(
+        [[[rng.randrange(p) for _ in range(params.n)] for p in params.q_chain] for _ in range(2)],
+        dtype=np.int64,
+    ))
+    for ct in (fresh, be.rotate(be.mul(fresh, fresh), 1), uniform):
+        got = be.shrink(ct).data
+        assert got.shape == (2, k, params.n)
+        c = _crt_lift(stack_intt(ct.data, be.mods), params.q_chain)
+        want = (2 * c * q_kept + q) // (2 * q) % q_kept
+        assert (_crt_lift(stack_intt(got, be.mods[:k]), params.q_chain[:k]) == want).all()
+
+
+def test_shrink_prefix_rule():
+    """k′ is the shortest prefix whose switching noise (n+1)/2 + t stays
+    SHRINK_MARGIN_BITS below Δ′/4: 2 primes at n4096, n8192 and n32768
+    with a 16–17-bit t, more for a 40-bit t; one prime fewer breaks it."""
+    for name in ("n4096", "n8192", "n32768_prod"):
+        assert preset(name).shrink_primes == 2
+    for name in ("n4096", "n32768_prod", "mock64_wide"):
+        params = preset(name)
+        k = params.shrink_primes
+        bound = (params.n + 2) // 2 + params.t
+
+        def headroom(j):
+            return math.log2(math.prod(params.q_chain[:j]) // params.t // 4) - math.log2(bound)
+
+        assert headroom(k) > SHRINK_MARGIN_BITS >= headroom(k - 1)
+    assert preset("mock64_wide").shrink_primes == 4
+
+
+@pytest.mark.parametrize("name", ["n4096", "n8192"])
+def test_shrunk_ciphertexts_decrypt_to_the_same_slots(name):
+    """A fresh ciphertext and a PP-like one (a product, its
+    relinearization, rotations and a row swap) decrypt to the same slots
+    after the switch, and keep at least the rule's margin of budget."""
+    params = preset(name)
+    be = make_real(params, steps=(1, 2, 4), seed=32)
+    rng = random.Random(33)
+    fresh = be.encrypt([rng.randrange(params.t) for _ in range(params.n)])
+    pp_like = be.mul(fresh, be.encrypt([rng.randrange(params.t) for _ in range(params.n)]))
+    for step in (1, 2, 4):
+        pp_like = be.add(pp_like, be.rotate(pp_like, step))
+    pp_like = be.add(pp_like, be.row_swap(pp_like))
+    for ct in (fresh, pp_like):
+        shrunk = be.shrink(ct)
+        assert shrunk.data.shape == (2, params.shrink_primes, params.n)
+        assert be.decrypt(shrunk) == be.decrypt(ct)
+        assert be.noise_budget(shrunk) >= SHRINK_MARGIN_BITS
+
+
+def test_linear_ops_on_a_shared_prefix(real):
+    """Two ciphertexts shrunk to the same prefix add and subtract there; a
+    shrunk and a full-chain operand raise ParameterError, not a numpy
+    broadcast error."""
+    a, b = list(range(N)), [7] * N
+    ca, cb = real.encrypt(a), real.encrypt(b)
+    sa, sb = real.shrink(ca), real.shrink(cb)
+    assert real.decrypt(real.add(sa, sb)) == [(x + y) % T for x, y in zip(a, b)]
+    assert real.decrypt(real.sub(sa, sb)) == [(x - y) % T for x, y in zip(a, b)]
+    with pytest.raises(ParameterError):
+        real.add(sa, cb)
+
+
+def test_mock_shrink_is_the_identity(mock):
+    ct = mock.encrypt(list(range(N)))
+    assert mock.shrink(ct) is ct
+
+
+def test_evaluation_refuses_operands_off_the_full_chain(real):
+    """pe_eval, rep_eval and a ReQ blinded reply take only full-chain stacks
+    of reduced residues: a shrunk ciphertext, a (2, 1, n) stack (which would
+    broadcast against the modulus column) or a residue ≥ q_i raises a
+    VheError before any arithmetic."""
+    sec = pe.pe_keygen(PARAMS, rng=random.Random(34), make_he_keys=False)
+    auth = pe.pe_auth(sec, real, list(range(N)), "x")
+    b = ProgramBuilder(width=N, name="sq")
+    x = b.input("x")
+    prog = b.build(b.mul(x, x), output_block=(0, 1))
+    c0, c1 = auth.cts
+    past_q = c1.data.copy()
+    past_q[0, 1, 2] = PARAMS.q_chain[1]
+    bad = [real.shrink(c1), bfv.Ciphertext(c1.data[:, :1]), bfv.Ciphertext(past_q)]
+    for ct in bad:
+        with pytest.raises(VheError):
+            pe.pe_eval(prog, [pe.PeAuth((c0, ct), auth.base)], real)
+
+    rsec = rep.rep_keygen(PARAMS, lam=8, rng=random.Random(35), make_he_keys=False)
+    rauth = rep.rep_auth(rsec, real, [1, 2, 3], "x")
+    rb = ProgramBuilder(width=N // 8, name="id")
+    rprog = rb.build(rb.add(rb.input("x"), rb.input("x")), output_block=(0, 1))
+    for ct in bad:
+        with pytest.raises(VheError):
+            rep.rep_eval(rprog, [dataclasses.replace(rauth, cts=(ct,))], real, lam=8)
+
+    for ct in bad:
+        cloud_ep, client_ep = protocols.memory_channel()
+        client_ep.send(protocols.TAG_REQ_BLINDED, protocols.pack_cts([c0, ct]))
+        reducer = protocols.ReqCloudSession(real, cloud_ep)
+        with pytest.raises(VheError):
+            reducer.reduce((c0, c0, c0, c0), 0)
 
 
 def test_key_switching_accumulator_reduction_on_wide_chain():
@@ -636,20 +777,22 @@ def test_expander_rejects_the_masked_words_at_or_above_q():
 
 
 def reference_noise(be, ct):
-    """The former big-integer decryption measure: the phase Σ c_i·s^i lifted
-    to balanced Python integers, m = ⌊(t·phase + ⌊Q/2⌋)/Q⌋ mod t and the
-    largest |phase − Δ·m| centred mod Q."""
-    p = be.params
-    q, t = p.big_q, p.t
-    col = be._q
-    s = be.keys.sk_ntt
+    """The former big-integer decryption measure on the ciphertext's chain
+    prefix Q″: the phase Σ c_i·s^i lifted to balanced Python integers,
+    m = ⌊(t·phase + ⌊Q″/2⌋)/Q″⌋ mod t and the largest |phase − Δ″·m|
+    centred mod Q″, with Δ″ = ⌊Q″/t⌋."""
+    k = ct.data.shape[1]
+    primes, t = be.params.q_chain[:k], be.params.t
+    q = math.prod(primes)
+    col = be._q[:k]
+    s = be.keys.sk_ntt[:k]
     acc, s_pow = np.zeros_like(s), np.ones_like(s)
     for c in ct.data:
         acc = (acc + c * s_pow % col) % col
         s_pow = s_pow * s % col
-    phase = _lift_centered(stack_intt(acc, be.mods), p.q_chain)
+    phase = _lift_centered(stack_intt(acc, be.mods[:k]), primes)
     m = (phase * t + q // 2) // q % t
-    e = (phase - m * p.delta + q // 2) % q - q // 2
+    e = (phase - m * (q // t) + q // 2) % q - q // 2
     return m.tolist(), int(np.abs(e).max())
 
 
@@ -691,17 +834,20 @@ def _decrypt_operands(be, rng):
 @pytest.mark.parametrize("basis", sorted(MUL_BASES))
 def test_noise_matches_big_integer_reference(basis):
     """Decryption's int64 (m, largest |noise|) and the noise budget are
-    bit-equal to the big-integer lift."""
+    bit-equal to the big-integer lift, on the full chain and on the shrunk
+    prefix."""
     params = MUL_BASES[basis]()
     keys = bfv.keygen(params, rotation_steps=(1,), row_swap=False, rng=np.random.default_rng(44))
     be = bfv.BfvBackend(params, keys, rng=np.random.default_rng(45))
-    for name, ct in _decrypt_operands(be, random.Random(46)).items():
-        m, worst = be._noise(ct)
-        want_m, want_worst = reference_noise(be, ct)
-        assert (m.tolist(), worst) == (want_m, want_worst), name
-        assert isinstance(worst, int)
-        budget = math.log2(params.big_q) - math.log2(2 * params.t) - math.log2(max(want_worst, 1))
-        assert be.noise_budget(ct) == budget, name
+    for name, full in _decrypt_operands(be, random.Random(46)).items():
+        for ct in (full, be.shrink(full)):
+            m, worst, _ = be._noise(ct)
+            want_m, want_worst = reference_noise(be, ct)
+            assert (m.tolist(), worst) == (want_m, want_worst), name
+            assert isinstance(worst, int)
+            q = math.prod(params.q_chain[: ct.data.shape[1]])
+            budget = math.log2(q) - math.log2(2 * params.t) - math.log2(max(want_worst, 1))
+            assert be.noise_budget(ct) == budget, name
 
 
 # ---------------------------------------------------------------------------

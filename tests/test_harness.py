@@ -4,6 +4,7 @@ file/TCP workflows."""
 
 import json
 import math
+import random
 import re
 import subprocess
 import sys
@@ -21,8 +22,11 @@ from vhe.harness import (
     usecase_spec,
     wilson_interval,
 )
+from vhe.harness import attacks
 from vhe.harness.attacks import STRATEGIES
 from vhe.harness.cli import main
+from vhe.pe import pe_eval
+from vhe.protocols import ReqCloudSession, cloud_reply
 
 # ---------------------------------------------------------------------------
 # use cases
@@ -201,6 +205,26 @@ def test_attack_real_backend_smoke():
         )
     )
     assert report.accepts == 0
+
+
+@pytest.mark.parametrize("strategy,degree", [("tamper-pp-response", 2), ("tamper-req-message", 4)])
+def test_attack_session_strategies_real_backend_smoke(strategy, degree):
+    """The session strategies tamper at the chain prefix the cloud's
+    decrypt-only messages travel on: on the real backend every tampered
+    session is rejected, while the same session run honestly accepts (so
+    the rejections are not the noise guard's)."""
+    spec = AttackSpec(strategy=strategy, trials=3, seed=2, degree=degree, real=True)
+    report = simulate_adversary(spec)
+    assert report.real and report.trials == 3 and report.accepts == 0
+    world = attacks._PeWorld(spec)
+    backend = world._backend(random.Random(1))
+    req, pp = strategy == "tamper-req-message", strategy == "tamper-pp-response"
+
+    def cloud_fn(ep):
+        reducer = ReqCloudSession(backend, ep) if req else None
+        cloud_reply(backend, pe_eval(world.program, world.auths, backend, reducer=reducer), ep, pp)
+
+    assert world.session(random.Random(2), cloud_fn, req=req, pp=pp)
 
 
 def test_attack_spec_validation():

@@ -21,7 +21,7 @@ from vhe import protocols as pr
 from vhe.circuit import ProgramBuilder, eval_plain
 from vhe.errors import DecryptionFailureError, ParameterError, ProtocolError, StructureError
 from vhe.mock import MockBackend
-from vhe.params import preset
+from vhe.params import SHRINK_MARGIN_BITS, preset
 from vhe.ring import slot_poly_eval
 
 PARAMS = preset("mock64")
@@ -93,6 +93,27 @@ def test_unpack_cts_raises_only_protocol_error(data):
         pr.unpack_cts(payload)
     except ProtocolError:
         pass
+
+
+def test_unpack_cts_refuses_shapes_off_the_parameters():
+    """With the parameters, a ciphertext of no rows, of more than k rows or
+    of the wrong n is a ProtocolError at unpack; every prefix 1 … k loads."""
+    ct, _ = pr.unpack_cts(_payloads()[1], 2, PARAMS)
+    k = len(PARAMS.q_chain)
+    for rows in range(1, k + 1):
+        (got,) = pr.unpack_cts(pr.pack_cts([bfv.Ciphertext(ct.data[:, :rows])]), 1, PARAMS)
+        assert got.data.shape == (2, rows, N)
+    bad = [
+        bfv.Ciphertext(ct.data[:, :0]),
+        bfv.Ciphertext(np.concatenate([ct.data, ct.data[:, :1]], axis=1)),
+        bfv.Ciphertext(ct.data[..., : N // 2]),
+        MockBackend(preset("mock16"), rng=random.Random(53)).encrypt([1] * 16),
+    ]
+    for c in bad:
+        payload = pr.pack_cts([c])
+        pr.unpack_cts(payload)  # well-formed without the parameters
+        with pytest.raises(ProtocolError):
+            pr.unpack_cts(payload, 1, PARAMS)
 
 
 def test_memory_channel_roundtrip():
@@ -371,11 +392,52 @@ def test_pp_decryption_failure_is_not_a_reaction_oracle():
     assert len(failed.received) == 2  # rejected only after the response arrived
 
 
+def test_real_pp_too_short_prefix_is_rejected_without_a_reaction():
+    """On the real backend, a cloud that switches its commitment and
+    response down to one prime (below the noise guard's k′) is rejected
+    after the last receive, and the client sends the same bytes as in the
+    honest run at k′."""
+    rng = random.Random(60)
+    b = ProgramBuilder(width=N, name="xy")
+    prog = b.build(b.mul(b.input("x"), b.input("y")), output_block=(0, 4))
+    sec = pe.pe_keygen(PARAMS, extra_steps=pr.pp_required_steps(N), rng=rng)
+    client = bfv.BfvBackend(PARAMS, sec.he_keys, rng=np.random.default_rng(61))
+    cloud = bfv.BfvBackend(PARAMS, sec.he_keys.public(), rng=np.random.default_rng(62))
+    auths = [pe.pe_auth(sec, client, [rng.randrange(T) for _ in range(N)], lbl) for lbl in "xy"]
+    res = pe.pe_eval(prog, auths, cloud)
+
+    def run(rows):
+        cloud._switch = bfv._SwitchBasis(PARAMS, rows)  # the cloud's choice of prefix
+
+        def cloud_fn(ep):
+            pr.pp_prove(cloud, res, ep)
+
+        def client_fn(ep):
+            why = []
+            ok, _ = pr.pp_verify(sec, client, prog, ep, rng=random.Random(63), reason=why)
+            return ok, why, ep.transcript
+
+        return pr.run_session(cloud_fn, client_fn)[1]
+
+    ok, _, honest = run(PARAMS.shrink_primes)
+    short_ok, why, short = run(1)
+    assert ok and not short_ok
+    assert "decrypt" in why[0]
+    assert [pr.unpack_cts(p)[0].data.shape[1] for _, p in short.received] == [1, 1]
+    assert short.sent_bytes() == honest.sent_bytes()
+
+
 def _counting(backend_cls):
-    """`backend_cls` that counts its key switches (rotations and row swaps)."""
+    """`backend_cls` that counts its key switches (rotations and row swaps)
+    and keeps the last ciphertext it shrank."""
 
     class Counting(backend_cls):
         switches = 0
+        unshrunk = None
+
+        def shrink(self, ct):
+            self.unshrunk = ct
+            return super().shrink(ct)
 
         def rotate(self, a, step):
             self.switches += 1
@@ -460,7 +522,8 @@ def test_pp_refuses_a_degree_wider_than_a_row():
 
 def test_real_pp_degree_two_in_thirteen_key_switches():
     """On n4096 a degree-2 proof makes 3 merges + 9 fold steps + 1 row
-    swap, verifies, and leaves the response at least 60 bits of budget."""
+    swap, verifies, and leaves the response at least 60 bits of budget
+    before it is shrunk; shrunk, it keeps at least the switch's margin."""
     params = preset("n4096")
     n, t = params.n, params.t
     rng = random.Random(45)
@@ -487,8 +550,13 @@ def test_real_pp_degree_two_in_thirteen_key_switches():
     tr, (ok, m) = pr.run_session(cloud_fn, client_fn)
     assert ok and m == eval_plain(prog, [xs, ys], t)
     assert cloud.switches == 13
-    (response,) = pr.unpack_cts(tr.sent[-1][1])
-    assert client.noise_budget(response) >= 60
+    (response,) = pr.unpack_cts(tr.sent[-1][1], params=params)
+    assert response.data.shape == (2, params.shrink_primes, n)
+    assert client.noise_budget(cloud.unshrunk) >= 60
+    assert client.noise_budget(response) >= SHRINK_MARGIN_BITS
+    # two decrypt-only messages at k′ = 2: frame ‖ count ‖ container ‖ residues
+    assert params.shrink_primes == 2
+    assert len(tr.sent_bytes()) == 2 * (5 + 1 + 17 + 4 * 2 * params.shrink_primes * n)
 
 
 # ---------------------------------------------------------------------------
