@@ -67,7 +67,7 @@ from .errors import (
 from .params import CHAIN_PRIME_BITS, Params
 from .ring import (
     batch_decode,
-    batch_encode,
+    batch_encode_array,
     find_ntt_primes,
     get_modulus,
     stack_intt,
@@ -450,9 +450,7 @@ class BfvBackend:
     # ---- plaintext encoding -------------------------------------------------
 
     def _encode_residues(self, slots, ntt: bool = True) -> np.ndarray:
-        # coefficients are < t < 2^60, so int64 holds them exactly
-        coeffs = np.asarray(batch_encode(slots, self.t_mod), dtype=np.int64)
-        mat = coeffs % self._q
+        mat = batch_encode_array(slots, self.t_mod) % self._q
         return stack_ntt(mat, self.mods) if ntt else mat
 
     # ---- lifecycle ----------------------------------------------------------
@@ -596,7 +594,7 @@ class BfvBackend:
                 f"noise |e|≈2^{worst.bit_length()} breached the guard band "
                 f"(Δ/4 ≈ 2^{(dec.delta // 4).bit_length()}); result untrustworthy"
             )
-        return batch_decode(m.tolist(), self.t_mod)
+        return batch_decode(m, self.t_mod)
 
     def noise_budget(self, ct: Ciphertext) -> float:
         """log2 of (capacity / measured noise) on the ciphertext's chain

@@ -382,6 +382,21 @@ class _PeWorld:
         ys = [self.client.decrypt(c) for c in result.cts]
         return pe_check(self.secret, self.program, ys)
 
+    def tampered_trials(self, run):
+        """Trials of the session strategy ``run(rng, tamper)`` with tampering
+        on.  On the real backend one untampered session must be accepted
+        first: where noise alone makes the client reject it, every forgery
+        is rejected by the noise guard and 0 accepts would say nothing."""
+        spec = self.spec
+        if spec.real and not run(random.Random(spec.seed + 2), False):
+            raise ParameterError(
+                f"{spec.strategy}: the client rejects the untampered session on "
+                f"{spec.preset_name} at degree {spec.degree} (noise), so rejected "
+                "forgeries would not measure the attack; lower the degree or "
+                "choose a wider preset"
+            )
+        return lambda rng: run(rng, True)
+
     def session(self, rng, cloud_fn, req: bool, pp: bool) -> bool:
         """The client's verdict in one verified session against `cloud_fn`.
         The client's generator is drawn before the session starts, so the
@@ -450,18 +465,20 @@ def _setup_pe(spec: AttackSpec):
         # Theorem-style bound for the packed interaction
         bound = 2 * (d + n) / t + d / (t - 1)
 
-        def trial(rng: random.Random) -> bool:
+        def run(rng: random.Random, tamper: bool) -> bool:
             backend = world._backend(rng)
 
             def cloud_fn(ep):
-                # honest proving; one of the slots 0 … d + 1 the verifier
-                # reads is perturbed in the response, past the c_0 commitment
-                tampered = _TamperedSends(ep, backend, rng, TAG_PP_RESPONSE, 0, d + 2)
-                pp_prove(backend, honest, tampered)
+                # honest proving; a tampered run perturbs one of the slots
+                # 0 … d + 1 the verifier reads in the response, past the c_0
+                # commitment
+                if tamper:
+                    ep = _TamperedSends(ep, backend, rng, TAG_PP_RESPONSE, 0, d + 2)
+                pp_prove(backend, honest, ep)
 
             return world.session(rng, cloud_fn, req=False, pp=True)
 
-        return trial, bound
+        return world.tampered_trials(run), bound
 
     if strategy == "tamper-req-message":
         _, schedule = degree_schedule(world.program, use_reducer=True)
@@ -471,20 +488,20 @@ def _setup_pe(spec: AttackSpec):
                 "a reduction round (degree ≥ 4)"
             )
 
-        def trial(rng: random.Random) -> bool:
+        def run(rng: random.Random, tamper: bool) -> bool:
             backend = world._backend(rng)
-            hit = rng.randrange(len(schedule))
+            hit = rng.randrange(len(schedule)) if tamper else None
 
             def cloud_fn(ep):
-                # one round's high terms perturbed in flight, the rest honest
-                tampered = _TamperedSends(ep, backend, rng, TAG_REQ_HIGH_TERMS, hit, n)
-                reducer = ReqCloudSession(backend, tampered)
+                # a tampered run perturbs one round's high terms in flight
+                out = _TamperedSends(ep, backend, rng, TAG_REQ_HIGH_TERMS, hit, n) if tamper else ep
+                reducer = ReqCloudSession(backend, out)
                 result = pe_eval(world.program, world.auths, backend, reducer=reducer)
                 cloud_reply(backend, result, ep, pp=False)
 
             return world.session(rng, cloud_fn, req=True, pp=False)
 
-        return trial, bound
+        return world.tampered_trials(run), bound
 
     raise ParameterError(
         f"strategy {strategy!r} does not target the polynomial encoding"

@@ -2,6 +2,7 @@
 adversary simulation statistics, benchmark row accounting, and the CLI's
 file/TCP workflows."""
 
+import dataclasses
 import json
 import math
 import random
@@ -225,6 +226,18 @@ def test_attack_session_strategies_real_backend_smoke(strategy, degree):
         cloud_reply(backend, pe_eval(world.program, world.auths, backend, reducer=reducer), ep, pp)
 
     assert world.session(random.Random(2), cloud_fn, req=req, pp=pp)
+
+
+def test_session_attack_refuses_a_world_whose_honest_session_fails():
+    """On mock64 the untampered degree-4 packed proof already fails
+    decryption, so every forgery would be rejected by the noise guard: the
+    real-backend simulator refuses it, naming the preset and degree, and
+    runs at degree 2, where the honest session accepts."""
+    spec = AttackSpec(strategy="tamper-pp-response", trials=2, seed=3, degree=4, real=True)
+    with pytest.raises(ParameterError, match="mock64 at degree 4"):
+        simulate_adversary(spec)
+    report = simulate_adversary(dataclasses.replace(spec, degree=2))
+    assert report.real and report.trials == 2 and report.accepts == 0
 
 
 def test_attack_spec_validation():

@@ -149,10 +149,28 @@ def test_tables_match_loop_reference(p, n):
     if p >= 1 << 31:
         return  # pure-Python path: no stacked tables
     tables = _stack_tables((mod,))
-    for s, m in enumerate(1 << i for i in range(len(ref_fwd))):
-        assert tables.fwd[0, m : 2 * m].tolist() == ref_fwd[s]
-        assert tables.inv[0, m : 2 * m].tolist() == ref_inv[s]
+    assert len(tables.fwd) == len(tables.inv) == len(ref_fwd)
+    # the stage of stride 2^j multiplies block p < m = n/2^(j+1) by twiddle
+    # p of the reference's half-size-m stage, repeated over the stride or
+    # broadcast
+    for j, stages in enumerate(zip(tables.fwd, tables.inv)):
+        m = n >> (j + 1)
+        for table, ref in zip(stages, (ref_fwd, ref_inv)):
+            assert table.shape[:2] == (1, m) and table.shape[2] in (1, n // (2 * m))
+            assert (table[0] == np.array(ref[m.bit_length() - 1])[:, None]).all()
+    assert tables.twist[0].tolist() == ref_psi
     assert tables.post[0].tolist() == [ninv * v % p for v in ref_ipsi]
+
+
+@pytest.mark.parametrize("n", [2, 16, 1024, 4096, 32768])
+def test_stack_tables_stay_within_twice_four_words_per_coefficient(n):
+    """A prime tuple's cached tables take at most 8·k·n uint32 words, twice
+    the twist, stage, inverse and post tables of a bit-reversed kernel."""
+    primes = find_ntt_primes(30, n, 3)
+    tables = _stack_tables(tuple(get_modulus(p, n) for p in primes))
+    arrays = (tables.twist, tables.post, *tables.fwd, *tables.inv)
+    assert all(a.dtype == np.uint32 for a in arrays)
+    assert sum(a.nbytes for a in arrays) // 4 <= 2 * 4 * len(primes) * n
 
 
 def _ext_primes():
@@ -176,6 +194,39 @@ def reference_ntt(row, mod):
     pows = [int(v) for v in psi_pows]
     x = [int(c) * pows[i] % p for i, c in enumerate(row)]
     return _dit_py(x, p, pows, [int(v) for v in bitrev], n)
+
+
+def reference_intt(row, mod):
+    """Modulus.intt's definition on the pure-Python transform."""
+    p, n = mod.value, mod.n
+    _, _, ipsi_pows, bitrev, ninv = mod._get_tables()
+    pows = [int(v) for v in ipsi_pows]
+    x = _dit_py([int(c) for c in row], p, pows, [int(v) for v in bitrev], n)
+    return [v * ninv % p * pows[i] % p for i, v in enumerate(x)]
+
+
+@pytest.mark.parametrize("n", [2, 16, 64, 1024, 4096, 8192])
+def test_kernel_matches_reference_at_every_degree(n):
+    """Both directions against the pure-Python transform, on random
+    residues and on the forward bounds: all 2q − 1 (the lazy stages' top)
+    and all 2^32 − 1 (key-switch digits arrive as centred + q)."""
+    primes = (*find_ntt_primes(30, n, 2), find_ntt_primes(31, n, 1)[0])
+    mods = [get_modulus(p, n) for p in primes]
+    q = np.array(primes, dtype=np.int64)[:, None]
+    rng = np.random.default_rng(n)
+    residues = rng.integers(0, 2**62, size=(len(primes), n)) % q
+    evals = stack_ntt(residues, mods)
+    coeffs = stack_intt(residues, mods)
+    # a column-major stack is laid out afresh, not misread
+    assert np.array_equal(stack_ntt(np.asfortranarray(residues), mods), evals)
+    assert np.array_equal(stack_intt(np.asfortranarray(residues), mods), coeffs)
+    for i, mod in enumerate(mods):
+        assert evals[i].tolist() == reference_ntt(residues[i], mod), i
+        assert coeffs[i].tolist() == reference_intt(residues[i], mod), i
+    for x in (np.broadcast_to(2 * q - 1, (len(primes), n)), np.full((len(primes), n), 2**32 - 1)):
+        evals = stack_ntt(x, mods)
+        for i, mod in enumerate(mods):
+            assert evals[i].tolist() == reference_ntt(x[i], mod), (int(x[i, 0]), i)
 
 
 @pytest.mark.parametrize("basis", sorted(KERNEL_BASES))
