@@ -323,12 +323,9 @@ def galois_row_swap(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _eval_permutation(g: int, n: int) -> np.ndarray:
-    """NTT-domain slot permutation realizing X → X^g (same for every prime)."""
-    m = 2 * n
-    idx = np.empty(n, dtype=np.int64)
-    for k in range(n):
-        idx[k] = (((2 * k + 1) * g) % m - 1) // 2
-    return idx
+    """NTT-domain slot permutation realizing X → X^g (same for every prime):
+    output k, the evaluation at ψ^(2k+1), reads the one at ψ^((2k+1)·g)."""
+    return ((2 * np.arange(n, dtype=np.int64) + 1) * g % (2 * n) - 1) // 2
 
 
 def keygen(
@@ -422,8 +419,6 @@ def _keep_freed_memory() -> None:
 
 class BfvBackend:
     """Operation surface over one key set (secret key optional)."""
-
-    backend_tag = "bfv"
 
     def __init__(self, params: Params, keys: KeySet, rng=None):
         if keys.params != params:

@@ -188,17 +188,6 @@ def run_bench(
     ]
 
 
-def rows_to_csv(rows) -> str:
-    header = "scheme,op,lam,degree,n,slots,best_op_s,per_slot_us,repeats"
-    lines = [header]
-    for r in rows:
-        d = r.to_dict()
-        lines.append(
-            ",".join("" if d[k] is None else str(d[k]) for k in header.split(","))
-        )
-    return "\n".join(lines) + "\n"
-
-
 def bench_summary(rows) -> str:
     """Human-readable table plus the headline scaling ratios."""
     out = [

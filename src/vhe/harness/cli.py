@@ -45,7 +45,7 @@ from ..rep import (
     rep_verify,
 )
 from .attacks import STRATEGIES, AttackSpec, simulate_adversary
-from .bench import BENCH_OPS, bench_summary, rows_to_csv, run_bench
+from .bench import BENCH_OPS, bench_summary, run_bench
 from .usecases import AUTH_MODES, USECASES, run_usecase, usecase_spec
 
 
@@ -126,16 +126,14 @@ def _dicts_to_csv(dicts) -> str:
     return buf.getvalue()
 
 
-def _emit_report(out_dir: str | None, name: str, dicts, csv_text: str | None = None):
+def _emit_report(out_dir: str | None, name: str, dicts):
     if not out_dir:
         return
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     payload = dicts if len(dicts) != 1 else dicts[0]
     (out / f"{name}.json").write_text(json.dumps(payload, indent=2) + "\n")
-    (out / f"{name}.csv").write_text(
-        csv_text if csv_text is not None else _dicts_to_csv(dicts)
-    )
+    (out / f"{name}.csv").write_text(_dicts_to_csv(dicts))
     print(f"wrote {out / f'{name}.json'} and {out / f'{name}.csv'}")
 
 
@@ -291,7 +289,7 @@ def _cmd_bench(args) -> int:
         seed=args.seed,
     )
     print(bench_summary(rows))
-    _emit_report(args.out, "bench", [r.to_dict() for r in rows], rows_to_csv(rows))
+    _emit_report(args.out, "bench", [r.to_dict() for r in rows])
     return 0
 
 

@@ -49,8 +49,6 @@ class MockCiphertext:
 class MockBackend:
     """Drop-in backend with plaintext slots; deterministic under a seeded rng."""
 
-    backend_tag = "mock"
-
     def __init__(self, params: Params, depth_limit: int | None = None, rng=None):
         self.params = params
         self.depth_limit = depth_limit

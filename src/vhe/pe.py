@@ -48,7 +48,8 @@ from .labels import Identifier, LabelRegistry, PrfKey, prf_zt  # noqa: F401
 from .params import Params
 from .ring import slot_array
 
-MAX_DEGREE = 8
+MAX_DEGREE = 8  # the highest degree a product may reach
+REQ_CAP = 2  # the at-rest degree under re-quadratization
 
 
 @dataclass
@@ -138,7 +139,7 @@ def pe_sub(backend, a: tuple, b: tuple) -> tuple:
     return diff + a[m:] + tuple(backend.neg(y) for y in b[m:])
 
 
-def pe_mul(backend, a: tuple, b: tuple, max_degree: int = MAX_DEGREE) -> tuple:
+def pe_mul(backend, a: tuple, b: tuple) -> tuple:
     """Convolution of the component tuples: degree d_a + d_b.
 
     Karatsuba over the components: for i < j < min(len a, len b) the cross
@@ -149,10 +150,9 @@ def pe_mul(backend, a: tuple, b: tuple, max_degree: int = MAX_DEGREE) -> tuple:
     subtracted products cost noise: about 2.3 bits of budget at depth 4.
     """
     d = len(a) + len(b) - 2
-    if d > max_degree:
+    if d > MAX_DEGREE:
         raise DegreeLimitError(
-            f"product would reach degree {d} > limit {max_degree}; "
-            "re-quadratize or raise the limit"
+            f"product would reach degree {d} > limit {MAX_DEGREE}; re-quadratize"
         )
     acc: list = [None] * (d + 1)
 
@@ -182,27 +182,26 @@ def pe_map(backend, a: tuple, fn) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def degree_schedule(
-    program: Program, use_reducer: bool, cap: int = 2, max_degree: int = MAX_DEGREE
-):
-    """Simulate degrees through the circuit.
+def degree_schedule(program: Program, use_reducer: bool, degrees=None):
+    """Simulate degrees through the circuit from the inputs' `degrees` (all
+    1, fresh authentications, by default).
 
-    Returns (final degree, list of mul-gate indices that exceed the at-rest
-    cap and therefore get re-quadratized when a reducer is in play).  Raises
-    DegreeLimitError where evaluation without a reducer would.
+    Returns (final degree, list of mul-gate indices whose products exceed
+    REQ_CAP and therefore get re-quadratized when a reducer is in play).
+    Raises DegreeLimitError where a product would exceed MAX_DEGREE.
     """
     schedule: list[int] = []
 
     def mul(a: int, b: int, idx: int) -> int:
         d = a + b
-        if use_reducer and d > cap:
+        if d > MAX_DEGREE:
+            raise DegreeLimitError(f"gate {idx} reaches degree {d} > limit {MAX_DEGREE}")
+        if use_reducer and d > REQ_CAP:
             schedule.append(idx)
-            return cap
-        if not use_reducer and d > max_degree:
-            raise DegreeLimitError(f"gate {idx} reaches degree {d} > limit {max_degree}")
+            return REQ_CAP
         return d
 
-    degs = interpret(program, [1] * program.num_inputs, max, max, mul, lambda d, _: d)
+    degs = interpret(program, degrees or [1] * program.num_inputs, max, max, mul, lambda d, _: d)
     return degs[program.output], schedule
 
 
@@ -210,15 +209,15 @@ def pe_eval(
     program: Program,
     auths,
     backend,
-    max_degree: int = MAX_DEGREE,
     reducer=None,
 ) -> PeAuth:
     """Run the program over authenticated tuples.
 
-    `reducer`, when given, must expose `.cap` (at-rest degree bound) and
-    `.reduce(comps, gate_idx) -> comps`; it is invoked on every mul output
-    whose degree exceeds the cap (the interactive re-quadratization hook).
-    Every input ciphertext must pass `backend.check_operand` first.
+    `reducer`, when given, must expose `.reduce(comps, gate_idx) -> comps`
+    (the interactive re-quadratization hook); it is invoked exactly at the
+    gates :func:`degree_schedule` names, on products above REQ_CAP.  Every
+    input ciphertext must pass `backend.check_operand`, and the schedule
+    must stay within MAX_DEGREE, before the first product.
     """
     if program.width != backend.params.n:
         raise LayoutError(
@@ -234,12 +233,12 @@ def pe_eval(
             )
         for c in a.cts:
             backend.check_operand(c)
+    _, schedule = degree_schedule(program, reducer is not None, [a.degree for a in auths])
+    reduced = set(schedule)
 
     def mul(a: tuple, b: tuple, idx: int) -> tuple:
-        v = pe_mul(backend, a, b, max_degree)
-        if reducer is not None and len(v) - 1 > reducer.cap:
-            v = reducer.reduce(v, idx)
-        return v
+        v = pe_mul(backend, a, b)
+        return reducer.reduce(v, idx) if idx in reduced else v
 
     wires = interpret(
         program, [a.cts for a in auths],

@@ -447,13 +447,11 @@ def pp_verify(
 class ReqCloudSession:
     """Evaluator-side hook: ships high components out, folds blinds back in.
 
-    Plugs into pe_eval as its `reducer`; the at-rest cap of 2 means any
-    product of stored tuples reaches degree at most 4 before reduction.
-    The high components go down shrunk; the blinded replies come back into
-    evaluation, so each must be a full-chain operand.
+    Plugs into pe_eval as its `reducer`; the at-rest degree REQ_CAP = 2
+    means any product of stored tuples reaches degree at most 4 before
+    reduction.  The high components go down shrunk; the blinded replies
+    come back into evaluation, so each must be a full-chain operand.
     """
-
-    cap = 2
 
     def __init__(self, backend, endpoint):
         self.backend = backend

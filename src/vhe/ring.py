@@ -45,7 +45,7 @@ _NUMPY_LIMIT = 1 << 31  # the stacked kernel's lazy bound 4q·q < 2^64
 _EXPAND = 8  # kernel stages of stride below this store expanded twiddles
 
 # ---------------------------------------------------------------------------
-# primality / factoring helpers
+# primality
 # ---------------------------------------------------------------------------
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -74,59 +74,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def _pollard_rho(n: int) -> int:
-    """One nontrivial factor of composite odd n (Brent's cycle variant)."""
-    if n % 2 == 0:
-        return 2
-    import math
-    import random
-
-    rng = random.Random(0xC0FFEE ^ n)
-    while True:
-        c = rng.randrange(1, n)
-        x = rng.randrange(0, n)
-        y, d = x, 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization as {prime: exponent}."""
-    factors: dict[int, int] = {}
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    return factors
-
-
-def _primitive_root(p: int) -> int:
-    """Smallest generator of the multiplicative group mod prime p."""
-    order = p - 1
-    prime_factors = list(factorize(order))
-    g = 2
-    while True:
-        if all(pow(g, order // f, p) != 1 for f in prime_factors):
-            return g
-        g += 1
 
 
 # ---------------------------------------------------------------------------
@@ -168,19 +115,6 @@ class Modulus:
         self._slot_to_eval = None
         self._stacks = {}  # kernel tables of the prime tuples this one leads
 
-    def __repr__(self):
-        return f"Modulus({self.value}, n={self.n})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Modulus)
-            and other.value == self.value
-            and other.n == self.n
-        )
-
-    def __hash__(self):
-        return hash((self.value, self.n))
-
     # -- table construction -------------------------------------------------
 
     def _build_tables(self):
@@ -189,10 +123,13 @@ class Modulus:
                 f"{self.value} is not ≡ 1 mod {2 * self.n}; NTT unavailable"
             )
         p, n = self.value, self.n
-        g = _primitive_root(p)
+        # ψ = g^((p−1)/2n) has order 2n iff ψ^n = g^((p−1)/2) ≡ −1, that is
+        # iff g is a quadratic non-residue (Euler's criterion): 2n is a power
+        # of two, so no factoring of p − 1 is needed
+        g = 2
+        while pow(g, (p - 1) // 2, p) != p - 1:
+            g += 1
         psi = pow(g, (p - 1) // (2 * n), p)
-        if pow(psi, n, p) != p - 1:
-            raise ParameterError("failed to construct a primitive 2n-th root")
         # int64 products of two residues stay exact below 2^31, where the
         # powers are kept as uint32 for the stacked kernel's tables; above,
         # they are Python integers for the pure-Python transform
@@ -243,15 +180,9 @@ class Modulus:
     def slot_to_eval(self) -> np.ndarray:
         """Map slot index (row-major 2×(n/2)) → transform output index."""
         if self._slot_to_eval is None:
-            n = self.n
-            m = 2 * n
-            table = np.empty(n, dtype=np.int64)
-            e = 1
-            for c in range(n // 2):
-                table[c] = (e - 1) // 2
-                table[n // 2 + c] = (m - e - 1) // 2
-                e = e * 3 % m
-            self._slot_to_eval = table
+            m = 2 * self.n
+            e = _powers(3, self.n // 2, m, np.int64)  # row 0 at 3^c, row 1 at 2n − 3^c
+            self._slot_to_eval = np.concatenate((e - 1, m - e - 1)) // 2
         return self._slot_to_eval
 
 

@@ -44,8 +44,9 @@ MAGIC = b"VRTS"
 # 4: one residue stack per ciphertext and per key, u32 residues;
 # 5: no ciphertext multiplication depth; 6: challenge values from SHAKE-256
 # streams, so secrets and authentications saved under 5 would not verify;
-# 7: no public key in a keyset
-VERSION = 7
+# 7: no public key in a keyset; 8: ψ from the smallest quadratic non-residue,
+# so the evaluation-domain residues of version-7 keys and ciphertexts differ
+VERSION = 8
 
 TYPE_PARAMS = 0x01
 TYPE_KEYSET = 0x02

@@ -874,8 +874,3 @@ def test_random_programs_agree_across_backends():
         got_real = real.decrypt(eval_he(p, [real.encrypt(v) for v in ins], real))
         assert got_mock == want
         assert got_real == want
-
-
-def test_backend_tags():
-    assert MockBackend(PARAMS, rng=random.Random(0)).backend_tag == "mock"
-    assert make_real().backend_tag == "bfv"

@@ -30,7 +30,7 @@ from vhe.errors import ParameterError, StructureError
 from vhe.labels import Identifier, PrfKey
 from vhe.mock import MockBackend
 from vhe.params import preset
-from vhe.pe import degree_schedule, offset_walk, pe_auth, pe_eval, pe_keygen
+from vhe.pe import REQ_CAP, degree_schedule, offset_walk, pe_auth, pe_eval, pe_keygen
 
 T = 257  # small prime for hand examples (17 is too small for mock presets)
 
@@ -415,14 +415,12 @@ def test_random_program_always_validates():
 class RecordingReducer:
     """Caps every over-degree product and records the gate it fired on."""
 
-    cap = 2
-
     def __init__(self):
         self.fired = []
 
     def reduce(self, comps, idx):
         self.fired.append(idx)
-        return comps[: self.cap + 1]
+        return comps[: REQ_CAP + 1]
 
 
 def test_algebras_agree_on_random_programs():

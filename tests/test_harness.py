@@ -399,6 +399,15 @@ def test_cli_report_emission(tmp_path, capsys):
     ]) == 0
     data = json.loads((tmp_path / "uc" / "usecase-dot-product-rep.json").read_text())
     assert data["verdict"] is True and data["match"] is True
+
+    assert main([
+        "bench", "--lams", "16", "--ops", "add", "--repeats", "1",
+        "--out", str(tmp_path / "bench"),
+    ]) == 0
+    rows = json.loads((tmp_path / "bench" / "bench.json").read_text())
+    lines = (tmp_path / "bench" / "bench.csv").read_text().splitlines()
+    assert lines[0] == "scheme,op,lam,degree,n,slots,best_op_s,per_slot_us,repeats"
+    assert len(lines) == 1 + len(rows)
     capsys.readouterr()
 
 
@@ -457,6 +466,8 @@ def test_cli_tcp_session_between_processes(tmp_path):
         assert server.wait(timeout=30) == 0
     finally:
         server.kill()
+        server.stdout.close()
+        server.wait()
 
 
 def test_cli_unknown_params_is_an_error(capsys):

@@ -107,6 +107,30 @@ def test_eval_degree_limit(mock):
         pe.pe_eval(square_chain(4), [auth], mock)
 
 
+def test_eval_schedules_from_the_input_degrees():
+    """Degrees start from the inputs' tuples: a product past MAX_DEGREE is
+    refused before any backend product, and a reducer fires on the product
+    of two degree-2 tuples."""
+    backend = CountingMock(PARAMS, rng=random.Random(5))
+    rng = random.Random(6)
+    quartic = pe.PeAuth(tuple(backend.encrypt(rand_slots(rng)) for _ in range(5)))
+    with pytest.raises(DegreeLimitError):
+        pe.pe_eval(square_chain(2), [quartic], backend)
+    assert backend.muls == 0
+
+    class Recorder:
+        def __init__(self):
+            self.fired = []
+
+        def reduce(self, comps, idx):
+            self.fired.append(len(comps) - 1)
+            return comps[: pe.REQ_CAP + 1]
+
+    reducer = Recorder()
+    res = pe.pe_eval(square_chain(1), [pe.PeAuth(quartic.cts[:3])], backend, reducer=reducer)
+    assert reducer.fired == [4] and res.degree == pe.REQ_CAP
+
+
 # ---------------------------------------------------------------------------
 # honest evaluation and verification
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from vhe import bfv
 from vhe.errors import ParameterError
-from vhe.params import preset
+from vhe.params import preset, preset_names
 from vhe.ring import (
     _dit_py,
     _stack_tables,
@@ -256,6 +256,32 @@ def test_stacked_transform_broadcasts_over_leading_axes():
     x = np.random.default_rng(2).integers(0, 2**62, size=(len(primes), len(primes), 4096)) % q
     assert np.array_equal(stack_ntt(x, mods), np.stack([stack_ntt(r, mods) for r in x]))
     assert np.array_equal(stack_intt(x, mods), np.stack([stack_intt(r, mods) for r in x]))
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_every_preset_prime_has_its_root_and_round_trips(name):
+    """ψ^n ≡ −1, so ψ has order exactly 2n, for the chain, t and the
+    auxiliary primes of multiplication and decryption, whose transforms
+    invert one another."""
+    params = preset(name)
+    n = params.n
+    primes = {
+        *params.q_chain,
+        params.t,
+        *bfv._MulBasis(params).primes,
+        *bfv._DecryptBasis(params, len(params.q_chain)).aux.src,
+    }
+    mods = [get_modulus(p, n) for p in sorted(primes)]
+    for mod in mods:
+        assert pow(mod.psi, n, mod.value) == mod.value - 1, mod.value
+    stacked = [m for m in mods if m.value < 1 << 31]
+    q = np.array([m.value for m in stacked], dtype=np.int64)[:, None]
+    x = np.random.default_rng(n).integers(0, 2**62, size=(len(stacked), n)) % q
+    assert np.array_equal(stack_intt(stack_ntt(x, stacked), stacked), x)
+    rng = random.Random(n)
+    for mod in mods[len(stacked):]:  # pure-Python path
+        row = rand_coeffs(mod, rng)
+        assert [int(v) for v in mod.intt(mod.ntt(row))] == row
 
 
 def test_batch_roundtrip_and_homomorphism():

@@ -165,16 +165,18 @@ def test_version_2_ciphertext_refused(real_keys):
         sz.load_ciphertext(_container(sz.TYPE_CIPHERTEXT, body, version=2))
 
 
-def test_version_3_ciphertext_and_keyset_refused(real_keys):
+@pytest.mark.parametrize("version", [3, 7])
+def test_version_3_ciphertext_and_keyset_refused(real_keys, version):
     """Version 3 wrote u64 residues, per-component domain bytes and key
-    pairs with shape headers; such containers must be regenerated."""
+    pairs with shape headers; version 7 residues sit in the evaluation
+    domain of another ψ.  Such containers must be regenerated."""
     backend = bfv.BfvBackend(PARAMS, real_keys, rng=np.random.default_rng(4))
     ct = sz.save_ciphertext(backend.encrypt([1] * PARAMS.n))
-    with pytest.raises(SerializationError, match="version 3"):
-        sz.load_ciphertext(_with_version(ct, 3))
+    with pytest.raises(SerializationError, match=f"version {version}"):
+        sz.load_ciphertext(_with_version(ct, version))
     keys = sz.save_keyset(real_keys)
-    with pytest.raises(SerializationError, match="version 3"):
-        sz.load_keyset(_with_version(keys, 3))
+    with pytest.raises(SerializationError, match=f"version {version}"):
+        sz.load_keyset(_with_version(keys, version))
 
 
 def test_version_4_ciphertext_refused(real_keys):
