@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # File-based workflow: generate keys, authenticate inputs, evaluate,
-# verify — then run a seeded attack simulation, a micro-benchmark, an
+# verify — then run seeded attack simulations, a micro-benchmark, an
 # end-to-end use case and a packed-proof session over loopback TCP on the
 # real backend, all through the `vhe` command.
 set -euo pipefail
@@ -46,8 +46,9 @@ vhe verify --key keys/secret.vrts --program dot8.json \
     --result result.vrts --lengths 8,8
 
 echo
-echo "== 6. simulate a forger (1000 seeded trials) =="
+echo "== 6. simulate forgers (each fails the run if it beats its bound) =="
 vhe attack --strategy slot-perturb --trials 1000 --lambda 8 --seed 1 --out report
+vhe attack --strategy tamper-pp-response --degree 8 --trials 200 --seed 1
 
 echo
 echo "== 7. per-slot cost trends on the real backend =="

@@ -314,9 +314,6 @@ def galois_element(step: int, n: int) -> int:
     return pow(3, step % (n // 2), m)
 
 
-ROW_SWAP = "row_swap"
-
-
 def galois_row_swap(n: int) -> int:
     return 2 * n - 1
 
@@ -331,11 +328,11 @@ def _eval_permutation(g: int, n: int) -> np.ndarray:
 def keygen(
     params: Params,
     rotation_steps=(),
-    row_swap: bool = True,
+    row_swap: bool = False,
     rng: np.random.Generator | None = None,
 ) -> KeySet:
     """Generate the secret and relinearization keys plus the requested
-    rotation keys (exactly those steps, plus the row swap by default)."""
+    rotation keys (exactly those steps, plus the row swap if asked)."""
     gen = rng if rng is not None else np.random.default_rng(
         secrets.randbits(128)
     )

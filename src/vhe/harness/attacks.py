@@ -21,8 +21,9 @@ Strategies:
   full aggregation (the per-trial key refresh makes trials independent).
 - ``tamper-pe-coefficient``: add a delta to one slot of one polynomial
   encoding component.
-- ``tamper-pp-response``: perturb one slot the verifier reads (0 … d + 1) of
-  the packed-proof response ciphertext after honest proving.
+- ``tamper-pp-response``: perturb any one of the n slots of the
+  packed-proof response ciphertext after honest proving, so padding lanes
+  are hit as well as the d + 2 the checks read.
 - ``tamper-req-message``: perturb a high-degree component in flight during a
   re-quadratization round, then finish the protocol honestly.
 
@@ -469,11 +470,11 @@ def _setup_pe(spec: AttackSpec):
             backend = world._backend(rng)
 
             def cloud_fn(ep):
-                # honest proving; a tampered run perturbs one of the slots
-                # 0 … d + 1 the verifier reads in the response, past the c_0
-                # commitment
+                # honest proving; a tampered run perturbs any one of the n
+                # response slots, past the c_0 commitment: it lands in one
+                # of the K lanes the client sums, padding lanes included
                 if tamper:
-                    ep = _TamperedSends(ep, backend, rng, TAG_PP_RESPONSE, 0, d + 2)
+                    ep = _TamperedSends(ep, backend, rng, TAG_PP_RESPONSE, 0, n)
                 pp_prove(backend, honest, ep)
 
             return world.session(rng, cloud_fn, req=False, pp=True)

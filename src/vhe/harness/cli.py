@@ -276,7 +276,8 @@ def _cmd_attack(args) -> int:
     report = simulate_adversary(spec)
     print(report.summary())
     _emit_report(args.out, "attack", [report.to_dict()])
-    return 0
+    # exit 1 when the 99% Wilson interval lies wholly above the analytic bound
+    return int(report.wilson_low > report.analytic_bound)
 
 
 def _cmd_bench(args) -> int:

@@ -481,10 +481,11 @@ def _feasibility(inst: Instance, params: Params, auth: str):
 def _run_baseline(inst: Instance, params: Params, real: bool, seed: int):
     n = params.n
     if real:
-        steps, _ = required_rotation_steps(inst.program, stride=1, n_slots=n)
+        steps, swap = required_rotation_steps(inst.program, stride=1, n_slots=n)
         keys = bfv.keygen(
             params,
             rotation_steps=sorted(steps),
+            row_swap=swap,
             rng=np.random.default_rng(seed + 0x5EED),
         )
         cloud, client = _make_backends(params, keys, True, seed)

@@ -92,13 +92,11 @@ def pe_keygen(
     key = PrfKey.generate(rnd)
     he_keys = None
     if make_he_keys:
-        steps = set(extra_steps)
-        for prog in programs:
-            s, _ = required_rotation_steps(prog, stride=1, n_slots=params.n)
-            steps |= s
+        needs = [required_rotation_steps(p, stride=1, n_slots=params.n) for p in programs]
         he_keys = bfv.keygen(
             params,
-            rotation_steps=sorted(steps),
+            rotation_steps=sorted(set(extra_steps).union(*(s for s, _ in needs))),
+            row_swap=any(sw for _, sw in needs),
             rng=np.random.default_rng(rnd.getrandbits(64)),
         )
     return PeSecret(params, key, alpha, he_keys)

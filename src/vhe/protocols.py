@@ -8,13 +8,16 @@ client sent between honest and tampered runs.
 
 Packed proof (PP): instead of shipping all d+1 response components, the
 cloud sends c_0, receives a random evaluation point δ and a packing nonce
-β, and returns one ciphertext m2 whose slots carry w_i = Y_i(δ) — each
-component's slot-polynomial evaluated at δ — at slot i, plus the β-combined
-sum H = Σ β^i·w_i at slot d+1.  The verifier checks H, w_0 against the
-claimed data, and Σ w_i α^i against the challenge polynomial at δ.  Two
+β, and returns one ciphertext m2.  Summed over each residue class mod
+K = 2^⌈log2(d+2)⌉, its slots give w_i = Y_i(δ) — each component's
+slot-polynomial evaluated at δ — in lane i, the β-combined sum
+H = Σ β^i·w_i in lane d+1 and zero in the padding lanes.  The verifier
+folds the lanes after decrypting, then checks the padding, H, w_0 against
+the claimed data, and Σ w_i α^i against the challenge polynomial at δ.  Two
 ciphertexts cross the wire cloud→client regardless of degree.  The prover
-merges the d + 2 masked sums pairwise into one ciphertext and folds it
-once (see `pp_prove`): 13 key switches at degree 2 and n = 4096.
+only merges the d + 2 masked sums pairwise into one ciphertext (see
+`pp_prove`): 3 key switches at degree 2, with rotation keys for the
+strides 1, 2, 4 and 8 alone.
 
 Every ciphertext the client only decrypts — the PP commitment and
 response, each component of a plain result and the ReQ high terms — is
@@ -59,13 +62,13 @@ from .circuit import Program, eval_challenge_pe, slot_add, slot_mul, slot_sub
 from .errors import (
     DecryptionFailureError, ParameterError, ProtocolError, SerializationError, StructureError,
 )
-from .pe import PeAuth, PeSecret, degree_schedule, offset_walk, pe_check
+from .pe import MAX_DEGREE, PeAuth, PeSecret, degree_schedule, offset_walk, pe_check
 from .ring import slot_array, slot_poly_eval
 from .serialize import load_ciphertext, save_ciphertext
 
 TAG_PP_RESULT = 0x01
 TAG_PP_CHALLENGE = 0x02
-TAG_PP_RESPONSE = 0x03
+TAG_PP_RESPONSE = 0x04  # not 0x03, so a cloud-folded response is refused, not summed
 TAG_REQ_HIGH_TERMS = 0x10
 TAG_REQ_BLINDED = 0x11
 TAG_RESULT = 0x20  # plain result shipping (no interactive compression)
@@ -308,10 +311,16 @@ def run_session(cloud_fn, client_fn):
 # ---------------------------------------------------------------------------
 
 
+def _lanes(d: int) -> int:
+    """K = 2^⌈log2(d + 2)⌉, the lanes a degree-d response is summed into."""
+    return 1 << (d + 1).bit_length()
+
+
 def pp_required_steps(n: int):
-    """Rotation steps the packing needs: the power-of-two ladder of a row."""
-    row = n // 2
-    return {1 << u for u in range(row.bit_length() - 1)}
+    """Rotation steps the packing needs at every degree the encoding
+    allows: the strides below K at MAX_DEGREE, within a row."""
+    width = min(_lanes(MAX_DEGREE), n // 2)
+    return {1 << u for u in range(width.bit_length() - 1)}
 
 
 def _merge(backend, c, d, mask, stride):
@@ -327,23 +336,20 @@ def _merge(backend, c, d, mask, stride):
 def pp_prove(backend, result: PeAuth, endpoint):
     """Cloud side: send c_0, take the challenge, return one packed response.
 
-    All d + 2 sums share one fold.  The inputs are y_i = c_i ⊙ (δ^j)_j and
-    y_{d+1} = Σ_i c_i ⊙ (β^i·δ^j)_j, padded with absent entries to
-    K = 2^⌈log2(d+2)⌉.  A binary tree merges them at strides 1, 2, …, K/2:
-    at stride s, C and D become X + D + rot(C − X, s) with
-    X = mask_s ⊙ (C − D), where mask_s is 1 on the slots with
-    slot mod 2s < s.  Slot j then holds the K-wide window sum of
-    y_{j mod K}, and one fold with strides K, …, n/4 plus a row swap leaves
-    w_i at slot i and H at slot d+1.  Key switches: one per merge with a
-    present left input (K − 1 at most), log2(n/2K) fold steps and the row
-    swap; 3 + 9 + 1 = 13 at degree 2 and n = 4096.
+    The inputs are y_i = c_i ⊙ (δ^j)_j and y_{d+1} = Σ_i c_i ⊙ (β^i·δ^j)_j,
+    padded with absent entries to K = 2^⌈log2(d+2)⌉.  A binary tree merges
+    them at strides 1, 2, …, K/2: at stride s, C and D become
+    X + D + rot(C − X, s) with X = mask_s ⊙ (C − D), where mask_s is 1 on
+    the slots with slot mod 2s < s.  Slot j then holds the K-wide window
+    sum of y_{j mod K}, so the client's sum over j ≡ i (mod K) is w_i, H or
+    zero.  Key switches: one per merge with a present left input (K − 1 at
+    most); 3 at degree 2.
     """
     params = backend.params
     n, t = params.n, params.t
-    row = n // 2
     d = result.degree
-    width = 1 << (d + 1).bit_length()
-    if width > row:
+    width = _lanes(d)
+    if width > n // 2:
         raise ParameterError(f"degree {d} does not fit the packing layout")
     endpoint.send(TAG_PP_RESULT, pack_cts([backend.shrink(result.cts[0])]))
     delta, beta = struct.unpack("<QQ", _recv(endpoint, TAG_PP_CHALLENGE))
@@ -361,10 +367,6 @@ def pp_prove(backend, result: PeAuth, endpoint):
         level = [_merge(backend, c, dd, mask, stride) for c, dd in zip(level[::2], level[1::2])]
         stride *= 2
     (acc,) = level
-    while stride < row:
-        acc = backend.add(acc, backend.rotate(acc, stride))
-        stride *= 2
-    acc = backend.add(acc, backend.row_swap(acc))
     endpoint.send(TAG_PP_RESPONSE, pack_cts([backend.shrink(acc)]))
 
 
@@ -390,7 +392,8 @@ def pp_verify(
     reason: list | None = None,
     used_reducer: bool = False,
 ):
-    """Client side: challenge at a random δ, check the packed response.
+    """Client side: challenge at a random δ, sum the packed response into
+    its K lanes and check them.
 
     Returns (accepted, claimed result slots).  The session aborts with
     ProtocolError if the cloud deviates from the message order — in
@@ -424,8 +427,10 @@ def pp_verify(
     if failures:
         return fail(f"a received ciphertext failed to decrypt: {failures[0]}")
     d, _ = degree_schedule(program, use_reducer=used_reducer)
-    ws = w[: d + 1]
-    packed_sum = w[d + 1]
+    lanes = np.asarray(w, dtype=np.int64).reshape(-1, _lanes(d)).sum(0) % t  # n·t < 2^53
+    if lanes[d + 2 :].any():
+        return fail("a padding lane of the response is nonzero")
+    *ws, packed_sum = lanes[: d + 2].tolist()
     if packed_sum != sum(pow(beta, i, t) * wi for i, wi in enumerate(ws)) % t:
         return fail("packed β-combination check failed")
     if ws[0] != slot_poly_eval(m, delta, t):

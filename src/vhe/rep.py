@@ -106,8 +106,9 @@ def rep_keygen(
     """Draw the challenge set and PRF key; optionally generate HE keys.
 
     Rotation keys are created for exactly the steps the given programs
-    need once scaled by λ (plus `extra_steps`, given in physical slots,
-    and the row swap).  Pass ``make_he_keys=False`` for mock-backend runs.
+    need once scaled by λ (plus `extra_steps`, given in physical slots),
+    and the row-swap key only if one of them swaps rows.  Pass
+    ``make_he_keys=False`` for mock-backend runs.
     """
     n = params.n
     if lam < 2 or lam & (lam - 1):
@@ -119,13 +120,12 @@ def rep_keygen(
     key = PrfKey.generate(rnd)
     he_keys = None
     if make_he_keys:
-        steps = set(extra_steps)
-        for prog in programs:
-            s, _ = required_rotation_steps(prog, stride=lam, n_slots=n)
-            steps |= s
-        np_seed = rnd.getrandbits(64)
+        needs = [required_rotation_steps(p, stride=lam, n_slots=n) for p in programs]
         he_keys = bfv.keygen(
-            params, rotation_steps=sorted(steps), rng=np.random.default_rng(np_seed)
+            params,
+            rotation_steps=sorted(set(extra_steps).union(*(s for s, _ in needs))),
+            row_swap=any(sw for _, sw in needs),
+            rng=np.random.default_rng(rnd.getrandbits(64)),
         )
     return RepSecret(params, lam, challenge_set, key, he_keys)
 

@@ -55,11 +55,13 @@ def test_criterion_1_oracle_equivalence():
     ]
 
     steps: set[int] = set()
+    swap = False
     for prog in programs:
-        s, _ = required_rotation_steps(prog, stride=1, n_slots=n)
+        s, sw = required_rotation_steps(prog, stride=1, n_slots=n)
         steps |= s
+        swap = swap or sw
     keys = bfv.keygen(
-        params, rotation_steps=sorted(steps), rng=np.random.default_rng(SEED)
+        params, rotation_steps=sorted(steps), row_swap=swap, rng=np.random.default_rng(SEED)
     )
     real = bfv.BfvBackend(params, keys, rng=np.random.default_rng(SEED + 1))
     mock = MockBackend(params, rng=random.Random(SEED + 2))

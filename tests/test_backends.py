@@ -44,14 +44,16 @@ T = PARAMS.t
 N = PARAMS.n
 
 
-def make_real(params=PARAMS, steps=(1, -1, 2), seed=0):
-    keys = bfv.keygen(params, rotation_steps=steps, rng=np.random.default_rng(seed))
+def make_real(params=PARAMS, steps=(1, -1, 2), seed=0, row_swap=False):
+    keys = bfv.keygen(
+        params, rotation_steps=steps, row_swap=row_swap, rng=np.random.default_rng(seed)
+    )
     return bfv.BfvBackend(params, keys, rng=np.random.default_rng(seed + 1))
 
 
 @pytest.fixture(scope="module")
 def real():
-    return make_real()
+    return make_real(row_swap=True)
 
 
 @pytest.fixture()
@@ -359,7 +361,7 @@ def test_keygen_expands_every_a_half_from_a_seed():
     """rlk and every Galois key take their a halves from the expander,
     seeded with 32 bytes of the generator drawn after the secret and the
     previous key's errors; none carries the generator's raw output."""
-    keys = bfv.keygen(PARAMS, rotation_steps=(1, 2), rng=np.random.default_rng(28))
+    keys = bfv.keygen(PARAMS, rotation_steps=(1, 2), row_swap=True, rng=np.random.default_rng(28))
     gen = np.random.default_rng(28)
     bfv._ternary(gen, N)  # the secret
     k = len(PARAMS.q_chain)
@@ -486,7 +488,7 @@ def test_shrunk_ciphertexts_decrypt_to_the_same_slots(name):
     relinearization, rotations and a row swap) decrypt to the same slots
     after the switch, and keep at least the rule's margin of budget."""
     params = preset(name)
-    be = make_real(params, steps=(1, 2, 4), seed=32)
+    be = make_real(params, steps=(1, 2, 4), seed=32, row_swap=True)
     rng = random.Random(33)
     fresh = be.encrypt([rng.randrange(params.t) for _ in range(params.n)])
     pp_like = be.mul(fresh, be.encrypt([rng.randrange(params.t) for _ in range(params.n)]))

@@ -384,6 +384,22 @@ def test_cli_malformed_container_is_a_clean_error(tmp_path, capsys):
     assert "VRTS" in capsys.readouterr().err
 
 
+def test_cli_attack_exits_one_above_its_bound(monkeypatch, capsys):
+    """`vhe attack` fails exactly when the 99% Wilson interval of the accept
+    rate lies wholly above the analytic bound: 15/1000 slot-perturb accepts
+    sit within 1/70, but not within a bound of 10⁻³."""
+    args = ["attack", "--strategy", "slot-perturb", "--trials", "1000", "--lambda", "8",
+            "--seed", "1"]
+    assert main(args) == 0
+    real = simulate_adversary
+    monkeypatch.setattr(
+        "vhe.harness.cli.simulate_adversary",
+        lambda spec: dataclasses.replace(real(spec), analytic_bound=1e-3),
+    )
+    assert main(args) == 1
+    assert "15/1000 accepted" in capsys.readouterr().out
+
+
 def test_cli_report_emission(tmp_path, capsys):
     assert main([
         "attack", "--strategy", "wrong-circuit", "--trials", "50",

@@ -281,8 +281,10 @@ def test_pp_rejects_tampered_commitment():
     assert why
 
 
-def test_pp_rejects_tampered_response():
-    sec, cloud, client, prog, auths, plain = make_world(seed=11)
+def _tampered_pp_verdict(seed, slot):
+    """Run the honest prover on make_world(seed), add 1 to `slot` of its
+    packed response in flight, and return the client's (verdict, reasons)."""
+    sec, cloud, client, prog, auths, plain = make_world(seed=seed)
     res = pe.pe_eval(prog, list(auths), cloud)
 
     def cloud_fn(ep):
@@ -291,7 +293,7 @@ def test_pp_rejects_tampered_response():
         delta, beta = struct.unpack("<QQ", payload)
         # run the honest prover against a scratch channel that replays the
         # live challenge, read past its c_0 commitment to the packed
-        # response, then flip a slot the verifier reads before relaying
+        # response, then flip one slot before relaying
         a, b = pr.memory_channel()
         b.send(pr.TAG_PP_CHALLENGE, struct.pack("<QQ", delta, beta))
         pr.pp_prove(cloud, res, a)
@@ -300,16 +302,46 @@ def test_pp_rejects_tampered_response():
         assert tag == pr.TAG_PP_RESPONSE
         (packed,) = pr.unpack_cts(resp)
         slots = list(cloud.decrypt(packed))
-        slots[0] = (slots[0] + 1) % T
+        slots[slot] = (slots[slot] + 1) % T
         ep.send(pr.TAG_PP_RESPONSE, pr.pack_cts([cloud.encrypt(slots)]))
 
     def client_fn(ep):
         why = []
-        ok, _ = pr.pp_verify(sec, client, prog, ep, rng=random.Random(12), reason=why)
+        ok, _ = pr.pp_verify(sec, client, prog, ep, rng=random.Random(seed + 1), reason=why)
         return ok, why
 
-    _, (ok, why) = pr.run_session(cloud_fn, client_fn)
+    return pr.run_session(cloud_fn, client_fn)[1]
+
+
+def test_pp_rejects_tampered_response():
+    ok, why = _tampered_pp_verdict(11, 0)
     assert not ok and why
+
+
+def test_pp_rejects_a_nonzero_padding_lane():
+    """The quartic's response sums into K = 8 lanes, of which 6 and 7 carry
+    nothing: slot N − 1 lies in lane 7, and raising it is caught there."""
+    ok, why = _tampered_pp_verdict(11, N - 1)
+    assert not ok and "padding" in why[0]
+
+
+def test_pp_refuses_a_response_under_the_folded_tag():
+    """A cloud that tags its response 0x03, as the cloud-folded response
+    was, aborts the session instead of having its slots summed."""
+    sec, cloud, client, prog, auths, _ = make_world(seed=12)
+    res = pe.pe_eval(prog, list(auths), cloud)
+
+    def cloud_fn(ep):
+        ep.send(pr.TAG_PP_RESULT, pr.pack_cts([res.cts[0]]))
+        ep.recv()
+        ep.send(0x03, pr.pack_cts([res.cts[0]]))
+
+    def client_fn(ep):
+        with pytest.raises(ProtocolError, match="expected pp-response"):
+            pr.pp_verify(sec, client, prog, ep, rng=random.Random(13))
+        return True
+
+    assert pr.run_session(cloud_fn, client_fn)[1]
 
 
 def test_pp_aborts_on_challenge_before_commitment():
@@ -466,16 +498,16 @@ def _power_result(backend, sec, degree, rng):
     return pe.pe_eval(prog, [auth], backend), prog
 
 
-# key switches on mock64 (row of 32): one per merge whose left input is
-# present (K − 1 less the all-padding pairs), log2(32 / K) fold steps and
-# the row swap, with K = 2^⌈log2(d + 2)⌉
-_PP_SWITCHES = {0: 1 + 4 + 1, 1: 3 + 3 + 1, 2: 3 + 3 + 1, 3: 6 + 2 + 1, 4: 6 + 2 + 1}
+# key switches: one per merge whose left input is present (K − 1 less the
+# all-padding pairs), with K = 2^⌈log2(d + 2)⌉
+_PP_SWITCHES = {0: 1, 1: 3, 2: 3, 3: 6, 4: 6}
 
 
 @pytest.mark.parametrize("degree", sorted(_PP_SWITCHES))
 def test_pp_merge_then_fold_layout_and_switch_count(degree):
-    """Slot i of the response holds w_i = Y_i(δ), slot d+1 holds H, and the
-    prover makes exactly the merge + fold + row-swap key switches."""
+    """Summed by slot mod K on the client, the response holds w_i = Y_i(δ)
+    in lane i, H in lane d+1 and zero in the padding lanes, and the prover
+    makes exactly the merge key switches."""
     rng = random.Random(40 + degree)
     cloud = _counting(MockBackend)(PARAMS, rng=random.Random(41))
     sec = pe.pe_keygen(PARAMS, rng=rng, make_he_keys=False)
@@ -489,10 +521,12 @@ def test_pp_merge_then_fold_layout_and_switch_count(degree):
     client_ep.recv()
     _, payload = client_ep.recv()
     (packed,) = pr.unpack_cts(payload)
-    w = cloud.decrypt(packed)
+    width = 1 << (degree + 1).bit_length()
+    w = (np.array(cloud.decrypt(packed)).reshape(-1, width).sum(0) % T).tolist()
     want = [slot_poly_eval(cloud.decrypt(c), delta, T) for c in res.cts]
     assert w[: degree + 1] == want
     assert w[degree + 1] == sum(pow(beta, i, T) * wi for i, wi in enumerate(want)) % T
+    assert not any(w[degree + 2 :])
     if prog is None:
         return
     client = MockBackend(PARAMS, rng=random.Random(42))
@@ -520,10 +554,32 @@ def test_pp_refuses_a_degree_wider_than_a_row():
     pr.pp_prove(cloud, pe.PeAuth(wide.cts[:31]), cloud_ep)  # K = 32 fits
 
 
-def test_real_pp_degree_two_in_thirteen_key_switches():
-    """On n4096 a degree-2 proof makes 3 merges + 9 fold steps + 1 row
-    swap, verifies, and leaves the response at least 60 bits of budget
-    before it is shrunk; shrunk, it keeps at least the switch's margin."""
+def test_pp_rotates_only_by_the_required_steps():
+    """At every degree the encoding allows, the prover rotates only by the
+    strides of pp_required_steps and never swaps rows, so one keyset
+    serves them all; mock16's row of 8 caps the strides at 4."""
+    steps = pr.pp_required_steps(N)
+    assert steps == {1, 2, 4, 8} and pr.pp_required_steps(16) == {1, 2, 4}
+
+    class Recording(MockBackend):
+        def rotate(self, a, step):
+            assert step in steps
+            return super().rotate(a, step)
+
+        def row_swap(self, a):
+            raise AssertionError("the packed proof swapped rows")
+
+    cloud = Recording(PARAMS, rng=random.Random(46))
+    for degree in range(pe.MAX_DEGREE + 1):
+        cloud_ep, client_ep = pr.memory_channel()
+        client_ep.send(pr.TAG_PP_CHALLENGE, struct.pack("<QQ", 2, 3))
+        pr.pp_prove(cloud, pe.PeAuth((cloud.encrypt_zero(),) * (degree + 1)), cloud_ep)
+
+
+def test_real_pp_degree_two_in_three_key_switches():
+    """On n4096 a degree-2 proof makes 3 merges and no other key switch,
+    verifies, and leaves the response at least 60 bits of budget before
+    it is shrunk; shrunk, it keeps at least the switch's margin."""
     params = preset("n4096")
     n, t = params.n, params.t
     rng = random.Random(45)
@@ -549,7 +605,7 @@ def test_real_pp_degree_two_in_thirteen_key_switches():
 
     tr, (ok, m) = pr.run_session(cloud_fn, client_fn)
     assert ok and m == eval_plain(prog, [xs, ys], t)
-    assert cloud.switches == 13
+    assert cloud.switches == 3
     (response,) = pr.unpack_cts(tr.sent[-1][1], params=params)
     assert response.data.shape == (2, params.shrink_primes, n)
     assert client.noise_budget(cloud.unshrunk) >= 60
