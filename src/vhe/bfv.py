@@ -60,10 +60,10 @@ import numpy as np
 from .errors import (
     DecryptionFailureError,
     KeyMaterialError,
-    LayoutError,
     ParameterError,
     SerializationError,
 )
+from .circuit import inner_sum_steps, required_rotation_steps
 from .params import CHAIN_PRIME_BITS, Params
 from .ring import (
     batch_decode,
@@ -382,6 +382,21 @@ def keygen(
         gks[g] = key_switch_key(s_ntt[:, perm])
 
     return KeySet(params=params, rlk=rlk, gks=gks, sk_ntt=s_ntt)
+
+
+def program_keys(
+    params: Params, programs, stride: int = 1, extra_steps=(), rng=None
+) -> KeySet:
+    """keygen for `programs` run at `stride` (see circuit.he_unary): the
+    rotation keys for exactly the steps they need, plus `extra_steps` (in
+    physical slots), and the row-swap key only if one of them swaps rows."""
+    needs = [required_rotation_steps(p, stride, params.n) for p in programs]
+    return keygen(
+        params,
+        rotation_steps=sorted(set(extra_steps).union(*(s for s, _ in needs))),
+        row_swap=any(sw for _, sw in needs),
+        rng=rng,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -769,25 +784,12 @@ class BfvBackend:
         rotations replicate them across each block.
         """
         n = self.params.n
-        row = n // 2
-        bs = block * stride
-        if block < 1 or block & (block - 1) or bs > row or row % bs:
-            raise LayoutError(
-                f"inner_sum block {block} (stride {stride}) must tile a row of {row}"
-            )
-        if block == 1:
-            return ct
+        window, broadcast = inner_sum_steps(block, stride, n // 2)
         acc = ct
-        sh = stride
-        while sh < bs:
+        for sh in window:
             acc = self.add(acc, self.rotate(acc, sh))
-            sh *= 2
-        if bs == row:
-            return acc
-        mask = [1 if (s % bs) < stride else 0 for s in range(n)]
-        acc = self.mul_plain(acc, mask)
-        sh = stride
-        while sh < bs:
-            acc = self.add(acc, self.rotate(acc, -sh))
-            sh *= 2
+        if broadcast:
+            acc = self.mul_plain(acc, [int(s % (block * stride) < stride) for s in range(n)])
+        for sh in broadcast:
+            acc = self.add(acc, self.rotate(acc, sh))
         return acc

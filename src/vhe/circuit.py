@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, StructureError
+from .errors import LayoutError, ParameterError, StructureError
 from .labels import Identifier, prf_stream
 from .ring import slot_array
 
@@ -386,31 +386,45 @@ def eval_he(program: Program, cts, backend, stride: int = 1):
     return wires[program.output]
 
 
-def required_rotation_steps(program: Program, stride: int = 1, n_slots: int | None = None):
-    """Signed physical rotation steps the program needs (plus row swap flag).
+def inner_sum_steps(block: int, stride: int, row: int) -> tuple:
+    """The rotations of inner_sum(block) at `stride` on rows of `row` slots:
+    (window steps stride·2^u, broadcast steps −stride·2^u), the broadcast
+    empty when the block spans the row.  Raises LayoutError unless the
+    block is a power of two whose span block·stride tiles the row."""
+    span = block * stride
+    if block < 1 or block & (block - 1) or span > row or row % span:
+        raise LayoutError(
+            f"inner_sum block {block} (stride {stride}) must tile a row of {row}"
+        )
+    window = [stride << u for u in range(block.bit_length() - 1)]
+    return window, [] if span == row else [-s for s in window]
 
-    inner_sum(b) expands to a window phase (positive steps stride·2^u) and,
-    unless the block spans a full row, a mask-and-broadcast phase using the
-    matching negative steps.
-    """
-    steps: set[int] = set()
-    needs_swap = False
-    if n_slots is None:
-        n_slots = program.width * stride
-    row = n_slots // 2
+
+def required_rotation_steps(program: Program, stride: int = 1, n_slots: int | None = None):
+    """Signed physical rotation steps the program needs (plus row swap flag)."""
+    row = (program.width * stride if n_slots is None else n_slots) // 2
+    steps = {g.step * stride for g in program.gates if g.op == "rotate" and g.step}
     for g in program.gates:
-        if g.op == "rotate" and g.step != 0:
-            steps.add(g.step * stride)
-        elif g.op == "row_swap":
-            needs_swap = True
-        elif g.op == "inner_sum":
-            u = 1
-            while u < g.block:
-                steps.add(u * stride)
-                if g.block * stride != row:
-                    steps.add(-u * stride)
-                u *= 2
-    return steps, needs_swap
+        if g.op == "inner_sum":
+            steps.update(*inner_sum_steps(g.block, stride, row))
+    return steps, any(g.op == "row_swap" for g in program.gates)
+
+
+def check_inputs(program: Program, auths, backend):
+    """Bind authenticated inputs to `program` before any arithmetic: one
+    per input, each under the identifier the program names (a result
+    carries none and binds anywhere), every ciphertext an operand
+    `backend` accepts (``check_operand``)."""
+    if len(auths) != program.num_inputs:
+        raise ParameterError("one authentication per program input required")
+    for k, a in enumerate(auths):
+        if a.base is not None and a.base != program.inputs[k]:
+            raise ParameterError(
+                f"input {k} was authenticated as {a.base!r} but the program "
+                f"names it {program.inputs[k]!r}; verification would reject"
+            )
+        for c in a.cts:
+            backend.check_operand(c)
 
 
 # ---------------------------------------------------------------------------

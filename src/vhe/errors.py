@@ -1,4 +1,4 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the verifiers' rejection note."""
 
 
 class VheError(Exception):
@@ -39,3 +39,11 @@ class ProtocolError(VheError):
 
 class SerializationError(VheError):
     """A byte container is malformed or has an unexpected type."""
+
+
+def reject(reason: list | None, msg: str) -> bool:
+    """A verifier's rejection: note `msg` in `reason` if the caller passed
+    a list, and return False.  The note stays with the verifying side."""
+    if reason is not None:
+        reason.append(msg)
+    return False

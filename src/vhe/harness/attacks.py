@@ -39,22 +39,18 @@ import random
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from .. import bfv
 from ..circuit import Program, ProgramBuilder
 from ..errors import ParameterError
 from ..labels import fold_tags, hash_tree_eval
-from ..mock import MockBackend
 from ..params import preset
 from ..pe import (
     PeAuth,
     degree_schedule,
     pe_auth,
-    pe_check,
     pe_eval,
     pe_keygen,
     pe_soundness_bound,
+    pe_verify,
 )
 from ..protocols import (
     TAG_PP_RESPONSE,
@@ -69,6 +65,7 @@ from ..protocols import (
     unpack_cts,
 )
 from ..rep import RepResult, rep_auth, rep_decode, rep_eval, rep_keygen, rep_verify
+from .usecases import make_backend
 
 STRATEGIES = (
     "slot-perturb",
@@ -216,47 +213,51 @@ def _agg_program(width: int, k: int, drop: int | None = None) -> Program:
     return b.build(acc, output_block=(0, 1))
 
 
-class _RepWorld:
-    """One honest replication pipeline plus tamper helpers."""
+class _World:
+    """One honest pipeline: the attacked program of `degree` over `width`
+    logical slots, seeded keys from `keygen(rng)`, a client backend, and
+    inputs x and y authenticated by `auth`: every slot of a packed (PE)
+    layout, the l summed values of a replicated (REP) one."""
 
-    def __init__(self, spec: AttackSpec):
+    def __init__(self, spec: AttackSpec, width: int, degree: int, keygen, auth):
         self.spec = spec
         self.params = preset(spec.preset_name)
         self.t, self.n = self.params.t, self.params.n
-        self.lam = spec.lam
-        width = self.n // self.lam
         self.l = min(4, width // 2)
         rng = random.Random(spec.seed)
-        self.program = _program(width, self.l)
-        self.agg_full = _agg_program(width, 3)
-        self.secret = rep_keygen(
-            self.params,
-            lam=self.lam,
-            programs=(self.program, self.agg_full),
-            rng=rng,
-            make_he_keys=spec.real,
-        )
+        self.program = _program(width, self.l, degree)
+        self.secret = keygen(rng)
         self.client = self._backend(random.Random(spec.seed + 1))
-        self.values = [
-            [rng.randrange(self.t) for _ in range(self.l)] for _ in range(2)
-        ]
+        length = self.n if width == self.n else self.l
+        self.values = [[rng.randrange(self.t) for _ in range(length)] for _ in range(2)]
         self.auths = [
-            rep_auth(self.secret, self.client, v, label)
-            for v, label in zip(self.values, ("x", "y"))
+            auth(self.secret, self.client, v, label) for v, label in zip(self.values, ("x", "y"))
         ]
+
+    def _backend(self, rng):
+        return make_backend(self.params, self.secret.he_keys, rng)
+
+
+class _RepWorld(_World):
+    """The replication pipeline, evaluated and verified once, plus tamper helpers."""
+
+    def __init__(self, spec: AttackSpec):
+        self.lam = spec.lam
+        width = preset(spec.preset_name).n // self.lam
+        self.agg_full = _agg_program(width, 3)
+
+        def keygen(rng):
+            return rep_keygen(
+                self.params, lam=self.lam, programs=(self.program, self.agg_full),
+                rng=rng, make_he_keys=spec.real,
+            )
+
+        super().__init__(spec, width, 2, keygen, rep_auth)
         self.result = rep_eval(self.program, self.auths, self.client, lam=self.lam)
         self.claim = rep_decode(self.secret, self.client, self.result, self.program)
         self.lengths = [self.l, self.l]
-        if not rep_verify(
-            self.secret, self.client, self.program, self.result,
-            self.claim, self.lengths,
-        ):
+        if not self.verify(self.result, self.claim):
             raise AssertionError("honest pipeline must verify before attacking it")
-
-    def _backend(self, rng):
-        if self.spec.real:
-            return bfv.BfvBackend(self.params, self.secret.he_keys, rng=np.random.default_rng(rng.getrandbits(64)))
-        return MockBackend(self.params, rng=rng)
 
     def verify(self, result, claim) -> bool:
         return rep_verify(
@@ -323,7 +324,7 @@ def _setup_rep(spec: AttackSpec):
             secret = rep_keygen(
                 params, lam=lam, programs=(), rng=rng, make_he_keys=False
             )
-            backend = MockBackend(params, rng=rng)
+            backend = make_backend(params, None, rng)
             vals = [[rng.randrange(t) for _ in range(world.l)] for _ in range(3)]
             auths = [
                 rep_auth(secret, backend, v, f"in{i}") for i, v in enumerate(vals)
@@ -345,43 +346,25 @@ def _setup_rep(spec: AttackSpec):
     raise ParameterError(f"strategy {strategy!r} does not target replication")
 
 
-class _PeWorld:
-    """One honest polynomial-encoding pipeline plus tamper helpers."""
+class _PeWorld(_World):
+    """The polynomial-encoding pipeline plus tamper helpers."""
 
     def __init__(self, spec: AttackSpec):
-        self.spec = spec
-        self.params = preset(spec.preset_name)
-        self.t, self.n = self.params.t, self.params.n
-        self.l = min(4, self.n // 2)
-        rng = random.Random(spec.seed)
-        self.program = _program(self.n, self.l, spec.degree)
-        needs_pp = spec.strategy == "tamper-pp-response"
-        self.secret = pe_keygen(
-            self.params,
-            programs=(self.program,),
-            extra_steps=pp_required_steps(self.n) if needs_pp else (),
-            rng=rng,
-            make_he_keys=spec.real,
-        )
-        self.client = self._backend(random.Random(spec.seed + 1))
-        self.values = [
-            [rng.randrange(self.t) for _ in range(self.n)] for _ in range(2)
-        ]
-        self.auths = [
-            pe_auth(self.secret, self.client, v, label)
-            for v, label in zip(self.values, ("x", "y"))
-        ]
+        n = preset(spec.preset_name).n
+        extra = pp_required_steps(n) if spec.strategy == "tamper-pp-response" else ()
 
-    def _backend(self, rng):
-        if self.spec.real:
-            return bfv.BfvBackend(self.params, self.secret.he_keys, rng=np.random.default_rng(rng.getrandbits(64)))
-        return MockBackend(self.params, rng=rng)
+        def keygen(rng):
+            return pe_keygen(
+                self.params, programs=(self.program,), extra_steps=extra,
+                rng=rng, make_he_keys=spec.real,
+            )
+
+        super().__init__(spec, n, spec.degree, keygen, pe_auth)
 
     def verify(self, result: PeAuth) -> bool:
         """The client's verdict on `result`, claiming what its c_0 holds
         (so only the response identity can fail)."""
-        ys = [self.client.decrypt(c) for c in result.cts]
-        return pe_check(self.secret, self.program, ys)
+        return pe_verify(self.secret, self.client, self.program, result)
 
     def tampered_trials(self, run):
         """Trials of the session strategy ``run(rng, tamper)`` with tampering

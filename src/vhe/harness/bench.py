@@ -28,9 +28,9 @@ from ..circuit import ProgramBuilder
 from ..errors import ParameterError
 from ..params import preset
 from ..pe import PeAuth, pe_eval
+from .usecases import make_backend
 
 BENCH_OPS = ("add", "mul_const", "rot", "relin", "mul")
-BENCH_SCHEMES = ("baseline", "rep", "pe")
 
 
 @dataclass
@@ -90,7 +90,6 @@ def run_bench(
     lams=(16, 32, 64),
     degrees=(2, 4, 8),
     ops=BENCH_OPS,
-    schemes=BENCH_SCHEMES,
     repeats: int = 5,
     seed: int = 0,
 ) -> list[BenchRow]:
@@ -111,9 +110,7 @@ def run_bench(
         rotation_steps={1, *lams},
         rng=np.random.default_rng(rng.getrandbits(64)),
     )
-    backend = bfv.BfvBackend(
-        params, keys, rng=np.random.default_rng(rng.getrandbits(64))
-    )
+    backend = make_backend(params, keys, rng)
 
     def vec():
         return [rng.randrange(t) for _ in range(n)]
@@ -139,48 +136,45 @@ def run_bench(
     def measure(scheme, op, lam, degree, slots, fn):
         jobs.append(((scheme, op, lam, degree, slots), fn))
 
-    if "baseline" in schemes:
+    for op in ops:
+        measure("baseline", op, None, None, n, ct_fn(op, 1))
+
+    # one operation on an extended ciphertext covers n/λ logical slots;
+    # a logical step-1 rotation moves λ physical slots
+    for lam in lams:
         for op in ops:
-            measure("baseline", op, None, None, n, ct_fn(op, 1))
+            measure("rep", op, lam, None, n // lam, ct_fn(op, lam))
 
-    if "rep" in schemes:
-        # one operation on an extended ciphertext covers n/λ logical slots;
-        # a logical step-1 rotation moves λ physical slots
-        for lam in lams:
-            for op in ops:
-                measure("rep", op, lam, None, n // lam, ct_fn(op, lam))
-
-    if "pe" in schemes:
-        # λ ≤ 32 mirrors the replication sweep for ratio comparisons; the
-        # encoding itself has no replication axis, so the same degree-2
-        # pipeline is simply measured once per λ value
-        base_deg = min(degrees)
-        linear_in = [tuple_of(base_deg), tuple_of(base_deg)]
-        deg3s = [backend.mul_no_relin(a, b) for _ in range(base_deg + 1)]
-        for lam in (l for l in lams if l <= 32):
-            for op in ops:
-                if op == "mul":
-                    continue
-                if op == "relin":
-                    fn = lambda: [backend.relinearize(c) for c in deg3s]
-                else:
-                    prog = _gate_program(n, op)
-                    args = linear_in[: prog.num_inputs]
-                    fn = lambda prog=prog, args=args: pe_eval(prog, args, backend)
-                measure("pe", op, lam, base_deg, n, fn)
-        if "mul" in ops:
-            prog = _gate_program(n, "mul")
-            for degree in degrees:
-                half = tuple_of(degree // 2)
-                other = tuple_of(degree // 2)
-                measure(
-                    "pe",
-                    "mul",
-                    None,
-                    degree,
-                    n,
-                    lambda h=half, o=other: pe_eval(prog, [h, o], backend),
-                )
+    # λ ≤ 32 mirrors the replication sweep for ratio comparisons; the
+    # encoding itself has no replication axis, so the same degree-2
+    # pipeline is simply measured once per λ value
+    base_deg = min(degrees)
+    linear_in = [tuple_of(base_deg), tuple_of(base_deg)]
+    deg3s = [backend.mul_no_relin(a, b) for _ in range(base_deg + 1)]
+    for lam in (l for l in lams if l <= 32):
+        for op in ops:
+            if op == "mul":
+                continue
+            if op == "relin":
+                fn = lambda: [backend.relinearize(c) for c in deg3s]
+            else:
+                prog = _gate_program(n, op)
+                args = linear_in[: prog.num_inputs]
+                fn = lambda prog=prog, args=args: pe_eval(prog, args, backend)
+            measure("pe", op, lam, base_deg, n, fn)
+    if "mul" in ops:
+        prog = _gate_program(n, "mul")
+        for degree in degrees:
+            half = tuple_of(degree // 2)
+            other = tuple_of(degree // 2)
+            measure(
+                "pe",
+                "mul",
+                None,
+                degree,
+                n,
+                lambda h=half, o=other: pe_eval(prog, [h, o], backend),
+            )
     best = _time_best([fn for _, fn in jobs], repeats)
     return [
         BenchRow(scheme, op, lam, degree, n, slots, b, b / slots * 1e6, repeats)

@@ -18,12 +18,9 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .. import bfv, serialize
+from .. import serialize
 from ..circuit import program_from_json
 from ..errors import VheError
-from ..mock import MockBackend
 from ..params import preset, preset_names
 from ..pe import PeAuth, PeSecret, pe_auth, pe_check, pe_eval, pe_keygen
 from ..protocols import (
@@ -46,7 +43,7 @@ from ..rep import (
 )
 from .attacks import STRATEGIES, AttackSpec, simulate_adversary
 from .bench import BENCH_OPS, bench_summary, run_bench
-from .usecases import AUTH_MODES, USECASES, run_usecase, usecase_spec
+from .usecases import AUTH_MODES, USECASES, make_backend, run_usecase, usecase_spec
 
 
 def _resolve_params(value: str):
@@ -74,15 +71,6 @@ def _read_values(path: str) -> list[int]:
 
 def _load(path: str):
     return serialize.load_any(serialize.read_file(path))
-
-
-def _backend_for(secret, seed: int = 0):
-    """Real backend when the secret carries HE keys, mock otherwise."""
-    if secret.he_keys is not None:
-        return bfv.BfvBackend(
-            secret.params, secret.he_keys, rng=np.random.default_rng(seed)
-        )
-    return MockBackend(secret.params, rng=random.Random(seed))
 
 
 def _programs(paths) -> list:
@@ -182,7 +170,7 @@ def _cmd_keygen(args) -> int:
 
 def _cmd_auth(args) -> int:
     secret = _load(args.key)
-    backend = _backend_for(secret, args.seed)
+    backend = make_backend(secret.params, secret.he_keys, random.Random(args.seed))
     values = _read_values(args.values)
     if isinstance(secret, RepSecret):
         auth = rep_auth(secret, backend, values, args.base)
@@ -206,14 +194,11 @@ def _cmd_auth(args) -> int:
 
 def _eval_backend(args):
     """Evaluator-side backend: public key material or mock parameters."""
-    if args.public:
-        keys = serialize.load_keyset(serialize.read_file(args.public))
-        return bfv.BfvBackend(
-            keys.params, keys, rng=np.random.default_rng(args.seed)
-        )
-    if not args.params:
+    if not (args.public or args.params):
         raise VheError("evaluation needs --public key material or mock --params")
-    return MockBackend(_resolve_params(args.params), rng=random.Random(args.seed))
+    keys = serialize.load_keyset(serialize.read_file(args.public)) if args.public else None
+    params = _resolve_params(args.params) if keys is None else keys.params
+    return make_backend(params, keys, random.Random(args.seed))
 
 
 def _cmd_eval(args) -> int:
@@ -239,7 +224,7 @@ def _cmd_verify(args) -> int:
     secret = _load(args.key)
     result = _load(args.result)
     program = _programs([args.program])[0]
-    backend = _backend_for(secret, args.seed)
+    backend = make_backend(secret.params, secret.he_keys, random.Random(args.seed))
     reason: list = []
     if isinstance(secret, RepSecret) and isinstance(result, RepResult):
         if not args.lengths:
@@ -340,7 +325,7 @@ def _cmd_connect(args) -> int:
     if not isinstance(secret, PeSecret):
         raise VheError("interactive sessions verify the polynomial encoding")
     program = _programs([args.program])[0]
-    backend = _backend_for(secret, args.seed)
+    backend = make_backend(secret.params, secret.he_keys, random.Random(args.seed))
     rng = random.Random(args.seed ^ 0x5E55)
     endpoint = tcp_connect(host, port)
     reason: list = []

@@ -29,6 +29,7 @@ the decrypting client's checks.
 
 from __future__ import annotations
 
+import contextlib
 import random
 import string
 import time
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import bfv
-from ..circuit import Program, ProgramBuilder, eval_he, required_rotation_steps
+from ..circuit import Program, ProgramBuilder, eval_he
 from ..errors import LayoutError, ParameterError
 from ..mock import MockBackend
 from ..params import Params, preset
@@ -439,30 +440,29 @@ class _Timer:
     def __init__(self):
         self.stages: dict[str, float] = {}
 
+    @contextlib.contextmanager
     def stage(self, name):
-        timer = self
-
-        class _Ctx:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-
-            def __exit__(self, *exc):
-                timer.stages[name] = timer.stages.get(name, 0.0) + (
-                    time.perf_counter() - self.t0
-                )
-
-        return _Ctx()
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.stages[name] = self.stages.get(name, 0.0) + time.perf_counter() - t0
 
 
-def _make_backends(params: Params, keys, real: bool, seed: int):
-    """(cloud backend, client backend): public-only material for the cloud."""
-    if real:
-        return (
-            bfv.BfvBackend(params, keys.public()),
-            bfv.BfvBackend(params, keys),
-        )
-    shared = MockBackend(params, rng=random.Random(seed))
-    return shared, shared
+def make_backend(params: Params, keys, rng: random.Random):
+    """The real backend over `keys`, or the mock where there are none; its
+    randomness comes from `rng` (the mock draws from `rng` itself)."""
+    if keys is None:
+        return MockBackend(params, rng=rng)
+    return bfv.BfvBackend(params, keys, rng=np.random.default_rng(rng.getrandbits(64)))
+
+
+def _cloud_and_client(params: Params, keys, seed: int):
+    """Public-only material for the cloud; without keys, two mocks on one
+    generator act as one."""
+    rng = random.Random(seed)
+    return (make_backend(params, None if keys is None else keys.public(), rng),
+            make_backend(params, keys, rng))
 
 
 def _feasibility(inst: Instance, params: Params, auth: str):
@@ -480,17 +480,10 @@ def _feasibility(inst: Instance, params: Params, auth: str):
 
 def _run_baseline(inst: Instance, params: Params, real: bool, seed: int):
     n = params.n
+    keys = None
     if real:
-        steps, swap = required_rotation_steps(inst.program, stride=1, n_slots=n)
-        keys = bfv.keygen(
-            params,
-            rotation_steps=sorted(steps),
-            row_swap=swap,
-            rng=np.random.default_rng(seed + 0x5EED),
-        )
-        cloud, client = _make_backends(params, keys, True, seed)
-    else:
-        cloud, client = _make_backends(params, None, False, seed)
+        keys = bfv.program_keys(params, (inst.program,), rng=np.random.default_rng(seed + 0x5EED))
+    cloud, client = _cloud_and_client(params, keys, seed)
     timer = _Timer()
     with timer.stage("create"):
         cts = [client.encrypt(_pad(v, n)) for v in inst.values]
@@ -552,7 +545,7 @@ def run_usecase(spec: UseCaseSpec, auth: str = "none", real: bool = False) -> Us
                 rng=rng,
                 make_he_keys=real,
             )
-            cloud, client = _make_backends(params, secret.he_keys, real, spec.seed)
+            cloud, client = _cloud_and_client(params, secret.he_keys, spec.seed)
             auths = [
                 rep_auth(secret, client, v, label)
                 for v, label in zip(inst.values, inst.labels)
@@ -580,7 +573,7 @@ def run_usecase(spec: UseCaseSpec, auth: str = "none", real: bool = False) -> Us
                 rng=rng,
                 make_he_keys=real,
             )
-            cloud, client = _make_backends(params, secret.he_keys, real, spec.seed)
+            cloud, client = _cloud_and_client(params, secret.he_keys, spec.seed)
             auths = [
                 pe_auth(secret, client, _pad(v, n), label)
                 for v, label in zip(inst.values, inst.labels)

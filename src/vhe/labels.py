@@ -217,11 +217,18 @@ class LabelRegistry:
     def __init__(self):
         self._seen: set[bytes] = set()
 
-    def register(self, ident: Identifier):
+    def register(self, ident) -> Identifier:
+        """Spend a base identifier (or a label naming one): refuse a slotted
+        or spent one, and return it."""
+        if isinstance(ident, str):
+            ident = Identifier(ident)
+        if ident.slot is not None:
+            raise ParameterError("base identifier must not carry a slot index")
         blob = ident.canonical_bytes()
         if blob in self._seen:
             raise IdentifierReuseError(f"identifier already used: {ident!r}")
         self._seen.add(blob)
+        return ident
 
     def __contains__(self, ident: Identifier) -> bool:
         return ident.canonical_bytes() in self._seen

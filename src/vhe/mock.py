@@ -22,8 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import slot_add, slot_inner_sum, slot_mul, slot_row_swap, slot_rotate, slot_sub
-from .errors import DecryptionFailureError, LayoutError, ParameterError, SerializationError
+from .circuit import (
+    inner_sum_steps, slot_add, slot_inner_sum, slot_mul, slot_row_swap, slot_rotate, slot_sub,
+)
+from .errors import DecryptionFailureError, ParameterError, SerializationError
 from .params import Params
 from .ring import slot_array
 
@@ -132,12 +134,7 @@ class MockBackend:
         return self._fresh(slot_row_swap(self._vec(a)), a.depth)
 
     def inner_sum(self, a: MockCiphertext, block: int, stride: int = 1) -> MockCiphertext:
-        row = self.params.n // 2
-        bs = block * stride
-        if block < 1 or block & (block - 1) or bs > row or row % bs:
-            raise LayoutError(
-                f"inner_sum block {block} (stride {stride}) must tile a row of {row}"
-            )
+        inner_sum_steps(block, stride, self.params.n // 2)  # the real backend's layout check
         return self._fresh(
             slot_inner_sum(self._vec(a), block, self.params.t, stride), a.depth
         )

@@ -117,11 +117,9 @@ def make_params(
     err_std: float = 3.2,
     depth_budget: int | None = None,
     name: str = "",
-    t: int | None = None,
 ) -> Params:
     """Construct a parameter set, searching for suitable primes."""
-    if t is None:
-        t = find_plaintext_prime(t_bits, n).value
+    t = find_plaintext_prime(t_bits, n).value
     chain = tuple(find_ntt_primes(CHAIN_PRIME_BITS, n, chain_len, exclude=(t,)))
     return Params(
         n=n,

@@ -33,16 +33,16 @@ from . import bfv
 from .circuit import (
     Program,
     challenge_input_pe,
+    check_inputs,
     eval_challenge_pe,
     he_unary,
     interpret,
-    required_rotation_steps,
     slot_add,
     slot_mul,
     slot_sub,
     slot_unary,
 )
-from .errors import DegreeLimitError, LayoutError, ParameterError
+from .errors import DegreeLimitError, LayoutError, ParameterError, reject
 # prf_zt stays bound here: perfbench's tracer test patches it through vhe.pe
 from .labels import Identifier, LabelRegistry, PrfKey, prf_zt  # noqa: F401
 from .params import Params
@@ -92,12 +92,8 @@ def pe_keygen(
     key = PrfKey.generate(rnd)
     he_keys = None
     if make_he_keys:
-        needs = [required_rotation_steps(p, stride=1, n_slots=params.n) for p in programs]
-        he_keys = bfv.keygen(
-            params,
-            rotation_steps=sorted(set(extra_steps).union(*(s for s, _ in needs))),
-            row_swap=any(sw for _, sw in needs),
-            rng=np.random.default_rng(rnd.getrandbits(64)),
+        he_keys = bfv.program_keys(
+            params, programs, 1, extra_steps, np.random.default_rng(rnd.getrandbits(64))
         )
     return PeSecret(params, key, alpha, he_keys)
 
@@ -106,13 +102,9 @@ def pe_auth(secret: PeSecret, backend, values, base) -> PeAuth:
     """Authenticate a full slot vector under a fresh base identifier."""
     params = secret.params
     n, t = params.n, params.t
-    if isinstance(base, str):
-        base = Identifier(base)
-    if base.slot is not None:
-        raise ParameterError("base identifier must not carry a slot index")
     if len(values) != n:
         raise ParameterError(f"expected {n} slot values, got {len(values)}")
-    secret.registry.register(base)
+    base = secret.registry.register(base)
     m = slot_array(values, t)
     r = challenge_input_pe(secret.key, base, n, t)
     y1 = slot_mul(slot_sub(r, m, t), secret.alpha_inv, t)
@@ -221,16 +213,7 @@ def pe_eval(
         raise LayoutError(
             f"program width {program.width} ≠ {backend.params.n} slots"
         )
-    if len(auths) != program.num_inputs:
-        raise ParameterError("one authentication per program input required")
-    for k, a in enumerate(auths):
-        if a.base is not None and a.base != program.inputs[k]:
-            raise ParameterError(
-                f"input {k} was authenticated as {a.base!r} but the program "
-                f"names it {program.inputs[k]!r}; verification would reject"
-            )
-        for c in a.cts:
-            backend.check_operand(c)
+    check_inputs(program, auths, backend)
     _, schedule = degree_schedule(program, reducer is not None, [a.degree for a in auths])
     reduced = set(schedule)
 
@@ -294,6 +277,13 @@ def final_offset(secret: PeSecret, program: Program, omega) -> np.ndarray:
     return deltas[program.output]
 
 
+def pe_target(secret: PeSecret, program: Program, offset=None) -> np.ndarray:
+    """ρ (+ offset): what Σ y_i α^i must equal, slot for slot."""
+    t = secret.params.t
+    rho = slot_array(eval_challenge_pe(program, secret.key, t), t)
+    return rho if offset is None else slot_add(rho, slot_array(offset, t), t)
+
+
 def pe_verify(
     secret: PeSecret,
     backend,
@@ -319,12 +309,6 @@ def pe_check(
     """Accept iff the decrypted components (y_0, …, y_d) satisfy
     Σ y_i α^i = ρ (+ offset) in every slot, and the claimed output-block
     values match y_0.  The verdict stays local."""
-
-    def fail(msg: str) -> bool:
-        if reason is not None:
-            reason.append(msg)
-        return False
-
     t = secret.params.t
     ys = slot_array(ys, t)
     if claimed is not None:
@@ -335,16 +319,13 @@ def pe_check(
             )
         bad = np.flatnonzero(ys[0][start : start + count] != slot_array(claimed, t))
         if len(bad):
-            return fail(f"claimed result mismatch at slot {start + bad[0]}")
-    rho = slot_array(eval_challenge_pe(program, secret.key, t), t)
-    if offset is not None:
-        rho = slot_add(rho, slot_array(offset, t), t)
+            return reject(reason, f"claimed result mismatch at slot {start + bad[0]}")
     acc = ys[-1]
     for y in ys[-2::-1]:
         acc = slot_add(slot_mul(acc, secret.alpha, t), y, t)
-    bad = np.flatnonzero(acc != rho)
+    bad = np.flatnonzero(acc != pe_target(secret, program, offset))
     if len(bad):
-        return fail(f"response identity fails at slot {bad[0]}")
+        return reject(reason, f"response identity fails at slot {bad[0]}")
     return True
 
 

@@ -58,13 +58,13 @@ import threading
 
 import numpy as np
 
-from .circuit import Program, eval_challenge_pe, slot_add, slot_mul, slot_sub
+from .circuit import Program, slot_add, slot_mul, slot_sub
 from .errors import (
-    DecryptionFailureError, ParameterError, ProtocolError, SerializationError, StructureError,
+    DecryptionFailureError, ParameterError, ProtocolError, SerializationError, StructureError, reject,
 )
-from .pe import MAX_DEGREE, PeAuth, PeSecret, degree_schedule, offset_walk, pe_check
+from .pe import MAX_DEGREE, PeAuth, PeSecret, degree_schedule, offset_walk, pe_check, pe_target
 from .ring import slot_array, slot_poly_eval
-from .serialize import load_ciphertext, save_ciphertext
+from .serialize import load_cts, save_cts
 
 TAG_PP_RESULT = 0x01
 TAG_PP_CHALLENGE = 0x02
@@ -101,32 +101,18 @@ TAG_NAMES = {
 
 
 def pack_cts(cts) -> bytes:
-    out = bytearray(struct.pack("<B", len(cts)))
-    for ct in cts:
-        out += save_ciphertext(ct)
-    return bytes(out)
+    return save_cts(cts)
 
 
 def unpack_cts(payload: bytes, count: int | None = None, params=None):
-    """The ciphertexts of one message; a malformed payload, one that does
-    not carry exactly `count` ciphertexts when `count` is given, or, with
-    `params`, one whose ciphertext shapes do not fit them (n slots and a
-    chain prefix of 1 … k primes) raises only ProtocolError."""
-    if not payload:
-        raise ProtocolError("empty ciphertext payload")
-    if count is not None and payload[0] != count:
-        raise ProtocolError(f"expected {count} ciphertext(s), got {payload[0]}")
-    off = 1
-    cts = []
+    """The ciphertexts of one message; a payload that serialize.load_cts
+    refuses (malformed, not exactly `count` ciphertexts when `count` is
+    given, or with `params` a ciphertext shape that does not fit them)
+    raises only ProtocolError."""
     try:
-        for _ in range(payload[0]):
-            ct, off = load_ciphertext(payload, off, params)
-            cts.append(ct)
+        return list(load_cts(payload, count, params))
     except SerializationError as exc:
         raise ProtocolError(f"malformed ciphertext in payload: {exc}") from exc
-    if off != len(payload):
-        raise ProtocolError("trailing bytes after ciphertexts")
-    return cts
 
 
 def _recv(endpoint, tag: int) -> bytes:
@@ -390,7 +376,6 @@ def pp_verify(
     offset=None,
     rng: random.Random | None = None,
     reason: list | None = None,
-    used_reducer: bool = False,
 ):
     """Client side: challenge at a random δ, sum the packed response into
     its K lanes and check them.
@@ -406,13 +391,9 @@ def pp_verify(
     stand-in slots from the system's random source, never from `rng`, so
     the challenge and every other byte the client sends are the same
     whether c_0 decrypts or not (no decryption-failure reaction oracle).
+    An `offset` is that of a ReQ session, so the result degree is the
+    reduced schedule's.
     """
-
-    def fail(msg: str):
-        if reason is not None:
-            reason.append(msg)
-        return False, m
-
     params = secret.params
     t = params.t
     rnd = rng if rng is not None else random.Random(_secrets.randbits(128))
@@ -425,22 +406,19 @@ def pp_verify(
     (m2,) = unpack_cts(_recv(endpoint, TAG_PP_RESPONSE), 1, params)
     w = _decrypt_or_stand_in(backend, m2, failures)
     if failures:
-        return fail(f"a received ciphertext failed to decrypt: {failures[0]}")
-    d, _ = degree_schedule(program, use_reducer=used_reducer)
+        return reject(reason, f"a received ciphertext failed to decrypt: {failures[0]}"), m
+    d, _ = degree_schedule(program, use_reducer=offset is not None)
     lanes = np.asarray(w, dtype=np.int64).reshape(-1, _lanes(d)).sum(0) % t  # n·t < 2^53
     if lanes[d + 2 :].any():
-        return fail("a padding lane of the response is nonzero")
+        return reject(reason, "a padding lane of the response is nonzero"), m
     *ws, packed_sum = lanes[: d + 2].tolist()
     if packed_sum != sum(pow(beta, i, t) * wi for i, wi in enumerate(ws)) % t:
-        return fail("packed β-combination check failed")
+        return reject(reason, "packed β-combination check failed"), m
     if ws[0] != slot_poly_eval(m, delta, t):
-        return fail("data component does not match the committed result")
-    rho = slot_array(eval_challenge_pe(program, secret.key, t), t)
-    if offset is not None:
-        rho = slot_add(rho, slot_array(offset, t), t)
+        return reject(reason, "data component does not match the committed result"), m
     lhs = sum(pow(secret.alpha, i, t) * wi for i, wi in enumerate(ws)) % t
-    if lhs != slot_poly_eval(rho, delta, t):
-        return fail("response identity fails at the challenge point")
+    if lhs != slot_poly_eval(pe_target(secret, program, offset), delta, t):
+        return reject(reason, "response identity fails at the challenge point"), m
     return True, m
 
 
@@ -593,7 +571,7 @@ def client_session(
     if pp:
         ok, m = pp_verify(
             secret, backend, program, endpoint,
-            offset=offset, rng=rng, reason=reason, used_reducer=req,
+            offset=offset, rng=rng, reason=reason,
         )
     else:
         d, _ = degree_schedule(program, use_reducer=req)

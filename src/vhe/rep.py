@@ -30,22 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bfv
-from .circuit import (
-    Program,
-    challenge_input_rep,
-    eval_challenge_rep,
-    eval_he,
-    required_rotation_steps,
-)
-from .errors import LayoutError, ParameterError
-from .labels import (
-    Identifier,
-    LabelRegistry,
-    PrfKey,
-    fold_tags,
-    hash_tree_eval,
-    prf_tags,
-)
+from .circuit import Program, challenge_input_rep, check_inputs, eval_challenge_rep, eval_he
+from .errors import LayoutError, ParameterError, reject
+from .labels import Identifier, LabelRegistry, PrfKey, fold_tags, hash_tree_eval, prf_tags
 from .params import Params
 from .ring import slot_array
 
@@ -120,12 +107,8 @@ def rep_keygen(
     key = PrfKey.generate(rnd)
     he_keys = None
     if make_he_keys:
-        needs = [required_rotation_steps(p, stride=lam, n_slots=n) for p in programs]
-        he_keys = bfv.keygen(
-            params,
-            rotation_steps=sorted(set(extra_steps).union(*(s for s, _ in needs))),
-            row_swap=any(sw for _, sw in needs),
-            rng=np.random.default_rng(rnd.getrandbits(64)),
+        he_keys = bfv.program_keys(
+            params, programs, lam, extra_steps, np.random.default_rng(rnd.getrandbits(64))
         )
     return RepSecret(params, lam, challenge_set, key, he_keys)
 
@@ -152,13 +135,9 @@ def rep_extend(secret: RepSecret, values, base: Identifier) -> np.ndarray:
 
 def rep_auth(secret: RepSecret, backend, values, base) -> RepAuth:
     """Authenticate a vector of values under a fresh base identifier."""
-    if isinstance(base, str):
-        base = Identifier(base)
-    if base.slot is not None:
-        raise ParameterError("base identifier must not carry a slot index")
     if len(values) == 0:
         raise ParameterError("cannot authenticate an empty vector")
-    secret.registry.register(base)
+    base = secret.registry.register(base)
     cts = tuple(backend.encrypt(s) for s in rep_extend(secret, values, base))
     tags = tuple(prf_tags(secret.key, base, len(values)))
     return RepAuth(base, len(values), secret.lam, cts, tags)
@@ -178,19 +157,9 @@ def rep_eval(program: Program, auths, backend, lam: int) -> RepResult:
         raise LayoutError(
             f"program width {program.width} ≠ {n // lam} logical slots per ciphertext"
         )
-    if len(auths) != program.num_inputs:
-        raise ParameterError("one authentication per program input required")
-    for k, a in enumerate(auths):
-        if a.base != program.inputs[k]:
-            raise ParameterError(
-                f"input {k} was authenticated as {a.base!r} but the program "
-                f"names it {program.inputs[k]!r}; verification would reject"
-            )
+    check_inputs(program, auths, backend)
     if any(a.lam != lam for a in auths):
         raise ParameterError("mixed replication factors")
-    for a in auths:
-        for c in a.cts:
-            backend.check_operand(c)
     counts = {a.num_cts for a in auths}
     if len(counts) != 1:
         raise LayoutError("inputs span different ciphertext counts")
@@ -247,12 +216,6 @@ def rep_verify(
     output block repeats once per chunk: the claim concatenates the block
     of every chunk, `count × num_cts` values in chunk order.
     """
-
-    def fail(msg: str) -> bool:
-        if reason is not None:
-            reason.append(msg)
-        return False
-
     lam, t = secret.lam, secret.params.t
     start, count = program.output_block
     chunks = len(result.cts)
@@ -270,7 +233,7 @@ def rep_verify(
         for k, base in enumerate(program.inputs)
     ]
     if hash_tree_eval(program, leaves) != result.tag:
-        return fail("structure digest mismatch")
+        return reject(reason, "structure digest mismatch")
 
     # the output blocks, (chunk, slot, offset): replicas first, since
     # checking them needs no challenge values
@@ -280,11 +243,11 @@ def rep_verify(
     replicas = [j for j in range(lam) if j not in secret.challenge_set]
     bad = np.argwhere(got[:, :, replicas] != claimed.reshape(chunks, count, 1))
     if len(bad):
-        return fail(f"replica offset mismatch at chunk {bad[0][0]} slot {start + bad[0][1]}")
+        return reject(reason, f"replica offset mismatch at chunk {bad[0][0]} slot {start + bad[0][1]}")
     chal = rep_challenge_value(secret, program, input_lengths, chunks)[:, :, window]
     bad = np.argwhere(got[:, :, sorted(secret.challenge_set)] != chal.transpose(1, 2, 0))
     if len(bad):
-        return fail(f"challenge offset mismatch at chunk {bad[0][0]} slot {start + bad[0][1]}")
+        return reject(reason, f"challenge offset mismatch at chunk {bad[0][0]} slot {start + bad[0][1]}")
     return True
 
 

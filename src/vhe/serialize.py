@@ -240,20 +240,6 @@ def load_keyset(blob: bytes, offset: int = 0) -> KeySet:
     return KeySet(params, rlk, dict(zip(gs, gks)), res[0] if has_secret else None)
 
 
-def _optional_keyset(keys: KeySet | None) -> list:
-    return [b"\x00"] if keys is None else [b"\x01", save_keyset(keys, include_secret=True)]
-
-
-def _read_optional_keyset(r: _Reader) -> KeySet | None:
-    (has_keys,) = r.unpack("<B")
-    if not has_keys:
-        return None
-    _, _, nxt = read_container(r.buf, r.off)
-    keys = load_keyset(r.buf, r.off)
-    r.off = nxt
-    return keys
-
-
 # ---------------------------------------------------------------------------
 # ciphertexts (both backends)
 # ---------------------------------------------------------------------------
@@ -297,16 +283,71 @@ def load_ciphertext(blob: bytes, offset: int = 0, params: Params | None = None):
 
 
 def _cts(cts) -> list:
+    """A ciphertext list, u8 count ‖ one ciphertext container each, in
+    parts, so the container around it is joined in one copy."""
     return [struct.pack("<B", len(cts)), *map(save_ciphertext, cts)]
 
 
-def _read_cts(r: _Reader) -> tuple:
-    (count,) = r.unpack("<B")
+def save_cts(cts) -> bytes:
+    return b"".join(_cts(cts))
+
+
+def _read_cts(r: _Reader, count: int | None = None, params: Params | None = None) -> tuple:
+    (got,) = r.unpack("<B")
+    if count is not None and got != count:
+        raise SerializationError(f"expected {count} ciphertext(s), got {got}")
     cts = []
-    for _ in range(count):
-        ct, r.off = load_ciphertext(r.buf, r.off)
+    for _ in range(got):
+        ct, r.off = load_ciphertext(r.buf, r.off, params)
         cts.append(ct)
     return tuple(cts)
+
+
+def load_cts(blob: bytes, count: int | None = None, params: Params | None = None) -> tuple:
+    """A whole ciphertext list, such as a session message's payload:
+    exactly `count` ciphertexts when `count` is given, each fitting
+    `params` when given (see load_ciphertext), and no trailing bytes."""
+    r = _Reader(blob)
+    cts = _read_cts(r, count, params)
+    if r.off != len(blob):
+        raise SerializationError("trailing bytes after ciphertexts")
+    return cts
+
+
+# ---------------------------------------------------------------------------
+# verifier secrets (both encodings)
+# ---------------------------------------------------------------------------
+
+
+def _secret(type_code: int, secret, head: bytes) -> bytes:
+    """A verifier's secret: params ‖ head ‖ PRF key ‖ u8 keyset flag ‖
+    [keyset with its secret key] ‖ u32 count ‖ (u16 length ‖ identifier)
+    per spent identifier, sorted."""
+    keys = secret.he_keys
+    spent = secret.registry.snapshot()
+    return _container(
+        type_code,
+        save_params(secret.params),
+        head,
+        secret.key.key,
+        *([b"\x00"] if keys is None else [b"\x01", save_keyset(keys, include_secret=True)]),
+        struct.pack("<I", len(spent)),
+        *(struct.pack("<H", len(b)) + b for b in spent),
+    )
+
+
+def _secret_tail(r: _Reader):
+    """(PRF key, keyset or None, registry): what follows a secret's head."""
+    key = PrfKey(r.take(32))
+    keys = None
+    if r.unpack("<B")[0]:
+        _, _, nxt = read_container(r.buf, r.off)
+        keys = load_keyset(r.buf, r.off)
+        r.off = nxt
+    (count,) = r.unpack("<I")
+    registry = LabelRegistry.restore(r.take(r.unpack("<H")[0]) for _ in range(count))
+    r.done()
+    return key, keys, registry
 
 
 # ---------------------------------------------------------------------------
@@ -314,30 +355,9 @@ def _read_cts(r: _Reader) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _registry(registry: LabelRegistry) -> bytes:
-    snap = registry.snapshot()
-    return b"".join([struct.pack("<I", len(snap)), *(struct.pack("<H", len(b)) + b for b in snap)])
-
-
-def _read_registry(r: _Reader) -> LabelRegistry:
-    (count,) = r.unpack("<I")
-    blobs = []
-    for _ in range(count):
-        (blen,) = r.unpack("<H")
-        blobs.append(r.take(blen))
-    return LabelRegistry.restore(blobs)
-
-
 def save_rep_secret(secret: RepSecret) -> bytes:
     cs = sorted(secret.challenge_set)
-    return _container(
-        TYPE_REP_SECRET,
-        save_params(secret.params),
-        struct.pack(f"<IH{len(cs)}H", secret.lam, len(cs), *cs),
-        secret.key.key,
-        *_optional_keyset(secret.he_keys),
-        _registry(secret.registry),
-    )
+    return _secret(TYPE_REP_SECRET, secret, struct.pack(f"<IH{len(cs)}H", secret.lam, len(cs), *cs))
 
 
 def load_rep_secret(blob: bytes, offset: int = 0) -> RepSecret:
@@ -345,11 +365,7 @@ def load_rep_secret(blob: bytes, offset: int = 0) -> RepSecret:
     params, r = _open_with_params(body)
     lam, scount = r.unpack("<IH")
     challenge = frozenset(r.unpack(f"<{scount}H"))
-    key = PrfKey(r.take(32))
-    he_keys = _read_optional_keyset(r)
-    registry = _read_registry(r)
-    r.done()
-    return RepSecret(params, lam, challenge, key, he_keys, registry)
+    return RepSecret(params, lam, challenge, *_secret_tail(r))
 
 
 def save_rep_auth(auth: RepAuth) -> bytes:
@@ -396,14 +412,7 @@ def load_rep_result(blob: bytes, offset: int = 0) -> RepResult:
 
 
 def save_pe_secret(secret: PeSecret) -> bytes:
-    return _container(
-        TYPE_PE_SECRET,
-        save_params(secret.params),
-        struct.pack("<Q", secret.alpha),
-        secret.key.key,
-        *_optional_keyset(secret.he_keys),
-        _registry(secret.registry),
-    )
+    return _secret(TYPE_PE_SECRET, secret, struct.pack("<Q", secret.alpha))
 
 
 def load_pe_secret(blob: bytes, offset: int = 0) -> PeSecret:
@@ -412,11 +421,8 @@ def load_pe_secret(blob: bytes, offset: int = 0) -> PeSecret:
     (alpha,) = r.unpack("<Q")
     if not 0 < alpha < params.t:
         raise SerializationError("α outside [1, t)")
-    key = PrfKey(r.take(32))
-    he_keys = _read_optional_keyset(r)
-    registry = _read_registry(r)
-    r.done()
-    return PeSecret(params, key, alpha, he_keys, registry)
+    key, keys, registry = _secret_tail(r)
+    return PeSecret(params, key, alpha, keys, registry)
 
 
 def save_pe_auth(auth: PeAuth) -> bytes:

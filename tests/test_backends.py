@@ -17,6 +17,7 @@ from vhe.circuit import (
     ProgramBuilder,
     eval_he,
     eval_plain,
+    inner_sum_steps,
     random_program,
     required_rotation_steps,
 )
@@ -185,16 +186,6 @@ def test_real_missing_rotation_key(real):
         real.rotate(ca, 7)  # only ±1, 2 were generated
 
 
-def _inner_sum_steps(block, stride):
-    """± power-of-two step ladder inner_sum(block, stride) can touch."""
-    steps = set()
-    u = 1
-    while u < block:
-        steps.update((u * stride, -u * stride))
-        u *= 2
-    return steps
-
-
 def test_real_inner_sum_matches_mock(real):
     rng = random.Random(10)
     mock = MockBackend(PARAMS, rng=rng)
@@ -213,12 +204,25 @@ def test_real_inner_sum_full_and_strided():
     cases = ((row, 1), (4, 1), (4, 2), (2, 8))
     steps = set()
     for block, stride in cases:
-        steps |= _inner_sum_steps(block, stride)
+        steps.update(*inner_sum_steps(block, stride, row))
     backend = make_real(steps=sorted(steps), seed=5)
     for block, stride in cases:
         want = mock.decrypt(mock.inner_sum(mock.encrypt(a), block, stride=stride))
         got = backend.decrypt(backend.inner_sum(backend.encrypt(a), block, stride=stride))
         assert got == want, f"block {block} stride {stride}"
+
+
+@pytest.mark.parametrize("block,stride", [(3, 1), (N, 1), (4, N // 4)])
+def test_inner_sum_refuses_a_block_that_does_not_tile_a_row(real, block, stride):
+    """Both backends and the rotation-step planner refuse it with one error."""
+    mock = MockBackend(PARAMS, rng=random.Random(14))
+    msg = f"^inner_sum block {block} \\(stride {stride}\\) must tile a row of {N // 2}$"
+    with pytest.raises(LayoutError, match=msg):
+        mock.inner_sum(mock.encrypt([0] * N), block, stride)
+    with pytest.raises(LayoutError, match=msg):
+        real.inner_sum(real.encrypt([0] * N), block, stride)
+    with pytest.raises(LayoutError, match=msg):
+        inner_sum_steps(block, stride, N // 2)
 
 
 def test_real_noise_budget_decreases(real):

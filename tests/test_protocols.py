@@ -918,7 +918,6 @@ def test_req_then_pp_composes():
             ep,
             offset=s.final_offset(),
             rng=random.Random(33),
-            used_reducer=True,
         )
 
     _, (ok, m) = pr.run_session(cloud_fn, client_fn)
