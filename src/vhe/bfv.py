@@ -10,9 +10,12 @@ Z_t.  Every linear operation, encryption and a rotation's slot permutation
 are one numpy expression over the stack; an operation that needs
 coefficients moves between the domains with one stacked transform call
 (ring.stack_ntt / stack_intt) per direction: encryption transforms the k
-rows of e + Δ·m, a key switch its (k, k, n) digit stack, multiplication its
-four inputs' chain rows, their auxiliary rows, its three products and, back
-into the chain, the three scaled results.
+rows of e + Δ·m; a key switch its k target rows and only the k(k−1)
+off-diagonal digit rows (digit i in prime i is the target's own row);
+multiplication its operands' chain rows and their auxiliary rows (a
+square's one operand once), its three products and, back into the chain,
+the three scaled results.  At n4096 (k = 7, 8 auxiliary primes) a product
+transforms 126 rows and a square 96, a key switch 49.
 
     encrypt:  c = (−a·s + e + Δ·m, a) with the secret key,  Δ = ⌊Q/t⌋,
               a uniform in the evaluation domain and expanded from a
@@ -685,7 +688,8 @@ class BfvBackend:
         Each coefficient is exactly ⌊(t·x + ⌊Q/2⌋)/Q⌋ of the integer tensor
         coefficient x, in int64 throughout.  The inputs' chain rows are
         already transformed; their centred lifts are converted into P, so the
-        tensor is formed in Q ∪ P.  With z = t·x + ⌊Q/2⌋ and r = z mod Q
+        tensor is formed in Q ∪ P.  A square (b is a) lifts its one operand
+        and reads both factors from it.  With z = t·x + ⌊Q/2⌋ and r = z mod Q
         (converted from the chain rows into P), y = (z − r)·Q⁻¹ on the P
         rows, and a centred conversion takes y back into the chain.
         """
@@ -693,10 +697,11 @@ class BfvBackend:
             raise ParameterError("multiplication expects degree-2 ciphertexts")
         ext = self._ext()
         k = len(self.primes)
-        chain = np.concatenate([a.data, b.data])
+        chain = a.data if b is a else np.concatenate([a.data, b.data])
         lifted = ext.to_aux(stack_intt(chain, self.mods), centred=True)
         aux = stack_ntt(lifted, ext.mods[k:])
-        a0, a1, b0, b1 = np.concatenate([chain, aux], axis=1)
+        both = np.concatenate([chain, aux], axis=1)
+        (a0, a1), (b0, b1) = both[:2], both[-2:]
 
         qe = ext.col
         # middle term: a0·b1 + a1·b0
@@ -714,19 +719,26 @@ class BfvBackend:
         y %= qe[k:]
         return Ciphertext(stack_ntt(ext.to_chain(y, centred=True), self.mods))
 
-    def _apply_ks(self, coeff: np.ndarray, ks: np.ndarray) -> np.ndarray:
-        """Key-switch the coefficient-domain target with one RNS digit per
-        chain prime; returns the (2, k, n) evaluation-domain pair.
+    def _apply_ks(self, target: np.ndarray, ks: np.ndarray) -> np.ndarray:
+        """Key-switch the evaluation-domain (k, n) target with one RNS digit
+        per chain prime; returns the (2, k, n) evaluation-domain pair.
 
-        Digit i is the target's residue row i centred to (-q_i/2, q_i/2] and
-        taken into every prime j as centred + q_j, in [0, 2q_j), which the
-        transform's ψ twist reduces; the (k, k, n) digit stack is
-        transformed in one call and multiplied into the key's (b, a) stack.
+        Digit i is the target's coefficient row i centred to (-q_i/2, q_i/2]
+        and taken into every prime j as centred + q_j, in [0, 2q_j), which
+        the transform's ψ twist reduces.  In prime i it is the target's own
+        row i, so only the k(k−1) other rows are transformed: digit
+        (j + 1 + r) mod k in prime j is row (r, j) of one (k−1, k, n) stack
+        over the chain's own tables.  The (k, k, n) digit stack, the target
+        on its diagonal, is multiplied into the key's (b, a) stack.
         """
-        q = self._q
+        q, col = self._q, np.arange(len(self.primes))
+        src = (col + col[1:, None]) % len(col)
+        coeff = stack_intt(target, self.mods)
         centred = np.where(coeff > q // 2, coeff - q, coeff)
-        digits = stack_ntt(centred[:, None, :] + q, self.mods)
-        acc = np.zeros((2,) + coeff.shape, dtype=np.int64)
+        digits = np.empty((len(col),) + target.shape, dtype=np.int64)
+        digits[col, col] = target
+        digits[src, col] = stack_ntt(centred[src] + q, self.mods)
+        acc = np.zeros((2,) + target.shape, dtype=np.int64)
         for i, d in enumerate(digits):
             acc += d * ks[:, i]
             if (i + 1) % self._ks_chunk == 0:
@@ -740,7 +752,7 @@ class BfvBackend:
             return ct
         if ct.degree != 3:
             raise ParameterError("relinearization expects a degree-3 ciphertext")
-        out = self._apply_ks(stack_intt(ct.data[2], self.mods), self.keys.rlk)
+        out = self._apply_ks(ct.data[2], self.keys.rlk)
         out += ct.data[:2]
         out %= self._q
         return Ciphertext(out)
@@ -759,7 +771,7 @@ class BfvBackend:
                 f"with the required steps"
             )
         c0, c1 = ct.data[..., _eval_permutation(g, self.params.n)]
-        out = self._apply_ks(stack_intt(c1, self.mods), self.keys.gks[g])
+        out = self._apply_ks(c1, self.keys.gks[g])
         out[0] += c0
         out[0] %= self._q
         return Ciphertext(out)

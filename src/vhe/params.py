@@ -12,7 +12,7 @@ modulus, not a hard limiter (decryption verifies the actual noise).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ParameterError

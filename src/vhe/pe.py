@@ -138,6 +138,8 @@ def pe_mul(backend, a: tuple, b: tuple) -> tuple:
     Backend products: 3 instead of 4 for degree 1 × 1, 5 instead of 6 for
     1 × 2, 6 instead of 9 for 2 × 2.  The summed operands and the two
     subtracted products cost noise: about 2.3 bits of budget at depth 4.
+    A square (b is a) sums each pair once, so every backend product is a
+    square too.
     """
     d = len(a) + len(b) - 2
     if d > MAX_DEGREE:
@@ -154,7 +156,8 @@ def pe_mul(backend, a: tuple, b: tuple) -> tuple:
     for i, p in enumerate(diag):
         put(2 * i, p)
         for j in range(i + 1, m):
-            cross = backend.mul(backend.add(a[i], a[j]), backend.add(b[i], b[j]))
+            sa = backend.add(a[i], a[j])
+            cross = backend.mul(sa, sa if b is a else backend.add(b[i], b[j]))
             put(i + j, backend.sub(backend.sub(cross, diag[i]), diag[j]))
     for i, x in enumerate(a):
         for j, y in enumerate(b):

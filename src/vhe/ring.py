@@ -20,10 +20,11 @@ of every row and writes its butterflies interleaved into a second buffer:
 no bit-reversal gather, no transpose, no short strided loops.  Entries
 stay in [0, 2q) (Harvey's lazy butterflies) and each stage takes one exact
 reduction, on the twiddle product; its bound 4q·q < 2^64 is why the kernel
-needs q < 2^31.  At n = 4096 (2-core VM) a 7-row forward takes 2.1 ms and
-a 49-row one 16 ms, against 3.3 and 24 ms for the bit-reversed kernel it
-replaced.  Larger primes (up to the 2^60 cap) take an exact pure-Python
-path, also the tests' reference.  All arithmetic is exact integer.
+needs q < 2^31.  At n = 4096 (2-core VM) a 7-row forward takes 1.4 ms and
+a 49-row one 11.7 ms (BENCH_18.json); the bit-reversed kernel it replaced
+took 1.56× and 1.50× as long (BENCH_14.json).  Larger primes (up to the
+2^60 cap) take an exact pure-Python path, also the tests' reference.  All
+arithmetic is exact integer.
 
 Batching: when t ≡ 1 (mod 2N) the same transform gives the slot
 isomorphism R_t ≅ Z_t^N.  Slots are arranged as a 2 × (N/2) matrix in
@@ -314,7 +315,7 @@ def _stages(y: np.ndarray, tables: _StackTables, stage: tuple) -> np.ndarray:
         halves = out.view(block).reshape(*lead, m, 2)
         np.subtract(a, b, out=t)
         t += q2
-        tw = t.reshape(*lead, m, -1)
+        tw = t.reshape(*lead, m, h // m)
         tw *= w
         _reduce(t, tables, u)
         np.copyto(halves[..., 1], t.view(block))

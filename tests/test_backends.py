@@ -423,6 +423,65 @@ def test_key_switching_keys_carry_one_pair_per_chain_prime(real):
     assert real.keys.gks and all(ks.shape == (2, k, k, N) for ks in real.keys.gks.values())
 
 
+CHAINS = {
+    "mock64": lambda: PARAMS,
+    "one prime": lambda: make_params(n=64, t_bits=16, chain_len=1, name="tiny"),
+}
+
+
+def reference_key_switch(be, target, ks):
+    """The textbook RNS-digit key switch Σ_i NTT(d_i)·ks[:, i]: digit d_i is
+    the target's coefficient row i centred, reduced into every chain prime,
+    and all k² digit rows are transformed; sums taken over the integers."""
+    q = be._q
+    coeff = stack_intt(target, be.mods)
+    centred = np.where(coeff > q // 2, coeff - q, coeff)
+    digits = stack_ntt(centred[:, None, :] % q, be.mods).astype(object)
+    out = sum(d * ks[:, i].astype(object) for i, d in enumerate(digits))
+    return (out % q).astype(np.int64)
+
+
+def reference_galois(be, ct, g):
+    """X → X^g then a key switch of c₁: output k of each component reads
+    the evaluation at ψ^((2k+1)·g)."""
+    n = be.params.n
+    perm = ((2 * np.arange(n) + 1) * g % (2 * n) - 1) // 2
+    c0, c1 = ct.data[..., perm]
+    out = reference_key_switch(be, c1, be.keys.gks[g])
+    out[0] = (out[0] + c0) % be._q
+    return out
+
+
+@pytest.mark.parametrize("chain", sorted(CHAINS))
+def test_square_is_the_two_operand_product(chain):
+    """mul(a, a) lifts its operand once and equals mul with a copy of a
+    bit for bit."""
+    be = make_real(CHAINS[chain](), steps=(), seed=50)
+    a = be.encrypt(rand_slots(random.Random(51)))
+    twin = bfv.Ciphertext(a.data.copy())
+    assert np.array_equal(be.mul_no_relin(a, a).data, be.mul_no_relin(a, twin).data)
+    assert np.array_equal(be.mul(a, a).data, be.mul(a, twin).data)
+
+
+@pytest.mark.parametrize("chain", sorted(CHAINS))
+def test_key_switches_match_the_textbook_digit_switch(chain):
+    """relinearize, rotate and row_swap transform only the off-diagonal
+    digits and put the target's own rows on the diagonal; the result is the
+    key switch that transforms all k² digit rows."""
+    params = CHAINS[chain]()
+    be = make_real(params, steps=(1, -3), seed=52, row_swap=True)
+    rng = random.Random(53)
+    a, b = (be.encrypt(rand_slots(rng)) for _ in range(2))
+    raw = be.mul_no_relin(a, b)
+    want = (raw.data[:2] + reference_key_switch(be, raw.data[2], be.keys.rlk)) % be._q
+    assert np.array_equal(be.relinearize(raw).data, want)
+    for step in (1, -3):
+        g = bfv.galois_element(step, params.n)
+        assert np.array_equal(be.rotate(a, step).data, reference_galois(be, a, g))
+    g = bfv.galois_row_swap(params.n)
+    assert np.array_equal(be.row_swap(b).data, reference_galois(be, b, g))
+
+
 def test_rotation_noise_margin_n4096():
     """One key switch on a fresh n4096 ciphertext must leave ≥ 140 bits."""
     params = preset("n4096")

@@ -333,11 +333,16 @@ def test_soundness_bound():
 class CountingMock(MockBackend):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.muls = 0
+        self.muls = self.squares = self.adds = 0
 
     def mul(self, a, b):
         self.muls += 1
+        self.squares += a is b
         return super().mul(a, b)
+
+    def add(self, a, b):
+        self.adds += 1
+        return super().add(a, b)
 
 
 def schoolbook(xs, ys):
@@ -364,6 +369,19 @@ def test_pe_mul_karatsuba_count_and_convolution(la, lb):
     m = min(la, lb)
     assert backend.muls == la * lb - m * (m - 1) // 2
     assert [backend.decrypt(c) for c in got] == schoolbook(xs, ys)
+
+
+def test_pe_mul_square_hands_the_backend_squares():
+    """pe_mul(a, a) at degree 1 builds the cross sum a_0 + a_1 once: 3
+    products, each with identical operands (so the real backend lifts one
+    operand), and 1 add."""
+    backend = CountingMock(PARAMS, rng=random.Random(45))
+    rng = random.Random(46)
+    xs = [rand_slots(rng) for _ in range(2)]
+    a = tuple(backend.encrypt(v) for v in xs)
+    got = pe.pe_mul(backend, a, a)
+    assert (backend.muls, backend.squares, backend.adds) == (3, 3, 1)
+    assert [backend.decrypt(c) for c in got] == schoolbook(xs, xs)
 
 
 # ---------------------------------------------------------------------------

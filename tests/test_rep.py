@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from vhe import bfv, rep
-from vhe.circuit import ProgramBuilder, eval_plain, random_program, required_rotation_steps
+from vhe.circuit import ProgramBuilder, eval_plain, random_program
 from vhe.errors import IdentifierReuseError, LayoutError, ParameterError
 from vhe.labels import prf_zt
 from vhe.mock import MockBackend
