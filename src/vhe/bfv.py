@@ -20,13 +20,14 @@ transforms 126 rows and a square 96, a key switch 49.
     encrypt:  c = (−a·s + e + Δ·m, a) with the secret key,  Δ = ⌊Q/t⌋,
               a uniform in the evaluation domain and expanded from a
               32-byte seed by SHAKE-128 (expand_uniform)
-    decrypt:  m = ⌊(t·x + ⌊Q/2⌋)/Q⌋ mod t for the phase x = [c₀ + c₁·s]_Q,
-              exactly, by int64 Garner base conversion into auxiliary
-              primes P′ with Π P′ > t
+    decrypt:  m = ⌊(t·x + ⌊Q/2⌋)/Q⌋ mod t for the phase x = [c₀ + c₁·s]_Q
     multiply: tensor the pair over the integers in the chain Q plus
               auxiliary primes P, then y = ⌊(t·x + ⌊Q/2⌋)/Q⌋ per
-              coefficient, exactly, by int64 Garner base conversion
-              (BaseConverter) between Q and P
+              coefficient, converted back into Q; this scaling and
+              decryption's are one exact int64 rescale (_Rescale): a
+              Garner base conversion (BaseConverter) into the fewest
+              auxiliary primes whose product exceeds t (decryption) or
+              t·n·Q + 4 (multiplication), then the division by Q
     relinearize / rotate: RNS-digit key switching, one digit per chain
               prime (Bajard–Eynard–Hasan–Zucca): digit i is residue row i
               of the target, centred, and its key carries the target secret
@@ -55,7 +56,7 @@ import hashlib
 import platform
 import secrets
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import log2, prod
 
 import numpy as np
@@ -66,7 +67,7 @@ from .errors import (
     ParameterError,
     SerializationError,
 )
-from .circuit import inner_sum_steps, required_rotation_steps
+from .circuit import inner_sum_steps, required_rotation_steps, rotation_moves
 from .params import CHAIN_PRIME_BITS, Params
 from .ring import (
     batch_decode,
@@ -75,12 +76,19 @@ from .ring import (
     get_modulus,
     stack_intt,
     stack_ntt,
+    xof_uniform,
 )
 
 
 # ---------------------------------------------------------------------------
 # RNS helpers
 # ---------------------------------------------------------------------------
+
+
+def _int64_headroom(primes) -> int:
+    """How many products of two residues below max(primes) an int64 sum
+    holds on top of one reduced running sum."""
+    return (2**63 - 1) // (max(primes) - 1) ** 2 - 1
 
 
 class BaseConverter:
@@ -94,6 +102,8 @@ class BaseConverter:
     prime and every destination prime at once; a row takes one product
     < max(prime)² per digit and is reduced every `chunk` digits, so no sum
     leaves int64.  With D empty the converter yields only the digits.
+    `prod_inv` holds (Π S)⁻¹ mod each destination prime, for the exact
+    division by Π S that follows a conversion.
     """
 
     def __init__(self, src, dst=()):
@@ -109,8 +119,9 @@ class BaseConverter:
         self.half = [prod // 2 // m % s for m, s in zip(radix, src)]
         self.weights = np.array([[m % p for p in primes] for m in radix], dtype=np.int64)[..., None]
         self.prod = np.array([prod % d for d in dst], dtype=np.int64)[:, None]
+        self.prod_inv = np.array([pow(prod, -1, d) for d in dst], dtype=np.int64)[:, None]
         self.col = np.array(primes, dtype=np.int64)[:, None]
-        self.chunk = (2**63 - 1) // (max(primes) - 1) ** 2 - 1
+        self.chunk = _int64_headroom(primes)
 
     def digits(self, x: np.ndarray):
         """The digits [v_0, …, v_{|S|−1}] of (..., |S|, n) residues, each
@@ -156,65 +167,70 @@ def _lex_extreme(digits, mask: np.ndarray, pick):
     return int(mask.argmax())
 
 
-class _DecryptBasis:
-    """Decryption's constants for the chain prefix Q″ of `k` primes: Q″,
-    Δ″ = ⌊Q″/t⌋, and the auxiliary primes P′, ⌈bits(t)/28⌉ primes of 29
-    bits so that Π P′ > t, with the constants of y = ⌊(t·x + ⌊Q″/2⌋)/Q″⌋
-    ∈ [0, t] on the prefix rows followed by the P′ rows."""
-
-    def __init__(self, params: Params, k: int):
-        count = -(-params.t.bit_length() // (CHAIN_PRIME_BITS - 1))
+def _aux_primes(params: Params, bound: int) -> tuple:
+    """The fewest NTT primes off the chain, taken from 2^CHAIN_PRIME_BITS
+    down, whose product exceeds `bound`."""
+    count = -(-bound.bit_length() // CHAIN_PRIME_BITS)  # each prime is below 2^29
+    while True:
         aux = find_ntt_primes(CHAIN_PRIME_BITS, params.n, count, exclude=params.q_chain)
-        chain = params.q_chain[:k]
-        q, primes = prod(chain), chain + tuple(aux)
-        self.big_q, self.delta = q, q // params.t
-        self.q = np.array(chain, dtype=np.int64)[:, None]
-        self.delta_res = np.array([self.delta % p for p in chain], dtype=np.int64)[:, None]
-        self.chain = BaseConverter(chain, aux)
-        self.aux = BaseConverter(aux)
-        self.t = np.array([params.t % p for p in primes], dtype=np.int64)[:, None]
-        self.half = np.array([q // 2 % p for p in primes], dtype=np.int64)[:, None]
-        self.q_inv = np.array([pow(q, -1, p) for p in aux], dtype=np.int64)[:, None]
+        if prod(aux) > bound:
+            return tuple(aux)
+        count += 1
 
 
-class _SwitchBasis:
-    """Modulus switching's constants from Q to the prefix Q′ of `k` primes:
-    a centred converter from the dropped primes P into the kept ones and
-    P⁻¹ mod each kept prime."""
+class _Rescale:
+    """y = ⌊(t·x + ⌊Q/2⌋)/Q⌋, exactly, in auxiliary primes P, for the chain
+    (or chain prefix) Q and the integer x given by its residues on Q ∪ P.
 
-    def __init__(self, params: Params, k: int):
-        kept, dropped = params.q_chain[:k], params.q_chain[k:]
-        self.k = k
-        self.to_kept = BaseConverter(dropped, kept)
-        self.p_inv = np.array([pow(prod(dropped), -1, q) for q in kept], dtype=np.int64)[:, None]
-
-
-class _MulBasis:
-    """Multiplication's auxiliary primes P and its converters, built once.
-
-    P is the smallest product of auxiliary primes above t·n·Q + 4: the
-    scaled tensor coefficients then satisfy |y| < P/2 and convert back into
-    the chain exactly.  `primes` is Q ∪ P, where the tensor is formed.
+    P is the fewest auxiliary primes above `bound`, the caller's bound on
+    what y must represent; `big_q` is Q.  With z = t·x + ⌊Q/2⌋ on every
+    row and r = z mod Q converted from the Q rows into P, y = (z − r)·Q⁻¹
+    on the P rows: the division by Q is exact.
     """
 
-    def __init__(self, params: Params):
-        bound = params.t * params.n * params.big_q + 4
-        aux, prod = [], 1
-        for p in find_ntt_primes(CHAIN_PRIME_BITS, params.n, 64, exclude=params.q_chain):
-            if prod > bound:
-                break
-            aux.append(p)
-            prod *= p
-        self.primes = params.q_chain + tuple(aux)
-        self.mods = [get_modulus(p, params.n) for p in self.primes]
+    def __init__(self, params: Params, chain: tuple, bound: int):
+        self.big_q = q = prod(chain)
+        self.primes = chain + _aux_primes(params, bound)
+        self.to_aux = BaseConverter(chain, self.primes[len(chain) :])
         self.col = np.array(self.primes, dtype=np.int64)[:, None]
-        self.to_aux = BaseConverter(params.q_chain, aux)
-        self.to_chain = BaseConverter(aux, params.q_chain)
-        # z = t·x + ⌊Q/2⌋ per prime, then y = (z − r)·Q⁻¹ on the P rows
-        q = params.big_q
         self.t = np.array([params.t % p for p in self.primes], dtype=np.int64)[:, None]
         self.half = np.array([q // 2 % p for p in self.primes], dtype=np.int64)[:, None]
-        self.q_inv = np.array([pow(q, -1, p) for p in aux], dtype=np.int64)[:, None]
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """(..., |Q ∪ P|, n) residues of x → (..., |P|, n) residues of y;
+        overwrites x with z."""
+        k = len(self.to_aux.src)
+        x *= self.t
+        x += self.half
+        x %= self.col
+        y = x[..., k:, :] - self.to_aux(x[..., :k, :], centred=False)
+        y *= self.to_aux.prod_inv
+        y %= self.col[k:]
+        return y
+
+
+class _DecryptBasis(_Rescale):
+    """Decryption's constants for the chain prefix Q″ of `k` primes:
+    Δ″ = ⌊Q″/t⌋ and the rescale into P′ with Π P′ > t, which holds y ∈
+    [0, t]; `aux` reads y's Garner digits over P′."""
+
+    def __init__(self, params: Params, k: int):
+        chain = params.q_chain[:k]
+        super().__init__(params, chain, params.t)
+        self.delta = self.big_q // params.t
+        self.delta_res = np.array([self.delta % p for p in chain], dtype=np.int64)[:, None]
+        self.aux = BaseConverter(self.primes[k:])
+
+
+class _MulBasis(_Rescale):
+    """Multiplication's rescale, built once: Π P > t·n·Q + 4, so the scaled
+    tensor coefficients satisfy |y| < P/2 and convert back into the chain
+    exactly.  `primes` is Q ∪ P, where the tensor is formed."""
+
+    def __init__(self, params: Params):
+        super().__init__(params, params.q_chain, params.t * params.n * params.big_q + 4)
+        self.mods = [get_modulus(p, params.n) for p in self.primes]
+        self.to_chain = BaseConverter(self.primes[len(params.q_chain) :], params.q_chain)
 
 
 # Modular arithmetic on residue stacks (..., k, n) against a (k, 1) modulus
@@ -288,26 +304,16 @@ SEED_BYTES = 32
 def expand_uniform(seed: bytes, primes, rows: int, n: int) -> np.ndarray:
     """(rows, k, n) residues uniform in [0, q_i), expanded from `seed`.
 
-    Row (r, i) reads little-endian 32-bit words from SHAKE-128(seed ‖ r ‖ i)
-    (r and i as u16), masks each to the bit length of q_i and keeps the
-    first n below q_i: rejection sampling, never a reduction mod q_i, so
-    the residues carry no bias.  A longer read only extends the same
-    stream, so the output depends on the seed alone, never on numpy's
+    Row (r, i) is ring.xof_uniform of SHAKE-128(seed ‖ r ‖ i), r and i as
+    u16: rejection sampling of masked little-endian 32-bit words, so the
+    residues carry no bias and depend on the seed alone, never on numpy's
     generator streams (which NEP 19 does not keep stable across versions).
     """
     out = np.empty((rows, len(primes), n), dtype=np.int64)
     for r in range(rows):
         for i, q in enumerate(primes):
             xof = hashlib.shake_128(seed + r.to_bytes(2, "little") + i.to_bytes(2, "little"))
-            mask = (1 << q.bit_length()) - 1
-            words = n * (mask + 1) // q + 64
-            while True:
-                w = np.frombuffer(xof.digest(4 * words), dtype="<u4") & mask
-                kept = w[w < q]
-                if len(kept) >= n:
-                    break
-                words *= 2
-            out[r, i] = kept[:n]
+            out[r, i] = xof_uniform(xof, q, n)
     return out
 
 
@@ -450,12 +456,11 @@ class BfvBackend:
         self._q = np.array(self.primes, dtype=np.int64)[:, None]
         self._q_unsigned = np.array(self.primes, dtype=np.uint64)
         self._delta_res = np.array([params.delta % p for p in self.primes], dtype=np.int64)[:, None]
-        self._ext_basis = None
         self._dec_bases: dict = {}  # chain prefix length → _DecryptBasis
-        self._switch = _SwitchBasis(params, params.shrink_primes)
-        # digit products are < max(q)²: this many (plus a reduced running
-        # sum) fit in int64 before the accumulators must be reduced
-        self._ks_chunk = (2**63 - 1) // (max(self.primes) - 1) ** 2 - 1
+        kept = params.shrink_primes
+        self._switch = BaseConverter(self.primes[kept:], self.primes[:kept])
+        # digit products are < max(q)²: reduce the accumulators this often
+        self._ks_chunk = _int64_headroom(self.primes)
 
     # ---- plaintext encoding -------------------------------------------------
 
@@ -553,40 +558,30 @@ class BfvBackend:
         """(plaintext coefficients, largest |noise|, decryption basis),
         exactly, in int64, on the ciphertext's chain prefix Q″.
 
-        For the phase x ∈ [0, Q″), r = (t·x + ⌊Q″/2⌋) mod Q″ on the prefix
-        rows; x and r are converted into P′, where y = (t·x + ⌊Q″/2⌋ − r)·Q″⁻¹
-        is ⌊(t·x + ⌊Q″/2⌋)/Q″⌋ ∈ [0, t] < Π P′, read off its Garner digits,
-        and m = y mod t.  The noise x − Δ″·m centred mod Q″ keeps its Garner
+        The phase x ∈ [0, Q″) is converted into P′, and the rescale gives
+        y = ⌊(t·x + ⌊Q″/2⌋)/Q″⌋ ∈ [0, t] < Π P′, read off its Garner digits;
+        m = y mod t.  The noise x − Δ″·m centred mod Q″ keeps its Garner
         digits over Q″: it is negative where they exceed those of ⌊Q″/2⌋,
         and the largest |noise| is the digit-wise largest non-negative or
         smallest negative coefficient; only those become Python integers.
         """
         x = self._phase(ct)
         k = len(x)
-        dec, t = self._dec(k), self.params.t
-        q = dec.q
-        r = x * dec.t[:k]
-        r += dec.half[:k]
-        r %= q
-        xr = dec.chain(np.stack([x, r]), centred=False)
-        y = xr[0] * dec.t[k:]
-        y += dec.half[k:]
-        y -= xr[1]
-        y %= dec.aux.col
-        y *= dec.q_inv
-        y %= dec.aux.col
+        dec = self._dec(k)
+        y = dec(np.concatenate([x, dec.to_aux(x, centred=False)]))
         # partial sums of y's digits never exceed y ≤ t < 2^63
         y = sum(v * w for v, w in zip(dec.aux.digits(y)[0], dec.aux.radix))
-        m = y % t
+        m = y % self.params.t
+        q = dec.col[:k]
         e = x - dec.delta_res * (m % q)
         e %= q
-        digits, _ = dec.chain.digits(e)
-        neg = dec.chain.above_half(digits)
+        digits, _ = dec.to_aux.digits(e)
+        neg = dec.to_aux.above_half(digits)
         worst = 0
         for side, pick in ((~neg, np.max), (neg, np.min)):
             i = _lex_extreme(digits, side, pick)
             if i is not None:
-                v = sum(int(d[i]) * w for d, w in zip(digits, dec.chain.radix))
+                v = sum(int(d[i]) * w for d, w in zip(digits, dec.to_aux.radix))
                 worst = max(worst, v if pick is np.max else dec.big_q - v)
         return m, worst, dec
 
@@ -629,13 +624,13 @@ class BfvBackend:
         the rounding that Params.shrink_primes bounds.
         """
         sw = self._switch
-        if sw.k == len(self.primes):
+        if not sw.src:
             return ct
-        rows = ct.data[:, sw.k :]
-        r = sw.to_kept(stack_intt(rows, self.mods[sw.k :]), centred=True)
-        out = ct.data[:, : sw.k] - stack_ntt(r, self.mods[: sw.k])
-        out *= sw.p_inv
-        out %= self._q[: sw.k]
+        k = len(self.primes) - len(sw.src)
+        r = sw(stack_intt(ct.data[:, k:], self.mods[k:]), centred=True)
+        out = ct.data[:, :k] - stack_ntt(r, self.mods[:k])
+        out *= sw.prod_inv
+        out %= self._q[:k]
         return Ciphertext(out)
 
     # ---- linear operations ---------------------------------------------------
@@ -677,10 +672,9 @@ class BfvBackend:
 
     # ---- multiplication -------------------------------------------------------
 
+    @cached_property
     def _ext(self) -> _MulBasis:
-        if self._ext_basis is None:
-            self._ext_basis = _MulBasis(self.params)
-        return self._ext_basis
+        return _MulBasis(self.params)
 
     def mul_no_relin(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         """Tensor product scaled by t/Q: (c₀, c₁, c₂) decrypting under (1, s, s²).
@@ -689,13 +683,12 @@ class BfvBackend:
         coefficient x, in int64 throughout.  The inputs' chain rows are
         already transformed; their centred lifts are converted into P, so the
         tensor is formed in Q ∪ P.  A square (b is a) lifts its one operand
-        and reads both factors from it.  With z = t·x + ⌊Q/2⌋ and r = z mod Q
-        (converted from the chain rows into P), y = (z − r)·Q⁻¹ on the P
-        rows, and a centred conversion takes y back into the chain.
+        and reads both factors from it.  The rescale gives y on the P rows,
+        and a centred conversion takes it back into the chain.
         """
         if a.degree != 2 or b.degree != 2:
             raise ParameterError("multiplication expects degree-2 ciphertexts")
-        ext = self._ext()
+        ext = self._ext
         k = len(self.primes)
         chain = a.data if b is a else np.concatenate([a.data, b.data])
         lifted = ext.to_aux(stack_intt(chain, self.mods), centred=True)
@@ -709,14 +702,7 @@ class BfvBackend:
         cross += a1 * b0
         cross %= qe
         prods = np.stack([_pointwise(a0, b0, qe), cross, _pointwise(a1, b1, qe)])
-
-        z = stack_intt(prods, ext.mods)
-        z *= ext.t
-        z += ext.half
-        z %= qe
-        y = z[:, k:] - ext.to_aux(z[:, :k], centred=False)
-        y *= ext.q_inv
-        y %= qe[k:]
+        y = ext(stack_intt(prods, ext.mods))
         return Ciphertext(stack_ntt(ext.to_chain(y, centred=True), self.mods))
 
     def _apply_ks(self, target: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -777,11 +763,8 @@ class BfvBackend:
         return Ciphertext(out)
 
     def rotate(self, ct: Ciphertext, step: int) -> Ciphertext:
-        row = self.params.n // 2
-        if step % row == 0:
+        if not rotation_moves(step, self.params.n // 2):
             return ct
-        if not (-row < step < row):
-            raise ParameterError(f"rotation step must satisfy |step| < {row}")
         return self._galois(ct, galois_element(step, self.params.n))
 
     def row_swap(self, ct: Ciphertext) -> Ciphertext:

@@ -400,6 +400,17 @@ def inner_sum_steps(block: int, stride: int, row: int) -> tuple:
     return window, [] if span == row else [-s for s in window]
 
 
+def rotation_moves(step: int, row: int) -> bool:
+    """Whether a rotation by `step` on rows of `row` slots moves anything:
+    False for a multiple of the row; raises ParameterError unless
+    |step| < row."""
+    if step % row == 0:
+        return False
+    if not -row < step < row:
+        raise ParameterError(f"rotation step must satisfy |step| < {row}")
+    return True
+
+
 def required_rotation_steps(program: Program, stride: int = 1, n_slots: int | None = None):
     """Signed physical rotation steps the program needs (plus row swap flag)."""
     row = (program.width * stride if n_slots is None else n_slots) // 2

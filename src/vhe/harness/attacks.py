@@ -64,7 +64,9 @@ from ..protocols import (
     run_session,
     unpack_cts,
 )
-from ..rep import RepResult, rep_auth, rep_decode, rep_eval, rep_keygen, rep_verify
+from ..rep import (
+    RepResult, rep_auth, rep_decode, rep_eval, rep_forgery_bound, rep_keygen, rep_verify,
+)
 from .usecases import make_backend
 
 STRATEGIES = (
@@ -287,7 +289,7 @@ def _setup_rep(spec: AttackSpec):
             claim = [(world.claim[0] + delta) % t]
             return world.verify(bad, claim)
 
-        bound = 1.0 / math.comb(lam, lam // 2) if k == lam // 2 else 0.0
+        bound = rep_forgery_bound(lam) if k == lam // 2 else 0.0
         return trial, bound
 
     if strategy == "replace-ciphertext":

@@ -135,18 +135,15 @@ def _cmd_keygen(args) -> int:
     progs = _programs(args.program)
     rng = random.Random(args.seed)
     real = args.backend == "real"
-    extra = pp_required_steps(params.n) if args.pp else ()
     if args.auth == "rep":
+        if args.pp:
+            raise VheError("--pp needs --auth pe: the packed proof verifies only PE")
         secret = rep_keygen(
-            params,
-            lam=args.lam,
-            programs=progs,
-            extra_steps=extra,
-            rng=rng,
-            make_he_keys=real,
+            params, lam=args.lam, programs=progs, rng=rng, make_he_keys=real
         )
         blob = serialize.save_rep_secret(secret)
     else:
+        extra = pp_required_steps(params.n) if args.pp else ()
         secret = pe_keygen(
             params, programs=progs, extra_steps=extra, rng=rng, make_he_keys=real
         )
@@ -370,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--program", action="append",
                    help="program JSON the keys must support (repeatable)")
     p.add_argument("--pp", action="store_true",
-                   help="include rotation keys for the packed proof")
+                   help="include rotation keys for the packed proof (pe only)")
     p.add_argument("--backend", choices=("real", "mock"), default="real")
     p.add_argument("--out", required=True, help="directory for the key files")
     common(p)

@@ -3,13 +3,13 @@
 Challenge values come from SHAKE-256 streams: one keyed stream per (base
 identifier, aux), whose element i is the challenge of (base, slot = i).
 Words are masked to the bit length of t and the ones at or above t are
-skipped (rejection sampling, as :func:`vhe.bfv.expand_uniform` does), so
-every value is uniform in Z_t with no reduction bias.  Tags and the gate
-tree stay Blake2b-512: keyed mode for the input tags, keyless mode for the
-public collision-resistant hash that the evaluator uses to fold a circuit's
-structure and input tags into one digest.  Each role hashes under its own
-personalization.  Authentications made under the earlier per-slot Blake2b
-challenge values no longer verify.
+skipped (rejection sampling by :func:`vhe.ring.xof_uniform`, as for
+:func:`vhe.bfv.expand_uniform`), so every value is uniform in Z_t with no
+reduction bias.  Tags and the gate tree stay Blake2b-512: keyed mode for
+the input tags, keyless mode for the public collision-resistant hash that
+the evaluator uses to fold a circuit's structure and input tags into one
+digest.  Each role hashes under its own personalization.  Authentications
+made under the earlier per-slot Blake2b challenge values no longer verify.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IdentifierReuseError, ParameterError
+from .ring import xof_uniform
 
 DIGEST_BYTES = 64
 
@@ -82,12 +83,9 @@ class PrfKey:
 def _stream(key: PrfKey, name: bytes, aux, t: int, start: int, stop: int) -> np.ndarray:
     """Elements [start, stop) of the stream of (name, aux), as int64.
 
-    Block b hashes SHAKE-256(person ‖ key ‖ name ‖ aux ‖ u64 b), reads
-    little-endian words (u32 while t < 2^32, u64 above), masks each to the
-    bit length of t and keeps the first _BLOCK below t.  A longer read only
-    extends the output, so a block is read only as far as asked: every
-    element is fixed by its index, and a shorter stream is a prefix of a
-    longer one.
+    Block b is ring.xof_uniform of SHAKE-256(person ‖ key ‖ name ‖ aux ‖
+    u64 b), read only as far as asked: every element is fixed by its index,
+    and a shorter stream is a prefix of a longer one.
     """
     if t < 2 or t.bit_length() > 63:
         raise ParameterError("PRF range modulus must lie in [2, 2^63)")
@@ -95,22 +93,12 @@ def _stream(key: PrfKey, name: bytes, aux, t: int, start: int, stop: int) -> np.
         raise ParameterError("aux index must be non-negative")
     tail = b"\x00" if aux is None else b"\x01" + struct.pack("<Q", aux)
     prefix = _PERSON_STREAM + key.key + name + tail
-    mask = (1 << t.bit_length()) - 1
-    word = np.dtype("<u4" if t.bit_length() <= 32 else "<u8")
-    parts = [np.zeros(0, dtype=word)]
+    parts = [np.zeros(0, dtype=np.int64)]
     for b in range(start // _BLOCK, -(-stop // _BLOCK)):
-        need = min(_BLOCK, stop - b * _BLOCK)
         xof = hashlib.shake_256(prefix + struct.pack("<Q", b))
-        words = need * (mask + 1) // t + need // 8 + 16
-        while True:
-            w = np.frombuffer(xof.digest(word.itemsize * words), dtype=word) & mask
-            kept = w[w < t]
-            if len(kept) >= need:
-                break
-            words *= 2
-        parts.append(kept[:need])
+        parts.append(xof_uniform(xof, t, min(_BLOCK, stop - b * _BLOCK)))
     off = start % _BLOCK
-    return np.concatenate(parts)[off : off + stop - start].astype(np.int64)
+    return np.concatenate(parts)[off : off + stop - start]
 
 
 def prf_stream(

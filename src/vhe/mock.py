@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import (
-    inner_sum_steps, slot_add, slot_inner_sum, slot_mul, slot_row_swap, slot_rotate, slot_sub,
+    inner_sum_steps, rotation_moves, slot_add, slot_inner_sum, slot_mul, slot_row_swap,
+    slot_rotate, slot_sub,
 )
 from .errors import DecryptionFailureError, ParameterError, SerializationError
 from .params import Params
@@ -123,11 +124,8 @@ class MockBackend:
         )
 
     def rotate(self, a: MockCiphertext, step: int) -> MockCiphertext:
-        row = self.params.n // 2
-        if step % row == 0:
+        if not rotation_moves(step, self.params.n // 2):
             return a
-        if not (-row < step < row):
-            raise ParameterError(f"rotation step must satisfy |step| < {row}")
         return self._fresh(slot_rotate(self._vec(a), step), a.depth)
 
     def row_swap(self, a: MockCiphertext) -> MockCiphertext:

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 
 from .errors import ParameterError
-from .ring import find_ntt_primes, find_plaintext_prime, get_modulus, is_prime
+from .ring import find_ntt_primes, find_plaintext_prime, get_modulus
 
 CHAIN_PRIME_BITS = 29
 
@@ -42,19 +43,12 @@ class Params:
     name: str = ""
 
     def __post_init__(self):
-        if self.n < 2 or self.n & (self.n - 1):
-            raise ParameterError(f"ring degree must be a power of two, got {self.n}")
-        if self.t % (2 * self.n) != 1 or not is_prime(self.t):
-            raise ParameterError(
-                f"plaintext modulus must be a prime ≡ 1 mod {2 * self.n}"
-            )
         if len(set(self.q_chain)) != len(self.q_chain) or not self.q_chain:
             raise ParameterError("q_chain must be a non-empty set of distinct primes")
-        for q in self.q_chain:
-            if q % (2 * self.n) != 1 or not is_prime(q):
-                raise ParameterError(f"chain prime {q} is not NTT-friendly for n={self.n}")
-            if q >= 1 << 30:
-                raise ParameterError(f"chain prime {q} too wide for exact int64 NTT")
+        for q in (self.t, *self.q_chain):
+            get_modulus(q, self.n)  # refuses all but primes ≡ 1 mod 2n, n a power of two
+        if max(self.q_chain) >= 1 << 30:
+            raise ParameterError(f"chain prime {max(self.q_chain)} too wide for exact int64 NTT")
         if self.t in self.q_chain:
             raise ParameterError("plaintext prime may not appear in the chain")
         if self.big_q <= 4 * self.t:
@@ -62,10 +56,7 @@ class Params:
 
     @property
     def big_q(self) -> int:
-        q = 1
-        for p in self.q_chain:
-            q *= p
-        return q
+        return prod(self.q_chain)
 
     @property
     def delta(self) -> int:

@@ -197,6 +197,15 @@ def memory_channel(timeout: float = 60.0):
     return a, b
 
 
+def _io(action: str, call, *args):
+    """call(*args), a socket failure or timeout (an OSError) ending the
+    session as a ProtocolError, as the in-memory channel's do."""
+    try:
+        return call(*args)
+    except OSError as exc:
+        raise ProtocolError(f"{action} failed: {exc}") from exc
+
+
 class TcpEndpoint:
     """Framed messages over a connected socket; same interface as above."""
 
@@ -206,12 +215,12 @@ class TcpEndpoint:
 
     def send(self, tag: int, payload: bytes):
         self.transcript.sent.append((tag, bytes(payload)))
-        self._sock.sendall(struct.pack("<IB", 1 + len(payload), tag) + payload)
+        _io("sending", self._sock.sendall, struct.pack("<IB", 1 + len(payload), tag) + payload)
 
     def _read_exact(self, n: int) -> bytes:
         buf = bytearray()
         while len(buf) < n:
-            chunk = self._sock.recv(min(n - len(buf), _RECV_CHUNK))
+            chunk = _io("receiving", self._sock.recv, min(n - len(buf), _RECV_CHUNK))
             if not chunk:
                 raise ProtocolError("connection closed mid-message")
             buf += chunk
@@ -245,21 +254,20 @@ def tcp_listen(host: str, port: int, ready=None):
     listening but before this blocks in accept — lets a caller on another
     thread connect to an ephemeral port.
     """
-    srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    srv.bind((host, port))
-    srv.listen(1)
-    bound = srv.getsockname()[1]
-    if ready is not None:
-        ready(bound)
-    conn, _ = srv.accept()
-    srv.close()
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as srv:
+        srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        _io("listening", srv.bind, (host, port))
+        srv.listen(1)
+        bound = srv.getsockname()[1]
+        if ready is not None:
+            ready(bound)
+        conn, _ = _io("accepting", srv.accept)
     return TcpEndpoint(conn), bound
 
 
 def tcp_connect(host: str, port: int, timeout: float = 30.0) -> TcpEndpoint:
-    sock = socket.create_connection((host, port), timeout=timeout)
-    sock.settimeout(timeout)
+    # the timeout stays on the socket for every later send and receive
+    sock = _io(f"connecting to {host}:{port}", socket.create_connection, (host, port), timeout)
     return TcpEndpoint(sock)
 
 

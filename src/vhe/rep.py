@@ -86,16 +86,14 @@ def rep_keygen(
     params: Params,
     lam: int = 32,
     programs=(),
-    extra_steps=(),
     rng: random.Random | None = None,
     make_he_keys: bool = True,
 ) -> RepSecret:
     """Draw the challenge set and PRF key; optionally generate HE keys.
 
     Rotation keys are created for exactly the steps the given programs
-    need once scaled by λ (plus `extra_steps`, given in physical slots),
-    and the row-swap key only if one of them swaps rows.  Pass
-    ``make_he_keys=False`` for mock-backend runs.
+    need once scaled by λ, and the row-swap key only if one of them swaps
+    rows.  Pass ``make_he_keys=False`` for mock-backend runs.
     """
     n = params.n
     if lam < 2 or lam & (lam - 1):
@@ -108,7 +106,7 @@ def rep_keygen(
     he_keys = None
     if make_he_keys:
         he_keys = bfv.program_keys(
-            params, programs, lam, extra_steps, np.random.default_rng(rnd.getrandbits(64))
+            params, programs, lam, rng=np.random.default_rng(rnd.getrandbits(64))
         )
     return RepSecret(params, lam, challenge_set, key, he_keys)
 

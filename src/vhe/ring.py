@@ -36,6 +36,7 @@ rotation and row swap ring automorphisms.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -85,14 +86,13 @@ def is_prime(n: int) -> bool:
 class Modulus:
     """A prime modulus bound to a ring degree n, with cached transform tables.
 
-    NTT and batching require value ≡ 1 (mod 2n); ``ntt_ready`` is False
-    for other primes, whose transforms raise ParameterError.
+    NTT and batching require value ≡ 1 (mod 2n); other primes are refused
+    here, so every Modulus can transform.
     """
 
     __slots__ = (
         "value",
         "n",
-        "ntt_ready",
         "_np_path",
         "_tables",
         "_slot_to_eval",
@@ -108,9 +108,10 @@ class Modulus:
             raise ParameterError(
                 f"modulus {value} exceeds the {MAX_MODULUS_BITS}-bit cap"
             )
+        if value % (2 * n) != 1:
+            raise ParameterError(f"{value} is not ≡ 1 mod {2 * n}; NTT unavailable")
         self.value = value
         self.n = n
-        self.ntt_ready = value % (2 * n) == 1
         self._np_path = value < _NUMPY_LIMIT
         self._tables = None
         self._slot_to_eval = None
@@ -119,10 +120,6 @@ class Modulus:
     # -- table construction -------------------------------------------------
 
     def _build_tables(self):
-        if not self.ntt_ready:
-            raise ParameterError(
-                f"{self.value} is not ≡ 1 mod {2 * self.n}; NTT unavailable"
-            )
         p, n = self.value, self.n
         # ψ = g^((p−1)/2n) has order 2n iff ψ^n = g^((p−1)/2) ≡ −1, that is
         # iff g is a quadratic non-residue (Euler's criterion): 2n is a power
@@ -385,10 +382,6 @@ def batch_encode_array(slots, mod: Modulus) -> np.ndarray:
     The slots are reduced mod p by :func:`slot_array`: in numpy for
     integer arrays and for lists that fit int64, exactly otherwise.
     """
-    if not mod.ntt_ready:
-        raise ParameterError(
-            f"batching needs a prime ≡ 1 mod {2 * mod.n}; got {mod.value}"
-        )
     if len(slots) != mod.n:
         raise ParameterError(f"expected {mod.n} slots, got {len(slots)}")
     evals = np.zeros(mod.n, dtype=np.int64 if mod._np_path else object)
@@ -444,3 +437,31 @@ def find_ntt_primes(bits: int, n: int, count: int, exclude=()) -> list[int]:
             f"could not find {count} NTT primes of {bits} bits for n={n}"
         )
     return out
+
+
+# ---------------------------------------------------------------------------
+# uniform sampling
+# ---------------------------------------------------------------------------
+
+
+def xof_uniform(xof, bound: int, count: int) -> np.ndarray:
+    """The first `count` values uniform in [0, bound), as int64, read from
+    an extendable-output hash (hashlib's SHAKE).
+
+    The XOF's little-endian words (u32 while bound < 2^32, u64 above) are
+    masked to the bit length of `bound` and those at or above it skipped:
+    rejection sampling, never a reduction, so the values carry no bias.  A
+    longer read only extends the same stream, so how much is read never
+    changes the output.  The first read covers the expected rejections R
+    plus 4√R + 16 words; a short read is doubled.
+    """
+    mask = (1 << bound.bit_length()) - 1
+    word = np.dtype("<u4" if bound.bit_length() <= 32 else "<u8")
+    words = count * (mask + 1) // bound
+    words += 4 * isqrt(words - count) + 16
+    while True:
+        w = np.frombuffer(xof.digest(word.itemsize * words), dtype=word) & mask
+        kept = w[w < bound]
+        if len(kept) >= count:
+            return kept[:count].astype(np.int64)
+        words *= 2

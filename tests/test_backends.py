@@ -761,13 +761,23 @@ def test_mul_no_relin_matches_big_integer_reference(basis):
 
 @pytest.mark.parametrize("basis", sorted(MUL_BASES))
 def test_mul_auxiliary_basis_is_the_smallest_above_the_bound(basis):
-    """|y| < P/2 for every scaled coefficient needs P > t·n·Q + 4."""
+    """|y| < P/2 for every scaled coefficient needs P > t·n·Q + 4, and
+    decryption's y ∈ [0, t] needs P′ > t on every chain prefix: each set is
+    the fewest NTT primes off the chain from 2^29 down, so decryption's is
+    a prefix of multiplication's."""
     params = MUL_BASES[basis]()
+    k = len(params.q_chain)
     keys = bfv.keygen(params, row_swap=False, rng=np.random.default_rng(43))
-    aux = bfv.BfvBackend(params, keys)._ext().primes[len(params.q_chain) :]
+    be = bfv.BfvBackend(params, keys)
+    aux = be._ext.primes[k:]
+    assert aux == tuple(find_ntt_primes(CHAIN_PRIME_BITS, params.n, len(aux), exclude=params.q_chain))
     bound = params.t * params.n * params.big_q + 4
     prod = math.prod(aux)
     assert prod > bound >= prod // aux[-1]
+    for prefix in (1, k):
+        dec = be._dec(prefix).primes[prefix:]
+        assert dec == aux[: len(dec)]
+        assert math.prod(dec) > params.t >= math.prod(dec) // dec[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -801,6 +811,17 @@ def test_expander_known_answer():
         [[473593860, 106904275, 266367506, 172151304], [515300636, 407922465, 238671744, 200923168]],
         [[142304238, 321253432, 383188868, 132776864], [83147334, 502530703, 193968242, 391640570]],
     ]
+
+
+def test_expander_matches_its_pinned_digests():
+    """Whole rows: on the n4096 chain and on primes just above 2^(b−1)."""
+    seed = bytes(range(32))
+    for primes, n, digest in (
+        (preset("n4096").q_chain, 4096, "ce24f7110de5daafa7fede672facd280"),
+        (_low_primes(64), 64, "e9eb0de03164806139162dba74a040a2"),
+    ):
+        got = bfv.expand_uniform(seed, primes, 2, n)
+        assert hashlib.sha256(got.astype("<i8").tobytes()).hexdigest()[:32] == digest
 
 
 @pytest.mark.parametrize("n", [64, 4096])

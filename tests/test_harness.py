@@ -7,6 +7,7 @@ import json
 import math
 import random
 import re
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -442,6 +443,26 @@ def test_cli_transport_parsing(tmp_path):
     assert rc == 2
 
 
+def test_cli_connect_without_a_listener_is_an_error(tmp_path, capsys):
+    """A refused connection is a clean error (exit 2), not a reject (1)."""
+    prog = tmp_path / "prog.json"
+    _write_program(prog, width=64)
+    keys = tmp_path / "keys"
+    assert main([
+        "keygen", "--auth", "pe", "--params", "mock64", "--backend", "mock",
+        "--out", str(keys),
+    ]) == 0
+    capsys.readouterr()
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", 0))  # bound, never listening
+        rc = main([
+            "connect", "--transport", f"tcp://127.0.0.1:{held.getsockname()[1]}",
+            "--key", str(keys / "secret.vrts"), "--program", str(prog),
+        ])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_cli_tcp_session_between_processes(tmp_path):
     """serve/connect as real processes: the packed proof crosses TCP."""
     prog = tmp_path / "prog.json"
@@ -490,6 +511,17 @@ def test_cli_unknown_params_is_an_error(capsys):
     rc = main(["keygen", "--auth", "rep", "--params", "nope", "--out", "/tmp/x"])
     assert rc == 2
     assert "preset" in capsys.readouterr().err
+
+
+def test_cli_keygen_refuses_rep_with_the_packed_proof(tmp_path, capsys):
+    """The packed proof verifies only PE: no REP keyset with its keys."""
+    rc = main([
+        "keygen", "--auth", "rep", "--params", "mock64", "--pp", "--backend", "mock",
+        "--out", str(tmp_path / "keys"),
+    ])
+    assert rc == 2
+    assert "--pp" in capsys.readouterr().err
+    assert not (tmp_path / "keys").exists()
 
 
 def test_vhe_error_base_class():

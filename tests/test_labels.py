@@ -125,6 +125,28 @@ def test_prf_stream_known_answers():
             )
 
 
+def _digest(values) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values, dtype="<i8").tobytes()).hexdigest()[:32]
+
+
+@pytest.mark.parametrize("t, aux, digest", [
+    (40961, None, "d882823ab72de168b389af9a481741de"),
+    (40961, 5, "e6657c1bfba33a24b2678930468d3f95"),
+    (WIDE_T, None, "1e1af2e96366adc9f5aa647105b0589f"),
+    (WIDE_T, 5, "90092b3890061d0cc2a470246a8145ae"),
+    (3, None, "73b88c1c0a5641113bda39768934a010"),
+])
+def test_prf_stream_matches_its_pinned_digest(t, aux, digest):
+    """2,500 values, three XOF blocks: how much of a block is read at once
+    must never move a value."""
+    assert _digest(prf_stream(KEY, Identifier("x"), t, 2500, aux)) == digest
+
+
+def test_prf_tags_match_their_pinned_digest():
+    tags = b"".join(prf_tags(KEY, Identifier("x"), 40))
+    assert hashlib.sha256(tags).hexdigest()[:32] == "954bd8272f452bc700ed720a304a176a"
+
+
 @settings(max_examples=40)
 @given(
     st.integers(min_value=2, max_value=1 << 60),

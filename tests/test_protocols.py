@@ -198,6 +198,25 @@ def test_tcp_listen_connect():
     server_ep.close()
 
 
+def test_tcp_failures_are_protocol_errors():
+    """A refused connection, a taken port and a receive that times out end
+    as ProtocolError, as the in-memory channel's timeout does."""
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", 0))  # bound, never listening: connect is refused
+        port = held.getsockname()[1]
+        with pytest.raises(ProtocolError, match="connecting"):
+            pr.tcp_connect("127.0.0.1", port, timeout=5.0)
+        with pytest.raises(ProtocolError, match="listening"):
+            pr.tcp_listen("127.0.0.1", port)
+    s1, s2 = socket.socketpair()
+    s2.settimeout(0.05)
+    b = pr.TcpEndpoint(s2)
+    with pytest.raises(ProtocolError, match="receiving"):
+        b.recv()  # nothing arrives within the timeout
+    s1.close()
+    b.close()
+
+
 def test_run_session_propagates_cloud_errors():
     def cloud(ep):
         raise StructureError("boom")
@@ -439,7 +458,8 @@ def test_real_pp_too_short_prefix_is_rejected_without_a_reaction():
     res = pe.pe_eval(prog, auths, cloud)
 
     def run(rows):
-        cloud._switch = bfv._SwitchBasis(PARAMS, rows)  # the cloud's choice of prefix
+        # the cloud's choice of prefix
+        cloud._switch = bfv.BaseConverter(PARAMS.q_chain[rows:], PARAMS.q_chain[:rows])
 
         def cloud_fn(ep):
             pr.pp_prove(cloud, res, ep)

@@ -72,10 +72,9 @@ def test_mul_matches_schoolbook_oracle(mod):
 
 
 def test_non_ntt_modulus_refuses_transforms():
-    mod = get_modulus(23, 8)  # 23 mod 16 ≠ 1
-    assert not mod.ntt_ready
-    with pytest.raises(ParameterError):
-        mod.ntt(rand_coeffs(mod, random.Random(5)))
+    """A prime ≢ 1 mod 2n has no ψ: get_modulus refuses it outright."""
+    with pytest.raises(ParameterError, match="1 mod 16"):
+        get_modulus(23, 8)  # 23 mod 16 ≠ 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -176,7 +175,7 @@ def test_stack_tables_stay_within_twice_four_words_per_coefficient(n):
 def _ext_primes():
     params = preset("n4096")
     keys = bfv.keygen(params, row_swap=False, rng=np.random.default_rng(1))
-    return bfv.BfvBackend(params, keys)._ext().primes
+    return bfv.BfvBackend(params, keys)._ext.primes
 
 
 KERNEL_BASES = {

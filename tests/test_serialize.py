@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from vhe import bfv, pe, rep
 from vhe import serialize as sz
+from vhe.circuit import ProgramBuilder
 from vhe.errors import SerializationError
 from vhe.mock import MockBackend
 from vhe.params import preset
@@ -89,10 +90,15 @@ def test_rep_containers_roundtrip(mock):
 
 
 def test_rep_secret_with_he_keys_roundtrip():
-    sec = rep.rep_keygen(PARAMS, lam=4, rng=random.Random(7), extra_steps=(4,))
+    b = ProgramBuilder(width=PARAMS.n // 4, name="rot")
+    prog = b.build(b.rotate(b.input("x"), 1), output_block=(0, 1))
+    sec = rep.rep_keygen(PARAMS, lam=4, programs=[prog], rng=random.Random(7))
+    assert list(sec.he_keys.gks) == [bfv.galois_element(4, PARAMS.n)]
     sec2 = sz.load_rep_secret(sz.save_rep_secret(sec))
     assert sec2.he_keys is not None and sec2.he_keys.has_secret
     assert np.array_equal(sec2.he_keys.sk_ntt, sec.he_keys.sk_ntt)
+    assert sec2.he_keys.gks.keys() == sec.he_keys.gks.keys()
+    assert all(np.array_equal(sec2.he_keys.gks[g], k) for g, k in sec.he_keys.gks.items())
 
 
 def test_pe_containers_roundtrip(mock):
