@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # File-based workflow: generate keys, authenticate inputs, evaluate,
-# verify — then run seeded attack simulations, a micro-benchmark, an
+# verify, refuse a malformed program or a missing file — then run seeded attack simulations, a micro-benchmark, an
 # end-to-end use case and a packed-proof session over loopback TCP on the
 # real backend, all through the `vhe` command.
 set -euo pipefail
@@ -46,20 +46,49 @@ vhe verify --key keys/secret.vrts --program dot8.json \
     --result result.vrts --lengths 8,8
 
 echo
-echo "== 6. simulate forgers (each fails the run if it beats its bound) =="
+echo "== 6. a malformed program or a missing file is an error (exit 2), not a reject (1) =="
+expect_error() {
+    local rc=0
+    "$@" 2> err.log || rc=$?
+    if [ "$rc" -ne 2 ] || ! grep -q '^error:' err.log; then
+        echo "expected 'error:' and exit 2, got exit $rc from: $*" >&2
+        cat err.log >&2
+        exit 1
+    fi
+    cat err.log
+}
+echo '{}' > empty.json
+python3 - <<'PY'
+import json
+
+doc = json.load(open("dot8.json"))
+doc["gates"].append({"op": "mul_plain", "args": [doc["output"]], "const": [-1] * 8})
+doc["output"] = len(doc["gates"]) - 1
+with open("negative.json", "w") as f:
+    json.dump(doc, f)
+PY
+for prog in empty.json negative.json; do
+    expect_error vhe eval --program "$prog" --inputs x.vrts y.vrts \
+        --params keys/params.vrts --out bad.vrts
+done
+expect_error vhe verify --key missing.vrts --program dot8.json \
+    --result result.vrts --lengths 8,8
+
+echo
+echo "== 7. simulate forgers (each fails the run if it beats its bound) =="
 vhe attack --strategy slot-perturb --trials 1000 --lambda 8 --seed 1 --out report
 vhe attack --strategy tamper-pp-response --degree 8 --trials 200 --seed 1
 
 echo
-echo "== 7. per-slot cost trends on the real backend =="
+echo "== 8. per-slot cost trends on the real backend =="
 vhe bench --params mock1024 --lams 16,32 --ops add --repeats 3 --out report
 
 echo
-echo "== 8. an end-to-end use case =="
+echo "== 9. an end-to-end use case =="
 vhe usecase --name ride-hailing --auth pe --seed 1 --out report
 
 echo
-echo "== 9. a packed proof over loopback TCP (real backend, shrunk messages) =="
+echo "== 10. a packed proof over loopback TCP (real backend, shrunk messages) =="
 python3 - <<'PY'
 from vhe.circuit import ProgramBuilder, program_to_json
 

@@ -38,36 +38,61 @@ from .errors import LayoutError, ParameterError, StructureError
 from .labels import Identifier, prf_stream
 from .ring import slot_array
 
-_OPS = ("input", "add", "sub", "mul", "mul_plain", "rotate", "row_swap", "inner_sum")
-_BINARY = ("add", "sub", "mul")
-_TREE_TAG = {op: bytes([i + 1]) for i, op in enumerate(_OPS)}
+# op → (operand count, JSON key of its one parameter); the order fixes the
+# hash-tree op tags
+_SHAPE = {
+    "input": (0, "input"),
+    "add": (2, None),
+    "sub": (2, None),
+    "mul": (2, None),
+    "mul_plain": (1, "const"),
+    "rotate": (1, "step"),
+    "row_swap": (1, None),
+    "inner_sum": (1, "block"),
+}
+_TREE_TAG = {op: bytes([i + 1]) for i, op in enumerate(_SHAPE)}
+
+# parameter key → (what it must hold; whether p does, given k inputs and
+# rows of `row` slots).  Every int in a program is an exact int: `type(x) is
+# int` also refuses a bool.
+_PARAM = {
+    None: ("no parameter", lambda p, k, row: p is None),
+    "input": ("an input index below {k}", lambda p, k, row: type(p) is int and 0 <= p < k),
+    "const": ("a tuple of {w} ints in [0, 2^64)", lambda p, k, row: type(p) is tuple
+              and len(p) == 2 * row and all(type(c) is int and 0 <= c < 1 << 64 for c in p)),
+    "step": ("an int step with |step| < {row}",
+             lambda p, k, row: type(p) is int and -row < p < row),
+    "block": ("a power of two dividing {row}",
+              lambda p, k, row: type(p) is int and p > 0 and not p & (p - 1) and row % p == 0),
+}
 
 
 @dataclass(frozen=True)
 class Gate:
+    """One gate: its op, its operand wires, and the op's one parameter (the
+    input index, the constant tuple, the rotation step or the inner-sum
+    block; None for add, sub, mul and row_swap)."""
+
     op: str
     args: tuple = ()
-    input_index: int | None = None
-    const: tuple | None = None
-    step: int | None = None
-    block: int | None = None
+    param: object = None
 
     def tree_bytes(self) -> bytes:
-        """Canonical bytes binding this gate's kind and parameters."""
-        out = [_TREE_TAG[self.op]]
+        """Canonical bytes binding this gate's kind and parameter."""
+        tag, p = _TREE_TAG[self.op], self.param
         if self.op == "mul_plain":
-            out.append(struct.pack("<I", len(self.const)))
-            out.extend(struct.pack("<Q", int(c)) for c in self.const)
-        elif self.op == "rotate":
-            out.append(struct.pack("<q", self.step))
-        elif self.op == "inner_sum":
-            out.append(struct.pack("<Q", self.block))
-        return b"".join(out)
+            return tag + struct.pack(f"<I{len(p)}Q", len(p), *p)
+        if self.op == "rotate":
+            return tag + struct.pack("<q", p)
+        if self.op == "inner_sum":
+            return tag + struct.pack("<Q", p)
+        return tag
 
 
 @dataclass(frozen=True)
 class Program:
-    """An immutable labeled program (gates in topological order)."""
+    """An immutable labeled program (gates in topological order), checked
+    on construction: a malformed one raises StructureError."""
 
     width: int
     inputs: tuple  # one base Identifier per input
@@ -76,6 +101,33 @@ class Program:
     output_block: tuple = (0, 1)  # (start, count) in logical slots
     name: str = ""
 
+    def __post_init__(self):
+        w, ins, ob = self.width, self.inputs, self.output_block
+        if type(w) is not int or w < 2 or w & (w - 1):
+            raise StructureError(f"width must be a power of two ≥ 2, got {w!r}")
+        if type(ins) is not tuple or not all(isinstance(i, Identifier) for i in ins):
+            raise StructureError("inputs must be a tuple of identifiers")
+        if type(self.gates) is not tuple:
+            raise StructureError("gates must be a tuple")
+        for i, g in enumerate(self.gates):
+            if not isinstance(g, Gate) or type(g.op) is not str or g.op not in _SHAPE:
+                raise StructureError(f"gate {i} is no gate of a known op")
+            (arity, key), args = _SHAPE[g.op], g.args
+            if type(args) is not tuple or len(args) != arity or not all(
+                    type(a) is int and 0 <= a < i for a in args):
+                raise StructureError(f"gate {i}: {g.op} takes {arity} earlier wire(s)")
+            rule, holds = _PARAM[key]
+            if not holds(g.param, len(ins), w // 2):
+                rule = rule.format(k=len(ins), w=w, row=w // 2)
+                raise StructureError(f"gate {i}: {g.op} takes {rule}")
+        if not (type(self.output) is int and 0 <= self.output < len(self.gates)):
+            raise StructureError("output index out of range")
+        if not (type(ob) is tuple and len(ob) == 2 and all(type(x) is int for x in ob)
+                and ob[0] >= 0 and ob[1] >= 1 and sum(ob) <= w):
+            raise StructureError("output block must be (start, count) inside the slot range")
+        if not isinstance(self.name, str):
+            raise StructureError("program name must be a string")
+
     @property
     def num_inputs(self) -> int:
         return len(self.inputs)
@@ -83,13 +135,9 @@ class Program:
     @property
     def depth(self) -> int:
         """Multiplicative depth: longest chain of ciphertext-ciphertext muls."""
-        if not self.gates:
-            return 0
-        depths = interpret(
-            self, [0] * self.num_inputs, max, max,
-            lambda a, b, _: max(a, b) + 1, lambda d, _: d,
-        )
-        return depths[self.output]
+        return interpret(
+            self, [0] * self.num_inputs, max, max, lambda a, b, _: max(a, b) + 1, lambda d, _: d
+        )[self.output]
 
     @property
     def mul_gate_count(self) -> int:
@@ -99,52 +147,6 @@ class Program:
     def add_sub_only(self) -> bool:
         """Every gate is an input, add or sub: no slot ever moves."""
         return all(g.op in ("input", "add", "sub") for g in self.gates)
-
-    def validate(self):
-        w = self.width
-        if w < 2 or w & (w - 1):
-            raise StructureError(f"width must be a power of two ≥ 2, got {w}")
-        row = w // 2
-        seen_inputs = set()
-        for i, g in enumerate(self.gates):
-            if g.op not in _OPS:
-                raise StructureError(f"unknown op {g.op!r}")
-            if any(a >= i or a < 0 for a in g.args):
-                raise StructureError(f"gate {i} references a later gate")
-            if g.op == "input":
-                if g.input_index is None or not (0 <= g.input_index < self.num_inputs):
-                    raise StructureError(f"gate {i}: bad input index")
-                seen_inputs.add(g.input_index)
-            elif g.op in _BINARY:
-                if len(g.args) != 2:
-                    raise StructureError(f"gate {i}: {g.op} takes two operands")
-            elif g.op == "mul_plain":
-                if len(g.args) != 1 or g.const is None or len(g.const) != w:
-                    raise StructureError(f"gate {i}: mul_plain needs a width-{w} constant")
-            elif g.op == "rotate":
-                if len(g.args) != 1 or g.step is None or not (-row < g.step < row):
-                    raise StructureError(f"gate {i}: rotate step must satisfy |step| < {row}")
-            elif g.op == "row_swap":
-                if len(g.args) != 1:
-                    raise StructureError(f"gate {i}: row_swap takes one operand")
-            elif g.op == "inner_sum":
-                b = g.block
-                if (
-                    len(g.args) != 1
-                    or b is None
-                    or b < 1
-                    or b & (b - 1)
-                    or row % b != 0
-                ):
-                    raise StructureError(
-                        f"gate {i}: inner_sum block must be a power of two dividing {row}"
-                    )
-        if not (0 <= self.output < len(self.gates)):
-            raise StructureError("output index out of range")
-        start, count = self.output_block
-        if count < 1 or start < 0 or start + count > w:
-            raise StructureError("output block outside the slot range")
-        return self
 
 
 class ProgramBuilder:
@@ -160,8 +162,7 @@ class ProgramBuilder:
         if isinstance(ident, str):
             ident = Identifier(ident)
         self._inputs.append(ident)
-        self._gates.append(Gate("input", input_index=len(self._inputs) - 1))
-        return len(self._gates) - 1
+        return self._push(Gate("input", (), len(self._inputs) - 1))
 
     def _push(self, gate: Gate) -> int:
         self._gates.append(gate)
@@ -177,27 +178,22 @@ class ProgramBuilder:
         return self._push(Gate("mul", (a, b)))
 
     def mul_plain(self, a, const):
-        return self._push(Gate("mul_plain", (a,), const=tuple(int(c) for c in const)))
+        return self._push(Gate("mul_plain", (a,), tuple(int(c) for c in const)))
 
     def rotate(self, a, step):
-        return self._push(Gate("rotate", (a,), step=int(step)))
+        return self._push(Gate("rotate", (a,), int(step)))
 
     def row_swap(self, a):
         return self._push(Gate("row_swap", (a,)))
 
     def inner_sum(self, a, block):
-        return self._push(Gate("inner_sum", (a,), block=int(block)))
+        return self._push(Gate("inner_sum", (a,), int(block)))
 
     def build(self, output: int, output_block=(0, 1), name=None) -> Program:
-        prog = Program(
-            width=self.width,
-            inputs=tuple(self._inputs),
-            gates=tuple(self._gates),
-            output=output,
-            output_block=tuple(output_block),
-            name=self.name if name is None else name,
+        name = self.name if name is None else name
+        return Program(
+            self.width, tuple(self._inputs), tuple(self._gates), output, tuple(output_block), name
         )
-        return prog.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +212,9 @@ def interpret(program: Program, inputs, add, sub, mul, unary) -> list:
     wires: list = []
     for idx, g in enumerate(program.gates):
         if g.op == "input":
-            v = inputs[g.input_index]
-        elif g.op == "add":
-            v = add(wires[g.args[0]], wires[g.args[1]])
-        elif g.op == "sub":
-            v = sub(wires[g.args[0]], wires[g.args[1]])
+            v = inputs[g.param]
+        elif g.op in ("add", "sub"):
+            v = (add if g.op == "add" else sub)(wires[g.args[0]], wires[g.args[1]])
         elif g.op == "mul":
             v = mul(wires[g.args[0]], wires[g.args[1]], idx)
         else:
@@ -265,12 +259,12 @@ def slot_inner_sum(vec, block: int, t: int, stride: int = 1) -> np.ndarray:
 def slot_unary(vec, g: Gate, t: int) -> np.ndarray:
     """One unary gate over a slot array."""
     if g.op == "mul_plain":
-        return slot_mul(vec, slot_array(g.const, t), t)
+        return slot_mul(vec, slot_array(g.param, t), t)
     if g.op == "rotate":
-        return slot_rotate(vec, g.step)
+        return slot_rotate(vec, g.param)
     if g.op == "row_swap":
         return slot_row_swap(vec)
-    return slot_inner_sum(vec, g.block, t)
+    return slot_inner_sum(vec, g.param, t)
 
 
 def eval_plain(program: Program, inputs, t: int) -> list:
@@ -362,12 +356,12 @@ def he_unary(backend, ct, g: Gate, stride: int = 1):
     one on every block offset independently.
     """
     if g.op == "mul_plain":
-        return backend.mul_plain(ct, extend_const(g.const, stride))
+        return backend.mul_plain(ct, extend_const(g.param, stride))
     if g.op == "rotate":
-        return backend.rotate(ct, g.step * stride)
+        return backend.rotate(ct, g.param * stride)
     if g.op == "row_swap":
         return backend.row_swap(ct)
-    return backend.inner_sum(ct, g.block, stride=stride)
+    return backend.inner_sum(ct, g.param, stride=stride)
 
 
 def eval_he(program: Program, cts, backend, stride: int = 1):
@@ -414,10 +408,10 @@ def rotation_moves(step: int, row: int) -> bool:
 def required_rotation_steps(program: Program, stride: int = 1, n_slots: int | None = None):
     """Signed physical rotation steps the program needs (plus row swap flag)."""
     row = (program.width * stride if n_slots is None else n_slots) // 2
-    steps = {g.step * stride for g in program.gates if g.op == "rotate" and g.step}
+    steps = {g.param * stride for g in program.gates if g.op == "rotate" and g.param}
     for g in program.gates:
         if g.op == "inner_sum":
-            steps.update(*inner_sum_steps(g.block, stride, row))
+            steps.update(*inner_sum_steps(g.param, stride, row))
     return steps, any(g.op == "row_swap" for g in program.gates)
 
 
@@ -460,57 +454,43 @@ def random_program(
     program works for both authenticated pipelines.
     """
     b = ProgramBuilder(width, name=name)
-    wires = []
-    depth = {}
     for k in range(num_inputs):
-        w = b.input(Identifier(f"{id_prefix}/in{k}"))
-        wires.append(w)
-        depth[w] = 0
+        b.input(Identifier(f"{id_prefix}/in{k}"))
+    depth = [0] * num_inputs  # per wire; wire w is gate w
     row = width // 2
     n_gates = rng.randint(max(1, max_gates - 4), max_gates)
     ops = ["add", "sub", "mul", "mul_plain", "rotate", "row_swap", "inner_sum"]
     weights = [4, 3, 4, 2, 3, 1, 2]
     for _ in range(n_gates):
         op = rng.choices(ops, weights)[0]
-        a = rng.choice(wires)
+        a = rng.randrange(len(depth))
+        d = depth[a]
         if op == "mul":
-            candidates = [
-                x for x in wires if max(depth[a], depth[x]) + 1 <= max_depth
-            ]
-            if depth[a] + 1 > max_depth or not candidates:
-                op = "add"  # depth budget spent; fall back to a linear gate
-            else:
+            candidates = [x for x in range(len(depth)) if max(d, depth[x]) < max_depth]
+            if candidates:
                 c = rng.choice(candidates)
-                w = b.mul(a, c)
-                depth[w] = max(depth[a], depth[c]) + 1
-                wires.append(w)
+                b.mul(a, c)
+                depth.append(max(d, depth[c]) + 1)
                 continue
+            op = "add"  # depth budget spent; fall back to a linear gate
         if op in ("add", "sub"):
-            c = rng.choice(wires)
-            w = getattr(b, op)(a, c)
-            depth[w] = max(depth[a], depth[c])
+            c = rng.randrange(len(depth))
+            getattr(b, op)(a, c)
+            d = max(d, depth[c])
         elif op == "mul_plain":
-            const = [rng.randrange(t) for _ in range(width)]
-            w = b.mul_plain(a, const)
-            depth[w] = depth[a]
+            b.mul_plain(a, [rng.randrange(t) for _ in range(width)])
+        elif op == "rotate" and row >= 2:
+            b.rotate(a, rng.randint(1, row - 1) * rng.choice((1, -1)))
         elif op == "rotate":
-            if row < 2:
-                w = b.add(a, a)
-            else:
-                w = b.rotate(a, rng.randint(1, row - 1) * rng.choice((1, -1)))
-            depth[w] = depth[a]
+            b.add(a, a)
         elif op == "row_swap":
-            w = b.row_swap(a)
-            depth[w] = depth[a]
+            b.row_swap(a)
         else:
-            blocks = [x for x in (1, 2, 4, 8) if x <= row and row % x == 0]
-            w = b.inner_sum(a, rng.choice(blocks))
-            depth[w] = depth[a]
-        wires.append(w)
-    out = wires[-1]
+            b.inner_sum(a, rng.choice([x for x in (1, 2, 4, 8) if x <= row and row % x == 0]))
+        depth.append(d)
     count = min(4, width)
     start = rng.randrange(0, width - count + 1)
-    return b.build(out, output_block=(start, count), name=name)
+    return b.build(len(depth) - 1, output_block=(start, count), name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -521,17 +501,12 @@ def random_program(
 def program_to_json(program: Program) -> str:
     gates = []
     for g in program.gates:
+        arity, key = _SHAPE[g.op]
         entry: dict = {"op": g.op}
-        if g.op == "input":
-            entry["input"] = g.input_index
-        else:
+        if arity:
             entry["args"] = list(g.args)
-        if g.const is not None:
-            entry["const"] = list(g.const)
-        if g.step is not None:
-            entry["step"] = g.step
-        if g.block is not None:
-            entry["block"] = g.block
+        if key is not None:
+            entry[key] = list(g.param) if key == "const" else g.param
         gates.append(entry)
     doc = {
         "width": program.width,
@@ -547,28 +522,45 @@ def program_to_json(program: Program) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def program_from_json(text: str) -> Program:
-    doc = json.loads(text)
-    gates = []
-    for e in doc["gates"]:
-        gates.append(
-            Gate(
-                op=e["op"],
-                args=tuple(e.get("args", ())),
-                input_index=e.get("input"),
-                const=tuple(e["const"]) if "const" in e else None,
-                step=e.get("step"),
-                block=e.get("block"),
-            )
+def _object(doc, keys: set, optional: frozenset = frozenset()) -> dict:
+    """`doc` if it is a JSON object with all of `keys` and no key beyond
+    them and `optional`."""
+    if not isinstance(doc, dict) or not keys <= doc.keys() <= keys | optional:
+        raise StructureError(
+            f"expected an object with keys {sorted(keys)}, optionally {sorted(optional)}"
         )
-    prog = Program(
-        width=doc["width"],
-        inputs=tuple(
-            Identifier(i["label"], i.get("slot")) for i in doc["inputs"]
-        ),
-        gates=tuple(gates),
-        output=doc["output"],
-        output_block=tuple(doc["output_block"]),
-        name=doc.get("name", ""),
+    return doc
+
+
+def _list(value) -> tuple:
+    if not isinstance(value, list):
+        raise StructureError(f"expected a list, got {type(value).__name__}")
+    return tuple(value)
+
+
+def _gate_from_json(e) -> Gate:
+    op = e.get("op") if isinstance(e, dict) else None
+    if type(op) is not str or op not in _SHAPE:
+        raise StructureError("a gate entry names no known op")
+    arity, key = _SHAPE[op]
+    e = _object(e, {"op", "args", key} - {None} if arity else {"op", key})
+    param = e.get(key)
+    return Gate(op, _list(e["args"]) if arity else (), _list(param) if key == "const" else param)
+
+
+def program_from_json(text) -> Program:
+    """The program a JSON document (str or bytes) describes; any malformed
+    document raises StructureError."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise StructureError(f"program is not JSON: {exc}") from None
+    doc = _object(doc, {"width", "inputs", "gates", "output", "output_block"}, {"name"})
+    try:
+        inputs = tuple(Identifier(**_object(e, {"label"}, {"slot"})) for e in _list(doc["inputs"]))
+    except ParameterError as exc:
+        raise StructureError(f"bad input: {exc}") from None
+    return Program(
+        doc["width"], inputs, tuple(map(_gate_from_json, _list(doc["gates"]))),
+        doc["output"], _list(doc["output_block"]), doc.get("name", ""),
     )
-    return prog.validate()

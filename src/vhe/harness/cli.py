@@ -74,7 +74,7 @@ def _load(path: str):
 
 
 def _programs(paths) -> list:
-    return [program_from_json(Path(p).read_text()) for p in paths or ()]
+    return [program_from_json(Path(p).read_bytes()) for p in paths or ()]
 
 
 def _parse_tcp(transport: str):
@@ -460,7 +460,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except VheError as exc:
+    except (VheError, OSError) as exc:  # OSError: a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

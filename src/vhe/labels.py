@@ -48,14 +48,23 @@ class Identifier:
     label: str
     slot: int | None = None
 
-    def canonical_bytes(self) -> bytes:
+    def __post_init__(self):
+        if not isinstance(self.label, str):
+            raise ParameterError("identifier label must be a string")
+        s = self.slot
+        if s is not None and (type(s) is not int or not 0 <= s < 1 << 64):
+            raise ParameterError("slot index must be None or an int in [0, 2^64)")
+
+    @property
+    def head(self) -> bytes:
+        """The label head every encoding of this identifier starts with:
+        u32 length ‖ UTF-8 label."""
         lab = self.label.encode("utf-8")
-        head = struct.pack("<I", len(lab)) + lab
-        if self.slot is None:
-            return head + b"\x00"
-        if self.slot < 0:
-            raise ParameterError("slot index must be non-negative")
-        return head + b"\x01" + struct.pack("<Q", self.slot)
+        return struct.pack("<I", len(lab)) + lab
+
+    def canonical_bytes(self) -> bytes:
+        tail = b"\x00" if self.slot is None else struct.pack("<BQ", 1, self.slot)
+        return self.head + tail
 
     def with_slot(self, slot: int) -> "Identifier":
         if self.slot is not None:
@@ -110,7 +119,7 @@ def prf_stream(
         raise ParameterError("identifier already carries a slot index")
     if count < 0:
         raise ParameterError("stream length must be non-negative")
-    return _stream(key, base.canonical_bytes()[:-1] + _SLOT_STREAM, aux, t, 0, count)
+    return _stream(key, base.head + _SLOT_STREAM, aux, t, 0, count)
 
 
 def prf_zt(key: PrfKey, ident: Identifier, t: int, aux: int | None = None) -> int:
@@ -122,8 +131,7 @@ def prf_zt(key: PrfKey, ident: Identifier, t: int, aux: int | None = None) -> in
     """
     if ident.slot is None:
         return int(_stream(key, ident.canonical_bytes(), aux, t, 0, 1)[0])
-    name = ident.canonical_bytes()[:-9] + _SLOT_STREAM
-    return int(_stream(key, name, aux, t, ident.slot, ident.slot + 1)[0])
+    return int(_stream(key, ident.head + _SLOT_STREAM, aux, t, ident.slot, ident.slot + 1)[0])
 
 
 def prf_tag(key: PrfKey, ident: Identifier) -> bytes:
@@ -138,9 +146,7 @@ def prf_tags(key: PrfKey, base: Identifier, count: int) -> list[bytes]:
     one keyed state over the base's label head and hashes the slot suffix."""
     if base.slot is not None:
         raise ParameterError("identifier already carries a slot index")
-    prefix = hashlib.blake2b(
-        base.canonical_bytes()[:-1], key=key.key, person=_PERSON_TAG
-    )
+    prefix = hashlib.blake2b(base.head, key=key.key, person=_PERSON_TAG)
     tags = []
     for i in range(count):
         h = prefix.copy()
@@ -185,7 +191,7 @@ def hash_tree_eval(program, leaf_tags) -> bytes:
     digests: list[bytes] = []
     for gate in program.gates:
         if gate.op == "input":
-            digests.append(leaf_tags[gate.input_index])
+            digests.append(leaf_tags[gate.param])
             continue
         h = hashlib.blake2b(person=_PERSON_TREE)
         h.update(gate.tree_bytes())

@@ -2,6 +2,8 @@
 reference, challenge evaluation, JSON round-trips, and the homomorphic
 interpreter against the plain one."""
 
+import hashlib
+import json
 import random
 
 import numpy as np
@@ -27,12 +29,15 @@ from vhe.circuit import (
     slot_inner_sum,
 )
 from vhe.errors import ParameterError, StructureError
-from vhe.labels import Identifier, PrfKey
+from vhe.harness.usecases import USECASES, build_instance, usecase_spec
+from vhe.labels import Identifier, PrfKey, hash_tree_eval, prf_tag
 from vhe.mock import MockBackend
 from vhe.params import preset
 from vhe.pe import REQ_CAP, degree_schedule, offset_walk, pe_auth, pe_eval, pe_keygen
 
 T = 257  # small prime for hand examples (17 is too small for mock presets)
+RANDOM_PROGRAMS_SHA256 = "eadda42f5e814016e497f9200ec3dfa1b6c0d242bb9dce0069df89d23a94ee59"
+USECASE_PROGRAMS_SHA256 = "de28d131812e2d91506d578df6dd8de42fd4becbd2d8c40ab33a9786755a5bdd"
 
 
 def build_simple(width=8):
@@ -60,15 +65,15 @@ def test_builder_produces_valid_program():
 
 
 def test_validate_rejects_bad_references():
-    g = (Gate("input", input_index=0), Gate("add", (0, 5)))
+    g = (Gate("input", (), 0), Gate("add", (0, 5)))
     with pytest.raises(StructureError):
-        Program(8, (Identifier("x"),), g, 1, (0, 1)).validate()
+        Program(8, (Identifier("x"),), g, 1, (0, 1))
 
 
 def test_validate_rejects_forward_reference():
-    g = (Gate("input", input_index=0), Gate("add", (1, 0)))
+    g = (Gate("input", (), 0), Gate("add", (1, 0)))
     with pytest.raises(StructureError):
-        Program(8, (Identifier("x"),), g, 1, (0, 1)).validate()
+        Program(8, (Identifier("x"),), g, 1, (0, 1))
 
 
 def test_validate_rejects_bad_const_width():
@@ -183,13 +188,13 @@ def oracle_inner_sum(vec, block, t, stride=1):
 def oracle_unary(vec, g, t):
     row = len(vec) // 2
     if g.op == "mul_plain":
-        return [x * int(c) % t for x, c in zip(vec, g.const)]
+        return [x * int(c) % t for x, c in zip(vec, g.param)]
     if g.op == "rotate":
-        s = g.step % row
+        s = g.param % row
         return vec[s:row] + vec[:s] + vec[row + s :] + vec[row : row + s]
     if g.op == "row_swap":
         return vec[row:] + vec[:row]
-    return oracle_inner_sum(vec, g.block, t)
+    return oracle_inner_sum(vec, g.param, t)
 
 
 def oracle_eval(program, inputs, t):
@@ -403,7 +408,7 @@ def test_random_program_always_validates():
     rng = random.Random(16)
     for _ in range(50):
         p = random_program(rng, width=8, t=T)
-        p.validate()
+        assert Program(**vars(p)) == p  # constructing it again validates it
         assert p.depth <= 3
 
 
@@ -447,3 +452,142 @@ def test_algebras_agree_on_random_programs():
 
         out = eval_he(p, [backend.encrypt(v) for v in ins], backend)
         assert out.depth == p.depth
+
+
+# ---------------------------------------------------------------------------
+# one checked form: pinned bytes, malformed documents, direct construction
+# ---------------------------------------------------------------------------
+
+
+def _program_fingerprint(programs) -> str:
+    """SHA-256 over each program's JSON text and hash-tree digest."""
+    key = PrfKey(bytes(range(32)))
+    h = hashlib.sha256()
+    for p in programs:
+        h.update(program_to_json(p).encode())
+        h.update(hash_tree_eval(p, [prf_tag(key, i) for i in p.inputs]))
+    return h.hexdigest()
+
+
+def test_program_bytes_match_their_pinned_digest():
+    """JSON text and hash-tree digests of 200 seeded random programs and of
+    every use-case program in both layouts, pinned before gates carried one
+    parameter each: REP digests and saved programs stay valid."""
+    rng = random.Random(2020)
+    randoms = [
+        random_program(
+            rng, rng.choice((2, 4, 8, 16, 64)),
+            rng.choice((T, preset("mock64").t, preset("mock64_wide").t)),
+            num_inputs=rng.randint(1, 3), max_gates=12,
+        )
+        for _ in range(200)
+    ]
+    assert _program_fingerprint(randoms) == RANDOM_PROGRAMS_SHA256
+    usecase = []
+    for name in USECASES:
+        for auth, layout in (("pe", "packed"), ("rep", "replicated")):
+            spec = usecase_spec(name, auth, seed=7)
+            params = preset(spec.preset_name)
+            width = params.n // (spec.lam if layout == "replicated" else 1)
+            usecase.append(build_instance(spec, width, layout, params.t).program)
+    assert _program_fingerprint(usecase) == USECASE_PROGRAMS_SHA256
+
+
+def _valid_doc() -> dict:
+    b = ProgramBuilder(4, name="doc")
+    x, y = b.input("x"), b.input(Identifier("y", 3))
+    w = b.rotate(b.mul_plain(b.mul(x, y), [1, 2, 3, 4]), -1)
+    return json.loads(program_to_json(b.build(b.inner_sum(b.row_swap(w), 2))))
+
+
+def _gate(doc, op):
+    return next(g for g in doc["gates"] if g["op"] == op)
+
+
+MALFORMED = {
+    "not json": lambda d: "{",
+    "not an object": lambda d: [d],
+    "empty": lambda d: {},
+    "gates not a list": lambda d: {**d, "gates": {"0": d["gates"][0]}},
+    "gate not an object": lambda d: {**d, "gates": ["input"]},
+    "unknown op": lambda d: _gate(d, "row_swap").update(op="transpose"),
+    "op not a string": lambda d: _gate(d, "mul").update(op=["mul"]),
+    "extra document key": lambda d: d.update(depth=1),
+    "extra gate key": lambda d: _gate(d, "mul").update(step=1),
+    "foreign parameter": lambda d: _gate(d, "rotate").update(block=2),
+    "missing parameter": lambda d: _gate(d, "inner_sum").pop("block"),
+    "args on an input": lambda d: _gate(d, "input").update(args=[]),
+    "args not a list": lambda d: _gate(d, "mul").update(args=5),
+    "bool step": lambda d: _gate(d, "rotate").update(step=True),
+    "float arg": lambda d: _gate(d, "mul").update(args=[0, 1.0]),
+    "float width": lambda d: d.update(width=4.0),
+    "short constant": lambda d: _gate(d, "mul_plain").update(const=[1, 2, 3]),
+    "constant -1": lambda d: _gate(d, "mul_plain").update(const=[1, 2, 3, -1]),
+    "constant 2^64": lambda d: _gate(d, "mul_plain").update(const=[1, 2, 3, 2**64]),
+    "constant not a list": lambda d: _gate(d, "mul_plain").update(const=7),
+    "string input index": lambda d: _gate(d, "input").update(input="0"),
+    "no output_block": lambda d: d.pop("output_block"),
+    "output_block of three": lambda d: d.update(output_block=[0, 1, 1]),
+    "output out of range": lambda d: d.update(output=99),
+    "non-string label": lambda d: d["inputs"][0].update(label=7),
+    "negative slot": lambda d: d["inputs"][1].update(slot=-1),
+    "input not an object": lambda d: d.update(inputs=["x", "y"]),
+    "non-string name": lambda d: d.update(name=None),
+}
+
+
+def test_valid_doc_reads_back():
+    doc = _valid_doc()
+    assert program_to_json(program_from_json(json.dumps(doc))) == program_to_json(
+        program_from_json(json.dumps(doc).encode())
+    )
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_program_json_is_a_structure_error(case):
+    doc = _valid_doc()
+    mutated = MALFORMED[case](doc)
+    text = mutated if isinstance(mutated, str) else json.dumps(doc if mutated is None else mutated)
+    with pytest.raises(StructureError):
+        program_from_json(text)
+
+
+def test_builder_refuses_a_negative_constant():
+    b, x, _ = build_simple(width=8)
+    with pytest.raises(StructureError):
+        b.build(b.mul_plain(x, [-1] * 8))
+
+
+X = (Identifier("x"),)
+INPUT = Gate("input", (), 0)
+
+
+@pytest.mark.parametrize("gates, why", [
+    ((Gate("input"),), "input without an index"),
+    ((Gate("input", (), 1),), "input index past the inputs"),
+    ((Gate("input", (), True),), "bool input index"),
+    ((INPUT, Gate("add", (0,))), "add with one operand"),
+    ((INPUT, Gate("add", (0, 0), 3)), "add with a parameter"),
+    ((INPUT, Gate("row_swap", [0])), "args not a tuple"),
+    ((INPUT, Gate("rotate", (0,), 1.0)), "float step"),
+    ((INPUT, Gate("inner_sum", (0,), 0)), "zero block"),
+    ((INPUT, Gate("mul_plain", (0,), [1] * 8)), "constant not a tuple"),
+    ((INPUT, Gate("mul_plain", (0,), (-1,) * 8)), "negative constant"),
+    ((INPUT, Gate("transpose", (0,))), "unknown op"),
+    ((INPUT, ("add", (0, 0))), "not a Gate"),
+])
+def test_direct_program_with_a_bad_gate_raises_at_construction(gates, why):
+    with pytest.raises(StructureError):
+        Program(8, X, gates, len(gates) - 1, (0, 1))
+
+
+def test_direct_program_checks_its_frame():
+    g = (INPUT,)
+    for bad in (
+        dict(width=6), dict(width=True), dict(inputs=("x",)), dict(gates=list(g)),
+        dict(output=-1), dict(output_block=[0, 1]), dict(output_block=(0, 0)),
+        dict(name=b"p"),
+    ):
+        kw = dict(width=8, inputs=X, gates=g, output=0, output_block=(0, 1), name="p")
+        with pytest.raises(StructureError):
+            Program(**{**kw, **bad})

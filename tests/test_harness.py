@@ -463,6 +463,49 @@ def test_cli_connect_without_a_listener_is_an_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def _assert_clean_error(rc, capsys, names=""):
+    """Exit 2 with a one-line `error:` report naming `names`: not a reject,
+    not a traceback."""
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and names in err and "Traceback" not in err
+
+
+def test_cli_missing_files_are_errors(tmp_path, capsys):
+    prog = tmp_path / "prog.json"
+    _write_program(prog, width=64)
+    key, missing_prog = str(tmp_path / "missing.vrts"), str(tmp_path / "missing.json")
+    for argv, missing in (
+        (["verify", "--key", key, "--program", str(prog), "--result", key], key),
+        (["connect", "--transport", "tcp://127.0.0.1:9", "--key", key,
+          "--program", str(prog)], key),
+        (["eval", "--program", missing_prog, "--inputs", key, "--params", "mock64",
+          "--out", str(tmp_path / "r.vrts")], missing_prog),
+    ):
+        _assert_clean_error(main(argv), capsys, missing)
+
+
+def test_cli_malformed_programs_are_errors(tmp_path, capsys):
+    prog = tmp_path / "prog.json"
+    _write_program(prog, width=8)
+    doc = json.loads(prog.read_text())
+    negative = json.dumps(dict(doc, gates=doc["gates"] + [
+        {"op": "mul_plain", "args": [doc["output"]], "const": [-1] * 8},
+    ], output=len(doc["gates"])))
+    next(g for g in doc["gates"] if g["op"] == "inner_sum")["block"] = True
+    for text, names in (
+        (b"{}", "expected an object"),
+        (negative.encode(), "mul_plain"),
+        (json.dumps(doc).encode(), "inner_sum"),
+        (b"\xff{", "not JSON"),
+    ):
+        prog.write_bytes(text)
+        _assert_clean_error(main([
+            "eval", "--program", str(prog), "--inputs", str(tmp_path / "x.vrts"),
+            "--params", "mock64", "--out", str(tmp_path / "r.vrts"),
+        ]), capsys, names)
+
+
 def test_cli_tcp_session_between_processes(tmp_path):
     """serve/connect as real processes: the packed proof crosses TCP."""
     prog = tmp_path / "prog.json"

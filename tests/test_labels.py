@@ -60,6 +60,21 @@ def test_with_slot():
         Identifier("data", -1).canonical_bytes()
 
 
+@pytest.mark.parametrize("label, slot", [
+    (7, None), (b"x", None), ("x", -1), ("x", True), ("x", 1.0), ("x", 2**64),
+])
+def test_identifier_checks_itself_on_construction(label, slot):
+    with pytest.raises(ParameterError):
+        Identifier(label, slot)
+
+
+def test_identifier_head_starts_every_encoding():
+    ident = Identifier("données")
+    assert ident.head == struct.pack("<I", 8) + "données".encode()
+    assert ident.canonical_bytes() == ident.head + b"\x00"
+    assert Identifier("données", 5).canonical_bytes() == ident.head + struct.pack("<BQ", 1, 5)
+
+
 def test_prf_key_validation():
     with pytest.raises(ParameterError):
         PrfKey(b"short")
