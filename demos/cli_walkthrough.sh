@@ -46,7 +46,7 @@ vhe verify --key keys/secret.vrts --program dot8.json \
     --result result.vrts --lengths 8,8
 
 echo
-echo "== 6. a malformed program or a missing file is an error (exit 2), not a reject (1) =="
+echo "== 6. a malformed program or input, or a missing file, is an error (exit 2), not a reject (1) =="
 expect_error() {
     local rc=0
     "$@" 2> err.log || rc=$?
@@ -73,6 +73,10 @@ for prog in empty.json negative.json; do
 done
 expect_error vhe verify --key missing.vrts --program dot8.json \
     --result result.vrts --lengths 8,8
+printf '\377\3761,2\n' > not-utf8.csv
+expect_error vhe auth --key keys/secret.vrts --base x --values not-utf8.csv --out bad.vrts
+expect_error vhe verify --key keys/secret.vrts --program dot8.json \
+    --result result.vrts --lengths 8,x
 
 echo
 echo "== 7. simulate forgers (each fails the run if it beats its bound) =="

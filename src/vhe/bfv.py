@@ -20,14 +20,13 @@ transforms 126 rows and a square 96, a key switch 49.
     encrypt:  c = (−a·s + e + Δ·m, a) with the secret key,  Δ = ⌊Q/t⌋,
               a uniform in the evaluation domain and expanded from a
               32-byte seed by SHAKE-128 (expand_uniform)
-    decrypt:  m = ⌊(t·x + ⌊Q/2⌋)/Q⌋ mod t for the phase x = [c₀ + c₁·s]_Q
-    multiply: tensor the pair over the integers in the chain Q plus
-              auxiliary primes P, then y = ⌊(t·x + ⌊Q/2⌋)/Q⌋ per
-              coefficient, converted back into Q; this scaling and
-              decryption's are one exact int64 rescale (_Rescale): a
-              Garner base conversion (BaseConverter) into the fewest
-              auxiliary primes whose product exceeds t (decryption) or
-              t·n·Q + 4 (multiplication), then the division by Q
+    decrypt:  m = ⌊(t·x + ⌊Q/2⌋)/Q⌋ mod t for the phase x = [c₀ + c₁·s]_Q,
+              and the noise, as digits, from x's Garner digits (_Decoder)
+    multiply: tensor the pair over the integers in the chain Q plus the
+              fewest auxiliary primes P whose product exceeds t·n·Q + 4,
+              then y = ⌊(t·x + ⌊Q/2⌋)/Q⌋ per coefficient by an exact
+              int64 rescale on the P rows (_MulBasis), converted back
+              into Q (Garner base conversions, BaseConverter)
     relinearize / rotate: RNS-digit key switching, one digit per chain
               prime (Bajard–Eynard–Hasan–Zucca): digit i is residue row i
               of the target, centred, and its key carries the target secret
@@ -38,8 +37,9 @@ transforms 126 rows and a square 96, a key switch 49.
               terminal ciphertext that will only be decrypted; decryption
               takes any prefix, evaluation only the full chain
 
-Every operation is int64 throughout; decryption turns only the one
-coefficient of largest noise into a Python integer.  Nothing depends on
+Every operation is int64 throughout (decryption's carries for t ≥ 2^31 are
+Python ints), and only the noise budget turns two coefficients, those of
+largest and smallest noise, into Python integers.  Nothing depends on
 floating point, so decryption equality is bit-reproducible.  The `a` half
 of every key's RLWE pair is expanded from a seed as well, so no key carries
 raw output of the generator that also draws the secret and the errors.
@@ -141,60 +141,122 @@ class BaseConverter:
                 rest %= self.col[j + 1 :]
         return out, acc[..., k:, :]
 
-    def above_half(self, digits) -> np.ndarray:
-        """x > ⌊Π S/2⌋ per coefficient: the top digit that differs decides."""
-        above = False
-        for v, h in zip(digits, self.half):
-            above = np.where(v == h, above, v > h)
-        return above
-
     def __call__(self, x: np.ndarray, centred: bool) -> np.ndarray:
         """(..., |S|, n) residues in [0, s_i) → (..., |D|, n) in [0, d)."""
         digits, out = self.digits(x)
         if centred:
-            out -= self.above_half(digits)[..., None, :] * self.prod
+            out -= _above(digits, self.half)[..., None, :] * self.prod
         out %= self.col[len(self.src) :]
         return out
 
 
-def _lex_extreme(digits, mask: np.ndarray, pick):
-    """Index of a coefficient in `mask` whose digits, compared from the top,
-    are the largest (pick = np.max) or smallest (np.min); None if empty."""
-    if not mask.any():
-        return None
+def _above(digits, bound) -> np.ndarray:
+    """digits > bound per coefficient, both mixed-radix and listed from the
+    lowest digit: the top digit that differs decides."""
+    above = False
+    for v, b in zip(digits, bound):
+        above = np.where(v == b, above, v > b)
+    return above
+
+
+def _carry(terms, primes):
+    """Mixed-radix digits of Σ_j w_j·M_j for unreduced terms w_j ≥ 0 over
+    `primes`, and the final carry ⌊Σ_j w_j·M_j / Π primes⌋."""
+    digits, c = [], 0
+    for w, p in zip(terms, primes):
+        w = w + c
+        c = w // p
+        digits.append(w - c * p)
+    return digits, c
+
+
+def _lex_extreme(digits, pick) -> int:
+    """Index of a coefficient whose digits, compared from the top, are the
+    largest (pick = np.max) or smallest (np.min)."""
+    mask = np.ones(len(digits[0]), dtype=bool)
     for v in reversed(digits):
-        mask = mask & (v == pick(v[mask]))
+        mask &= v == pick(v[mask])
     return int(mask.argmax())
 
 
-def _aux_primes(params: Params, bound: int) -> tuple:
-    """The fewest NTT primes off the chain, taken from 2^CHAIN_PRIME_BITS
-    down, whose product exceeds `bound`."""
-    count = -(-bound.bit_length() // CHAIN_PRIME_BITS)  # each prime is below 2^29
-    while True:
-        aux = find_ntt_primes(CHAIN_PRIME_BITS, params.n, count, exclude=params.q_chain)
-        if prod(aux) > bound:
-            return tuple(aux)
-        count += 1
+class _Decoder:
+    """Decryption on the chain prefix Q″ of `k` primes, read off the Garner
+    digits v_j of the phase x = Σ_j v_j·M_j ∈ [0, Q″) alone.
 
-
-class _Rescale:
-    """y = ⌊(t·x + ⌊Q/2⌋)/Q⌋, exactly, in auxiliary primes P, for the chain
-    (or chain prefix) Q and the integer x given by its residues on Q ∪ P.
-
-    P is the fewest auxiliary primes above `bound`, the caller's bound on
-    what y must represent; `big_q` is Q.  With z = t·x + ⌊Q/2⌋ on every
-    row and r = z mod Q converted from the Q rows into P, y = (z − r)·Q⁻¹
-    on the P rows: the division by Q is exact.
+    Carrying w_j = t·v_j + h_j over the chain, with h_j the digits of
+    H = ⌊Q″/2⌋, leaves y = ⌊(t·x + H)/Q″⌋ ∈ [0, t] as the final carry and
+    r = (t·x + H) mod Q″ as digits; m = y mod t.  With Q″ = Δ″·t + ρ,
+    t·e = r − H + ρ·m for the noise e = x − Δ″·m centred mod Q″ (at y = t
+    too, where m = 0 and e = x − Q″; the centring holds while Q″ > 2t, so
+    on every prefix where decryption can succeed, Q″ ≥ 4t).  A second
+    carry pass gives the digits of s = r + ρ·m = H + t·e, plus a top one,
+    and e grows with s: the guard |e| < D = ⌊Δ″/4⌋ is H − t·D < s < H + t·D,
+    two top-down digit comparisons, and the largest |e| comes from the
+    digit-wise largest and smallest s.  A term stays below (t + 1)·q_j:
+    int64 while t < 2^31 (chain primes are below 2^30), Python ints above,
+    as in ring.slot_array.
     """
 
-    def __init__(self, params: Params, chain: tuple, bound: int):
-        self.big_q = q = prod(chain)
-        self.primes = chain + _aux_primes(params, bound)
-        self.to_aux = BaseConverter(chain, self.primes[len(chain) :])
+    def __init__(self, params: Params, k: int):
+        self.t = t = params.t
+        self.garner = BaseConverter(params.q_chain[:k])
+        self.big_q = q = prod(params.q_chain[:k])
+        self.radix = self.garner.radix + [q]
+        self.delta = q // t
+        band = t * (self.delta // 4)
+        self.rho = self._digits(q % t)[:-1]
+        self.lo, self.hi = self._digits(q // 2 - band), self._digits(q // 2 + band - 1)
+        self.dtype = np.int64 if t < 1 << 31 else object
+
+    def _digits(self, v: int) -> list:
+        """v's digits over the prefix and, on top, ⌊v/Q″⌋."""
+        return [v // m % p for m, p in zip(self.radix, self.garner.src)] + [v // self.big_q]
+
+    def __call__(self, x: np.ndarray):
+        """(m, the digits of s) for the phase's (k, n) coefficient residues."""
+        v, _ = self.garner.digits(x)
+        t, primes = self.t, self.garner.src
+        tx = (t * d.astype(self.dtype, copy=False) + h for d, h in zip(v, self.garner.half))
+        r, y = _carry(tx, primes)
+        m = y % t
+        s, top = _carry((d + p * m for d, p in zip(r, self.rho)), primes)
+        return m, s + [top]
+
+    def breached(self, s) -> bool:
+        """|e| ≥ D on some coefficient."""
+        return not (_above(s, self.lo) & ~_above(s, self.hi)).all()
+
+    def worst(self, s) -> int:
+        """The largest |e|, exactly."""
+        i, j = _lex_extreme(s, np.max), _lex_extreme(s, np.min)
+        hi, lo = (sum(int(d[c]) * w for d, w in zip(s, self.radix)) for c in (i, j))
+        return max(hi - self.big_q // 2, self.big_q // 2 - lo) // self.t
+
+
+class _MulBasis:
+    """Multiplication's rescale, built once: y = ⌊(t·x + ⌊Q/2⌋)/Q⌋ exactly,
+    in auxiliary primes P, for the integer x given by its residues on Q ∪ P
+    (`primes`, where the tensor is formed).
+
+    P is the fewest NTT primes off the chain, from 2^CHAIN_PRIME_BITS down,
+    whose product exceeds t·n·Q + 4, so the scaled tensor coefficients
+    satisfy |y| < P/2 and convert back into the chain exactly.  With
+    z = t·x + ⌊Q/2⌋ on every row and r = z mod Q converted from the Q rows
+    into P, y = (z − r)·Q⁻¹ on the P rows: the division by Q is exact.
+    """
+
+    def __init__(self, params: Params):
+        chain, bound = params.q_chain, params.t * params.n * params.big_q + 4
+        count = -(-bound.bit_length() // CHAIN_PRIME_BITS)  # each prime is below 2^29
+        while prod(aux := tuple(find_ntt_primes(CHAIN_PRIME_BITS, params.n, count, chain))) <= bound:
+            count += 1
+        self.primes = chain + aux
+        self.mods = [get_modulus(p, params.n) for p in self.primes]
+        self.to_aux = BaseConverter(chain, aux)
+        self.to_chain = BaseConverter(aux, chain)
         self.col = np.array(self.primes, dtype=np.int64)[:, None]
         self.t = np.array([params.t % p for p in self.primes], dtype=np.int64)[:, None]
-        self.half = np.array([q // 2 % p for p in self.primes], dtype=np.int64)[:, None]
+        self.half = np.array([params.big_q // 2 % p for p in self.primes], dtype=np.int64)[:, None]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """(..., |Q ∪ P|, n) residues of x → (..., |P|, n) residues of y;
@@ -207,30 +269,6 @@ class _Rescale:
         y *= self.to_aux.prod_inv
         y %= self.col[k:]
         return y
-
-
-class _DecryptBasis(_Rescale):
-    """Decryption's constants for the chain prefix Q″ of `k` primes:
-    Δ″ = ⌊Q″/t⌋ and the rescale into P′ with Π P′ > t, which holds y ∈
-    [0, t]; `aux` reads y's Garner digits over P′."""
-
-    def __init__(self, params: Params, k: int):
-        chain = params.q_chain[:k]
-        super().__init__(params, chain, params.t)
-        self.delta = self.big_q // params.t
-        self.delta_res = np.array([self.delta % p for p in chain], dtype=np.int64)[:, None]
-        self.aux = BaseConverter(self.primes[k:])
-
-
-class _MulBasis(_Rescale):
-    """Multiplication's rescale, built once: Π P > t·n·Q + 4, so the scaled
-    tensor coefficients satisfy |y| < P/2 and convert back into the chain
-    exactly.  `primes` is Q ∪ P, where the tensor is formed."""
-
-    def __init__(self, params: Params):
-        super().__init__(params, params.q_chain, params.t * params.n * params.big_q + 4)
-        self.mods = [get_modulus(p, params.n) for p in self.primes]
-        self.to_chain = BaseConverter(self.primes[len(params.q_chain) :], params.q_chain)
 
 
 # Modular arithmetic on residue stacks (..., k, n) against a (k, 1) modulus
@@ -456,7 +494,7 @@ class BfvBackend:
         self._q = np.array(self.primes, dtype=np.int64)[:, None]
         self._q_unsigned = np.array(self.primes, dtype=np.uint64)
         self._delta_res = np.array([params.delta % p for p in self.primes], dtype=np.int64)[:, None]
-        self._dec_bases: dict = {}  # chain prefix length → _DecryptBasis
+        self._decoders: dict = {}  # chain prefix length → _Decoder
         kept = params.shrink_primes
         self._switch = BaseConverter(self.primes[kept:], self.primes[:kept])
         # digit products are < max(q)²: reduce the accumulators this often
@@ -549,54 +587,34 @@ class BfvBackend:
                 s_pow = _pointwise(s_pow, s_ntt, q)
         return stack_intt(acc, self.mods[:k])
 
-    def _dec(self, k: int) -> _DecryptBasis:
-        if k not in self._dec_bases:
-            self._dec_bases[k] = _DecryptBasis(self.params, k)
-        return self._dec_bases[k]
-
-    def _noise(self, ct: Ciphertext):
-        """(plaintext coefficients, largest |noise|, decryption basis),
-        exactly, in int64, on the ciphertext's chain prefix Q″.
-
-        The phase x ∈ [0, Q″) is converted into P′, and the rescale gives
-        y = ⌊(t·x + ⌊Q″/2⌋)/Q″⌋ ∈ [0, t] < Π P′, read off its Garner digits;
-        m = y mod t.  The noise x − Δ″·m centred mod Q″ keeps its Garner
-        digits over Q″: it is negative where they exceed those of ⌊Q″/2⌋,
-        and the largest |noise| is the digit-wise largest non-negative or
-        smallest negative coefficient; only those become Python integers.
-        """
+    def _decode(self, ct: Ciphertext):
+        """(plaintext coefficients, the digits of s, the prefix's _Decoder)
+        for a ciphertext on the chain prefix of k″ primes."""
         x = self._phase(ct)
         k = len(x)
-        dec = self._dec(k)
-        y = dec(np.concatenate([x, dec.to_aux(x, centred=False)]))
-        # partial sums of y's digits never exceed y ≤ t < 2^63
-        y = sum(v * w for v, w in zip(dec.aux.digits(y)[0], dec.aux.radix))
-        m = y % self.params.t
-        q = dec.col[:k]
-        e = x - dec.delta_res * (m % q)
-        e %= q
-        digits, _ = dec.to_aux.digits(e)
-        neg = dec.to_aux.above_half(digits)
-        worst = 0
-        for side, pick in ((~neg, np.max), (neg, np.min)):
-            i = _lex_extreme(digits, side, pick)
-            if i is not None:
-                v = sum(int(d[i]) * w for d, w in zip(digits, dec.to_aux.radix))
-                worst = max(worst, v if pick is np.max else dec.big_q - v)
-        return m, worst, dec
+        if k not in self._decoders:
+            self._decoders[k] = _Decoder(self.params, k)
+        dec = self._decoders[k]
+        return (*dec(x), dec)
+
+    def _noise(self, ct: Ciphertext):
+        """(m, the exact largest |noise|, from the extremes of s, _Decoder)."""
+        m, s, dec = self._decode(ct)
+        return m, dec.worst(s), dec
 
     def decrypt(self, ct: Ciphertext) -> list[int]:
         """Decode slots of a ciphertext on any chain prefix; raises
         DecryptionFailureError on noise overflow.
 
         After recovering the nearest plaintext, the residual noise is
-        measured; honest pipelines keep it far below Δ″/4, so exceeding
-        that guard band means the true value was lost to noise.
+        checked against Δ″/4 on its digits; honest pipelines keep it far
+        below, so exceeding that guard band means the true value was lost
+        to noise.
         """
-        m, worst, dec = self._noise(ct)
-        if worst >= dec.delta // 4:
+        m, s, dec = self._decode(ct)
+        if dec.breached(s):
             raise DecryptionFailureError(
-                f"noise |e|≈2^{worst.bit_length()} breached the guard band "
+                f"noise |e|≈2^{dec.worst(s).bit_length()} breached the guard band "
                 f"(Δ/4 ≈ 2^{(dec.delta // 4).bit_length()}); result untrustworthy"
             )
         return batch_decode(m, self.t_mod)

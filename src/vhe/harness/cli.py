@@ -59,14 +59,18 @@ def _resolve_params(value: str):
     )
 
 
-def _read_values(path: str) -> list[int]:
-    """Integers from a CSV/whitespace-separated text file."""
-    text = Path(path).read_text()
-    items = [x for x in re.split(r"[,\s]+", text.strip()) if x]
+def _ints(text: str, source: str) -> list[int]:
+    """Integers separated by commas or whitespace."""
     try:
-        return [int(x) for x in items]
+        return [int(x) for x in re.split(r"[,\s]+", text.strip()) if x]
     except ValueError as exc:
-        raise VheError(f"{path}: expected integers, {exc}") from None
+        raise VheError(f"{source}: expected integers, {exc}") from None
+
+
+def _read_values(path: str) -> list[int]:
+    """Integers from a CSV/whitespace-separated text file; a byte that is
+    not UTF-8 reads as U+FFFD, which no integer contains."""
+    return _ints(Path(path).read_text(errors="replace"), path)
 
 
 def _load(path: str):
@@ -226,7 +230,7 @@ def _cmd_verify(args) -> int:
     if isinstance(secret, RepSecret) and isinstance(result, RepResult):
         if not args.lengths:
             raise VheError("replication verification needs --lengths l1,l2,...")
-        lengths = [int(x) for x in args.lengths.split(",")]
+        lengths = _ints(args.lengths, "--lengths")
         claim = rep_decode(secret, backend, result, program)
         ok = rep_verify(secret, backend, program, result, claim, lengths, reason)
     elif isinstance(secret, PeSecret) and isinstance(result, PeAuth):

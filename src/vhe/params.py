@@ -142,11 +142,10 @@ _PRESETS = {
     # chain 5: enough real-backend headroom for depth 2 plus the packed
     # proof's plaintext-power products on top
     "mock64": dict(n=64, t_bits=16, chain_len=5, depth_budget=2),
-    # multiplication noise scales with t, so the 40-bit-plaintext variants
-    # need a longer chain for the same depth on the real backend
+    # multiplication noise scales with t, so the 40-bit-plaintext variant
+    # needs a longer chain for the same depth on the real backend
     "mock64_wide": dict(n=64, t_bits=40, chain_len=8, depth_budget=2),
     "mock1024": dict(n=1024, t_bits=16, chain_len=4, depth_budget=2),
-    "mock4096_wide": dict(n=4096, t_bits=40, chain_len=8, depth_budget=2),
 }
 
 

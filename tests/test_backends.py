@@ -3,6 +3,7 @@ lattice backend, checked against each other and against the plain
 interpreter on seeded random programs."""
 
 import dataclasses
+import functools
 import hashlib
 import math
 import platform
@@ -11,6 +12,8 @@ import resource
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vhe import bfv, pe, protocols, rep
 from vhe.circuit import (
@@ -32,6 +35,7 @@ from vhe.errors import (
 from vhe.mock import MockBackend
 from vhe.params import CHAIN_PRIME_BITS, SHRINK_MARGIN_BITS, Params, make_params, preset
 from vhe.ring import (
+    batch_decode,
     batch_encode,
     find_ntt_primes,
     find_plaintext_prime,
@@ -761,10 +765,8 @@ def test_mul_no_relin_matches_big_integer_reference(basis):
 
 @pytest.mark.parametrize("basis", sorted(MUL_BASES))
 def test_mul_auxiliary_basis_is_the_smallest_above_the_bound(basis):
-    """|y| < P/2 for every scaled coefficient needs P > t·n·Q + 4, and
-    decryption's y ∈ [0, t] needs P′ > t on every chain prefix: each set is
-    the fewest NTT primes off the chain from 2^29 down, so decryption's is
-    a prefix of multiplication's."""
+    """|y| < P/2 for every scaled coefficient needs P > t·n·Q + 4: the set
+    is the fewest NTT primes off the chain from 2^29 down."""
     params = MUL_BASES[basis]()
     k = len(params.q_chain)
     keys = bfv.keygen(params, row_swap=False, rng=np.random.default_rng(43))
@@ -774,10 +776,6 @@ def test_mul_auxiliary_basis_is_the_smallest_above_the_bound(basis):
     bound = params.t * params.n * params.big_q + 4
     prod = math.prod(aux)
     assert prod > bound >= prod // aux[-1]
-    for prefix in (1, k):
-        dec = be._dec(prefix).primes[prefix:]
-        assert dec == aux[: len(dec)]
-        assert math.prod(dec) > params.t >= math.prod(dec) // dec[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -934,6 +932,103 @@ def test_noise_matches_big_integer_reference(basis):
             q = math.prod(params.q_chain[: ct.data.shape[1]])
             budget = math.log2(q) - math.log2(2 * params.t) - math.log2(max(want_worst, 1))
             assert be.noise_budget(ct) == budget, name
+
+
+@functools.lru_cache(maxsize=None)
+def _decrypt_backend(basis):
+    params = MUL_BASES[basis]()
+    keys = bfv.keygen(params, row_swap=False, rng=np.random.default_rng(47))
+    return bfv.BfvBackend(params, keys)
+
+
+def _phase_ciphertext(be, coeffs, k):
+    """(x, 0) on the chain prefix of k primes, for the integer coefficients x."""
+    primes = be.params.q_chain[:k]
+    c0 = np.array([[c % q for c in coeffs] for q in primes], dtype=np.int64)
+    c0 = stack_ntt(c0, be.mods[:k])
+    return bfv.Ciphertext(np.stack([c0, np.zeros_like(c0)]))
+
+
+def _budget(be, k, worst):
+    q, t = math.prod(be.params.q_chain[:k]), be.params.t
+    return math.log2(q) - math.log2(2 * t) - math.log2(max(worst, 1))
+
+
+@pytest.mark.parametrize("basis", ["n4096", "mock64", "mock64_wide", "40x30-bit, 40-bit t"])
+def test_decrypt_guard_band_is_exact_on_every_prefix(basis):
+    """On the full chain and on the shrunk prefix (2 primes at n4096), with
+    16- and 40-bit t: c = (Δ″·m + e, 0) decrypts while |e| ≤ D − 1 and
+    raises at |e| = D and D + 1, D = ⌊Δ″/4⌋, with either sign; the noise
+    budget reads |e|."""
+    be = _decrypt_backend(basis)
+    p = be.params
+    rng = random.Random(48)
+    vals = [rng.randrange(p.t) for _ in range(p.n)]
+    coeffs = batch_encode(vals, p.t_modulus)
+    for k in sorted({p.shrink_primes, len(p.q_chain)}):
+        delta = math.prod(p.q_chain[:k]) // p.t
+        bound = delta // 4
+        for e in (bound - 1, bound, bound + 1):
+            for sign in (1, -1):
+                ct = _phase_ciphertext(be, [delta * m + sign * e for m in coeffs], k)
+                assert be.noise_budget(ct) == _budget(be, k, e), (k, sign * e)
+                if e < bound:
+                    assert be.decrypt(ct) == vals, (k, sign * e)
+                else:
+                    with pytest.raises(DecryptionFailureError):
+                        be.decrypt(ct)
+
+
+@st.composite
+def _phases(draw, be):
+    """A chain prefix k and n phase coefficients in [0, Q″): uniform, at the
+    rounding boundaries of m, inside the guard band or a mix of these, and
+    one planted among them at |e| ∈ {D − 1, D, D + 1}."""
+    p = be.params
+    t, n = p.t, p.n
+    k = draw(st.integers(1, len(p.q_chain)))
+    q = math.prod(p.q_chain[:k])
+    delta = q // t
+    bound = delta // 4
+    inside = max(bound - 1, 0)
+    kinds = {
+        "uniform": st.integers(0, q - 1),
+        "rounding": st.builds(
+            lambda j, d: (-(-(j * q - q // 2) // t) + d) % q,
+            st.integers(0, t), st.integers(-1, 1),
+        ),
+        "inside": st.builds(
+            lambda m, e: (delta * m + e) % q, st.integers(0, t - 1), st.integers(-inside, inside),
+        ),
+    }
+    kind = draw(st.sampled_from(["inside", "inside", "mixed", "rounding", "uniform"]))
+    coeff = st.one_of(*kinds.values()) if kind == "mixed" else kinds[kind]
+    coeffs = draw(st.lists(coeff, min_size=n, max_size=n))
+    m, e = draw(st.integers(0, t - 1)), draw(st.integers(bound - 1, bound + 1))
+    coeffs[draw(st.integers(0, n - 1))] = (delta * m + draw(st.sampled_from((e, -e)))) % q
+    return k, coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["mock64", "mock64_wide", "40x30-bit, 40-bit t"]), st.data())
+def test_decryption_matches_big_integer_reference_on_drawn_phases(basis, data):
+    """decrypt's slots or refusal and the noise budget agree with the
+    big-integer reference on every chain prefix; the budget wherever
+    Q″ > 2t, where the noise's centring is exact (a prefix with Q″ < 4t
+    never decrypts)."""
+    be = _decrypt_backend(basis)
+    p = be.params
+    k, coeffs = data.draw(_phases(be))
+    ct = _phase_ciphertext(be, coeffs, k)
+    want_m, want_worst = reference_noise(be, ct)
+    q = math.prod(p.q_chain[:k])
+    if want_worst >= q // p.t // 4:
+        with pytest.raises(DecryptionFailureError):
+            be.decrypt(ct)
+    else:
+        assert be.decrypt(ct) == batch_decode(want_m, p.t_modulus)
+    if q > 2 * p.t:
+        assert be.noise_budget(ct) == _budget(be, k, want_worst)
 
 
 # ---------------------------------------------------------------------------

@@ -340,6 +340,18 @@ def test_cli_rep_file_workflow(tmp_path, capsys):
     ]) == 1
     assert "reject" in capsys.readouterr().out
 
+    # a values file that is not UTF-8 and a length that is not an integer
+    # are errors (exit 2), not rejects (1)
+    (tmp_path / "bad.csv").write_bytes(b"\xff\xfe1,2\n")
+    _assert_clean_error(main([
+        "auth", "--key", str(keys / "secret.vrts"), "--base", "x",
+        "--values", str(tmp_path / "bad.csv"), "--out", str(tmp_path / "bad-x.vrts"),
+    ]), capsys, "bad.csv")
+    _assert_clean_error(main([
+        "verify", "--key", str(keys / "secret.vrts"), "--program", str(prog),
+        "--result", str(tmp_path / "result.vrts"), "--lengths", "2,x",
+    ]), capsys, "--lengths")
+
 
 def test_cli_pe_real_workflow(tmp_path, capsys):
     prog = tmp_path / "prog.json"
