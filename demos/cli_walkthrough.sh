@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # File-based workflow: generate keys, authenticate inputs, evaluate,
 # verify, refuse a malformed program or a missing file — then run seeded attack simulations, a micro-benchmark, an
-# end-to-end use case and a packed-proof session over loopback TCP on the
-# real backend, all through the `vhe` command.
+# end-to-end use case, a packed-proof session over loopback TCP on the
+# real backend and a replication session on the mock, all through the
+# `vhe` command.
 set -euo pipefail
 
 WORK="$(mktemp -d)"
@@ -77,6 +78,9 @@ printf '\377\3761,2\n' > not-utf8.csv
 expect_error vhe auth --key keys/secret.vrts --base x --values not-utf8.csv --out bad.vrts
 expect_error vhe verify --key keys/secret.vrts --program dot8.json \
     --result result.vrts --lengths 8,x
+# a replication session needs the input lengths, as verify does
+expect_error vhe connect --transport tcp://127.0.0.1:9 --key keys/secret.vrts \
+    --program dot8.json
 
 echo
 echo "== 7. simulate forgers (each fails the run if it beats its bound) =="
@@ -117,6 +121,19 @@ vhe connect --transport "tcp://127.0.0.1:$PORT" --key pekeys/secret.vrts \
     --program square64.json --pp --seed 9
 wait "$SERVER"
 cat serve.log
+
+echo
+echo "== 11. a replication session over loopback TCP (mock backend) =="
+vhe serve --transport tcp://127.0.0.1:0 --program dot8.json \
+    --inputs x.vrts y.vrts --params keys/params.vrts > rep-serve.log &
+SERVER=$!
+for _ in $(seq 100); do grep -q listening rep-serve.log && break; sleep 0.1; done
+PORT="$(sed -n 's/^listening on .*:\([0-9]*\)$/\1/p' rep-serve.log)"
+vhe connect --transport "tcp://127.0.0.1:$PORT" --key keys/secret.vrts \
+    --program dot8.json --lengths 8,8 | tee rep-connect.log
+wait "$SERVER"
+cat rep-serve.log
+grep -q '^accept' rep-connect.log
 
 echo
 echo "reports written:"

@@ -14,7 +14,7 @@ import random
 from vhe.circuit import ProgramBuilder, eval_plain
 from vhe.mock import MockBackend
 from vhe.params import preset
-from vhe.rep import RepResult, rep_auth, rep_decode, rep_eval, rep_keygen, rep_verify
+from vhe.rep import RepResult, rep_auth, rep_check, rep_eval, rep_keygen
 
 
 def main():
@@ -55,10 +55,11 @@ def main():
     # and cannot tell challenge slots from payload slots.
     result = rep_eval(prog, auths, backend, lam=lam)
 
-    # Client side: decode the claimed answer, then verify every replica
-    # and every challenge slot of the output block.
-    claim = rep_decode(secret, backend, result, prog)
-    ok = rep_verify(secret, backend, prog, result, claim, [4, 4])
+    # Client side: decrypt each result ciphertext once, then check the
+    # digest, that every replica of the output block agrees, and every
+    # challenge slot.  The agreed replica values are the claimed answer.
+    slots = [backend.decrypt(ct) for ct in result.cts]
+    ok, claim = rep_check(secret, prog, slots, result.tag, [4, 4])
     expected = eval_plain(prog, [rider + [0] * 4, driver + [0] * 4], params.t)[0]
     print(f"\nclaimed squared distance: {claim[0]} (plaintext oracle: {expected})")
     print(f"verifier says: {'ACCEPT' if ok else 'REJECT'}")
@@ -69,8 +70,8 @@ def main():
     forged = RepResult(
         (backend.add(result.cts[0], backend.encrypt(delta)),), result.tag, lam
     )
-    claim2 = rep_decode(secret, backend, forged, prog)
-    ok2 = rep_verify(secret, backend, prog, forged, claim2, [4, 4])
+    slots2 = [backend.decrypt(ct) for ct in forged.cts]
+    ok2, claim2 = rep_check(secret, prog, slots2, forged.tag, [4, 4])
     print(f"\nafter shifting one result slot by 1:")
     print(f"claimed squared distance: {claim2[0]}")
     print(f"verifier says: {'ACCEPT' if ok2 else 'REJECT'}")

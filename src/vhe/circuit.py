@@ -16,13 +16,13 @@ batching layout).  Gate set:
 and one hook for the unary gates, and gets every wire back.  The slot
 semantics are defined once here (``slot_*``, over the last axis of a
 :func:`vhe.ring.slot_array`, with any leading batch axes); the plain
-interpreter (:func:`eval_plain`, the oracle), the challenge evaluations and
-the mock backend all use them.  Over ciphertexts, :func:`he_unary` maps a
-unary gate onto backend operations, with an optional replication stride so
-a logically identical program runs on block-extended layouts
-(:func:`eval_he`).  The encodings run their own algebras through
-:func:`interpret` as well: tuples of ciphertexts, (ρ, δ) offset pairs and
-degrees.
+interpreter :func:`eval_slots` (as lists, :func:`eval_plain`, the oracle),
+the challenge evaluations and the mock backend all use them.  Over
+ciphertexts, :func:`he_unary` maps a unary gate onto backend operations,
+with an optional replication stride so a logically identical program runs
+on block-extended layouts (:func:`eval_he`).  The encodings run their own
+algebras through :func:`interpret` as well: tuples of ciphertexts, (ρ, δ)
+offset pairs and degrees.
 """
 
 from __future__ import annotations
@@ -267,11 +267,12 @@ def slot_unary(vec, g: Gate, t: int) -> np.ndarray:
     return slot_inner_sum(vec, g.param, t)
 
 
-def eval_plain(program: Program, inputs, t: int) -> list:
-    """Evaluate over plain slot vectors mod t; returns the output wire.
+def eval_slots(program: Program, inputs, t: int) -> np.ndarray:
+    """Evaluate over plain slot vectors mod t; returns the output wire as
+    a slot array.
 
     An input may carry leading batch axes before its slot axis; they
-    broadcast, and the output list nests the same way.
+    broadcast, and the output keeps them.
     """
     if len(inputs) != program.num_inputs:
         raise ParameterError(
@@ -287,7 +288,12 @@ def eval_plain(program: Program, inputs, t: int) -> list:
         lambda a, b, _: slot_mul(a, b, t),
         lambda v, g: slot_unary(v, g, t),
     )
-    return wires[program.output].tolist()
+    return wires[program.output]
+
+
+def eval_plain(program: Program, inputs, t: int) -> list:
+    """The plaintext oracle: :func:`eval_slots` as a (nested) list."""
+    return eval_slots(program, inputs, t).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -317,24 +323,24 @@ def challenge_input_rep(
     return slot_array(out.reshape(len(cols), chunks, width), t)
 
 
-def eval_challenge_pe(program: Program, key, t: int) -> list[int]:
+def eval_challenge_pe(program: Program, key, t: int) -> np.ndarray:
     """Evaluate the program on per-slot PRF challenges (packed convention)."""
     ins = [
         challenge_input_pe(key, base, program.width, t) for base in program.inputs
     ]
-    return eval_plain(program, ins, t)
+    return eval_slots(program, ins, t)
 
 
 def eval_challenge_rep(
     program: Program, key, t: int, lengths, cols, chunks: int
-) -> list:
+) -> np.ndarray:
     """Evaluate on challenge columns `cols` (replication convention) for
-    every chunk at once: a (len(cols), chunks, width) nested list."""
+    every chunk at once: a (len(cols), chunks, width) slot array."""
     ins = [
         challenge_input_rep(key, base, lengths[k], program.width, t, cols, chunks)
         for k, base in enumerate(program.inputs)
     ]
-    return eval_plain(program, ins, t)
+    return eval_slots(program, ins, t)
 
 
 # ---------------------------------------------------------------------------

@@ -64,9 +64,7 @@ from ..protocols import (
     run_session,
     unpack_cts,
 )
-from ..rep import (
-    RepResult, rep_auth, rep_decode, rep_eval, rep_forgery_bound, rep_keygen, rep_verify,
-)
+from ..rep import RepResult, rep_auth, rep_check, rep_eval, rep_forgery_bound, rep_keygen
 from .usecases import make_backend
 
 STRATEGIES = (
@@ -256,15 +254,13 @@ class _RepWorld(_World):
 
         super().__init__(spec, width, 2, keygen, rep_auth)
         self.result = rep_eval(self.program, self.auths, self.client, lam=self.lam)
-        self.claim = rep_decode(self.secret, self.client, self.result, self.program)
-        self.lengths = [self.l, self.l]
-        if not self.verify(self.result, self.claim):
+        if not self.verify(self.result):
             raise AssertionError("honest pipeline must verify before attacking it")
 
-    def verify(self, result, claim) -> bool:
-        return rep_verify(
-            self.secret, self.client, self.program, result, claim, self.lengths
-        )
+    def verify(self, result) -> bool:
+        """The client's verdict on `result`, each ciphertext decrypted once."""
+        slots = [self.client.decrypt(c) for c in result.cts]
+        return rep_check(self.secret, self.program, slots, result.tag, [self.l, self.l])[0]
 
 
 def _setup_rep(spec: AttackSpec):
@@ -285,9 +281,7 @@ def _setup_rep(spec: AttackSpec):
             for j in positions:  # block of output position 0
                 vec[j] = delta
             bad_ct = backend.add(world.result.cts[0], backend.encrypt(vec))
-            bad = RepResult((bad_ct,), world.result.tag, lam)
-            claim = [(world.claim[0] + delta) % t]
-            return world.verify(bad, claim)
+            return world.verify(RepResult((bad_ct,), world.result.tag, lam))
 
         bound = rep_forgery_bound(lam) if k == lam // 2 else 0.0
         return trial, bound
@@ -297,9 +291,7 @@ def _setup_rep(spec: AttackSpec):
         def trial(rng: random.Random) -> bool:
             backend = world._backend(rng)
             fake = [rng.randrange(t) for _ in range(world.n)]
-            bad = RepResult((backend.encrypt(fake),), world.result.tag, lam)
-            claim = rep_decode(world.secret, backend, bad, world.program)
-            return world.verify(bad, claim)
+            return world.verify(RepResult((backend.encrypt(fake),), world.result.tag, lam))
 
         return trial, float(t) ** -(lam // 2)
 
@@ -309,9 +301,8 @@ def _setup_rep(spec: AttackSpec):
         def trial(rng: random.Random) -> bool:
             backend = world._backend(rng)
             other = _program(width, world.l, scale=rng.randrange(2, t))
-            res = rep_eval(other, world.auths, backend, lam=lam)
-            claim = rep_decode(world.secret, backend, res, other)
-            return world.verify(res, claim)  # presented as the original program
+            # presented as the original program
+            return world.verify(rep_eval(other, world.auths, backend, lam=lam))
 
         return trial, 0.0  # digest collision: collision-resistance of the hash
 
@@ -323,21 +314,14 @@ def _setup_rep(spec: AttackSpec):
 
         def trial(rng: random.Random) -> bool:
             # fresh keys per trial: acceptance depends only on the PRF draw
-            secret = rep_keygen(
-                params, lam=lam, programs=(), rng=rng, make_he_keys=False
-            )
+            secret = rep_keygen(params, lam=lam, rng=rng, make_he_keys=False)
             backend = make_backend(params, None, rng)
             vals = [[rng.randrange(t) for _ in range(world.l)] for _ in range(3)]
-            auths = [
-                rep_auth(secret, backend, v, f"in{i}") for i, v in enumerate(vals)
-            ]
+            auths = [rep_auth(secret, backend, v, f"in{i}") for i, v in enumerate(vals)]
             partial = rep_eval(dropped, auths[:2], backend, lam=lam)
             leaves = [fold_tags(a.tags) for a in auths]
-            forged = RepResult(partial.cts, hash_tree_eval(full, leaves), lam)
-            claim = rep_decode(secret, backend, forged, full)
-            return rep_verify(
-                secret, backend, full, forged, claim, [world.l] * 3
-            )
+            slots = [backend.decrypt(c) for c in partial.cts]
+            return rep_check(secret, full, slots, hash_tree_eval(full, leaves), [world.l] * 3)[0]
 
         if real:
             raise ParameterError(

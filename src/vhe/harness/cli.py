@@ -31,16 +31,7 @@ from ..protocols import (
     tcp_connect,
     tcp_listen,
 )
-from ..rep import (
-    RepAuth,
-    RepResult,
-    RepSecret,
-    rep_auth,
-    rep_decode,
-    rep_eval,
-    rep_keygen,
-    rep_verify,
-)
+from ..rep import RepAuth, RepResult, RepSecret, rep_auth, rep_check, rep_eval, rep_keygen
 from .attacks import STRATEGIES, AttackSpec, simulate_adversary
 from .bench import BENCH_OPS, bench_summary, run_bench
 from .usecases import AUTH_MODES, USECASES, make_backend, run_usecase, usecase_spec
@@ -202,23 +193,40 @@ def _eval_backend(args):
     return make_backend(params, keys, random.Random(args.seed))
 
 
+def _evaluate(program, auths, backend, reducer=None):
+    """Evaluate over auth containers of one scheme, inferred from them.
+    Returns (result, its container bytes, a one-line shape)."""
+    if all(isinstance(a, RepAuth) for a in auths):
+        result = rep_eval(program, auths, backend, lam=auths[0].lam)
+        return result, serialize.save_rep_result(result), f"{len(result.cts)} ciphertext(s), λ={result.lam}"
+    if all(isinstance(a, PeAuth) for a in auths):
+        result = pe_eval(program, auths, backend, reducer=reducer)
+        return result, serialize.save_pe_auth(result), f"degree {result.degree}"
+    raise VheError("inputs mix authentication schemes")
+
+
 def _cmd_eval(args) -> int:
     program = _programs([args.program])[0]
     auths = [_load(p) for p in args.inputs]
-    backend = _eval_backend(args)
-    if all(isinstance(a, RepAuth) for a in auths):
-        result = rep_eval(program, auths, backend, lam=auths[0].lam)
-        blob = serialize.save_rep_result(result)
-        shape = f"{len(result.cts)} ciphertext(s), λ={result.lam}"
-    elif all(isinstance(a, PeAuth) for a in auths):
-        result = pe_eval(program, auths, backend)
-        blob = serialize.save_pe_auth(result)
-        shape = f"degree {result.degree}"
-    else:
-        raise VheError("inputs mix authentication schemes")
+    _, blob, shape = _evaluate(program, auths, _eval_backend(args))
     serialize.write_file(args.out, blob)
     print(f"evaluated {program.name or 'program'} ({shape}) -> {args.out}")
     return 0
+
+
+def _lengths(args) -> list:
+    """`--lengths`, the input lengths that REP verification needs."""
+    if not args.lengths:
+        raise VheError("replication verification needs --lengths l1,l2,...")
+    return _ints(args.lengths, "--lengths")
+
+
+def _verdict(ok: bool, claim, reason: list) -> int:
+    if ok:
+        print(f"accept; output block = {claim}")
+        return 0
+    print(f"reject: {reason[0] if reason else 'verification failed'}")
+    return 1
 
 
 def _cmd_verify(args) -> int:
@@ -227,24 +235,18 @@ def _cmd_verify(args) -> int:
     program = _programs([args.program])[0]
     backend = make_backend(secret.params, secret.he_keys, random.Random(args.seed))
     reason: list = []
-    if isinstance(secret, RepSecret) and isinstance(result, RepResult):
-        if not args.lengths:
-            raise VheError("replication verification needs --lengths l1,l2,...")
-        lengths = _ints(args.lengths, "--lengths")
-        claim = rep_decode(secret, backend, result, program)
-        ok = rep_verify(secret, backend, program, result, claim, lengths, reason)
-    elif isinstance(secret, PeSecret) and isinstance(result, PeAuth):
-        start, count = program.output_block
-        ys = [backend.decrypt(c) for c in result.cts]
-        claim = ys[0][start : start + count]
-        ok = pe_check(secret, program, ys, reason=reason)
-    else:
+    rep = isinstance(secret, RepSecret) and isinstance(result, RepResult)
+    if not rep and not (isinstance(secret, PeSecret) and isinstance(result, PeAuth)):
         raise VheError("secret and result containers belong to different schemes")
-    if ok:
-        print(f"accept; output block = {claim}")
-        return 0
-    print(f"reject: {reason[0] if reason else 'verification failed'}")
-    return 1
+    lengths = _lengths(args) if rep else ()
+    slots = [backend.decrypt(c) for c in result.cts]
+    if rep:
+        ok, claim = rep_check(secret, program, slots, result.tag, lengths, reason)
+    else:
+        start, count = program.output_block
+        ok = pe_check(secret, program, slots, reason=reason)
+        claim = slots[0][start : start + count] if ok else None
+    return _verdict(ok, claim, reason)
 
 
 def _cmd_attack(args) -> int:
@@ -298,50 +300,43 @@ def _cmd_serve(args) -> int:
     host, port = _parse_tcp(args.transport)
     program = _programs([args.program])[0]
     auths = [_load(p) for p in args.inputs]
-    if not all(isinstance(a, PeAuth) for a in auths):
-        raise VheError(
-            "interactive sessions serve the polynomial encoding; "
-            "replication results travel as plain containers via `vhe eval`"
-        )
+    if (args.pp or args.req) and not isinstance(auths[0], PeAuth):
+        raise VheError("--pp and --req run only on the polynomial encoding")
     backend = _eval_backend(args)
     endpoint, bound = tcp_listen(
         host, port, ready=lambda p: print(f"listening on {host}:{p}", flush=True)
     )
     try:
         reducer = ReqCloudSession(backend, endpoint) if args.req else None
-        result = pe_eval(program, auths, backend, reducer=reducer)
+        result, blob, shape = _evaluate(program, auths, backend, reducer)
         cloud_reply(backend, result, endpoint, args.pp)
         if args.out:
-            serialize.write_file(args.out, serialize.save_pe_auth(result))
+            serialize.write_file(args.out, blob)
     finally:
         endpoint.close()
     rounds = f"{reducer.rounds} reduction round(s), " if args.req else ""
-    print(f"served one session on port {bound}: {rounds}degree {result.degree}")
+    print(f"served one session on port {bound}: {rounds}{shape}")
     return 0
 
 
 def _cmd_connect(args) -> int:
     host, port = _parse_tcp(args.transport)
     secret = _load(args.key)
-    if not isinstance(secret, PeSecret):
-        raise VheError("interactive sessions verify the polynomial encoding")
+    if not isinstance(secret, (RepSecret, PeSecret)):
+        raise VheError(f"{args.key} does not hold an authentication secret")
+    lengths = _lengths(args) if isinstance(secret, RepSecret) else ()
     program = _programs([args.program])[0]
     backend = make_backend(secret.params, secret.he_keys, random.Random(args.seed))
     rng = random.Random(args.seed ^ 0x5E55)
     endpoint = tcp_connect(host, port)
     reason: list = []
     try:
-        ok, m = client_session(
-            secret, backend, program, endpoint, args.req, args.pp, rng, reason
+        ok, claim = client_session(
+            secret, backend, program, endpoint, args.req, args.pp, rng, reason, lengths
         )
     finally:
         endpoint.close()
-    start, count = program.output_block
-    if ok:
-        print(f"accept; output block = {m[start : start + count]}")
-        return 0
-    print(f"reject: {reason[0] if reason else 'verification failed'}")
-    return 1
+    return _verdict(ok, claim, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--program", required=True)
     p.add_argument("--pp", action="store_true")
     p.add_argument("--req", action="store_true")
+    p.add_argument("--lengths", help="comma-separated input lengths (rep)")
     common(p)
     p.set_defaults(fn=_cmd_connect)
 

@@ -18,13 +18,13 @@ Four workload shapes, each with a pure-Python oracle:
 A run always executes the unauthenticated pipeline first (same seed, same
 parameters) so every report carries ratios against its own baseline, then
 the authenticated pipeline for ``auth`` ∈ {rep, pe, pe+pp, pe+req}; under
-``none`` the baseline is the run.  The PE modes run one verified session
+``none`` the baseline is the run.  Every mode runs one verified session
 (``protocols.cloud_reply`` against ``protocols.client_session``).  Stage
 accounting groups work the way deployment would bill it: *create* is the
 data owner's key generation plus authentication, *eval* is the cloud's
-circuit execution up to the return of ``pe_eval`` (including any reduction
-interaction), *verify* is the rest: the result or packed-proof exchange and
-the decrypting client's checks.
+circuit execution up to the return of ``rep_eval`` or ``pe_eval``
+(including any reduction interaction), *verify* is the rest: the result or
+packed-proof exchange and the decrypting client's checks.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from ..protocols import (
     pp_required_steps,
     run_session,
 )
-from ..rep import rep_auth, rep_decode, rep_eval, rep_keygen, rep_verify
+from ..rep import rep_auth, rep_eval, rep_keygen
 
 USECASES = ("ride-hailing", "dot-product", "lookup", "aggregation")
 AUTH_MODES = ("none", "rep", "pe", "pe+pp", "pe+req")
@@ -526,63 +526,34 @@ def run_usecase(spec: UseCaseSpec, auth: str = "none", real: bool = False) -> Us
         raise LayoutError("baseline pipeline diverged from the plaintext oracle")
 
     timer = _Timer()
-    verdict: bool | None = None
-    result_degree = None
-    req_rounds = None
-    interactive_sent = 0
     rng = random.Random(spec.seed ^ 0xA5A5A5)
 
     if auth == "none":  # the baseline already ran this very pipeline
         stages, answer = baseline_stages, base_answer
-        sent, received = 1, 1
+        verdict = result_degree = req_rounds = None
+        sent, received, interactive_sent = 1, 1, 0
         notes.append("no authenticator: result correctness is not verified")
-    elif auth == "rep":
-        with timer.stage("create"):
-            secret = rep_keygen(
-                params,
-                lam=spec.lam,
-                programs=(inst.program,),
-                rng=rng,
-                make_he_keys=real,
-            )
-            cloud, client = _cloud_and_client(params, secret.he_keys, spec.seed)
-            auths = [
-                rep_auth(secret, client, v, label)
-                for v, label in zip(inst.values, inst.labels)
-            ]
-        with timer.stage("eval"):
-            result = rep_eval(inst.program, auths, cloud, lam=spec.lam)
-        with timer.stage("verify"):
-            claim = rep_decode(secret, client, result, inst.program)
-            verdict = rep_verify(
-                secret, client, inst.program, result, claim, inst.lengths
-            )
-            answer = inst.decode(claim)
-        sent = auths[inst.client_input].num_cts
-        received = len(result.cts)
-        stages = timer.stages
-    else:  # pe family: one verified session
+    else:  # one verified session
+        rep = auth == "rep"
         use_pp = auth == "pe+pp"
         use_req = auth == "pe+req"
         with timer.stage("create"):
-            extra = pp_required_steps(n) if use_pp else ()
-            secret = pe_keygen(
-                params,
-                programs=(inst.program,),
-                extra_steps=extra,
-                rng=rng,
-                make_he_keys=real,
-            )
+            if rep:
+                secret = rep_keygen(params, spec.lam, (inst.program,), rng, make_he_keys=real)
+            else:
+                extra = pp_required_steps(n) if use_pp else ()
+                secret = pe_keygen(params, (inst.program,), extra, rng, make_he_keys=real)
             cloud, client = _cloud_and_client(params, secret.he_keys, spec.seed)
             auths = [
-                pe_auth(secret, client, _pad(v, n), label)
+                rep_auth(secret, client, v, label) if rep else pe_auth(secret, client, _pad(v, n), label)
                 for v, label in zip(inst.values, inst.labels)
             ]
         evaluated: list[float] = []
 
         def cloud_fn(ep):
             reducer = ReqCloudSession(cloud, ep) if use_req else None
-            res = pe_eval(inst.program, auths, cloud, reducer=reducer)
+            res = (rep_eval(inst.program, auths, cloud, lam=spec.lam) if rep
+                   else pe_eval(inst.program, auths, cloud, reducer=reducer))
             evaluated.append(time.perf_counter())
             cloud_reply(cloud, res, ep, use_pp)
             return res, reducer.rounds if use_req else None, ep.transcript
@@ -590,17 +561,16 @@ def run_usecase(spec: UseCaseSpec, auth: str = "none", real: bool = False) -> Us
         def client_fn(ep):
             return client_session(
                 secret, client, inst.program, ep, use_req, use_pp,
-                rng=random.Random(spec.seed ^ 0xC11E),
+                rng=random.Random(spec.seed ^ 0xC11E), lengths=inst.lengths,
             )
 
         t0 = time.perf_counter()
-        (result, req_rounds, tr), (verdict, m) = run_session(cloud_fn, client_fn)
-        start, count = inst.program.output_block
-        answer = inst.decode(m[start : start + count])
-        # eval ends when the cloud's pe_eval returns; verify is the rest
+        (result, req_rounds, tr), (verdict, claim) = run_session(cloud_fn, client_fn)
+        answer = inst.decode(claim)
+        # eval ends when the cloud's evaluation returns; verify is the rest
         (t_eval,) = evaluated
         stages = dict(timer.stages, eval=t_eval - t0, verify=time.perf_counter() - t_eval)
-        result_degree = result.degree
+        result_degree = None if rep else result.degree
         sent = len(auths[inst.client_input].cts)
         received = tr.cts_sent()  # everything the cloud sent the client
         interactive_sent = tr.cts_received()  # the blinded ReQ terms

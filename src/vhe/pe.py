@@ -283,7 +283,7 @@ def final_offset(secret: PeSecret, program: Program, omega) -> np.ndarray:
 def pe_target(secret: PeSecret, program: Program, offset=None) -> np.ndarray:
     """ρ (+ offset): what Σ y_i α^i must equal, slot for slot."""
     t = secret.params.t
-    rho = slot_array(eval_challenge_pe(program, secret.key, t), t)
+    rho = eval_challenge_pe(program, secret.key, t)
     return rho if offset is None else slot_add(rho, slot_array(offset, t), t)
 
 
@@ -309,10 +309,14 @@ def pe_check(
     offset=None,
     reason: list | None = None,
 ) -> bool:
-    """Accept iff the decrypted components (y_0, …, y_d) satisfy
-    Σ y_i α^i = ρ (+ offset) in every slot, and the claimed output-block
-    values match y_0.  The verdict stays local."""
+    """Accept iff the decrypted components are exactly the d + 1 of the
+    program's degree schedule (reduced by ReQ when an `offset` is given),
+    (y_0, …, y_d) satisfy Σ y_i α^i = ρ (+ offset) in every slot, and the
+    claimed output-block values match y_0.  The verdict stays local."""
     t = secret.params.t
+    d, _ = degree_schedule(program, use_reducer=offset is not None)
+    if len(ys) != d + 1:
+        return reject(reason, f"{len(ys)} result component(s) where the program's degree implies {d + 1}")
     ys = slot_array(ys, t)
     if claimed is not None:
         start, count = program.output_block

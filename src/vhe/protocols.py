@@ -40,11 +40,13 @@ replacements folded into components 1 and 2, and the verification offset
 picks up α·r̄ for that gate.  Four ciphertexts cross the wire per round;
 component 0 — the data — is never touched.
 
-One verified session is the pair `cloud_reply` (after `pe_eval`, with a
-ReqCloudSession as its reducer for ReQ) and `client_session`; the use
-cases, the CLI and the attack simulator all run it.  A received message
-with the wrong tag, the wrong number of ciphertexts or a ciphertext whose
-shape does not fit the parameters aborts the session with ProtocolError.
+One verified session, for either encoding, is the pair `cloud_reply`
+(after `rep_eval`, or `pe_eval` with a ReqCloudSession as its reducer for
+ReQ) and `client_session`; the use cases, the CLI and the attack simulator
+all run it.  A REP result is one message: its full-chain ciphertexts, then
+the 64-byte digest.  A received message with the wrong tag, the wrong
+number of ciphertexts or a ciphertext whose shape does not fit the
+parameters aborts the session with ProtocolError.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ from .errors import (
     DecryptionFailureError, ParameterError, ProtocolError, SerializationError, StructureError, reject,
 )
 from .pe import MAX_DEGREE, PeAuth, PeSecret, degree_schedule, offset_walk, pe_check, pe_target
+from .rep import RepResult, RepSecret, rep_check, rep_result_count
 from .ring import slot_array, slot_poly_eval
 from .serialize import load_cts, save_cts
 
@@ -546,31 +549,44 @@ class ReqClientSession:
 # ---------------------------------------------------------------------------
 
 
-def cloud_reply(backend, result: PeAuth, endpoint, pp: bool):
-    """Cloud side of a session's close: the packed proof if `pp`, otherwise
-    every component of `result`, shrunk, in one result message."""
-    if pp:
+def cloud_reply(backend, result, endpoint, pp: bool = False):
+    """Cloud side of a session's close: one result message, which carries a
+    RepResult's ciphertexts followed by its digest, or for a PeAuth the
+    packed proof if `pp` and otherwise every component, shrunk."""
+    if isinstance(result, RepResult):
+        endpoint.send(TAG_RESULT, pack_cts(result.cts) + result.tag)
+    elif pp:
         pp_prove(backend, result, endpoint)
     else:
         endpoint.send(TAG_RESULT, pack_cts([backend.shrink(c) for c in result.cts]))
 
 
 def client_session(
-    secret: PeSecret, backend, program: Program, endpoint,
-    req: bool, pp: bool, rng=None, reason: list | None = None,
+    secret, backend, program: Program, endpoint,
+    req: bool = False, pp: bool = False, rng=None, reason: list | None = None, lengths=(),
 ) -> tuple:
     """Client side of one verified session, the twin of a cloud that runs
-    `pe_eval` (with a ReqCloudSession if `req`) and then `cloud_reply`:
-    serve the ReQ rounds if `req`, then check the packed proof if `pp` or
-    the shipped result otherwise.  Returns (accepted, slots of c_0).
+    `rep_eval`, or `pe_eval` (with a ReqCloudSession if `req`), and then
+    `cloud_reply`: serve the ReQ rounds if `req`, then check the packed
+    proof if `pp` or the shipped result otherwise.  Returns (accepted, the
+    claimed output block).
 
     A result message must carry exactly the d + 1 components of the
-    program's degree schedule; each is decrypted once.  The offset comes
-    from the blinds drawn when the session starts, and `final_offset()`
-    raises DecryptionFailureError for a round whose high terms did not
-    decrypt only once verification has received its last message, so
-    nothing the client sends depends on that failure.
+    program's degree schedule, or for a RepSecret (no ReQ, no PP) the
+    ciphertexts that the input `lengths` imply and the digest; each is
+    decrypted once.  The offset comes from the blinds drawn when the
+    session starts, and `final_offset()` raises DecryptionFailureError for
+    a round whose high terms did not decrypt only once verification has
+    received its last message, so nothing the client sends depends on that
+    failure.
     """
+    if isinstance(secret, RepSecret):
+        if req or pp:
+            raise ParameterError("a replication session runs neither ReQ nor the packed proof")
+        chunks = rep_result_count(secret, program, lengths)
+        payload = _recv(endpoint, TAG_RESULT)  # the digest is its last 64 bytes
+        slots = [backend.decrypt(c) for c in unpack_cts(payload[:-64], chunks, secret.params)]
+        return rep_check(secret, program, slots, payload[-64:], lengths, reason)
     session = offset = None
     if req:
         session = ReqClientSession(secret, backend, program, rng=rng)
@@ -583,10 +599,10 @@ def client_session(
         )
     else:
         d, _ = degree_schedule(program, use_reducer=req)
-        cts = unpack_cts(_recv(endpoint, TAG_RESULT), d + 1, secret.params)
-        ys = [backend.decrypt(c) for c in cts]
+        ys = [backend.decrypt(c) for c in unpack_cts(_recv(endpoint, TAG_RESULT), d + 1, secret.params)]
         m = ys[0]
         ok = pe_check(secret, program, ys, offset=offset, reason=reason)
     if session is not None and session.failures:
         session.final_offset()  # raises, now that the last message is in
-    return ok, m
+    start, count = program.output_block
+    return ok, m[start : start + count]

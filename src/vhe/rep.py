@@ -12,12 +12,13 @@ carries a tag ν_i = F_K(τ_i).  The evaluator runs the circuit with every
 rotation step scaled by λ (so block offsets never mix) and folds the
 circuit structure plus input tags into one digest with impartial hashing.
 
-The verifier re-derives the challenge offsets: replica offsets of the
-output block must all equal the claimed result, challenge offsets must
-equal the circuit evaluated over the per-column PRF challenges, and the
-digest must match.  An adversary who modifies the result must hit every
-replica offset and no challenge offset — it must guess S exactly, which
-happens with probability 1/C(λ, λ/2).
+The verifier (`rep_check`, on decrypted slots) re-derives the challenge
+offsets: the replica offsets of each output position must agree, and
+their value is the claim; challenge offsets must equal the circuit
+evaluated over the per-column PRF challenges, and the digest must match.
+An adversary who modifies the result must hit every replica offset and no
+challenge offset — it must guess S exactly, which happens with
+probability 1/C(λ, λ/2).
 """
 
 from __future__ import annotations
@@ -172,23 +173,66 @@ def rep_eval(program: Program, auths, backend, lam: int) -> RepResult:
     return RepResult(out_cts, hash_tree_eval(program, leaves), lam)
 
 
-def rep_challenge_value(
-    secret: RepSecret, program: Program, input_lengths, chunks: int
-) -> np.ndarray:
+def rep_challenge_value(secret: RepSecret, program: Program, input_lengths, chunks: int) -> np.ndarray:
     """Circuit output over every challenge column (in increasing offset
     order) for every ciphertext chunk: shape (λ/2, chunks, width)."""
     cols = sorted(secret.challenge_set)
-    values = eval_challenge_rep(
-        program, secret.key, secret.params.t, input_lengths, cols, chunks
-    )
-    return np.array(values, dtype=np.int64).reshape(len(cols), chunks, program.width)
+    return eval_challenge_rep(program, secret.key, secret.params.t, input_lengths, cols, chunks)
+
+
+def rep_result_count(secret: RepSecret, program: Program, input_lengths) -> int:
+    """The result ciphertexts the client's own input lengths imply: one
+    positive length per program input, all spanning ⌈l·λ/n⌉ ciphertexts."""
+    if len(input_lengths) != program.num_inputs:
+        raise ParameterError("one input length per program input required")
+    counts = {rep_ct_count(l, secret.lam, secret.params.n) for l in input_lengths}
+    if len(counts) != 1 or min(input_lengths) < 1:
+        raise ParameterError(f"input lengths {list(input_lengths)} imply no one ciphertext count")
+    return counts.pop()
+
+
+def rep_check(
+    secret: RepSecret, program: Program, slots, tag: bytes, input_lengths, reason: list | None = None
+) -> tuple:
+    """Check a result the client has decrypted, one row of `slots` per
+    result ciphertext.  Accept iff, in this order, there are exactly as many
+    rows as `input_lengths` imply, the digest `tag` matches, all replica
+    offsets of each output position agree, and every challenge offset
+    holds the circuit's value.  The verdict stays local.
+
+    Returns (accepted, claim).  A multi-ciphertext result applies the
+    program chunk by chunk, so the output block repeats once per chunk: the
+    claim is every chunk's block, `count × chunks` values in chunk order,
+    read off the first replica offset — the agreed value when accepted.
+    """
+    lam = secret.lam
+    chunks = rep_result_count(secret, program, input_lengths)
+    start, count = program.output_block
+    window = slice(start, start + count)
+    # the output blocks, (chunk, slot, offset)
+    got = np.asarray(slots, dtype=np.int64).reshape(len(slots), program.width, lam)[:, window]
+    replicas = got[:, :, [j for j in range(lam) if j not in secret.challenge_set]]
+    claim = replicas[:, :, 0].reshape(-1).tolist()
+    if len(slots) != chunks:
+        return reject(reason, f"{len(slots)} result ciphertext(s) where the inputs imply {chunks}"), claim
+    leaves = [fold_tags(prf_tags(secret.key, b, l)) for b, l in zip(program.inputs, input_lengths)]
+    if hash_tree_eval(program, leaves) != tag:
+        return reject(reason, "structure digest mismatch"), claim
+    bad = np.argwhere(replicas != replicas[:, :, :1])
+    if len(bad):
+        return reject(reason, f"replica offsets disagree at chunk {bad[0][0]} slot {start + bad[0][1]}"), claim
+    chal = rep_challenge_value(secret, program, input_lengths, chunks)[:, :, window]
+    bad = np.argwhere(got[:, :, sorted(secret.challenge_set)] != chal.transpose(1, 2, 0))
+    if len(bad):
+        return reject(reason, f"challenge offset mismatch at chunk {bad[0][0]} slot {start + bad[0][1]}"), claim
+    return True, claim
 
 
 def rep_decode(secret: RepSecret, backend, result: RepResult, program: Program):
     """Read the claimed output values from the replica offsets.
 
     Returns the output block of every chunk, concatenated — the claim
-    `rep_verify` expects.  Reads one fixed replica offset per position;
+    the verifier below expects.  Reads one fixed replica offset per position;
     verification separately checks that all of them agree.
     """
     lam = secret.lam
@@ -207,45 +251,24 @@ def rep_verify(
     input_lengths,
     reason: list | None = None,
 ) -> bool:
-    """Accept iff the digest, every challenge offset, and every replica
-    offset of the output block check out.  The verdict stays local.
+    """Decrypt each result ciphertext once, check it with rep_check and
+    accept iff `claimed` equals the agreed replica values.
 
-    A multi-ciphertext result applies the program chunk by chunk, so the
-    output block repeats once per chunk: the claim concatenates the block
-    of every chunk, `count × num_cts` values in chunk order.
+    Only the benchmark's REP workload still calls this and the decoder
+    above: both go under ROADMAP item M once item B moves that workload to
+    the session.
     """
-    lam, t = secret.lam, secret.params.t
+    slots = [backend.decrypt(ct) for ct in result.cts]
+    ok, claim = rep_check(secret, program, slots, result.tag, input_lengths, reason)
+    if not ok:
+        return False
     start, count = program.output_block
-    chunks = len(result.cts)
-    claimed = slot_array(claimed, t).astype(np.int64)
-    if claimed.shape != (count * chunks,):
-        raise ParameterError(
-            f"output block holds {count} values per chunk over "
-            f"{chunks} chunk(s), claim has {len(claimed)}"
-        )
-    if len(input_lengths) != program.num_inputs:
-        raise ParameterError("one input length per program input required")
-
-    leaves = [
-        fold_tags(prf_tags(secret.key, base, input_lengths[k]))
-        for k, base in enumerate(program.inputs)
-    ]
-    if hash_tree_eval(program, leaves) != result.tag:
-        return reject(reason, "structure digest mismatch")
-
-    # the output blocks, (chunk, slot, offset): replicas first, since
-    # checking them needs no challenge values
-    window = slice(start, start + count)
-    slots = np.array([backend.decrypt(ct) for ct in result.cts], dtype=np.int64)
-    got = slots.reshape(chunks, program.width, lam)[:, window]
-    replicas = [j for j in range(lam) if j not in secret.challenge_set]
-    bad = np.argwhere(got[:, :, replicas] != claimed.reshape(chunks, count, 1))
+    claimed = slot_array(claimed, secret.params.t)
+    if claimed.shape != (len(claim),):
+        raise ParameterError(f"the output blocks hold {len(claim)} values, the claim {len(claimed)}")
+    bad = np.flatnonzero(claimed != claim)
     if len(bad):
-        return reject(reason, f"replica offset mismatch at chunk {bad[0][0]} slot {start + bad[0][1]}")
-    chal = rep_challenge_value(secret, program, input_lengths, chunks)[:, :, window]
-    bad = np.argwhere(got[:, :, sorted(secret.challenge_set)] != chal.transpose(1, 2, 0))
-    if len(bad):
-        return reject(reason, f"challenge offset mismatch at chunk {bad[0][0]} slot {start + bad[0][1]}")
+        return reject(reason, f"replica offset mismatch at chunk {bad[0] // count} slot {start + bad[0] % count}")
     return True
 
 

@@ -28,6 +28,8 @@ from vhe.protocols import (
     TAG_RESULT,
     ReqClientSession,
     ReqCloudSession,
+    client_session,
+    cloud_reply,
     message_ct_count,
     pack_cts,
     pp_prove,
@@ -440,7 +442,8 @@ def _scenario_req_result(params, tamper: bool):
 
 
 def _scenario_rep_result(params, tamper: bool):
-    """Replication result shipped over the channel; client only receives."""
+    """Replication session: the cloud ships its result, optionally
+    perturbed, in one message; the client only receives."""
     t, n = params.t, params.n
     lam = 8
     rng = random.Random(SEED)
@@ -454,26 +457,17 @@ def _scenario_rep_result(params, tamper: bool):
         for lbl in ("x", "y")
     ]
     result = rep_eval(prog, auths, backend, lam=lam)
-
-    def cloud(ep):
-        cts = list(result.cts)
-        if tamper:
-            delta = [5] * n
-            cts[0] = backend.add(cts[0], backend.encrypt(delta))
-        ep.send(TAG_RESULT, pack_cts(cts))
+    if tamper:
+        bad = backend.add(result.cts[0], backend.encrypt([5] * n))
+        result = RepResult((bad,) + result.cts[1:], result.tag, lam)
 
     log: list = []
 
     def client(ep):
-        wrapped = _OrderedEndpoint(ep, log)
-        tag, payload = wrapped.recv()
-        assert tag == TAG_RESULT
-        res = RepResult(tuple(unpack_cts(payload)), result.tag, lam)
-        claim = rep_decode(secret, backend, res, prog)
-        ok = rep_verify(secret, backend, prog, res, claim, [4, 4])
+        ok, _ = client_session(secret, backend, prog, _OrderedEndpoint(ep, log), lengths=[4, 4])
         return ok, ep.transcript
 
-    _, (ok, tr) = run_session(cloud, client)
+    _, (ok, tr) = run_session(lambda ep: cloud_reply(backend, result, ep), client)
     return ok, tr.sent_bytes(), log
 
 

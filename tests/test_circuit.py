@@ -259,7 +259,7 @@ def test_eval_challenge_pe_matches_plain_on_challenges():
     b, x, y = build_simple(width=8)
     p = b.build(b.mul(x, y))
     chal = [challenge_input_pe(key, base, 8, T) for base in p.inputs]
-    assert eval_challenge_pe(p, key, T) == eval_plain(p, chal, T)
+    assert eval_challenge_pe(p, key, T).tolist() == eval_plain(p, chal, T)
 
 
 def test_eval_challenge_rep_pads_past_length():
@@ -267,11 +267,11 @@ def test_eval_challenge_rep_pads_past_length():
     b = ProgramBuilder(width=8)
     x = b.input("x")
     p = b.build(b.add(x, x))
-    (col0,), (col1,) = eval_challenge_rep(p, key, T, [3], cols=[0, 1], chunks=1)
+    (col0,), (col1,) = eval_challenge_rep(p, key, T, [3], cols=[0, 1], chunks=1).tolist()
     assert col0[3:] == [0] * 5  # components ≥ length are zero padding
     assert col0 != col1
     # a second chunk carries components 8 onwards: all padding here
-    assert eval_challenge_rep(p, key, T, [3], cols=[0], chunks=2) == [[col0, [0] * 8]]
+    assert eval_challenge_rep(p, key, T, [3], cols=[0], chunks=2).tolist() == [[col0, [0] * 8]]
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +447,7 @@ def test_algebras_agree_on_random_programs():
         assert degree_schedule(p, use_reducer=True) == (reduced.degree, reducer.fired)
 
         rhos, deltas, _ = offset_walk(p, sec.key, t, sec.alpha)
-        assert rhos[p.output].tolist() == eval_challenge_pe(p, sec.key, t)
+        assert rhos[p.output].tolist() == eval_challenge_pe(p, sec.key, t).tolist()
         assert deltas[p.output].tolist() == [0] * n
 
         out = eval_he(p, [backend.encrypt(v) for v in ins], backend)

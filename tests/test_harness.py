@@ -26,9 +26,38 @@ from vhe.harness import (
 )
 from vhe.harness import attacks
 from vhe.harness.attacks import STRATEGIES
+from vhe import serialize
+from vhe.harness import cli, usecases
 from vhe.harness.cli import main
-from vhe.pe import pe_eval
+from vhe.mock import MockBackend
+from vhe.params import preset
+from vhe.pe import PeAuth, pe_eval
 from vhe.protocols import ReqCloudSession, cloud_reply
+from vhe.rep import RepResult
+
+
+class _CountingMock(MockBackend):
+    """A mock client that counts its decryptions."""
+
+    decrypts = 0
+
+    def decrypt(self, ct):
+        self.decrypts += 1
+        return super().decrypt(ct)
+
+
+def _count_decrypts(monkeypatch, module) -> list:
+    """Make `module.make_backend` build counting mocks; returns the list
+    they are appended to, in order of construction."""
+    made: list = []
+
+    def make(params, keys, rng):
+        assert keys is None
+        made.append(_CountingMock(params, rng=rng))
+        return made[-1]
+
+    monkeypatch.setattr(module, "make_backend", make)
+    return made
 
 # ---------------------------------------------------------------------------
 # use cases
@@ -104,6 +133,15 @@ def test_aggregation_rep_ciphertext_count_matches_formula():
     n = 4096
     expected = math.ceil(spec.weight_length * spec.lam / n)
     assert report.cts_sent_per_client == expected == 32
+
+
+def test_aggregation_rep_runs_the_session_and_decrypts_each_result_once(monkeypatch):
+    made = _count_decrypts(monkeypatch, usecases)
+    report = run_usecase(usecase_spec("aggregation", auth="rep", seed=1), auth="rep")
+    assert report.verdict is True and report.match
+    assert (report.cts_sent_per_client, report.cts_received_client) == (32, 32)
+    # the baseline's cloud and client, then the session's
+    assert [b.decrypts for b in made] == [0, 1, 0, 32]
 
 
 def test_aggregation_pe_degree_stays_flat():
@@ -353,6 +391,80 @@ def test_cli_rep_file_workflow(tmp_path, capsys):
     ]), capsys, "--lengths")
 
 
+def _rep_files(tmp_path, length: int):
+    """Mock REP keys at λ = 8, two uploads of `length` values and a
+    one-gate add over all 8 logical slots; returns (secret, program)."""
+    prog = tmp_path / "sum.json"
+    b = ProgramBuilder(8, name="sum")
+    prog.write_text(program_to_json(b.build(b.add(b.input("x"), b.input("y")), output_block=(0, 8))))
+    keys = tmp_path / "keys"
+    assert main([
+        "keygen", "--auth", "rep", "--params", "mock64", "--lambda", "8",
+        "--backend", "mock", "--out", str(keys),
+    ]) == 0
+    for base in ("x", "y"):
+        (tmp_path / f"{base}.csv").write_text(",".join(map(str, range(length))))
+        assert main([
+            "auth", "--key", str(keys / "secret.vrts"), "--base", base,
+            "--values", str(tmp_path / f"{base}.csv"), "--out", str(tmp_path / f"{base}.vrts"),
+        ]) == 0
+    return keys / "secret.vrts", prog
+
+
+def test_cli_rep_verify_decrypts_once_and_counts_chunks(tmp_path, capsys, monkeypatch):
+    """`vhe verify` decrypts each REP result ciphertext once, and rejects a
+    result file with a chunk dropped: the count comes from --lengths."""
+    secret, prog = _rep_files(tmp_path, 24)
+    result = tmp_path / "result.vrts"
+    assert main([
+        "eval", "--program", str(prog), "--inputs", str(tmp_path / "x.vrts"),
+        str(tmp_path / "y.vrts"), "--params", "mock64", "--out", str(result),
+    ]) == 0
+    verify = ["verify", "--key", str(secret), "--program", str(prog), "--lengths", "24,24"]
+    made = _count_decrypts(monkeypatch, cli)
+    assert main(verify + ["--result", str(result)]) == 0
+    assert [b.decrypts for b in made] == [3]
+    assert "accept" in capsys.readouterr().out
+
+    res = serialize.load_rep_result(serialize.read_file(result))
+    serialize.write_file(
+        tmp_path / "short.vrts", serialize.save_rep_result(RepResult(res.cts[:2], res.tag, res.lam))
+    )
+    assert main(verify + ["--result", str(tmp_path / "short.vrts")]) == 1
+    assert "reject: 2 result ciphertext(s) where the inputs imply 3" in capsys.readouterr().out
+
+
+def test_cli_verify_refuses_a_pe_result_with_an_extra_component(tmp_path, capsys):
+    """A degree-2 result must carry exactly its 3 components: a zero
+    fourth one leaves the identity intact, but it is refused."""
+    prog = tmp_path / "prog.json"
+    _write_program(prog, width=64)
+    keys = tmp_path / "keys"
+    assert main([
+        "keygen", "--auth", "pe", "--params", "mock64", "--backend", "mock", "--out", str(keys),
+    ]) == 0
+    for base in ("x", "y"):
+        (tmp_path / f"{base}.csv").write_text("1,2,3,4\n")
+        assert main([
+            "auth", "--key", str(keys / "secret.vrts"), "--base", base,
+            "--values", str(tmp_path / f"{base}.csv"), "--out", str(tmp_path / f"{base}.vrts"),
+        ]) == 0
+    result = tmp_path / "result.vrts"
+    assert main([
+        "eval", "--program", str(prog), "--inputs", str(tmp_path / "x.vrts"),
+        str(tmp_path / "y.vrts"), "--params", "mock64", "--out", str(result),
+    ]) == 0
+    verify = ["verify", "--key", str(keys / "secret.vrts"), "--program", str(prog)]
+    assert main(verify + ["--result", str(result)]) == 0
+    res = serialize.load_pe_auth(serialize.read_file(result))
+    zero = MockBackend(preset("mock64"), rng=random.Random(1)).encrypt([0] * 64)
+    serialize.write_file(tmp_path / "padded.vrts", serialize.save_pe_auth(PeAuth(res.cts + (zero,))))
+    capsys.readouterr()
+    assert main(verify + ["--result", str(tmp_path / "padded.vrts")]) == 1
+    out = capsys.readouterr().out
+    assert "reject: 4 result component(s) where the program's degree implies 3" in out
+
+
 def test_cli_pe_real_workflow(tmp_path, capsys):
     prog = tmp_path / "prog.json"
     _write_program(prog, width=64)
@@ -560,6 +672,53 @@ def test_cli_tcp_session_between_processes(tmp_path):
         server.kill()
         server.stdout.close()
         server.wait()
+
+
+def test_cli_rep_tcp_session_between_processes(tmp_path, capsys):
+    """serve infers REP from its inputs, connect from the secret: the REP
+    result crosses TCP in one message and verifies."""
+    secret, prog = _rep_files(tmp_path, 24)
+    inputs = [str(tmp_path / "x.vrts"), str(tmp_path / "y.vrts")]
+    server = subprocess.Popen(
+        [
+            sys.executable, "-m", "vhe.harness.cli", "serve", "--transport", "tcp://127.0.0.1:0",
+            "--program", str(prog), "--inputs", *inputs, "--params", "mock64",
+        ],
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        port = int(re.search(r":(\d+)$", server.stdout.readline().strip()).group(1))
+        rc = main([
+            "connect", "--transport", f"tcp://127.0.0.1:{port}", "--key", str(secret),
+            "--program", str(prog), "--lengths", "24,24",
+        ])
+        assert rc == 0
+        assert server.wait(timeout=30) == 0
+        assert "3 ciphertext(s), λ=8" in server.stdout.read()
+    finally:
+        server.kill()
+        server.stdout.close()
+        server.wait()
+    sums = [2 * v for v in range(24)]
+    assert f"accept; output block = {sums}" in capsys.readouterr().out
+
+
+def test_cli_rep_session_refusals(tmp_path, capsys):
+    """connect with a REP secret needs --lengths, and serve refuses --pp or
+    --req over REP inputs, both before any socket is opened."""
+    secret, prog = _rep_files(tmp_path, 8)
+    capsys.readouterr()
+    _assert_clean_error(main([
+        "connect", "--transport", "tcp://127.0.0.1:9", "--key", str(secret),
+        "--program", str(prog),
+    ]), capsys, "--lengths")
+    for flag in ("--pp", "--req"):
+        _assert_clean_error(main([
+            "serve", "--transport", "tcp://127.0.0.1:0", "--program", str(prog),
+            "--inputs", str(tmp_path / "x.vrts"), str(tmp_path / "y.vrts"),
+            "--params", "mock64", flag,
+        ]), capsys, "polynomial encoding")
 
 
 def test_cli_unknown_params_is_an_error(capsys):

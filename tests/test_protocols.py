@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vhe import bfv, pe
+from vhe import bfv, pe, rep
 from vhe import protocols as pr
 from vhe.circuit import ProgramBuilder, eval_plain
 from vhe.errors import DecryptionFailureError, ParameterError, ProtocolError, StructureError
@@ -942,3 +942,105 @@ def test_req_then_pp_composes():
 
     _, (ok, m) = pr.run_session(cloud_fn, client_fn)
     assert ok and m == plain
+
+
+# ---------------------------------------------------------------------------
+# the replication session
+# ---------------------------------------------------------------------------
+
+
+class _CountingMock(MockBackend):
+    """A mock client that counts its decryptions."""
+
+    decrypts = 0
+
+    def decrypt(self, ct):
+        self.decrypts += 1
+        return super().decrypt(ct)
+
+
+def rep_world(seed=60, length=24):
+    """A REP secret, a counting mock client, a one-gate add over two inputs
+    of `length` values (3 result ciphertexts at λ = 8) and its result."""
+    rng = random.Random(seed)
+    sec = rep.rep_keygen(PARAMS, lam=8, rng=rng, make_he_keys=False)
+    client = _CountingMock(PARAMS, rng=random.Random(seed + 1))
+    b = ProgramBuilder(width=N // 8, name="sum")
+    prog = b.build(b.add(b.input("a"), b.input("b")), output_block=(0, N // 8))
+    auths = [rep.rep_auth(sec, client, [rng.randrange(T) for _ in range(length)], x) for x in "ab"]
+    return sec, client, prog, rep.rep_eval(prog, auths, client, lam=8)
+
+
+def test_rep_session_decrypts_each_result_ciphertext_once():
+    sec, client, prog, res = rep_world()
+
+    def cloud_fn(ep):
+        pr.cloud_reply(client, res, ep)
+        return ep.transcript
+
+    tr, (ok, claim) = pr.run_session(
+        cloud_fn, lambda ep: pr.client_session(sec, client, prog, ep, lengths=[24, 24])
+    )
+    assert client.decrypts == tr.cts_sent() == len(res.cts) == 3
+    assert ok and claim == rep.rep_decode(sec, client, res, prog)
+    assert tr.sent == [(pr.TAG_RESULT, pr.pack_cts(res.cts) + res.tag)]
+
+
+@pytest.mark.parametrize(
+    "kind", ["one ciphertext short", "one ciphertext over", "shorter than a digest",
+             "trailing bytes"],
+)
+def test_hostile_rep_result_frames_are_refused_before_decrypting(kind):
+    """A REP result message whose ciphertext count differs from what the
+    client's input lengths imply, that cannot hold the 64-byte digest, or
+    that carries bytes past it aborts the session before any decryption."""
+    sec, client, prog, res = rep_world()
+    payload = {
+        "one ciphertext short": pr.pack_cts(res.cts[:2]) + res.tag,
+        "one ciphertext over": pr.pack_cts(res.cts + res.cts[:1]) + res.tag,
+        "shorter than a digest": res.tag[:63],
+        "trailing bytes": pr.pack_cts(res.cts) + res.tag + b"\0",
+    }[kind]
+    ep, peer = pr.memory_channel(timeout=1.0)
+    peer.send(pr.TAG_RESULT, payload)
+    client.decrypts = 0
+    with pytest.raises(ProtocolError):
+        pr.client_session(sec, client, prog, ep, lengths=[24, 24])
+    assert client.decrypts == 0
+
+
+@pytest.mark.parametrize("mode", [{"pp": True}, {"req": True}])
+def test_rep_session_refuses_pp_and_req(mode):
+    sec, client, prog, _ = rep_world()
+    ep, _ = pr.memory_channel(timeout=1.0)
+    with pytest.raises(ParameterError, match="replication"):
+        pr.client_session(sec, client, prog, ep, lengths=[24, 24], **mode)
+
+
+def test_rep_session_needs_the_input_lengths():
+    sec, client, prog, _ = rep_world()
+    ep, _ = pr.memory_channel(timeout=1.0)
+    with pytest.raises(ParameterError, match="input length"):
+        pr.client_session(sec, client, prog, ep)
+
+
+def test_real_rep_result_frame_size():
+    """A REP result frame of c ciphertexts on the full chain of k primes
+    takes 5 + 1 + c·(17 + 8·k·n) + 64 bytes, and verifies."""
+    rng = random.Random(62)
+    b = ProgramBuilder(width=N // 8, name="sum")
+    prog = b.build(b.add(b.input("a"), b.input("b")), output_block=(0, 4))
+    sec = rep.rep_keygen(PARAMS, lam=8, programs=[prog], rng=rng)
+    backend = bfv.BfvBackend(PARAMS, sec.he_keys, rng=np.random.default_rng(63))
+    auths = [rep.rep_auth(sec, backend, [1, 2, 3, 4], x) for x in "ab"]
+    res = rep.rep_eval(prog, auths, backend, lam=8)
+
+    def cloud_fn(ep):
+        pr.cloud_reply(backend, res, ep)
+        return ep.transcript
+
+    tr, (ok, claim) = pr.run_session(
+        cloud_fn, lambda ep: pr.client_session(sec, backend, prog, ep, lengths=[4, 4])
+    )
+    assert ok and claim == [2, 4, 6, 8]
+    assert len(tr.sent_bytes()) == 5 + 1 + 1 * (17 + 8 * len(PARAMS.q_chain) * N) + 64

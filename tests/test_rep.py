@@ -274,6 +274,56 @@ def test_rejects_replayed_result_for_other_program(mock):
     assert not rep.rep_verify(sec, mock, other, res, [claim], [4, 4])
 
 
+def _three_chunk_sum(mock):
+    """A one-gate add over two 24-value inputs: 3 result ciphertexts."""
+    sec = make_secret(seed=4)
+    b = ProgramBuilder(width=WIDTH, name="sum")
+    prog = b.build(b.add(b.input("a"), b.input("b")), output_block=(0, WIDTH))
+    rng = random.Random(6)
+    auths = [rep.rep_auth(sec, mock, [rng.randrange(T) for _ in range(24)], x) for x in "ab"]
+    res = rep.rep_eval(prog, auths, mock, lam=LAM)
+    assert len(res.cts) == 3
+    return sec, prog, res
+
+
+@pytest.mark.parametrize("shape", ["one chunk dropped", "zero chunk appended"])
+def test_rejects_truncated_or_padded_result(mock, shape):
+    """The chunk count comes from the client's input lengths, not from the
+    result: a result with its last chunk dropped, or with a zero chunk
+    appended, is rejected with a reason, with or without a claim."""
+    sec, prog, res = _three_chunk_sum(mock)
+    cts = res.cts[:2] if shape == "one chunk dropped" else res.cts + (mock.encrypt([0] * N),)
+    forged = rep.RepResult(cts, res.tag, LAM)
+    why = []
+    ok, claim = rep.rep_check(sec, prog, [mock.decrypt(c) for c in cts], res.tag, [24, 24], why)
+    assert not ok and why == [f"{len(cts)} result ciphertext(s) where the inputs imply 3"]
+    why = []
+    assert not rep.rep_verify(sec, mock, prog, forged, claim, [24, 24], reason=why)
+    assert "inputs imply 3" in why[0]
+
+
+def test_check_returns_the_agreed_replicas(mock):
+    sec, prog, res = _three_chunk_sum(mock)
+    slots = [mock.decrypt(c) for c in res.cts]
+    assert rep.rep_check(sec, prog, slots, res.tag, [24, 24]) == (
+        True, rep.rep_decode(sec, mock, res, prog)
+    )
+    # a replica offset that disagrees with the others
+    j = min(set(range(LAM)) - sec.challenge_set)
+    slots[2][5 * LAM + j] = (slots[2][5 * LAM + j] + 1) % T
+    why = []
+    assert not rep.rep_check(sec, prog, slots, res.tag, [24, 24], why)[0]
+    assert why == ["replica offsets disagree at chunk 2 slot 5"]
+
+
+def test_check_input_lengths_must_imply_one_count(mock):
+    sec, prog, res = _three_chunk_sum(mock)
+    slots = [mock.decrypt(c) for c in res.cts]
+    for lengths in ([24, 8], [24], [24, 24, 24], [0, 0], [-24, -24]):
+        with pytest.raises(ParameterError):
+            rep.rep_check(sec, prog, slots, res.tag, lengths)
+
+
 def test_claim_shape_checked(mock):
     sec, prog, res, claim = _setup(mock)
     with pytest.raises(ParameterError):
