@@ -81,6 +81,14 @@ expect_error vhe verify --key keys/secret.vrts --program dot8.json \
 # a replication session needs the input lengths, as verify does
 expect_error vhe connect --transport tcp://127.0.0.1:9 --key keys/secret.vrts \
     --program dot8.json
+# a result of another ring (mock16, λ=2) under the mock64 key
+vhe keygen --auth rep --params mock16 --lambda 2 --backend mock --out keys16
+vhe auth --key keys16/secret.vrts --base x --values x.csv --out x16.vrts
+vhe auth --key keys16/secret.vrts --base y --values y.csv --out y16.vrts
+vhe eval --program dot8.json --inputs x16.vrts y16.vrts \
+    --params keys16/params.vrts --out result16.vrts
+expect_error vhe verify --key keys/secret.vrts --program dot8.json \
+    --result result16.vrts --lengths 8,8
 
 echo
 echo "== 7. simulate forgers (each fails the run if it beats its bound) =="
@@ -96,7 +104,7 @@ echo "== 9. an end-to-end use case =="
 vhe usecase --name ride-hailing --auth pe --seed 1 --out report
 
 echo
-echo "== 10. a packed proof over loopback TCP (real backend, shrunk messages) =="
+echo "== 10. a packed proof over loopback TCP (real backend, shrunk messages; only connect names the mode) =="
 python3 - <<'PY'
 from vhe.circuit import ProgramBuilder, program_to_json
 
@@ -113,7 +121,7 @@ vhe keygen --auth pe --params mock64 --program square64.json --pp \
 vhe auth --key pekeys/secret.vrts --base x --values x.csv --out px.vrts
 vhe auth --key pekeys/secret.vrts --base y --values y.csv --out py.vrts
 vhe serve --transport tcp://127.0.0.1:0 --program square64.json \
-    --inputs px.vrts py.vrts --public pekeys/public.vrts --pp > serve.log &
+    --inputs px.vrts py.vrts --public pekeys/public.vrts > serve.log &
 SERVER=$!
 for _ in $(seq 100); do grep -q listening serve.log && break; sleep 0.1; done
 PORT="$(sed -n 's/^listening on .*:\([0-9]*\)$/\1/p' serve.log)"

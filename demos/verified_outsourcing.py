@@ -17,9 +17,8 @@ from vhe.params import preset
 from vhe.pe import pe_auth, pe_eval, pe_keygen
 from vhe.protocols import (
     TAG_PP_RESPONSE,
-    ReqCloudSession,
     client_session,
-    cloud_reply,
+    cloud_session,
     pack_cts,
     pp_required_steps,
     run_session,
@@ -73,10 +72,11 @@ def main():
     auth = pe_auth(secret, backend, values, "x")
     print(f"\nupload: {len(auth.cts)} ciphertexts (data + companion)")
 
+    def evaluate(reducer):  # the client's first message asks for ReQ and PP
+        return pe_eval(prog, [auth], backend, reducer=reducer)
+
     def cloud_fn(ep):
-        reducer = ReqCloudSession(backend, ep)
-        result = pe_eval(prog, [auth], backend, reducer=reducer)
-        cloud_reply(backend, result, ep, pp=True)
+        result, reducer = cloud_session(backend, ep, evaluate)
         return result, reducer.rounds, ep.transcript
 
     def client_fn(ep):
@@ -94,12 +94,9 @@ def main():
     print(f"packed proof: {'ACCEPT' if ok else 'REJECT'}")
 
     # Same session, but the cloud perturbs its proof response in flight.
-    def lying_cloud_fn(ep):
-        reducer = ReqCloudSession(backend, ep)
-        result = pe_eval(prog, [auth], backend, reducer=reducer)
-        cloud_reply(backend, result, _LyingCloud(ep, backend), pp=True)
-
-    _, (ok2, _) = run_session(lying_cloud_fn, client_fn)
+    _, (ok2, _) = run_session(
+        lambda ep: cloud_session(backend, _LyingCloud(ep, backend), evaluate), client_fn
+    )
     print(f"\nwith a tampered proof response: {'ACCEPT' if ok2 else 'REJECT'}")
     print(f"forgery probability bound: 2(d+n)/t + d/(t−1) "
           f"= {2 * (8 + n) / t + 8 / (t - 1):.2e}")

@@ -537,13 +537,16 @@ class BfvBackend:
         return self.keys.sk_ntt
 
     def _check_received(self, ct: Ciphertext, full: bool) -> int:
-        """Refuse a ciphertext that is not a (d+1, k″, n) stack of residues
-        in [0, q_i) with d ≥ 0 and k″ = k if `full`, else 1 ≤ k″ ≤ k (a
-        prefix of the chain); returns k″.
+        """Refuse anything but a Ciphertext whose data is a (d+1, k″, n)
+        stack of residues in [0, q_i) with d ≥ 0 and k″ ≤ k, or, if `full`,
+        exactly what `encrypt` makes: d = 1 and k″ = k; returns k″.
 
         The transforms are exact only for reduced residues, so a hostile or
-        corrupt ciphertext must stop here, before any arithmetic.
+        corrupt ciphertext, or one of another backend, must stop here,
+        before any arithmetic.
         """
+        if not isinstance(ct, Ciphertext):
+            raise SerializationError(f"{type(ct).__name__} is not a ciphertext of this backend")
         k, n = len(self.primes), self.params.n
         data = ct.data
         if not (
@@ -551,14 +554,10 @@ class BfvBackend:
             and data.dtype == np.int64
             and data.ndim == 3
             and data.shape[2] == n
-            and (data.shape[1] == k if full else 1 <= data.shape[1] <= k)
+            and (data.shape[:2] == (2, k) if full else len(data) >= 1 and 1 <= data.shape[1] <= k)
         ):
-            rows = k if full else f"1..{k}"
-            raise SerializationError(
-                f"ciphertext must be an int64 (d+1, {rows}, {n}) residue stack"
-            )
-        if not len(data):
-            raise SerializationError("ciphertext has no components")
+            shape = f"(2, {k}, {n})" if full else f"(d+1, 1..{k}, {n}) with d ≥ 0"
+            raise SerializationError(f"ciphertext must be an int64 {shape} residue stack")
         rows = data.shape[1]
         # negative residues read as huge unsigned ones, so the row maxima
         # catch both ends in one pass
@@ -568,8 +567,9 @@ class BfvBackend:
 
     def check_operand(self, ct: Ciphertext) -> None:
         """Refuse, before any arithmetic, a ciphertext the evaluator cannot
-        take: anything but a full-chain stack of reduced residues (a shrunk
-        ciphertext is terminal and never re-enters evaluation)."""
+        take: anything but a full-chain stack of exactly two components of
+        reduced residues (a shrunk ciphertext is terminal and never
+        re-enters evaluation)."""
         self._check_received(ct, full=True)
 
     def _phase(self, ct: Ciphertext) -> np.ndarray:
@@ -653,21 +653,12 @@ class BfvBackend:
 
     # ---- linear operations ---------------------------------------------------
 
-    @staticmethod
-    def _padded(data: np.ndarray, d: int) -> np.ndarray:
-        """`data` with zero components appended up to d."""
-        if len(data) == d:
-            return data
-        zeros = np.zeros((d - len(data),) + data.shape[1:], dtype=np.int64)
-        return np.concatenate([data, zeros])
-
     def _combine(self, op, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        """a op b, on the full chain or on two ciphertexts shrunk to the
-        same chain prefix."""
-        if a.data.shape[1] != b.data.shape[1]:
-            raise ParameterError("operands lie on different chain prefixes")
-        d = max(a.degree, b.degree)
-        out = op(self._padded(a.data, d), self._padded(b.data, d))
+        """a op b, for two ciphertexts of one shape: full-chain operands, or
+        two shrunk to the same chain prefix."""
+        if a.data.shape != b.data.shape:
+            raise ParameterError("operands differ in degree or chain prefix")
+        out = op(a.data, b.data)
         out %= self._q[: out.shape[1]]
         return Ciphertext(out)
 

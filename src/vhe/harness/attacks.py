@@ -27,9 +27,9 @@ Strategies:
 - ``tamper-req-message``: perturb a high-degree component in flight during a
   re-quadratization round, then finish the protocol honestly.
 
-The last two run the real verified session: the cloud's outgoing message
-is perturbed around ``pp_prove`` or ``ReqCloudSession``, and the client is
-``protocols.client_session``.
+The last two run the real verified session, ``protocols.cloud_session``
+against ``protocols.client_session``: the cloud's outgoing packed-proof
+response or ReQ high terms are perturbed in flight.
 """
 
 from __future__ import annotations
@@ -47,19 +47,17 @@ from ..pe import (
     PeAuth,
     degree_schedule,
     pe_auth,
+    pe_check,
     pe_eval,
     pe_keygen,
     pe_soundness_bound,
-    pe_verify,
 )
 from ..protocols import (
     TAG_PP_RESPONSE,
     TAG_REQ_HIGH_TERMS,
-    ReqCloudSession,
     client_session,
-    cloud_reply,
+    cloud_session,
     pack_cts,
-    pp_prove,
     pp_required_steps,
     run_session,
     unpack_cts,
@@ -348,9 +346,9 @@ class _PeWorld(_World):
         super().__init__(spec, n, spec.degree, keygen, pe_auth)
 
     def verify(self, result: PeAuth) -> bool:
-        """The client's verdict on `result`, claiming what its c_0 holds
-        (so only the response identity can fail)."""
-        return pe_verify(self.secret, self.client, self.program, result)
+        """The client's verdict on `result`, each component decrypted once,
+        claiming what its c_0 holds (so only the response identity can fail)."""
+        return pe_check(self.secret, self.program, [self.client.decrypt(c) for c in result.cts])
 
     def tampered_trials(self, run):
         """Trials of the session strategy ``run(rng, tamper)`` with tampering
@@ -367,11 +365,18 @@ class _PeWorld(_World):
             )
         return lambda rng: run(rng, True)
 
-    def session(self, rng, cloud_fn, req: bool, pp: bool) -> bool:
-        """The client's verdict in one verified session against `cloud_fn`.
-        The client's generator is drawn before the session starts, so the
-        cloud thread alone draws from `rng` after that."""
+    def session(self, rng, backend, evaluate, req: bool, pp: bool, tamper=None) -> bool:
+        """The client's verdict in one verified session (ReQ if `req`, PP if
+        `pp`) against a cloud that runs `evaluate`; a `tamper` pair (tag,
+        hit) perturbs that message in flight (_TamperedSends).  The client's
+        generator is drawn before the session starts, so the cloud thread
+        alone draws from `rng` after that."""
         client_rng = random.Random(rng.getrandbits(64))
+
+        def cloud_fn(ep):
+            out = ep if tamper is None else _TamperedSends(ep, backend, rng, *tamper, self.n)
+            return cloud_session(backend, out, evaluate)
+
         _, (ok, _) = run_session(
             cloud_fn,
             lambda ep: client_session(
@@ -437,16 +442,11 @@ def _setup_pe(spec: AttackSpec):
 
         def run(rng: random.Random, tamper: bool) -> bool:
             backend = world._backend(rng)
-
-            def cloud_fn(ep):
-                # honest proving; a tampered run perturbs any one of the n
-                # response slots, past the c_0 commitment: it lands in one
-                # of the K lanes the client sums, padding lanes included
-                if tamper:
-                    ep = _TamperedSends(ep, backend, rng, TAG_PP_RESPONSE, 0, n)
-                pp_prove(backend, honest, ep)
-
-            return world.session(rng, cloud_fn, req=False, pp=True)
+            # honest proving; a tampered run perturbs any one of the n
+            # response slots, past the c_0 commitment: it lands in one of
+            # the K lanes the client sums, padding lanes included
+            hit = (TAG_PP_RESPONSE, 0) if tamper else None
+            return world.session(rng, backend, lambda _: honest, req=False, pp=True, tamper=hit)
 
         return world.tampered_trials(run), bound
 
@@ -460,16 +460,13 @@ def _setup_pe(spec: AttackSpec):
 
         def run(rng: random.Random, tamper: bool) -> bool:
             backend = world._backend(rng)
-            hit = rng.randrange(len(schedule)) if tamper else None
+            # a tampered run perturbs one round's high terms in flight
+            hit = (TAG_REQ_HIGH_TERMS, rng.randrange(len(schedule))) if tamper else None
 
-            def cloud_fn(ep):
-                # a tampered run perturbs one round's high terms in flight
-                out = _TamperedSends(ep, backend, rng, TAG_REQ_HIGH_TERMS, hit, n) if tamper else ep
-                reducer = ReqCloudSession(backend, out)
-                result = pe_eval(world.program, world.auths, backend, reducer=reducer)
-                cloud_reply(backend, result, ep, pp=False)
+            def evaluate(reducer):
+                return pe_eval(world.program, world.auths, backend, reducer=reducer)
 
-            return world.session(rng, cloud_fn, req=True, pp=False)
+            return world.session(rng, backend, evaluate, req=True, pp=False, tamper=hit)
 
         return world.tampered_trials(run), bound
 

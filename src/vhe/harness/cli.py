@@ -24,9 +24,8 @@ from ..errors import VheError
 from ..params import preset, preset_names
 from ..pe import PeAuth, PeSecret, pe_auth, pe_check, pe_eval, pe_keygen
 from ..protocols import (
-    ReqCloudSession,
     client_session,
-    cloud_reply,
+    cloud_session,
     pp_required_steps,
     tcp_connect,
     tcp_listen,
@@ -194,21 +193,25 @@ def _eval_backend(args):
 
 
 def _evaluate(program, auths, backend, reducer=None):
-    """Evaluate over auth containers of one scheme, inferred from them.
-    Returns (result, its container bytes, a one-line shape)."""
+    """Evaluate over auth containers of one scheme, inferred from them."""
     if all(isinstance(a, RepAuth) for a in auths):
-        result = rep_eval(program, auths, backend, lam=auths[0].lam)
-        return result, serialize.save_rep_result(result), f"{len(result.cts)} ciphertext(s), λ={result.lam}"
+        return rep_eval(program, auths, backend, lam=auths[0].lam)
     if all(isinstance(a, PeAuth) for a in auths):
-        result = pe_eval(program, auths, backend, reducer=reducer)
-        return result, serialize.save_pe_auth(result), f"degree {result.degree}"
+        return pe_eval(program, auths, backend, reducer=reducer)
     raise VheError("inputs mix authentication schemes")
+
+
+def _container(result):
+    """(a result's container bytes, a one-line shape)."""
+    if isinstance(result, RepResult):
+        return serialize.save_rep_result(result), f"{len(result.cts)} ciphertext(s), λ={result.lam}"
+    return serialize.save_pe_auth(result), f"degree {result.degree}"
 
 
 def _cmd_eval(args) -> int:
     program = _programs([args.program])[0]
     auths = [_load(p) for p in args.inputs]
-    _, blob, shape = _evaluate(program, auths, _eval_backend(args))
+    blob, shape = _container(_evaluate(program, auths, _eval_backend(args)))
     serialize.write_file(args.out, blob)
     print(f"evaluated {program.name or 'program'} ({shape}) -> {args.out}")
     return 0
@@ -300,21 +303,18 @@ def _cmd_serve(args) -> int:
     host, port = _parse_tcp(args.transport)
     program = _programs([args.program])[0]
     auths = [_load(p) for p in args.inputs]
-    if (args.pp or args.req) and not isinstance(auths[0], PeAuth):
-        raise VheError("--pp and --req run only on the polynomial encoding")
     backend = _eval_backend(args)
     endpoint, bound = tcp_listen(
         host, port, ready=lambda p: print(f"listening on {host}:{p}", flush=True)
     )
     try:
-        reducer = ReqCloudSession(backend, endpoint) if args.req else None
-        result, blob, shape = _evaluate(program, auths, backend, reducer)
-        cloud_reply(backend, result, endpoint, args.pp)
-        if args.out:
-            serialize.write_file(args.out, blob)
+        result, reducer = cloud_session(backend, endpoint, lambda r: _evaluate(program, auths, backend, r))
     finally:
         endpoint.close()
-    rounds = f"{reducer.rounds} reduction round(s), " if args.req else ""
+    blob, shape = _container(result)
+    if args.out:
+        serialize.write_file(args.out, blob)
+    rounds = f"{reducer.rounds} reduction round(s), " if reducer is not None else ""
     print(f"served one session on port {bound}: {rounds}{shape}")
     return 0
 
@@ -437,8 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inputs", nargs="+", required=True)
     p.add_argument("--public", help="public.vrts (real backend)")
     p.add_argument("--params", help="preset or params.vrts (mock backend)")
-    p.add_argument("--pp", action="store_true", help="packed-proof interaction")
-    p.add_argument("--req", action="store_true", help="re-quadratization rounds")
     p.add_argument("--out", help="also save the result container")
     common(p)
     p.set_defaults(fn=_cmd_serve)
@@ -447,8 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transport", required=True, help="tcp://host:port")
     p.add_argument("--key", required=True)
     p.add_argument("--program", required=True)
-    p.add_argument("--pp", action="store_true")
-    p.add_argument("--req", action="store_true")
+    p.add_argument("--pp", action="store_true", help="packed-proof interaction")
+    p.add_argument("--req", action="store_true", help="re-quadratization rounds")
     p.add_argument("--lengths", help="comma-separated input lengths (rep)")
     common(p)
     p.set_defaults(fn=_cmd_connect)

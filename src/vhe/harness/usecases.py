@@ -19,12 +19,13 @@ A run always executes the unauthenticated pipeline first (same seed, same
 parameters) so every report carries ratios against its own baseline, then
 the authenticated pipeline for ``auth`` ∈ {rep, pe, pe+pp, pe+req}; under
 ``none`` the baseline is the run.  Every mode runs one verified session
-(``protocols.cloud_reply`` against ``protocols.client_session``).  Stage
-accounting groups work the way deployment would bill it: *create* is the
-data owner's key generation plus authentication, *eval* is the cloud's
-circuit execution up to the return of ``rep_eval`` or ``pe_eval``
-(including any reduction interaction), *verify* is the rest: the result or
-packed-proof exchange and the decrypting client's checks.
+(``protocols.cloud_session`` against ``protocols.client_session``, whose
+first message names the mode).  Stage accounting groups work the way
+deployment would bill it: *create* is the data owner's key generation
+plus authentication, *eval* is the cloud's circuit execution up to the
+return of ``rep_eval`` or ``pe_eval`` (including any reduction
+interaction), *verify* is the rest: the result or packed-proof exchange
+and the decrypting client's checks.
 """
 
 from __future__ import annotations
@@ -43,13 +44,7 @@ from ..errors import LayoutError, ParameterError
 from ..mock import MockBackend
 from ..params import Params, preset
 from ..pe import degree_schedule, pe_auth, pe_eval, pe_keygen
-from ..protocols import (
-    ReqCloudSession,
-    client_session,
-    cloud_reply,
-    pp_required_steps,
-    run_session,
-)
+from ..protocols import client_session, cloud_session, pp_required_steps, run_session
 from ..rep import rep_auth, rep_eval, rep_keygen
 
 USECASES = ("ride-hailing", "dot-product", "lookup", "aggregation")
@@ -550,13 +545,11 @@ def run_usecase(spec: UseCaseSpec, auth: str = "none", real: bool = False) -> Us
             ]
         evaluated: list[float] = []
 
-        def cloud_fn(ep):
-            reducer = ReqCloudSession(cloud, ep) if use_req else None
+        def evaluate(reducer):
             res = (rep_eval(inst.program, auths, cloud, lam=spec.lam) if rep
                    else pe_eval(inst.program, auths, cloud, reducer=reducer))
             evaluated.append(time.perf_counter())
-            cloud_reply(cloud, res, ep, use_pp)
-            return res, reducer.rounds if use_req else None, ep.transcript
+            return res
 
         def client_fn(ep):
             return client_session(
@@ -565,7 +558,10 @@ def run_usecase(spec: UseCaseSpec, auth: str = "none", real: bool = False) -> Us
             )
 
         t0 = time.perf_counter()
-        (result, req_rounds, tr), (verdict, claim) = run_session(cloud_fn, client_fn)
+        (result, reducer, tr), (verdict, claim) = run_session(
+            lambda ep: (*cloud_session(cloud, ep, evaluate), ep.transcript), client_fn
+        )
+        req_rounds = None if reducer is None else reducer.rounds
         answer = inst.decode(claim)
         # eval ends when the cloud's evaluation returns; verify is the rest
         (t_eval,) = evaluated

@@ -37,10 +37,6 @@ class MockCiphertext:
     depth: int
     nonce: int
 
-    @property
-    def degree(self) -> int:
-        return 2  # shaped like a fresh (c0, c1) pair
-
     def __len__(self):
         return len(self.slots)
 
@@ -70,6 +66,7 @@ class MockBackend:
         return self.encrypt([0] * self.params.n)
 
     def decrypt(self, ct: MockCiphertext) -> list[int]:
+        self.check_operand(ct)
         if self.depth_limit is not None and ct.depth > self.depth_limit:
             raise DecryptionFailureError(
                 f"simulated noise overflow: depth {ct.depth} > limit {self.depth_limit}"
@@ -87,6 +84,7 @@ class MockBackend:
             raise SerializationError(f"operand must be a mock ciphertext of {self.params.n} slots")
 
     def noise_budget(self, ct: MockCiphertext) -> float:
+        self.check_operand(ct)
         if self.depth_limit is None:
             return float("inf")
         return float(self.depth_limit - ct.depth)

@@ -20,12 +20,13 @@ only merges the d + 2 masked sums pairwise into one ciphertext (see
 strides 1, 2, 4 and 8 alone.
 
 Every ciphertext the client only decrypts — the PP commitment and
-response, each component of a plain result and the ReQ high terms — is
-modulus-switched down to the chain prefix of Params.shrink_primes primes
-before it leaves the cloud (BfvBackend.shrink).  A message of c such
-ciphertexts is 5 + 1 + c·(17 + 4·2·k′·n) bytes framed: 65,559 for a PP
-commitment or response at n = 4096 and k′ = 2 (229,399 at the full chain
-of 7), and 131,112 for a ReQ high-term pair.  The client's blinded ReQ
+response, each component of a plain result or ciphertext of a REP result,
+and the ReQ high terms — is modulus-switched down to the chain prefix of
+Params.shrink_primes primes before it leaves the cloud (BfvBackend.shrink).
+A message of c such ciphertexts is 5 + 1 + c·(17 + 4·2·k′·n) bytes framed:
+65,559 for a PP commitment or response at n = 4096 and k′ = 2 (229,399 at
+the full chain of 7), and 131,112 for a ReQ high-term pair; a REP result
+adds its 64-byte digest.  The client's blinded ReQ
 replies re-enter evaluation, so they stay on the full chain: 458,792
 bytes at n = 4096.
 
@@ -40,13 +41,13 @@ replacements folded into components 1 and 2, and the verification offset
 picks up α·r̄ for that gate.  Four ciphertexts cross the wire per round;
 component 0 — the data — is never touched.
 
-One verified session, for either encoding, is the pair `cloud_reply`
-(after `rep_eval`, or `pe_eval` with a ReqCloudSession as its reducer for
-ReQ) and `client_session`; the use cases, the CLI and the attack simulator
-all run it.  A REP result is one message: its full-chain ciphertexts, then
-the 64-byte digest.  A received message with the wrong tag, the wrong
-number of ciphertexts or a ciphertext whose shape does not fit the
-parameters aborts the session with ProtocolError.
+One verified session, for either encoding, is the pair `cloud_session`
+and `client_session`; the use cases, the CLI and the attack simulator all
+run it.  The client's first message names the mode (TAG_MODE, one byte:
+bit 0 ReQ, bit 1 PP), which the cloud reads; a REP session runs neither.
+A received message with the wrong tag, the wrong number of ciphertexts or
+a ciphertext whose shape does not fit the parameters aborts the session
+with ProtocolError.
 """
 
 from __future__ import annotations
@@ -75,6 +76,9 @@ TAG_PP_RESPONSE = 0x04  # not 0x03, so a cloud-folded response is refused, not s
 TAG_REQ_HIGH_TERMS = 0x10
 TAG_REQ_BLINDED = 0x11
 TAG_RESULT = 0x20  # plain result shipping (no interactive compression)
+TAG_MODE = 0x30  # the client's first message: which interactions it runs
+MODE_REQ = 0x01
+MODE_PP = 0x02
 
 _CT_TAGS = (
     TAG_PP_RESULT,
@@ -100,6 +104,7 @@ TAG_NAMES = {
     TAG_REQ_HIGH_TERMS: "req-high-terms",
     TAG_REQ_BLINDED: "req-blinded",
     TAG_RESULT: "result",
+    TAG_MODE: "mode",
 }
 
 
@@ -549,47 +554,60 @@ class ReqClientSession:
 # ---------------------------------------------------------------------------
 
 
-def cloud_reply(backend, result, endpoint, pp: bool = False):
-    """Cloud side of a session's close: one result message, which carries a
-    RepResult's ciphertexts followed by its digest, or for a PeAuth the
-    packed proof if `pp` and otherwise every component, shrunk."""
-    if isinstance(result, RepResult):
-        endpoint.send(TAG_RESULT, pack_cts(result.cts) + result.tag)
-    elif pp:
+def cloud_session(backend, endpoint, evaluate) -> tuple:
+    """Cloud side of one verified session, in the mode the client's first
+    message names: the result of `evaluate(reducer)`, a ReqCloudSession if
+    it asks for ReQ and else None, closes with the packed proof if it asks
+    for PP, or else in one result message: every ciphertext shrunk, then a
+    RepResult's digest.  Returns (result, reducer)."""
+    mode = _recv(endpoint, TAG_MODE)
+    if len(mode) != 1 or mode[0] > MODE_REQ | MODE_PP:
+        raise ProtocolError("the mode message must be one byte of at most 3; session aborted")
+    reducer = ReqCloudSession(backend, endpoint) if mode[0] & MODE_REQ else None
+    result = evaluate(reducer)
+    rep = isinstance(result, RepResult)
+    if rep and mode[0]:
+        raise ProtocolError("a replication session runs neither ReQ nor the packed proof")
+    if mode[0] & MODE_PP:
         pp_prove(backend, result, endpoint)
     else:
-        endpoint.send(TAG_RESULT, pack_cts([backend.shrink(c) for c in result.cts]))
+        digest = result.tag if rep else b""
+        endpoint.send(TAG_RESULT, pack_cts([backend.shrink(c) for c in result.cts]) + digest)
+    return result, reducer
 
 
 def client_session(
     secret, backend, program: Program, endpoint,
     req: bool = False, pp: bool = False, rng=None, reason: list | None = None, lengths=(),
 ) -> tuple:
-    """Client side of one verified session, the twin of a cloud that runs
-    `rep_eval`, or `pe_eval` (with a ReqCloudSession if `req`), and then
-    `cloud_reply`: serve the ReQ rounds if `req`, then check the packed
-    proof if `pp` or the shipped result otherwise.  Returns (accepted, the
-    claimed output block).
+    """Client side of one verified session, the twin of `cloud_session`:
+    name the mode (ReQ if `req`, PP if `pp`), serve the ReQ rounds if
+    `req`, then check the packed proof if `pp` or the shipped result
+    otherwise.  Returns (accepted, the claimed output block).
 
-    A result message must carry exactly the d + 1 components of the
-    program's degree schedule, or for a RepSecret (no ReQ, no PP) the
-    ciphertexts that the input `lengths` imply and the digest; each is
-    decrypted once.  The offset comes from the blinds drawn when the
-    session starts, and `final_offset()` raises DecryptionFailureError for
-    a round whose high terms did not decrypt only once verification has
-    received its last message, so nothing the client sends depends on that
-    failure.
+    Every local refusal comes before the mode message, so a refused session
+    sends nothing.  A result message must carry exactly the d + 1
+    components of the program's degree schedule, or for a RepSecret (no
+    ReQ, no PP) the ciphertexts that the input `lengths` imply and the
+    digest; each is decrypted once.  The offset comes from the blinds drawn
+    when the session starts, and `final_offset()` raises
+    DecryptionFailureError for a round whose high terms did not decrypt
+    only once verification has received its last message, so nothing the
+    client sends depends on that failure.
     """
     if isinstance(secret, RepSecret):
         if req or pp:
             raise ParameterError("a replication session runs neither ReQ nor the packed proof")
         chunks = rep_result_count(secret, program, lengths)
+        endpoint.send(TAG_MODE, bytes([0]))
         payload = _recv(endpoint, TAG_RESULT)  # the digest is its last 64 bytes
         slots = [backend.decrypt(c) for c in unpack_cts(payload[:-64], chunks, secret.params)]
         return rep_check(secret, program, slots, payload[-64:], lengths, reason)
-    session = offset = None
+    d, _ = degree_schedule(program, use_reducer=req)
+    session = ReqClientSession(secret, backend, program, rng=rng) if req else None
+    endpoint.send(TAG_MODE, bytes([req * MODE_REQ | pp * MODE_PP]))
+    offset = None
     if req:
-        session = ReqClientSession(secret, backend, program, rng=rng)
         session.serve(endpoint)
         offset = session.offset
     if pp:
@@ -598,7 +616,6 @@ def client_session(
             offset=offset, rng=rng, reason=reason,
         )
     else:
-        d, _ = degree_schedule(program, use_reducer=req)
         ys = [backend.decrypt(c) for c in unpack_cts(_recv(endpoint, TAG_RESULT), d + 1, secret.params)]
         m = ys[0]
         ok = pe_check(secret, program, ys, offset=offset, reason=reason)

@@ -29,7 +29,7 @@ from vhe.protocols import (
     ReqClientSession,
     ReqCloudSession,
     client_session,
-    cloud_reply,
+    cloud_session,
     message_ct_count,
     pack_cts,
     pp_prove,
@@ -467,7 +467,7 @@ def _scenario_rep_result(params, tamper: bool):
         ok, _ = client_session(secret, backend, prog, _OrderedEndpoint(ep, log), lengths=[4, 4])
         return ok, ep.transcript
 
-    _, (ok, tr) = run_session(lambda ep: cloud_reply(backend, result, ep), client)
+    _, (ok, tr) = run_session(lambda ep: cloud_session(backend, ep, lambda _: result), client)
     return ok, tr.sent_bytes(), log
 
 

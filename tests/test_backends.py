@@ -621,6 +621,36 @@ def test_evaluation_refuses_operands_off_the_full_chain(real):
             reducer.reduce((c0, c0, c0, c0), 0)
 
 
+def test_evaluation_operands_have_exactly_two_components(real, monkeypatch):
+    """An evaluator operand is exactly what `encrypt` makes: a one-component
+    upload, a three-component upload and a three-component ReQ reply are
+    each refused before any arithmetic, and two ciphertexts of different
+    shapes never combine."""
+    arithmetic: list = []
+    for op in ("_combine", "mul_no_relin", "mul_plain", "neg", "relinearize"):
+        monkeypatch.setattr(real, op, lambda *a, op=op: arithmetic.append(op))
+    sec = pe.pe_keygen(PARAMS, rng=random.Random(36), make_he_keys=False)
+    auth = pe.pe_auth(sec, real, list(range(N)), "x")
+    b = ProgramBuilder(width=N, name="double")
+    x = b.input("x")
+    prog = b.build(b.add(x, x), output_block=(0, 1))
+    c0, c1 = auth.cts
+    one = bfv.Ciphertext(c1.data[:1])
+    three = bfv.Ciphertext(np.concatenate([c1.data, c1.data[:1]]))
+    for ct in (one, three):
+        with pytest.raises(SerializationError, match=r"\(2, "):
+            pe.pe_eval(prog, [pe.PeAuth((c0, ct), auth.base)], real)
+    cloud_ep, client_ep = protocols.memory_channel()
+    client_ep.send(protocols.TAG_REQ_BLINDED, protocols.pack_cts([c0, three]))
+    with pytest.raises(SerializationError, match=r"\(2, "):
+        protocols.ReqCloudSession(real, cloud_ep).reduce((c0, c0, c0, c0), 0)
+    assert arithmetic == []
+    monkeypatch.undo()
+    for left, right in ((c0, three), (c0, real.shrink(c1))):
+        with pytest.raises(ParameterError, match="degree or chain prefix"):
+            real.add(left, right)
+
+
 def test_key_switching_accumulator_reduction_on_wide_chain():
     """40 primes just below 2^30: the int64 digit-product sums must be
     reduced mid-loop (at most 7 products fit), or rotation and

@@ -71,7 +71,7 @@ def test_eval_binds_inputs_before_any_arithmetic(scheme):
     with pytest.raises(ParameterError, match=f"^{re.escape(renamed)}$"):
         scheme.eval(program, [x, z], backend)
     shrunk = dataclasses.replace(y, cts=(backend.shrink(y.cts[0]),) + y.cts[1:])
-    stack = re.escape(f"ciphertext must be an int64 (d+1, {len(PARAMS.q_chain)}, {N}) residue stack")
+    stack = re.escape(f"ciphertext must be an int64 (2, {len(PARAMS.q_chain)}, {N}) residue stack")
     with pytest.raises(SerializationError, match=f"^{stack}$"):
         scheme.eval(program, [x, shrunk], backend)
 

@@ -32,7 +32,6 @@ from vhe.harness.cli import main
 from vhe.mock import MockBackend
 from vhe.params import preset
 from vhe.pe import PeAuth, pe_eval
-from vhe.protocols import ReqCloudSession, cloud_reply
 from vhe.rep import RepResult
 
 
@@ -260,11 +259,10 @@ def test_attack_session_strategies_real_backend_smoke(strategy, degree):
     backend = world._backend(random.Random(1))
     req, pp = strategy == "tamper-req-message", strategy == "tamper-pp-response"
 
-    def cloud_fn(ep):
-        reducer = ReqCloudSession(backend, ep) if req else None
-        cloud_reply(backend, pe_eval(world.program, world.auths, backend, reducer=reducer), ep, pp)
+    def evaluate(reducer):
+        return pe_eval(world.program, world.auths, backend, reducer=reducer)
 
-    assert world.session(random.Random(2), cloud_fn, req=req, pp=pp)
+    assert world.session(random.Random(2), backend, evaluate, req, pp)
 
 
 def test_session_attack_refuses_a_world_whose_honest_session_fails():
@@ -595,6 +593,41 @@ def _assert_clean_error(rc, capsys, names=""):
     assert err.startswith("error:") and names in err and "Traceback" not in err
 
 
+# other REP keys, and whether they make the result (else they verify it)
+# against the mock64 mock keys of _rep_files
+_OTHER_KEYS = {
+    "mock16 result under a mock64 key": (["--params", "mock16", "--lambda", "2", "--backend", "mock"], True),
+    "mock result under a real key": (["--params", "mock64", "--lambda", "8", "--backend", "real"], False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OTHER_KEYS))
+def test_cli_verify_refuses_a_result_of_another_ring_or_backend(tmp_path, capsys, case):
+    """`vhe verify` with a REP key on a result file whose ciphertexts belong
+    to another ring or to the other backend prints `error:` and exits 2,
+    before anything is decrypted."""
+    secret, prog = _rep_files(tmp_path, 8)
+    other_args, other_makes_result = _OTHER_KEYS[case]
+    assert main(["keygen", "--auth", "rep", *other_args, "--out", str(tmp_path / "other")]) == 0
+    other = tmp_path / "other" / "secret.vrts"
+    maker, verifier = (other, secret) if other_makes_result else (secret, other)
+    for base in ("x", "y"):
+        assert main([
+            "auth", "--key", str(maker), "--base", base,
+            "--values", str(tmp_path / f"{base}.csv"), "--out", str(tmp_path / f"o{base}.vrts"),
+        ]) == 0
+    assert main([
+        "eval", "--program", str(prog), "--inputs", str(tmp_path / "ox.vrts"),
+        str(tmp_path / "oy.vrts"), "--params", str(maker.parent / "params.vrts"),
+        "--out", str(tmp_path / "r.vrts"),
+    ]) == 0
+    capsys.readouterr()
+    _assert_clean_error(main([
+        "verify", "--key", str(verifier), "--program", str(prog),
+        "--result", str(tmp_path / "r.vrts"), "--lengths", "8,8",
+    ]), capsys, "ciphertext")
+
+
 def test_cli_missing_files_are_errors(tmp_path, capsys):
     prog = tmp_path / "prog.json"
     _write_program(prog, width=64)
@@ -631,7 +664,8 @@ def test_cli_malformed_programs_are_errors(tmp_path, capsys):
 
 
 def test_cli_tcp_session_between_processes(tmp_path):
-    """serve/connect as real processes: the packed proof crosses TCP."""
+    """serve/connect as real processes: a flagless serve runs the mode
+    that connect names, here ReQ and the packed proof, across TCP."""
     prog = tmp_path / "prog.json"
     _write_program(prog, width=64)
     (tmp_path / "x.csv").write_text("1,2,3,4\n")
@@ -653,7 +687,7 @@ def test_cli_tcp_session_between_processes(tmp_path):
             "--transport", "tcp://127.0.0.1:0",
             "--program", str(prog),
             "--inputs", str(tmp_path / "x.vrts"), str(tmp_path / "y.vrts"),
-            "--public", str(keys / "public.vrts"), "--pp",
+            "--public", str(keys / "public.vrts"),
         ],
         stdout=subprocess.PIPE,
         text=True,
@@ -664,10 +698,11 @@ def test_cli_tcp_session_between_processes(tmp_path):
         rc = main([
             "connect", "--transport", f"tcp://127.0.0.1:{port}",
             "--key", str(keys / "secret.vrts"), "--program", str(prog),
-            "--pp", "--seed", "9",
+            "--pp", "--req", "--seed", "9",
         ])
         assert rc == 0
         assert server.wait(timeout=30) == 0
+        assert "reduction round(s)" in server.stdout.read()
     finally:
         server.kill()
         server.stdout.close()
@@ -705,20 +740,14 @@ def test_cli_rep_tcp_session_between_processes(tmp_path, capsys):
 
 
 def test_cli_rep_session_refusals(tmp_path, capsys):
-    """connect with a REP secret needs --lengths, and serve refuses --pp or
-    --req over REP inputs, both before any socket is opened."""
+    """connect with a REP secret needs --lengths before any socket is
+    opened."""
     secret, prog = _rep_files(tmp_path, 8)
     capsys.readouterr()
     _assert_clean_error(main([
         "connect", "--transport", "tcp://127.0.0.1:9", "--key", str(secret),
         "--program", str(prog),
     ]), capsys, "--lengths")
-    for flag in ("--pp", "--req"):
-        _assert_clean_error(main([
-            "serve", "--transport", "tcp://127.0.0.1:0", "--program", str(prog),
-            "--inputs", str(tmp_path / "x.vrts"), str(tmp_path / "y.vrts"),
-            "--params", "mock64", flag,
-        ]), capsys, "polynomial encoding")
 
 
 def test_cli_unknown_params_is_an_error(capsys):

@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 from vhe import bfv, pe, rep
 from vhe import protocols as pr
 from vhe.circuit import ProgramBuilder, eval_plain
-from vhe.errors import DecryptionFailureError, ParameterError, ProtocolError, StructureError
+from vhe.errors import (
+    DecryptionFailureError, ParameterError, ProtocolError, SerializationError, StructureError,
+)
 from vhe.mock import MockBackend
 from vhe.params import SHRINK_MARGIN_BITS, preset
 from vhe.ring import slot_poly_eval
@@ -848,8 +850,8 @@ def test_composed_req_pp_failure_surfaces_after_the_pp_response():
         client = MockBackend(PARAMS, depth_limit=limit, rng=random.Random(40))
 
         def cloud_fn(ep):
-            red = pr.ReqCloudSession(cloud, _FailingHighTerms(ep, limit + 1) if fail else ep)
-            pr.pp_prove(cloud, pe.pe_eval(prog, [auth], cloud, reducer=red), ep)
+            out = _FailingHighTerms(ep, limit + 1) if fail else ep
+            pr.cloud_session(cloud, out, lambda red: pe.pe_eval(prog, [auth], cloud, reducer=red))
 
         def client_fn(ep):
             try:
@@ -975,7 +977,7 @@ def test_rep_session_decrypts_each_result_ciphertext_once():
     sec, client, prog, res = rep_world()
 
     def cloud_fn(ep):
-        pr.cloud_reply(client, res, ep)
+        pr.cloud_session(client, ep, lambda _: res)
         return ep.transcript
 
     tr, (ok, claim) = pr.run_session(
@@ -983,6 +985,7 @@ def test_rep_session_decrypts_each_result_ciphertext_once():
     )
     assert client.decrypts == tr.cts_sent() == len(res.cts) == 3
     assert ok and claim == rep.rep_decode(sec, client, res, prog)
+    assert tr.received == [(pr.TAG_MODE, b"\x00")]
     assert tr.sent == [(pr.TAG_RESULT, pr.pack_cts(res.cts) + res.tag)]
 
 
@@ -1011,10 +1014,12 @@ def test_hostile_rep_result_frames_are_refused_before_decrypting(kind):
 
 @pytest.mark.parametrize("mode", [{"pp": True}, {"req": True}])
 def test_rep_session_refuses_pp_and_req(mode):
+    """The refusal is local: the session sends nothing, not even its mode."""
     sec, client, prog, _ = rep_world()
     ep, _ = pr.memory_channel(timeout=1.0)
     with pytest.raises(ParameterError, match="replication"):
         pr.client_session(sec, client, prog, ep, lengths=[24, 24], **mode)
+    assert ep.transcript.sent == []
 
 
 def test_rep_session_needs_the_input_lengths():
@@ -1022,11 +1027,13 @@ def test_rep_session_needs_the_input_lengths():
     ep, _ = pr.memory_channel(timeout=1.0)
     with pytest.raises(ParameterError, match="input length"):
         pr.client_session(sec, client, prog, ep)
+    assert ep.transcript.sent == []
 
 
 def test_real_rep_result_frame_size():
-    """A REP result frame of c ciphertexts on the full chain of k primes
-    takes 5 + 1 + c·(17 + 8·k·n) + 64 bytes, and verifies."""
+    """A REP result frame of c ciphertexts, shrunk to the chain prefix of
+    k′ = Params.shrink_primes primes, takes 5 + 1 + c·(17 + 8·k′·n) + 64
+    bytes, and verifies."""
     rng = random.Random(62)
     b = ProgramBuilder(width=N // 8, name="sum")
     prog = b.build(b.add(b.input("a"), b.input("b")), output_block=(0, 4))
@@ -1036,11 +1043,110 @@ def test_real_rep_result_frame_size():
     res = rep.rep_eval(prog, auths, backend, lam=8)
 
     def cloud_fn(ep):
-        pr.cloud_reply(backend, res, ep)
+        pr.cloud_session(backend, ep, lambda _: res)
         return ep.transcript
 
     tr, (ok, claim) = pr.run_session(
         cloud_fn, lambda ep: pr.client_session(sec, backend, prog, ep, lengths=[4, 4])
     )
     assert ok and claim == [2, 4, 6, 8]
-    assert len(tr.sent_bytes()) == 5 + 1 + 1 * (17 + 8 * len(PARAMS.q_chain) * N) + 64
+    assert PARAMS.shrink_primes < len(PARAMS.q_chain)
+    assert len(tr.sent_bytes()) == 5 + 1 + 1 * (17 + 8 * PARAMS.shrink_primes * N) + 64
+
+
+# ---------------------------------------------------------------------------
+# the mode message and the one reply rule
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("req,pp", [(False, False), (True, False), (False, True), (True, True)])
+def test_the_client_names_the_mode_and_the_cloud_follows_it(req, pp):
+    """The client's first message is the one-byte mode (6 bytes framed); the
+    cloud hands `evaluate` a ReqCloudSession exactly when it asks for ReQ
+    and closes with the packed proof exactly when it asks for PP."""
+    sec, cloud, client, prog, auths, plain = make_world(seed=70)
+    reducers: list = []
+
+    def evaluate(reducer):
+        reducers.append(reducer)
+        return pe.pe_eval(prog, list(auths), cloud, reducer=reducer)
+
+    def cloud_fn(ep):
+        _, reducer = pr.cloud_session(cloud, ep, evaluate)
+        return reducer, ep.transcript
+
+    (reducer, tr), (ok, claim) = pr.run_session(
+        cloud_fn, lambda ep: pr.client_session(sec, client, prog, ep, req, pp, random.Random(71))
+    )
+    assert ok and claim == plain[:4]
+    assert tr.received[0] == (pr.TAG_MODE, bytes([req | pp << 1]))  # 6 bytes framed
+    assert reducers == [reducer] and isinstance(reducer, pr.ReqCloudSession) == req
+    closing = [tag for tag, _ in tr.sent if tag != pr.TAG_REQ_HIGH_TERMS]
+    assert closing == ([pr.TAG_PP_RESULT, pr.TAG_PP_RESPONSE] if pp else [pr.TAG_RESULT])
+
+
+@pytest.mark.parametrize("mode", [b"", b"\x00\x00", b"\x04", b"\xff"])
+def test_the_cloud_refuses_a_malformed_mode(mode):
+    """A mode payload that is not exactly one byte of at most 3 is a
+    ProtocolError before anything is evaluated or sent."""
+    cloud = MockBackend(PARAMS, rng=random.Random(72))
+    ep, peer = pr.memory_channel(timeout=1.0)
+    peer.send(pr.TAG_MODE, mode)
+    evaluated: list = []
+    with pytest.raises(ProtocolError, match="mode"):
+        pr.cloud_session(cloud, ep, evaluated.append)
+    assert evaluated == [] and ep.transcript.sent == []
+
+
+@pytest.mark.parametrize("mode", [pr.MODE_REQ, pr.MODE_PP, pr.MODE_REQ | pr.MODE_PP])
+def test_the_cloud_refuses_req_and_pp_for_a_rep_result(mode):
+    """A replication result runs neither ReQ nor the packed proof: the cloud
+    refuses either mode bit with ProtocolError and sends nothing."""
+    _, client, _, res = rep_world()
+    ep, peer = pr.memory_channel(timeout=1.0)
+    peer.send(pr.TAG_MODE, bytes([mode]))
+    with pytest.raises(ProtocolError, match="replication"):
+        pr.cloud_session(client, ep, lambda _: res)
+    assert ep.transcript.sent == []
+
+
+# ---------------------------------------------------------------------------
+# each backend admits only its own ciphertexts
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _real_pe_world():
+    """A real-backend PE secret and client, and a degree-1 program."""
+    sec = pe.pe_keygen(PARAMS, rng=random.Random(73))
+    client = bfv.BfvBackend(PARAMS, sec.he_keys, rng=np.random.default_rng(74))
+    b = ProgramBuilder(width=N, name="sum")
+    return sec, client, b.build(b.add(b.input("x"), b.input("y")), output_block=(0, 4))
+
+
+@pytest.mark.parametrize("client_kind", ["real", "mock"])
+def test_a_result_of_the_other_backend_is_refused(client_kind):
+    """A client of either backend refuses a result message whose two
+    ciphertexts belong to the other backend with SerializationError, before
+    anything is decrypted."""
+    mock_payload, real_payload = _payloads()
+    if client_kind == "real":
+        sec, client, prog = _real_pe_world()
+        payload = mock_payload
+    else:
+        sec, _, client, _, _, _ = make_world(seed=75)
+        _, _, prog = _real_pe_world()
+        payload = real_payload
+    ep, peer = pr.memory_channel(timeout=1.0)
+    peer.send(pr.TAG_RESULT, payload)
+    with pytest.raises(SerializationError, match="ciphertext"):
+        pr.client_session(sec, client, prog, ep)
+
+
+def test_a_real_req_cloud_refuses_mock_blinded_replies():
+    _, backend, _ = _real_pe_world()
+    ct = backend.encrypt([1] * N)
+    ep, peer = pr.memory_channel(timeout=1.0)
+    peer.send(pr.TAG_REQ_BLINDED, _payloads()[0])
+    with pytest.raises(SerializationError, match="ciphertext"):
+        pr.ReqCloudSession(backend, ep).reduce((ct,) * 4, 0)
