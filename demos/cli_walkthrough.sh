@@ -76,6 +76,8 @@ expect_error vhe verify --key missing.vrts --program dot8.json \
     --result result.vrts --lengths 8,8
 printf '\377\3761,2\n' > not-utf8.csv
 expect_error vhe auth --key keys/secret.vrts --base x --values not-utf8.csv --out bad.vrts
+# auth saves the spent identifier back to the key file: x is not authenticated twice
+expect_error vhe auth --key keys/secret.vrts --base x --values y.csv --out again.vrts
 expect_error vhe verify --key keys/secret.vrts --program dot8.json \
     --result result.vrts --lengths 8,x
 # a replication session needs the input lengths, as verify does

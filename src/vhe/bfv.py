@@ -320,16 +320,16 @@ class KeySet:
         return KeySet(self.params, self.rlk, dict(self.gks), None)
 
 
-def _cbd_error(gen: np.random.Generator, n: int, err_std: float) -> np.ndarray:
-    """Centered binomial with variance k/2 ≈ err_std² (k = round(2·err_std²)):
-    the number of set bits among k uniform bits, less that among k more."""
-    k = max(1, round(2 * err_std * err_std))
-    e = np.zeros(n, dtype=np.int64)
-    for j in range(0, k, 64):
-        counts = np.bitwise_count(gen.integers(0, 1 << min(64, k - j), size=(2, n), dtype=np.uint64))
-        e += counts[0]
-        e -= counts[1]
-    return e
+# The error's centred binomial draws CBD_K bits a side: variance CBD_K/2,
+# about 3.2², the standard deviation every preset has used.
+CBD_K = 20
+
+
+def _cbd_error(gen: np.random.Generator, n: int) -> np.ndarray:
+    """Centred binomial with variance CBD_K/2: the number of set bits among
+    CBD_K uniform bits, less that among CBD_K more."""
+    counts = np.bitwise_count(gen.integers(0, 1 << CBD_K, size=(2, n), dtype=np.uint64))
+    return counts[0].astype(np.int64) - counts[1]
 
 
 def _ternary(gen: np.random.Generator, n: int) -> np.ndarray:
@@ -399,7 +399,7 @@ def keygen(
         a[:] = expand_uniform(gen.bytes(SEED_BYTES), primes, count, n)
         e = np.empty_like(a)
         for c in range(count):
-            np.remainder(_cbd_error(gen, n, params.err_std), q, out=e[c])
+            np.remainder(_cbd_error(gen, n), q, out=e[c])
         np.multiply(a, s_ntt, out=b)
         np.negative(b, out=b)
         b -= stack_ntt(e, mods)
@@ -519,7 +519,7 @@ class BfvBackend:
         scaled = self._delta_res * self._encode_residues(slots, ntt=False)
         c = np.empty((2,) + scaled.shape, dtype=np.int64)
         c[1] = expand_uniform(gen.bytes(SEED_BYTES), self.primes, 1, p.n)[0]
-        scaled += _cbd_error(gen, p.n, p.err_std)
+        scaled += _cbd_error(gen, p.n)
         scaled %= q
         np.multiply(c[1], s_ntt, out=c[0])
         np.subtract(stack_ntt(scaled, self.mods), c[0], out=c[0])

@@ -47,7 +47,6 @@ from ..pe import (
     PeAuth,
     degree_schedule,
     pe_auth,
-    pe_check,
     pe_eval,
     pe_keygen,
     pe_soundness_bound,
@@ -55,6 +54,7 @@ from ..pe import (
 from ..protocols import (
     TAG_PP_RESPONSE,
     TAG_REQ_HIGH_TERMS,
+    check_result,
     client_session,
     cloud_session,
     pack_cts,
@@ -62,7 +62,7 @@ from ..protocols import (
     run_session,
     unpack_cts,
 )
-from ..rep import RepResult, rep_auth, rep_check, rep_eval, rep_forgery_bound, rep_keygen
+from ..rep import RepResult, rep_auth, rep_eval, rep_forgery_bound, rep_keygen
 from .usecases import make_backend
 
 STRATEGIES = (
@@ -227,6 +227,7 @@ class _World:
         self.secret = keygen(rng)
         self.client = self._backend(random.Random(spec.seed + 1))
         length = self.n if width == self.n else self.l
+        self.lengths = () if width == self.n else (length, length)
         self.values = [[rng.randrange(self.t) for _ in range(length)] for _ in range(2)]
         self.auths = [
             auth(self.secret, self.client, v, label) for v, label in zip(self.values, ("x", "y"))
@@ -234,6 +235,12 @@ class _World:
 
     def _backend(self, rng):
         return make_backend(self.params, self.secret.he_keys, rng)
+
+    def verify(self, result) -> bool:
+        """The client's verdict on `result` (check_result), claiming what it
+        decrypts to, so only the encoding's checks can fail."""
+        tag = result.tag if isinstance(result, RepResult) else b""
+        return check_result(self.secret, self.client, self.program, result.cts, tag, self.lengths)[0]
 
 
 class _RepWorld(_World):
@@ -254,11 +261,6 @@ class _RepWorld(_World):
         self.result = rep_eval(self.program, self.auths, self.client, lam=self.lam)
         if not self.verify(self.result):
             raise AssertionError("honest pipeline must verify before attacking it")
-
-    def verify(self, result) -> bool:
-        """The client's verdict on `result`, each ciphertext decrypted once."""
-        slots = [self.client.decrypt(c) for c in result.cts]
-        return rep_check(self.secret, self.program, slots, result.tag, [self.l, self.l])[0]
 
 
 def _setup_rep(spec: AttackSpec):
@@ -317,9 +319,8 @@ def _setup_rep(spec: AttackSpec):
             vals = [[rng.randrange(t) for _ in range(world.l)] for _ in range(3)]
             auths = [rep_auth(secret, backend, v, f"in{i}") for i, v in enumerate(vals)]
             partial = rep_eval(dropped, auths[:2], backend, lam=lam)
-            leaves = [fold_tags(a.tags) for a in auths]
-            slots = [backend.decrypt(c) for c in partial.cts]
-            return rep_check(secret, full, slots, hash_tree_eval(full, leaves), [world.l] * 3)[0]
+            tag = hash_tree_eval(full, [fold_tags(a.tags) for a in auths])
+            return check_result(secret, backend, full, partial.cts, tag, [world.l] * 3)[0]
 
         if real:
             raise ParameterError(
@@ -344,11 +345,6 @@ class _PeWorld(_World):
             )
 
         super().__init__(spec, n, spec.degree, keygen, pe_auth)
-
-    def verify(self, result: PeAuth) -> bool:
-        """The client's verdict on `result`, each component decrypted once,
-        claiming what its c_0 holds (so only the response identity can fail)."""
-        return pe_check(self.secret, self.program, [self.client.decrypt(c) for c in result.cts])
 
     def tampered_trials(self, run):
         """Trials of the session strategy ``run(rng, tamper)`` with tampering

@@ -16,24 +16,28 @@ import json
 import random
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .. import serialize
 from ..circuit import program_from_json
 from ..errors import VheError
 from ..params import preset, preset_names
-from ..pe import PeAuth, PeSecret, pe_auth, pe_check, pe_eval, pe_keygen
+from ..pe import PeAuth, PeSecret, pe_auth, pe_eval, pe_keygen
 from ..protocols import (
+    check_result,
     client_session,
     cloud_session,
     pp_required_steps,
     tcp_connect,
     tcp_listen,
 )
-from ..rep import RepAuth, RepResult, RepSecret, rep_auth, rep_check, rep_eval, rep_keygen
+from ..rep import RepAuth, RepResult, RepSecret, rep_auth, rep_eval, rep_keygen
 from .attacks import STRATEGIES, AttackSpec, simulate_adversary
 from .bench import BENCH_OPS, bench_summary, run_bench
 from .usecases import AUTH_MODES, USECASES, make_backend, run_usecase, usecase_spec
+
+_SAVE_SECRET = {RepSecret: serialize.save_rep_secret, PeSecret: serialize.save_pe_secret}
 
 
 def _resolve_params(value: str):
@@ -65,6 +69,15 @@ def _read_values(path: str) -> list[int]:
 
 def _load(path: str):
     return serialize.load_any(serialize.read_file(path))
+
+
+def _client(args):
+    """(the secret in `--key`, a client backend for it); a container that
+    holds no authentication secret is an error."""
+    secret = _load(args.key)
+    if not isinstance(secret, (RepSecret, PeSecret)):
+        raise VheError(f"{args.key} does not hold an authentication secret")
+    return secret, make_backend(secret.params, secret.he_keys, random.Random(args.seed))
 
 
 def _programs(paths) -> list:
@@ -132,42 +145,30 @@ def _cmd_keygen(args) -> int:
     if args.auth == "rep":
         if args.pp:
             raise VheError("--pp needs --auth pe: the packed proof verifies only PE")
-        secret = rep_keygen(
-            params, lam=args.lam, programs=progs, rng=rng, make_he_keys=real
-        )
-        blob = serialize.save_rep_secret(secret)
+        secret = rep_keygen(params, lam=args.lam, programs=progs, rng=rng, make_he_keys=real)
     else:
         extra = pp_required_steps(params.n) if args.pp else ()
-        secret = pe_keygen(
-            params, programs=progs, extra_steps=extra, rng=rng, make_he_keys=real
-        )
-        blob = serialize.save_pe_secret(secret)
+        secret = pe_keygen(params, programs=progs, extra_steps=extra, rng=rng, make_he_keys=real)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    serialize.write_file(out / "secret.vrts", blob)
-    written = [out / "secret.vrts"]
-    serialize.write_file(out / "params.vrts", serialize.save_params(params))
-    written.append(out / "params.vrts")
+    files = {"secret.vrts": _SAVE_SECRET[type(secret)](secret), "params.vrts": serialize.save_params(params)}
     if real:
-        serialize.write_file(
-            out / "public.vrts",
-            serialize.save_keyset(secret.he_keys.public()),
-        )
-        written.append(out / "public.vrts")
-    print(f"{args.auth} keys on {params.name}: " + ", ".join(map(str, written)))
+        files["public.vrts"] = serialize.save_keyset(secret.he_keys.public())
+    for name, blob in files.items():
+        serialize.write_file(out / name, blob)
+    print(f"{args.auth} keys on {params.name}: " + ", ".join(str(out / name) for name in files))
     print(params.describe())
     return 0
 
 
 def _cmd_auth(args) -> int:
-    secret = _load(args.key)
-    backend = make_backend(secret.params, secret.he_keys, random.Random(args.seed))
+    secret, backend = _client(args)
     values = _read_values(args.values)
     if isinstance(secret, RepSecret):
         auth = rep_auth(secret, backend, values, args.base)
         blob = serialize.save_rep_auth(auth)
         shape = f"{auth.length} values in {auth.num_cts} ciphertext(s), λ={auth.lam}"
-    elif isinstance(secret, PeSecret):
+    else:
         n = secret.params.n
         if len(values) > n:
             raise VheError(f"{len(values)} values exceed the {n}-slot layout")
@@ -176,8 +177,8 @@ def _cmd_auth(args) -> int:
         auth = pe_auth(secret, backend, values, args.base)
         blob = serialize.save_pe_auth(auth)
         shape = f"{n} slots, degree {auth.degree}"
-    else:
-        raise VheError(f"{args.key} does not hold an authentication secret")
+    # the registry is saved before the upload: a crash between them leaves the identifier spent
+    serialize.write_file(args.key, _SAVE_SECRET[type(secret)](secret))
     serialize.write_file(args.out, blob)
     print(f"authenticated {args.base!r} ({shape}) -> {args.out}")
     return 0
@@ -201,17 +202,20 @@ def _evaluate(program, auths, backend, reducer=None):
     raise VheError("inputs mix authentication schemes")
 
 
-def _container(result):
-    """(a result's container bytes, a one-line shape)."""
+def _container(result, backend):
+    """(a result's container bytes, a one-line shape).  Every ciphertext is
+    shrunk, as a session sends it: a result file is only decrypted."""
+    shrunk = replace(result, cts=tuple(backend.shrink(c) for c in result.cts))
     if isinstance(result, RepResult):
-        return serialize.save_rep_result(result), f"{len(result.cts)} ciphertext(s), λ={result.lam}"
-    return serialize.save_pe_auth(result), f"degree {result.degree}"
+        return serialize.save_rep_result(shrunk), f"{len(result.cts)} ciphertext(s), λ={result.lam}"
+    return serialize.save_pe_auth(shrunk), f"degree {result.degree}"
 
 
 def _cmd_eval(args) -> int:
     program = _programs([args.program])[0]
     auths = [_load(p) for p in args.inputs]
-    blob, shape = _container(_evaluate(program, auths, _eval_backend(args)))
+    backend = _eval_backend(args)
+    blob, shape = _container(_evaluate(program, auths, backend), backend)
     serialize.write_file(args.out, blob)
     print(f"evaluated {program.name or 'program'} ({shape}) -> {args.out}")
     return 0
@@ -233,22 +237,15 @@ def _verdict(ok: bool, claim, reason: list) -> int:
 
 
 def _cmd_verify(args) -> int:
-    secret = _load(args.key)
+    secret, backend = _client(args)
     result = _load(args.result)
     program = _programs([args.program])[0]
-    backend = make_backend(secret.params, secret.he_keys, random.Random(args.seed))
-    reason: list = []
-    rep = isinstance(secret, RepSecret) and isinstance(result, RepResult)
-    if not rep and not (isinstance(secret, PeSecret) and isinstance(result, PeAuth)):
+    rep = isinstance(secret, RepSecret)
+    if not isinstance(result, RepResult if rep else PeAuth):
         raise VheError("secret and result containers belong to different schemes")
-    lengths = _lengths(args) if rep else ()
-    slots = [backend.decrypt(c) for c in result.cts]
-    if rep:
-        ok, claim = rep_check(secret, program, slots, result.tag, lengths, reason)
-    else:
-        start, count = program.output_block
-        ok = pe_check(secret, program, slots, reason=reason)
-        claim = slots[0][start : start + count] if ok else None
+    reason: list = []
+    tag, lengths = (result.tag, _lengths(args)) if rep else (b"", ())
+    ok, claim = check_result(secret, backend, program, result.cts, tag, lengths, reason=reason)
     return _verdict(ok, claim, reason)
 
 
@@ -311,7 +308,7 @@ def _cmd_serve(args) -> int:
         result, reducer = cloud_session(backend, endpoint, lambda r: _evaluate(program, auths, backend, r))
     finally:
         endpoint.close()
-    blob, shape = _container(result)
+    blob, shape = _container(result, backend)
     if args.out:
         serialize.write_file(args.out, blob)
     rounds = f"{reducer.rounds} reduction round(s), " if reducer is not None else ""
@@ -321,12 +318,9 @@ def _cmd_serve(args) -> int:
 
 def _cmd_connect(args) -> int:
     host, port = _parse_tcp(args.transport)
-    secret = _load(args.key)
-    if not isinstance(secret, (RepSecret, PeSecret)):
-        raise VheError(f"{args.key} does not hold an authentication secret")
+    secret, backend = _client(args)
     lengths = _lengths(args) if isinstance(secret, RepSecret) else ()
     program = _programs([args.program])[0]
-    backend = make_backend(secret.params, secret.he_keys, random.Random(args.seed))
     rng = random.Random(args.seed ^ 0x5E55)
     endpoint = tcp_connect(host, port)
     reason: list = []

@@ -3,7 +3,8 @@
 The ciphertext modulus is a chain of distinct ~29-bit NTT-friendly primes
 (kept below 2^30 so every butterfly product fits exactly in int64), the
 plaintext modulus is a batching-friendly prime t ≪ Q, and the error
-distribution is a centered binomial approximating a discrete Gaussian.
+distribution, the same for every set, is a centered binomial approximating
+a discrete Gaussian of standard deviation 3.2 (bfv.CBD_K).
 
 Presets are sized by measured noise margins: the `depth_budget` on each is
 the multiplicative depth the chain comfortably supports at its plaintext
@@ -33,12 +34,11 @@ SHRINK_MARGIN_BITS = 20
 
 @dataclass(frozen=True)
 class Params:
-    """Ring degree, plaintext prime, RNS chain, and noise configuration."""
+    """Ring degree, plaintext prime, RNS chain, and depth budget."""
 
     n: int
     t: int
     q_chain: tuple
-    err_std: float = 3.2
     depth_budget: int | None = None
     name: str = ""
 
@@ -105,7 +105,6 @@ def make_params(
     n: int,
     t_bits: int = 16,
     chain_len: int = 4,
-    err_std: float = 3.2,
     depth_budget: int | None = None,
     name: str = "",
 ) -> Params:
@@ -116,7 +115,6 @@ def make_params(
         n=n,
         t=t,
         q_chain=chain,
-        err_std=err_std,
         depth_budget=depth_budget,
         name=name,
     )

@@ -19,6 +19,8 @@ and Mul convolves the component tuples, growing the degree.  The evaluator
 never encrypts.
 Forging a result requires finding a degree-≤d polynomial identity that
 holds at the secret α, which succeeds with probability about 2d/t.
+`pe_check` gives the verdict on decrypted components and the claim, y_0's
+output block; `protocols.check_result` decrypts a received result for it.
 """
 
 from __future__ import annotations
@@ -296,44 +298,39 @@ def pe_verify(
     offset=None,
     reason: list | None = None,
 ) -> bool:
-    """Decrypt every component of `result` and check it with pe_check."""
-    ys = [backend.decrypt(c) for c in result.cts]
-    return pe_check(secret, program, ys, claimed, offset, reason)
+    """Decrypt every component of `result`, check it with pe_check and
+    accept iff the `claimed` output-block values, when given, are its claim."""
+    start, count = program.output_block
+    if claimed is not None and len(claimed) != count:
+        raise ParameterError(f"output block holds {count} values, claim has {len(claimed)}")
+    ok, claim = pe_check(secret, program, [backend.decrypt(c) for c in result.cts], offset, reason)
+    if not ok or claimed is None:
+        return ok
+    bad = np.flatnonzero(slot_array(claimed, secret.params.t) != claim)
+    if len(bad):
+        return reject(reason, f"claimed result mismatch at slot {start + bad[0]}")
+    return True
 
 
-def pe_check(
-    secret: PeSecret,
-    program: Program,
-    ys,
-    claimed=None,
-    offset=None,
-    reason: list | None = None,
-) -> bool:
-    """Accept iff the decrypted components are exactly the d + 1 of the
-    program's degree schedule (reduced by ReQ when an `offset` is given),
-    (y_0, …, y_d) satisfy Σ y_i α^i = ρ (+ offset) in every slot, and the
-    claimed output-block values match y_0.  The verdict stays local."""
+def pe_check(secret: PeSecret, program: Program, ys, offset=None, reason: list | None = None) -> tuple:
+    """Accept iff the decrypted components `ys` are exactly the d + 1 of the
+    program's degree schedule (reduced by ReQ when an `offset` is given) and
+    (y_0, …, y_d) satisfy Σ y_i α^i = ρ (+ offset) in every slot.  The verdict
+    stays local.  Returns (accepted, claim), the claim y_0's output block."""
     t = secret.params.t
     d, _ = degree_schedule(program, use_reducer=offset is not None)
-    if len(ys) != d + 1:
-        return reject(reason, f"{len(ys)} result component(s) where the program's degree implies {d + 1}")
     ys = slot_array(ys, t)
-    if claimed is not None:
-        start, count = program.output_block
-        if len(claimed) != count:
-            raise ParameterError(
-                f"output block holds {count} values, claim has {len(claimed)}"
-            )
-        bad = np.flatnonzero(ys[0][start : start + count] != slot_array(claimed, t))
-        if len(bad):
-            return reject(reason, f"claimed result mismatch at slot {start + bad[0]}")
+    start, count = program.output_block
+    claim = ys[0][start : start + count].tolist() if len(ys) else []
+    if len(ys) != d + 1:
+        return reject(reason, f"{len(ys)} result component(s) where the program's degree implies {d + 1}"), claim
     acc = ys[-1]
     for y in ys[-2::-1]:
         acc = slot_add(slot_mul(acc, secret.alpha, t), y, t)
     bad = np.flatnonzero(acc != pe_target(secret, program, offset))
     if len(bad):
-        return reject(reason, f"response identity fails at slot {bad[0]}")
-    return True
+        return reject(reason, f"response identity fails at slot {bad[0]}"), claim
+    return True, claim
 
 
 def pe_soundness_bound(degree: int, t: int) -> float:

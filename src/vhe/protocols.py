@@ -31,8 +31,11 @@ replies re-enter evaluation, so they stay on the full chain: 458,792
 bytes at n = 4096.
 
 A client never reacts to a ciphertext that fails to decrypt: both sessions
-go on with uniform stand-in slots and report the failure only after their
-last message.
+go on with uniform stand-in slots and reject only after their last
+message.  A shipped result, whether from a session, a result file or the
+attack simulator, is judged by one function, `check_result`: it decrypts
+each ciphertext once, and a ciphertext that fails to decrypt is a reject
+there too, never an error.
 
 Re-quadratization (ReQ): whenever a product would push a stored tuple past
 degree 2, the cloud sends the two high components (y_3, y_4; y_4 is the
@@ -95,6 +98,7 @@ _CT_TAGS = (
 # ReQ messages carry at most two, a plain result one per PE component.
 # 128 MiB holds twenty-one full-chain ones.
 MAX_FRAME_BYTES = 128 << 20
+SOCKET_TIMEOUT_S = 30.0  # per send or receive: a peer that falls silent ends the session
 _RECV_CHUNK = 1 << 20  # recv(n) allocates n bytes up front, so read in pieces
 
 TAG_NAMES = {
@@ -256,7 +260,8 @@ class TcpEndpoint:
 
 
 def tcp_listen(host: str, port: int, ready=None):
-    """Accept one connection; returns (endpoint, bound port).
+    """Accept one connection; returns (endpoint, bound port).  Waiting for
+    the connection has no limit; each later send and receive, SOCKET_TIMEOUT_S.
 
     `ready`, if given, is called with the bound port once the socket is
     listening but before this blocks in accept — lets a caller on another
@@ -270,10 +275,11 @@ def tcp_listen(host: str, port: int, ready=None):
         if ready is not None:
             ready(bound)
         conn, _ = _io("accepting", srv.accept)
+    conn.settimeout(SOCKET_TIMEOUT_S)
     return TcpEndpoint(conn), bound
 
 
-def tcp_connect(host: str, port: int, timeout: float = 30.0) -> TcpEndpoint:
+def tcp_connect(host: str, port: int, timeout: float = SOCKET_TIMEOUT_S) -> TcpEndpoint:
     # the timeout stays on the socket for every later send and receive
     sock = _io(f"connecting to {host}:{port}", socket.create_connection, (host, port), timeout)
     return TcpEndpoint(sock)
@@ -554,6 +560,22 @@ class ReqClientSession:
 # ---------------------------------------------------------------------------
 
 
+def check_result(secret, backend, program: Program, cts, tag=b"", lengths=(), offset=None, reason=None) -> tuple:
+    """The client's verdict on a received result, wherever it comes from: a
+    session, a result file or a simulated forger.  Decrypts each ciphertext
+    once and checks the slots with rep_check for a RepSecret (`tag` the
+    digest, `lengths` the input lengths) or else pe_check (`offset` a ReQ
+    session's).  Returns (accepted, claim).  A ciphertext that fails to
+    decrypt is a reject like any other forgery, with no claim."""
+    failures: list[str] = []
+    ys = [_decrypt_or_stand_in(backend, c, failures) for c in cts]
+    if failures:
+        return reject(reason, f"a result ciphertext failed to decrypt: {failures[0]}"), []
+    if isinstance(secret, RepSecret):
+        return rep_check(secret, program, ys, tag, lengths, reason)
+    return pe_check(secret, program, ys, offset, reason)
+
+
 def cloud_session(backend, endpoint, evaluate) -> tuple:
     """Cloud side of one verified session, in the mode the client's first
     message names: the result of `evaluate(reducer)`, a ReqCloudSession if
@@ -582,18 +604,17 @@ def client_session(
 ) -> tuple:
     """Client side of one verified session, the twin of `cloud_session`:
     name the mode (ReQ if `req`, PP if `pp`), serve the ReQ rounds if
-    `req`, then check the packed proof if `pp` or the shipped result
-    otherwise.  Returns (accepted, the claimed output block).
+    `req`, then check the packed proof if `pp` or the shipped result with
+    check_result otherwise.  Returns (accepted, the claimed output block).
 
     Every local refusal comes before the mode message, so a refused session
     sends nothing.  A result message must carry exactly the d + 1
     components of the program's degree schedule, or for a RepSecret (no
     ReQ, no PP) the ciphertexts that the input `lengths` imply and the
-    digest; each is decrypted once.  The offset comes from the blinds drawn
-    when the session starts, and `final_offset()` raises
-    DecryptionFailureError for a round whose high terms did not decrypt
-    only once verification has received its last message, so nothing the
-    client sends depends on that failure.
+    digest.  The offset comes from the blinds drawn when the session
+    starts.  A ciphertext that fails to decrypt, a ReQ high term included,
+    is a reject once the last message is in, so nothing the client sends
+    depends on that failure; a high term's is the reason given.
     """
     if isinstance(secret, RepSecret):
         if req or pp:
@@ -601,25 +622,26 @@ def client_session(
         chunks = rep_result_count(secret, program, lengths)
         endpoint.send(TAG_MODE, bytes([0]))
         payload = _recv(endpoint, TAG_RESULT)  # the digest is its last 64 bytes
-        slots = [backend.decrypt(c) for c in unpack_cts(payload[:-64], chunks, secret.params)]
-        return rep_check(secret, program, slots, payload[-64:], lengths, reason)
+        cts = unpack_cts(payload[:-64], chunks, secret.params)
+        return check_result(secret, backend, program, cts, payload[-64:], lengths, reason=reason)
     d, _ = degree_schedule(program, use_reducer=req)
     session = ReqClientSession(secret, backend, program, rng=rng) if req else None
     endpoint.send(TAG_MODE, bytes([req * MODE_REQ | pp * MODE_PP]))
-    offset = None
+    offset, note = None, reason
     if req:
         session.serve(endpoint)
         offset = session.offset
+        note = [] if session.failures else reason  # then the high terms are the reason given
     if pp:
-        ok, m = pp_verify(
-            secret, backend, program, endpoint,
-            offset=offset, rng=rng, reason=reason,
-        )
+        ok, m = pp_verify(secret, backend, program, endpoint, offset=offset, rng=rng, reason=note)
+        start, count = program.output_block
+        claim = m[start : start + count]
     else:
-        ys = [backend.decrypt(c) for c in unpack_cts(_recv(endpoint, TAG_RESULT), d + 1, secret.params)]
-        m = ys[0]
-        ok = pe_check(secret, program, ys, offset=offset, reason=reason)
-    if session is not None and session.failures:
-        session.final_offset()  # raises, now that the last message is in
-    start, count = program.output_block
-    return ok, m[start : start + count]
+        cts = unpack_cts(_recv(endpoint, TAG_RESULT), d + 1, secret.params)
+        ok, claim = check_result(secret, backend, program, cts, offset=offset, reason=note)
+    if req and session.failures:
+        try:
+            session.final_offset()  # raises, now that the last message is in
+        except DecryptionFailureError as exc:
+            return reject(reason, str(exc)), claim
+    return ok, claim

@@ -45,8 +45,9 @@ MAGIC = b"VRTS"
 # 5: no ciphertext multiplication depth; 6: challenge values from SHAKE-256
 # streams, so secrets and authentications saved under 5 would not verify;
 # 7: no public key in a keyset; 8: ψ from the smallest quadratic non-residue,
-# so the evaluation-domain residues of version-7 keys and ciphertexts differ
-VERSION = 8
+# so the evaluation-domain residues of version-7 keys and ciphertexts differ;
+# 9: no error width in the parameters, which every preset fixed at 3.2
+VERSION = 9
 
 TYPE_PARAMS = 0x01
 TYPE_KEYSET = 0x02
@@ -169,14 +170,14 @@ def save_params(params: Params) -> bytes:
     k = len(params.q_chain)
     depth = -1 if params.depth_budget is None else params.depth_budget
     head = struct.pack(
-        f"<IQdhB{k}QH", params.n, params.t, params.err_std, depth, k, *params.q_chain, len(name)
+        f"<IQhB{k}QH", params.n, params.t, depth, k, *params.q_chain, len(name)
     )
     return _container(TYPE_PARAMS, head, name)
 
 
 def _params_from_body(body) -> Params:
     r = _Reader(body)
-    n, t, err_std, depth, chain_len = r.unpack("<IQdhB")
+    n, t, depth, chain_len = r.unpack("<IQhB")
     chain = r.unpack(f"<{chain_len}Q")
     (nlen,) = r.unpack("<H")
     name = r.text(nlen)
@@ -186,7 +187,6 @@ def _params_from_body(body) -> Params:
             n=n,
             t=t,
             q_chain=chain,
-            err_std=err_std,
             depth_budget=None if depth < 0 else depth,
             name=name,
         )

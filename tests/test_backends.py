@@ -332,12 +332,12 @@ def test_secret_key_encryption_expands_a_from_a_seed(real):
     assert real.decrypt(ct) == vals
 
 
-@pytest.mark.parametrize("err_std", [3.2, 6.0])
-def test_error_sampler_is_a_centred_binomial(err_std):
-    """Differences of set-bit counts of k uniform bits: values in [−k, k],
-    mean 0 and variance k/2, also past one 64-bit word (k = 72)."""
-    k = max(1, round(2 * err_std * err_std))
-    e = bfv._cbd_error(np.random.default_rng(30), 1 << 16, err_std)
+def test_error_sampler_is_a_centred_binomial():
+    """Differences of set-bit counts of k = CBD_K uniform bits: values in
+    [−k, k], mean 0 and variance k/2 ≈ 3.2²."""
+    k = bfv.CBD_K
+    assert k == round(2 * 3.2 * 3.2)
+    e = bfv._cbd_error(np.random.default_rng(30), 1 << 16)
     assert e.dtype == np.int64 and -k <= e.min() and e.max() <= k
     # five standard errors of the sample mean and variance
     assert abs(e.mean()) < 5 * math.sqrt(k / 2 / len(e))
@@ -380,7 +380,7 @@ def test_keygen_expands_every_a_half_from_a_seed():
         seed = gen.bytes(bfv.SEED_BYTES)
         assert np.array_equal(ks[1], bfv.expand_uniform(seed, PARAMS.q_chain, k, N))
         for _ in range(k):
-            bfv._cbd_error(gen, N, PARAMS.err_std)
+            bfv._cbd_error(gen, N)
 
 
 def test_presets_state_their_security_level():

@@ -115,6 +115,6 @@ def test_secret_containers_are_byte_stable():
     digests = [hashlib.sha256(blob).hexdigest() for blob in (
         serialize.save_rep_secret(rs), serialize.save_pe_secret(ps))]
     assert digests == [
-        "5f988ed3f0357cdeb563a5b698ff90f05c26c1ffa176c981d795c168843c3991",
-        "781e8578cd4f1bbca6423913951d73ce60b556108dacaf7b2353f1c49d143b81",
+        "d2ceea56eeb6ddd844da07a1f0c1e55ffb6a7ceffbc06e5bfcfb49198aba34e9",
+        "22d3846f747547d8803614625d2f0af27d9add205cf7bc046b2d8143ca7955f4",
     ]

@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vhe.circuit import ProgramBuilder, program_to_json
@@ -26,7 +27,7 @@ from vhe.harness import (
 )
 from vhe.harness import attacks
 from vhe.harness.attacks import STRATEGIES
-from vhe import serialize
+from vhe import bfv, serialize
 from vhe.harness import cli, usecases
 from vhe.harness.cli import main
 from vhe.mock import MockBackend
@@ -409,6 +410,58 @@ def _rep_files(tmp_path, length: int):
     return keys / "secret.vrts", prog
 
 
+def test_cli_auth_spends_each_identifier_once(tmp_path, capsys):
+    """`vhe auth` saves the registry back to --key, so authenticating the
+    same identifier again is an error (exit 2), not a second upload."""
+    secret, _ = _rep_files(tmp_path, 8)
+    capsys.readouterr()
+    assert main([
+        "auth", "--key", str(secret), "--base", "x",
+        "--values", str(tmp_path / "y.csv"), "--out", str(tmp_path / "again.vrts"),
+    ]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "again.vrts").exists()
+
+
+def test_cli_result_files_are_shrunk_and_an_undecryptable_one_is_a_reject(tmp_path, capsys):
+    """`vhe eval --public` writes each result ciphertext on the
+    Params.shrink_primes prefix, which `vhe verify` accepts; a result whose
+    ciphertext has random residues fails to decrypt: a reject (exit 1)."""
+    prog = tmp_path / "sum.json"
+    b = ProgramBuilder(8, name="sum")
+    prog.write_text(program_to_json(b.build(b.add(b.input("x"), b.input("y")), output_block=(0, 4))))
+    keys = tmp_path / "keys"
+    assert main([
+        "keygen", "--auth", "rep", "--params", "mock64", "--lambda", "8", "--out", str(keys),
+    ]) == 0
+    (tmp_path / "v.csv").write_text("1,2,3,4")
+    for base in ("x", "y"):
+        assert main([
+            "auth", "--key", str(keys / "secret.vrts"), "--base", base,
+            "--values", str(tmp_path / "v.csv"), "--out", str(tmp_path / f"{base}.vrts"),
+        ]) == 0
+    result = tmp_path / "result.vrts"
+    assert main([
+        "eval", "--program", str(prog), "--inputs", str(tmp_path / "x.vrts"),
+        str(tmp_path / "y.vrts"), "--public", str(keys / "public.vrts"), "--out", str(result),
+    ]) == 0
+    res = serialize.load_rep_result(serialize.read_file(result))
+    params = preset("mock64")
+    assert params.shrink_primes < len(params.q_chain)
+    assert [c.data.shape for c in res.cts] == [(2, params.shrink_primes, params.n)]
+    verify = ["verify", "--key", str(keys / "secret.vrts"), "--program", str(prog), "--lengths", "4,4"]
+    capsys.readouterr()
+    assert main(verify + ["--result", str(result)]) == 0
+    assert capsys.readouterr().out == "accept; output block = [2, 4, 6, 8]\n"
+
+    rng = np.random.default_rng(5)
+    q = np.array(params.q_chain[: params.shrink_primes])[:, None]
+    noise = bfv.Ciphertext(rng.integers(0, q, size=res.cts[0].data.shape, dtype=np.int64))
+    serialize.write_file(tmp_path / "noise.vrts", serialize.save_rep_result(dataclasses.replace(res, cts=(noise,))))
+    assert main(verify + ["--result", str(tmp_path / "noise.vrts")]) == 1
+    assert capsys.readouterr().out.startswith("reject: a result ciphertext failed to decrypt")
+
+
 def test_cli_rep_verify_decrypts_once_and_counts_chunks(tmp_path, capsys, monkeypatch):
     """`vhe verify` decrypts each REP result ciphertext once, and rejects a
     result file with a chunk dropped: the count comes from --lengths."""
@@ -593,11 +646,14 @@ def _assert_clean_error(rc, capsys, names=""):
     assert err.startswith("error:") and names in err and "Traceback" not in err
 
 
-# other REP keys, and whether they make the result (else they verify it)
-# against the mock64 mock keys of _rep_files
+# the REP keys that make a result and those that verify it, where None is
+# _rep_files' mock64 mock key
 _OTHER_KEYS = {
-    "mock16 result under a mock64 key": (["--params", "mock16", "--lambda", "2", "--backend", "mock"], True),
-    "mock result under a real key": (["--params", "mock64", "--lambda", "8", "--backend", "real"], False),
+    "mock16 result under a mock64 key": (["--params", "mock16", "--lambda", "2", "--backend", "mock"], None),
+    "mock result under a real key": (
+        ["--params", "mock64", "--lambda", "8", "--backend", "mock"],
+        ["--params", "mock64", "--lambda", "8", "--backend", "real"],
+    ),
 }
 
 
@@ -607,10 +663,14 @@ def test_cli_verify_refuses_a_result_of_another_ring_or_backend(tmp_path, capsys
     to another ring or to the other backend prints `error:` and exits 2,
     before anything is decrypted."""
     secret, prog = _rep_files(tmp_path, 8)
-    other_args, other_makes_result = _OTHER_KEYS[case]
-    assert main(["keygen", "--auth", "rep", *other_args, "--out", str(tmp_path / "other")]) == 0
-    other = tmp_path / "other" / "secret.vrts"
-    maker, verifier = (other, secret) if other_makes_result else (secret, other)
+
+    def key(role, args):
+        if args is None:
+            return secret
+        assert main(["keygen", "--auth", "rep", *args, "--out", str(tmp_path / role)]) == 0
+        return tmp_path / role / "secret.vrts"
+
+    maker, verifier = (key(role, args) for role, args in zip(("maker", "verifier"), _OTHER_KEYS[case]))
     for base in ("x", "y"):
         assert main([
             "auth", "--key", str(maker), "--base", base,

@@ -280,6 +280,18 @@ def test_rejects_fresh_auth_of_correct_value_under_wrong_identity(mock):
     assert not pe.pe_verify(sec, mock, prog, forged)
 
 
+def test_pe_check_claims_the_output_block_of_y0(mock):
+    """pe_check returns (verdict, y_0's output block): the claim accompanies
+    an accept and a reject alike."""
+    sec, prog, res, plain = _setup(mock, seed=24)
+    ys = [mock.decrypt(c) for c in res.cts]
+    assert pe.pe_check(sec, prog, ys) == (True, plain[:4])
+    ys[1][0] = (ys[1][0] + 1) % T
+    why = []
+    assert pe.pe_check(sec, prog, ys, reason=why) == (False, plain[:4])
+    assert "identity" in why[0]
+
+
 def test_claim_shape_checked(mock):
     sec, prog, res, plain = _setup(mock, seed=22)
     with pytest.raises(ParameterError):

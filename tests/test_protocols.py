@@ -219,6 +219,36 @@ def test_tcp_failures_are_protocol_errors():
     b.close()
 
 
+def test_a_silent_client_times_the_cloud_out(monkeypatch):
+    """A client that connects and sends nothing ends the cloud's session in
+    ProtocolError after SOCKET_TIMEOUT_S, not never."""
+    monkeypatch.setattr(pr, "SOCKET_TIMEOUT_S", 0.2)
+    box = {}
+    bound = threading.Event()
+
+    def server():
+        def ready(port):
+            box["port"] = port
+            bound.set()
+
+        ep, _ = pr.tcp_listen("127.0.0.1", 0, ready=ready)
+        try:
+            pr.cloud_session(MockBackend(PARAMS), ep, lambda _: None)
+        except ProtocolError as exc:
+            box["error"] = exc
+        finally:
+            ep.close()
+
+    th = threading.Thread(target=server)
+    th.start()
+    assert bound.wait(5.0)
+    with socket.create_connection(("127.0.0.1", box["port"])):
+        th.join(10.0)
+        timed_out = not th.is_alive()
+    th.join()
+    assert timed_out and "receiving" in str(box["error"])
+
+
 def test_run_session_propagates_cloud_errors():
     def cloud(ep):
         raise StructureError("boom")
@@ -833,8 +863,8 @@ def test_req_decryption_failure_is_not_a_reaction_oracle():
 def test_composed_req_pp_failure_surfaces_after_the_pp_response():
     """`connect --req --pp`: a ReQ round whose high terms fail to decrypt
     changes no tag and no frame length the client sends, the packed proof
-    still runs to its response, and DecryptionFailureError comes only after
-    that response has been received."""
+    still runs to its response, and only then is the session a reject that
+    names the high terms."""
     rng = random.Random(38)
     cloud = MockBackend(PARAMS, rng=random.Random(39))
     sec = pe.pe_keygen(PARAMS, rng=rng, make_he_keys=False)
@@ -854,23 +884,93 @@ def test_composed_req_pp_failure_surfaces_after_the_pp_response():
             pr.cloud_session(cloud, out, lambda red: pe.pe_eval(prog, [auth], cloud, reducer=red))
 
         def client_fn(ep):
-            try:
-                outcome = pr.client_session(sec, client, prog, ep, True, True, random.Random(41), [])
-            except DecryptionFailureError as exc:
-                outcome = exc
+            reason = []
+            outcome = pr.client_session(sec, client, prog, ep, True, True, random.Random(41), reason)
             sent = [(tag, len(p)) for tag, p in ep.transcript.sent]
-            return outcome, sent, [tag for tag, _ in ep.transcript.received]
+            return outcome, reason, sent, [tag for tag, _ in ep.transcript.received]
 
         return pr.run_session(cloud_fn, client_fn)[1]
 
-    (ok, _), honest_sent, honest_received = run(False)
-    failure, failed_sent, failed_received = run(True)
+    (ok, _), _, honest_sent, honest_received = run(False)
+    (failed_ok, claim), reason, failed_sent, failed_received = run(True)
     assert ok
-    assert isinstance(failure, DecryptionFailureError)
+    assert failed_ok is False and len(claim) == 2
+    assert reason == [reason[0]] and "high-term ciphertext(s) failed to decrypt" in reason[0]
     assert failed_sent == honest_sent
     assert [tag for tag, _ in failed_sent][-1] == pr.TAG_PP_CHALLENGE
     assert failed_received == honest_received
     assert failed_received[-1] == pr.TAG_PP_RESPONSE
+
+
+def test_req_high_terms_that_fail_to_decrypt_are_a_reject():
+    """`connect --req`: high terms that fail to decrypt change no tag and no
+    frame length the client sends, and the session is a reject that names
+    them once the result is in."""
+    sec, cloud, _, prog, auths, _ = make_world(seed=74)
+
+    def run(fail):
+        client = MockBackend(PARAMS, depth_limit=2, rng=random.Random(75))  # the high terms' depth
+        reason = []
+
+        def cloud_fn(ep):
+            out = _FailingHighTerms(ep, 3) if fail else ep
+            pr.cloud_session(cloud, out, lambda red: pe.pe_eval(prog, list(auths), cloud, reducer=red))
+
+        def client_fn(ep):
+            ok, _ = pr.client_session(sec, client, prog, ep, True, False, random.Random(76), reason)
+            return ok, [(tag, len(p)) for tag, p in ep.transcript.sent]
+
+        return (*pr.run_session(cloud_fn, client_fn)[1], reason)
+
+    ok, honest_sent, reason = run(False)
+    assert ok and reason == []
+    ok, failed_sent, reason = run(True)
+    assert ok is False and failed_sent == honest_sent
+    assert reason == ["2 high-term ciphertext(s) failed to decrypt: "
+                      "simulated noise overflow: depth 3 > limit 2"]
+
+
+def _undecryptable(result):
+    """`result` with every ciphertext past the client's simulated noise limit."""
+    return dataclasses.replace(result, cts=tuple(dataclasses.replace(c, depth=99) for c in result.cts))
+
+
+def _session_with_a_result(kind, fail):
+    """(accepted, reason, the client's sent bytes) of one seeded session of
+    `kind` (PE, PE under ReQ, REP) whose result fails to decrypt if `fail`."""
+    if kind == "rep":
+        sec, cloud, prog, res = rep_world()
+        evaluate, req, lengths = (lambda _: res), False, [24, 24]
+    else:
+        sec, cloud, _, prog, auths, _ = make_world(seed=71)
+        req, lengths = kind == "req", ()
+
+        def evaluate(red):
+            return pe.pe_eval(prog, list(auths), cloud, reducer=red)
+
+    client = MockBackend(PARAMS, depth_limit=10, rng=random.Random(72))
+    reason = []
+
+    def cloud_fn(ep):
+        pr.cloud_session(cloud, ep, lambda red: _undecryptable(evaluate(red)) if fail else evaluate(red))
+
+    def client_fn(ep):
+        ok, _ = pr.client_session(sec, client, prog, ep, req, False, random.Random(73), reason, lengths)
+        return ok, reason, ep.transcript.sent_bytes()
+
+    return pr.run_session(cloud_fn, client_fn)[1]
+
+
+@pytest.mark.parametrize("kind", ["pe", "req", "rep"])
+def test_a_result_that_fails_to_decrypt_is_a_reject(kind):
+    """A result ciphertext that fails to decrypt is a reject naming the
+    decryption, not an error, and the client sends the honest run's bytes."""
+    ok, reason, honest_sent = _session_with_a_result(kind, fail=False)
+    assert ok and reason == []
+    ok, reason, failed_sent = _session_with_a_result(kind, fail=True)
+    assert ok is False and failed_sent == honest_sent
+    assert reason == ["a result ciphertext failed to decrypt: "
+                      "simulated noise overflow: depth 99 > limit 10"]
 
 
 def _receive_wrong_count(kind):

@@ -151,7 +151,7 @@ def test_garbage_rejected():
 
 def test_version_1_params_refused():
     """Version 1 carried a decomposition-base byte and base-2^16 keys."""
-    body = struct.pack("<IQdBhB", PARAMS.n, PARAMS.t, PARAMS.err_std, 16, 2, len(PARAMS.q_chain))
+    body = struct.pack("<IQdBhB", PARAMS.n, PARAMS.t, 3.2, 16, 2, len(PARAMS.q_chain))
     body += b"".join(struct.pack("<Q", q) for q in PARAMS.q_chain) + struct.pack("<H", 0)
     with pytest.raises(SerializationError, match="version 1"):
         sz.load_params(_container(sz.TYPE_PARAMS, body, version=1))
