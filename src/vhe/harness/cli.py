@@ -202,21 +202,22 @@ def _evaluate(program, auths, backend, reducer=None):
     raise VheError("inputs mix authentication schemes")
 
 
-def _container(result, backend):
-    """(a result's container bytes, a one-line shape).  Every ciphertext is
-    shrunk, as a session sends it: a result file is only decrypted."""
-    shrunk = replace(result, cts=tuple(backend.shrink(c) for c in result.cts))
-    if isinstance(result, RepResult):
-        return serialize.save_rep_result(shrunk), f"{len(result.cts)} ciphertext(s), λ={result.lam}"
-    return serialize.save_pe_auth(shrunk), f"degree {result.degree}"
+def _write_result(path, result, backend) -> str:
+    """Write a result's container to `path`, if one is given, and return its
+    one-line shape.  Every ciphertext is shrunk, as a session sends it: a
+    result file is only decrypted."""
+    rep = isinstance(result, RepResult)
+    if path:
+        shrunk = replace(result, cts=tuple(backend.shrink(c) for c in result.cts))
+        serialize.write_file(path, (serialize.save_rep_result if rep else serialize.save_pe_auth)(shrunk))
+    return f"{len(result.cts)} ciphertext(s), λ={result.lam}" if rep else f"degree {result.degree}"
 
 
 def _cmd_eval(args) -> int:
     program = _programs([args.program])[0]
     auths = [_load(p) for p in args.inputs]
     backend = _eval_backend(args)
-    blob, shape = _container(_evaluate(program, auths, backend), backend)
-    serialize.write_file(args.out, blob)
+    shape = _write_result(args.out, _evaluate(program, auths, backend), backend)
     print(f"evaluated {program.name or 'program'} ({shape}) -> {args.out}")
     return 0
 
@@ -308,9 +309,7 @@ def _cmd_serve(args) -> int:
         result, reducer = cloud_session(backend, endpoint, lambda r: _evaluate(program, auths, backend, r))
     finally:
         endpoint.close()
-    blob, shape = _container(result, backend)
-    if args.out:
-        serialize.write_file(args.out, blob)
+    shape = _write_result(args.out, result, backend)
     rounds = f"{reducer.rounds} reduction round(s), " if reducer is not None else ""
     print(f"served one session on port {bound}: {rounds}{shape}")
     return 0

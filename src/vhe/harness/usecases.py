@@ -481,7 +481,7 @@ def _run_baseline(inst: Instance, params: Params, real: bool, seed: int):
     cloud, client = _cloud_and_client(params, keys, seed)
     timer = _Timer()
     with timer.stage("create"):
-        cts = [client.encrypt(_pad(v, n)) for v in inst.values]
+        cts = client.encrypt_many(_pad(v, n) for v in inst.values)
     with timer.stage("eval"):
         out = eval_he(inst.program, cts, cloud)
     with timer.stage("verify"):

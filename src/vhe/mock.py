@@ -1,11 +1,13 @@
 """Exact-semantics stand-in for the encrypted backend.
 
 A mock ciphertext carries its slot array in the clear plus a
-multiplicative-depth counter and a freshness nonce.  The slot arithmetic,
+multiplicative-depth counter, a freshness nonce and a terminal flag: `shrink`
+marks a ciphertext that will only be decrypted, as the real backend's chain
+prefix does, and `check_operand` refuses it.  The slot arithmetic,
 rotations and inner sums are the ``slot_*`` functions of
 :mod:`vhe.circuit`, the same ones the plaintext oracle runs, so the mock
 cannot drift from the oracle; the real backend is tested against both.
-This module adds only the bookkeeping (depth, nonces) and the input checks
+This module adds only the bookkeeping (depth, nonces, the flag) and the input checks
 the real backend makes, so large-trial statistics run here at full speed.
 
 Depth accounting: ciphertext-ciphertext multiplication raises the counter
@@ -18,7 +20,7 @@ backend surfaces overflow.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,13 +38,14 @@ class MockCiphertext:
     slots: np.ndarray  # read-only; a loaded ciphertext's are the wire's u64
     depth: int
     nonce: int
+    terminal: bool = False  # shrunk: only decrypted, never an operand again
 
     def __len__(self):
         return len(self.slots)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, MockCiphertext) and (self.depth, self.nonce) == (
-            other.depth, other.nonce) and np.array_equal(self.slots, other.slots)
+        return isinstance(other, MockCiphertext) and (self.depth, self.nonce, self.terminal) == (
+            other.depth, other.nonce, other.terminal) and np.array_equal(self.slots, other.slots)
 
 
 class MockBackend:
@@ -57,34 +60,57 @@ class MockBackend:
     # -- lifecycle ----------------------------------------------------------
 
     def encrypt(self, slots) -> MockCiphertext:
+        return self.encrypt_many([slots])[0]
+
+    def encrypt_many(self, rows) -> tuple:
+        """One fresh ciphertext per row of slots, nonces drawn in row order."""
         n = self.params.n
-        if len(slots) != n:
-            raise ParameterError(f"expected {n} slots, got {len(slots)}")
-        return self._fresh(slot_array(slots, self.params.t), 0)
+        rows = list(rows)
+        bad = [len(r) for r in rows if len(r) != n]
+        if bad:
+            raise ParameterError(f"expected {n} slots, got {bad[0]}")
+        return tuple(self._fresh(slot_array(r, self.params.t), 0) for r in rows)
 
     def encrypt_zero(self) -> MockCiphertext:
         return self.encrypt([0] * self.params.n)
 
     def decrypt(self, ct: MockCiphertext) -> list[int]:
-        self.check_operand(ct)
-        if self.depth_limit is not None and ct.depth > self.depth_limit:
-            raise DecryptionFailureError(
-                f"simulated noise overflow: depth {ct.depth} > limit {self.depth_limit}"
-            )
-        return ct.slots.tolist()
+        return self.decrypt_many([ct])[0].tolist()
+
+    def decrypt_many(self, cts) -> np.ndarray:
+        """The (m, n) slots of m ciphertexts, each checked first; a
+        ciphertext past `depth_limit` raises DecryptionFailureError."""
+        cts = list(cts)
+        for ct in cts:
+            self._check_received(ct)
+        for ct in cts:
+            if self.depth_limit is not None and ct.depth > self.depth_limit:
+                raise DecryptionFailureError(
+                    f"simulated noise overflow: depth {ct.depth} > limit {self.depth_limit}"
+                )
+        out = np.empty((len(cts), self.params.n), dtype=self._dtype)
+        for row, ct in zip(out, cts):
+            row[:] = ct.slots
+        return out
 
     def shrink(self, ct: MockCiphertext) -> MockCiphertext:
-        """No chain to switch: the ciphertext as it is."""
-        return ct
+        """No chain to switch: the same slots, marked terminal, as the real
+        backend's chain prefix marks a ciphertext only to be decrypted."""
+        return replace(ct, terminal=True)
 
-    def check_operand(self, ct) -> None:
-        """Refuse, like the real backend, an operand that is not a
-        ciphertext of this backend's n slots."""
+    def _check_received(self, ct) -> None:
         if not isinstance(ct, MockCiphertext) or len(ct.slots) != self.params.n:
             raise SerializationError(f"operand must be a mock ciphertext of {self.params.n} slots")
 
+    def check_operand(self, ct) -> None:
+        """Refuse, like the real backend, an operand that is not a
+        ciphertext of this backend's n slots, or a shrunk (terminal) one."""
+        self._check_received(ct)
+        if ct.terminal:
+            raise SerializationError("a shrunk mock ciphertext is terminal and never an operand")
+
     def noise_budget(self, ct: MockCiphertext) -> float:
-        self.check_operand(ct)
+        self._check_received(ct)
         if self.depth_limit is None:
             return float("inf")
         return float(self.depth_limit - ct.depth)
@@ -95,12 +121,14 @@ class MockBackend:
         """A ciphertext's slots as a slot array mod t (a loaded one's are u64)."""
         return ct.slots if ct.slots.dtype == self._dtype else slot_array(ct.slots, self.params.t)
 
-    def _fresh(self, slots, depth) -> MockCiphertext:
+    def _fresh(self, slots, depth, terminal: bool = False) -> MockCiphertext:
         slots.flags.writeable = False
-        return MockCiphertext(slots, depth, self._rng.getrandbits(64))
+        return MockCiphertext(slots, depth, self._rng.getrandbits(64), terminal)
 
     def _binary(self, op, a: MockCiphertext, b: MockCiphertext, depth) -> MockCiphertext:
-        return self._fresh(op(self._vec(a), self._vec(b), self.params.t), depth)
+        """a op b, terminal if either operand is."""
+        return self._fresh(op(self._vec(a), self._vec(b), self.params.t), depth,
+                           a.terminal or b.terminal)
 
     def add(self, a: MockCiphertext, b: MockCiphertext) -> MockCiphertext:
         return self._binary(slot_add, a, b, max(a.depth, b.depth))

@@ -110,7 +110,7 @@ def pe_auth(secret: PeSecret, backend, values, base) -> PeAuth:
     m = slot_array(values, t)
     r = challenge_input_pe(secret.key, base, n, t)
     y1 = slot_mul(slot_sub(r, m, t), secret.alpha_inv, t)
-    return PeAuth((backend.encrypt(m), backend.encrypt(y1)), base)
+    return PeAuth(backend.encrypt_many((m, y1)), base)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +303,7 @@ def pe_verify(
     start, count = program.output_block
     if claimed is not None and len(claimed) != count:
         raise ParameterError(f"output block holds {count} values, claim has {len(claimed)}")
-    ok, claim = pe_check(secret, program, [backend.decrypt(c) for c in result.cts], offset, reason)
+    ok, claim = pe_check(secret, program, backend.decrypt_many(result.cts), offset, reason)
     if not ok or claimed is None:
         return ok
     bad = np.flatnonzero(slot_array(claimed, secret.params.t) != claim)

@@ -34,8 +34,8 @@ A client never reacts to a ciphertext that fails to decrypt: both sessions
 go on with uniform stand-in slots and reject only after their last
 message.  A shipped result, whether from a session, a result file or the
 attack simulator, is judged by one function, `check_result`: it decrypts
-each ciphertext once, and a ciphertext that fails to decrypt is a reject
-there too, never an error.
+the ciphertexts once, as one stack, and a ciphertext that fails to decrypt
+is a reject there too, never an error.
 
 Re-quadratization (ReQ): whenever a product would push a stored tuple past
 degree 2, the cloud sends the two high components (y_3, y_4; y_4 is the
@@ -70,7 +70,7 @@ from .errors import (
 )
 from .pe import MAX_DEGREE, PeAuth, PeSecret, degree_schedule, offset_walk, pe_check, pe_target
 from .rep import RepResult, RepSecret, rep_check, rep_result_count
-from .ring import slot_array, slot_poly_eval
+from .ring import _powers, slot_array, slot_poly_eval
 from .serialize import load_cts, save_cts
 
 TAG_PP_RESULT = 0x01
@@ -361,17 +361,16 @@ def pp_prove(backend, result: PeAuth, endpoint):
         raise ParameterError(f"degree {d} does not fit the packing layout")
     endpoint.send(TAG_PP_RESULT, pack_cts([backend.shrink(result.cts[0])]))
     delta, beta = struct.unpack("<QQ", _recv(endpoint, TAG_PP_CHALLENGE))
-    pows = [pow(delta, j, t) for j in range(n)]
+    pows = _powers(delta, n, t, slot_array([0], t).dtype)
     level = [backend.mul_plain(c, pows) for c in result.cts]
     packed = None
     for i, c in enumerate(result.cts):
-        b_i = pow(beta, i, t)
-        x = backend.mul_plain(c, [b_i * p % t for p in pows])
+        x = backend.mul_plain(c, slot_mul(pows, pow(beta, i, t), t))
         packed = x if packed is None else backend.add(packed, x)
     level += [packed] + [None] * (width - d - 2)
     stride = 1
     while stride < width:
-        mask = [int(j % (2 * stride) < stride) for j in range(n)]
+        mask = (np.arange(n) % (2 * stride) < stride).astype(np.int64)
         level = [_merge(backend, c, dd, mask, stride) for c, dd in zip(level[::2], level[1::2])]
         stride *= 2
     (acc,) = level
@@ -536,7 +535,7 @@ class ReqClientSession:
         yb1 = slot_add(slot_mul(y4, a3, t), slot_mul(y3, a2, t), t)
         yb1 = slot_add(slot_sub(yb1, slot_mul(yb2, alpha, t), t), shift, t)
         self.round += 1
-        return pack_cts([self.backend.encrypt(yb1), self.backend.encrypt(yb2)])
+        return pack_cts(self.backend.encrypt_many((yb1, yb2)))
 
     def serve(self, endpoint):
         """Answer exactly the rounds the program's schedule calls for."""
@@ -562,15 +561,15 @@ class ReqClientSession:
 
 def check_result(secret, backend, program: Program, cts, tag=b"", lengths=(), offset=None, reason=None) -> tuple:
     """The client's verdict on a received result, wherever it comes from: a
-    session, a result file or a simulated forger.  Decrypts each ciphertext
-    once and checks the slots with rep_check for a RepSecret (`tag` the
+    session, a result file or a simulated forger.  Decrypts the ciphertexts
+    once, as one stack (decrypt_many), and checks the slots with rep_check for a RepSecret (`tag` the
     digest, `lengths` the input lengths) or else pe_check (`offset` a ReQ
     session's).  Returns (accepted, claim).  A ciphertext that fails to
     decrypt is a reject like any other forgery, with no claim."""
-    failures: list[str] = []
-    ys = [_decrypt_or_stand_in(backend, c, failures) for c in cts]
-    if failures:
-        return reject(reason, f"a result ciphertext failed to decrypt: {failures[0]}"), []
+    try:
+        ys = backend.decrypt_many(cts)
+    except DecryptionFailureError as exc:
+        return reject(reason, f"a result ciphertext failed to decrypt: {exc}"), []
     if isinstance(secret, RepSecret):
         return rep_check(secret, program, ys, tag, lengths, reason)
     return pe_check(secret, program, ys, offset, reason)

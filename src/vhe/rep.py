@@ -137,7 +137,7 @@ def rep_auth(secret: RepSecret, backend, values, base) -> RepAuth:
     if len(values) == 0:
         raise ParameterError("cannot authenticate an empty vector")
     base = secret.registry.register(base)
-    cts = tuple(backend.encrypt(s) for s in rep_extend(secret, values, base))
+    cts = backend.encrypt_many(rep_extend(secret, values, base))
     tags = tuple(prf_tags(secret.key, base, len(values)))
     return RepAuth(base, len(values), secret.lam, cts, tags)
 
@@ -239,7 +239,7 @@ def rep_decode(secret: RepSecret, backend, result: RepResult, program: Program):
     offset = min(j for j in range(lam) if j not in secret.challenge_set)
     start, count = program.output_block
     first, stop = start * lam + offset, (start + count) * lam
-    return [v for ct in result.cts for v in backend.decrypt(ct)[first:stop:lam]]
+    return backend.decrypt_many(result.cts)[:, first:stop:lam].ravel().tolist()
 
 
 def rep_verify(
@@ -251,14 +251,14 @@ def rep_verify(
     input_lengths,
     reason: list | None = None,
 ) -> bool:
-    """Decrypt each result ciphertext once, check it with rep_check and
-    accept iff `claimed` equals the agreed replica values.
+    """Decrypt the result as one stack, check it with rep_check and accept
+    iff `claimed` equals the agreed replica values.
 
     Only the benchmark's REP workload still calls this and the decoder
     above: both go under ROADMAP item M once item B moves that workload to
     the session.
     """
-    slots = [backend.decrypt(ct) for ct in result.cts]
+    slots = backend.decrypt_many(result.cts)
     ok, claim = rep_check(secret, program, slots, result.tag, input_lengths, reason)
     if not ok:
         return False

@@ -17,7 +17,8 @@ client only decrypts, which may carry a chain prefix 1 ≤ k′ ≤ k (see
 BfvBackend.shrink).
 A keyset's arrays carry no shape headers: its own parameters imply every
 shape, so the loader computes the body length and refuses any other before
-it allocates an array.  Mock ciphertext slots (up to 2^59) stay u64.
+it allocates an array.  Mock ciphertext slots (up to 2^59) stay u64; a
+shrunk mock ciphertext, which is terminal, has a type code of its own.
 Secret material (secret key, PRF key, challenge set, α) only ever appears
 in the *_secret containers; the keyset container carries an explicit flag
 so public copies are distinguishable on disk.  A loader either returns an
@@ -58,6 +59,7 @@ TYPE_REP_AUTH = 0x06
 TYPE_REP_RESULT = 0x07
 TYPE_PE_SECRET = 0x08
 TYPE_PE_AUTH = 0x09
+TYPE_MOCK_SHRUNK = 0x0A  # a terminal mock ciphertext (MockBackend.shrink)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +250,8 @@ def load_keyset(blob: bytes, offset: int = 0) -> KeySet:
 def save_ciphertext(ct) -> bytes:
     if isinstance(ct, MockCiphertext):
         head = struct.pack("<IIQ", len(ct.slots), ct.depth, ct.nonce)
-        return _container(TYPE_MOCK_CIPHERTEXT, head, np.asarray(ct.slots, dtype="<u8").tobytes())
+        tc = TYPE_MOCK_SHRUNK if ct.terminal else TYPE_MOCK_CIPHERTEXT
+        return _container(tc, head, np.asarray(ct.slots, dtype="<u8").tobytes())
     if isinstance(ct, Ciphertext):
         head = struct.pack("<BBI", *ct.data.shape)
         return _container(TYPE_CIPHERTEXT, head, _u32(ct.data))
@@ -263,13 +266,13 @@ def load_ciphertext(blob: bytes, offset: int = 0, params: Params | None = None):
     residue rows (a decrypt-only message may travel on a chain prefix)."""
     tc, body, nxt = read_container(memoryview(blob), offset)
     r = _Reader(body)
-    if tc == TYPE_MOCK_CIPHERTEXT:
+    if tc in (TYPE_MOCK_CIPHERTEXT, TYPE_MOCK_SHRUNK):
         n, depth, nonce = r.unpack("<IIQ")
         if params is not None and n != params.n:
             raise SerializationError(f"mock ciphertext of {n} slots, expected {params.n}")
         slots = np.frombuffer(r.take(8 * n), dtype="<u8")
         r.done()
-        return MockCiphertext(slots, depth, nonce), nxt
+        return MockCiphertext(slots, depth, nonce, tc == TYPE_MOCK_SHRUNK), nxt
     if tc == TYPE_CIPHERTEXT:
         shape = r.unpack("<BBI")
         if params is not None:
@@ -458,7 +461,7 @@ _LOADERS = {
 def load_any(blob: bytes, offset: int = 0):
     """Dispatch on the container type; ciphertexts load via load_ciphertext."""
     tc, _, _ = read_container(blob, offset)
-    if tc in (TYPE_CIPHERTEXT, TYPE_MOCK_CIPHERTEXT):
+    if tc in (TYPE_CIPHERTEXT, TYPE_MOCK_CIPHERTEXT, TYPE_MOCK_SHRUNK):
         return load_ciphertext(blob, offset)[0]
     if tc not in _LOADERS:
         raise SerializationError(f"unknown container type {tc}")

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vhe import bfv, pe, protocols, rep
+from vhe import bfv, pe, protocols, rep, serialize
 from vhe.circuit import (
     ProgramBuilder,
     eval_he,
@@ -582,9 +582,21 @@ def test_linear_ops_on_a_shared_prefix(real):
         real.add(sa, cb)
 
 
-def test_mock_shrink_is_the_identity(mock):
+def test_mock_shrink_is_terminal(mock):
+    """A shrunk mock ciphertext keeps its slots, depth and nonce, decrypts
+    as before, stays terminal through a save and load and through sums, and
+    check_operand refuses it, as the real backend refuses a chain prefix."""
     ct = mock.encrypt(list(range(N)))
-    assert mock.shrink(ct) is ct
+    shrunk = mock.shrink(ct)
+    assert (shrunk.depth, shrunk.nonce, shrunk.terminal, ct.terminal) == (ct.depth, ct.nonce, True, False)
+    assert mock.decrypt(shrunk) == mock.decrypt(ct) == list(range(N))
+    loaded, _ = serialize.load_ciphertext(serialize.save_ciphertext(shrunk))
+    assert loaded == shrunk and serialize.load_any(serialize.save_ciphertext(shrunk)) == shrunk
+    assert mock.add(shrunk, shrunk).terminal and mock.sub(ct, shrunk).terminal
+    mock.check_operand(ct)
+    for c in (shrunk, loaded):
+        with pytest.raises(SerializationError, match="terminal"):
+            mock.check_operand(c)
 
 
 def test_evaluation_refuses_operands_off_the_full_chain(real):
@@ -1059,6 +1071,95 @@ def test_decryption_matches_big_integer_reference_on_drawn_phases(basis, data):
         assert be.decrypt(ct) == batch_decode(want_m, p.t_modulus)
     if q > 2 * p.t:
         assert be.noise_budget(ct) == _budget(be, k, want_worst)
+
+
+# ---------------------------------------------------------------------------
+# stacked encryption and decryption
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _stack_keys(name):
+    return bfv.keygen(preset(name), rng=np.random.default_rng(90))
+
+
+def _stack_backend(name, seed=91):
+    return bfv.BfvBackend(preset(name), _stack_keys(name), rng=np.random.default_rng(seed))
+
+
+def test_encrypt_many_is_repeated_encrypt_bit_for_bit():
+    """A stack of 1, one chunk (4 at n4096), a chunk and one, or 32 rows
+    encrypts to exactly the ciphertexts that encrypt makes row by row from
+    the same generator state, and leaves the generator where they do."""
+    p = preset("n4096")
+    assert _stack_backend("n4096")._chunk(len(p.q_chain)) == 4
+    rng = np.random.default_rng(92)
+    for m in (1, 4, 5, 32):
+        rows = rng.integers(0, p.t, size=(m, p.n))
+        many, one = _stack_backend("n4096"), _stack_backend("n4096")
+        stacked = many.encrypt_many(rows if m > 1 else rows.tolist())
+        assert len(stacked) == m
+        for ct, row in zip(stacked, rows):
+            assert np.array_equal(ct.data, one.encrypt(row).data), m
+        assert many._gen.bytes(8) == one._gen.bytes(8)
+    assert many.encrypt_many([]) == ()
+    with pytest.raises(ParameterError, match=f"expected {p.n} slots, got 3"):
+        many.encrypt_many([rows[0], [1, 2, 3]])
+
+
+def test_mock_encrypt_many_is_repeated_encrypt(mock):
+    rows = [rand_slots(random.Random(96)) for _ in range(3)]
+    again = MockBackend(PARAMS, rng=random.Random(3))
+    assert list(mock.encrypt_many(rows)) == [again.encrypt(r) for r in rows]
+
+
+@pytest.mark.parametrize("name", ["mock64", "mock64_wide", "n4096"])
+@pytest.mark.parametrize("chunk_bytes", [None, 1])
+def test_decrypt_many_is_per_ciphertext_decrypt(name, chunk_bytes, monkeypatch):
+    """On the full chain, on the shrunk prefix and for degree-3 products,
+    with the default chunks and one ciphertext per chunk, decrypt_many's
+    rows are decrypt's slots; with a 40-bit t the decoder's carries are
+    Python ints, and the slots still come back as int64."""
+    if chunk_bytes is not None:
+        monkeypatch.setattr(bfv, "CHUNK_BYTES", chunk_bytes)
+    be = _stack_backend(name)
+    p = be.params
+    rows = np.random.default_rng(93).integers(0, p.t, size=(6, p.n))
+    cts = be.encrypt_many(rows)
+    products = [be.mul_no_relin(c, c) for c in cts[:2]]
+    squares = [[v * v % p.t for v in r] for r in rows[:2].tolist()]
+    for stack, want in ((cts, rows.tolist()), ([be.shrink(c) for c in cts], rows.tolist()),
+                        (products, squares)):
+        got = be.decrypt_many(stack)
+        assert got.dtype == np.int64 and got.shape == (len(stack), p.n)
+        assert got.tolist() == [be.decrypt(c) for c in stack] == want
+    assert be.decrypt_many([]).shape == (0, p.n)
+
+
+def test_mock_decrypt_many_honours_the_depth_limit():
+    mock = MockBackend(PARAMS, depth_limit=1, rng=random.Random(94))
+    a, b = mock.encrypt_many([[1] * N, [2] * N])
+    assert mock.decrypt_many([a, mock.mul(a, b)]).tolist() == [[1] * N, [2] * N]
+    with pytest.raises(DecryptionFailureError, match="depth 2 > limit 1"):
+        mock.decrypt_many([a, mock.mul(mock.mul(a, b), b), b])
+
+
+def test_decrypt_many_refuses_a_hostile_stack_before_any_arithmetic(real, monkeypatch):
+    """A ciphertext with a residue ≥ q_i, one of the other backend or a
+    stack mixing the full chain with the shrunk prefix is refused with
+    SerializationError before anything is decoded, wherever it sits."""
+    cts = list(real.encrypt_many([rand_slots(random.Random(95))] * 3))
+    bad = cts[1].data.copy()
+    bad[0, 0, 0] = PARAMS.q_chain[0]
+    hostile = (bfv.Ciphertext(bad), MockBackend(PARAMS).encrypt([0] * N), real.shrink(cts[1]))
+
+    def decode(*_):
+        raise AssertionError("a refused stack was decoded")
+
+    monkeypatch.setattr(real, "_decode", decode)
+    for ct in hostile:
+        with pytest.raises(SerializationError, match="ciphertext"):
+            real.decrypt_many([cts[0], ct, cts[2]])
 
 
 # ---------------------------------------------------------------------------

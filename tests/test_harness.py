@@ -37,13 +37,15 @@ from vhe.rep import RepResult
 
 
 class _CountingMock(MockBackend):
-    """A mock client that counts its decryptions."""
+    """A mock client that counts the ciphertexts it decrypts (decrypt is a
+    one-ciphertext decrypt_many)."""
 
     decrypts = 0
 
-    def decrypt(self, ct):
-        self.decrypts += 1
-        return super().decrypt(ct)
+    def decrypt_many(self, cts):
+        cts = list(cts)
+        self.decrypts += len(cts)
+        return super().decrypt_many(cts)
 
 
 def _count_decrypts(monkeypatch, module) -> list:
@@ -545,6 +547,34 @@ def test_cli_pe_real_workflow(tmp_path, capsys):
         "--result", str(tmp_path / "result.vrts"),
     ]) == 0
     assert "344" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("backend", ["mock", "real"])
+def test_cli_a_result_file_is_not_an_input(tmp_path, capsys, backend):
+    """A result file holds shrunk ciphertexts, which are terminal: `vhe
+    eval` refuses one as an input with `error:` and exit 2 on either
+    backend (keygen, auth, eval, then eval of the result on mock64)."""
+    prog = tmp_path / "sum.json"
+    b = ProgramBuilder(64, name="sum")
+    prog.write_text(program_to_json(b.build(b.add(b.input("x"), b.input("y")), output_block=(0, 4))))
+    keys = tmp_path / "keys"
+    assert main([
+        "keygen", "--auth", "pe", "--params", "mock64", "--backend", backend, "--out", str(keys),
+    ]) == 0
+    (tmp_path / "v.csv").write_text("1,2,3,4")
+    for base in ("x", "y"):
+        assert main([
+            "auth", "--key", str(keys / "secret.vrts"), "--base", base,
+            "--values", str(tmp_path / "v.csv"), "--out", str(tmp_path / f"{base}.vrts"),
+        ]) == 0
+    where = ["--params", "mock64"] if backend == "mock" else ["--public", str(keys / "public.vrts")]
+    result = str(tmp_path / "result.vrts")
+    evaluate = ["eval", "--program", str(prog), *where, "--out"]
+    assert main(evaluate + [result, "--inputs", str(tmp_path / "x.vrts"), str(tmp_path / "y.vrts")]) == 0
+    capsys.readouterr()
+    again = str(tmp_path / "again.vrts")
+    _assert_clean_error(main(evaluate + [again, "--inputs", result, result]), capsys)
+    assert not Path(again).exists()
 
 
 def test_cli_malformed_container_is_a_clean_error(tmp_path, capsys):

@@ -1052,13 +1052,15 @@ def test_req_then_pp_composes():
 
 
 class _CountingMock(MockBackend):
-    """A mock client that counts its decryptions."""
+    """A mock client that counts the ciphertexts it decrypts (decrypt is a
+    one-ciphertext decrypt_many)."""
 
     decrypts = 0
 
-    def decrypt(self, ct):
-        self.decrypts += 1
-        return super().decrypt(ct)
+    def decrypt_many(self, cts):
+        cts = list(cts)
+        self.decrypts += len(cts)
+        return super().decrypt_many(cts)
 
 
 def rep_world(seed=60, length=24):
@@ -1086,7 +1088,7 @@ def test_rep_session_decrypts_each_result_ciphertext_once():
     assert client.decrypts == tr.cts_sent() == len(res.cts) == 3
     assert ok and claim == rep.rep_decode(sec, client, res, prog)
     assert tr.received == [(pr.TAG_MODE, b"\x00")]
-    assert tr.sent == [(pr.TAG_RESULT, pr.pack_cts(res.cts) + res.tag)]
+    assert tr.sent == [(pr.TAG_RESULT, pr.pack_cts([client.shrink(c) for c in res.cts]) + res.tag)]
 
 
 @pytest.mark.parametrize(
@@ -1222,6 +1224,23 @@ def _real_pe_world():
     client = bfv.BfvBackend(PARAMS, sec.he_keys, rng=np.random.default_rng(74))
     b = ProgramBuilder(width=N, name="sum")
     return sec, client, b.build(b.add(b.input("x"), b.input("y")), output_block=(0, 4))
+
+
+def test_check_result_rejects_a_stack_with_one_breached_row():
+    """check_result decrypts a result as one stack: when one of its
+    ciphertexts breaches the guard band, the whole result is a reject
+    naming the decryption, with no claim."""
+    sec, client, prog = _real_pe_world()
+    auths = [pe.pe_auth(sec, client, list(range(N)), x) for x in "xy"]
+    res = pe.pe_eval(prog, auths, client)
+    assert pr.check_result(sec, client, prog, res.cts) == (True, [0, 2, 4, 6])
+    q = np.array(PARAMS.q_chain)[:, None]
+    noise = bfv.Ciphertext(np.random.default_rng(76).integers(0, q, size=(2, len(q), N)))
+    with pytest.raises(DecryptionFailureError):
+        client.decrypt(noise)
+    reason: list = []
+    assert pr.check_result(sec, client, prog, (res.cts[0], noise), reason=reason) == (False, [])
+    assert len(reason) == 1 and reason[0].startswith("a result ciphertext failed to decrypt: noise")
 
 
 @pytest.mark.parametrize("client_kind", ["real", "mock"])
