@@ -15,7 +15,11 @@ off-diagonal digit rows (digit i in prime i is the target's own row);
 multiplication its operands' chain rows and their auxiliary rows (a
 square's one operand once), its three products and, back into the chain,
 the three scaled results.  At n4096 (k = 7, 8 auxiliary primes) a product
-transforms 126 rows and a square 96, a key switch 49.
+transforms 126 rows and a square 96, a key switch 49.  `mul` hands c₂'s
+coefficients, which the product already has, to its key switch, which
+then transforms only its 42 digit rows.  No residue stack is reduced with
+`%` by a modulus column: sums fold back by a min-subtract, products by a
+floor division by each row's prime (see _pointwise).
 
     encrypt:  c = (−a·s + e + Δ·m, a) with the secret key,  Δ = ⌊Q/t⌋,
               a uniform in the evaluation domain and expanded from a
@@ -82,6 +86,7 @@ from .ring import (
     batch_decode_array,
     batch_encode_array,
     find_ntt_primes,
+    fold_rows,
     get_modulus,
     reduce_rows,
     stack_intt,
@@ -148,7 +153,7 @@ class BaseConverter:
             rest = acc[..., j + 1 :, :]
             rest += v[..., None, :] * self.weights[j, j + 1 :]
             if (j + 1) % self.chunk == 0:
-                rest %= self.col[j + 1 :]
+                reduce_rows(rest, self.col[j + 1 :])
         return out, acc[..., k:, :]
 
     def __call__(self, x: np.ndarray, centred: bool) -> np.ndarray:
@@ -156,8 +161,7 @@ class BaseConverter:
         digits, out = self.digits(x)
         if centred:
             out -= _above(digits, self.half)[..., None, :] * self.prod
-        out %= self.col[len(self.src) :]
-        return out
+        return reduce_rows(out, self.col[len(self.src) :])
 
 
 def _above(digits, bound) -> np.ndarray:
@@ -274,23 +278,24 @@ class _MulBasis:
         k = len(self.to_aux.src)
         x *= self.t
         x += self.half
-        x %= self.col
+        reduce_rows(x, self.col)
         y = x[..., k:, :] - self.to_aux(x[..., :k, :], centred=False)
         y *= self.to_aux.prod_inv
-        y %= self.col[k:]
-        return y
+        return reduce_rows(y, self.col[k:])
 
 
 # Modular arithmetic on residue stacks (..., k, n) against a (k, 1) modulus
-# column broadcasts over the leading axes.  The reduction (a division, the
-# costly step) runs once and in place; callers fold unreduced terms into one
-# call while the sum stays below 2^63 (a product of two residues is < 2^60).
+# column broadcasts over the leading axes, and no stack is reduced with `%`
+# by the column.  A sum or difference of reduced residues, lifted into
+# [0, 2q), is folded back by one min-subtract (ring.fold_rows); a product or
+# an accumulator is reduced once and in place by floor division by each
+# row's prime (ring.reduce_rows), and callers fold unreduced terms into one
+# reduction while the sum stays below 2^63 (a product of two residues is
+# < 2^60).
 
 
 def _pointwise(a, b, q):
-    out = a * b
-    out %= q
-    return out
+    return reduce_rows(a * b, q)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +313,14 @@ class Ciphertext:
     @property
     def degree(self) -> int:
         return len(self.data)
+
+
+@dataclass(frozen=True)
+class Plaintext:
+    """A slot vector encoded once (BfvBackend.encode_plain) for any number
+    of mul_plain calls: its (k, n) evaluation-domain residues."""
+
+    data: np.ndarray
 
 
 @dataclass
@@ -398,7 +411,9 @@ def keygen(
     n, k = params.n, len(primes)
     q = np.array(primes, dtype=np.int64)[:, None]
 
-    s_ntt = stack_ntt(_ternary(gen, n) % q, mods)
+    # a ternary or error coefficient plus q lies in [0, 2^32), which the
+    # transform's ψ twist reduces
+    s_ntt = stack_ntt(_ternary(gen, n) + q, mods)
 
     def rlwe_pairs(count):
         """(2, count, k, n) stack of (b, a) with b = -(a·s + e), NTT domain;
@@ -409,11 +424,11 @@ def keygen(
         a[:] = expand_uniform(gen.bytes(SEED_BYTES), primes, count, n)
         e = np.empty_like(a)
         for c in range(count):
-            np.remainder(_cbd_error(gen, n), q, out=e[c])
+            np.add(_cbd_error(gen, n), q, out=e[c])
         np.multiply(a, s_ntt, out=b)
         np.negative(b, out=b)
         b -= stack_ntt(e, mods)
-        b %= q
+        reduce_rows(b, q, tmp=e)  # the errors' buffer is free again
         return out
 
     def key_switch_key(target_ntt):
@@ -422,7 +437,7 @@ def keygen(
         target in residue row i and zeros elsewhere."""
         ks = rlwe_pairs(k)
         diag = np.arange(k)
-        ks[0, diag, diag] = (ks[0, diag, diag] + target_ntt) % q
+        ks[0, diag, diag] = fold_rows(ks[0, diag, diag] + target_ntt, q)
         return ks
 
     rlk = key_switch_key(_pointwise(s_ntt, s_ntt, q))
@@ -528,7 +543,7 @@ class BfvBackend:
         (..., 1, n) row that broadcasts over the chain."""
         mat = batch_encode_array(slots, self.t_mod)[..., None, :]
         if self.params.t > min(self.primes):
-            mat = mat % self._q
+            mat = reduce_rows(np.repeat(mat, len(self.primes), axis=-2), self._q)
         return stack_ntt(mat, self.mods) if ntt else mat
 
     def _chunk(self, k: int) -> int:
@@ -708,36 +723,46 @@ class BfvBackend:
         r = sw(stack_intt(ct.data[:, k:], self.mods[k:]), centred=True)
         out = ct.data[:, :k] - stack_ntt(r, self.mods[:k])
         out *= sw.prod_inv
-        out %= self._q[:k]
-        return Ciphertext(out)
+        return Ciphertext(reduce_rows(out, self._q[:k]))
 
     # ---- linear operations ---------------------------------------------------
 
-    def _combine(self, op, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        """a op b, for two ciphertexts of one shape: full-chain operands, or
-        two shrunk to the same chain prefix."""
+    def _combine(self, a: Ciphertext, b: Ciphertext, sub: bool) -> Ciphertext:
+        """a + b, or a − b if `sub`, for two ciphertexts of one shape:
+        full-chain operands, or two shrunk to the same chain prefix.  The
+        sum, or the difference plus q, lies in [0, 2q): one min-subtract."""
         if a.data.shape != b.data.shape:
             raise ParameterError("operands differ in degree or chain prefix")
-        out = op(a.data, b.data)
-        out %= self._q[: out.shape[1]]
-        return Ciphertext(out)
+        q = self._q[: a.data.shape[1]]
+        if sub:
+            out = np.subtract(a.data, b.data)
+            out += q
+        else:
+            out = np.add(a.data, b.data)
+        return Ciphertext(fold_rows(out, q))
 
     def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        return self._combine(np.add, a, b)
+        return self._combine(a, b, sub=False)
 
     def sub(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        return self._combine(np.subtract, a, b)
+        return self._combine(a, b, sub=True)
 
     def neg(self, a: Ciphertext) -> Ciphertext:
-        out = np.negative(a.data)
-        out %= self._q
-        return Ciphertext(out)
+        """q − a lies in (0, q]: one min-subtract."""
+        return Ciphertext(fold_rows(np.subtract(self._q, a.data), self._q))
 
-    def mul_plain(self, a: Ciphertext, const_slots) -> Ciphertext:
+    def encode_plain(self, const_slots) -> Plaintext:
+        """A slot vector encoded for mul_plain: one slot transform mod t and
+        one stack_ntt, paid once however often the plaintext is used."""
         if len(const_slots) != self.params.n:
             raise ParameterError("constant vector must cover every slot")
-        c = self._encode_residues(const_slots)
-        return Ciphertext(_pointwise(a.data, c, self._q))
+        return Plaintext(self._encode_residues(const_slots))
+
+    def mul_plain(self, a: Ciphertext, const) -> Ciphertext:
+        """a ⊙ const for a slot vector or a Plaintext from encode_plain."""
+        if not isinstance(const, Plaintext):
+            const = self.encode_plain(const)
+        return Ciphertext(_pointwise(a.data, const.data, self._q))
 
     # ---- multiplication -------------------------------------------------------
 
@@ -745,8 +770,8 @@ class BfvBackend:
     def _ext(self) -> _MulBasis:
         return _MulBasis(self.params)
 
-    def mul_no_relin(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        """Tensor product scaled by t/Q: (c₀, c₁, c₂) decrypting under (1, s, s²).
+    def _tensor(self, a: Ciphertext, b: Ciphertext) -> np.ndarray:
+        """The (3, k, n) coefficient residues of mul_no_relin's product.
 
         Each coefficient is exactly ⌊(t·x + ⌊Q/2⌋)/Q⌋ of the integer tensor
         coefficient x, in int64 throughout.  The inputs' chain rows are
@@ -769,14 +794,18 @@ class BfvBackend:
         # middle term: a0·b1 + a1·b0
         cross = a0 * b1
         cross += a1 * b0
-        cross %= qe
-        prods = np.stack([_pointwise(a0, b0, qe), cross, _pointwise(a1, b1, qe)])
+        prods = np.stack([_pointwise(a0, b0, qe), reduce_rows(cross, qe), _pointwise(a1, b1, qe)])
         y = ext(stack_intt(prods, ext.mods))
-        return Ciphertext(stack_ntt(ext.to_chain(y, centred=True), self.mods))
+        return ext.to_chain(y, centred=True)
 
-    def _apply_ks(self, target: np.ndarray, ks: np.ndarray) -> np.ndarray:
-        """Key-switch the evaluation-domain (k, n) target with one RNS digit
-        per chain prime; returns the (2, k, n) evaluation-domain pair.
+    def mul_no_relin(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
+        """Tensor product scaled by t/Q: (c₀, c₁, c₂) decrypting under (1, s, s²)."""
+        return Ciphertext(stack_ntt(self._tensor(a, b), self.mods))
+
+    def _apply_ks(self, target: np.ndarray, coeff: np.ndarray, ks: np.ndarray) -> np.ndarray:
+        """Key-switch the (k, n) target, given in both domains (evaluation
+        and its coefficients), with one RNS digit per chain prime; returns
+        the (2, k, n) evaluation-domain pair.
 
         Digit i is the target's coefficient row i centred to (-q_i/2, q_i/2]
         and taken into every prime j as centred + q_j, in [0, 2q_j), which
@@ -788,18 +817,24 @@ class BfvBackend:
         """
         q, col = self._q, np.arange(len(self.primes))
         src = (col + col[1:, None]) % len(col)
-        coeff = stack_intt(target, self.mods)
         centred = np.where(coeff > q // 2, coeff - q, coeff)
         digits = np.empty((len(col),) + target.shape, dtype=np.int64)
         digits[col, col] = target
         digits[src, col] = stack_ntt(centred[src] + q, self.mods)
         acc = np.zeros((2,) + target.shape, dtype=np.int64)
+        tmp = np.empty_like(acc)
         for i, d in enumerate(digits):
             acc += d * ks[:, i]
             if (i + 1) % self._ks_chunk == 0:
-                acc %= q
-        acc %= q
-        return acc
+                reduce_rows(acc, q, tmp)
+        return reduce_rows(acc, q, tmp)
+
+    def _relinearize(self, data: np.ndarray, c2: np.ndarray) -> Ciphertext:
+        """(c₀, c₁) plus the key switch of c₂, for a (3, k, n) product and
+        c₂'s coefficients."""
+        out = self._apply_ks(data[2], c2, self.keys.rlk)
+        out += data[:2]
+        return Ciphertext(fold_rows(out, self._q))
 
     def relinearize(self, ct: Ciphertext) -> Ciphertext:
         """Fold c₂ back onto (c₀, c₁) with the relinearization key."""
@@ -807,13 +842,16 @@ class BfvBackend:
             return ct
         if ct.degree != 3:
             raise ParameterError("relinearization expects a degree-3 ciphertext")
-        out = self._apply_ks(ct.data[2], self.keys.rlk)
-        out += ct.data[:2]
-        out %= self._q
-        return Ciphertext(out)
+        return self._relinearize(ct.data, stack_intt(ct.data[2], self.mods))
 
     def mul(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        return self.relinearize(self.mul_no_relin(a, b))
+        """relinearize(mul_no_relin(a, b)), bit for bit, but c₂ goes to the
+        key switch in the coefficients the product already has, so its
+        inverse transform is skipped."""
+        coeff = self._tensor(a, b)
+        data, c2 = stack_ntt(coeff, self.mods), coeff[2].copy()
+        del coeff  # only c₂'s rows stay alive through the key switch
+        return self._relinearize(data, c2)
 
     # ---- automorphisms -----------------------------------------------------
 
@@ -826,9 +864,9 @@ class BfvBackend:
                 f"with the required steps"
             )
         c0, c1 = ct.data[..., _eval_permutation(g, self.params.n)]
-        out = self._apply_ks(c1, self.keys.gks[g])
+        out = self._apply_ks(c1, stack_intt(c1, self.mods), self.keys.gks[g])
         out[0] += c0
-        out[0] %= self._q
+        fold_rows(out[0], self._q)
         return Ciphertext(out)
 
     def rotate(self, ct: Ciphertext, step: int) -> Ciphertext:

@@ -165,7 +165,7 @@ def fold_tags(tags) -> bytes:
     tags = list(tags)
     if not tags:
         raise ParameterError("cannot fold an empty tag vector")
-    if any(len(t) != DIGEST_BYTES for t in tags):
+    if set(map(len, tags)) != {DIGEST_BYTES}:
         raise ParameterError("tags must be 64-byte digests")
     if len(tags) == 1:
         return tags[0]

@@ -48,6 +48,13 @@ class MockCiphertext:
             other.depth, other.nonce, other.terminal) and np.array_equal(self.slots, other.slots)
 
 
+@dataclass(frozen=True)
+class MockPlaintext:
+    """A slot vector encoded once (MockBackend.encode_plain): its slots mod t."""
+
+    slots: np.ndarray
+
+
 class MockBackend:
     """Drop-in backend with plaintext slots; deterministic under a seeded rng."""
 
@@ -142,12 +149,16 @@ class MockBackend:
     def mul(self, a: MockCiphertext, b: MockCiphertext) -> MockCiphertext:
         return self._binary(slot_mul, a, b, max(a.depth, b.depth) + 1)
 
-    def mul_plain(self, a: MockCiphertext, const) -> MockCiphertext:
+    def encode_plain(self, const) -> MockPlaintext:
         if len(const) != self.params.n:
             raise ParameterError("constant vector must cover every slot")
-        return self._fresh(
-            slot_mul(self._vec(a), slot_array(const, self.params.t), self.params.t), a.depth
-        )
+        return MockPlaintext(slot_array(const, self.params.t))
+
+    def mul_plain(self, a: MockCiphertext, const) -> MockCiphertext:
+        """a ⊙ const for a slot vector or a MockPlaintext from encode_plain."""
+        if not isinstance(const, MockPlaintext):
+            const = self.encode_plain(const)
+        return self._fresh(slot_mul(self._vec(a), const.slots, self.params.t), a.depth)
 
     def rotate(self, a: MockCiphertext, step: int) -> MockCiphertext:
         if not rotation_moves(step, self.params.n // 2):

@@ -351,7 +351,9 @@ def pp_prove(backend, result: PeAuth, endpoint):
     the slots with slot mod 2s < s.  Slot j then holds the K-wide window
     sum of y_{j mod K}, so the client's sum over j ≡ i (mod K) is w_i, H or
     zero.  Key switches: one per merge with a present left input (K − 1 at
-    most); 3 at degree 2.
+    most); 3 at degree 2.  Each distinct plaintext, δ^j·β^i per i and one
+    mask per stride, is encoded once per call (encode_plain), and y_{d+1}
+    reuses y_0 as its first term.
     """
     params = backend.params
     n, t = params.n, params.t
@@ -362,15 +364,15 @@ def pp_prove(backend, result: PeAuth, endpoint):
     endpoint.send(TAG_PP_RESULT, pack_cts([backend.shrink(result.cts[0])]))
     delta, beta = struct.unpack("<QQ", _recv(endpoint, TAG_PP_CHALLENGE))
     pows = _powers(delta, n, t, slot_array([0], t).dtype)
-    level = [backend.mul_plain(c, pows) for c in result.cts]
-    packed = None
-    for i, c in enumerate(result.cts):
-        x = backend.mul_plain(c, slot_mul(pows, pow(beta, i, t), t))
-        packed = x if packed is None else backend.add(packed, x)
+    plain = backend.encode_plain(pows)
+    level = [backend.mul_plain(c, plain) for c in result.cts]
+    packed = level[0]  # c_0 ⊙ (β^0·δ^j)_j
+    for i, c in enumerate(result.cts[1:], 1):
+        packed = backend.add(packed, backend.mul_plain(c, slot_mul(pows, pow(beta, i, t), t)))
     level += [packed] + [None] * (width - d - 2)
     stride = 1
     while stride < width:
-        mask = (np.arange(n) % (2 * stride) < stride).astype(np.int64)
+        mask = backend.encode_plain((np.arange(n) % (2 * stride) < stride).astype(np.int64))
         level = [_merge(backend, c, dd, mask, stride) for c, dd in zip(level[::2], level[1::2])]
         stride *= 2
     (acc,) = level

@@ -293,6 +293,26 @@ def reduce_rows(y: np.ndarray, q: np.ndarray, tmp: np.ndarray | None = None) -> 
     return y
 
 
+def fold_rows(y: np.ndarray, q: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """y %= q_i on row i of a (..., k, n) stack whose entries lie in
+    [0, 2q_i), for the (k, 1) modulus column q, in place and without a
+    division: one unsigned min-subtract, min(y, y − q_i), since y − q_i
+    wraps above y when y < q_i (Harvey's lazy reduction).  y and q are
+    int64 or uint64; `tmp`, if given, is a uint64 work buffer of y's shape.
+    Without it the rows are folded one at a time through one row's buffer:
+    as fast, and a sum allocates no second stack (a stack-sized temporary
+    raised pp-ride's peak RSS by about 1 MB)."""
+    u, qu = y.view(np.uint64), q.view(np.uint64)
+    if tmp is not None:
+        np.minimum(u, np.subtract(u, qu, out=tmp), out=u)
+        return y
+    tmp = np.empty(y.shape[:-2] + y.shape[-1:], dtype=np.uint64)
+    for i in range(len(qu)):
+        row = u[..., i, :]
+        np.minimum(row, np.subtract(row, qu[i], out=tmp), out=row)
+    return y
+
+
 def _stages(y: np.ndarray, tables: _StackTables, stage: tuple) -> np.ndarray:
     """Lazy constant-geometry DIF stages over natural-order (..., k, n) rows.
 
@@ -320,9 +340,7 @@ def _stages(y: np.ndarray, tables: _StackTables, stage: tuple) -> np.ndarray:
         tw *= w
         reduce_rows(t, tables.q, u)
         np.copyto(halves[..., 1], t.view(block))
-        np.add(a, b, out=t)
-        np.subtract(t, q2, out=u)
-        np.minimum(t, u, out=t)
+        fold_rows(np.add(a, b, out=t), q2, u)
         np.copyto(halves[..., 0], t.view(block))
         y, out = out, y
     return y
@@ -339,8 +357,7 @@ def stack_ntt(x, mods) -> np.ndarray:
     y = np.multiply(np.asarray(x, dtype=np.int64).view(np.uint64), tables.twist, order="C")
     reduce_rows(y, tables.q)
     y = _stages(y, tables, tables.fwd)
-    np.minimum(y, y - tables.q, out=y)
-    return y.view(np.int64)
+    return fold_rows(y, tables.q).view(np.int64)
 
 
 def stack_intt(x, mods) -> np.ndarray:

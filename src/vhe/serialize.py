@@ -389,8 +389,7 @@ def load_rep_auth(blob: bytes, offset: int = 0) -> RepAuth:
     length, lam = r.unpack("<II")
     cts = _read_cts(r)
     (tcount,) = r.unpack("<I")
-    block = r.take(64 * tcount)
-    tags = tuple(block[i : i + 64] for i in range(0, len(block), 64))
+    tags = tuple(np.frombuffer(r.take(64 * tcount), dtype="V64").tolist())  # one bytes per tag
     r.done()
     return RepAuth(base, length, lam, cts, tags)
 

@@ -146,6 +146,24 @@ def test_real_linear_ops(real):
     assert real.decrypt(real.mul_plain(ca, k)) == [x * y % T for x, y in zip(a, k)]
 
 
+@pytest.mark.parametrize("kind", ["real", "mock"])
+def test_mul_plain_takes_a_plaintext_encoded_once(real, mock, kind):
+    """mul_plain by encode_plain's plaintext equals mul_plain by the slots
+    (bit for bit on the real backend), however often the plaintext is used;
+    encode_plain refuses a vector that does not cover every slot."""
+    be = real if kind == "real" else mock
+    rng = random.Random(70)
+    k = rand_slots(rng)
+    plain = be.encode_plain(k)
+    for ct in (be.encrypt(rand_slots(rng)) for _ in range(2)):
+        by_slots, by_plain = be.mul_plain(ct, k), be.mul_plain(ct, plain)
+        assert be.decrypt(by_plain) == be.decrypt(by_slots)
+        if kind == "real":
+            assert np.array_equal(by_plain.data, by_slots.data)
+    with pytest.raises(ParameterError, match="every slot"):
+        be.encode_plain(k[:-1])
+
+
 def test_real_mul_and_relinearization_identity(real):
     rng = random.Random(8)
     a, b = rand_slots(rng), rand_slots(rng)

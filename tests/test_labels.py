@@ -242,6 +242,8 @@ def test_fold_tags():
         fold_tags([])
     with pytest.raises(ParameterError):
         fold_tags([b"short"])
+    with pytest.raises(ParameterError, match="64-byte"):
+        fold_tags([t0, t1 + b"\0"])
 
 
 def _two_input_program(const=(2, 3), step=1, block=2):

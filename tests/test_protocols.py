@@ -628,6 +628,29 @@ def test_pp_rotates_only_by_the_required_steps():
         pr.pp_prove(cloud, pe.PeAuth((cloud.encrypt_zero(),) * (degree + 1)), cloud_ep)
 
 
+def test_pp_encodes_each_plaintext_once():
+    """At degree 2 the prover encodes δ^j·β^i for i ≤ 2 and one mask per
+    stride (K = 4: strides 1 and 2): 5 plaintexts, the one encode_plain
+    under every mul_plain, for 8 products (y_3 reuses y_0 = c_0 ⊙ δ^j)."""
+
+    class Counting(MockBackend):
+        encodes = products = 0
+
+        def encode_plain(self, const):
+            self.encodes += 1
+            return super().encode_plain(const)
+
+        def mul_plain(self, a, const):
+            self.products += 1
+            return super().mul_plain(a, const)
+
+    cloud = Counting(PARAMS, rng=random.Random(47))
+    cloud_ep, client_ep = pr.memory_channel()
+    client_ep.send(pr.TAG_PP_CHALLENGE, struct.pack("<QQ", 2, 3))
+    pr.pp_prove(cloud, pe.PeAuth((cloud.encrypt_zero(),) * 3), cloud_ep)
+    assert (cloud.encodes, cloud.products) == (5, 8)
+
+
 def test_real_pp_degree_two_in_three_key_switches():
     """On n4096 a degree-2 proof makes 3 merges and no other key switch,
     verifies, and leaves the response at least 60 bits of budget before

@@ -3,6 +3,7 @@ modes: garbage, truncation, byte flips, and type confusion."""
 
 import random
 import struct
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -84,6 +85,10 @@ def test_rep_containers_roundtrip(mock):
 
     auth2 = sz.load_rep_auth(sz.save_rep_auth(auth))
     assert auth2 == auth
+    # tags are raw bytes: null bytes at either end survive the round trip
+    edges = replace(auth, tags=(bytes(64), b"\1" + bytes(63), bytes(63) + b"\1"))
+    tags = sz.load_rep_auth(sz.save_rep_auth(edges)).tags
+    assert tags == edges.tags and {type(t) for t in tags} == {bytes}
 
     res2 = sz.load_rep_result(sz.save_rep_result(res))
     assert res2 == res
