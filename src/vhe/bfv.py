@@ -58,8 +58,9 @@ of every key's RLWE pair is expanded from a seed as well, so no key carries
 raw output of the generator that also draws the secret and the errors.
 
 Noise is verified, not assumed: decryption measures the residual distance
-to the decoded plaintext and raises DecryptionFailureError once it leaves
-the safe quarter-interval, instead of silently returning corrupted slots.
+to the decoded plaintext; past the safe quarter-interval decrypt raises
+DecryptionFailureError and decrypt_many marks the row and returns
+stand-in slots, at no extra cost, never corrupted slots.
 """
 
 from __future__ import annotations
@@ -91,6 +92,7 @@ from .ring import (
     reduce_rows,
     stack_intt,
     stack_ntt,
+    stand_in,
     xof_uniform,
 )
 
@@ -658,12 +660,21 @@ class BfvBackend:
         return m, dec.worst(s), dec
 
     def decrypt(self, ct: Ciphertext) -> list[int]:
-        """One ciphertext's slots: decrypt_many of a one-ciphertext stack."""
-        return self.decrypt_many([ct])[0].tolist()
+        """One ciphertext's slots: decrypt_many of a one-ciphertext stack,
+        except that a breach raises DecryptionFailureError with the noise."""
+        (slots,), (breached,) = self.decrypt_many([ct])
+        if breached:
+            _, worst, dec = self._noise(ct)
+            raise DecryptionFailureError(
+                f"noise |e|≈2^{worst.bit_length()} breached the guard band "
+                f"(Δ/4 ≈ 2^{(dec.delta // 4).bit_length()}); result untrustworthy"
+            )
+        return slots.tolist()
 
-    def decrypt_many(self, cts) -> np.ndarray:
-        """The (m, n) int64 slots of m ciphertexts of one shape, on any chain
-        prefix; raises DecryptionFailureError on noise overflow in any.
+    def decrypt_many(self, cts) -> tuple:
+        """(slots, breached): the (m, n) int64 slots of m ciphertexts of one
+        shape, on any chain prefix, and the (m,) mask of those whose noise
+        overflowed, whose rows are stand-ins (ring.stand_in).
 
         Every ciphertext is checked (_check_received), and the stack for one
         shape, before any arithmetic.  After recovering the nearest
@@ -671,7 +682,7 @@ class BfvBackend:
         on its digits; honest pipelines keep it far below, so exceeding that
         guard band means the true value was lost to noise.  Each chunk of
         ciphertexts takes one phase product, one stack_intt, one _Decoder
-        pass with its guard and one slot transform mod t.
+        pass with its guard, one slot transform mod t and one stand-in draw.
         """
         self._require_secret()
         cts = list(cts)
@@ -681,18 +692,14 @@ class BfvBackend:
         if len(shapes) > 1:
             raise SerializationError("the ciphertexts of a stack differ in degree or chain prefix")
         out = np.empty((len(cts), self.params.n), dtype=np.int64)
+        breached = np.empty(len(cts), dtype=bool)
         step = self._chunk(shapes.pop()[1]) if cts else 1
         for lo in range(0, len(cts), step):
             m, s, dec = self._decode(np.stack([ct.data for ct in cts[lo : lo + step]], axis=1))
-            bad = np.flatnonzero(dec.breached(s))
-            if len(bad):
-                worst = dec.worst([d[bad[0]] for d in s])
-                raise DecryptionFailureError(
-                    f"noise |e|≈2^{worst.bit_length()} breached the guard band "
-                    f"(Δ/4 ≈ 2^{(dec.delta // 4).bit_length()}); result untrustworthy"
-                )
-            out[lo : lo + step] = batch_decode_array(m, self.t_mod)
-        return out
+            hit = dec.breached(s)
+            out[lo : lo + step] = stand_in(batch_decode_array(m, self.t_mod), hit, self.params.t)
+            breached[lo : lo + step] = hit
+        return out, breached
 
     def noise_budget(self, ct: Ciphertext) -> float:
         """log2 of (capacity / measured noise) on the ciphertext's chain

@@ -12,9 +12,9 @@ the real backend makes, so large-trial statistics run here at full speed.
 
 Depth accounting: ciphertext-ciphertext multiplication raises the counter
 to max(d₁, d₂) + 1; all other gates preserve it.  A backend constructed
-with a ``depth_limit`` simulates noise exhaustion: decrypting anything
-beyond the limit raises DecryptionFailureError, mirroring where the real
-backend surfaces overflow.
+with a ``depth_limit`` simulates noise exhaustion: anything beyond the
+limit is a breached row of decrypt_many and makes decrypt raise
+DecryptionFailureError, where the real backend surfaces overflow.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .circuit import (
 )
 from .errors import DecryptionFailureError, ParameterError, SerializationError
 from .params import Params
-from .ring import slot_array
+from .ring import slot_array, stand_in
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,23 +82,26 @@ class MockBackend:
         return self.encrypt([0] * self.params.n)
 
     def decrypt(self, ct: MockCiphertext) -> list[int]:
-        return self.decrypt_many([ct])[0].tolist()
+        (slots,), (breached,) = self.decrypt_many([ct])
+        if breached:
+            raise DecryptionFailureError(
+                f"simulated noise overflow: depth {ct.depth} > limit {self.depth_limit}"
+            )
+        return slots.tolist()
 
-    def decrypt_many(self, cts) -> np.ndarray:
-        """The (m, n) slots of m ciphertexts, each checked first; a
-        ciphertext past `depth_limit` raises DecryptionFailureError."""
+    def decrypt_many(self, cts) -> tuple:
+        """(slots, breached): the (m, n) slots of m ciphertexts, each checked
+        first, and the (m,) mask of those past `depth_limit`, whose rows are
+        uniform stand-ins (ring.stand_in) as the real backend's are."""
         cts = list(cts)
         for ct in cts:
             self._check_received(ct)
-        for ct in cts:
-            if self.depth_limit is not None and ct.depth > self.depth_limit:
-                raise DecryptionFailureError(
-                    f"simulated noise overflow: depth {ct.depth} > limit {self.depth_limit}"
-                )
+        limit = self.depth_limit if self.depth_limit is not None else float("inf")
+        breached = np.array([ct.depth > limit for ct in cts], dtype=bool)
         out = np.empty((len(cts), self.params.n), dtype=self._dtype)
         for row, ct in zip(out, cts):
-            row[:] = ct.slots
-        return out
+            row[:] = self._vec(ct)  # a loaded ciphertext's u64 slots, reduced mod t
+        return stand_in(out, breached, self.params.t), breached
 
     def shrink(self, ct: MockCiphertext) -> MockCiphertext:
         """No chain to switch: the same slots, marked terminal, as the real

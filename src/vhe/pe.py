@@ -299,11 +299,15 @@ def pe_verify(
     reason: list | None = None,
 ) -> bool:
     """Decrypt every component of `result`, check it with pe_check and
-    accept iff the `claimed` output-block values, when given, are its claim."""
+    accept iff none failed to decrypt and the `claimed` output-block values,
+    when given, are its claim."""
     start, count = program.output_block
     if claimed is not None and len(claimed) != count:
         raise ParameterError(f"output block holds {count} values, claim has {len(claimed)}")
-    ok, claim = pe_check(secret, program, backend.decrypt_many(result.cts), offset, reason)
+    ys, breached = backend.decrypt_many(result.cts)
+    if breached.any():
+        return reject(reason, "a result ciphertext failed to decrypt")
+    ok, claim = pe_check(secret, program, ys, offset, reason)
     if not ok or claimed is None:
         return ok
     bad = np.flatnonzero(slot_array(claimed, secret.params.t) != claim)

@@ -30,12 +30,12 @@ adds its 64-byte digest.  The client's blinded ReQ
 replies re-enter evaluation, so they stay on the full chain: 458,792
 bytes at n = 4096.
 
-A client never reacts to a ciphertext that fails to decrypt: both sessions
-go on with uniform stand-in slots and reject only after their last
-message.  A shipped result, whether from a session, a result file or the
-attack simulator, is judged by one function, `check_result`: it decrypts
-the ciphertexts once, as one stack, and a ciphertext that fails to decrypt
-is a reject there too, never an error.
+A client never reacts to a ciphertext that fails to decrypt: decrypt_many
+marks it and fills its row with stand-in slots at no extra cost, and the
+client counts the marks and rejects only after its last receive.  A
+shipped result, from a session, a result file or the attack simulator, is
+judged by one function, `check_result`: it decrypts the ciphertexts once,
+as one stack, and a marked one is a reject there too.
 
 Re-quadratization (ReQ): whenever a product would push a stored tuple past
 degree 2, the cloud sends the two high components (y_3, y_4; y_4 is the
@@ -379,18 +379,6 @@ def pp_prove(backend, result: PeAuth, endpoint):
     endpoint.send(TAG_PP_RESPONSE, pack_cts([backend.shrink(acc)]))
 
 
-def _decrypt_or_stand_in(backend, ct, failures: list):
-    """Decrypt `ct`; on a failure, record it in `failures` and return
-    uniform stand-in slots from the system's random source, so nothing the
-    caller sends next depends on whether `ct` decrypted."""
-    try:
-        return backend.decrypt(ct)
-    except DecryptionFailureError as exc:
-        failures.append(str(exc))
-        stand_in = random.SystemRandom()
-        return [stand_in.randrange(backend.params.t) for _ in range(backend.params.n)]
-
-
 def pp_verify(
     secret: PeSecret,
     backend,
@@ -410,8 +398,7 @@ def pp_verify(
     in the commitment or the response.
 
     A commitment or response that fails to decrypt is rejected only after
-    the last receive: in its place the session continues with uniform
-    stand-in slots from the system's random source, never from `rng`, so
+    the last receive; until then decrypt_many's stand-in slots serve, so
     the challenge and every other byte the client sends are the same
     whether c_0 decrypts or not (no decryption-failure reaction oracle).
     An `offset` is that of a ReQ session, so the result degree is the
@@ -420,16 +407,15 @@ def pp_verify(
     params = secret.params
     t = params.t
     rnd = rng if rng is not None else random.Random(_secrets.randbits(128))
-    failures: list[str] = []
-    (m1,) = unpack_cts(_recv(endpoint, TAG_PP_RESULT), 1, params)
-    m = _decrypt_or_stand_in(backend, m1, failures)
+    (m,), first = backend.decrypt_many(unpack_cts(_recv(endpoint, TAG_PP_RESULT), 1, params))
+    m = m.tolist()
     delta = rnd.randrange(t)
     beta = rnd.randrange(t)
     endpoint.send(TAG_PP_CHALLENGE, struct.pack("<QQ", delta, beta))
-    (m2,) = unpack_cts(_recv(endpoint, TAG_PP_RESPONSE), 1, params)
-    w = _decrypt_or_stand_in(backend, m2, failures)
+    (w,), second = backend.decrypt_many(unpack_cts(_recv(endpoint, TAG_PP_RESPONSE), 1, params))
+    failures = int(first[0]) + int(second[0])
     if failures:
-        return reject(reason, f"a received ciphertext failed to decrypt: {failures[0]}"), m
+        return reject(reason, f"a received ciphertext failed to decrypt ({failures} of 2)"), m
     d, _ = degree_schedule(program, use_reducer=offset is not None)
     lanes = np.asarray(w, dtype=np.int64).reshape(-1, _lanes(d)).sum(0) % t  # n·t < 2^53
     if lanes[d + 2 :].any():
@@ -489,10 +475,10 @@ class ReqClientSession:
     round's blinds are drawn up front, so one offset walk gives each
     round's natural offset (it depends only on earlier rounds' r̄).
 
-    High terms that fail to decrypt are answered from uniform stand-in
-    slots drawn from the system's random source (never from `rng`), so
-    every round completes with the same tags and frame lengths either way;
-    `final_offset` then raises DecryptionFailureError.
+    Each round decrypts its two high terms as one stack and counts in
+    `failures` those that decrypt_many marks; their stand-in slots are
+    answered like any others, so every round completes with the same work,
+    tags and frame lengths either way.
     """
 
     def __init__(self, secret: PeSecret, backend, program: Program, rng=None):
@@ -513,7 +499,7 @@ class ReqClientSession:
         self.blinds = [(k1, k2, r, slot_sub(rb, slot_mul(nat[g], secret.alpha_inv, t), t))
                        for g, (k1, k2, r, rb) in zip(self.schedule, draws)]
         self.round = 0
-        self.failures: list[str] = []
+        self.failures = 0
 
     @property
     def expected_rounds(self) -> int:
@@ -524,10 +510,9 @@ class ReqClientSession:
             raise ProtocolError("more reduction rounds than the program needs")
         t, alpha = self.secret.params.t, self.secret.alpha
         kap1, kap2, r, shift = self.blinds[self.round]
-        y3, y4 = (
-            slot_array(_decrypt_or_stand_in(self.backend, c, self.failures), t)
-            for c in unpack_cts(payload, 2, self.secret.params)
-        )
+        ys, breached = self.backend.decrypt_many(unpack_cts(payload, 2, self.secret.params))
+        self.failures += int(breached.sum())
+        y3, y4 = slot_array(ys, t)
         a2 = alpha * alpha % t
         a3 = a2 * alpha % t
         yb2 = slot_add(
@@ -549,10 +534,7 @@ class ReqClientSession:
         round's high terms failed to decrypt, only now that every round
         has been answered."""
         if self.failures:
-            raise DecryptionFailureError(
-                f"{len(self.failures)} high-term ciphertext(s) failed to decrypt: "
-                f"{self.failures[0]}"
-            )
+            raise DecryptionFailureError(f"{self.failures} high-term ciphertext(s) failed to decrypt")
         return self.offset
 
 
@@ -568,10 +550,9 @@ def check_result(secret, backend, program: Program, cts, tag=b"", lengths=(), of
     digest, `lengths` the input lengths) or else pe_check (`offset` a ReQ
     session's).  Returns (accepted, claim).  A ciphertext that fails to
     decrypt is a reject like any other forgery, with no claim."""
-    try:
-        ys = backend.decrypt_many(cts)
-    except DecryptionFailureError as exc:
-        return reject(reason, f"a result ciphertext failed to decrypt: {exc}"), []
+    ys, breached = backend.decrypt_many(cts)
+    if breached.any():
+        return reject(reason, f"a result ciphertext failed to decrypt ({breached.sum()} of {len(cts)})"), []
     if isinstance(secret, RepSecret):
         return rep_check(secret, program, ys, tag, lengths, reason)
     return pe_check(secret, program, ys, offset, reason)
@@ -640,9 +621,6 @@ def client_session(
     else:
         cts = unpack_cts(_recv(endpoint, TAG_RESULT), d + 1, secret.params)
         ok, claim = check_result(secret, backend, program, cts, offset=offset, reason=note)
-    if req and session.failures:
-        try:
-            session.final_offset()  # raises, now that the last message is in
-        except DecryptionFailureError as exc:
-            return reject(reason, str(exc)), claim
+    if req and session.failures:  # now that the last message is in
+        return reject(reason, f"{session.failures} high-term ciphertext(s) failed to decrypt"), claim
     return ok, claim

@@ -233,13 +233,14 @@ def rep_decode(secret: RepSecret, backend, result: RepResult, program: Program):
 
     Returns the output block of every chunk, concatenated — the claim
     the verifier below expects.  Reads one fixed replica offset per position;
-    verification separately checks that all of them agree.
+    verification separately checks that all of them agree, and that no
+    ciphertext failed to decrypt (its values here are stand-ins).
     """
     lam = secret.lam
     offset = min(j for j in range(lam) if j not in secret.challenge_set)
     start, count = program.output_block
     first, stop = start * lam + offset, (start + count) * lam
-    return backend.decrypt_many(result.cts)[:, first:stop:lam].ravel().tolist()
+    return backend.decrypt_many(result.cts)[0][:, first:stop:lam].ravel().tolist()
 
 
 def rep_verify(
@@ -252,13 +253,16 @@ def rep_verify(
     reason: list | None = None,
 ) -> bool:
     """Decrypt the result as one stack, check it with rep_check and accept
-    iff `claimed` equals the agreed replica values.
+    iff no ciphertext failed to decrypt and `claimed` equals the agreed
+    replica values.
 
     Only the benchmark's REP workload still calls this and the decoder
     above: both go under ROADMAP item M once item B moves that workload to
     the session.
     """
-    slots = backend.decrypt_many(result.cts)
+    slots, breached = backend.decrypt_many(result.cts)
+    if breached.any():
+        return reject(reason, "a result ciphertext failed to decrypt")
     ok, claim = rep_check(secret, program, slots, result.tag, input_lengths, reason)
     if not ok:
         return False

@@ -35,6 +35,7 @@ rotation and row swap ring automorphisms.
 
 from __future__ import annotations
 
+import secrets
 from functools import lru_cache
 from math import isqrt
 
@@ -392,11 +393,6 @@ def slot_array(values, t: int) -> np.ndarray:
     return a.astype(np.int64) if t < _NUMPY_LIMIT else a
 
 
-def batch_encode(slots, mod: Modulus) -> list[int]:
-    """Pack n slot values (row-major 2×(n/2)) into plaintext coefficients."""
-    return batch_encode_array(slots, mod).tolist()
-
-
 def _rows(x: np.ndarray, mod: Modulus, stacked, one) -> np.ndarray:
     """A transform of every (n,) row of `x`: one `stacked` call over the
     whole stack below 2^31, the pure-Python `one` row by row above."""
@@ -406,8 +402,9 @@ def _rows(x: np.ndarray, mod: Modulus, stacked, one) -> np.ndarray:
 
 
 def batch_encode_array(slots, mod: Modulus) -> np.ndarray:
-    """:func:`batch_encode` as an int64 array (coefficients < p < 2^60), for
-    one slot vector or a (..., n) stack of them in one transform call.
+    """Pack slot values (row-major 2×(n/2)) into int64 plaintext
+    coefficients (< p < 2^60), for one slot vector or a (..., n) stack of
+    them in one transform call.
 
     The slots are reduced mod p by :func:`slot_array`: in numpy for
     integer arrays and for lists that fit int64, exactly otherwise.
@@ -425,9 +422,12 @@ def batch_decode_array(coeffs, mod: Modulus) -> np.ndarray:
     return _rows(np.asarray(coeffs), mod, stack_ntt, mod.ntt)[..., mod.slot_to_eval()]
 
 
-def batch_decode(coeffs, mod: Modulus) -> list[int]:
-    """Inverse of :func:`batch_encode`."""
-    return batch_decode_array(coeffs, mod).tolist()
+def stand_in(slots: np.ndarray, breached: np.ndarray, t: int) -> np.ndarray:
+    """`slots` with each row that `breached` marks replaced by uniform slots
+    mod t.  A stand-in is drawn for every row, from a generator seeded from
+    `secrets`, so the work does not depend on which rows breached."""
+    draw = np.random.default_rng(secrets.randbits(128)).integers(0, t, size=slots.shape)
+    return np.where(breached[:, None], draw, slots)
 
 
 def slot_poly_eval(slots, delta: int, t: int) -> int:

@@ -35,13 +35,14 @@ from vhe.errors import (
 from vhe.mock import MockBackend
 from vhe.params import CHAIN_PRIME_BITS, SHRINK_MARGIN_BITS, Params, make_params, preset
 from vhe.ring import (
-    batch_decode,
-    batch_encode,
+    batch_decode_array,
+    batch_encode_array,
     find_ntt_primes,
     find_plaintext_prime,
     get_modulus,
     stack_intt,
     stack_ntt,
+    stand_in,
 )
 
 PARAMS = preset("mock64")  # n=64 with a real 2-prime chain: fast for both backends
@@ -268,7 +269,7 @@ def test_real_noise_overflow_detected():
 def test_real_decrypt_guard_band_is_exact(real):
     """c = (Δ·m + e, 0) decrypts while |e| ≤ Δ/4 − 1 and raises at Δ/4."""
     vals = rand_slots(random.Random(15))
-    coeffs = batch_encode(vals, PARAMS.t_modulus)
+    coeffs = batch_encode_array(vals, PARAMS.t_modulus).tolist()
     delta = PARAMS.delta
 
     def with_noise(e):
@@ -1024,7 +1025,7 @@ def test_decrypt_guard_band_is_exact_on_every_prefix(basis):
     p = be.params
     rng = random.Random(48)
     vals = [rng.randrange(p.t) for _ in range(p.n)]
-    coeffs = batch_encode(vals, p.t_modulus)
+    coeffs = batch_encode_array(vals, p.t_modulus).tolist()
     for k in sorted({p.shrink_primes, len(p.q_chain)}):
         delta = math.prod(p.q_chain[:k]) // p.t
         bound = delta // 4
@@ -1086,7 +1087,7 @@ def test_decryption_matches_big_integer_reference_on_drawn_phases(basis, data):
         with pytest.raises(DecryptionFailureError):
             be.decrypt(ct)
     else:
-        assert be.decrypt(ct) == batch_decode(want_m, p.t_modulus)
+        assert be.decrypt(ct) == batch_decode_array(want_m, p.t_modulus).tolist()
     if q > 2 * p.t:
         assert be.noise_budget(ct) == _budget(be, k, want_worst)
 
@@ -1148,18 +1149,58 @@ def test_decrypt_many_is_per_ciphertext_decrypt(name, chunk_bytes, monkeypatch):
     squares = [[v * v % p.t for v in r] for r in rows[:2].tolist()]
     for stack, want in ((cts, rows.tolist()), ([be.shrink(c) for c in cts], rows.tolist()),
                         (products, squares)):
-        got = be.decrypt_many(stack)
+        got, breached = be.decrypt_many(stack)
         assert got.dtype == np.int64 and got.shape == (len(stack), p.n)
+        assert breached.dtype == bool and breached.tolist() == [False] * len(stack)
         assert got.tolist() == [be.decrypt(c) for c in stack] == want
-    assert be.decrypt_many([]).shape == (0, p.n)
+    got, breached = be.decrypt_many([])
+    assert got.shape == (0, p.n) and breached.shape == (0,)
 
 
 def test_mock_decrypt_many_honours_the_depth_limit():
+    """A ciphertext past the depth limit is a breached row with stand-in
+    slots mod t, its neighbours decrypt, and decrypt raises for it alone."""
     mock = MockBackend(PARAMS, depth_limit=1, rng=random.Random(94))
     a, b = mock.encrypt_many([[1] * N, [2] * N])
-    assert mock.decrypt_many([a, mock.mul(a, b)]).tolist() == [[1] * N, [2] * N]
-    with pytest.raises(DecryptionFailureError, match="depth 2 > limit 1"):
-        mock.decrypt_many([a, mock.mul(mock.mul(a, b), b), b])
+    slots, breached = mock.decrypt_many([a, mock.mul(a, b)])
+    assert slots.tolist() == [[1] * N, [2] * N] and breached.tolist() == [False, False]
+    deep = mock.mul(mock.mul(a, b), b)
+    slots, breached = mock.decrypt_many([a, deep, b])
+    assert breached.tolist() == [False, True, False]
+    assert slots[0].tolist() == [1] * N and slots[2].tolist() == [2] * N
+    assert ((0 <= slots[1]) & (slots[1] < T)).all()
+    with pytest.raises(DecryptionFailureError, match="^simulated noise overflow: depth 2 > limit 1$"):
+        mock.decrypt(deep)
+
+
+def test_decrypt_many_marks_a_breached_row_and_draws_every_stand_in(monkeypatch):
+    """A stack with one ciphertext past the guard band decrypts the others,
+    marks that one and puts uniform slots mod t in its row.  Every chunk
+    draws stand-ins for all its rows, from `secrets`: the backend's
+    generator is left where a twin's is, and two calls draw differently."""
+    be, twin = _stack_backend("n4096"), _stack_backend("n4096")
+    p = be.params
+    rows = np.random.default_rng(97).integers(0, p.t, size=(5, p.n))
+    cts = list(be.encrypt_many(rows))
+    twin.encrypt_many(rows)  # the twin's generator keeps pace
+    q = np.array(p.q_chain)[:, None]
+    cts[4] = bfv.Ciphertext(np.random.default_rng(98).integers(0, q, size=(2, len(q), p.n)))
+    draws = []
+
+    def recording(slots, breached, t):
+        draws.append(slots.shape)
+        return stand_in(slots, breached, t)
+
+    monkeypatch.setattr(bfv, "stand_in", recording)
+    slots, breached = be.decrypt_many(cts)
+    assert draws == [(4, p.n), (1, p.n)]
+    assert breached.tolist() == [False] * 4 + [True]
+    assert slots[:4].tolist() == rows[:4].tolist()
+    assert ((0 <= slots[4]) & (slots[4] < p.t)).all()
+    assert not np.array_equal(be.decrypt_many(cts[4:])[0], be.decrypt_many(cts[4:])[0])
+    assert be._gen.bytes(8) == twin._gen.bytes(8)
+    with pytest.raises(DecryptionFailureError, match="^noise .* breached the guard band"):
+        be.decrypt(cts[4])
 
 
 def test_decrypt_many_refuses_a_hostile_stack_before_any_arithmetic(real, monkeypatch):

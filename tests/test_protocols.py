@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vhe import bfv, pe, rep
+from vhe import bfv, mock, pe, rep
 from vhe import protocols as pr
 from vhe.circuit import ProgramBuilder, eval_plain
 from vhe.errors import (
@@ -24,7 +24,7 @@ from vhe.errors import (
 )
 from vhe.mock import MockBackend
 from vhe.params import SHRINK_MARGIN_BITS, preset
-from vhe.ring import slot_poly_eval
+from vhe.ring import slot_poly_eval, stand_in
 
 PARAMS = preset("mock64")
 T = PARAMS.t
@@ -116,6 +116,22 @@ def test_unpack_cts_refuses_shapes_off_the_parameters():
         pr.unpack_cts(payload)  # well-formed without the parameters
         with pytest.raises(ProtocolError):
             pr.unpack_cts(payload, 1, PARAMS)
+
+
+def test_req_refuses_high_terms_of_mixed_shapes_before_decrypting(monkeypatch):
+    """The client decrypts a message's ciphertexts as one stack, so a ReQ
+    high-term pair with one term shrunk and one on the full chain is
+    refused with SerializationError before anything is decoded."""
+    sec, client, _ = _real_pe_world()
+    builder = ProgramBuilder(width=N, name="x4")
+    x = builder.input("x")
+    square = builder.mul(x, x)
+    prog = builder.build(builder.mul(square, square), output_block=(0, 4))  # one ReQ round
+    y3, y4 = client.encrypt_many([[1] * N, [2] * N])
+    session = pr.ReqClientSession(sec, client, prog, rng=random.Random(54))
+    monkeypatch.setattr(client, "_decode", lambda *_: pytest.fail("a refused stack was decoded"))
+    with pytest.raises(SerializationError, match="differ in degree or chain prefix"):
+        session.respond(pr.pack_cts([client.shrink(y3), y4]))
 
 
 def test_memory_channel_roundtrip():
@@ -428,6 +444,28 @@ def test_pp_challenge_is_sent_before_any_verdict_exists():
     assert [t for t, _ in cloud_tr.sent] == [pr.TAG_PP_RESULT, pr.TAG_PP_RESPONSE]
 
 
+@pytest.fixture
+def draws(monkeypatch):
+    """The shape of every stand-in draw either backend makes, in order: a
+    run that fails to decrypt must draw exactly what an honest one does."""
+    log = []
+
+    def recording(slots, breached, t):
+        log.append(slots.shape)
+        return stand_in(slots, breached, t)
+
+    for module in (bfv, mock):
+        monkeypatch.setattr(module, "stand_in", recording)
+    return log
+
+
+def _drawn(log) -> list:
+    """The draws logged so far, and a fresh log for the next run."""
+    out = list(log)
+    log.clear()
+    return out
+
+
 class _FailingCommitment:
     """Cloud endpoint that sends c_0 one level past the client's simulated
     noise limit, so only the commitment fails to decrypt."""
@@ -446,10 +484,11 @@ class _FailingCommitment:
         return self.ep.recv()
 
 
-def test_pp_decryption_failure_is_not_a_reaction_oracle():
-    """Whether c_0 decrypts must not change one byte the client sends: the
-    session goes on with stand-in slots, the same challenge goes out, and
-    the verdict (False) comes only after the last receive."""
+def test_pp_decryption_failure_is_not_a_reaction_oracle(draws):
+    """Whether c_0 decrypts must not change one byte the client sends nor
+    one stand-in draw: the session goes on with stand-in slots, the same
+    challenge goes out, and the verdict (False) comes only after the last
+    receive."""
     sec, cloud, _, prog, auths, _ = make_world(seed=17)
     res = pe.pe_eval(prog, list(auths), cloud)
     limit = max(ct.depth for ct in res.cts)
@@ -463,23 +502,24 @@ def test_pp_decryption_failure_is_not_a_reaction_oracle():
         def client_fn(ep):
             why = []
             ok, _ = pr.pp_verify(sec, client, prog, ep, rng=random.Random(19), reason=why)
-            return ok, why, ep.transcript
+            return ok, why, ep.transcript, _drawn(draws)
 
         return pr.run_session(cloud_fn, client_fn)[1]
 
-    ok, _, honest = run(False)
-    failed_ok, why, failed = run(True)
+    ok, _, honest, honest_draws = run(False)
+    failed_ok, why, failed, failed_draws = run(True)
     assert ok and not failed_ok
-    assert "decrypt" in why[0]
+    assert why == ["a received ciphertext failed to decrypt (1 of 2)"]
     assert failed.sent_bytes() == honest.sent_bytes()
+    assert failed_draws == honest_draws == [(1, N), (1, N)]
     assert len(failed.received) == 2  # rejected only after the response arrived
 
 
-def test_real_pp_too_short_prefix_is_rejected_without_a_reaction():
+def test_real_pp_too_short_prefix_is_rejected_without_a_reaction(draws):
     """On the real backend, a cloud that switches its commitment and
     response down to one prime (below the noise guard's k′) is rejected
-    after the last receive, and the client sends the same bytes as in the
-    honest run at k′."""
+    after the last receive, and the client sends the same bytes and draws
+    the same stand-ins as in the honest run at k′."""
     rng = random.Random(60)
     b = ProgramBuilder(width=N, name="xy")
     prog = b.build(b.mul(b.input("x"), b.input("y")), output_block=(0, 4))
@@ -499,16 +539,17 @@ def test_real_pp_too_short_prefix_is_rejected_without_a_reaction():
         def client_fn(ep):
             why = []
             ok, _ = pr.pp_verify(sec, client, prog, ep, rng=random.Random(63), reason=why)
-            return ok, why, ep.transcript
+            return ok, why, ep.transcript, _drawn(draws)
 
         return pr.run_session(cloud_fn, client_fn)[1]
 
-    ok, _, honest = run(PARAMS.shrink_primes)
-    short_ok, why, short = run(1)
+    ok, _, honest, honest_draws = run(PARAMS.shrink_primes)
+    short_ok, why, short, short_draws = run(1)
     assert ok and not short_ok
-    assert "decrypt" in why[0]
+    assert why == ["a received ciphertext failed to decrypt (2 of 2)"]
     assert [pr.unpack_cts(p)[0].data.shape[1] for _, p in short.received] == [1, 1]
     assert short.sent_bytes() == honest.sent_bytes()
+    assert short_draws == honest_draws == [(1, N), (1, N)]
 
 
 def _counting(backend_cls):
@@ -846,9 +887,10 @@ class _FailingHighTerms:
         return self.ep.recv()
 
 
-def test_req_decryption_failure_is_not_a_reaction_oracle():
-    """High terms that fail to decrypt change no tag and no frame length the
-    client sends; every round completes and only final_offset raises."""
+def test_req_decryption_failure_is_not_a_reaction_oracle(draws):
+    """High terms that fail to decrypt change no tag, no frame length the
+    client sends and no stand-in draw; every round completes and only
+    final_offset raises."""
     rng = random.Random(34)
     cloud = MockBackend(PARAMS, rng=random.Random(35))
     sec = pe.pe_keygen(PARAMS, rng=rng, make_he_keys=False)
@@ -870,24 +912,25 @@ def test_req_decryption_failure_is_not_a_reaction_oracle():
         def client_fn(ep):
             s = pr.ReqClientSession(sec, client, prog, rng=random.Random(37))
             s.serve(ep)
-            return s, [(tag, len(p)) for tag, p in ep.transcript.sent]
+            return s, [(tag, len(p)) for tag, p in ep.transcript.sent], _drawn(draws)
 
         return pr.run_session(cloud_fn, client_fn)[1]
 
-    honest, honest_frames = run(False)
-    failed, failed_frames = run(True)
+    honest, honest_frames, honest_draws = run(False)
+    failed, failed_frames, failed_draws = run(True)
     assert failed_frames == honest_frames
+    assert failed_draws == honest_draws == [(2, N), (2, N)]
     assert failed.round == honest.round == failed.expected_rounds == 2
     honest.final_offset()
-    with pytest.raises(DecryptionFailureError, match="decrypt"):
+    with pytest.raises(DecryptionFailureError, match="^2 high-term ciphertext\\(s\\) failed to decrypt$"):
         failed.final_offset()
 
 
-def test_composed_req_pp_failure_surfaces_after_the_pp_response():
+def test_composed_req_pp_failure_surfaces_after_the_pp_response(draws):
     """`connect --req --pp`: a ReQ round whose high terms fail to decrypt
-    changes no tag and no frame length the client sends, the packed proof
-    still runs to its response, and only then is the session a reject that
-    names the high terms."""
+    changes no tag, no frame length the client sends and no stand-in draw,
+    the packed proof still runs to its response, and only then is the
+    session a reject that names the high terms."""
     rng = random.Random(38)
     cloud = MockBackend(PARAMS, rng=random.Random(39))
     sec = pe.pe_keygen(PARAMS, rng=rng, make_he_keys=False)
@@ -910,25 +953,26 @@ def test_composed_req_pp_failure_surfaces_after_the_pp_response():
             reason = []
             outcome = pr.client_session(sec, client, prog, ep, True, True, random.Random(41), reason)
             sent = [(tag, len(p)) for tag, p in ep.transcript.sent]
-            return outcome, reason, sent, [tag for tag, _ in ep.transcript.received]
+            return outcome, reason, sent, [tag for tag, _ in ep.transcript.received], _drawn(draws)
 
         return pr.run_session(cloud_fn, client_fn)[1]
 
-    (ok, _), _, honest_sent, honest_received = run(False)
-    (failed_ok, claim), reason, failed_sent, failed_received = run(True)
+    (ok, _), _, honest_sent, honest_received, honest_draws = run(False)
+    (failed_ok, claim), reason, failed_sent, failed_received, failed_draws = run(True)
     assert ok
     assert failed_ok is False and len(claim) == 2
-    assert reason == [reason[0]] and "high-term ciphertext(s) failed to decrypt" in reason[0]
+    assert reason == ["2 high-term ciphertext(s) failed to decrypt"]
     assert failed_sent == honest_sent
+    assert failed_draws == honest_draws == [(2, N), (2, N), (1, N), (1, N)]
     assert [tag for tag, _ in failed_sent][-1] == pr.TAG_PP_CHALLENGE
     assert failed_received == honest_received
     assert failed_received[-1] == pr.TAG_PP_RESPONSE
 
 
-def test_req_high_terms_that_fail_to_decrypt_are_a_reject():
-    """`connect --req`: high terms that fail to decrypt change no tag and no
-    frame length the client sends, and the session is a reject that names
-    them once the result is in."""
+def test_req_high_terms_that_fail_to_decrypt_are_a_reject(draws):
+    """`connect --req`: high terms that fail to decrypt change no tag, no
+    frame length the client sends and no stand-in draw, and the session is
+    a reject that names them once the result is in."""
     sec, cloud, _, prog, auths, _ = make_world(seed=74)
 
     def run(fail):
@@ -941,16 +985,16 @@ def test_req_high_terms_that_fail_to_decrypt_are_a_reject():
 
         def client_fn(ep):
             ok, _ = pr.client_session(sec, client, prog, ep, True, False, random.Random(76), reason)
-            return ok, [(tag, len(p)) for tag, p in ep.transcript.sent]
+            return ok, [(tag, len(p)) for tag, p in ep.transcript.sent], _drawn(draws)
 
         return (*pr.run_session(cloud_fn, client_fn)[1], reason)
 
-    ok, honest_sent, reason = run(False)
+    ok, honest_sent, honest_draws, reason = run(False)
     assert ok and reason == []
-    ok, failed_sent, reason = run(True)
+    ok, failed_sent, failed_draws, reason = run(True)
     assert ok is False and failed_sent == honest_sent
-    assert reason == ["2 high-term ciphertext(s) failed to decrypt: "
-                      "simulated noise overflow: depth 3 > limit 2"]
+    assert failed_draws == honest_draws == [(2, N), (3, N)]
+    assert reason == ["2 high-term ciphertext(s) failed to decrypt"]
 
 
 def _undecryptable(result):
@@ -960,7 +1004,8 @@ def _undecryptable(result):
 
 def _session_with_a_result(kind, fail):
     """(accepted, reason, the client's sent bytes) of one seeded session of
-    `kind` (PE, PE under ReQ, REP) whose result fails to decrypt if `fail`."""
+    `kind` (PE, PE under ReQ, REP) whose result fails to decrypt if `fail`
+    (only the result: the ReQ high terms stay within the limit)."""
     if kind == "rep":
         sec, cloud, prog, res = rep_world()
         evaluate, req, lengths = (lambda _: res), False, [24, 24]
@@ -985,15 +1030,35 @@ def _session_with_a_result(kind, fail):
 
 
 @pytest.mark.parametrize("kind", ["pe", "req", "rep"])
-def test_a_result_that_fails_to_decrypt_is_a_reject(kind):
+def test_a_result_that_fails_to_decrypt_is_a_reject(kind, draws):
     """A result ciphertext that fails to decrypt is a reject naming the
-    decryption, not an error, and the client sends the honest run's bytes."""
+    decryption and how many of the result's ciphertexts failed, not an
+    error, and the client sends the honest run's bytes and draws its
+    stand-ins."""
+    count = {"pe": 5, "req": 3, "rep": 3}[kind]  # every one of them fails
     ok, reason, honest_sent = _session_with_a_result(kind, fail=False)
+    honest_draws = _drawn(draws)
     assert ok and reason == []
     ok, reason, failed_sent = _session_with_a_result(kind, fail=True)
     assert ok is False and failed_sent == honest_sent
-    assert reason == ["a result ciphertext failed to decrypt: "
-                      "simulated noise overflow: depth 99 > limit 10"]
+    assert draws == honest_draws == [(2, N)] * (kind == "req") + [(count, N)]
+    assert reason == [f"a result ciphertext failed to decrypt ({count} of {count})"]
+
+
+def test_the_benchmark_verifiers_reject_a_result_that_fails_to_decrypt():
+    """pe_verify and rep_verify read decrypt_many's breach mask as
+    check_result does: a result with a breached ciphertext is a reject."""
+    client = MockBackend(PARAMS, depth_limit=10, rng=random.Random(77))
+    sec, cloud, _, prog, auths, plain = make_world(seed=78)
+    res = pe.pe_eval(prog, list(auths), cloud)
+    assert pe.pe_verify(sec, client, prog, res, claimed=plain[:4])
+    why = []
+    assert not pe.pe_verify(sec, client, prog, _undecryptable(res), claimed=plain[:4], reason=why)
+    rsec, _, rprog, rres = rep_world()
+    claim = rep.rep_decode(rsec, client, rres, rprog)
+    assert rep.rep_verify(rsec, client, rprog, rres, claim, [24, 24])
+    assert not rep.rep_verify(rsec, client, rprog, _undecryptable(rres), claim, [24, 24], why)
+    assert why == ["a result ciphertext failed to decrypt"] * 2
 
 
 def _receive_wrong_count(kind):
@@ -1263,7 +1328,7 @@ def test_check_result_rejects_a_stack_with_one_breached_row():
         client.decrypt(noise)
     reason: list = []
     assert pr.check_result(sec, client, prog, (res.cts[0], noise), reason=reason) == (False, [])
-    assert len(reason) == 1 and reason[0].startswith("a result ciphertext failed to decrypt: noise")
+    assert reason == ["a result ciphertext failed to decrypt (1 of 2)"]
 
 
 @pytest.mark.parametrize("client_kind", ["real", "mock"])
