@@ -28,6 +28,12 @@ PY
 echo
 echo "== 2. keys (replication, mock backend for speed) =="
 vhe keygen --auth rep --params mock64 --lambda 8 --backend mock --out keys
+# every secret is drawn from the OS: a second key differs from the first
+vhe keygen --auth rep --params mock64 --lambda 8 --backend mock --out keys2
+if cmp -s keys/secret.vrts keys2/secret.vrts; then
+    echo "two keygen runs wrote the same secret" >&2
+    exit 1
+fi
 
 echo
 echo "== 3. authenticate two uploads =="
@@ -42,9 +48,8 @@ vhe eval --program dot8.json --inputs x.vrts y.vrts \
     --params keys/params.vrts --out result.vrts
 
 echo
-echo "== 5. verify locally =="
-vhe verify --key keys/secret.vrts --program dot8.json \
-    --result result.vrts --lengths 8,8
+echo "== 5. verify locally (the input lengths come from the key) =="
+vhe verify --key keys/secret.vrts --program dot8.json --result result.vrts
 
 echo
 echo "== 6. a malformed program or input, or a missing file, is an error (exit 2), not a reject (1) =="
@@ -67,30 +72,35 @@ doc["gates"].append({"op": "mul_plain", "args": [doc["output"]], "const": [-1] *
 doc["output"] = len(doc["gates"]) - 1
 with open("negative.json", "w") as f:
     json.dump(doc, f)
+
+# y renamed z, an identifier the key never authenticated
+doc = json.load(open("dot8.json"))
+doc["inputs"][1]["label"] = "z"
+with open("dot8z.json", "w") as f:
+    json.dump(doc, f)
 PY
 for prog in empty.json negative.json; do
     expect_error vhe eval --program "$prog" --inputs x.vrts y.vrts \
         --params keys/params.vrts --out bad.vrts
 done
-expect_error vhe verify --key missing.vrts --program dot8.json \
-    --result result.vrts --lengths 8,8
+expect_error vhe verify --key missing.vrts --program dot8.json --result result.vrts
 printf '\377\3761,2\n' > not-utf8.csv
 expect_error vhe auth --key keys/secret.vrts --base x --values not-utf8.csv --out bad.vrts
 # auth saves the spent identifier back to the key file: x is not authenticated twice
 expect_error vhe auth --key keys/secret.vrts --base x --values y.csv --out again.vrts
-expect_error vhe verify --key keys/secret.vrts --program dot8.json \
-    --result result.vrts --lengths 8,x
-# a replication session needs the input lengths, as verify does
+# a program over an identifier the key never authenticated is refused
+# locally: by verify, and by connect before it opens a socket
+expect_error vhe verify --key keys/secret.vrts --program dot8z.json --result result.vrts
 expect_error vhe connect --transport tcp://127.0.0.1:9 --key keys/secret.vrts \
-    --program dot8.json
+    --program dot8z.json
+grep -q 'never authenticated' err.log
 # a result of another ring (mock16, λ=2) under the mock64 key
 vhe keygen --auth rep --params mock16 --lambda 2 --backend mock --out keys16
 vhe auth --key keys16/secret.vrts --base x --values x.csv --out x16.vrts
 vhe auth --key keys16/secret.vrts --base y --values y.csv --out y16.vrts
 vhe eval --program dot8.json --inputs x16.vrts y16.vrts \
     --params keys16/params.vrts --out result16.vrts
-expect_error vhe verify --key keys/secret.vrts --program dot8.json \
-    --result result16.vrts --lengths 8,8
+expect_error vhe verify --key keys/secret.vrts --program dot8.json --result result16.vrts
 
 echo
 echo "== 7. simulate forgers (each fails the run if it beats its bound) =="
@@ -119,7 +129,7 @@ with open("square64.json", "w") as f:
     f.write(program_to_json(prog))
 PY
 vhe keygen --auth pe --params mock64 --program square64.json --pp \
-    --backend real --out pekeys --seed 3
+    --backend real --out pekeys
 vhe auth --key pekeys/secret.vrts --base x --values x.csv --out px.vrts
 vhe auth --key pekeys/secret.vrts --base y --values y.csv --out py.vrts
 vhe serve --transport tcp://127.0.0.1:0 --program square64.json \
@@ -128,7 +138,7 @@ SERVER=$!
 for _ in $(seq 100); do grep -q listening serve.log && break; sleep 0.1; done
 PORT="$(sed -n 's/^listening on .*:\([0-9]*\)$/\1/p' serve.log)"
 vhe connect --transport "tcp://127.0.0.1:$PORT" --key pekeys/secret.vrts \
-    --program square64.json --pp --seed 9
+    --program square64.json --pp
 wait "$SERVER"
 cat serve.log
 
@@ -140,7 +150,7 @@ SERVER=$!
 for _ in $(seq 100); do grep -q listening rep-serve.log && break; sleep 0.1; done
 PORT="$(sed -n 's/^listening on .*:\([0-9]*\)$/\1/p' rep-serve.log)"
 vhe connect --transport "tcp://127.0.0.1:$PORT" --key keys/secret.vrts \
-    --program dot8.json --lengths 8,8 | tee rep-connect.log
+    --program dot8.json | tee rep-connect.log
 wait "$SERVER"
 cat rep-serve.log
 grep -q '^accept' rep-connect.log

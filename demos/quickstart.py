@@ -59,7 +59,7 @@ def main():
     # Client side: decrypt each result ciphertext once, then check the
     # digest, that every replica of the output block agrees, and every
     # challenge slot.  The agreed replica values are the claimed answer.
-    ok, claim = check_result(secret, backend, prog, result.cts, result.tag, [4, 4])
+    ok, claim = check_result(secret, backend, prog, result.cts, result.tag)
     expected = eval_plain(prog, [rider + [0] * 4, driver + [0] * 4], params.t)[0]
     print(f"\nclaimed squared distance: {claim[0]} (plaintext oracle: {expected})")
     print(f"verifier says: {'ACCEPT' if ok else 'REJECT'}")
@@ -70,7 +70,7 @@ def main():
     forged = RepResult(
         (backend.add(result.cts[0], backend.encrypt(delta)),), result.tag, lam
     )
-    ok2, claim2 = check_result(secret, backend, prog, forged.cts, forged.tag, [4, 4])
+    ok2, claim2 = check_result(secret, backend, prog, forged.cts, forged.tag)
     print(f"\nafter shifting one result slot by 1:")
     print(f"claimed squared distance: {claim2[0]}")
     print(f"verifier says: {'ACCEPT' if ok2 else 'REJECT'}")

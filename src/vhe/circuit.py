@@ -140,10 +140,6 @@ class Program:
         )[self.output]
 
     @property
-    def mul_gate_count(self) -> int:
-        return sum(1 for g in self.gates if g.op == "mul")
-
-    @property
     def add_sub_only(self) -> bool:
         """Every gate is an input, add or sub: no slot ever moves."""
         return all(g.op in ("input", "add", "sub") for g in self.gates)

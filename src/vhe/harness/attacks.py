@@ -227,7 +227,6 @@ class _World:
         self.secret = keygen(rng)
         self.client = self._backend(random.Random(spec.seed + 1))
         length = self.n if width == self.n else self.l
-        self.lengths = () if width == self.n else (length, length)
         self.values = [[rng.randrange(self.t) for _ in range(length)] for _ in range(2)]
         self.auths = [
             auth(self.secret, self.client, v, label) for v, label in zip(self.values, ("x", "y"))
@@ -240,7 +239,7 @@ class _World:
         """The client's verdict on `result` (check_result), claiming what it
         decrypts to, so only the encoding's checks can fail."""
         tag = result.tag if isinstance(result, RepResult) else b""
-        return check_result(self.secret, self.client, self.program, result.cts, tag, self.lengths)[0]
+        return check_result(self.secret, self.client, self.program, result.cts, tag)[0]
 
 
 class _RepWorld(_World):
@@ -320,7 +319,7 @@ def _setup_rep(spec: AttackSpec):
             auths = [rep_auth(secret, backend, v, f"in{i}") for i, v in enumerate(vals)]
             partial = rep_eval(dropped, auths[:2], backend, lam=lam)
             tag = hash_tree_eval(full, [fold_tags(a.tags) for a in auths])
-            return check_result(secret, backend, full, partial.cts, tag, [world.l] * 3)[0]
+            return check_result(secret, backend, full, partial.cts, tag)[0]
 
         if real:
             raise ParameterError(

@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import random
 import re
 import sys
 from dataclasses import replace
@@ -53,18 +52,14 @@ def _resolve_params(value: str):
     )
 
 
-def _ints(text: str, source: str) -> list[int]:
-    """Integers separated by commas or whitespace."""
-    try:
-        return [int(x) for x in re.split(r"[,\s]+", text.strip()) if x]
-    except ValueError as exc:
-        raise VheError(f"{source}: expected integers, {exc}") from None
-
-
 def _read_values(path: str) -> list[int]:
     """Integers from a CSV/whitespace-separated text file; a byte that is
     not UTF-8 reads as U+FFFD, which no integer contains."""
-    return _ints(Path(path).read_text(errors="replace"), path)
+    text = Path(path).read_text(errors="replace")
+    try:
+        return [int(x) for x in re.split(r"[,\s]+", text.strip()) if x]
+    except ValueError as exc:
+        raise VheError(f"{path}: expected integers, {exc}") from None
 
 
 def _load(path: str):
@@ -77,7 +72,7 @@ def _client(args):
     secret = _load(args.key)
     if not isinstance(secret, (RepSecret, PeSecret)):
         raise VheError(f"{args.key} does not hold an authentication secret")
-    return secret, make_backend(secret.params, secret.he_keys, random.Random(args.seed))
+    return secret, make_backend(secret.params, secret.he_keys)
 
 
 def _programs(paths) -> list:
@@ -140,15 +135,14 @@ def _emit_report(out_dir: str | None, name: str, dicts):
 def _cmd_keygen(args) -> int:
     params = _resolve_params(args.params)
     progs = _programs(args.program)
-    rng = random.Random(args.seed)
     real = args.backend == "real"
     if args.auth == "rep":
         if args.pp:
             raise VheError("--pp needs --auth pe: the packed proof verifies only PE")
-        secret = rep_keygen(params, lam=args.lam, programs=progs, rng=rng, make_he_keys=real)
+        secret = rep_keygen(params, lam=args.lam, programs=progs, make_he_keys=real)
     else:
         extra = pp_required_steps(params.n) if args.pp else ()
-        secret = pe_keygen(params, programs=progs, extra_steps=extra, rng=rng, make_he_keys=real)
+        secret = pe_keygen(params, programs=progs, extra_steps=extra, make_he_keys=real)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     files = {"secret.vrts": _SAVE_SECRET[type(secret)](secret), "params.vrts": serialize.save_params(params)}
@@ -190,7 +184,7 @@ def _eval_backend(args):
         raise VheError("evaluation needs --public key material or mock --params")
     keys = serialize.load_keyset(serialize.read_file(args.public)) if args.public else None
     params = _resolve_params(args.params) if keys is None else keys.params
-    return make_backend(params, keys, random.Random(args.seed))
+    return make_backend(params, keys)
 
 
 def _evaluate(program, auths, backend, reducer=None):
@@ -222,13 +216,6 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _lengths(args) -> list:
-    """`--lengths`, the input lengths that REP verification needs."""
-    if not args.lengths:
-        raise VheError("replication verification needs --lengths l1,l2,...")
-    return _ints(args.lengths, "--lengths")
-
-
 def _verdict(ok: bool, claim, reason: list) -> int:
     if ok:
         print(f"accept; output block = {claim}")
@@ -245,8 +232,8 @@ def _cmd_verify(args) -> int:
     if not isinstance(result, RepResult if rep else PeAuth):
         raise VheError("secret and result containers belong to different schemes")
     reason: list = []
-    tag, lengths = (result.tag, _lengths(args)) if rep else (b"", ())
-    ok, claim = check_result(secret, backend, program, result.cts, tag, lengths, reason=reason)
+    tag = result.tag if rep else b""
+    ok, claim = check_result(secret, backend, program, result.cts, tag, reason=reason)
     return _verdict(ok, claim, reason)
 
 
@@ -318,15 +305,12 @@ def _cmd_serve(args) -> int:
 def _cmd_connect(args) -> int:
     host, port = _parse_tcp(args.transport)
     secret, backend = _client(args)
-    lengths = _lengths(args) if isinstance(secret, RepSecret) else ()
     program = _programs([args.program])[0]
-    rng = random.Random(args.seed ^ 0x5E55)
+    secret.registry.lengths(program.inputs)  # an input never authenticated opens no socket
     endpoint = tcp_connect(host, port)
     reason: list = []
     try:
-        ok, claim = client_session(
-            secret, backend, program, endpoint, args.req, args.pp, rng, reason, lengths
-        )
+        ok, claim = client_session(secret, backend, program, endpoint, args.req, args.pp, reason=reason)
     finally:
         endpoint.close()
     return _verdict(ok, claim, reason)
@@ -345,11 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, seed=True, out_dir=False):
-        if seed:
-            p.add_argument("--seed", type=int, default=0, help="deterministic seed")
-        if out_dir:
-            p.add_argument("--out", help="directory for CSV + JSON reports")
+    def experiment(p):
+        p.add_argument("--seed", type=int, default=0, help="deterministic seed")
+        p.add_argument("--out", help="directory for CSV + JSON reports")
 
     p = sub.add_parser("keygen", help="generate an authentication secret (+ HE keys)")
     p.add_argument("--auth", choices=("rep", "pe"), required=True)
@@ -362,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include rotation keys for the packed proof (pe only)")
     p.add_argument("--backend", choices=("real", "mock"), default="real")
     p.add_argument("--out", required=True, help="directory for the key files")
-    common(p)
     p.set_defaults(fn=_cmd_keygen)
 
     p = sub.add_parser("auth", help="authenticate a vector of integers")
@@ -370,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", required=True, help="input identifier")
     p.add_argument("--values", required=True, help="CSV/text file of integers")
     p.add_argument("--out", required=True, help="output auth container")
-    common(p)
     p.set_defaults(fn=_cmd_auth)
 
     p = sub.add_parser("eval", help="evaluate a program over auth containers")
@@ -379,15 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--public", help="public.vrts (real backend)")
     p.add_argument("--params", help="preset or params.vrts (mock backend)")
     p.add_argument("--out", required=True, help="output result container")
-    common(p)
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("verify", help="verify a result container (exit 0/1)")
     p.add_argument("--key", required=True)
     p.add_argument("--program", required=True)
     p.add_argument("--result", required=True)
-    p.add_argument("--lengths", help="comma-separated input lengths (rep)")
-    common(p)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("attack", help="covert-adversary simulation")
@@ -402,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="result degree for encoding attacks")
     p.add_argument("--real", action="store_true",
                    help="run on the real backend (sequential)")
-    common(p, out_dir=True)
+    experiment(p)
     p.set_defaults(fn=_cmd_attack)
 
     p = sub.add_parser("bench", help="amortized per-slot operation timings")
@@ -411,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degrees", default="2,4,8")
     p.add_argument("--ops", help=f"comma-separated subset of {','.join(BENCH_OPS)}")
     p.add_argument("--repeats", type=int, default=5)
-    common(p, out_dir=True)
+    experiment(p)
     p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("usecase", help="end-to-end workload with baseline ratios")
@@ -421,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=int,
                    help="replication factor override")
     p.add_argument("--real", action="store_true")
-    common(p, out_dir=True)
+    experiment(p)
     p.set_defaults(fn=_cmd_usecase)
 
     p = sub.add_parser("serve", help="cloud half of a TCP session")
@@ -431,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--public", help="public.vrts (real backend)")
     p.add_argument("--params", help="preset or params.vrts (mock backend)")
     p.add_argument("--out", help="also save the result container")
-    common(p)
     p.set_defaults(fn=_cmd_serve)
 
     p = sub.add_parser("connect", help="client half of a TCP session (exit 0/1)")
@@ -440,8 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--program", required=True)
     p.add_argument("--pp", action="store_true", help="packed-proof interaction")
     p.add_argument("--req", action="store_true", help="re-quadratization rounds")
-    p.add_argument("--lengths", help="comma-separated input lengths (rep)")
-    common(p)
     p.set_defaults(fn=_cmd_connect)
 
     return parser

@@ -444,12 +444,14 @@ class _Timer:
             self.stages[name] = self.stages.get(name, 0.0) + time.perf_counter() - t0
 
 
-def make_backend(params: Params, keys, rng: random.Random):
+def make_backend(params: Params, keys, rng: random.Random | None = None):
     """The real backend over `keys`, or the mock where there are none; its
-    randomness comes from `rng` (the mock draws from `rng` itself)."""
+    randomness comes from `rng` (the mock draws from `rng` itself), or
+    without one from the OS."""
     if keys is None:
         return MockBackend(params, rng=rng)
-    return bfv.BfvBackend(params, keys, rng=np.random.default_rng(rng.getrandbits(64)))
+    gen = None if rng is None else np.random.default_rng(rng.getrandbits(64))
+    return bfv.BfvBackend(params, keys, rng=gen)
 
 
 def _cloud_and_client(params: Params, keys, seed: int):
@@ -554,7 +556,7 @@ def run_usecase(spec: UseCaseSpec, auth: str = "none", real: bool = False) -> Us
         def client_fn(ep):
             return client_session(
                 secret, client, inst.program, ep, use_req, use_pp,
-                rng=random.Random(spec.seed ^ 0xC11E), lengths=inst.lengths,
+                rng=random.Random(spec.seed ^ 0xC11E),
             )
 
         t0 = time.perf_counter()

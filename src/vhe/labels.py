@@ -202,18 +202,19 @@ def hash_tree_eval(program, leaf_tags) -> bytes:
 
 
 class LabelRegistry:
-    """Tracks identifiers already spent under one secret key.
+    """Tracks identifiers already spent under one secret key, each with the
+    number of values authenticated under it.
 
     Authenticating two different values under the same identifier would
     let an evaluator swap them undetected, so re-registration aborts.
     """
 
     def __init__(self):
-        self._seen: set[bytes] = set()
+        self._seen: dict[bytes, int] = {}
 
-    def register(self, ident) -> Identifier:
-        """Spend a base identifier (or a label naming one): refuse a slotted
-        or spent one, and return it."""
+    def register(self, ident, count: int) -> Identifier:
+        """Spend a base identifier (or a label naming one) on `count`
+        values: refuse a slotted or spent one, and return it."""
         if isinstance(ident, str):
             ident = Identifier(ident)
         if ident.slot is not None:
@@ -221,8 +222,16 @@ class LabelRegistry:
         blob = ident.canonical_bytes()
         if blob in self._seen:
             raise IdentifierReuseError(f"identifier already used: {ident!r}")
-        self._seen.add(blob)
+        self._seen[blob] = count
         return ident
+
+    def lengths(self, idents) -> list[int]:
+        """The number of values authenticated under each identifier; one
+        this key never authenticated is a ParameterError."""
+        unknown = [i for i in idents if i not in self]
+        if unknown:
+            raise ParameterError(f"this key never authenticated {unknown[0]!r}")
+        return [self._seen[i.canonical_bytes()] for i in idents]
 
     def __contains__(self, ident: Identifier) -> bool:
         return ident.canonical_bytes() in self._seen
@@ -230,12 +239,12 @@ class LabelRegistry:
     def __len__(self):
         return len(self._seen)
 
-    def snapshot(self) -> list[bytes]:
-        """Stable dump for persistence (sorted canonical byte strings)."""
-        return sorted(self._seen)
+    def snapshot(self) -> list[tuple[bytes, int]]:
+        """Stable dump for persistence: (canonical bytes, count), sorted."""
+        return sorted(self._seen.items())
 
     @classmethod
-    def restore(cls, blobs) -> "LabelRegistry":
+    def restore(cls, items) -> "LabelRegistry":
         reg = cls()
-        reg._seen = set(bytes(b) for b in blobs)
+        reg._seen = {bytes(b): n for b, n in items}
         return reg

@@ -88,15 +88,16 @@ def pe_keygen(
     rng: random.Random | None = None,
     make_he_keys: bool = True,
 ) -> PeSecret:
-    """Draw the PRF key and a uniform α ∈ Z_t*; optionally make HE keys."""
+    """Draw the PRF key and a uniform α ∈ Z_t*; optionally make HE keys.
+    Without `rng` (seeded experiments and tests pass one) each is drawn
+    from `secrets`."""
     rnd = rng if rng is not None else random.Random(_secrets.randbits(128))
     alpha = rnd.randrange(1, params.t)
-    key = PrfKey.generate(rnd)
+    key = PrfKey.generate(rng)
     he_keys = None
     if make_he_keys:
-        he_keys = bfv.program_keys(
-            params, programs, 1, extra_steps, np.random.default_rng(rnd.getrandbits(64))
-        )
+        gen = None if rng is None else np.random.default_rng(rnd.getrandbits(64))
+        he_keys = bfv.program_keys(params, programs, 1, extra_steps, rng=gen)
     return PeSecret(params, key, alpha, he_keys)
 
 
@@ -106,7 +107,7 @@ def pe_auth(secret: PeSecret, backend, values, base) -> PeAuth:
     n, t = params.n, params.t
     if len(values) != n:
         raise ParameterError(f"expected {n} slot values, got {len(values)}")
-    base = secret.registry.register(base)
+    base = secret.registry.register(base, n)
     m = slot_array(values, t)
     r = challenge_input_pe(secret.key, base, n, t)
     y1 = slot_mul(slot_sub(r, m, t), secret.alpha_inv, t)

@@ -543,13 +543,15 @@ class ReqClientSession:
 # ---------------------------------------------------------------------------
 
 
-def check_result(secret, backend, program: Program, cts, tag=b"", lengths=(), offset=None, reason=None) -> tuple:
+def check_result(secret, backend, program: Program, cts, tag=b"", offset=None, reason=None) -> tuple:
     """The client's verdict on a received result, wherever it comes from: a
     session, a result file or a simulated forger.  Decrypts the ciphertexts
     once, as one stack (decrypt_many), and checks the slots with rep_check for a RepSecret (`tag` the
-    digest, `lengths` the input lengths) or else pe_check (`offset` a ReQ
-    session's).  Returns (accepted, claim).  A ciphertext that fails to
-    decrypt is a reject like any other forgery, with no claim."""
+    digest, the input lengths as the secret recorded them) or else pe_check
+    (`offset` a ReQ session's).  Returns (accepted, claim).  A program input
+    the secret never authenticated is a ParameterError; a ciphertext that
+    fails to decrypt is a reject like any other forgery, with no claim."""
+    lengths = secret.registry.lengths(program.inputs)
     ys, breached = backend.decrypt_many(cts)
     if breached.any():
         return reject(reason, f"a result ciphertext failed to decrypt ({breached.sum()} of {len(cts)})"), []
@@ -582,22 +584,23 @@ def cloud_session(backend, endpoint, evaluate) -> tuple:
 
 def client_session(
     secret, backend, program: Program, endpoint,
-    req: bool = False, pp: bool = False, rng=None, reason: list | None = None, lengths=(),
+    req: bool = False, pp: bool = False, rng=None, reason: list | None = None,
 ) -> tuple:
     """Client side of one verified session, the twin of `cloud_session`:
     name the mode (ReQ if `req`, PP if `pp`), serve the ReQ rounds if
     `req`, then check the packed proof if `pp` or the shipped result with
     check_result otherwise.  Returns (accepted, the claimed output block).
 
-    Every local refusal comes before the mode message, so a refused session
-    sends nothing.  A result message must carry exactly the d + 1
-    components of the program's degree schedule, or for a RepSecret (no
-    ReQ, no PP) the ciphertexts that the input `lengths` imply and the
-    digest.  The offset comes from the blinds drawn when the session
-    starts.  A ciphertext that fails to decrypt, a ReQ high term included,
+    Every local refusal, a program input the secret never authenticated
+    among them, comes before the mode message, so a refused session sends
+    nothing.  A result message must carry exactly the d + 1 components of
+    the program's degree schedule, or for a RepSecret (no ReQ, no PP) the
+    ciphertexts that the recorded input lengths imply and the digest.  The
+    offset comes from the blinds drawn when the session starts.  A ciphertext that fails to decrypt, a ReQ high term included,
     is a reject once the last message is in, so nothing the client sends
     depends on that failure; a high term's is the reason given.
     """
+    lengths = secret.registry.lengths(program.inputs)  # refuses an input never authenticated
     if isinstance(secret, RepSecret):
         if req or pp:
             raise ParameterError("a replication session runs neither ReQ nor the packed proof")
@@ -605,7 +608,7 @@ def client_session(
         endpoint.send(TAG_MODE, bytes([0]))
         payload = _recv(endpoint, TAG_RESULT)  # the digest is its last 64 bytes
         cts = unpack_cts(payload[:-64], chunks, secret.params)
-        return check_result(secret, backend, program, cts, payload[-64:], lengths, reason=reason)
+        return check_result(secret, backend, program, cts, payload[-64:], reason=reason)
     d, _ = degree_schedule(program, use_reducer=req)
     session = ReqClientSession(secret, backend, program, rng=rng) if req else None
     endpoint.send(TAG_MODE, bytes([req * MODE_REQ | pp * MODE_PP]))

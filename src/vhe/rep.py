@@ -94,7 +94,9 @@ def rep_keygen(
 
     Rotation keys are created for exactly the steps the given programs
     need once scaled by λ, and the row-swap key only if one of them swaps
-    rows.  Pass ``make_he_keys=False`` for mock-backend runs.
+    rows.  Pass ``make_he_keys=False`` for mock-backend runs.  Without
+    `rng` (seeded experiments and tests pass one) each draw comes from
+    `secrets`.
     """
     n = params.n
     if lam < 2 or lam & (lam - 1):
@@ -103,12 +105,11 @@ def rep_keygen(
         raise ParameterError(f"replication factor {lam} must divide a row of {n // 2}")
     rnd = rng if rng is not None else random.Random(_secrets.randbits(128))
     challenge_set = frozenset(rnd.sample(range(lam), lam // 2))
-    key = PrfKey.generate(rnd)
+    key = PrfKey.generate(rng)
     he_keys = None
     if make_he_keys:
-        he_keys = bfv.program_keys(
-            params, programs, lam, rng=np.random.default_rng(rnd.getrandbits(64))
-        )
+        gen = None if rng is None else np.random.default_rng(rnd.getrandbits(64))
+        he_keys = bfv.program_keys(params, programs, lam, rng=gen)
     return RepSecret(params, lam, challenge_set, key, he_keys)
 
 
@@ -136,7 +137,7 @@ def rep_auth(secret: RepSecret, backend, values, base) -> RepAuth:
     """Authenticate a vector of values under a fresh base identifier."""
     if len(values) == 0:
         raise ParameterError("cannot authenticate an empty vector")
-    base = secret.registry.register(base)
+    base = secret.registry.register(base, len(values))
     cts = backend.encrypt_many(rep_extend(secret, values, base))
     tags = tuple(prf_tags(secret.key, base, len(values)))
     return RepAuth(base, len(values), secret.lam, cts, tags)

@@ -47,8 +47,9 @@ MAGIC = b"VRTS"
 # streams, so secrets and authentications saved under 5 would not verify;
 # 7: no public key in a keyset; 8: ψ from the smallest quadratic non-residue,
 # so the evaluation-domain residues of version-7 keys and ciphertexts differ;
-# 9: no error width in the parameters, which every preset fixed at 3.2
-VERSION = 9
+# 9: no error width in the parameters, which every preset fixed at 3.2;
+# 10: a secret's registry records each identifier's value count
+VERSION = 10
 
 TYPE_PARAMS = 0x01
 TYPE_KEYSET = 0x02
@@ -324,8 +325,8 @@ def load_cts(blob: bytes, count: int | None = None, params: Params | None = None
 
 def _secret(type_code: int, secret, head: bytes) -> bytes:
     """A verifier's secret: params ‖ head ‖ PRF key ‖ u8 keyset flag ‖
-    [keyset with its secret key] ‖ u32 count ‖ (u16 length ‖ identifier)
-    per spent identifier, sorted."""
+    [keyset with its secret key] ‖ u32 count ‖ (u16 length ‖ identifier ‖
+    u32 values authenticated) per spent identifier, sorted."""
     keys = secret.he_keys
     spent = secret.registry.snapshot()
     return _container(
@@ -335,7 +336,7 @@ def _secret(type_code: int, secret, head: bytes) -> bytes:
         secret.key.key,
         *([b"\x00"] if keys is None else [b"\x01", save_keyset(keys, include_secret=True)]),
         struct.pack("<I", len(spent)),
-        *(struct.pack("<H", len(b)) + b for b in spent),
+        *(struct.pack("<H", len(b)) + b + struct.pack("<I", c) for b, c in spent),
     )
 
 
@@ -348,7 +349,8 @@ def _secret_tail(r: _Reader):
         keys = load_keyset(r.buf, r.off)
         r.off = nxt
     (count,) = r.unpack("<I")
-    registry = LabelRegistry.restore(r.take(r.unpack("<H")[0]) for _ in range(count))
+    registry = LabelRegistry.restore(
+        (r.take(r.unpack("<H")[0]), r.unpack("<I")[0]) for _ in range(count))
     r.done()
     return key, keys, registry
 

@@ -464,7 +464,7 @@ def _scenario_rep_result(params, tamper: bool):
     log: list = []
 
     def client(ep):
-        ok, _ = client_session(secret, backend, prog, _OrderedEndpoint(ep, log), lengths=[4, 4])
+        ok, _ = client_session(secret, backend, prog, _OrderedEndpoint(ep, log))
         return ok, ep.transcript
 
     _, (ok, tr) = run_session(lambda ep: cloud_session(backend, ep, lambda _: result), client)

@@ -13,7 +13,7 @@ import pytest
 from vhe import bfv, pe, rep, serialize
 from vhe.circuit import ProgramBuilder
 from vhe.errors import IdentifierReuseError, ParameterError, SerializationError
-from vhe.labels import Identifier
+from vhe.labels import Identifier, PrfKey
 from vhe.mock import MockBackend
 from vhe.params import preset
 
@@ -103,8 +103,9 @@ def test_a_refused_auth_spends_no_identifier(scheme):
 def test_secret_containers_are_byte_stable():
     """One seeded mock secret per encoding, each with two spent
     identifiers, serializes to pinned bytes: a field the shared writer
-    moves (params ‖ head ‖ PRF key ‖ keyset flag ‖ registry) changes them,
-    where a save/load roundtrip would not notice."""
+    moves (params ‖ head ‖ PRF key ‖ keyset flag ‖ registry with each
+    identifier's value count) changes them, where a save/load roundtrip
+    would not notice."""
     backend = MockBackend(PARAMS, rng=random.Random(4))
     rs = rep.rep_keygen(PARAMS, lam=LAM, rng=random.Random(3), make_he_keys=False)
     rep.rep_auth(rs, backend, [1, 2, 3], "x")
@@ -115,6 +116,26 @@ def test_secret_containers_are_byte_stable():
     digests = [hashlib.sha256(blob).hexdigest() for blob in (
         serialize.save_rep_secret(rs), serialize.save_pe_secret(ps))]
     assert digests == [
-        "d2ceea56eeb6ddd844da07a1f0c1e55ffb6a7ceffbc06e5bfcfb49198aba34e9",
-        "22d3846f747547d8803614625d2f0af27d9add205cf7bc046b2d8143ca7955f4",
+        "df7d4ee5495566336407bcb2bed15913423fa5d974c140857a35b611a05654fe",
+        "fb0fdf4cf8648c70c206de92ed31225ea2df1e522ff3f3c401f7891abe1e8f77",
     ]
+    assert serialize.load_rep_secret(serialize.save_rep_secret(rs)).registry.lengths(
+        [Identifier("y"), Identifier("x")]) == [1, 3]
+
+
+def test_unseeded_keygen_draws_from_the_os(scheme, monkeypatch):
+    """Without an rng, keygen passes none on: the PRF key and the HE key
+    generator draw from `secrets` (256 and 128 bits), not from a 64-bit
+    seed.  A seeded keygen hands its generator to both."""
+    passed = []
+    generate, program_keys = PrfKey.generate.__func__, bfv.program_keys
+    monkeypatch.setattr(PrfKey, "generate", classmethod(
+        lambda cls, rng=None: passed.append(("prf", rng)) or generate(cls, rng)))
+    monkeypatch.setattr(bfv, "program_keys", lambda *a, rng=None, **kw: passed.append(("he", rng)) or program_keys(
+        *a, rng=rng, **kw))
+    scheme.keygen(make_he_keys=True)
+    assert passed == [("prf", None), ("he", None)]
+    passed.clear()
+    rng = random.Random(7)
+    scheme.keygen(rng=rng, make_he_keys=True)
+    assert passed[0] == ("prf", rng) and isinstance(passed[1][1], np.random.Generator)

@@ -53,7 +53,7 @@ def _count_decrypts(monkeypatch, module) -> list:
     they are appended to, in order of construction."""
     made: list = []
 
-    def make(params, keys, rng):
+    def make(params, keys, rng=None):
         assert keys is None
         made.append(_CountingMock(params, rng=rng))
         return made[-1]
@@ -359,7 +359,7 @@ def test_cli_rep_file_workflow(tmp_path, capsys):
     ]) == 0
     assert main([
         "verify", "--key", str(keys / "secret.vrts"), "--program", str(prog),
-        "--result", str(tmp_path / "result.vrts"), "--lengths", "4,4",
+        "--result", str(tmp_path / "result.vrts"),
     ]) == 0
     out = capsys.readouterr().out
     assert "accept" in out and "344" in out  # sum of (x_i + y_i)^2
@@ -375,21 +375,31 @@ def test_cli_rep_file_workflow(tmp_path, capsys):
     ]) == 0
     assert main([
         "verify", "--key", str(keys / "secret.vrts"), "--program", str(prog),
-        "--result", str(tmp_path / "bad.vrts"), "--lengths", "4,4",
+        "--result", str(tmp_path / "bad.vrts"),
     ]) == 1
     assert "reject" in capsys.readouterr().out
 
-    # a values file that is not UTF-8 and a length that is not an integer
-    # are errors (exit 2), not rejects (1)
+    # a values file that is not UTF-8 and a program over an identifier the
+    # key never authenticated are errors (exit 2), not rejects (1)
     (tmp_path / "bad.csv").write_bytes(b"\xff\xfe1,2\n")
     _assert_clean_error(main([
         "auth", "--key", str(keys / "secret.vrts"), "--base", "x",
         "--values", str(tmp_path / "bad.csv"), "--out", str(tmp_path / "bad-x.vrts"),
     ]), capsys, "bad.csv")
     _assert_clean_error(main([
-        "verify", "--key", str(keys / "secret.vrts"), "--program", str(prog),
-        "--result", str(tmp_path / "result.vrts"), "--lengths", "2,x",
-    ]), capsys, "--lengths")
+        "verify", "--key", str(keys / "secret.vrts"), "--program", str(_renamed_input(prog)),
+        "--result", str(tmp_path / "result.vrts"),
+    ]), capsys, "never authenticated Identifier(label='z'")
+
+
+def _renamed_input(prog: Path) -> Path:
+    """A copy of the program file whose last input is named z, an
+    identifier no key in these tests authenticates."""
+    doc = json.loads(prog.read_text())
+    doc["inputs"][-1]["label"] = "z"
+    other = prog.with_name("z-" + prog.name)
+    other.write_text(json.dumps(doc))
+    return other
 
 
 def _rep_files(tmp_path, length: int):
@@ -451,7 +461,7 @@ def test_cli_result_files_are_shrunk_and_an_undecryptable_one_is_a_reject(tmp_pa
     params = preset("mock64")
     assert params.shrink_primes < len(params.q_chain)
     assert [c.data.shape for c in res.cts] == [(2, params.shrink_primes, params.n)]
-    verify = ["verify", "--key", str(keys / "secret.vrts"), "--program", str(prog), "--lengths", "4,4"]
+    verify = ["verify", "--key", str(keys / "secret.vrts"), "--program", str(prog)]
     capsys.readouterr()
     assert main(verify + ["--result", str(result)]) == 0
     assert capsys.readouterr().out == "accept; output block = [2, 4, 6, 8]\n"
@@ -466,14 +476,15 @@ def test_cli_result_files_are_shrunk_and_an_undecryptable_one_is_a_reject(tmp_pa
 
 def test_cli_rep_verify_decrypts_once_and_counts_chunks(tmp_path, capsys, monkeypatch):
     """`vhe verify` decrypts each REP result ciphertext once, and rejects a
-    result file with a chunk dropped: the count comes from --lengths."""
+    result file with a chunk dropped or appended: the count comes from the
+    input lengths the key recorded."""
     secret, prog = _rep_files(tmp_path, 24)
     result = tmp_path / "result.vrts"
     assert main([
         "eval", "--program", str(prog), "--inputs", str(tmp_path / "x.vrts"),
         str(tmp_path / "y.vrts"), "--params", "mock64", "--out", str(result),
     ]) == 0
-    verify = ["verify", "--key", str(secret), "--program", str(prog), "--lengths", "24,24"]
+    verify = ["verify", "--key", str(secret), "--program", str(prog)]
     made = _count_decrypts(monkeypatch, cli)
     assert main(verify + ["--result", str(result)]) == 0
     assert [b.decrypts for b in made] == [3]
@@ -485,6 +496,11 @@ def test_cli_rep_verify_decrypts_once_and_counts_chunks(tmp_path, capsys, monkey
     )
     assert main(verify + ["--result", str(tmp_path / "short.vrts")]) == 1
     assert "reject: 2 result ciphertext(s) where the inputs imply 3" in capsys.readouterr().out
+    serialize.write_file(
+        tmp_path / "long.vrts", serialize.save_rep_result(RepResult(res.cts + res.cts[:1], res.tag, res.lam))
+    )
+    assert main(verify + ["--result", str(tmp_path / "long.vrts")]) == 1
+    assert "reject: 4 result ciphertext(s) where the inputs imply 3" in capsys.readouterr().out
 
 
 def test_cli_verify_refuses_a_pe_result_with_an_extra_component(tmp_path, capsys):
@@ -527,7 +543,7 @@ def test_cli_pe_real_workflow(tmp_path, capsys):
 
     assert main([
         "keygen", "--auth", "pe", "--params", "mock64", "--program", str(prog),
-        "--backend", "real", "--out", str(keys), "--seed", "2",
+        "--backend", "real", "--out", str(keys),
     ]) == 0
     assert (keys / "public.vrts").exists()
     for base in ("x", "y"):
@@ -691,7 +707,8 @@ _OTHER_KEYS = {
 def test_cli_verify_refuses_a_result_of_another_ring_or_backend(tmp_path, capsys, case):
     """`vhe verify` with a REP key on a result file whose ciphertexts belong
     to another ring or to the other backend prints `error:` and exits 2,
-    before anything is decrypted."""
+    before anything is decrypted.  Every key authenticates x and y, so
+    each knows the program's inputs."""
     secret, prog = _rep_files(tmp_path, 8)
 
     def key(role, args):
@@ -701,11 +718,14 @@ def test_cli_verify_refuses_a_result_of_another_ring_or_backend(tmp_path, capsys
         return tmp_path / role / "secret.vrts"
 
     maker, verifier = (key(role, args) for role, args in zip(("maker", "verifier"), _OTHER_KEYS[case]))
-    for base in ("x", "y"):
-        assert main([
-            "auth", "--key", str(maker), "--base", base,
-            "--values", str(tmp_path / f"{base}.csv"), "--out", str(tmp_path / f"o{base}.vrts"),
-        ]) == 0
+    for prefix, k in (("o", maker), ("v", verifier)):
+        if k == secret:  # _rep_files authenticated x and y under it
+            continue
+        for base in ("x", "y"):
+            assert main([
+                "auth", "--key", str(k), "--base", base,
+                "--values", str(tmp_path / f"{base}.csv"), "--out", str(tmp_path / f"{prefix}{base}.vrts"),
+            ]) == 0
     assert main([
         "eval", "--program", str(prog), "--inputs", str(tmp_path / "ox.vrts"),
         str(tmp_path / "oy.vrts"), "--params", str(maker.parent / "params.vrts"),
@@ -714,7 +734,7 @@ def test_cli_verify_refuses_a_result_of_another_ring_or_backend(tmp_path, capsys
     capsys.readouterr()
     _assert_clean_error(main([
         "verify", "--key", str(verifier), "--program", str(prog),
-        "--result", str(tmp_path / "r.vrts"), "--lengths", "8,8",
+        "--result", str(tmp_path / "r.vrts"),
     ]), capsys, "ciphertext")
 
 
@@ -763,7 +783,7 @@ def test_cli_tcp_session_between_processes(tmp_path):
     keys = tmp_path / "keys"
     main([
         "keygen", "--auth", "pe", "--params", "mock64", "--program", str(prog),
-        "--pp", "--backend", "real", "--out", str(keys), "--seed", "3",
+        "--pp", "--backend", "real", "--out", str(keys),
     ])
     for base in ("x", "y"):
         main([
@@ -788,7 +808,7 @@ def test_cli_tcp_session_between_processes(tmp_path):
         rc = main([
             "connect", "--transport", f"tcp://127.0.0.1:{port}",
             "--key", str(keys / "secret.vrts"), "--program", str(prog),
-            "--pp", "--req", "--seed", "9",
+            "--pp", "--req",
         ])
         assert rc == 0
         assert server.wait(timeout=30) == 0
@@ -816,7 +836,7 @@ def test_cli_rep_tcp_session_between_processes(tmp_path, capsys):
         port = int(re.search(r":(\d+)$", server.stdout.readline().strip()).group(1))
         rc = main([
             "connect", "--transport", f"tcp://127.0.0.1:{port}", "--key", str(secret),
-            "--program", str(prog), "--lengths", "24,24",
+            "--program", str(prog),
         ])
         assert rc == 0
         assert server.wait(timeout=30) == 0
@@ -829,15 +849,57 @@ def test_cli_rep_tcp_session_between_processes(tmp_path, capsys):
     assert f"accept; output block = {sums}" in capsys.readouterr().out
 
 
-def test_cli_rep_session_refusals(tmp_path, capsys):
-    """connect with a REP secret needs --lengths before any socket is
-    opened."""
+def test_cli_rep_session_refusals(tmp_path, capsys, monkeypatch):
+    """connect refuses a program over an identifier the key never
+    authenticated before any socket is opened."""
     secret, prog = _rep_files(tmp_path, 8)
+    opened = []
+    monkeypatch.setattr(cli, "tcp_connect", lambda *a: opened.append(a))
     capsys.readouterr()
     _assert_clean_error(main([
         "connect", "--transport", "tcp://127.0.0.1:9", "--key", str(secret),
-        "--program", str(prog),
-    ]), capsys, "--lengths")
+        "--program", str(_renamed_input(prog)),
+    ]), capsys, "never authenticated Identifier(label='z'")
+    assert opened == []
+
+
+def test_cli_client_commands_take_no_seed_and_no_lengths():
+    """Keys, encryptions and challenges come from the OS: only the seeded
+    experiments take --seed, and REP input lengths come from the key."""
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    options = {name: set(p._option_string_actions) for name, p in sub.choices.items()}
+    for name in ("keygen", "auth", "eval", "verify", "serve", "connect"):
+        assert "--seed" not in options[name], name
+    for name in ("attack", "bench", "usecase"):
+        assert "--seed" in options[name], name
+    assert not any("--lengths" in opts for opts in options.values())
+
+
+def _pe_real_keys(out: Path) -> Path:
+    assert main(["keygen", "--auth", "pe", "--params", "mock64", "--backend", "real", "--out", str(out)]) == 0
+    return out / "secret.vrts"
+
+
+def test_cli_default_keygen_runs_write_different_secrets(tmp_path):
+    assert _pe_real_keys(tmp_path / "k1").read_bytes() != _pe_real_keys(tmp_path / "k2").read_bytes()
+
+
+def test_cli_auth_uploads_under_one_key_share_no_a_half(tmp_path):
+    """Each encryption draws its `a` half afresh: two uploads under one
+    real key (two ciphertexts each) hold four different ones."""
+    secret = _pe_real_keys(tmp_path / "keys")
+    (tmp_path / "v.csv").write_text("1,2,3")
+    for base in ("x", "y"):
+        assert main([
+            "auth", "--key", str(secret), "--base", base,
+            "--values", str(tmp_path / "v.csv"), "--out", str(tmp_path / f"{base}.vrts"),
+        ]) == 0
+    a_halves = [
+        c.data[1] for base in ("x", "y")
+        for c in serialize.load_pe_auth(serialize.read_file(tmp_path / f"{base}.vrts")).cts
+    ]
+    assert len(a_halves) == 4
+    assert len({a.tobytes() for a in a_halves}) == 4
 
 
 def test_cli_unknown_params_is_an_error(capsys):

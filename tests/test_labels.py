@@ -284,10 +284,10 @@ def test_hash_tree_leaf_count_checked():
 
 def test_registry_rejects_reuse():
     reg = LabelRegistry()
-    reg.register(Identifier("a"))
-    reg.register(Identifier("b"))
+    reg.register(Identifier("a"), 3)
+    reg.register(Identifier("b"), 1)
     with pytest.raises(IdentifierReuseError):
-        reg.register(Identifier("a"))
+        reg.register(Identifier("a"), 3)
     assert Identifier("a") in reg
     assert Identifier("c") not in reg
     assert len(reg) == 2
@@ -295,9 +295,18 @@ def test_registry_rejects_reuse():
 
 def test_registry_snapshot_restore():
     reg = LabelRegistry()
-    for name in ("a", "b", "c"):
-        reg.register(Identifier(name))
+    for count, name in enumerate(("a", "b", "c"), 1):
+        reg.register(Identifier(name), count)
     copy = LabelRegistry.restore(reg.snapshot())
     assert len(copy) == 3
+    assert copy.lengths([Identifier("c"), Identifier("a")]) == [3, 1]
     with pytest.raises(IdentifierReuseError):
-        copy.register(Identifier("b"))
+        copy.register(Identifier("b"), 2)
+
+
+def test_registry_lengths_refuse_an_identifier_never_registered():
+    reg = LabelRegistry()
+    reg.register("a", 4)
+    assert reg.lengths([Identifier("a"), Identifier("a")]) == [4, 4]
+    with pytest.raises(ParameterError, match=r"^this key never authenticated Identifier\(label='z'"):
+        reg.lengths([Identifier("a"), Identifier("z")])

@@ -22,6 +22,7 @@ from vhe.circuit import ProgramBuilder, eval_plain
 from vhe.errors import (
     DecryptionFailureError, ParameterError, ProtocolError, SerializationError, StructureError,
 )
+from vhe.labels import Identifier, LabelRegistry
 from vhe.mock import MockBackend
 from vhe.params import SHRINK_MARGIN_BITS, preset
 from vhe.ring import slot_poly_eval, stand_in
@@ -1008,10 +1009,10 @@ def _session_with_a_result(kind, fail):
     (only the result: the ReQ high terms stay within the limit)."""
     if kind == "rep":
         sec, cloud, prog, res = rep_world()
-        evaluate, req, lengths = (lambda _: res), False, [24, 24]
+        evaluate, req = (lambda _: res), False
     else:
         sec, cloud, _, prog, auths, _ = make_world(seed=71)
-        req, lengths = kind == "req", ()
+        req = kind == "req"
 
         def evaluate(red):
             return pe.pe_eval(prog, list(auths), cloud, reducer=red)
@@ -1023,7 +1024,7 @@ def _session_with_a_result(kind, fail):
         pr.cloud_session(cloud, ep, lambda red: _undecryptable(evaluate(red)) if fail else evaluate(red))
 
     def client_fn(ep):
-        ok, _ = pr.client_session(sec, client, prog, ep, req, False, random.Random(73), reason, lengths)
+        ok, _ = pr.client_session(sec, client, prog, ep, req, False, random.Random(73), reason)
         return ok, reason, ep.transcript.sent_bytes()
 
     return pr.run_session(cloud_fn, client_fn)[1]
@@ -1171,7 +1172,7 @@ def test_rep_session_decrypts_each_result_ciphertext_once():
         return ep.transcript
 
     tr, (ok, claim) = pr.run_session(
-        cloud_fn, lambda ep: pr.client_session(sec, client, prog, ep, lengths=[24, 24])
+        cloud_fn, lambda ep: pr.client_session(sec, client, prog, ep)
     )
     assert client.decrypts == tr.cts_sent() == len(res.cts) == 3
     assert ok and claim == rep.rep_decode(sec, client, res, prog)
@@ -1185,7 +1186,7 @@ def test_rep_session_decrypts_each_result_ciphertext_once():
 )
 def test_hostile_rep_result_frames_are_refused_before_decrypting(kind):
     """A REP result message whose ciphertext count differs from what the
-    client's input lengths imply, that cannot hold the 64-byte digest, or
+    input lengths the client recorded imply, that cannot hold the 64-byte digest, or
     that carries bytes past it aborts the session before any decryption."""
     sec, client, prog, res = rep_world()
     payload = {
@@ -1198,7 +1199,7 @@ def test_hostile_rep_result_frames_are_refused_before_decrypting(kind):
     peer.send(pr.TAG_RESULT, payload)
     client.decrypts = 0
     with pytest.raises(ProtocolError):
-        pr.client_session(sec, client, prog, ep, lengths=[24, 24])
+        pr.client_session(sec, client, prog, ep)
     assert client.decrypts == 0
 
 
@@ -1208,16 +1209,28 @@ def test_rep_session_refuses_pp_and_req(mode):
     sec, client, prog, _ = rep_world()
     ep, _ = pr.memory_channel(timeout=1.0)
     with pytest.raises(ParameterError, match="replication"):
-        pr.client_session(sec, client, prog, ep, lengths=[24, 24], **mode)
+        pr.client_session(sec, client, prog, ep, **mode)
     assert ep.transcript.sent == []
 
 
-def test_rep_session_needs_the_input_lengths():
-    sec, client, prog, _ = rep_world()
+@pytest.mark.parametrize("world", ["rep", "pe"])
+def test_session_refuses_a_program_input_never_authenticated(world):
+    """A program naming an identifier the key never authenticated is a
+    local refusal: the session sends nothing, not even its mode, and
+    check_result refuses it before decrypting."""
+    if world == "rep":
+        sec, client, prog, res = rep_world()
+    else:
+        sec, client, _, prog, auths, _ = make_world(seed=74)
+        res = pe.pe_eval(prog, list(auths), client)
+    inputs = prog.inputs[:-1] + (Identifier("never"),)
+    other = dataclasses.replace(prog, inputs=inputs)
     ep, _ = pr.memory_channel(timeout=1.0)
-    with pytest.raises(ParameterError, match="input length"):
-        pr.client_session(sec, client, prog, ep)
+    with pytest.raises(ParameterError, match="^this key never authenticated Identifier"):
+        pr.client_session(sec, client, other, ep)
     assert ep.transcript.sent == []
+    with pytest.raises(ParameterError, match="never authenticated"):
+        pr.check_result(sec, client, other, res.cts, getattr(res, "tag", b""))
 
 
 def test_real_rep_result_frame_size():
@@ -1237,7 +1250,7 @@ def test_real_rep_result_frame_size():
         return ep.transcript
 
     tr, (ok, claim) = pr.run_session(
-        cloud_fn, lambda ep: pr.client_session(sec, backend, prog, ep, lengths=[4, 4])
+        cloud_fn, lambda ep: pr.client_session(sec, backend, prog, ep)
     )
     assert ok and claim == [2, 4, 6, 8]
     assert PARAMS.shrink_primes < len(PARAMS.q_chain)
@@ -1344,6 +1357,9 @@ def test_a_result_of_the_other_backend_is_refused(client_kind):
         sec, _, client, _, _, _ = make_world(seed=75)
         _, _, prog = _real_pe_world()
         payload = real_payload
+    sec = dataclasses.replace(sec, registry=LabelRegistry())
+    for x in "xy":  # this copy of the secret knows the program's inputs
+        pe.pe_auth(sec, client, [0] * N, x)
     ep, peer = pr.memory_channel(timeout=1.0)
     peer.send(pr.TAG_RESULT, payload)
     with pytest.raises(SerializationError, match="ciphertext"):

@@ -35,18 +35,23 @@ MODES = ("pe", "pe+req", "pe+pp", "rep")
 @lru_cache(maxsize=None)
 def world(mode):
     """(secret, program, req, pp, the frames an honest cloud sends as
-    (tag, ciphertext count, digest bytes))."""
+    (tag, ciphertext count, digest bytes)); the secret's registry holds the
+    program's inputs, as if it had authenticated them."""
     rng = random.Random(90)
     if mode == "rep":
         sec = rep.rep_keygen(PARAMS, lam=8, rng=rng, make_he_keys=False)
         b = ProgramBuilder(width=N // 8, name="sum")
         prog = b.build(b.add(b.input("a"), b.input("b")), output_block=(0, N // 8))
+        for base, length in zip("ab", LENGTHS):
+            sec.registry.register(base, length)
         chunks = rep.rep_result_count(sec, prog, LENGTHS)
         return sec, prog, False, False, ((pr.TAG_RESULT, chunks, 64),)
     sec = pe.pe_keygen(PARAMS, rng=rng, make_he_keys=False)
     b = ProgramBuilder(width=N, name="quartic")
     u, v = b.input("u"), b.input("v")
     prog = b.build(b.mul(b.mul(u, u), b.mul(v, v)), output_block=(0, 4))
+    for base in "uv":
+        sec.registry.register(base, N)
     req, pp = mode == "pe+req", mode == "pe+pp"
     d, schedule = pe.degree_schedule(prog, use_reducer=req)
     if pp:
@@ -108,9 +113,7 @@ def test_client_session_gives_a_verdict_or_a_protocol_error(mode, data):
         cloud.send(tag, body)
     cloud.close()
     try:
-        ok, claim = pr.client_session(
-            sec, client, prog, ep, req, pp, random.Random(92), [], LENGTHS if mode == "rep" else ()
-        )
+        ok, claim = pr.client_session(sec, client, prog, ep, req, pp, random.Random(92), [])
     except ProtocolError:
         return
     finally:
