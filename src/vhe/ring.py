@@ -10,21 +10,25 @@ negacyclic convolution into a pointwise product:
     ψ-twisted coefficients a_i·ψ^i, with ω = ψ² as the size-N root.
 
 Output index k therefore holds the evaluation of a(X) at X = ψ^{2k+1}, in
-natural order.  For primes below 2^31 one numpy kernel transforms a whole
+natural order.  For primes below 2^30 one numpy kernel transforms a whole
 (..., k, n) residue stack per call, row i reduced mod prime i, with
 per-row tables cached once per prime tuple (:func:`stack_ntt`,
 :func:`stack_intt`): a radix-2 constant-geometry DIF transform
 (Stockham's autosort), natural order in and out.  After the ψ^i twist
 (Longa–Naehrig) each of the log2 n stages reads the two contiguous halves
 of every row and writes its butterflies interleaved into a second buffer:
-no bit-reversal gather, no transpose, no short strided loops.  Entries
-stay in [0, 2q) (Harvey's lazy butterflies) and each stage takes one exact
-reduction, on the twiddle product; its bound 4q·q < 2^64 is why the kernel
-needs q < 2^31.  At n = 4096 (2-core VM) a 7-row forward takes 1.4 ms and
-a 49-row one 11.7 ms (BENCH_18.json); the bit-reversed kernel it replaced
-took 1.56× and 1.50× as long (BENCH_14.json).  Larger primes (up to the
-2^60 cap) take an exact pure-Python path, also the tests' reference.  All
-arithmetic is exact integer.
+no bit-reversal gather, no transpose, no short strided loops.  Every
+stage runs in uint32 lanes.  Entries stay in [0, 2q) (Harvey's lazy
+butterflies): a + b is folded by one min-subtract, and the twiddle
+product is Shoup's, x·w − ⌊x·w′/2^32⌋·q with the precomputed quotient
+w′ = ⌊w·2^32/q⌋, which lies in [0, 2q) for any x < 2^32 and wraps
+harmlessly mod 2^32 (Harvey, J. Symbolic Comput. 2014).  The kernel takes
+no division, no ``%`` and no floating point; its lanes hold 4q, which is
+why it needs q < 2^30.  At n = 4096 (2-core VM) a 7-row forward takes
+1.3 ms and a 49-row one 9.0 ms (BENCH_29.json), 0.79× and 0.66× the
+uint64 kernel with a division per stage that it replaced.  Larger primes
+(up to the 2^60 cap) take an exact pure-Python path, also the tests'
+reference.  All arithmetic is exact integer.
 
 Batching: when t ≡ 1 (mod 2N) the same transform gives the slot
 isomorphism R_t ≅ Z_t^N.  Slots are arranged as a 2 × (N/2) matrix in
@@ -44,8 +48,9 @@ import numpy as np
 from .errors import ParameterError
 
 MAX_MODULUS_BITS = 60  # residues must serialize as u64 and fit CRT bounds
-_NUMPY_LIMIT = 1 << 31  # the stacked kernel's lazy bound 4q·q < 2^64
-_EXPAND = 8  # kernel stages of stride below this store expanded twiddles
+_NUMPY_LIMIT = 1 << 31  # slot_array's int64 bound: the product of two slots fits
+_KERNEL_LIMIT = 1 << 30  # the stacked kernel's bound: its uint32 lanes hold 4q
+_HIGH = int(np.little_endian)  # the index of a uint64's high uint32 word
 
 # ---------------------------------------------------------------------------
 # primality
@@ -113,7 +118,7 @@ class Modulus:
             raise ParameterError(f"{value} is not ≡ 1 mod {2 * n}; NTT unavailable")
         self.value = value
         self.n = n
-        self._np_path = value < _NUMPY_LIMIT
+        self._np_path = value < _KERNEL_LIMIT
         self._tables = None
         self._slot_to_eval = None
         self._stacks = {}  # kernel tables of the prime tuples this one leads
@@ -129,9 +134,9 @@ class Modulus:
         while pow(g, (p - 1) // 2, p) != p - 1:
             g += 1
         psi = pow(g, (p - 1) // (2 * n), p)
-        # int64 products of two residues stay exact below 2^31, where the
-        # powers are kept as uint32 for the stacked kernel's tables; above,
-        # they are Python integers for the pure-Python transform
+        # int64 products of two residues stay exact below the kernel's 2^30,
+        # where the powers are kept as uint32 for its tables; above, they
+        # are Python integers for the pure-Python transform
         dtype = np.int64 if self._np_path else object
         psi_pows = _powers(psi, n, p, dtype)
         ipsi_pows = _powers(pow(psi, p - 2, p), n, p, dtype)
@@ -237,37 +242,41 @@ def _dit_py(x, p, pows, bitrev, n):
 class _StackTables:
     """Per-row kernel tables for a tuple of NTT primes of one degree.
 
-    One uint32 row per prime, broadcasting over leading axes: ``twist``
-    holds ψ^i, ``post`` n⁻¹·ψ⁻ⁱ, and ``fwd``/``inv`` one table per stage of
-    :func:`_stages`, ω^{±p·s} for block p < m = n/(2s) at stride s.  Below
-    stride ``_EXPAND`` it is repeated to (k, m, s), so the product runs
-    along whole rows; above, a (k, m, 1) table broadcasts over long runs.
-    At n = 4096 that is 1.31× a bit-reversed kernel's 4·k·n words.
+    Every table is a pair (w, w′) of uint32 arrays, one row per prime,
+    broadcasting over leading axes, where w′ = ⌊w·2^32/q⌋ is w's Shoup
+    companion (:func:`_mul_shoup`).  ``twist`` holds ψ^i, ``post``
+    n⁻¹·ψ⁻ⁱ, and ``fwd``/``inv`` one pair per stage of :func:`_stages`,
+    ω^{±p·s} for block p < m = n/(2s) at stride s, as a (k, m, 1) table
+    that broadcasts over the stride.  At 8n − 4 words per prime, companions
+    included, that is twice a bit-reversed kernel's 4·k·n words.
     """
 
-    __slots__ = ("q", "twist", "fwd", "inv", "post")
+    __slots__ = ("q", "q2", "twist", "fwd", "inv", "post")
 
     def __init__(self, mods):
         n = mods[0].n
         if any(m.n != n for m in mods):
             raise ParameterError("stacked moduli must share one ring degree")
         if not all(m._np_path for m in mods):
-            raise ParameterError("the stacked transform needs primes below 2^31")
+            raise ParameterError("the stacked transform needs primes below 2^30")
         tables = [m._get_tables() for m in mods]
-        self.q = np.array([m.value for m in mods], dtype=np.uint64)[:, None]
-        self.twist = np.stack([t[1] for t in tables])
-        ipsi = np.stack([t[2] for t in tables])
+        q = np.array([m.value for m in mods], dtype=np.uint64)[:, None]
+        self.q, self.q2 = q.astype(np.uint32), (2 * q).astype(np.uint32)
+        psi = np.stack([t[1] for t in tables]).astype(np.uint64)
+        ipsi = np.stack([t[2] for t in tables]).astype(np.uint64)
         ninv = np.array([t[4] for t in tables], dtype=np.uint64)[:, None]
-        self.fwd = _stage_twiddles(self.twist)
-        self.inv = _stage_twiddles(ipsi)
-        self.post = (ipsi * ninv % self.q).astype(np.uint32)
+        self.twist = _with_shoup(psi, q)
+        self.post = _with_shoup(ipsi * ninv % q, q)
+        # stage s's twiddles ω^{p·s} = ψ^{2p·s}, p < n/(2s), for s = 1, 2, …, n/2
+        strides = [1 << j for j in range(n.bit_length() - 1)]
+        self.fwd = tuple(_with_shoup(psi[:, :: 2 * s, None], q[..., None]) for s in strides)
+        self.inv = tuple(_with_shoup(ipsi[:, :: 2 * s, None], q[..., None]) for s in strides)
 
 
-def _stage_twiddles(pows: np.ndarray) -> tuple:
-    """Stage s's twiddles ω^{p·s} = ψ^{2p·s}, p < n/(2s), for s = 1, 2, …, n/2."""
-    n = pows.shape[-1]
-    return tuple(np.repeat(pows[:, :: 2 * s, None], s if s < _EXPAND else 1, axis=2)
-                 for s in (1 << j for j in range(n.bit_length() - 1)))
+def _with_shoup(w: np.ndarray, q: np.ndarray) -> tuple:
+    """The uint64 residues w < q < 2^30 and their Shoup companions
+    ⌊w·2^32/q⌋, both as uint32."""
+    return w.astype(np.uint32), ((w << np.uint64(32)) // q).astype(np.uint32)
 
 
 def _stack_tables(mods) -> _StackTables:
@@ -314,60 +323,86 @@ def fold_rows(y: np.ndarray, q: np.ndarray, tmp: np.ndarray | None = None) -> np
     return y
 
 
+def _mul_shoup(x: np.ndarray, table: tuple, q: np.ndarray, out: np.ndarray,
+               wide: np.ndarray) -> np.ndarray:
+    """out = x·w mod q, lazily in [0, 2q), for uint32 lanes x and the
+    table pair (w, w′), w < q < 2^30: Shoup's x·w − ⌊x·w′/2^32⌋·q, both
+    products wrapping mod 2^32, lies in [0, 2q) for every x < 2^32.  The
+    quotient is the high word of x·w′ in `wide`, a C-ordered uint64 buffer
+    of x's shape.  `out` may be x."""
+    w, w_shoup = table
+    np.multiply(x, w_shoup, out=wide, dtype=np.uint64)
+    np.multiply(x, w, out=out)
+    quot = wide.view(np.uint32)[..., _HIGH::2]
+    np.multiply(quot, q, out=quot)
+    return np.subtract(out, quot, out=out)
+
+
 def _stages(y: np.ndarray, tables: _StackTables, stage: tuple) -> np.ndarray:
-    """Lazy constant-geometry DIF stages over natural-order (..., k, n) rows.
+    """Lazy constant-geometry DIF stages over natural-order (..., k, n)
+    uint32 rows.
 
     The stage of stride s reads the halves a = y[..., :n/2] and b =
     y[..., n/2:] as (m, s) blocks, m = n/(2s), and writes a + b and
     (a − b + 2q)·ω^{p·s} mod q to the two halves of the output's (2, s)
     block p, copying whole s-word blocks; after log2 n stages the result is
-    in natural order.  Entries enter each stage in [0, 2q); an unsigned
-    min-subtract (x − 2q wraps above x when x < 2q) keeps a + b there, and
-    the product, below 4q·q < 2^64, takes the reduction.  Overwrites y.
+    in natural order.  Entries enter each stage in [0, 2q), so a − b + 2q
+    and a + b lie below 4q < 2^32; an unsigned min-subtract (x − 2q wraps
+    above x when x < 2q) folds a + b back, and the product is Shoup's
+    (:func:`_mul_shoup`).  Overwrites y.
     """
-    q2 = 2 * tables.q
+    q, q2 = tables.q[..., None], tables.q2
     lead, h = y.shape[:-1], y.shape[-1] // 2
-    out = np.empty(y.shape, dtype=np.uint64)
-    t = np.empty(lead + (h,), dtype=np.uint64)
-    u = np.empty_like(t)
-    for w in stage:
-        m = w.shape[1]
-        block = np.dtype((np.void, 8 * (h // m)))
+    out = np.empty_like(y)
+    t, r = np.empty((2, *lead, h), dtype=np.uint32)
+    wide = np.empty(lead + (h,), dtype=np.uint64)
+    for table in stage:
+        m = table[0].shape[1]
+        runs = (*lead, m, h // m)
+        block = np.dtype((np.void, 4 * (h // m)))
         a, b = y[..., :h], y[..., h:]
         halves = out.view(block).reshape(*lead, m, 2)
-        np.subtract(a, b, out=t)
-        t += q2
-        tw = t.reshape(*lead, m, h // m)
-        tw *= w
-        reduce_rows(t, tables.q, u)
-        np.copyto(halves[..., 1], t.view(block))
-        fold_rows(np.add(a, b, out=t), q2, u)
+        np.add(a, q2, out=t)
+        t -= b
+        _mul_shoup(t.reshape(runs), table, q, r.reshape(runs), wide.reshape(runs))
+        np.copyto(halves[..., 1], r.view(block))
+        np.add(a, b, out=t)
+        np.minimum(t, np.subtract(t, q2, out=r), out=t)
         np.copyto(halves[..., 0], t.view(block))
         y, out = out, y
     return y
 
 
-def stack_ntt(x, mods) -> np.ndarray:
-    """Forward transform of a (..., k, n) stack; row i is reduced mod mods[i].
+def _lanes(x, tables: _StackTables) -> np.ndarray:
+    """x, int64 entries in [0, 2^32), as a fresh C-ordered uint32 stack of
+    (..., k, n) rows: a (..., 1, n) row broadcasts over the k primes."""
+    x = np.asarray(x, dtype=np.int64)
+    shape = np.broadcast_shapes(x.shape, tables.twist[0].shape)
+    return np.broadcast_to(x, shape).astype(np.uint32, order="C")
 
-    Every q_i must lie below 2^31 and every entry in [0, 2^32): the ψ
-    twist reduces it (x·ψ^i < 2^63).  The result is :meth:`Modulus.ntt` of
-    each row reduced mod q_i, as int64.
+
+def stack_ntt(x, mods) -> np.ndarray:
+    """Forward transform of a (..., k, n) stack; row i is reduced mod mods[i],
+    and a (..., 1, n) stack broadcasts over the k primes.
+
+    Every q_i must lie below 2^30 and every entry in [0, 2^32): the ψ
+    twist reduces it.  The result is :meth:`Modulus.ntt` of each row
+    reduced mod q_i, as int64.
     """
     tables = _stack_tables(tuple(mods))
-    y = np.multiply(np.asarray(x, dtype=np.int64).view(np.uint64), tables.twist, order="C")
-    reduce_rows(y, tables.q)
+    y = _lanes(x, tables)
+    _mul_shoup(y, tables.twist, tables.q, y, np.empty(y.shape, dtype=np.uint64))
     y = _stages(y, tables, tables.fwd)
-    return fold_rows(y, tables.q).view(np.int64)
+    return np.minimum(y, y - tables.q, dtype=np.int64)
 
 
 def stack_intt(x, mods) -> np.ndarray:
-    """Inverse of :func:`stack_ntt` (coefficients in [0, q_i), int64)."""
+    """Inverse of :func:`stack_ntt` for entries in [0, 2q_i) (coefficients
+    in [0, q_i), int64)."""
     tables = _stack_tables(tuple(mods))
-    y = _stages(np.array(x, dtype=np.int64, order="C").view(np.uint64), tables, tables.inv)
-    y *= tables.post
-    reduce_rows(y, tables.q)
-    return y.view(np.int64)
+    y = _stages(_lanes(x, tables), tables, tables.inv)
+    _mul_shoup(y, tables.post, tables.q, y, np.empty(y.shape, dtype=np.uint64))
+    return np.minimum(y, y - tables.q, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +430,7 @@ def slot_array(values, t: int) -> np.ndarray:
 
 def _rows(x: np.ndarray, mod: Modulus, stacked, one) -> np.ndarray:
     """A transform of every (n,) row of `x`: one `stacked` call over the
-    whole stack below 2^31, the pure-Python `one` row by row above."""
+    whole stack below 2^30, the pure-Python `one` row by row above."""
     if mod._np_path:
         return stacked(x[..., None, :], (mod,))[..., 0, :]
     return np.array([one(r) for r in x.reshape(-1, mod.n)], dtype=np.int64).reshape(x.shape)
