@@ -3,8 +3,14 @@
 # verify, refuse a malformed program or a missing file — then run seeded attack simulations, a micro-benchmark, an
 # end-to-end use case, a packed-proof session over loopback TCP on the
 # real backend and a replication session on the mock, all through the
-# `vhe` command.
+# `vhe` command, or from a checkout through `python3 -m vhe.harness.cli`.
 set -euo pipefail
+
+if ! command -v vhe > /dev/null; then
+    # not installed: run the CLI module off this checkout's src
+    export PYTHONPATH="$(cd "$(dirname "$0")/.." && pwd)/src${PYTHONPATH:+:$PYTHONPATH}"
+    vhe() { python3 -m vhe.harness.cli "$@"; }
+fi
 
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
@@ -103,9 +109,10 @@ vhe eval --program dot8.json --inputs x16.vrts y16.vrts \
 expect_error vhe verify --key keys/secret.vrts --program dot8.json --result result16.vrts
 
 echo
-echo "== 7. simulate forgers (each fails the run if it beats its bound) =="
-vhe attack --strategy slot-perturb --trials 1000 --lambda 8 --seed 1 --out report
-vhe attack --strategy tamper-pp-response --degree 8 --trials 200 --seed 1
+echo "== 7. simulate forgers, every strategy at its default encoding (each fails the run if it beats its bound) =="
+for strategy in $(python3 -c 'from vhe.harness.attacks import STRATEGIES; print(*STRATEGIES)'); do
+    vhe attack --strategy "$strategy" --trials 200 --seed 1 --out report
+done
 
 echo
 echo "== 8. per-slot cost trends on the real backend =="

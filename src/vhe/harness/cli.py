@@ -278,7 +278,7 @@ def _cmd_usecase(args) -> int:
         lam=args.lam,
         seed=args.seed,
     )
-    report = run_usecase(spec, auth=args.auth, real=args.real)
+    report = run_usecase(spec, real=args.real)
     print(report.summary())
     _emit_report(args.out, f"usecase-{args.name}-{args.auth}", [report.to_dict()])
     return 0 if report.match and report.verdict is not False else 1

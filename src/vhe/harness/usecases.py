@@ -21,8 +21,9 @@ the authenticated pipeline for ``auth`` ∈ {rep, pe, pe+pp, pe+req}; under
 ``none`` the baseline is the run.  Every mode runs one verified session
 (``protocols.cloud_session`` against ``protocols.client_session``, whose
 first message names the mode).  Stage accounting groups work the way
-deployment would bill it: *create* is the data owner's key generation
-plus authentication, *eval* is the cloud's circuit execution up to the
+deployment would bill it: *create* is the data owner's encryption (the
+baseline) or authentication, each timed after its keys and backends are
+made, *eval* is the cloud's circuit execution up to the
 return of ``rep_eval`` or ``pe_eval`` (including any reduction
 interaction), *verify* is the rest: the result or packed-proof exchange
 and the decrypting client's checks.
@@ -61,12 +62,14 @@ _DEFAULTS = {
 
 @dataclass(frozen=True)
 class UseCaseSpec:
-    """A fully pinned workload: shape knobs, parameter preset, seed."""
+    """A fully pinned workload: shape knobs, parameter preset, seed, and the
+    authenticator mode it runs under."""
 
     name: str
     preset_name: str
     lam: int
     seed: int = 0
+    auth: str = "none"
     drivers: int = 8
     vector_length: int = 1024
     db_entries: int = 32
@@ -86,12 +89,14 @@ def usecase_spec(
     """Build a spec with workable per-use-case defaults for `auth`."""
     if name not in USECASES:
         raise ParameterError(f"unknown use case {name!r}; one of {USECASES}")
+    if auth not in AUTH_MODES:
+        raise ParameterError(f"unknown auth mode {auth!r}; one of {AUTH_MODES}")
     packed_preset, rep_preset, rep_lam = _DEFAULTS[name]
     if preset_name is None:
         preset_name = rep_preset if auth == "rep" else packed_preset
     if lam is None:
         lam = rep_lam
-    spec = UseCaseSpec(name=name, preset_name=preset_name, lam=lam, seed=seed, **knobs)
+    spec = UseCaseSpec(name=name, preset_name=preset_name, lam=lam, seed=seed, auth=auth, **knobs)
     if name == "lookup" and spec.db_entries > 26**spec.entry_chars:
         raise ParameterError(
             f"{spec.db_entries} distinct {spec.entry_chars}-letter entries do not exist "
@@ -493,10 +498,9 @@ def _run_baseline(inst: Instance, params: Params, real: bool, seed: int):
     return timer.stages, answer
 
 
-def run_usecase(spec: UseCaseSpec, auth: str = "none", real: bool = False) -> UseCaseReport:
-    """End-to-end pipeline for one use case under one authenticator mode."""
-    if auth not in AUTH_MODES:
-        raise ParameterError(f"unknown auth mode {auth!r}; one of {AUTH_MODES}")
+def run_usecase(spec: UseCaseSpec, real: bool = False) -> UseCaseReport:
+    """End-to-end pipeline for one use case under the spec's authenticator mode."""
+    auth = spec.auth
     params = preset(spec.preset_name)
     n, t = params.n, params.t
     notes: list[str] = []
@@ -534,13 +538,14 @@ def run_usecase(spec: UseCaseSpec, auth: str = "none", real: bool = False) -> Us
         rep = auth == "rep"
         use_pp = auth == "pe+pp"
         use_req = auth == "pe+req"
+        # keys and backends before the timer, as the baseline's
+        if rep:
+            secret = rep_keygen(params, spec.lam, (inst.program,), rng, make_he_keys=real)
+        else:
+            extra = pp_required_steps(n) if use_pp else ()
+            secret = pe_keygen(params, (inst.program,), extra, rng, make_he_keys=real)
+        cloud, client = _cloud_and_client(params, secret.he_keys, spec.seed)
         with timer.stage("create"):
-            if rep:
-                secret = rep_keygen(params, spec.lam, (inst.program,), rng, make_he_keys=real)
-            else:
-                extra = pp_required_steps(n) if use_pp else ()
-                secret = pe_keygen(params, (inst.program,), extra, rng, make_he_keys=real)
-            cloud, client = _cloud_and_client(params, secret.he_keys, spec.seed)
             auths = [
                 rep_auth(secret, client, v, label) if rep else pe_auth(secret, client, _pad(v, n), label)
                 for v, label in zip(inst.values, inst.labels)

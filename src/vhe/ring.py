@@ -303,19 +303,15 @@ def reduce_rows(y: np.ndarray, q: np.ndarray, tmp: np.ndarray | None = None) -> 
     return y
 
 
-def fold_rows(y: np.ndarray, q: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+def fold_rows(y: np.ndarray, q: np.ndarray) -> np.ndarray:
     """y %= q_i on row i of a (..., k, n) stack whose entries lie in
     [0, 2q_i), for the (k, 1) modulus column q, in place and without a
     division: one unsigned min-subtract, min(y, y − q_i), since y − q_i
     wraps above y when y < q_i (Harvey's lazy reduction).  y and q are
-    int64 or uint64; `tmp`, if given, is a uint64 work buffer of y's shape.
-    Without it the rows are folded one at a time through one row's buffer:
-    as fast, and a sum allocates no second stack (a stack-sized temporary
-    raised pp-ride's peak RSS by about 1 MB)."""
+    int64 or uint64.  The rows are folded one at a time through one row's
+    buffer: as fast as a stack-sized one, and a sum allocates no second
+    stack (a stack-sized temporary raised pp-ride's peak RSS by about 1 MB)."""
     u, qu = y.view(np.uint64), q.view(np.uint64)
-    if tmp is not None:
-        np.minimum(u, np.subtract(u, qu, out=tmp), out=u)
-        return y
     tmp = np.empty(y.shape[:-2] + y.shape[-1:], dtype=np.uint64)
     for i in range(len(qu)):
         row = u[..., i, :]

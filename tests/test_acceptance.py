@@ -310,14 +310,14 @@ def test_criterion_7_communication_accounting():
     """Ride-hailing under the polynomial encoding costs exactly +1 uploaded
     and +2 downloaded ciphertexts against the unauthenticated baseline; a
     replication upload of l values at factor λ takes ⌈l·λ/N⌉ ciphertexts."""
-    report = run_usecase(usecase_spec("ride-hailing", auth="pe", seed=SEED), auth="pe")
+    report = run_usecase(usecase_spec("ride-hailing", auth="pe", seed=SEED))
     assert report.verdict is True
     sent_delta = report.cts_sent_per_client - report.baseline_cts_sent_per_client
     recv_delta = report.cts_received_client - report.baseline_cts_received_client
     assert (sent_delta, recv_delta) == (1, 2)
 
     spec = usecase_spec("aggregation", auth="rep", seed=SEED)
-    rep_report = run_usecase(spec, auth="rep")
+    rep_report = run_usecase(spec)
     assert rep_report.verdict is True
     n = rep_report.n
     assert rep_report.cts_sent_per_client == math.ceil(spec.weight_length * spec.lam / n)

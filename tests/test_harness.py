@@ -69,7 +69,7 @@ def _count_decrypts(monkeypatch, module) -> list:
 @pytest.mark.parametrize("auth", ["none", "rep", "pe", "pe+pp", "pe+req"])
 @pytest.mark.parametrize("name", ["ride-hailing", "dot-product", "aggregation"])
 def test_usecase_honest_accepts_and_matches_oracle(name, auth):
-    report = run_usecase(usecase_spec(name, auth=auth, seed=3), auth=auth)
+    report = run_usecase(usecase_spec(name, auth=auth, seed=3))
     assert report.match, f"{name}/{auth}: answer {report.answer} != {report.expected}"
     assert report.verdict is (None if auth == "none" else True)
     assert set(report.stages) == {"create", "eval", "verify"}
@@ -79,7 +79,7 @@ def test_usecase_honest_accepts_and_matches_oracle(name, auth):
 
 @pytest.mark.parametrize("auth", ["rep", "pe+req"])
 def test_lookup_deep_circuit(auth):
-    report = run_usecase(usecase_spec("lookup", auth=auth, seed=3), auth=auth)
+    report = run_usecase(usecase_spec("lookup", auth=auth, seed=3))
     assert report.match and report.verdict is True
     if auth == "pe+req":
         # seven over-cap products, one round each; result back at degree 2
@@ -94,7 +94,7 @@ def test_lookup_deep_circuit(auth):
 def test_usecase_without_authenticator_is_its_baseline():
     """auth="none" reports the baseline run itself instead of running the
     unauthenticated pipeline a second time."""
-    report = run_usecase(usecase_spec("ride-hailing", auth="none", seed=4), auth="none")
+    report = run_usecase(usecase_spec("ride-hailing", auth="none", seed=4))
     assert report.stages == report.baseline_stages
     assert report.match and report.verdict is None
 
@@ -102,13 +102,13 @@ def test_usecase_without_authenticator_is_its_baseline():
 def test_lookup_rejects_plain_encoding_before_crypto():
     """Degree 256 cannot ride a degree-8 encoding; refusal must be instant."""
     with pytest.raises(DegreeLimitError):
-        run_usecase(usecase_spec("lookup", auth="pe", seed=0), auth="pe")
+        run_usecase(usecase_spec("lookup", auth="pe", seed=0))
 
 
 def test_usecase_depth_budget_checked_first():
     spec = usecase_spec("lookup", auth="rep", preset_name="n4096", seed=0)
     with pytest.raises(ParameterError, match="depth"):
-        run_usecase(spec, auth="rep")
+        run_usecase(spec)
 
 
 def test_usecase_rejects_unknown_names():
@@ -118,12 +118,12 @@ def test_usecase_rejects_unknown_names():
     with pytest.raises(ParameterError, match="at most 26"):
         usecase_spec("lookup", db_entries=27, entry_chars=1)
     with pytest.raises(ParameterError):
-        run_usecase(usecase_spec("lookup", auth="rep"), auth="hmac")
+        usecase_spec("lookup", auth="hmac")
 
 
 def test_ridehailing_pe_ciphertext_deltas():
     """The squaring pipeline costs one extra upload, two extra downloads."""
-    report = run_usecase(usecase_spec("ride-hailing", auth="pe", seed=1), auth="pe")
+    report = run_usecase(usecase_spec("ride-hailing", auth="pe", seed=1))
     assert report.cts_sent_per_client - report.baseline_cts_sent_per_client == 1
     assert report.cts_received_client - report.baseline_cts_received_client == 2
     assert report.result_degree == 2
@@ -131,7 +131,7 @@ def test_ridehailing_pe_ciphertext_deltas():
 
 def test_aggregation_rep_ciphertext_count_matches_formula():
     spec = usecase_spec("aggregation", auth="rep", seed=1)
-    report = run_usecase(spec, auth="rep")
+    report = run_usecase(spec)
     n = 4096
     expected = math.ceil(spec.weight_length * spec.lam / n)
     assert report.cts_sent_per_client == expected == 32
@@ -139,7 +139,7 @@ def test_aggregation_rep_ciphertext_count_matches_formula():
 
 def test_aggregation_rep_runs_the_session_and_decrypts_each_result_once(monkeypatch):
     made = _count_decrypts(monkeypatch, usecases)
-    report = run_usecase(usecase_spec("aggregation", auth="rep", seed=1), auth="rep")
+    report = run_usecase(usecase_spec("aggregation", auth="rep", seed=1))
     assert report.verdict is True and report.match
     assert (report.cts_sent_per_client, report.cts_received_client) == (32, 32)
     # the baseline's cloud and client, then the session's
@@ -147,20 +147,20 @@ def test_aggregation_rep_runs_the_session_and_decrypts_each_result_once(monkeypa
 
 
 def test_aggregation_pe_degree_stays_flat():
-    report = run_usecase(usecase_spec("aggregation", auth="pe", seed=1), auth="pe")
+    report = run_usecase(usecase_spec("aggregation", auth="pe", seed=1))
     assert report.result_degree == 1
 
 
 def test_pp_brings_received_down_to_two():
     for name in ("ride-hailing", "dot-product"):
-        report = run_usecase(usecase_spec(name, auth="pe+pp", seed=2), auth="pe+pp")
+        report = run_usecase(usecase_spec(name, auth="pe+pp", seed=2))
         assert report.verdict is True
         assert report.cts_received_client == 2
 
 
 def test_usecase_real_backend_smoke():
     report = run_usecase(
-        usecase_spec("ride-hailing", auth="pe", seed=5), auth="pe", real=True
+        usecase_spec("ride-hailing", auth="pe", seed=5), real=True
     )
     assert report.match and report.verdict is True and report.real
 
@@ -227,9 +227,20 @@ def test_attack_trials_are_seed_reproducible():
     spec = AttackSpec(strategy="slot-perturb", trials=3_000, seed=21, lam=8)
     a = simulate_adversary(spec)
     b = simulate_adversary(spec)
-    assert a.accepts == b.accepts
+    assert a.accepts == b.accepts == 43  # pinned, as in test_slot_perturb_counts_are_pinned
     c = simulate_adversary(AttackSpec(strategy="slot-perturb", trials=3_000, seed=22))
     assert (a.accepts, a.seed) != (c.accepts, c.seed)
+
+
+@pytest.mark.parametrize(
+    "preset_name,lam,seed,trials,accepts",
+    [("mock64", 8, 1, 300, 4), ("mock64", 8, 5, 300, 2), ("mock16", 4, 3, 3000, 464)],
+)
+def test_slot_perturb_counts_are_pinned(preset_name, lam, seed, trials, accepts):
+    """The seeded counts stay the same across code changes: a change that
+    moves, adds or drops one draw of the simulator fails here."""
+    spec = AttackSpec("slot-perturb", trials, seed, preset_name=preset_name, lam=lam)
+    assert simulate_adversary(spec).accepts == accepts
 
 
 def test_attack_real_backend_smoke():
@@ -258,7 +269,7 @@ def test_attack_session_strategies_real_backend_smoke(strategy, degree):
     spec = AttackSpec(strategy=strategy, trials=3, seed=2, degree=degree, real=True)
     report = simulate_adversary(spec)
     assert report.real and report.trials == 3 and report.accepts == 0
-    world = attacks._PeWorld(spec)
+    world = attacks._World(spec)
     backend = world._backend(random.Random(1))
     req, pp = strategy == "tamper-req-message", strategy == "tamper-pp-response"
 

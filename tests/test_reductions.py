@@ -127,8 +127,9 @@ def test_every_reduction_is_the_remainder_on_drawn_stacks(name, seed):
 @pytest.mark.parametrize("dtype", [np.int64, np.uint64], ids=str)
 @pytest.mark.parametrize("buffered", [False, True], ids=["row buffer", "stack buffer"])
 def test_ring_reductions_are_the_remainder(lead, dtype, buffered):
-    """fold_rows on [0, 2q) and reduce_rows on [0, 2^62), in place, with a
-    stack-sized work buffer or without, equal `%` by the column."""
+    """fold_rows on [0, 2q), through its one-row buffer, and reduce_rows on
+    [0, 2^62), with a stack-sized work buffer or without, in place, equal
+    `%` by the column."""
     q = backend("n4096")._q.astype(dtype)
     rng = np.random.default_rng(63)
     shape = lead + (len(q), 64)
@@ -138,9 +139,9 @@ def test_ring_reductions_are_the_remainder(lead, dtype, buffered):
     wide[..., :4] = edges
     for reduce, x in ((fold_rows, below_2q), (reduce_rows, wide)):
         want = x % q
-        tmp = np.empty(shape, dtype=np.uint64 if reduce is fold_rows else dtype) if buffered else None
         y = x.astype(dtype)  # a fresh copy
-        assert reduce(y, q, tmp) is y and np.array_equal(y, want), reduce.__name__
+        args = (np.empty(shape, dtype),) if buffered and reduce is reduce_rows else ()
+        assert reduce(y, q, *args) is y and np.array_equal(y, want), reduce.__name__
 
 
 # ---------------------------------------------------------------------------
