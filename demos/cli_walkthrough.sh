@@ -113,6 +113,16 @@ echo "== 7. simulate forgers, every strategy at its default encoding (each fails
 for strategy in $(python3 -c 'from vhe.harness.attacks import STRATEGIES; print(*STRATEGIES)'); do
     vhe attack --strategy "$strategy" --trials 200 --seed 1 --out report
 done
+# each report is named by its strategy and encoding, so none replaced another
+for name in $(python3 -c 'from vhe.harness.attacks import STRATEGIES, AttackSpec
+print(*(f"attack-{s}-{AttackSpec(s).resolved_auth()}" for s in STRATEGIES))'); do
+    for ext in json csv; do
+        if [ ! -f "report/$name.$ext" ]; then
+            echo "missing report/$name.$ext" >&2
+            exit 1
+        fi
+    done
+done
 
 echo
 echo "== 8. per-slot cost trends on the real backend =="

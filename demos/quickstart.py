@@ -50,7 +50,7 @@ def main():
         rep_auth(secret, backend, rider, "rider"),
         rep_auth(secret, backend, driver, "driver"),
     ]
-    print(f"uploads: {sum(a.num_cts for a in auths)} ciphertexts")
+    print(f"uploads: {sum(len(a.cts) for a in auths)} ciphertexts")
 
     # Cloud side: evaluates over ciphertexts only — it never sees the data
     # and cannot tell challenge slots from payload slots.
@@ -67,9 +67,7 @@ def main():
     # A dishonest evaluator perturbs one slot of the result ciphertext.
     # Homomorphic malleability makes the forgery cheap to produce...
     delta = [1] + [0] * (params.n - 1)
-    forged = RepResult(
-        (backend.add(result.cts[0], backend.encrypt(delta)),), result.tag, lam
-    )
+    forged = RepResult((backend.add(result.cts[0], backend.encrypt(delta)),), result.tag)
     ok2, claim2 = check_result(secret, backend, prog, forged.cts, forged.tag)
     print(f"\nafter shifting one result slot by 1:")
     print(f"claimed squared distance: {claim2[0]}")

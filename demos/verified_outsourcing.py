@@ -20,7 +20,6 @@ from vhe.protocols import (
     client_session,
     cloud_session,
     pack_cts,
-    pp_required_steps,
     run_session,
     unpack_cts,
 )
@@ -65,7 +64,7 @@ def main():
     print(f"program {prog.name!r}: mul-depth {prog.depth} (result degree 8)")
 
     rng = random.Random(SEED)
-    secret = pe_keygen(params, extra_steps=sorted(pp_required_steps(n)), rng=rng)
+    secret = pe_keygen(params, pp=True, rng=rng)
     backend = bfv.BfvBackend(params, secret.he_keys, rng=np.random.default_rng(SEED))
 
     values = [rng.randrange(t) for _ in range(n)]

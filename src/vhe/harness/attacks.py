@@ -53,7 +53,7 @@ from functools import partial
 
 from ..circuit import Program, ProgramBuilder
 from ..errors import ParameterError
-from ..labels import fold_tags, hash_tree_eval
+from ..labels import hash_tree_eval
 from ..params import preset
 from ..pe import degree_schedule, pe_auth, pe_eval, pe_keygen, pe_soundness_bound
 from ..protocols import (
@@ -63,7 +63,6 @@ from ..protocols import (
     client_session,
     cloud_session,
     pack_cts,
-    pp_required_steps,
     run_session,
     unpack_cts,
 )
@@ -228,10 +227,8 @@ class _World:
             # a forgery blind to the challenge set matches λ/2 slots by chance
             self.bound = float(self.t) ** -(spec.lam // 2)
         else:
-            extra = pp_required_steps(self.n) if spec.strategy == "tamper-pp-response" else ()
-            self.secret = pe_keygen(
-                self.params, (self.program,), extra, rng, make_he_keys=spec.real
-            )
+            pp = spec.strategy == "tamper-pp-response"
+            self.secret = pe_keygen(self.params, (self.program,), pp, rng, make_he_keys=spec.real)
             self.bound = pe_soundness_bound(spec.degree, self.t)
         self.client = self._backend(random.Random(spec.seed + 1))
         length = self.n if width == self.n else self.l
@@ -376,7 +373,7 @@ def _rep_drop_input(w: _World):
         vals = [[rng.randrange(w.t) for _ in range(w.l)] for _ in range(3)]
         auths = [rep_auth(secret, backend, v, f"in{i}") for i, v in enumerate(vals)]
         result = w.eval(dropped, auths[:2], backend)
-        tag = hash_tree_eval(full, [fold_tags(a.tags) for a in auths])
+        tag = hash_tree_eval(full, [a.leaf for a in auths])  # the three uploads carry their leaves
         return check_result(secret, backend, full, result.cts, tag)[0]
 
     return trial, w.bound

@@ -23,14 +23,7 @@ from ..circuit import program_from_json
 from ..errors import VheError
 from ..params import preset, preset_names
 from ..pe import PeAuth, PeSecret, pe_auth, pe_eval, pe_keygen
-from ..protocols import (
-    check_result,
-    client_session,
-    cloud_session,
-    pp_required_steps,
-    tcp_connect,
-    tcp_listen,
-)
+from ..protocols import check_result, client_session, cloud_session, tcp_connect, tcp_listen
 from ..rep import RepAuth, RepResult, RepSecret, rep_auth, rep_eval, rep_keygen
 from .attacks import STRATEGIES, AttackSpec, simulate_adversary
 from .bench import BENCH_OPS, bench_summary, run_bench
@@ -62,8 +55,9 @@ def _read_values(path: str) -> list[int]:
         raise VheError(f"{path}: expected integers, {exc}") from None
 
 
-def _load(path: str):
-    return serialize.load_any(serialize.read_file(path))
+def _load(path: str, params=None):
+    """The container in `path`, its ciphertexts fitting `params` if given."""
+    return serialize.load_any(serialize.read_file(path), params=params)
 
 
 def _client(args):
@@ -141,8 +135,7 @@ def _cmd_keygen(args) -> int:
             raise VheError("--pp needs --auth pe: the packed proof verifies only PE")
         secret = rep_keygen(params, lam=args.lam, programs=progs, make_he_keys=real)
     else:
-        extra = pp_required_steps(params.n) if args.pp else ()
-        secret = pe_keygen(params, programs=progs, extra_steps=extra, make_he_keys=real)
+        secret = pe_keygen(params, programs=progs, pp=args.pp, make_he_keys=real)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     files = {"secret.vrts": _SAVE_SECRET[type(secret)](secret), "params.vrts": serialize.save_params(params)}
@@ -161,7 +154,7 @@ def _cmd_auth(args) -> int:
     if isinstance(secret, RepSecret):
         auth = rep_auth(secret, backend, values, args.base)
         blob = serialize.save_rep_auth(auth)
-        shape = f"{auth.length} values in {auth.num_cts} ciphertext(s), λ={auth.lam}"
+        shape = f"{len(values)} values in {len(auth.cts)} ciphertext(s), λ={auth.lam}"
     else:
         n = secret.params.n
         if len(values) > n:
@@ -196,7 +189,7 @@ def _evaluate(program, auths, backend, reducer=None):
     raise VheError("inputs mix authentication schemes")
 
 
-def _write_result(path, result, backend) -> str:
+def _write_result(path, result, backend, auths) -> str:
     """Write a result's container to `path`, if one is given, and return its
     one-line shape.  Every ciphertext is shrunk, as a session sends it: a
     result file is only decrypted."""
@@ -204,14 +197,14 @@ def _write_result(path, result, backend) -> str:
     if path:
         shrunk = replace(result, cts=tuple(backend.shrink(c) for c in result.cts))
         serialize.write_file(path, (serialize.save_rep_result if rep else serialize.save_pe_auth)(shrunk))
-    return f"{len(result.cts)} ciphertext(s), λ={result.lam}" if rep else f"degree {result.degree}"
+    return f"{len(result.cts)} ciphertext(s), λ={auths[0].lam}" if rep else f"degree {result.degree}"
 
 
 def _cmd_eval(args) -> int:
     program = _programs([args.program])[0]
-    auths = [_load(p) for p in args.inputs]
     backend = _eval_backend(args)
-    shape = _write_result(args.out, _evaluate(program, auths, backend), backend)
+    auths = [_load(p, backend.params) for p in args.inputs]
+    shape = _write_result(args.out, _evaluate(program, auths, backend), backend, auths)
     print(f"evaluated {program.name or 'program'} ({shape}) -> {args.out}")
     return 0
 
@@ -226,7 +219,7 @@ def _verdict(ok: bool, claim, reason: list) -> int:
 
 def _cmd_verify(args) -> int:
     secret, backend = _client(args)
-    result = _load(args.result)
+    result = _load(args.result, secret.params)
     program = _programs([args.program])[0]
     rep = isinstance(secret, RepSecret)
     if not isinstance(result, RepResult if rep else PeAuth):
@@ -251,7 +244,7 @@ def _cmd_attack(args) -> int:
     )
     report = simulate_adversary(spec)
     print(report.summary())
-    _emit_report(args.out, "attack", [report.to_dict()])
+    _emit_report(args.out, f"attack-{report.strategy}-{report.auth}", [report.to_dict()])
     # exit 1 when the 99% Wilson interval lies wholly above the analytic bound
     return int(report.wilson_low > report.analytic_bound)
 
@@ -287,8 +280,8 @@ def _cmd_usecase(args) -> int:
 def _cmd_serve(args) -> int:
     host, port = _parse_tcp(args.transport)
     program = _programs([args.program])[0]
-    auths = [_load(p) for p in args.inputs]
     backend = _eval_backend(args)
+    auths = [_load(p, backend.params) for p in args.inputs]
     endpoint, bound = tcp_listen(
         host, port, ready=lambda p: print(f"listening on {host}:{p}", flush=True)
     )
@@ -296,7 +289,7 @@ def _cmd_serve(args) -> int:
         result, reducer = cloud_session(backend, endpoint, lambda r: _evaluate(program, auths, backend, r))
     finally:
         endpoint.close()
-    shape = _write_result(args.out, result, backend)
+    shape = _write_result(args.out, result, backend, auths)
     rounds = f"{reducer.rounds} reduction round(s), " if reducer is not None else ""
     print(f"served one session on port {bound}: {rounds}{shape}")
     return 0

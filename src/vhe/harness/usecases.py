@@ -43,9 +43,9 @@ from .. import bfv
 from ..circuit import Program, ProgramBuilder, eval_he
 from ..errors import LayoutError, ParameterError
 from ..mock import MockBackend
-from ..params import Params, preset
+from ..params import Params, depth_budget, preset
 from ..pe import degree_schedule, pe_auth, pe_eval, pe_keygen
-from ..protocols import client_session, cloud_session, pp_required_steps, run_session
+from ..protocols import client_session, cloud_session, run_session
 from ..rep import rep_auth, rep_eval, rep_keygen
 
 USECASES = ("ride-hailing", "dot-product", "lookup", "aggregation")
@@ -469,11 +469,11 @@ def _cloud_and_client(params: Params, keys, seed: int):
 
 def _feasibility(inst: Instance, params: Params, auth: str):
     """Reject parameter/depth mismatches before any cryptographic work."""
-    depth = inst.program.depth
-    if params.depth_budget is not None and depth > params.depth_budget:
+    depth, budget = inst.program.depth, depth_budget(params.name)
+    if depth > budget:
         raise ParameterError(
             f"circuit depth {depth} exceeds the {params.name!r} depth budget "
-            f"of {params.depth_budget}; choose a deeper preset"
+            f"of {budget}; choose a deeper preset"
         )
     if auth in ("pe", "pe+pp", "pe+req"):
         # raises DegreeLimitError when the encoding cannot carry the circuit
@@ -542,8 +542,7 @@ def run_usecase(spec: UseCaseSpec, real: bool = False) -> UseCaseReport:
         if rep:
             secret = rep_keygen(params, spec.lam, (inst.program,), rng, make_he_keys=real)
         else:
-            extra = pp_required_steps(n) if use_pp else ()
-            secret = pe_keygen(params, (inst.program,), extra, rng, make_he_keys=real)
+            secret = pe_keygen(params, (inst.program,), use_pp, rng, make_he_keys=real)
         cloud, client = _cloud_and_client(params, secret.he_keys, spec.seed)
         with timer.stage("create"):
             auths = [

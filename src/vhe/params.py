@@ -6,9 +6,11 @@ plaintext modulus is a batching-friendly prime t ≪ Q, and the error
 distribution, the same for every set, is a centered binomial approximating
 a discrete Gaussian of standard deviation 3.2 (bfv.CBD_K).
 
-Presets are sized by measured noise margins: the `depth_budget` on each is
-the multiplicative depth the chain comfortably supports at its plaintext
-modulus, not a hard limiter (decryption verifies the actual noise).
+Presets are sized by measured noise margins.  Each preset's depth budget,
+the multiplicative depth its chain comfortably supports at its plaintext
+modulus, is harness policy and not a field of Params: `vhe usecase` reads
+it (`depth_budget`) to refuse a deeper circuit before any work, and
+decryption verifies the actual noise.
 """
 
 from __future__ import annotations
@@ -34,12 +36,11 @@ SHRINK_MARGIN_BITS = 20
 
 @dataclass(frozen=True)
 class Params:
-    """Ring degree, plaintext prime, RNS chain, and depth budget."""
+    """Ring degree, plaintext prime and RNS chain."""
 
     n: int
     t: int
     q_chain: tuple
-    depth_budget: int | None = None
     name: str = ""
 
     def __post_init__(self):
@@ -97,27 +98,15 @@ class Params:
         return (
             f"{self.name or 'custom'}: n={self.n}, log2(Q)≈{self.big_q.bit_length()}, "
             f"t={self.t} ({self.t.bit_length()}-bit), chain={len(self.q_chain)} primes, "
-            f"depth budget={self.depth_budget}, security {self.security}"
+            f"security {self.security}"
         )
 
 
-def make_params(
-    n: int,
-    t_bits: int = 16,
-    chain_len: int = 4,
-    depth_budget: int | None = None,
-    name: str = "",
-) -> Params:
+def make_params(n: int, t_bits: int = 16, chain_len: int = 4, name: str = "") -> Params:
     """Construct a parameter set, searching for suitable primes."""
     t = find_plaintext_prime(t_bits, n).value
     chain = tuple(find_ntt_primes(CHAIN_PRIME_BITS, n, chain_len, exclude=(t,)))
-    return Params(
-        n=n,
-        t=t,
-        q_chain=chain,
-        depth_budget=depth_budget,
-        name=name,
-    )
+    return Params(n=n, t=t, q_chain=chain, name=name)
 
 
 _PRESETS = {
@@ -157,5 +146,11 @@ def preset(name: str) -> Params:
         raise ParameterError(
             f"unknown preset {name!r}; available: {', '.join(preset_names())}"
         )
-    cfg = dict(_PRESETS[name])
+    cfg = {k: v for k, v in _PRESETS[name].items() if k != "depth_budget"}
     return make_params(name=name, **cfg)
+
+
+def depth_budget(name: str) -> int:
+    """A preset's depth budget (see the module docstring)."""
+    preset(name)  # refuses an unknown name
+    return _PRESETS[name]["depth_budget"]

@@ -81,23 +81,37 @@ class PeAuth:
         return len(self.cts) - 1
 
 
+def pp_lanes(d: int) -> int:
+    """K = 2^⌈log2(d + 2)⌉, the lanes a degree-d packed-proof response
+    (protocols.pp_prove) is summed into."""
+    return 1 << (d + 1).bit_length()
+
+
+def pp_required_steps(n: int):
+    """Rotation steps the packed proof needs at every degree the encoding
+    allows: the strides below K at MAX_DEGREE, within a row."""
+    width = min(pp_lanes(MAX_DEGREE), n // 2)
+    return {1 << u for u in range(width.bit_length() - 1)}
+
+
 def pe_keygen(
     params: Params,
     programs=(),
-    extra_steps=(),
+    pp: bool = False,
     rng: random.Random | None = None,
     make_he_keys: bool = True,
 ) -> PeSecret:
-    """Draw the PRF key and a uniform α ∈ Z_t*; optionally make HE keys.
-    Without `rng` (seeded experiments and tests pass one) each is drawn
-    from `secrets`."""
+    """Draw the PRF key and a uniform α ∈ Z_t*; optionally make HE keys,
+    with the packed proof's rotation keys too if `pp`.  Without `rng`
+    (seeded experiments and tests pass one) each is drawn from `secrets`."""
     rnd = rng if rng is not None else random.Random(_secrets.randbits(128))
     alpha = rnd.randrange(1, params.t)
     key = PrfKey.generate(rng)
     he_keys = None
     if make_he_keys:
         gen = None if rng is None else np.random.default_rng(rnd.getrandbits(64))
-        he_keys = bfv.program_keys(params, programs, 1, extra_steps, rng=gen)
+        steps = pp_required_steps(params.n) if pp else ()
+        he_keys = bfv.program_keys(params, programs, 1, steps, rng=gen)
     return PeSecret(params, key, alpha, he_keys)
 
 

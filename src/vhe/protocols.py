@@ -26,7 +26,8 @@ Params.shrink_primes primes before it leaves the cloud (BfvBackend.shrink).
 A message of c such ciphertexts is 5 + 1 + c·(17 + 4·2·k′·n) bytes framed:
 65,559 for a PP commitment or response at n = 4096 and k′ = 2 (229,399 at
 the full chain of 7), and 131,112 for a ReQ high-term pair; a REP result
-adds its 64-byte digest.  The client's blinded ReQ
+adds its 64-byte digest (65,623 for one ciphertext), and its payload is
+byte for byte the body of its result container.  The client's blinded ReQ
 replies re-enter evaluation, so they stay on the full chain: 458,792
 bytes at n = 4096.
 
@@ -68,10 +69,11 @@ from .circuit import Program, slot_add, slot_mul, slot_sub
 from .errors import (
     DecryptionFailureError, ParameterError, ProtocolError, SerializationError, StructureError, reject,
 )
-from .pe import MAX_DEGREE, PeAuth, PeSecret, degree_schedule, offset_walk, pe_check, pe_target
+from .pe import PeAuth, PeSecret, degree_schedule, offset_walk, pe_check, pe_target, pp_lanes
+from .pe import pp_required_steps  # noqa: F401  (perfbench imports it from here)
 from .rep import RepResult, RepSecret, rep_check, rep_result_count
 from .ring import _powers, slot_array, slot_poly_eval
-from .serialize import load_cts, save_cts
+from .serialize import load_cts, read_rep_result, save_cts
 
 TAG_PP_RESULT = 0x01
 TAG_PP_CHALLENGE = 0x02
@@ -121,10 +123,15 @@ def unpack_cts(payload: bytes, count: int | None = None, params=None):
     refuses (malformed, not exactly `count` ciphertexts when `count` is
     given, or with `params` a ciphertext shape that does not fit them)
     raises only ProtocolError."""
+    return list(_unpack(load_cts, payload, count, params))
+
+
+def _unpack(read, payload: bytes, count, params):
+    """read(payload, count, params), a payload it refuses raising only ProtocolError."""
     try:
-        return list(load_cts(payload, count, params))
+        return read(payload, count, params)
     except SerializationError as exc:
-        raise ProtocolError(f"malformed ciphertext in payload: {exc}") from exc
+        raise ProtocolError(f"malformed payload: {exc}") from exc
 
 
 def _recv(endpoint, tag: int) -> bytes:
@@ -319,18 +326,6 @@ def run_session(cloud_fn, client_fn):
 # ---------------------------------------------------------------------------
 
 
-def _lanes(d: int) -> int:
-    """K = 2^⌈log2(d + 2)⌉, the lanes a degree-d response is summed into."""
-    return 1 << (d + 1).bit_length()
-
-
-def pp_required_steps(n: int):
-    """Rotation steps the packing needs at every degree the encoding
-    allows: the strides below K at MAX_DEGREE, within a row."""
-    width = min(_lanes(MAX_DEGREE), n // 2)
-    return {1 << u for u in range(width.bit_length() - 1)}
-
-
 def _merge(backend, c, d, mask, stride):
     """Interleave two merged vectors: slots with `mask` set take C's window,
     the others D's; each window doubles to 2·stride.  One rotation."""
@@ -358,11 +353,14 @@ def pp_prove(backend, result: PeAuth, endpoint):
     params = backend.params
     n, t = params.n, params.t
     d = result.degree
-    width = _lanes(d)
+    width = pp_lanes(d)
     if width > n // 2:
         raise ParameterError(f"degree {d} does not fit the packing layout")
     endpoint.send(TAG_PP_RESULT, pack_cts([backend.shrink(result.cts[0])]))
-    delta, beta = struct.unpack("<QQ", _recv(endpoint, TAG_PP_CHALLENGE))
+    challenge = _recv(endpoint, TAG_PP_CHALLENGE)
+    if len(challenge) != 16:
+        raise ProtocolError("the challenge must be two u64 values; session aborted")
+    delta, beta = struct.unpack("<QQ", challenge)
     pows = _powers(delta, n, t, slot_array([0], t).dtype)
     plain = backend.encode_plain(pows)
     level = [backend.mul_plain(c, plain) for c in result.cts]
@@ -417,7 +415,7 @@ def pp_verify(
     if failures:
         return reject(reason, f"a received ciphertext failed to decrypt ({failures} of 2)"), m
     d, _ = degree_schedule(program, use_reducer=offset is not None)
-    lanes = np.asarray(w, dtype=np.int64).reshape(-1, _lanes(d)).sum(0) % t  # n·t < 2^53
+    lanes = np.asarray(w, dtype=np.int64).reshape(-1, pp_lanes(d)).sum(0) % t  # n·t < 2^53
     if lanes[d + 2 :].any():
         return reject(reason, "a padding lane of the response is nonzero"), m
     *ws, packed_sum = lanes[: d + 2].tolist()
@@ -460,8 +458,11 @@ class ReqCloudSession:
         c4 = comps[4] if d == 4 else b.encrypt_zero()  # the trivial zero
         self.endpoint.send(TAG_REQ_HIGH_TERMS, pack_cts([b.shrink(comps[3]), b.shrink(c4)]))
         e1, e2 = unpack_cts(_recv(self.endpoint, TAG_REQ_BLINDED), 2, b.params)
-        b.check_operand(e1)
-        b.check_operand(e2)
+        try:
+            b.check_operand(e1)
+            b.check_operand(e2)
+        except SerializationError as exc:
+            raise ProtocolError(f"a blinded reply is not an operand: {exc}") from exc
         self.rounds += 1
         return (comps[0], b.add(comps[1], e1), b.add(comps[2], e2))
 
@@ -565,7 +566,8 @@ def cloud_session(backend, endpoint, evaluate) -> tuple:
     message names: the result of `evaluate(reducer)`, a ReqCloudSession if
     it asks for ReQ and else None, closes with the packed proof if it asks
     for PP, or else in one result message: every ciphertext shrunk, then a
-    RepResult's digest.  Returns (result, reducer)."""
+    RepResult's digest, as its result container's body.  Returns (result,
+    reducer)."""
     mode = _recv(endpoint, TAG_MODE)
     if len(mode) != 1 or mode[0] > MODE_REQ | MODE_PP:
         raise ProtocolError("the mode message must be one byte of at most 3; session aborted")
@@ -606,9 +608,8 @@ def client_session(
             raise ParameterError("a replication session runs neither ReQ nor the packed proof")
         chunks = rep_result_count(secret, program, lengths)
         endpoint.send(TAG_MODE, bytes([0]))
-        payload = _recv(endpoint, TAG_RESULT)  # the digest is its last 64 bytes
-        cts = unpack_cts(payload[:-64], chunks, secret.params)
-        return check_result(secret, backend, program, cts, payload[-64:], reason=reason)
+        res = _unpack(read_rep_result, _recv(endpoint, TAG_RESULT), chunks, secret.params)
+        return check_result(secret, backend, program, res.cts, res.tag, reason=reason)
     d, _ = degree_schedule(program, use_reducer=req)
     session = ReqClientSession(secret, backend, program, rng=rng) if req else None
     endpoint.send(TAG_MODE, bytes([req * MODE_REQ | pp * MODE_PP]))

@@ -7,10 +7,12 @@ of λ consecutive slots carries
     M[i·λ + j] = F_K(τ_i, j)           for j ∈ S   (challenge offsets)
 
 where S is a secret uniformly-drawn subset of exactly λ/2 of the block
-offsets and τ_i = (base label, component i).  Each component additionally
-carries a tag ν_i = F_K(τ_i).  The evaluator runs the circuit with every
-rotation step scaled by λ (so block offsets never mix) and folds the
-circuit structure plus input tags into one digest with impartial hashing.
+offsets and τ_i = (base label, component i).  Each component has a tag
+ν_i = F_K(τ_i); the upload carries only their fold, one 64-byte leaf per
+input (`rep_leaf`), since that is all the evaluator hashes.  The evaluator
+runs the circuit with every rotation step scaled by λ (so block offsets
+never mix) and folds the circuit structure plus the input leaves into one
+digest with impartial hashing.
 
 The verifier (`rep_check`, on decrypted slots) re-derives the challenge
 offsets: the replica offsets of each output position must agree, and
@@ -49,24 +51,15 @@ class RepSecret:
     he_keys: bfv.KeySet | None = None
     registry: LabelRegistry = field(default_factory=LabelRegistry)
 
-    @property
-    def slots_per_ct(self) -> int:
-        return self.params.n // self.lam
-
 
 @dataclass(frozen=True)
 class RepAuth:
-    """Authenticated upload: extended ciphertexts plus per-component tags."""
+    """Authenticated upload: extended ciphertexts plus the input's leaf."""
 
     base: Identifier
-    length: int
     lam: int
     cts: tuple
-    tags: tuple
-
-    @property
-    def num_cts(self) -> int:
-        return len(self.cts)
+    leaf: bytes
 
 
 @dataclass(frozen=True)
@@ -75,7 +68,6 @@ class RepResult:
 
     cts: tuple
     tag: bytes
-    lam: int
 
 
 def rep_ct_count(length: int, lam: int, n: int) -> int:
@@ -122,7 +114,7 @@ def rep_extend(secret: RepSecret, values, base: Identifier) -> np.ndarray:
     """
     params, lam = secret.params, secret.lam
     t = params.t
-    per_ct = secret.slots_per_ct
+    per_ct = params.n // lam
     m = slot_array(values, t)
     count = rep_ct_count(len(m), lam, params.n)
     cols = sorted(secret.challenge_set)
@@ -133,14 +125,18 @@ def rep_extend(secret: RepSecret, values, base: Identifier) -> np.ndarray:
     return blocks.reshape(count, params.n)
 
 
+def rep_leaf(secret: RepSecret, base: Identifier, length: int) -> bytes:
+    """An input's leaf in the structure digest: the fold of its l tags."""
+    return fold_tags(prf_tags(secret.key, base, length))
+
+
 def rep_auth(secret: RepSecret, backend, values, base) -> RepAuth:
     """Authenticate a vector of values under a fresh base identifier."""
     if len(values) == 0:
         raise ParameterError("cannot authenticate an empty vector")
     base = secret.registry.register(base, len(values))
     cts = backend.encrypt_many(rep_extend(secret, values, base))
-    tags = tuple(prf_tags(secret.key, base, len(values)))
-    return RepAuth(base, len(values), secret.lam, cts, tags)
+    return RepAuth(base, secret.lam, cts, rep_leaf(secret, base, len(values)))
 
 
 def rep_eval(program: Program, auths, backend, lam: int) -> RepResult:
@@ -160,7 +156,7 @@ def rep_eval(program: Program, auths, backend, lam: int) -> RepResult:
     check_inputs(program, auths, backend)
     if any(a.lam != lam for a in auths):
         raise ParameterError("mixed replication factors")
-    counts = {a.num_cts for a in auths}
+    counts = {len(a.cts) for a in auths}
     if len(counts) != 1:
         raise LayoutError("inputs span different ciphertext counts")
     (m,) = counts
@@ -170,8 +166,7 @@ def rep_eval(program: Program, auths, backend, lam: int) -> RepResult:
         eval_he(program, [a.cts[c] for a in auths], backend, stride=lam)
         for c in range(m)
     )
-    leaves = [fold_tags(a.tags) for a in auths]
-    return RepResult(out_cts, hash_tree_eval(program, leaves), lam)
+    return RepResult(out_cts, hash_tree_eval(program, [a.leaf for a in auths]))
 
 
 def rep_challenge_value(secret: RepSecret, program: Program, input_lengths, chunks: int) -> np.ndarray:
@@ -216,7 +211,7 @@ def rep_check(
     claim = replicas[:, :, 0].reshape(-1).tolist()
     if len(slots) != chunks:
         return reject(reason, f"{len(slots)} result ciphertext(s) where the inputs imply {chunks}"), claim
-    leaves = [fold_tags(prf_tags(secret.key, b, l)) for b, l in zip(program.inputs, input_lengths)]
+    leaves = [rep_leaf(secret, b, l) for b, l in zip(program.inputs, input_lengths)]
     if hash_tree_eval(program, leaves) != tag:
         return reject(reason, "structure digest mismatch"), claim
     bad = np.argwhere(replicas != replicas[:, :, :1])

@@ -11,6 +11,12 @@ travel as u32, component-major, then prime, then coefficient:
     ciphertext  u8 components ‖ u8 k ‖ u32 n ‖ residues
     keyset      params container ‖ u8 secret flag ‖ u16 Galois count ‖
                 ascending u64 Galois elements ‖ [sk] ‖ rlk ‖ Galois keys
+    REP upload  identifier ‖ u32 λ ‖ ciphertext list ‖ 64-byte leaf
+    REP result  ciphertext list ‖ 64-byte digest
+
+where a ciphertext list is u8 count ‖ one ciphertext container each.  A REP
+result's body is byte for byte the REP session's result payload, and one
+reader (read_rep_result) parses both.
 
 A ciphertext's k is the chain's length, except in a session message the
 client only decrypts, which may carry a chain prefix 1 ≤ k′ ≤ k (see
@@ -48,8 +54,10 @@ MAGIC = b"VRTS"
 # 7: no public key in a keyset; 8: ψ from the smallest quadratic non-residue,
 # so the evaluation-domain residues of version-7 keys and ciphertexts differ;
 # 9: no error width in the parameters, which every preset fixed at 3.2;
-# 10: a secret's registry records each identifier's value count
-VERSION = 10
+# 10: a secret's registry records each identifier's value count;
+# 11: a REP upload carries its input's leaf, not a tag per value, and no
+# length; a REP result no λ; the parameters no depth budget
+VERSION = 11
 
 TYPE_PARAMS = 0x01
 TYPE_KEYSET = 0x02
@@ -171,28 +179,19 @@ def _read_ident(r: _Reader) -> Identifier:
 def save_params(params: Params) -> bytes:
     name = params.name.encode("utf-8")
     k = len(params.q_chain)
-    depth = -1 if params.depth_budget is None else params.depth_budget
-    head = struct.pack(
-        f"<IQhB{k}QH", params.n, params.t, depth, k, *params.q_chain, len(name)
-    )
+    head = struct.pack(f"<IQB{k}QH", params.n, params.t, k, *params.q_chain, len(name))
     return _container(TYPE_PARAMS, head, name)
 
 
 def _params_from_body(body) -> Params:
     r = _Reader(body)
-    n, t, depth, chain_len = r.unpack("<IQhB")
+    n, t, chain_len = r.unpack("<IQB")
     chain = r.unpack(f"<{chain_len}Q")
     (nlen,) = r.unpack("<H")
     name = r.text(nlen)
     r.done()
     try:
-        return Params(
-            n=n,
-            t=t,
-            q_chain=chain,
-            depth_budget=None if depth < 0 else depth,
-            name=name,
-        )
+        return Params(n=n, t=t, q_chain=chain, name=name)
     except ParameterError as exc:
         raise SerializationError(f"invalid parameters: {exc}") from exc
 
@@ -375,39 +374,39 @@ def load_rep_secret(blob: bytes, offset: int = 0) -> RepSecret:
 
 def save_rep_auth(auth: RepAuth) -> bytes:
     return _container(
-        TYPE_REP_AUTH,
-        _ident(auth.base),
-        struct.pack("<II", auth.length, auth.lam),
-        *_cts(auth.cts),
-        struct.pack("<I", len(auth.tags)),
-        *auth.tags,
+        TYPE_REP_AUTH, _ident(auth.base), struct.pack("<I", auth.lam), *_cts(auth.cts), auth.leaf
     )
 
 
-def load_rep_auth(blob: bytes, offset: int = 0) -> RepAuth:
+def load_rep_auth(blob: bytes, offset: int = 0, params: Params | None = None) -> RepAuth:
+    """A REP upload, each ciphertext fitting `params` if given (load_ciphertext)."""
     body, _ = _expect(blob, TYPE_REP_AUTH, offset)
     r = _Reader(body)
     base = _read_ident(r)
-    length, lam = r.unpack("<II")
-    cts = _read_cts(r)
-    (tcount,) = r.unpack("<I")
-    tags = tuple(np.frombuffer(r.take(64 * tcount), dtype="V64").tolist())  # one bytes per tag
+    (lam,) = r.unpack("<I")
+    cts = _read_cts(r, params=params)
+    leaf = r.take(64)
     r.done()
-    return RepAuth(base, length, lam, cts, tags)
+    return RepAuth(base, lam, cts, leaf)
 
 
 def save_rep_result(res: RepResult) -> bytes:
-    return _container(TYPE_REP_RESULT, struct.pack("<I", res.lam), *_cts(res.cts), res.tag)
+    return _container(TYPE_REP_RESULT, *_cts(res.cts), res.tag)
 
 
-def load_rep_result(blob: bytes, offset: int = 0) -> RepResult:
-    body, _ = _expect(blob, TYPE_REP_RESULT, offset)
+def read_rep_result(body, count: int | None = None, params: Params | None = None) -> RepResult:
+    """A REP result's body or the REP session's result payload, the same
+    bytes: exactly `count` ciphertexts when given, each fitting `params`
+    when given (see load_cts), then the 64-byte digest."""
     r = _Reader(body)
-    (lam,) = r.unpack("<I")
-    cts = _read_cts(r)
+    cts = _read_cts(r, count, params)
     tag = r.take(64)
     r.done()
-    return RepResult(cts, tag, lam)
+    return RepResult(cts, tag)
+
+
+def load_rep_result(blob: bytes, offset: int = 0, params: Params | None = None) -> RepResult:
+    return read_rep_result(_expect(blob, TYPE_REP_RESULT, offset)[0], params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -434,12 +433,13 @@ def save_pe_auth(auth: PeAuth) -> bytes:
     return _container(TYPE_PE_AUTH, *base, *_cts(auth.cts))
 
 
-def load_pe_auth(blob: bytes, offset: int = 0) -> PeAuth:
+def load_pe_auth(blob: bytes, offset: int = 0, params: Params | None = None) -> PeAuth:
+    """A PE upload or result, each ciphertext fitting `params` if given (load_ciphertext)."""
     body, _ = _expect(blob, TYPE_PE_AUTH, offset)
     r = _Reader(body)
     (has_base,) = r.unpack("<B")
     base = _read_ident(r) if has_base else None
-    cts = _read_cts(r)
+    cts = _read_cts(r, params=params)
     r.done()
     return PeAuth(cts, base)
 
@@ -459,13 +459,16 @@ _LOADERS = {
 }
 
 
-def load_any(blob: bytes, offset: int = 0):
-    """Dispatch on the container type; ciphertexts load via load_ciphertext."""
+def load_any(blob: bytes, offset: int = 0, params: Params | None = None):
+    """Dispatch on the container type; ciphertexts load via load_ciphertext.
+    With `params`, every ciphertext must fit them (see load_ciphertext)."""
     tc, _, _ = read_container(blob, offset)
     if tc in (TYPE_CIPHERTEXT, TYPE_MOCK_CIPHERTEXT, TYPE_MOCK_SHRUNK):
-        return load_ciphertext(blob, offset)[0]
+        return load_ciphertext(blob, offset, params)[0]
     if tc not in _LOADERS:
         raise SerializationError(f"unknown container type {tc}")
+    if tc in (TYPE_REP_AUTH, TYPE_REP_RESULT, TYPE_PE_AUTH):
+        return _LOADERS[tc](blob, offset, params)
     return _LOADERS[tc](blob, offset)
 
 

@@ -327,7 +327,7 @@ def test_criterion_7_communication_accounting():
     mock = MockBackend(params, rng=random.Random(SEED))
     for length in (1, 8, 9, 100):
         auth = rep_auth(sec, mock, [1] * length, f"len{length}")
-        assert auth.num_cts == math.ceil(length * 8 / params.n)
+        assert len(auth.cts) == math.ceil(length * 8 / params.n)
     print(
         f"criterion 7: pe +{sent_delta}/+{recv_delta} cts; rep uses "
         f"{rep_report.cts_sent_per_client} = ceil(l·λ/N) cts per input"
@@ -459,7 +459,7 @@ def _scenario_rep_result(params, tamper: bool):
     result = rep_eval(prog, auths, backend, lam=lam)
     if tamper:
         bad = backend.add(result.cts[0], backend.encrypt([5] * n))
-        result = RepResult((bad,) + result.cts[1:], result.tag, lam)
+        result = RepResult((bad,) + result.cts[1:], result.tag)
 
     log: list = []
 

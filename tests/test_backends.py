@@ -29,6 +29,7 @@ from vhe.errors import (
     KeyMaterialError,
     LayoutError,
     ParameterError,
+    ProtocolError,
     SerializationError,
     VheError,
 )
@@ -673,8 +674,9 @@ def test_evaluation_operands_have_exactly_two_components(real, monkeypatch):
             pe.pe_eval(prog, [pe.PeAuth((c0, ct), auth.base)], real)
     cloud_ep, client_ep = protocols.memory_channel()
     client_ep.send(protocols.TAG_REQ_BLINDED, protocols.pack_cts([c0, three]))
-    with pytest.raises(SerializationError, match=r"\(2, "):
+    with pytest.raises(ProtocolError, match=r"not an operand: .*\(2, ") as refused:
         protocols.ReqCloudSession(real, cloud_ep).reduce((c0, c0, c0, c0), 0)
+    assert isinstance(refused.value.__cause__, SerializationError)
     assert arithmetic == []
     monkeypatch.undo()
     for left, right in ((c0, three), (c0, real.shrink(c1))):

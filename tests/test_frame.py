@@ -116,8 +116,8 @@ def test_secret_containers_are_byte_stable():
     digests = [hashlib.sha256(blob).hexdigest() for blob in (
         serialize.save_rep_secret(rs), serialize.save_pe_secret(ps))]
     assert digests == [
-        "df7d4ee5495566336407bcb2bed15913423fa5d974c140857a35b611a05654fe",
-        "fb0fdf4cf8648c70c206de92ed31225ea2df1e522ff3f3c401f7891abe1e8f77",
+        "c67833361d4537aa8bad90c8afca2487d48b88259ece625c44da44d706a754c2",
+        "5d90b36a14df45fee54d1fe095a0eccb9492f4e61f6177637d6ae44cfd1f9012",
     ]
     assert serialize.load_rep_secret(serialize.save_rep_secret(rs)).registry.lengths(
         [Identifier("y"), Identifier("x")]) == [1, 3]

@@ -503,12 +503,12 @@ def test_cli_rep_verify_decrypts_once_and_counts_chunks(tmp_path, capsys, monkey
 
     res = serialize.load_rep_result(serialize.read_file(result))
     serialize.write_file(
-        tmp_path / "short.vrts", serialize.save_rep_result(RepResult(res.cts[:2], res.tag, res.lam))
+        tmp_path / "short.vrts", serialize.save_rep_result(RepResult(res.cts[:2], res.tag))
     )
     assert main(verify + ["--result", str(tmp_path / "short.vrts")]) == 1
     assert "reject: 2 result ciphertext(s) where the inputs imply 3" in capsys.readouterr().out
     serialize.write_file(
-        tmp_path / "long.vrts", serialize.save_rep_result(RepResult(res.cts + res.cts[:1], res.tag, res.lam))
+        tmp_path / "long.vrts", serialize.save_rep_result(RepResult(res.cts + res.cts[:1], res.tag))
     )
     assert main(verify + ["--result", str(tmp_path / "long.vrts")]) == 1
     assert "reject: 4 result ciphertext(s) where the inputs imply 3" in capsys.readouterr().out
@@ -634,13 +634,17 @@ def test_cli_attack_exits_one_above_its_bound(monkeypatch, capsys):
 
 
 def test_cli_report_emission(tmp_path, capsys):
-    assert main([
-        "attack", "--strategy", "wrong-circuit", "--trials", "50",
-        "--out", str(tmp_path / "rep"),
-    ]) == 0
-    data = json.loads((tmp_path / "rep" / "attack.json").read_text())
-    assert data["accepts"] == 0 and data["trials"] == 50
-    assert (tmp_path / "rep" / "attack.csv").read_text().count("\n") == 2
+    # each attack report is named by its strategy and encoding, so two runs
+    # into one directory keep both
+    for auth in ([], ["--auth", "pe"]):
+        assert main([
+            "attack", "--strategy", "wrong-circuit", "--trials", "50", *auth,
+            "--out", str(tmp_path / "rep"),
+        ]) == 0
+    for auth in ("rep", "pe"):
+        data = json.loads((tmp_path / "rep" / f"attack-wrong-circuit-{auth}.json").read_text())
+        assert data["accepts"] == 0 and data["trials"] == 50 and data["auth"] == auth
+        assert (tmp_path / "rep" / f"attack-wrong-circuit-{auth}.csv").read_text().count("\n") == 2
 
     assert main([
         "usecase", "--name", "dot-product", "--auth", "rep",
@@ -747,6 +751,27 @@ def test_cli_verify_refuses_a_result_of_another_ring_or_backend(tmp_path, capsys
         "verify", "--key", str(verifier), "--program", str(prog),
         "--result", str(tmp_path / "r.vrts"),
     ]), capsys, "ciphertext")
+
+
+@pytest.mark.parametrize("command", ["eval", "serve"])
+def test_cli_evaluator_refuses_an_upload_of_another_ring(tmp_path, capsys, command):
+    """`vhe eval` and `vhe serve` load every upload against their backend's
+    parameters: uploads made on mock16 are an error (exit 2) on mock64,
+    naming the ciphertext that does not fit, before a socket is opened."""
+    _, prog = _rep_files(tmp_path, 8)
+    keys = tmp_path / "small"
+    assert main(["keygen", "--auth", "rep", "--params", "mock16", "--lambda", "2",
+                 "--backend", "mock", "--out", str(keys)]) == 0
+    for base in ("x", "y"):
+        assert main(["auth", "--key", str(keys / "secret.vrts"), "--base", base,
+                     "--values", str(tmp_path / "x.csv"), "--out", str(tmp_path / f"s{base}.vrts")]) == 0
+    capsys.readouterr()
+    where = ["--transport", "tcp://127.0.0.1:0"] if command == "serve" else ["--out", str(tmp_path / "r.vrts")]
+    _assert_clean_error(main([
+        command, "--program", str(prog), "--inputs", str(tmp_path / "sx.vrts"), str(tmp_path / "sy.vrts"),
+        "--params", "mock64", *where,
+    ]), capsys, "mock ciphertext of 16 slots, expected 64")
+    assert not (tmp_path / "r.vrts").exists()
 
 
 def test_cli_missing_files_are_errors(tmp_path, capsys):

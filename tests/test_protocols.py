@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vhe import bfv, mock, pe, rep
+from vhe import bfv, mock, pe, rep, serialize
 from vhe import protocols as pr
 from vhe.circuit import ProgramBuilder, eval_plain
 from vhe.errors import (
@@ -524,7 +524,7 @@ def test_real_pp_too_short_prefix_is_rejected_without_a_reaction(draws):
     rng = random.Random(60)
     b = ProgramBuilder(width=N, name="xy")
     prog = b.build(b.mul(b.input("x"), b.input("y")), output_block=(0, 4))
-    sec = pe.pe_keygen(PARAMS, extra_steps=pr.pp_required_steps(N), rng=rng)
+    sec = pe.pe_keygen(PARAMS, pp=True, rng=rng)
     client = bfv.BfvBackend(PARAMS, sec.he_keys, rng=np.random.default_rng(61))
     cloud = bfv.BfvBackend(PARAMS, sec.he_keys.public(), rng=np.random.default_rng(62))
     auths = [pe.pe_auth(sec, client, [rng.randrange(T) for _ in range(N)], lbl) for lbl in "xy"]
@@ -704,7 +704,7 @@ def test_real_pp_degree_two_in_three_key_switches():
     x = b.input("x")
     y = b.input("y")
     prog = b.build(b.mul(x, y), output_block=(0, 4))
-    sec = pe.pe_keygen(params, extra_steps=pr.pp_required_steps(n), rng=rng)
+    sec = pe.pe_keygen(params, pp=True, rng=rng)
     cloud = _counting(bfv.BfvBackend)(params, sec.he_keys.public(), rng=np.random.default_rng(46))
     client = bfv.BfvBackend(params, sec.he_keys, rng=np.random.default_rng(47))
     xs = [rng.randrange(t) for _ in range(n)]
@@ -1180,6 +1180,34 @@ def test_rep_session_decrypts_each_result_ciphertext_once():
     assert tr.sent == [(pr.TAG_RESULT, pr.pack_cts([client.shrink(c) for c in res.cts]) + res.tag)]
 
 
+@pytest.mark.parametrize("real", [False, True], ids=["mock", "real"])
+def test_a_rep_result_container_body_is_the_session_payload(real):
+    """The REP session's result payload is byte for byte the body of the
+    result container of the same shrunk result, and one serialize reader
+    parses both."""
+    rng = random.Random(75)
+    sec = rep.rep_keygen(PARAMS, lam=8, rng=rng, make_he_keys=real)
+    if real:
+        backend = bfv.BfvBackend(PARAMS, sec.he_keys, rng=np.random.default_rng(76))
+    else:
+        backend = MockBackend(PARAMS, rng=random.Random(76))
+    b = ProgramBuilder(width=N // 8, name="sum")
+    prog = b.build(b.add(b.input("a"), b.input("b")), output_block=(0, N // 8))
+    auths = [rep.rep_auth(sec, backend, [rng.randrange(T) for _ in range(24)], x) for x in "ab"]
+    res = rep.rep_eval(prog, auths, backend, lam=8)
+
+    def cloud_fn(ep):
+        pr.cloud_session(backend, ep, lambda _: res)
+        return ep.transcript
+
+    tr, (ok, _) = pr.run_session(cloud_fn, lambda ep: pr.client_session(sec, backend, prog, ep))
+    blob = serialize.save_rep_result(dataclasses.replace(res, cts=tuple(map(backend.shrink, res.cts))))
+    _, body, _ = serialize.read_container(blob)
+    assert ok and tr.sent == [(pr.TAG_RESULT, body)]
+    assert serialize.save_rep_result(serialize.read_rep_result(tr.sent[0][1], 3, PARAMS)) == blob
+    assert serialize.save_rep_result(serialize.load_rep_result(blob, params=PARAMS)) == blob
+
+
 @pytest.mark.parametrize(
     "kind", ["one ciphertext short", "one ciphertext over", "shorter than a digest",
              "trailing bytes"],
@@ -1301,6 +1329,18 @@ def test_the_cloud_refuses_a_malformed_mode(mode):
     assert evaluated == [] and ep.transcript.sent == []
 
 
+@pytest.mark.parametrize("size", [0, 15, 17])
+def test_the_prover_refuses_a_challenge_of_another_size(size):
+    """A packed-proof challenge that is not two u64 values is a
+    ProtocolError after the commitment, before any response."""
+    cloud = MockBackend(PARAMS, rng=random.Random(74))
+    ep, peer = pr.memory_channel(timeout=1.0)
+    peer.send(pr.TAG_PP_CHALLENGE, bytes(size))
+    with pytest.raises(ProtocolError, match="two u64"):
+        pr.pp_prove(cloud, pe.PeAuth((cloud.encrypt_zero(),) * 3), ep)
+    assert [tag for tag, _ in ep.transcript.sent] == [pr.TAG_PP_RESULT]
+
+
 @pytest.mark.parametrize("mode", [pr.MODE_REQ, pr.MODE_PP, pr.MODE_REQ | pr.MODE_PP])
 def test_the_cloud_refuses_req_and_pp_for_a_rep_result(mode):
     """A replication result runs neither ReQ nor the packed proof: the cloud
@@ -1371,5 +1411,6 @@ def test_a_real_req_cloud_refuses_mock_blinded_replies():
     ct = backend.encrypt([1] * N)
     ep, peer = pr.memory_channel(timeout=1.0)
     peer.send(pr.TAG_REQ_BLINDED, _payloads()[0])
-    with pytest.raises(SerializationError, match="ciphertext"):
+    with pytest.raises(ProtocolError, match="not an operand: .*ciphertext") as refused:
         pr.ReqCloudSession(backend, ep).reduce((ct,) * 4, 0)
+    assert isinstance(refused.value.__cause__, SerializationError)

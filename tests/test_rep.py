@@ -142,7 +142,7 @@ def test_multi_ciphertext_aggregation(mock):
     prog = b.build(b.add(b.input("a"), b.input("b")), output_block=(0, WIDTH))
     aa = rep.rep_auth(sec, mock, a_vals, "a")
     bb = rep.rep_auth(sec, mock, b_vals, "b")
-    assert aa.num_cts == 3
+    assert len(aa.cts) == 3
     res = rep.rep_eval(prog, [aa, bb], mock, lam=LAM)
     assert len(res.cts) == 3
     # the output block repeats per chunk: 3 × WIDTH values, zero-padded past l
@@ -171,7 +171,7 @@ def test_mixed_ciphertext_counts_rejected(mock):
     prog = b.build(b.add(b.input("a"), b.input("b")))
     one = rep.rep_auth(sec, mock, list(range(WIDTH)), "a")
     two = rep.rep_auth(sec, mock, list(range(WIDTH + 1)), "b")
-    assert (one.num_cts, two.num_cts) == (1, 2)
+    assert (len(one.cts), len(two.cts)) == (1, 2)
     with pytest.raises(LayoutError, match="different ciphertext counts"):
         rep.rep_eval(prog, [one, two], mock, lam=LAM)
 
@@ -217,7 +217,7 @@ def test_rejects_blind_block_shift(mock):
     slots = list(mock.decrypt(res.cts[0]))
     for j in range(LAM):
         slots[j] = (slots[j] + 3) % T
-    forged = rep.RepResult((mock.encrypt(slots),), res.tag, LAM)
+    forged = rep.RepResult((mock.encrypt(slots),), res.tag)
     why = []
     assert not rep.rep_verify(
         sec, mock, prog, forged, [(claim + 3) % T], [4, 4], reason=why
@@ -248,15 +248,15 @@ def test_rejects_swapped_inputs_digest(mock):
     """A malicious evaluator that feeds y where x was agreed produces a
     digest over swapped leaves: rejected."""
     from vhe.circuit import eval_he
-    from vhe.labels import fold_tags, hash_tree_eval
+    from vhe.labels import hash_tree_eval
 
     sec = make_secret(seed=10)
     prog = dot_program()
     xa = rep.rep_auth(sec, mock, [3, 1, 4, 1], "x")
     ya = rep.rep_auth(sec, mock, [2, 7, 1, 8], "y")
     out = eval_he(prog, [ya.cts[0], xa.cts[0]], mock, stride=LAM)
-    tag = hash_tree_eval(prog, [fold_tags(ya.tags), fold_tags(xa.tags)])
-    forged = rep.RepResult((out,), tag, LAM)
+    tag = hash_tree_eval(prog, [ya.leaf, xa.leaf])
+    forged = rep.RepResult((out,), tag)
     assert not rep.rep_verify(sec, mock, prog, forged, [25], [4, 4])
 
 
@@ -293,7 +293,7 @@ def test_rejects_truncated_or_padded_result(mock, shape):
     appended, is rejected with a reason, with or without a claim."""
     sec, prog, res = _three_chunk_sum(mock)
     cts = res.cts[:2] if shape == "one chunk dropped" else res.cts + (mock.encrypt([0] * N),)
-    forged = rep.RepResult(cts, res.tag, LAM)
+    forged = rep.RepResult(cts, res.tag)
     why = []
     ok, claim = rep.rep_check(sec, prog, [mock.decrypt(c) for c in cts], res.tag, [24, 24], why)
     assert not ok and why == [f"{len(cts)} result ciphertext(s) where the inputs imply 3"]
@@ -369,4 +369,4 @@ def test_real_backend_matches_mock_extension():
     sec.registry = type(sec.registry)()  # fresh registry to reuse the label
     a_mock = rep.rep_auth(sec, mock, vals, "v")
     assert backend.decrypt(a_real.cts[0]) == mock.decrypt(a_mock.cts[0])
-    assert a_real.tags == a_mock.tags
+    assert a_real.leaf == a_mock.leaf

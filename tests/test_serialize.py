@@ -15,6 +15,7 @@ from vhe import bfv, pe, rep
 from vhe import serialize as sz
 from vhe.circuit import ProgramBuilder
 from vhe.errors import SerializationError
+from vhe.labels import Identifier, prf_tags
 from vhe.mock import MockBackend
 from vhe.params import preset
 
@@ -76,7 +77,7 @@ def test_keyset_roundtrip_public_and_secret(real_keys):
 def test_rep_containers_roundtrip(mock):
     sec = rep.rep_keygen(PARAMS, lam=8, rng=random.Random(6), make_he_keys=False)
     auth = rep.rep_auth(sec, mock, [5, 6, 7], "series")
-    res = rep.RepResult(auth.cts, b"\x42" * 64, 8)
+    res = rep.RepResult(auth.cts, b"\x42" * 64)
 
     sec2 = sz.load_rep_secret(sz.save_rep_secret(sec))
     assert (sec2.lam, sec2.challenge_set, sec2.key) == (sec.lam, sec.challenge_set, sec.key)
@@ -85,10 +86,10 @@ def test_rep_containers_roundtrip(mock):
 
     auth2 = sz.load_rep_auth(sz.save_rep_auth(auth))
     assert auth2 == auth
-    # tags are raw bytes: null bytes at either end survive the round trip
-    edges = replace(auth, tags=(bytes(64), b"\1" + bytes(63), bytes(63) + b"\1"))
-    tags = sz.load_rep_auth(sz.save_rep_auth(edges)).tags
-    assert tags == edges.tags and {type(t) for t in tags} == {bytes}
+    # the leaf is raw bytes: null bytes at either end survive the round trip
+    for leaf in (bytes(64), b"\1" + bytes(63), bytes(63) + b"\1"):
+        edges = replace(auth, leaf=leaf)
+        assert sz.load_rep_auth(sz.save_rep_auth(edges)) == edges
 
     res2 = sz.load_rep_result(sz.save_rep_result(res))
     assert res2 == res
@@ -196,6 +197,26 @@ def test_version_4_ciphertext_refused(real_keys):
     _, body, _ = sz.read_container(sz.save_ciphertext(backend.encrypt([1] * PARAMS.n)))
     with pytest.raises(SerializationError, match="version 4"):
         sz.load_ciphertext(_container(sz.TYPE_CIPHERTEXT, struct.pack("<I", 0) + body, version=4))
+
+
+def test_version_10_upload_result_and_params_refused(mock):
+    """Version 10 uploads carried their length and a tag per value, results
+    their λ and parameters a depth budget: such containers are refused, and
+    their bodies do not parse under the current version either."""
+    sec = rep.rep_keygen(PARAMS, lam=4, rng=random.Random(9), make_he_keys=False)
+    auth = rep.rep_auth(sec, mock, [1, 2], "v10")
+    k = len(PARAMS.q_chain)
+    bodies = [
+        (sz.load_rep_auth, sz.TYPE_REP_AUTH, sz._ident(auth.base) + struct.pack("<II", 2, 4)
+         + sz.save_cts(auth.cts) + struct.pack("<I", 2) + b"".join(prf_tags(sec.key, auth.base, 2))),
+        (sz.load_rep_result, sz.TYPE_REP_RESULT, struct.pack("<I", 4) + sz.save_cts(auth.cts) + bytes(64)),
+        (sz.load_params, sz.TYPE_PARAMS, struct.pack(f"<IQhB{k}QH", PARAMS.n, PARAMS.t, 2, k, *PARAMS.q_chain, 0)),
+    ]
+    for load, type_code, body in bodies:
+        with pytest.raises(SerializationError, match="version 10"):
+            load(_container(type_code, body, version=10))
+        with pytest.raises(SerializationError):
+            load(_container(type_code, body))
 
 
 def test_version_5_secret_and_auth_refused(mock):
@@ -321,7 +342,7 @@ def _fuzz_blobs():
         (sz.save_ciphertext(mock.encrypt(vals)), load_ct),
         (sz.save_rep_secret(rsec), sz.load_rep_secret),
         (sz.save_rep_auth(rauth), sz.load_rep_auth),
-        (sz.save_rep_result(rep.RepResult(rauth.cts, b"\x42" * 64, 4)), sz.load_rep_result),
+        (sz.save_rep_result(rep.RepResult(rauth.cts, b"\x42" * 64)), sz.load_rep_result),
         (sz.save_pe_secret(psec), sz.load_pe_secret),
         (sz.save_pe_auth(pauth), sz.load_pe_auth),
         (sz.save_pe_auth(pe.PeAuth((real_ct, real_ct))), sz.load_pe_auth),
@@ -361,3 +382,33 @@ def test_non_utf8_label_refused():
     body = body[:6] + b"\xff" + body[7:]  # u16 ident length, u32 label length, label
     with pytest.raises(SerializationError, match="UTF-8"):
         sz.load_rep_auth(_container(sz.TYPE_REP_AUTH, body))
+
+
+@pytest.mark.parametrize("encoding", ["rep", "pe"])
+@pytest.mark.parametrize("shape", ["k + 1 rows", "another n"])
+def test_an_upload_that_does_not_fit_the_evaluator_is_refused(encoding, shape, monkeypatch):
+    """With the evaluator's parameters, an upload whose ciphertext declares
+    k + 1 residue rows or another ring degree is refused before any residue
+    is read, by its loader and by load_any; without them it loads."""
+    k, n = len(PARAMS.q_chain), PARAMS.n
+    dims = (2, k + 1, n) if shape == "k + 1 rows" else (2, k, n // 2)
+    ct = bfv.Ciphertext(np.zeros(dims, dtype=np.int64))
+    if encoding == "rep":
+        blob, load = sz.save_rep_auth(rep.RepAuth(Identifier("x"), 8, (ct,), bytes(64))), sz.load_rep_auth
+    else:
+        blob, load = sz.save_pe_auth(pe.PeAuth((ct, ct), Identifier("x"))), sz.load_pe_auth
+    assert load(blob).cts[0].data.shape == dims
+    monkeypatch.setattr(sz._Reader, "residues", lambda *a: pytest.fail("a residue was read"))
+    for loader in (load, sz.load_any):
+        with pytest.raises(SerializationError, match="does not fit"):
+            loader(blob, params=PARAMS)
+
+
+def test_a_rep_upload_carries_one_leaf_whatever_its_length(mock):
+    """A REP upload is its ciphertexts plus a fixed 11 + identifier + 4 + 64
+    bytes: no byte grows with the number of values."""
+    sec = rep.rep_keygen(PARAMS, lam=8, rng=random.Random(8), make_he_keys=False)
+    for length, base in ((1, "a"), (8, "b"), (24, "c")):
+        auth = rep.rep_auth(sec, mock, list(range(length)), base)
+        ident = 2 + len(Identifier(base).canonical_bytes())
+        assert len(sz.save_rep_auth(auth)) == len(sz.save_cts(auth.cts)) + 11 + ident + 4 + 64
